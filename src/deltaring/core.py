@@ -2,17 +2,23 @@
 
 Elements of a ring of order n are the integers 0..n-1; addition and
 multiplication are n-by-n lookup tables (row-major numpy arrays, so every
-scan is a fancy-indexing pass).  `validate_ring` is the only constructor:
-it verifies every ring axiom before handing out a `FiniteRing`, so holding
-one is proof that the tables really form a unital ring.
+scan is a fancy-indexing pass).  Holding a `FiniteRing` is proof that the
+tables really form a unital ring: every one is either validated from its
+tables or derived from a ring that already was, under a certificate.
 
-Validation is exact at every order.  Up to `DEFAULT_EXHAUSTIVE_BOUND` the
-associativity and distributivity laws are checked on all n^3 triples
-literally; above that bound the validator switches to an equivalent
-complete procedure: Light's associativity test over an additive generating
-set, biadditivity of the product on generator pairs, and associativity of
-the product on generator triples (sound once biadditivity is known, since
-the associator is additive in each slot).
+`validate_ring` is exact at every order with one complete procedure:
+Light's associativity test over an additive generating set, biadditivity
+of the product on generator pairs, and associativity of the product on
+generator triples (sound once biadditivity is known, since the associator
+is additive in each slot).
+
+Derived rings are certified, not re-validated.  `quotient_ring` checks the
+ideal and then the projection with `validate_hom`: a surjective map that
+preserves 0, 1, + and * carries every ring law onto its image (first
+isomorphism theorem).  `induced_subring` (and so `corner_ring`) checks that
+the subset contains 0, is closed under negation, addition and
+multiplication, and has the given identity; the inclusion then preserves
+both operations, so every ring law holds on the subset.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .errors import (
 from .report import CheckReport, Witness
 
 DEFAULT_ORDER_GUARD = 4096
-DEFAULT_EXHAUSTIVE_BOUND = 128
 
 
 def _resolve_guard(order_guard: int | None) -> int:
@@ -263,30 +268,6 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
     return gens
 
 
-def _exhaustive_triple_checks(add: np.ndarray, mul: np.ndarray) -> None:
-    # 3-D tensors stay small because this path only runs at low orders.
-    lhs = add[add, :]
-    rhs = add[:, add]
-    if not np.array_equal(lhs, rhs):
-        i, j, k = np.argwhere(lhs != rhs)[0]
-        raise AxiomViolation("add-associativity", (i, j, k))
-    lhs = mul[mul, :]
-    rhs = mul[:, mul]
-    if not np.array_equal(lhs, rhs):
-        i, j, k = np.argwhere(lhs != rhs)[0]
-        raise AxiomViolation("mul-associativity", (i, j, k))
-    lhs = mul[:, add]
-    rhs = add[mul[:, :, None], mul[:, None, :]]
-    if not np.array_equal(lhs, rhs):
-        i, j, k = np.argwhere(lhs != rhs)[0]
-        raise AxiomViolation("left-distributivity", (i, j, k))
-    lhs = mul[add, :]
-    rhs = add[mul[:, None, :], mul[None, :, :]]
-    if not np.array_equal(lhs, rhs):
-        i, j, k = np.argwhere(lhs != rhs)[0]
-        raise AxiomViolation("right-distributivity", (i, j, k))
-
-
 def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, zero: int) -> None:
     gens = additive_generators(add, zero)
     # Light's test: with a set generating the table, middle-slot triples decide
@@ -323,8 +304,7 @@ def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, zero: int) -> Non
 
 
 def validate_ring(add, mul, zero: int, one: int, label: str = "R",
-                  names=None, *, order_guard: int | None = None,
-                  exhaustive_bound: int | None = None) -> FiniteRing:
+                  names=None, *, order_guard: int | None = None) -> FiniteRing:
     """Check every ring axiom on the given tables and return the ring.
 
     Raises `AxiomViolation` (with the first failing instance) when any law
@@ -367,20 +347,31 @@ def validate_ring(add, mul, zero: int, one: int, label: str = "R",
         c = int(np.flatnonzero(mul_t[:, one] != arange)[0])
         raise AxiomViolation("mul-identity", (c, one))
 
-    bound = DEFAULT_EXHAUSTIVE_BOUND if exhaustive_bound is None else int(exhaustive_bound)
-    if n <= bound:
-        _exhaustive_triple_checks(add_t, mul_t)
-    else:
-        _generator_triple_checks(add_t, mul_t, zero)
+    _generator_triple_checks(add_t, mul_t, zero)
+    return _certified_ring(label, add_t, mul_t, zero, one, names)
 
-    neg = (add_t == zero).argmax(axis=1).astype(np.int32)
+
+def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one: int,
+                    names) -> FiniteRing:
+    """The one place a `FiniteRing` is made, for tables already known to
+    form a ring: validated by `validate_ring` or certified by a derivation."""
+    n = add.shape[0]
+    if zero == one:
+        raise AxiomViolation("identity-distinct", (zero, one),
+                             "rings here have 0 != 1, so the order is at least 2")
     if names is None:
         names = tuple(str(i) for i in range(n))
     else:
         names = tuple(str(s) for s in names)
         if len(names) != n:
             raise ValueError("names must have one entry per element")
-    return FiniteRing(label, add_t, mul_t, zero, one, names, neg)
+    neg = (add == zero).argmax(axis=1).astype(np.int32)
+    return FiniteRing(label, add, mul, zero, one, names, neg)
+
+
+def _relabel(ring: FiniteRing, label: str) -> FiniteRing:
+    """The same certified tables under another label (a fresh memo)."""
+    return _certified_ring(label, ring.add, ring.mul, ring.zero, ring.one, ring.names)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +511,9 @@ def quotient_ring(ring: FiniteRing, ideal: ElementSet) -> tuple[FiniteRing, Ring
     qzero = int(pos[rep[ring.zero]])
     qone = int(pos[rep[ring.one]])
     names = tuple(f"[{ring.names[int(r)]}]" for r in reps)
-    quotient = validate_ring(qadd, qmul, qzero, qone,
-                             label=_ideal_label(ring, idx), names=names)
+    quotient = _certified_ring(_ideal_label(ring, idx), qadd, qmul, qzero, qone, names)
+    # The certificate: the projection is surjective by construction, so its
+    # validation as a homomorphism proves the quotient tables form a ring.
     proj = validate_hom(ring, quotient, pos[rep])
     return quotient, proj
 
@@ -531,18 +523,31 @@ def induced_subring(ring: FiniteRing, subset: ElementSet, one: int,
     """Ring structure on a multiplicatively and additively closed subset.
 
     Element i of the result is the i-th smallest member index of `subset`;
-    the returned index array realises that correspondence.
+    the returned index array realises that correspondence.  `one` must be a
+    two-sided identity on the subset.
     """
-    elems = np.flatnonzero(subset.members).astype(np.int32)
+    mask = subset.members
+    elems = np.flatnonzero(mask).astype(np.int32)
+    if not (mask[ring.zero] and mask[ring.neg[elems]].all()):
+        raise ValueError("subset does not contain 0 and the negatives of its members")
     pos = np.full(ring.order, -1, dtype=np.int32)
     pos[elems] = np.arange(elems.size, dtype=np.int32)
     sub_add = pos[ring.add[np.ix_(elems, elems)]]
     sub_mul = pos[ring.mul[np.ix_(elems, elems)]]
-    if sub_add.size and (sub_add.min() < 0 or sub_mul.min() < 0):
+    if sub_add.min() < 0 or sub_mul.min() < 0:
         raise ValueError("subset is not closed under the ring operations")
+    one = int(one)
+    if not mask[one]:
+        raise ValueError(f"identity {one} is not a member of the subset")
+    for side, row in (("left", ring.mul[one, elems]), ("right", ring.mul[elems, one])):
+        if not np.array_equal(row, elems):
+            c = int(elems[np.flatnonzero(row != elems)[0]])
+            raise AxiomViolation("mul-identity", (one, c) if side == "left" else (c, one))
     names = tuple(ring.names[int(e)] for e in elems)
-    out = validate_ring(sub_add, sub_mul, int(pos[ring.zero]), int(pos[one]),
-                        label=label or f"{ring.label}|sub({elems.size})", names=names)
+    # The inclusion preserves + and * on a subset holding 0, negatives and an
+    # identity, so every ring law holds there: no re-validation is needed.
+    out = _certified_ring(label or f"{ring.label}|sub({elems.size})", sub_add, sub_mul,
+                          int(pos[ring.zero]), int(pos[one]), names)
     return out, elems
 
 

@@ -355,7 +355,9 @@ SUPPORTED_FIELDS = tuple(sorted(_GF_PRIMES | set(_GF_POLYS)))
 
 def _zmod_tables(m: int):
     i = np.arange(m, dtype=np.int32)
-    return (i[:, None] + i[None, :]) % m, (i[:, None] * i[None, :]) % m
+    # Products in int64: i*j overflows int32 once m > 46340.
+    wide = i.astype(np.int64)
+    return (i[:, None] + i[None, :]) % m, ((wide[:, None] * wide[None, :]) % m).astype(np.int32)
 
 
 def _gf_name(coeffs: tuple[int, ...]) -> str:
@@ -443,6 +445,9 @@ def _field_char(q: int) -> int:
 def _build_uncached(e: RingExpr, canonical: str, guard: int | None) -> FiniteRing:
     match e:
         case Named("Z", m):
+            limit = core._resolve_guard(guard)
+            if m > limit:
+                raise OrderGuardExceeded(f"order {m} exceeds the order guard {limit}")
             add, mul = _zmod_tables(m)
             return validate_ring(add, mul, 0, 1, label=canonical, order_guard=guard)
         case Named("GF", q):
@@ -502,17 +507,13 @@ def _build_uncached(e: RingExpr, canonical: str, guard: int | None) -> FiniteRin
             for g in gens:
                 if not 0 <= g < R.order:
                     raise BadArity(f"ideal generator index {g} out of range for {R.label}")
-            ideal = core.ideal_generated(R, gens)
-            Q, _ = core.quotient_ring(R, ideal)
-            return validate_ring(Q.add, Q.mul, Q.zero, Q.one, label=canonical,
-                                 names=Q.names, order_guard=guard)
+            Q, _ = core.quotient_ring(R, core.ideal_generated(R, gens))
+            return core._relabel(Q, canonical)
         case Corner(base, idem):
             R = build(base, order_guard=guard)
             if not 0 <= idem < R.order:
                 raise BadArity(f"idempotent index {idem} out of range for {R.label}")
-            C = core.corner_ring(R, idem)
-            return validate_ring(C.add, C.mul, C.zero, C.one, label=canonical,
-                                 names=C.names, order_guard=guard)
+            return core._relabel(core.corner_ring(R, idem), canonical)
     raise ValueError(f"unbuildable node {e!r}")
 
 

@@ -116,28 +116,35 @@ def units_lift(hom: RingHom) -> tuple[bool, int | None]:
 
 
 def ideals_inside_radical(ring: FiniteRing) -> list[ElementSet]:
-    """Every two-sided ideal contained in J(R), by closure-lattice search."""
-    jac = subsets.jacobson_mask(ring)
-    j_idx = [int(a) for a in np.flatnonzero(jac)]
-    seen: dict[tuple, ElementSet] = {}
-    zero_ideal = ElementSet.from_indices(ring, [ring.zero])
-    frontier = [zero_ideal]
-    seen[tuple(zero_ideal.indices)] = zero_ideal
+    """Every two-sided ideal contained in J(R), sorted by index tuple.
+
+    Each such ideal is a sum of principal ideals generated inside J(R), so
+    the search takes one closure per radical element and then closes {0}
+    under I -> I + P over the distinct principal ideals P, one sumset each.
+    """
+    principal: dict[bytes, np.ndarray] = {}
+    for a in np.flatnonzero(subsets.jacobson_mask(ring)):
+        members = core.ideal_generated(ring, [int(a)]).members
+        principal.setdefault(members.tobytes(), members)
+    zero = np.zeros(ring.order, dtype=bool)
+    zero[ring.zero] = True
+    seen = {zero.tobytes(): zero}
+    frontier = [zero]
     while frontier:
         nxt = []
         for ideal in frontier:
-            for a in j_idx:
-                if a in ideal:
+            i_idx = np.flatnonzero(ideal)
+            for p_mask in principal.values():
+                if ideal[p_mask].all():
                     continue
-                bigger = core.ideal_generated(ring, ideal.indices + [a])
-                if not jac[bigger.members].all():
-                    continue
-                key = tuple(bigger.indices)
+                total = subsets.sumset_mask(ring, i_idx, np.flatnonzero(p_mask))
+                key = total.tobytes()
                 if key not in seen:
-                    seen[key] = bigger
-                    nxt.append(bigger)
+                    seen[key] = total
+                    nxt.append(total)
         frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+    ideals = [ElementSet(ring, mask) for mask in seen.values()]
+    return sorted(ideals, key=lambda ideal: ideal.indices)
 
 
 def _sumset(ring: FiniteRing, a_idx, b_idx) -> np.ndarray:

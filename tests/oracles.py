@@ -1,11 +1,80 @@
-"""Naive pure-Python reference implementations used as independent oracles.
+"""Naive reference implementations used as independent oracles.
 
-Every function here walks the ring tables with plain loops, with no shared
-code with the library's vectorized scans.  Expected values in the tests
-are either frozen from these oracles or checked against them directly.
+The element-set oracles walk the ring tables with plain loops, with no
+shared code with the library's vectorized scans.  The axiom oracle checks
+every ring law on all pairs and triples literally (numpy broadcasting over
+the n^3 triples), sharing nothing with the library's generator-based
+validator.  The ideal oracle is a plain closure-lattice search.  Expected
+values in the tests are either frozen from these oracles or checked against
+them directly.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from deltaring import core, subsets
+
+
+def first_axiom_violation(add, mul, zero: int, one: int) -> str | None:
+    """Name of the first ring law that the tables break, or None.
+
+    Every law is checked on every pair or triple, so the cost is n^3: keep
+    to small orders.
+    """
+    add, mul = np.asarray(add), np.asarray(mul)
+    n = add.shape[0]
+    arange = np.arange(n)
+    if n < 2 or zero == one:
+        return "identity-distinct"
+    if not np.array_equal(add, add.T):
+        return "add-commutativity"
+    if not np.array_equal(add[zero], arange):
+        return "add-identity"
+    if not (add == zero).any(axis=1).all():
+        return "add-inverse"
+    if not (np.array_equal(mul[one], arange) and np.array_equal(mul[:, one], arange)):
+        return "mul-identity"
+    triple_laws = (
+        ("add-associativity", add[add, :], add[:, add]),
+        ("mul-associativity", mul[mul, :], mul[:, mul]),
+        ("left-distributivity", mul[:, add], add[mul[:, :, None], mul[:, None, :]]),
+        ("right-distributivity", mul[add, :], add[mul[:, None, :], mul[None, :, :]]),
+    )
+    for law, lhs, rhs in triple_laws:
+        if not np.array_equal(lhs, rhs):
+            return law
+    return None
+
+
+def closure_lattice_ideals(R, within=None) -> list:
+    """Every two-sided ideal inside the mask `within` (default: everything),
+    by adjoining one element at a time to known ideals and taking the full
+    fixpoint closure; sorted by index tuple."""
+    allowed = np.ones(R.order, dtype=bool) if within is None else within
+    candidates = [int(a) for a in np.flatnonzero(allowed)]
+    zero = core.ideal_generated(R, [])
+    seen = {tuple(zero.indices): zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for ideal in frontier:
+            for a in candidates:
+                if a in ideal:
+                    continue
+                bigger = core.ideal_generated(R, ideal.indices + [a])
+                if not allowed[bigger.members].all():
+                    continue
+                key = tuple(bigger.indices)
+                if key not in seen:
+                    seen[key] = bigger
+                    nxt.append(bigger)
+        frontier = nxt
+    return [seen[k] for k in sorted(seen)]
+
+
+def closure_lattice_ideals_inside_radical(R) -> list:
+    return closure_lattice_ideals(R, subsets.jacobson_mask(R))
 
 
 def naive_units(R) -> list[int]:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 
-from deltaring import cli, core, schemas
+import deltaring
+from deltaring import cli, core, dsl, schemas
 
 
 def run(capsys, *argv):
@@ -148,3 +153,35 @@ def test_env_order_guard(capsys, monkeypatch):
     # the flag wins over the environment
     code, _, _ = run(capsys, "info", "Z12", "--max-order", "100")
     assert code == 0
+
+
+def test_zmod_guard_before_allocation(capsys, monkeypatch):
+    def refuse(m):
+        raise AssertionError("Z(m) tables allocated past the order guard")
+
+    monkeypatch.delenv("DELTA_RING_MAX_ORDER", raising=False)
+    monkeypatch.setattr(dsl, "_zmod_tables", refuse)
+    code, _, err = run(capsys, "info", "Z5000")
+    assert code == 2 and "order 5000 exceeds the order guard 4096" in err
+
+
+def test_verify_all_cold_runs_identical_across_thread_counts():
+    # fresh interpreters, so no run reads verdicts memoized by another
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("DELTA_RING_MAX_ORDER", "DELTA_RING_THREADS")}
+    src = str(Path(deltaring.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    procs = [subprocess.Popen([sys.executable, "-m", "deltaring.cli", "verify", "all",
+                               "--json", "--threads", str(t)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+             for t in (1, 2, 4)]
+    try:
+        outputs = [p.communicate(timeout=300) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+            p.wait()
+    assert [p.returncode for p in procs] == [0, 0, 0], [err for _, err in outputs]
+    first = outputs[0][0]
+    assert json.loads(first)["verdict"] is True
+    assert all(out == first for out, _ in outputs)

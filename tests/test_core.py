@@ -68,14 +68,15 @@ def test_order_guard():
 
 
 def test_generator_path_matches_exhaustive(zmod):
-    # same tables validated along both paths; the generator path must also
-    # catch a corrupted cell
+    # the library's generator-based validator and the literal triple scan of
+    # the oracle accept the same tables and reject the same corrupted cell
     add, mul = zmod_tables(60)
-    core.validate_ring(add, mul, 0, 1, exhaustive_bound=4)
-    core.validate_ring(add, mul, 0, 1, exhaustive_bound=128)
+    core.validate_ring(add, mul, 0, 1)
+    assert oracles.first_axiom_violation(add, mul, 0, 1) is None
     mul[17][23] = (mul[17][23] + 1) % 60
     with pytest.raises(AxiomViolation):
-        core.validate_ring(add, mul, 0, 1, exhaustive_bound=4)
+        core.validate_ring(add, mul, 0, 1)
+    assert oracles.first_axiom_violation(add, mul, 0, 1) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +164,51 @@ def test_quotient_requires_ideal(zmod):
     Z12 = zmod(12)
     with pytest.raises(NotAnIdeal):
         core.quotient_ring(Z12, core.ElementSet.from_indices(Z12, [0, 5]))
+    # an additive subgroup that is a left ideal but not a two-sided one
+    M2 = matrix_ring(zmod(2), 2)
+    first_column = [matrix_index(zmod(2), 2, [[a, 0], [c, 0]]) for a in (0, 1) for c in (0, 1)]
+    left_ideal = core.ElementSet.from_indices(M2, first_column)
+    assert not core.is_ideal(M2, left_ideal)
+    with pytest.raises(NotAnIdeal):
+        core.quotient_ring(M2, left_ideal)
+
+
+def test_quotient_is_certified_not_revalidated(zmod, monkeypatch):
+    Z12 = zmod(12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("derived rings must not be re-validated")
+
+    monkeypatch.setattr(core, "validate_ring", refuse)
+    Q, proj = core.quotient_ring(Z12, core.ideal_generated(Z12, [4]))
+    assert Q.order == 4 and proj.is_surjective
+    corner = core.corner_ring(Z12, 4)          # 4 is idempotent: 4*Z12*4 = {0,4,8}
+    assert corner.order == 3 and corner.one == 1
+
+
+def test_induced_subring_certificate_rejections(zmod):
+    Z6 = zmod(6)
+    # {0,2,4} = 2*Z6 is closed, with identity 4 (a copy of Z3)
+    evens = core.ElementSet.from_indices(Z6, [0, 2, 4])
+    sub, elems = core.induced_subring(Z6, evens, 4)
+    assert sub.order == 3 and list(elems) == [0, 2, 4] and sub.one == 2
+    assert oracles.first_axiom_violation(sub.add, sub.mul, sub.zero, sub.one) is None
+    # 2 is in the subset but is not an identity on it: 2*2 = 4
+    with pytest.raises(AxiomViolation) as exc:
+        core.induced_subring(Z6, evens, 2)
+    assert exc.value.kind == "mul-identity"
+    # the identity must be a member
+    with pytest.raises(ValueError):
+        core.induced_subring(Z6, evens, 1)
+    # {0,1,5} holds its negatives but is not closed: 1+1 = 2
+    with pytest.raises(ValueError):
+        core.induced_subring(Z6, core.ElementSet.from_indices(Z6, [0, 1, 5]), 1)
+    # {1,2} misses 0
+    with pytest.raises(ValueError):
+        core.induced_subring(Z6, core.ElementSet.from_indices(Z6, [1, 2]), 1)
+    # {0} has no identity distinct from 0
+    with pytest.raises(AxiomViolation):
+        core.induced_subring(Z6, core.ElementSet.from_indices(Z6, [0]), 0)
 
 
 def test_quotient_kernel_equals_ideal_across_small_rings(zmod):

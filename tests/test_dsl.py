@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deltaring import core, dsl, subsets
+from deltaring import core, dsl, predicates, subsets
 from deltaring.errors import (
     BadArity,
     ExprSyntaxError,
@@ -126,6 +126,31 @@ def test_quot_and_corner_exprs():
     assert C11.order == 2
     with pytest.raises(BadArity):
         dsl.build_str("Quot(Z12,99)")
+
+
+def test_quot_and_corner_relabel_without_revalidation(monkeypatch):
+    dsl.clear_build_cache()
+    dsl.build_str("Z12")
+    dsl.build_str("M(2,Z2)")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("derived rings must not be re-validated")
+
+    monkeypatch.setattr(core, "validate_ring", refuse)
+    monkeypatch.setattr(dsl, "validate_ring", refuse)
+    Q = dsl.build_str("Quot(Z12,6)")
+    C11 = dsl.build_str("Corner(M(2,Z2),8)")
+    assert (Q.label, Q.order) == ("Quot(Z12,6)", 6)
+    assert (C11.label, C11.order) == ("Corner(M(2,Z2),8)", 2)
+
+
+def test_derived_rings_ignore_the_default_guard(monkeypatch):
+    # R/J is no larger than R, so a class check on a ring built under a
+    # raised guard must not fail on the default guard when it forms R/J
+    monkeypatch.setattr(core, "DEFAULT_ORDER_GUARD", 64)
+    ring = dsl.build_str("Prod(GF(9),GF(9))", order_guard=128)
+    assert ring.order == 81 and len(subsets.jacobson_radical(ring)) == 1
+    assert predicates.class_verdict(ring, "semiregular") is True
 
 
 def test_order_guard_flows_through():

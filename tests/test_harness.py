@@ -6,6 +6,8 @@ import pytest
 from deltaring import core, dsl, harness, subsets
 from deltaring.errors import UnknownCheckId, UnknownClass
 
+import oracles
+
 
 def rings(*exprs):
     return [dsl.build_str(e) for e in exprs]
@@ -64,32 +66,20 @@ def test_ideals_inside_radical(zmod):
         assert set(ideal.indices) <= set(subsets.jacobson_radical(Z16).indices)
 
 
-def _all_ideals(R):
-    """Every two-sided ideal, by closure-lattice search (small rings only)."""
-    seen = {}
-    zero = core.ideal_generated(R, [])
-    frontier = [zero]
-    seen[tuple(zero.indices)] = zero
-    while frontier:
-        nxt = []
-        for ideal in frontier:
-            for a in range(R.order):
-                if a in ideal:
-                    continue
-                bigger = core.ideal_generated(R, ideal.indices + [a])
-                key = tuple(bigger.indices)
-                if key not in seen:
-                    seen[key] = bigger
-                    nxt.append(bigger)
-        frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+@pytest.mark.parametrize("expr", ["Z16", "K(Z4,s=0)", "Prod(Z8,Z27)", "FM(2,Z4,s=2)",
+                                  "T(2,Z4)"])
+def test_ideals_inside_radical_matches_closure_lattice(expr):
+    R = dsl.build_str(expr)
+    got = [ideal.indices for ideal in harness.ideals_inside_radical(R)]
+    want = [ideal.indices for ideal in oracles.closure_lattice_ideals_inside_radical(R)]
+    assert got == want
 
 
 def test_projection_kernel_equals_ideal_over_full_lattices():
     for expr in ("Z12", "Z16", "Z30", "GF(8)", "T(2,Z2)", "M(2,Z2)",
                  "GR(Z2,C2)", "Prod(Z2,Z2,Z2)", "TruncSkew(Z3,id,2)"):
         R = dsl.build_str(expr)
-        for ideal in _all_ideals(R):
+        for ideal in oracles.closure_lattice_ideals(R):
             if len(ideal) == R.order:
                 continue
             quotient, proj = core.quotient_ring(R, ideal)
