@@ -26,9 +26,6 @@ from .errors import UnknownCheckId, UnknownClass
 from .predicates import check_class, class_verdict, revalidate_witness
 from .report import Witness
 
-QUOTIENT_SCAN_MAX_ORDER = 256
-ORACLE_MAX_ORDER = 256
-
 
 @dataclass
 class TheoremCheck:
@@ -270,7 +267,7 @@ def _run_T3_1(rings):
 
 
 def _run_T3_5(rings):
-    scope = [r for r in _scope(rings) if r.order <= QUOTIENT_SCAN_MAX_ORDER]
+    scope = _scope(rings)
     bad = []
     for r in scope:
         base = class_verdict(r, "2-delta-u")
@@ -280,7 +277,7 @@ def _run_T3_5(rings):
                 bad.append(_counterexample(
                     r, f"quotient by {ideal.indices} flips the 2-delta-u verdict"))
                 break
-    return len(scope), bad, f"every ideal inside the radical; orders <= {QUOTIENT_SCAN_MAX_ORDER}"
+    return len(scope), bad, "every ideal inside the radical"
 
 
 def _run_T3_7(rings):
@@ -729,7 +726,7 @@ def _run_TL4_14(rings):
 
 
 def _run_oracle(rings):
-    scope = [r for r in _scope(rings) if r.order <= ORACLE_MAX_ORDER]
+    scope = _scope(rings)
     bad = []
     for r in scope:
         _, sub = subsets.unit_subring(r)
@@ -737,7 +734,7 @@ def _run_oracle(rings):
         mapped = sorted(int(elems[j]) for j in subsets.jacobson_radical(sub).indices)
         if mapped != subsets.delta_set(r).indices:
             bad.append(_counterexample(r, "delta set differs from the unit-subring radical"))
-    return len(scope), bad, f"two independent algorithms, one identity; orders <= {ORACLE_MAX_ORDER}"
+    return len(scope), bad, "two independent algorithms, one identity"
 
 
 _DIAGRAM_ARROWS = [("uj", "2-uj"), ("uj", "delta-u"), ("2-uj", "2-delta-u"),
