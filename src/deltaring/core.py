@@ -418,43 +418,42 @@ def inverse(ring: FiniteRing, a: int) -> int | None:
 # subsets: closures, ideals, subrings
 
 
+def _closure(ring: FiniteRing, seed, extend) -> ElementSet:
+    """Least superset of `seed` that `extend` cannot enlarge.
+
+    `extend(new, cur)` returns the elements that pairs with at least one
+    member in `new` reach; pairs of older members were taken in an earlier
+    round, so each round only looks at the frontier.
+    """
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[np.asarray(seed, dtype=np.int64)] = True
+    new = np.flatnonzero(mask)
+    while new.size:
+        reach = extend(new, np.flatnonzero(mask))
+        new = np.unique(reach[~mask[reach]])
+        mask[new] = True
+    return ElementSet(ring, mask)
+
+
 def subring_generated(ring: FiniteRing, gens, unital: bool = True) -> ElementSet:
     """Least subset closed under subtraction and multiplication containing
     `gens` (and the identity when `unital`)."""
     seed = list(gens.indices if isinstance(gens, ElementSet) else gens)
     if unital:
         seed.append(ring.one)
-    if not seed:
-        return ElementSet(ring, np.zeros(ring.order, dtype=bool))
-    cur = np.unique(np.asarray(seed, dtype=np.int64))
-    while True:
-        subs = ring.add[np.ix_(cur, ring.neg[cur])].ravel()
-        prods = ring.mul[np.ix_(cur, cur)].ravel()
-        nxt = np.union1d(cur, np.union1d(subs, prods))
-        if nxt.size == cur.size:
-            break
-        cur = nxt
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[cur] = True
-    return ElementSet(ring, mask)
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    return _closure(ring, seed, lambda new, cur: np.concatenate((
+        add[np.ix_(new, neg[cur])].ravel(), add[np.ix_(cur, neg[new])].ravel(),
+        mul[np.ix_(new, cur)].ravel(), mul[np.ix_(cur, new)].ravel())))
 
 
 def ideal_generated(ring: FiniteRing, gens) -> ElementSet:
     """Least two-sided ideal containing `gens` (fixpoint closure)."""
     seed = list(gens.indices if isinstance(gens, ElementSet) else gens)
     seed.append(ring.zero)
-    cur = np.unique(np.asarray(seed, dtype=np.int64))
-    while True:
-        sums = ring.add[np.ix_(cur, cur)].ravel()
-        left = ring.mul[:, cur].ravel()
-        right = ring.mul[cur, :].ravel()
-        nxt = np.union1d(cur, np.union1d(sums, np.union1d(left, right)))
-        if nxt.size == cur.size:
-            break
-        cur = nxt
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[cur] = True
-    return ElementSet(ring, mask)
+    add, mul = ring.add, ring.mul
+    return _closure(ring, seed, lambda new, cur: np.concatenate((
+        add[np.ix_(new, cur)].ravel(), mul[:, new].ravel(), mul[new, :].ravel())))
 
 
 def is_ideal(ring: FiniteRing, subset: ElementSet) -> bool:

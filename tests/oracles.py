@@ -47,6 +47,27 @@ def first_axiom_violation(add, mul, zero: int, one: int) -> str | None:
     return None
 
 
+def _naive_closure(members: set[int], pair_step, single_step) -> list[int]:
+    while True:
+        found = {c for a in list(members) for b in list(members) for c in pair_step(a, b)}
+        found |= {c for a in list(members) for c in single_step(a)}
+        if found <= members:
+            return sorted(members)
+        members |= found
+
+
+def naive_ideal_generated(R, gens) -> list[int]:
+    return _naive_closure(
+        {R.zero, *gens}, lambda a, b: [int(R.add[a, b])],
+        lambda a: [int(R.mul[r, a]) for r in range(R.order)]
+        + [int(R.mul[a, r]) for r in range(R.order)])
+
+
+def naive_subring_generated(R, gens, unital: bool = True) -> list[int]:
+    seed = set(gens) | ({R.one} if unital else set())
+    return _naive_closure(seed, lambda a, b: [R.sub(a, b), int(R.mul[a, b])], lambda a: [])
+
+
 def closure_lattice_ideals(R, within=None) -> list:
     """Every two-sided ideal inside the mask `within` (default: everything),
     by adjoining one element at a time to known ideals and taking the full

@@ -143,6 +143,16 @@ def test_ideal_generated_examples(zmod):
     assert ideal.indices == [T2.zero, e12]  # the strictly upper triangular set
 
 
+@pytest.mark.parametrize("expr", ["T(2,Z2)", "M(2,Z2)", "T(2,Z3)", "GR(Z2,S3)"])
+def test_closures_match_naive_on_noncommutative_rings(expr):
+    R = dsl.build_str(expr)
+    for gens in ([], [R.one], *([a] for a in range(R.order)), [2, 5], [3, R.order - 1]):
+        assert core.ideal_generated(R, gens).indices == oracles.naive_ideal_generated(R, gens)
+        for unital in (True, False):
+            assert (core.subring_generated(R, gens, unital=unital).indices
+                    == oracles.naive_subring_generated(R, gens, unital))
+
+
 def test_quotient_examples(zmod):
     Z12, Z6 = zmod(12), zmod(6)
     Q, proj = core.quotient_ring(Z12, core.ideal_generated(Z12, [6]))

@@ -54,6 +54,16 @@ def test_subring_generated_is_idempotent(m, gens):
     assert core.subring_generated(R, first, unital=False) == first
 
 
+@given(moduli, st.sets(st.integers(min_value=0, max_value=47), max_size=3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_closures_match_naive(m, gens, unital):
+    R = zmod(m)
+    gens = {g % m for g in gens}
+    assert core.ideal_generated(R, gens).indices == oracles.naive_ideal_generated(R, gens)
+    assert (core.subring_generated(R, gens, unital=unital).indices
+            == oracles.naive_subring_generated(R, gens, unital))
+
+
 @given(moduli, st.integers(min_value=0, max_value=47))
 @settings(max_examples=30, deadline=None)
 def test_principal_ideal_quotient_sizes(m, g):
