@@ -538,10 +538,9 @@ def induced_subring(ring: FiniteRing, subset: ElementSet, one: int,
     one = int(one)
     if not mask[one]:
         raise ValueError(f"identity {one} is not a member of the subset")
-    for side, row in (("left", ring.mul[one, elems]), ("right", ring.mul[elems, one])):
-        if not np.array_equal(row, elems):
-            c = int(elems[np.flatnonzero(row != elems)[0]])
-            raise AxiomViolation("mul-identity", (one, c) if side == "left" else (c, one))
+    bad = (ring.mul[one, elems] != elems) | (ring.mul[elems, one] != elems)
+    if bad.any():
+        raise AxiomViolation("mul-identity", (one, int(elems[np.flatnonzero(bad)[0]])))
     names = tuple(ring.names[int(e)] for e in elems)
     # The inclusion preserves + and * on a subset holding 0, negatives and an
     # identity, so every ring law holds there: no re-validation is needed.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from deltaring import core, subsets
+from deltaring import core
 
 
 def first_axiom_violation(add, mul, zero: int, one: int) -> str | None:
@@ -93,9 +93,6 @@ def closure_lattice_ideals(R, within=None) -> list:
         frontier = nxt
     return [seen[k] for k in sorted(seen)]
 
-
-def closure_lattice_ideals_inside_radical(R) -> list:
-    return closure_lattice_ideals(R, subsets.jacobson_mask(R))
 
 
 def naive_units(R) -> list[int]:
