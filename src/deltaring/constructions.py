@@ -201,8 +201,8 @@ def validate_bimodule(left_ring: FiniteRing, right_ring: FiniteRing,
 
 
 def regular_bimodule(ring: FiniteRing) -> Bimodule:
-    """R as an (R,R)-bimodule.  The module laws coincide with the ring laws
-    already verified by validate_ring, so no re-validation is needed."""
+    """R as an (R,R)-bimodule.  The module laws coincide with the ring laws,
+    which every FiniteRing already satisfies, so no re-validation is needed."""
     return Bimodule(ring, ring, ring.order, ring.add, ring.mul, ring.mul,
                     ring.zero, label=ring.label, names=ring.names)
 

@@ -60,7 +60,7 @@ def _first_bad_pair(bad: np.ndarray) -> tuple[int, int]:
 
 
 class FiniteRing:
-    """A validated finite unital ring.
+    """A finite unital ring whose tables were validated or certified.
 
     Attributes
     ----------
