@@ -242,29 +242,28 @@ class MatrixUnitSystem:
 # validation
 
 
-def _magma_closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Literal closure of `seed` under the binary table (valid or not)."""
-    cur = np.unique(seed)
-    while True:
-        nxt = np.union1d(cur, table[np.ix_(cur, cur)].ravel())
-        if nxt.size == cur.size:
-            return cur
-        cur = nxt
-
-
 def additive_generators(add: np.ndarray, zero: int) -> list[int]:
-    """Greedy generating set of the additive table, smallest indices first."""
+    """Greedy generating set of the additive table, smallest indices first.
+
+    The table must be commutative with `zero` as its identity (validation
+    checks both first); it need not be associative yet.  After each new
+    generator the span grows to the literal closure under the table, but
+    only by sums with at least one new member: sums of two older members
+    were taken in an earlier round, and one order of each sum suffices.
+    """
     n = add.shape[0]
     covered = np.zeros(n, dtype=bool)
     covered[zero] = True
-    span = np.array([zero], dtype=np.int64)
     gens: list[int] = []
     while not covered.all():
         g = int(np.flatnonzero(~covered)[0])
         gens.append(g)
-        span = _magma_closure(add, np.append(span, g))
-        covered[:] = False
-        covered[span] = True
+        covered[g] = True
+        new = np.array([g])
+        while new.size:
+            reach = add[np.ix_(new, np.flatnonzero(covered))].ravel()
+            new = np.unique(reach[~covered[reach]])
+            covered[new] = True
     return gens
 
 

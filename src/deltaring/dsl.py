@@ -9,9 +9,10 @@ Grammar (whitespace-insensitive, decimal integers):
     group := "C" int | "V4" | "S3"
     endo  := "id" | "frob"
 
-Building is memoized by the canonical printed form, behind a lock; cache
-hits return the identical immutable ring, so identical expressions always
-yield bit-identical dumps.
+Building is memoized by the canonical printed form, behind a lock held
+across the build, so each ring is built once; cache hits return the
+identical immutable ring, so identical expressions always yield
+bit-identical dumps.
 """
 
 from __future__ import annotations
@@ -433,7 +434,7 @@ def frobenius(field: FiniteRing, p: int) -> core.RingHom:
 # building
 
 _BUILD_CACHE: dict[str, FiniteRing] = {}
-_BUILD_LOCK = threading.Lock()
+_BUILD_LOCK = threading.RLock()
 
 
 def _field_char(q: int) -> int:
@@ -518,19 +519,20 @@ def _build_uncached(e: RingExpr, canonical: str, guard: int | None) -> FiniteRin
 
 
 def build(e: RingExpr, *, order_guard: int | None = None) -> FiniteRing:
-    """Build (and memoize) the ring denoted by an expression."""
+    """Build (and memoize) the ring denoted by an expression.
+
+    The lock is held across an uncached build (it is re-entrant, since
+    building recurses into sub-expressions), so concurrent callers build
+    each ring once."""
     canonical = print_expr(e)
     guard = core._resolve_guard(order_guard)
     with _BUILD_LOCK:
-        hit = _BUILD_CACHE.get(canonical)
-    if hit is not None:
-        if hit.order > guard:
-            raise OrderGuardExceeded(
-                f"{canonical}: order {hit.order} exceeds the guard {guard}")
-        return hit
-    ring = _build_uncached(e, canonical, order_guard)
-    with _BUILD_LOCK:
-        return _BUILD_CACHE.setdefault(canonical, ring)
+        ring = _BUILD_CACHE.get(canonical)
+        if ring is None:
+            ring = _BUILD_CACHE[canonical] = _build_uncached(e, canonical, order_guard)
+    if ring.order > guard:
+        raise OrderGuardExceeded(f"{canonical}: order {ring.order} exceeds the guard {guard}")
+    return ring
 
 
 def build_str(text: str, *, order_guard: int | None = None) -> FiniteRing:
@@ -548,26 +550,34 @@ def clear_build_cache() -> None:
 CATALOG_MAX_ORDER = 1024
 
 
+# The catalog's construction instances, one tuple per constructor, in
+# catalog order.  The theorem harness reads its construction rows from here.
+_CATALOG_INSTANCES: dict[str, tuple[str, ...]] = {
+    "M": ("M(2,Z2)", "M(2,Z3)"),
+    "T": ("T(2,Z2)", "T(2,Z3)", "T(2,Z4)", "T(3,Z2)", "T(3,Z3)"),
+    "TruncSkew": ("TruncSkew(Z2,id,2)", "TruncSkew(Z2,id,3)", "TruncSkew(Z3,id,2)",
+                  "TruncSkew(Z4,id,2)", "TruncSkew(Z5,id,2)",
+                  "TruncSkew(GF(4),frob,2)", "TruncSkew(GF(4),id,2)"),
+    "Triv": ("Triv(Z2,Z2)", "Triv(Z3,Z3)", "Triv(Z4,Z4)", "Triv(Z5,Z5)",
+             "Triv(Z6,Z6)", "Triv(GF(4),GF(4))"),
+    "DT": ("DT(Z2,Z2)", "DT(Z3,Z3)", "DT(Z4,Z4)", "DT(Z5,Z5)"),
+    "FT": ("FT(Z2,Z3)", "FT(Z2,Z2,Z2)", "FT(Z3,Z3,Z3)", "FT(Z4,Z6)"),
+    "K": ("K(Z2,s=0)", "K(Z3,s=0)", "K(Z4,s=0)", "K(Z4,s=2)", "K(Z5,s=0)",
+          "K(GF(4),s=0)"),
+    "FM": ("FM(2,Z2,s=0)", "FM(2,Z4,s=2)"),
+    "GR": ("GR(Z2,C2)", "GR(Z2,C3)", "GR(Z2,C4)", "GR(Z2,V4)", "GR(Z2,C6)",
+           "GR(Z2,S3)", "GR(Z3,C2)", "GR(Z3,C3)", "GR(Z4,C2)", "GR(Z5,C2)",
+           "GR(Z9,C3)", "GR(GF(4),C2)"),
+    "Prod": ("Prod(Z2,Z2)", "Prod(Z2,Z3)", "Prod(Z3,Z3)", "Prod(Z2,Z2,Z2)",
+             "Prod(Z2,Z5)", "Prod(Z4,Z9)", "Prod(GF(4),Z2)", "Prod(Z8,Z27)"),
+}
+
+
 def _catalog_exprs() -> list[str]:
     out = [f"Z{m}" for m in range(2, 121)]
     out += [f"GF({q})" for q in SUPPORTED_FIELDS]
-    out += ["M(2,Z2)", "M(2,Z3)"]
-    out += ["T(2,Z2)", "T(2,Z3)", "T(2,Z4)", "T(3,Z2)", "T(3,Z3)"]
-    out += ["TruncSkew(Z2,id,2)", "TruncSkew(Z2,id,3)", "TruncSkew(Z3,id,2)",
-            "TruncSkew(Z4,id,2)", "TruncSkew(Z5,id,2)",
-            "TruncSkew(GF(4),frob,2)", "TruncSkew(GF(4),id,2)"]
-    out += ["Triv(Z2,Z2)", "Triv(Z3,Z3)", "Triv(Z4,Z4)", "Triv(Z5,Z5)",
-            "Triv(Z6,Z6)", "Triv(GF(4),GF(4))"]
-    out += ["DT(Z2,Z2)", "DT(Z3,Z3)", "DT(Z4,Z4)", "DT(Z5,Z5)"]
-    out += ["FT(Z2,Z3)", "FT(Z2,Z2,Z2)", "FT(Z3,Z3,Z3)", "FT(Z4,Z6)"]
-    out += ["K(Z2,s=0)", "K(Z3,s=0)", "K(Z4,s=0)", "K(Z4,s=2)", "K(Z5,s=0)",
-            "K(GF(4),s=0)"]
-    out += ["FM(2,Z2,s=0)", "FM(2,Z4,s=2)"]
-    out += ["GR(Z2,C2)", "GR(Z2,C3)", "GR(Z2,C4)", "GR(Z2,V4)", "GR(Z2,C6)",
-            "GR(Z2,S3)", "GR(Z3,C2)", "GR(Z3,C3)", "GR(Z4,C2)", "GR(Z5,C2)",
-            "GR(Z9,C3)", "GR(GF(4),C2)"]
-    out += ["Prod(Z2,Z2)", "Prod(Z2,Z3)", "Prod(Z3,Z3)", "Prod(Z2,Z2,Z2)",
-            "Prod(Z2,Z5)", "Prod(Z4,Z9)", "Prod(GF(4),Z2)", "Prod(Z8,Z27)"]
+    for instances in _CATALOG_INSTANCES.values():
+        out += instances
     return out
 
 

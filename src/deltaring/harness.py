@@ -1,10 +1,20 @@
 """Desk-scale theorem checks over the ring catalog, plus class search.
 
 Each registered check encodes one statement as an executable assertion
-over a ring set (or over fixed construction instances).  Biconditionals
-are always evaluated by computing both sides independently; hypotheses
-that are automatic for finite rings (exchange, potent, artinian, nil
-radical) are re-verified rather than assumed wherever that is cheap.
+over a ring set (or over fixed construction instances).  Most checks are
+one of two combinators applied to data rows:
+
+- `_agree(forms)`: verdict forms (conjunctions of classes) coincide on
+  every catalog ring, after an optional hypothesis is re-verified;
+- `_transfer(rows)`: each construction expression is 2-delta-u exactly
+  when its parts are, plus an optional side condition per instance.
+
+The construction rows are the catalog's own instances (`dsl`) plus a few
+extra instances outside it.  The remaining checks are plain runners.
+Biconditionals are always evaluated by computing both sides
+independently; hypotheses that are automatic for finite rings (exchange,
+potent, artinian, nil radical) are re-verified rather than assumed
+wherever that is cheap.
 
 Reports are deterministic: two runs over the same catalog are
 byte-identical (timings default to zero and are opt-in).
@@ -13,6 +23,7 @@ byte-identical (timings default to zero and are opt-in).
 from __future__ import annotations
 
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -61,25 +72,24 @@ class TheoremCheck:
 
 
 def _counterexample(ring: FiniteRing, notes: str, witness: list[Witness] | None = None) -> dict:
-    out = {"ring": ring.label, "notes": notes}
-    if witness:
-        out["witness"] = [w.to_json() for w in witness]
-    else:
-        out["witness"] = []
-    return out
+    return {"ring": ring.label, "notes": notes,
+            "witness": [w.to_json() for w in witness or ()]}
 
 
 # ---------------------------------------------------------------------------
 # catalog access
 
 _CATALOG_RINGS: list[FiniteRing] | None = None
+_CATALOG_LOCK = threading.Lock()
 
 
 def catalog_rings() -> list[FiniteRing]:
-    """Build (once) and return every catalog ring, in catalog order."""
+    """Build (once, even under threads) and return every catalog ring, in
+    catalog order."""
     global _CATALOG_RINGS
-    if _CATALOG_RINGS is None:
-        _CATALOG_RINGS = [dsl.build(e) for _, e in dsl.catalog()]
+    with _CATALOG_LOCK:
+        if _CATALOG_RINGS is None:
+            _CATALOG_RINGS = [dsl.build(e) for _, e in dsl.catalog()]
     return _CATALOG_RINGS
 
 
@@ -87,12 +97,16 @@ def _scope(rings) -> list[FiniteRing]:
     return catalog_rings() if rings is None else list(rings)
 
 
-def _labels(rings) -> set[str] | None:
-    return None if rings is None else {r.label for r in rings}
+# The catalog's construction instances, by constructor: the rows of the
+# construction checks, which add only their instances outside the catalog.
+_CATALOG = dsl._CATALOG_INSTANCES
 
 
-def _keep(label: str, allowed: set[str] | None) -> bool:
-    return allowed is None or label in allowed
+def _instances(texts, rings) -> list[dsl.RingExpr]:
+    """The fixed instances among `texts` that the scope admits, parsed: all
+    of them for the whole catalog, else those that label a ring in `rings`."""
+    allowed = None if rings is None else {r.label for r in rings}
+    return [dsl.parse(t) for t in texts if allowed is None or t in allowed]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +169,117 @@ def _two_in_delta(ring: FiniteRing) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# per-check runners.  Each returns (scope_size, counterexamples, notes).
+# the two combinators.  Each returns a runner: rings -> (scope_size,
+# counterexamples, notes).
+
+
+def _agree(forms, hypothesis=None, notes: str = ""):
+    """Runner: the verdict forms coincide on every ring in scope.
+
+    A form is a conjunction of classes written "a+b+c".  `hypothesis` is an
+    optional (predicate, note) pair, re-verified on each ring first; a ring
+    that fails it is a counterexample under that note.
+    """
+    def run(rings):
+        scope = _scope(rings)
+        bad = []
+        for r in scope:
+            if hypothesis is not None and not hypothesis[0](r):
+                bad.append(_counterexample(r, hypothesis[1]))
+                continue
+            verdicts = {f: all(class_verdict(r, c) for c in f.split("+")) for f in forms}
+            if len(set(verdicts.values())) != 1:
+                bad.append(_counterexample(r, f"equivalence broken: {verdicts}"))
+        return len(scope), bad, notes
+    return run
+
+
+def _parts(expr: dsl.RingExpr) -> tuple[dsl.RingExpr, ...]:
+    """The rings a construction is made from: a product's factors, else its base."""
+    return expr.factors if isinstance(expr, dsl.Product) else (expr.base,)
+
+
+def _transfer(rows, notes: str, one_way: bool = False, side=None):
+    """Runner: each construction in `rows` is 2-delta-u exactly when every
+    one of its `_parts` is.
+
+    Rows are expression strings, filtered like every fixed instance.  With
+    `one_way` only the "only if" half is checked: a 2-delta-u construction
+    forces 2-delta-u parts.  `side(expr, built, parts)` returns the note of
+    a failed extra hypothesis or identity, or None; it is asked first.
+    """
+    def run(rings):
+        exprs = _instances(rows, rings)
+        bad = []
+        for expr in exprs:
+            built = dsl.build(expr)
+            parts = [dsl.build(p) for p in _parts(expr)]
+            note = side(expr, built, parts) if side is not None else None
+            if note is None:
+                whole = class_verdict(built, "2-delta-u")
+                each = all(class_verdict(p, "2-delta-u") for p in parts)
+                if whole != each and (whole or not one_way):
+                    note = f"construction={whole}, parts={each}"
+            if note is not None:
+                bad.append(_counterexample(built, note))
+        return len(exprs), bad, notes
+    return run
+
+
+def _radical_nil(r: FiniteRing) -> bool:
+    return bool(subsets.nilpotent_mask(r)[np.flatnonzero(subsets.jacobson_mask(r))].all())
+
+
+def _central_radical_scalar(expr, built, parts) -> str | None:
+    """T4.9's hypothesis: the scalar lies in the center and in J(R)."""
+    base, s = parts[0], expr.scalar
+    if not (subsets.jacobson_mask(base)[s] and core.center(base).members[s]):
+        return f"scalar {s} is not in the center-radical"
+    return None
+
+
+def _squared_scalar_twin(expr, built, parts) -> str | None:
+    """T4.10: T4.9's hypothesis, and FM(2,R;s) has the tables of K(R,s^2)."""
+    note = _central_radical_scalar(expr, built, parts)
+    if note is None:
+        s = expr.scalar
+        twin = dsl.build(dsl.Ks(expr.base, int(parts[0].mul[s, s])))
+        if not (np.array_equal(built.add, twin.add) and np.array_equal(built.mul, twin.mul)):
+            note = "tables differ from the squared-scalar block ring"
+    return note
+
+
+def _context_isomorphism(expr, built, parts) -> str | None:
+    """T4.11: (a,x,y,b) -> ((a,b),(x,y)) maps the trivial context K(R,0)
+    isomorphically onto the trivial extension of R x R by M+N."""
+    base = parts[0]
+    n = base.order
+    prod = cons.direct_product([base, base])
+    triv = cons.trivial_extension(prod, _cross_bimodule(prod, base))
+    a, x, y, b = np.unravel_index(np.arange(built.order), (n,) * 4)
+    try:
+        hom = core.validate_hom(built, triv, (a * n + b) * (n * n) + x * n + y)
+    except core.HomViolation:
+        return "coordinate map is not an isomorphism"
+    if not (hom.is_injective and hom.is_surjective):
+        return "coordinate map is not bijective"
+    return None
+
+
+def _cross_bimodule(prod: FiniteRing, R: FiniteRing) -> cons.Bimodule:
+    """M+N over R x R with M = N = R: (a,b).(m,n) = (am,bn) and
+    (m,n).(a,b) = (mb,na)."""
+    n = R.order
+    mx, my = np.divmod(np.arange(n * n), n)
+    pa, pb = np.divmod(np.arange(prod.order), n)
+    madd = R.add[mx[:, None], mx] * n + R.add[my[:, None], my]
+    la = R.mul[pa[:, None], mx] * n + R.mul[pb[:, None], my]
+    ra = R.mul[mx[:, None], pb] * n + R.mul[my[:, None], pa]
+    return cons.validate_bimodule(prod, prod, madd, la, ra, label="MxN")
+
+
+# ---------------------------------------------------------------------------
+# the remaining runners.  Each returns (scope_size, counterexamples, notes).
 
 
 def _run_T2_1(rings):
@@ -211,26 +335,6 @@ def _run_T2_4(rings):
     return len(scope), bad, "finite rings are semipotent; the hypothesis is re-verified"
 
 
-def _run_T2_8(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        a, b, c = (class_verdict(r, k) for k in ("delta-u", "uj", "uu"))
-        if not (a == b == c):
-            bad.append(_counterexample(r, f"delta-u={a} uj={b} uu={c}"))
-    return len(scope), bad, ""
-
-
-def _run_T2_9(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        a, b = class_verdict(r, "delta-u"), class_verdict(r, "j-clean")
-        if a != b:
-            bad.append(_counterexample(r, f"delta-u={a} j-clean={b}"))
-    return len(scope), bad, "finite rings are potent, so the two classes must agree"
-
-
 def _run_T2_11(rings):
     from .predicates import jacobson_pair_check
     scope = [r for r in _scope(rings) if class_verdict(r, "delta-u")]
@@ -241,29 +345,6 @@ def _run_T2_11(rings):
             bad.append(_counterexample(r, "1-ab and 1-ba disagree about the delta set",
                                        rep.witness))
     return len(scope), bad, "scope: catalog rings verified delta-u"
-
-
-_PRODUCT_INSTANCES = ["Prod(Z2,Z2)", "Prod(Z2,Z3)", "Prod(Z3,Z3)", "Prod(Z2,Z2,Z2)",
-                      "Prod(Z2,Z5)", "Prod(Z4,Z9)", "Prod(GF(4),Z2)", "Prod(Z3,Z9)",
-                      "Prod(Z8,Z27)"]
-
-
-def _run_T3_1(rings):
-    allowed = _labels(rings)
-    bad = []
-    scope = 0
-    for text in _PRODUCT_INSTANCES:
-        if not _keep(text, allowed):
-            continue
-        expr = dsl.parse(text)
-        product = dsl.build(expr)
-        factors = [dsl.build(f) for f in expr.factors]
-        scope += 1
-        lhs = class_verdict(product, "2-delta-u")
-        rhs = all(class_verdict(f, "2-delta-u") for f in factors)
-        if lhs != rhs:
-            bad.append(_counterexample(product, f"product={lhs}, factors={rhs}"))
-    return scope, bad, "fixed product instances"
 
 
 def _run_T3_5(rings):
@@ -297,16 +378,11 @@ def _run_T3_7(rings):
 
 
 def _run_T3_8(rings):
-    allowed = _labels(rings)
+    exprs = _instances(("M(2,Z2)", "M(2,Z3)"), rings)
     bad = []
-    scope = 0
     certs = []
-    for text in ("M(2,Z2)", "M(2,Z3)"):
-        if not _keep(text, allowed):
-            continue
-        scope += 1
-        ring = dsl.build_str(text)
-        base = dsl.build(dsl.parse(text).base)
+    for expr in exprs:
+        ring, base = dsl.build(expr), dsl.build(expr.base)
         rep = check_class(ring, "2-delta-u")
         if rep.verdict:
             bad.append(_counterexample(ring, "matrix ring unexpectedly 2-delta-u"))
@@ -323,36 +399,7 @@ def _run_T3_8(rings):
             bad.append(_counterexample(ring, "the [[0,1],[1,1]] witness was not accepted"))
             continue
         certs.append(f"{ring.label}: unit {ring.names[a]} has u^2-1 = u outside the delta set")
-    return scope, bad, "; ".join(certs) if certs else "no instances in scope"
-
-
-def _run_T3_13(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        lhs = class_verdict(r, "regular") and class_verdict(r, "2-delta-u")
-        mid = (class_verdict(r, "pi-regular") and class_verdict(r, "reduced")
-               and class_verdict(r, "2-delta-u"))
-        rhs = class_verdict(r, "tripotent")
-        if not (lhs == mid == rhs):
-            bad.append(_counterexample(r, f"regular+2du={lhs} pi+reduced+2du={mid} tripotent={rhs}"))
-    return len(scope), bad, "x^3 = x rings are exactly the regular 2-delta-u rings"
-
-
-def _run_T3_14(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        two_du = class_verdict(r, "2-delta-u")
-        forms = {
-            "regular": class_verdict(r, "regular") and two_du,
-            "strongly-regular": class_verdict(r, "strongly-regular") and two_du,
-            "unit-regular": class_verdict(r, "unit-regular") and two_du,
-            "tripotent": class_verdict(r, "tripotent"),
-        }
-        if len(set(forms.values())) != 1:
-            bad.append(_counterexample(r, f"equivalence broken: {forms}"))
-    return len(scope), bad, ""
+    return len(exprs), bad, "; ".join(certs) if certs else "no instances in scope"
 
 
 def _run_T3_15(rings):
@@ -371,19 +418,6 @@ def _run_T3_15(rings):
     return len(scope), bad, ""
 
 
-def _run_T3_16(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        if not class_verdict(r, "exchange"):
-            bad.append(_counterexample(r, "finite ring failed the exchange hypothesis"))
-            continue
-        a, b = class_verdict(r, "2-delta-u"), class_verdict(r, "semi-tripotent")
-        if a != b:
-            bad.append(_counterexample(r, f"2-delta-u={a} semi-tripotent={b}"))
-    return len(scope), bad, "finite rings are exchange; the hypothesis is re-verified"
-
-
 def _run_T3_17(rings):
     scope = [r for r in _scope(rings) if class_verdict(r, "2-delta-u")]
     bad = []
@@ -395,41 +429,22 @@ def _run_T3_17(rings):
     return len(scope), bad, "scope: catalog rings verified 2-delta-u; finite rings make all three hold"
 
 
-def _run_T3_18(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        jac = subsets.jacobson_mask(r)
-        if not subsets.nilpotent_mask(r)[np.flatnonzero(jac)].all():
-            bad.append(_counterexample(r, "radical of a finite ring is not nil"))
-            continue
-        a, b = class_verdict(r, "2-delta-u"), class_verdict(r, "strongly-2-nil-clean")
-        if a != b:
-            bad.append(_counterexample(r, f"2-delta-u={a} strongly-2-nil-clean={b}"))
-    return len(scope), bad, "the nil-radical hypothesis is re-verified"
-
-
-_FIELD_PRODUCTS = ["Prod(GF(2),GF(2))", "Prod(GF(2),GF(3))", "Prod(GF(3),GF(3))",
+_FIELD_PRODUCTS = ("Prod(GF(2),GF(2))", "Prod(GF(2),GF(3))", "Prod(GF(3),GF(3))",
                    "Prod(GF(2),GF(4))", "Prod(GF(4),GF(5))", "Prod(GF(3),GF(3),GF(2))",
                    "Prod(GF(8),GF(2))", "Prod(GF(9),GF(3))", "Prod(GF(5),GF(5))",
-                   "Prod(GF(2),GF(3),GF(7))"]
+                   "Prod(GF(2),GF(3),GF(7))")
 
 
 def _run_T3_26(rings):
-    allowed = _labels(rings)
+    exprs = _instances(_FIELD_PRODUCTS, rings)
     bad = []
-    scope = 0
-    for text in _FIELD_PRODUCTS:
-        if not _keep(text, allowed):
-            continue
-        scope += 1
-        expr = dsl.parse(text)
+    for expr in exprs:
         ring = dsl.build(expr)
         expected = all(f.param in (2, 3) for f in expr.factors)
         got = class_verdict(ring, "2-delta-u")
         if got != expected:
             bad.append(_counterexample(ring, f"verdict {got}, factor rule says {expected}"))
-    return scope, bad, "semisimple commutative instances: products of the built-in fields"
+    return len(exprs), bad, "semisimple commutative instances: products of the built-in fields"
 
 
 def _run_T3_27(rings):
@@ -460,220 +475,29 @@ def _run_T3_28(rings):
     return len(scope), bad, "every finite ring is dedekind-finite, so 2-delta-u ones are too"
 
 
-_TRIV_BASES = ["Z2", "Z3", "Z4", "Z5", "Z6", "GF(4)"]
-_TRUNC_INSTANCES = ["TruncSkew(Z2,id,2)", "TruncSkew(Z2,id,3)", "TruncSkew(Z3,id,2)",
-                    "TruncSkew(Z4,id,2)", "TruncSkew(Z5,id,2)",
-                    "TruncSkew(GF(4),frob,2)", "TruncSkew(GF(4),id,2)"]
-_TRI_INSTANCES = ["T(2,Z2)", "T(2,Z3)", "T(2,Z4)", "T(2,Z5)", "T(3,Z2)", "T(3,Z3)",
-                  "T(2,GF(4))"]
-
-
-def _run_T4_5(rings):
-    allowed = _labels(rings)
-    bad = []
-    scope = 0
-    pairs: list[tuple[str, str]] = []
-    pairs += [(f"Triv({b},{b})", b) for b in _TRIV_BASES]
-    pairs += [(t, dsl.print_expr(dsl.parse(t).base)) for t in _TRUNC_INSTANCES]
-    pairs += [(t, dsl.print_expr(dsl.parse(t).base)) for t in _TRI_INSTANCES]
-    for text, base_text in pairs:
-        if not _keep(text, allowed):
-            continue
-        scope += 1
-        built = dsl.build_str(text)
-        base = dsl.build_str(base_text)
-        lhs, rhs = class_verdict(built, "2-delta-u"), class_verdict(base, "2-delta-u")
-        if lhs != rhs:
-            bad.append(_counterexample(built, f"extension={lhs}, base={rhs}"))
-    return scope, bad, "trivial extensions, truncated skew rings, triangular rings"
-
-
 def _run_T4_5x(rings):
-    allowed = _labels(rings)
+    exprs = _instances(_CATALOG["TruncSkew"], rings)
     bad = []
-    scope = 0
-    for text in _TRUNC_INSTANCES:
-        if not _keep(text, allowed):
-            continue
-        scope += 1
-        expr = dsl.parse(text)
-        ring = dsl.build(expr)
-        base = dsl.build(expr.base)
+    for expr in exprs:
+        ring, base = dsl.build(expr), dsl.build(expr.base)
         lead = (np.arange(ring.order, dtype=np.int64)
                 // (ring.order // base.order)).astype(np.int32)
         expected = subsets.delta_mask(base)[lead]
         if not np.array_equal(subsets.delta_mask(ring), expected):
             bad.append(_counterexample(
                 ring, "delta set is not [constant coefficient in the base delta set]"))
-    return scope, bad, "truncation collapses the delta set onto the constant coefficient"
+    return len(exprs), bad, "truncation collapses the delta set onto the constant coefficient"
 
 
-def _run_TDT(rings):
-    allowed = _labels(rings)
-    bad = []
-    scope = 0
-    for b in ("Z2", "Z3", "Z4", "Z5"):
-        text = f"DT({b},{b})"
-        if not _keep(text, allowed):
-            continue
-        scope += 1
-        built = dsl.build_str(text)
-        base = dsl.build_str(b)
-        lhs, rhs = class_verdict(built, "2-delta-u"), class_verdict(base, "2-delta-u")
-        if lhs != rhs:
-            bad.append(_counterexample(built, f"doubled extension={lhs}, base={rhs}"))
-    return scope, bad, "doubled trivial extensions"
-
-
-_KS_INSTANCES = [("Z2", 0), ("Z3", 0), ("Z4", 0), ("Z4", 2), ("Z5", 0), ("GF(4)", 0)]
-
-
-def _run_T4_9(rings):
-    allowed = _labels(rings)
-    bad = []
-    scope = 0
-    for base_text, s in _KS_INSTANCES:
-        text = f"K({base_text},s={s})"
-        if not _keep(text, allowed):
-            continue
-        scope += 1
-        base = dsl.build_str(base_text)
-        if not subsets.jacobson_mask(base)[s] or not core.center(base).members[s]:
-            bad.append(_counterexample(base, f"scalar {s} is not in the center-radical"))
-            continue
-        built = dsl.build_str(text)
-        lhs, rhs = class_verdict(built, "2-delta-u"), class_verdict(base, "2-delta-u")
-        if lhs != rhs:
-            bad.append(_counterexample(built, f"block ring={lhs}, base={rhs}"))
-    return scope, bad, "scaled 2x2 block rings with the scalar in the center-radical"
-
-
-_FM_INSTANCES = [("Z2", 0), ("Z3", 0), ("Z4", 0), ("Z4", 2), ("Z5", 0)]
-
-
-def _run_T4_10(rings):
-    allowed = _labels(rings)
-    bad = []
-    scope = 0
-    for base_text, s in _FM_INSTANCES:
-        text = f"FM(2,{base_text},s={s})"
-        if not _keep(text, allowed):
-            continue
-        scope += 1
-        base = dsl.build_str(base_text)
-        if not subsets.jacobson_mask(base)[s] or not core.center(base).members[s]:
-            bad.append(_counterexample(base, f"scalar {s} is not in the center-radical"))
-            continue
-        built = dsl.build_str(text)
-        lhs, rhs = class_verdict(built, "2-delta-u"), class_verdict(base, "2-delta-u")
-        if lhs != rhs:
-            bad.append(_counterexample(built, f"formal matrix ring={lhs}, base={rhs}"))
-            continue
-        s_sq = int(base.mul[s, s])
-        twin = dsl.build_str(f"K({base_text},s={s_sq})")
-        if not (np.array_equal(built.add, twin.add) and np.array_equal(built.mul, twin.mul)):
-            bad.append(_counterexample(built, "tables differ from the squared-scalar block ring"))
-    return scope, bad, "also verifies FM(2,R;s) has the same tables as K(R,s^2)"
-
-
-def _run_T4_11(rings):
-    allowed = _labels(rings)
-    bad = []
-    scope = 0
-    for b in ("Z2", "Z3", "Z4"):
-        text = f"K({b},s=0)"
-        if not _keep(text, allowed):
-            continue
-        scope += 1
-        base = dsl.build_str(b)
-        block = dsl.build_str(text)
-        lhs = class_verdict(block, "2-delta-u")
-        rhs = class_verdict(base, "2-delta-u")
-        if lhs != rhs:
-            bad.append(_counterexample(block, f"trivial context={lhs}, base says {rhs}"))
-            continue
-        # explicit isomorphism onto the trivial extension of the product:
-        # (a,x,y,b) -> ((a,b),(x,y))
-        prod = cons.direct_product([base, base])
-        n = base.order
-        module = _cross_bimodule(prod, base, base)
-        triv = cons.trivial_extension(prod, module)
-        perm = np.empty(block.order, dtype=np.int32)
-        for a in range(n):
-            for x in range(n):
-                for y in range(n):
-                    for c in range(n):
-                        src = ((a * n + x) * n + y) * n + c
-                        perm[src] = (a * n + c) * (n * n) + (x * n + y)
-        try:
-            hom = core.validate_hom(block, triv, perm)
-        except core.HomViolation:
-            bad.append(_counterexample(block, "coordinate map is not an isomorphism"))
-            continue
-        if not (hom.is_injective and hom.is_surjective):
-            bad.append(_counterexample(block, "coordinate map is not bijective"))
-    return scope, bad, "trivial contexts match the trivial extension of the factor product"
-
-
-def _cross_bimodule(prod: FiniteRing, A: FiniteRing, B: FiniteRing) -> cons.Bimodule:
-    """M+N over AxB: (a,b).(m,n) = (am,bn) and (m,n).(a,b) = (mb,na),
-    for the regular modules M = N = A = B."""
-    n = A.order
-    msize = n * n
-    madd = np.empty((msize, msize), dtype=np.int32)
-    for m1 in range(msize):
-        x1, y1 = divmod(m1, n)
-        madd[m1] = (A.add[x1][(np.arange(msize) // n)] * n
-                    + B.add[y1][(np.arange(msize) % n)]).astype(np.int32)
-    la = np.empty((prod.order, msize), dtype=np.int32)
-    ra = np.empty((msize, prod.order), dtype=np.int32)
-    marange = np.arange(msize)
-    mx, my = marange // n, marange % n
-    for p in range(prod.order):
-        a, b = divmod(p, n)
-        la[p] = A.mul[a, mx] * n + B.mul[b, my]
-    for m1 in range(msize):
-        x1, y1 = divmod(m1, n)
-        parange = np.arange(prod.order)
-        pa, pb = parange // n, parange % n
-        ra[m1] = A.mul[x1, pb] * n + B.mul[y1, pa]
-    return cons.validate_bimodule(prod, prod, madd, la, ra, label="MxN")
-
-
-_GROUP_RING_INSTANCES = ["GR(Z2,C2)", "GR(Z2,C3)", "GR(Z2,C4)", "GR(Z2,V4)",
-                         "GR(Z2,C6)", "GR(Z2,S3)", "GR(Z3,C2)", "GR(Z3,C3)",
-                         "GR(Z4,C2)", "GR(Z5,C2)", "GR(Z9,C3)", "GR(GF(4),C2)"]
-_P_GROUP_INSTANCES = ["GR(Z2,C2)", "GR(Z4,C2)", "GR(Z2,V4)", "GR(Z9,C3)"]
-
-
-def _run_TG1(rings):
-    allowed = _labels(rings)
-    bad = []
-    scope = 0
-    for text in _GROUP_RING_INSTANCES:
-        if not _keep(text, allowed):
-            continue
-        scope += 1
-        expr = dsl.parse(text)
-        ring = dsl.build(expr)
-        base = dsl.build(expr.base)
-        if class_verdict(ring, "2-delta-u") and not class_verdict(base, "2-delta-u"):
-            bad.append(_counterexample(ring, "group ring 2-delta-u but base is not"))
-    return scope, bad, "group ring 2-delta-u forces the coefficient ring 2-delta-u"
+_P_GROUP_INSTANCES = ("GR(Z2,C2)", "GR(Z4,C2)", "GR(Z2,V4)", "GR(Z9,C3)")
 
 
 def _run_TG2(rings):
-    allowed = _labels(rings)
+    exprs = _instances(_P_GROUP_INSTANCES, rings)
     bad = []
-    scope = 0
-    for text in _P_GROUP_INSTANCES:
-        if not _keep(text, allowed):
-            continue
-        scope += 1
-        expr = dsl.parse(text)
+    for expr in exprs:
         base = dsl.build(expr.base)
-        group = cons.group_catalog()[expr.group]
-        p = group.prime
+        p = cons.group_catalog()[expr.group].prime
         if p is None:
             bad.append(_counterexample(base, f"{expr.group} is not a prime-power group"))
             continue
@@ -689,40 +513,29 @@ def _run_TG2(rings):
         ring = dsl.build(expr)
         if not class_verdict(ring, "2-delta-u"):
             bad.append(_counterexample(ring, "group ring over a fitting p-group is not 2-delta-u"))
-    return scope, bad, "2-delta-u base with p in the radical and a p-group"
+    return len(exprs), bad, "2-delta-u base with p in the radical and a p-group"
 
 
 def _run_TG3(rings):
-    allowed = _labels(rings)
+    exprs = [e for e in _instances(_CATALOG["GR"], rings)
+             if cons.group_catalog()[e.group].prime != 2]
     bad = []
-    scope = 0
-    for text in _GROUP_RING_INSTANCES:
-        if not _keep(text, allowed):
-            continue
-        expr = dsl.parse(text)
-        group = cons.group_catalog()[expr.group]
-        if group.prime == 2:
-            continue
-        scope += 1
+    for expr in exprs:
         ring = dsl.build(expr)
         if class_verdict(ring, "2-delta-u") and _two_in_delta(ring):
             bad.append(_counterexample(ring, "2-delta-u with 2 in the delta set over a non-2-group"))
-    return scope, bad, "contrapositive on every catalog group ring with a non-2-group"
+    return len(exprs), bad, "contrapositive on every catalog group ring with a non-2-group"
 
 
 def _run_TL4_14(rings):
-    allowed = _labels(rings)
+    exprs = _instances(_P_GROUP_INSTANCES, rings)
     bad = []
-    scope = 0
-    for text in _P_GROUP_INSTANCES:
-        if not _keep(text, allowed):
-            continue
-        scope += 1
-        ring = dsl.build_str(text)
+    for expr in exprs:
+        ring = dsl.build(expr)
         _, kernel = cons.augmentation(ring)
         if not subsets.jacobson_mask(ring)[np.flatnonzero(kernel.members)].all():
             bad.append(_counterexample(ring, "augmentation ideal escapes the radical"))
-    return scope, bad, "augmentation ideal inside the radical on the p-group instances"
+    return len(exprs), bad, "augmentation ideal inside the radical on the p-group instances"
 
 
 def _run_oracle(rings):
@@ -758,25 +571,39 @@ CHECKS: dict[str, tuple[str, object]] = {
              _run_T2_2),
     "T2.4": ("On finite (hence semipotent) rings: delta-u, Boolean radical quotient, uj, "
              "and uu radical quotient are one condition.", _run_T2_4),
-    "T2.8": ("On finite rings the classes delta-u, uj, and uu coincide.", _run_T2_8),
-    "T2.9": ("On finite rings delta-u and j-clean coincide.", _run_T2_9),
+    "T2.8": ("On finite rings the classes delta-u, uj, and uu coincide.",
+             _agree(("delta-u", "uj", "uu"))),
+    "T2.9": ("On finite rings delta-u and j-clean coincide.",
+             _agree(("delta-u", "j-clean"),
+                    notes="finite rings are potent, so the two classes must agree")),
     "T2.11": ("On delta-u rings, 1-ab is in the delta set exactly when 1-ba is.", _run_T2_11),
-    "T3.1": ("A finite product is 2-delta-u exactly when every factor is.", _run_T3_1),
+    "T3.1": ("A finite product is 2-delta-u exactly when every factor is.",
+             _transfer(_CATALOG["Prod"] + ("Prod(Z3,Z9)",), "fixed product instances")),
     "T3.5": ("For every ideal inside the radical, the ring and its quotient agree "
              "about 2-delta-u.", _run_T3_5),
     "T3.7": ("Corners of 2-delta-u rings at nonzero idempotents stay 2-delta-u.", _run_T3_7),
     "T3.8": ("2x2 matrix rings over Z2 and Z3 are not 2-delta-u, and the unit with "
              "u^2-1 = u certifies it.", _run_T3_8),
     "T3.13": ("Regular 2-delta-u, pi-regular reduced 2-delta-u, and the identity x^3 = x "
-              "are one class.", _run_T3_13),
+              "are one class.",
+              _agree(("regular+2-delta-u", "pi-regular+reduced+2-delta-u", "tripotent"),
+                     notes="x^3 = x rings are exactly the regular 2-delta-u rings")),
     "T3.14": ("Regular, strongly regular, and unit-regular 2-delta-u rings all equal the "
-              "x^3 = x rings.", _run_T3_14),
+              "x^3 = x rings.",
+              _agree(("regular+2-delta-u", "strongly-regular+2-delta-u",
+                      "unit-regular+2-delta-u", "tripotent"))),
     "T3.15": ("delta-u holds exactly when 2 lies in the delta set, the ring is 2-delta-u, "
               "and delta-set membership descends along squares.", _run_T3_15),
     "T3.16": ("On finite (hence exchange) rings, 2-delta-u and semi-tripotent coincide.",
-              _run_T3_16),
+              _agree(("2-delta-u", "semi-tripotent"),
+                     (lambda r: class_verdict(r, "exchange"),
+                      "finite ring failed the exchange hypothesis"),
+                     "finite rings are exchange; the hypothesis is re-verified")),
     "T3.17": ("On 2-delta-u rings, semiregular, exchange, and clean coincide.", _run_T3_17),
-    "T3.18": ("With a nil radical, 2-delta-u and strongly 2-nil-clean coincide.", _run_T3_18),
+    "T3.18": ("With a nil radical, 2-delta-u and strongly 2-nil-clean coincide.",
+              _agree(("2-delta-u", "strongly-2-nil-clean"),
+                     (_radical_nil, "radical of a finite ring is not nil"),
+                     "the nil-radical hypothesis is re-verified")),
     "T3.26": ("A product of fields is 2-delta-u exactly when every factor has 2 or 3 "
               "elements.", _run_T3_26),
     "T3.27": ("On 2-delta-u rings with 2 in the delta set, sums of two unit squares stay "
@@ -784,18 +611,32 @@ CHECKS: dict[str, tuple[str, object]] = {
     "T3.28": ("2-delta-u rings are dedekind-finite (automatic here: all finite rings are).",
               _run_T3_28),
     "T4.5": ("Trivial extensions, truncated skew-polynomial rings, and triangular matrix "
-             "rings preserve and reflect 2-delta-u.", _run_T4_5),
+             "rings preserve and reflect 2-delta-u.",
+             _transfer(_CATALOG["Triv"] + _CATALOG["TruncSkew"] + _CATALOG["T"]
+                       + ("T(2,Z5)", "T(2,GF(4))"),
+                       "trivial extensions, truncated skew rings, triangular rings")),
     "T4.5x": ("The delta set of a truncated skew-polynomial ring consists of the tuples "
               "whose constant coefficient lies in the base delta set.", _run_T4_5x),
-    "TDT": ("The doubled trivial extension is 2-delta-u exactly when the base is.", _run_TDT),
+    "TDT": ("The doubled trivial extension is 2-delta-u exactly when the base is.",
+            _transfer(_CATALOG["DT"], "doubled trivial extensions")),
     "T4.9": ("For a central radical scalar, the scaled 2x2 block ring is 2-delta-u exactly "
-             "when the base is.", _run_T4_9),
+             "when the base is.",
+             _transfer(_CATALOG["K"],
+                       "scaled 2x2 block rings with the scalar in the center-radical",
+                       side=_central_radical_scalar)),
     "T4.10": ("For a central radical scalar, the scaled formal matrix ring is 2-delta-u "
               "exactly when the base is; its tables equal the squared-scalar block ring.",
-              _run_T4_10),
+              _transfer(_CATALOG["FM"] + ("FM(2,Z3,s=0)", "FM(2,Z4,s=0)", "FM(2,Z5,s=0)"),
+                        "also verifies FM(2,R;s) has the same tables as K(R,s^2)",
+                        side=_squared_scalar_twin)),
     "T4.11": ("A trivial 2x2 context is 2-delta-u exactly when both corners are, via the "
-              "explicit isomorphism with a trivial extension.", _run_T4_11),
-    "TG1": ("If a group ring is 2-delta-u then so is its coefficient ring.", _run_TG1),
+              "explicit isomorphism with a trivial extension.",
+              _transfer(("K(Z2,s=0)", "K(Z3,s=0)", "K(Z4,s=0)"),
+                        "trivial contexts match the trivial extension of the factor product",
+                        side=_context_isomorphism)),
+    "TG1": ("If a group ring is 2-delta-u then so is its coefficient ring.",
+            _transfer(_CATALOG["GR"], "group ring 2-delta-u forces the coefficient ring 2-delta-u",
+                      one_way=True)),
     "TG2": ("Over a 2-delta-u ring with the prime p in the radical, group rings of finite "
             "p-groups are 2-delta-u.", _run_TG2),
     "TG3": ("A 2-delta-u group ring with 2 in its delta set forces a 2-group.", _run_TG3),

@@ -4,7 +4,8 @@ The element-set oracles walk the ring tables with plain loops, with no
 shared code with the library's vectorized scans.  The axiom oracle checks
 every ring law on all pairs and triples literally (numpy broadcasting over
 the n^3 triples), sharing nothing with the library's generator-based
-validator.  The ideal oracle is a plain closure-lattice search.  Expected
+validator.  The generator oracle re-closes the whole additive span after
+each generator.  The ideal oracle is a plain closure-lattice search.  Expected
 values in the tests are either frozen from these oracles or checked against
 them directly.
 """
@@ -45,6 +46,34 @@ def first_axiom_violation(add, mul, zero: int, one: int) -> str | None:
         if not np.array_equal(lhs, rhs):
             return law
     return None
+
+
+def _magma_closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Literal closure of `seed` under the binary table (valid or not),
+    re-closing the whole set every round."""
+    cur = np.unique(seed)
+    while True:
+        nxt = np.union1d(cur, table[np.ix_(cur, cur)].ravel())
+        if nxt.size == cur.size:
+            return cur
+        cur = nxt
+
+
+def additive_generators(add, zero: int) -> list[int]:
+    """Greedy generating set, smallest indices first: after each new
+    generator the whole span is closed again from scratch."""
+    add = np.asarray(add)
+    covered = np.zeros(add.shape[0], dtype=bool)
+    covered[zero] = True
+    span = np.array([zero], dtype=np.int64)
+    gens: list[int] = []
+    while not covered.all():
+        g = int(np.flatnonzero(~covered)[0])
+        gens.append(g)
+        span = _magma_closure(add, np.append(span, g))
+        covered[:] = False
+        covered[span] = True
+    return gens
 
 
 def _naive_closure(members: set[int], pair_step, single_step) -> list[int]:

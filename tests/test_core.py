@@ -378,3 +378,12 @@ def test_semantic_tags_revalidated(zmod):
     assert core.is_ideal(Z12, core.ideal_generated(Z12, [6]))
     assert core.is_unital_subring(Z12, core.subring_generated(Z12, [], unital=True))
     assert not core.is_unital_subring(Z12, core.ElementSet.from_indices(Z12, [0, 6]))
+
+
+def test_additive_generators_match_whole_span_closure_on_catalog():
+    # the frontier closure picks the same generators as re-closing the whole
+    # span after each one, on every catalog ring
+    for label, expr in dsl.catalog():
+        R = dsl.build(expr)
+        assert core.additive_generators(R.add, R.zero) == \
+            oracles.additive_generators(R.add, R.zero), label

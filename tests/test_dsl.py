@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from deltaring import core, dsl, predicates, subsets
+from deltaring import constructions, core, dsl, predicates, subsets
 from deltaring.errors import (
     BadArity,
     ExprSyntaxError,
@@ -98,6 +101,34 @@ def test_build_memoization_and_determinism():
     assert c is not a and core.ring_to_json(c) == dump_before
 
 
+def test_concurrent_builds_validate_each_ring_once(monkeypatch):
+    real = core.validate_ring
+    labels = []
+
+    def counted(*args, **kwargs):
+        labels.append(kwargs["label"])
+        return real(*args, **kwargs)
+
+    for module in (core, dsl, constructions):
+        monkeypatch.setattr(module, "validate_ring", counted)
+    dsl.clear_build_cache()
+    exprs = ["T(2,Z4)", "Prod(Z4,Z9)", "GR(Z2,S3)", "K(Z3,s=0)"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(dsl.build_str, e) for e in exprs * 8]
+            built = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i in range(len(exprs)):
+        assert all(r is built[i] for r in built[i::len(exprs)])
+    # every ring and every ring it is built from is validated exactly once
+    assert sorted(labels) == sorted(set(labels))
+    assert set(labels) == {"T(2,Z4)", "Prod(Z4,Z9)", "GR(Z2,S3)", "K(Z3,s=0)",
+                           "Z2", "Z3", "Z4", "Z9"}
+
+
 def test_unsupported_field():
     with pytest.raises(UnsupportedField):
         dsl.build_str("GF(6)")
@@ -162,6 +193,10 @@ def test_order_guard_flows_through():
     dsl.build_str("Z60")
     with pytest.raises(OrderGuardExceeded):
         dsl.build_str("Z60", order_guard=10)
+    # and so does a first build whose constructor does not take the guard
+    dsl.clear_build_cache()
+    with pytest.raises(OrderGuardExceeded):
+        dsl.build_str("GF(9)", order_guard=4)
 
 
 def test_catalog_contents_and_guard():

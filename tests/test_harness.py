@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from deltaring import core, dsl, harness, subsets
+from deltaring import constructions, core, dsl, harness, subsets
 from deltaring.errors import UnknownCheckId, UnknownClass
 
 import oracles
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def rings(*exprs):
@@ -164,3 +170,63 @@ def test_run_all_parallel_matches_serial():
     serial = harness.results_to_json(harness.run_all(sample, threads=1))
     parallel = harness.results_to_json(harness.run_all(sample, threads=4))
     assert serial == parallel
+
+
+def test_verify_all_report_matches_golden():
+    # the whole-catalog report, byte for byte as the copied per-check
+    # runners wrote it before the combinators replaced them
+    golden = (GOLDEN / "verify_all.json").read_text()
+    assert harness.results_to_json(harness.run_all()) + "\n" == golden
+
+
+def test_catalog_labels_pinned():
+    golden = json.loads((GOLDEN / "catalog_labels.json").read_text())
+    assert [label for label, _ in dsl.catalog()] == golden
+
+
+def test_agree_reports_rings_where_forms_differ():
+    scope, bad, notes = harness._agree(("boolean", "2-delta-u"))(rings("Z2", "Z3"))
+    assert (scope, notes) == (2, "")
+    assert bad == [{"ring": "Z3",
+                    "notes": "equivalence broken: {'boolean': False, '2-delta-u': True}",
+                    "witness": []}]
+
+    run = harness._agree(("regular+reduced", "tripotent"),
+                         (lambda r: r.order < 4, "order at least 4"), "n")
+    scope, bad, notes = run(rings("Z2", "Z3", "Z4"))
+    assert (scope, notes) == (3, "n")
+    assert bad == [{"ring": "Z4", "notes": "order at least 4", "witness": []}]
+
+
+def test_transfer_reports_constructions_that_differ_from_parts():
+    run = harness._transfer(["M(2,Z2)"], "n")
+    assert run(rings("M(2,Z2)")) == (1, [{"ring": "M(2,Z2)",
+                                          "notes": "construction=False, parts=True",
+                                          "witness": []}], "n")
+    assert run(rings("Z2")) == (0, [], "n")
+    # M(2,Z2) is not 2-delta-u, so the "only if" half holds
+    assert harness._transfer(["M(2,Z2)"], "", one_way=True)(rings("M(2,Z2)"))[1] == []
+    side = harness._transfer(["Prod(Z2,Z3)"], "", side=lambda expr, built, parts:
+                             f"{built.label} from {[p.label for p in parts]}")
+    assert side(None)[1] == [{"ring": "Prod(Z2,Z3)", "notes": "Prod(Z2,Z3) from ['Z2', 'Z3']",
+                              "witness": []}]
+
+
+def test_cold_run_all_builds_each_ring_once_under_threads(monkeypatch):
+    real = core.validate_ring
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    for module in (core, dsl, constructions):
+        monkeypatch.setattr(module, "validate_ring", counted)
+    counts = []
+    for threads in (1, 2):
+        dsl.clear_build_cache()
+        harness._CATALOG_RINGS = None
+        calls.clear()
+        harness.run_all(threads=threads)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -148,3 +148,22 @@ def test_element_arith_consistency(m, a, b):
     assert core.element_arith(R, "add", a, core.element_arith(R, "neg", a)) == R.zero
     assert core.element_arith(R, "sub", a, b) == (a - b) % m
     assert core.element_arith(R, "pow", a, 3) == pow(a, 3, m)
+
+
+@st.composite
+def commutative_tables(draw):
+    # commutative with 0 as identity (validation checks both before it asks
+    # for generators), otherwise arbitrary: usually not associative
+    n = draw(st.integers(min_value=2, max_value=12))
+    cells = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                          min_size=n * n, max_size=n * n))
+    table = np.array(cells, dtype=np.int32).reshape(n, n)
+    table = np.triu(table) + np.triu(table, 1).T
+    table[0, :] = table[:, 0] = np.arange(n)
+    return table
+
+
+@given(commutative_tables())
+@settings(max_examples=300, deadline=None)
+def test_additive_generators_match_whole_span_closure(add):
+    assert core.additive_generators(add, 0) == oracles.additive_generators(add, 0)
