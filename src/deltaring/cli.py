@@ -35,9 +35,13 @@ def _order_guard(args) -> int | None:
 
 def _threads(args) -> int:
     flag = getattr(args, "threads", None)
-    if flag is not None:
-        return flag
-    return _env_int("DELTA_RING_THREADS") or 1
+    source, threads = (("--threads", flag) if flag is not None
+                       else ("DELTA_RING_THREADS", _env_int("DELTA_RING_THREADS")))
+    if threads is None:
+        return 1
+    if threads < 1:
+        raise RingError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _emit(obj) -> None:
@@ -99,6 +103,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    threads = _threads(args)
     guard = _order_guard(args)
     if guard is not None:
         rings = [dsl.build(e, order_guard=guard) for _, e in dsl.catalog()
@@ -106,7 +111,7 @@ def cmd_verify(args) -> int:
     else:
         rings = None
     if args.suite == "all":
-        results = harness.run_all(rings, threads=_threads(args),
+        results = harness.run_all(rings, threads=threads,
                                   include_timings=args.timings)
     else:
         results = [harness.run_check(args.suite, rings,

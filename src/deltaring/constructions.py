@@ -243,18 +243,19 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
 
     acc = np.zeros((n, n), dtype=np.int64)
     for c, col in enumerate(cols):
-        acc += strides[c] * add_tables[c][col[:, None], col[None, :]].astype(np.int64)
+        acc += strides[c] * core._outer(add_tables[c], col, col).astype(np.int64)
     add = acc.astype(np.int32)
 
+    # `mul_row` broadcasts: left coefficients come as columns, right ones as
+    # rows, so one call fills a whole block of rows of the product table.
     mul = np.empty((n, n), dtype=np.int32)
-    row_acc = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        coeffs = tuple(int(col[x]) for col in cols)
-        out_cols = mul_row(coeffs, cols)
-        row_acc[:] = 0
+    right = tuple(col[None, :] for col in cols)
+    for lo, hi in core._row_blocks(n, n):
+        out_cols = mul_row(tuple(col[lo:hi, None] for col in cols), right)
+        block = np.zeros((hi - lo, n), dtype=np.int64)
         for c, oc in enumerate(out_cols):
-            row_acc += strides[c] * oc.astype(np.int64)
-        mul[x] = row_acc
+            block += strides[c] * oc.astype(np.int64)
+        mul[lo:hi] = block
 
     def encode(tup):
         return int(sum(strides[c] * tup[c] for c in range(len(sizes))))
@@ -326,8 +327,8 @@ def direct_product(factors: list[FiniteRing], *, order_guard: int | None = None,
     add = np.zeros((n, n), dtype=np.int64)
     mul = np.zeros((n, n), dtype=np.int64)
     for c, f in enumerate(factors):
-        add += strides[c] * f.add[cols[c][:, None], cols[c][None, :]].astype(np.int64)
-        mul += strides[c] * f.mul[cols[c][:, None], cols[c][None, :]].astype(np.int64)
+        add += strides[c] * core._outer(f.add, cols[c], cols[c]).astype(np.int64)
+        mul += strides[c] * core._outer(f.mul, cols[c], cols[c]).astype(np.int64)
     zero = sum(strides[c] * factors[c].zero for c in range(len(factors)))
     one = sum(strides[c] * factors[c].one for c in range(len(factors)))
     names = _tuple_names([f.names for f in factors], sizes)

@@ -2,7 +2,10 @@
 
 Elements of a ring of order n are the integers 0..n-1; addition and
 multiplication are n-by-n lookup tables (row-major numpy arrays, so every
-scan is a fancy-indexing pass).  Holding a `FiniteRing` is proof that the
+scan is a fancy-indexing pass).  A 2-D lookup of rows R against columns C
+goes rows first, then columns (`_outer`): gathering whole rows and then
+taking columns from them is cheaper in numpy than one broadcast
+(`np.ix_`) gather.  Holding a `FiniteRing` is proof that the
 tables really form a unital ring: every one is either validated from its
 tables or derived from a ring that already was, under a certificate.
 
@@ -52,6 +55,21 @@ def _as_table(obj, name: str) -> np.ndarray:
     if not np.issubdtype(table.dtype, np.integer):
         raise ValueError(f"{name} table must hold integer element indices")
     return np.ascontiguousarray(table.astype(np.int32))
+
+
+def _outer(table: np.ndarray, rows, cols) -> np.ndarray:
+    """`table[r, c]` for every r in `rows` (axis 0) and c in `cols` (axis 1)."""
+    return table[rows][:, cols]
+
+
+_BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) of consecutive blocks of `rows` rows that hold about
+    `_BLOCK_CELLS` cells at `width` cells a row (at least one row each)."""
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    return [(lo, min(rows, lo + step)) for lo in range(0, rows, step)]
 
 
 def _first_bad_pair(bad: np.ndarray) -> tuple[int, int]:
@@ -261,7 +279,7 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
         covered[g] = True
         new = np.array([g])
         while new.size:
-            reach = add[np.ix_(new, np.flatnonzero(covered))].ravel()
+            reach = _outer(add, new, np.flatnonzero(covered)).ravel()
             new = np.unique(reach[~covered[reach]])
             covered[new] = True
     return gens
@@ -442,8 +460,8 @@ def subring_generated(ring: FiniteRing, gens, unital: bool = True) -> ElementSet
         seed.append(ring.one)
     add, mul, neg = ring.add, ring.mul, ring.neg
     return _closure(ring, seed, lambda new, cur: np.concatenate((
-        add[np.ix_(new, neg[cur])].ravel(), add[np.ix_(cur, neg[new])].ravel(),
-        mul[np.ix_(new, cur)].ravel(), mul[np.ix_(cur, new)].ravel())))
+        _outer(add, new, neg[cur]).ravel(), _outer(add, cur, neg[new]).ravel(),
+        _outer(mul, new, cur).ravel(), _outer(mul, cur, new).ravel())))
 
 
 def ideal_generated(ring: FiniteRing, gens) -> ElementSet:
@@ -452,7 +470,7 @@ def ideal_generated(ring: FiniteRing, gens) -> ElementSet:
     seed.append(ring.zero)
     add, mul = ring.add, ring.mul
     return _closure(ring, seed, lambda new, cur: np.concatenate((
-        add[np.ix_(new, cur)].ravel(), mul[:, new].ravel(), mul[new, :].ravel())))
+        _outer(add, new, cur).ravel(), mul[:, new].ravel(), mul[new, :].ravel())))
 
 
 def is_ideal(ring: FiniteRing, subset: ElementSet) -> bool:
@@ -461,7 +479,7 @@ def is_ideal(ring: FiniteRing, subset: ElementSet) -> bool:
     idx = np.flatnonzero(mask)
     if not mask[ring.zero]:
         return False
-    if not mask[ring.add[np.ix_(idx, idx)]].all():
+    if not mask[_outer(ring.add, idx, idx)].all():
         return False
     if not mask[ring.mul[:, idx]].all():
         return False
@@ -475,9 +493,9 @@ def is_unital_subring(ring: FiniteRing, subset: ElementSet) -> bool:
     idx = np.flatnonzero(mask)
     if not (mask[ring.zero] and mask[ring.one]):
         return False
-    if not mask[ring.add[np.ix_(idx, ring.neg[idx])]].all():
+    if not mask[_outer(ring.add, idx, ring.neg[idx])].all():
         return False
-    if not mask[ring.mul[np.ix_(idx, idx)]].all():
+    if not mask[_outer(ring.mul, idx, idx)].all():
         return False
     return True
 
@@ -504,8 +522,8 @@ def quotient_ring(ring: FiniteRing, ideal: ElementSet) -> tuple[FiniteRing, Ring
     reps = np.unique(rep)
     pos = np.full(ring.order, -1, dtype=np.int32)
     pos[reps] = np.arange(reps.size, dtype=np.int32)
-    qadd = pos[rep[ring.add[np.ix_(reps, reps)]]]
-    qmul = pos[rep[ring.mul[np.ix_(reps, reps)]]]
+    qadd = pos[rep[_outer(ring.add, reps, reps)]]
+    qmul = pos[rep[_outer(ring.mul, reps, reps)]]
     qzero = int(pos[rep[ring.zero]])
     qone = int(pos[rep[ring.one]])
     names = tuple(f"[{ring.names[int(r)]}]" for r in reps)
@@ -530,8 +548,8 @@ def induced_subring(ring: FiniteRing, subset: ElementSet, one: int,
         raise ValueError("subset does not contain 0 and the negatives of its members")
     pos = np.full(ring.order, -1, dtype=np.int32)
     pos[elems] = np.arange(elems.size, dtype=np.int32)
-    sub_add = pos[ring.add[np.ix_(elems, elems)]]
-    sub_mul = pos[ring.mul[np.ix_(elems, elems)]]
+    sub_add = pos[_outer(ring.add, elems, elems)]
+    sub_mul = pos[_outer(ring.mul, elems, elems)]
     if sub_add.min() < 0 or sub_mul.min() < 0:
         raise ValueError("subset is not closed under the ring operations")
     one = int(one)
@@ -581,13 +599,13 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
         raise HomViolation("zero", (source.zero,))
     if int(m[source.one]) != target.one:
         raise HomViolation("one", (source.one,))
-    lhs = m[source.add]
-    rhs = target.add[m[:, None], m[None, :]]
+    lhs = np.take(m, source.add)
+    rhs = _outer(target.add, m, m)
     if not np.array_equal(lhs, rhs):
         a, b = _first_bad_pair(lhs != rhs)
         raise HomViolation("additive", (a, b))
-    lhs = m[source.mul]
-    rhs = target.mul[m[:, None], m[None, :]]
+    lhs = np.take(m, source.mul)
+    rhs = _outer(target.mul, m, m)
     if not np.array_equal(lhs, rhs):
         a, b = _first_bad_pair(lhs != rhs)
         raise HomViolation("multiplicative", (a, b))

@@ -130,13 +130,19 @@ def ideals_inside_radical(ring: FiniteRing) -> list[ElementSet]:
     """Every two-sided ideal contained in J(R), sorted by index tuple.
 
     Each such ideal is a sum of principal ideals generated inside J(R), so
-    the search takes one closure per radical element and then closes {0}
-    under I -> I + P over the distinct principal ideals P, one sumset each.
+    the search takes one closure per two-sided unit orbit {u*a*v} of the
+    radical (P(u*a*v) = P(a) for units u, v) and then closes {0} under
+    I -> I + P over the distinct principal ideals P, one sumset each.
     """
+    u_idx = np.flatnonzero(subsets.unit_mask(ring))
+    done = np.zeros(ring.order, dtype=bool)
     principal: dict[bytes, np.ndarray] = {}
     for a in np.flatnonzero(subsets.jacobson_mask(ring)):
+        if done[a]:
+            continue
         members = core.ideal_generated(ring, [int(a)]).members
         principal.setdefault(members.tobytes(), members)
+        done[core._outer(ring.mul, ring.mul[u_idx, a], u_idx)] = True
     zero = np.zeros(ring.order, dtype=bool)
     zero[ring.zero] = True
     seen = {zero.tobytes(): zero}
@@ -272,9 +278,9 @@ def _cross_bimodule(prod: FiniteRing, R: FiniteRing) -> cons.Bimodule:
     n = R.order
     mx, my = np.divmod(np.arange(n * n), n)
     pa, pb = np.divmod(np.arange(prod.order), n)
-    madd = R.add[mx[:, None], mx] * n + R.add[my[:, None], my]
-    la = R.mul[pa[:, None], mx] * n + R.mul[pb[:, None], my]
-    ra = R.mul[mx[:, None], pb] * n + R.mul[my[:, None], pa]
+    madd = core._outer(R.add, mx, mx) * n + core._outer(R.add, my, my)
+    la = core._outer(R.mul, pa, mx) * n + core._outer(R.mul, pb, my)
+    ra = core._outer(R.mul, mx, pb) * n + core._outer(R.mul, my, pa)
     return cons.validate_bimodule(prod, prod, madd, la, ra, label="MxN")
 
 

@@ -74,7 +74,7 @@ def unit_class_check(ring: FiniteRing, cls: str) -> CheckReport:
 
     if name == "uuc":
         id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
-        diffs = ring.add[np.ix_(u_idx, ring.neg[id_idx])]
+        diffs = core._outer(ring.add, u_idx, ring.neg[id_idx])
         counts = subsets.unit_mask(ring)[diffs].sum(axis=1)
         bad = np.flatnonzero(counts != 1)
         if bad.size == 0:
@@ -246,29 +246,37 @@ def clean_check(ring: FiniteRing, kind: str) -> CheckReport:
 
     if kind == "strongly-2-nil-clean":
         comm = subsets.commuting_matrix(ring)
-        grid = comm[np.ix_(id_idx, id_idx)]
+        grid = core._outer(comm, id_idx, id_idx)
         p1, p2 = np.nonzero(grid)
         e1, e2 = id_idx[p1], id_idx[p2]               # commuting idempotent pairs
         nil = subsets.nilpotent_mask(ring)
-        for a in range(n):
-            q = ring.add[ring.add[a, ring.neg[e1]], ring.neg[e2]]
-            ok = nil[q] & comm[e1, q] & comm[e2, q]
-            if not ok.any():
-                return _report(ring, kind, False, [_wit(ring, "element", a)])
-        return _report(ring, kind, True)
+        neg1, neg2 = ring.neg[e1][None, :], ring.neg[e2][None, :]
 
-    # exchange
-    one = ring.one
-    for a in range(n):
-        in_a = np.zeros(n, dtype=bool)
-        in_a[ring.mul[a]] = True
-        cand = id_idx[in_a[id_idx]]
-        if cand.size == 0:
-            return _report(ring, kind, False, [_wit(ring, "element", a)])
-        in_b = np.zeros(n, dtype=bool)
-        in_b[ring.mul[ring.sub(one, a)]] = True
-        if not in_b[ring.add[one, ring.neg[cand]]].any():
-            return _report(ring, kind, False, [_wit(ring, "element", a)])
+        def decomposable(lo, hi):                     # [a, pair] = a - e1 - e2
+            q = ring.add[ring.add[np.arange(lo, hi)[:, None], neg1], neg2]
+            return (nil[q] & comm[e1[None, :], q] & comm[e2[None, :], q]).any(axis=1)
+        return _block_scan(ring, kind, e1.size, decomposable)
+
+    # exchange: some idempotent e lies in a*R with 1-e in (1-a)*R
+    om = subsets.one_minus(ring)
+
+    def exchangeable(lo, hi):
+        rows = np.arange(hi - lo)[:, None]
+        in_a = np.zeros((hi - lo, n), dtype=bool)
+        in_a[rows, ring.mul[lo:hi]] = True
+        in_b = np.zeros((hi - lo, n), dtype=bool)
+        in_b[rows, ring.mul[om[lo:hi]]] = True
+        return (in_a[:, id_idx] & in_b[:, om[id_idx]]).any(axis=1)
+    return _block_scan(ring, kind, n, exchangeable)
+
+
+def _block_scan(ring: FiniteRing, kind: str, width: int, ok_rows) -> CheckReport:
+    """Scan the elements in row blocks; `ok_rows(lo, hi)` decides elements
+    lo..hi-1.  The witness is the smallest element that fails."""
+    for lo, hi in core._row_blocks(ring.order, width):
+        ok = ok_rows(lo, hi)
+        if not ok.all():
+            return _report(ring, kind, False, [_wit(ring, "element", lo + int(np.argmin(ok)))])
     return _report(ring, kind, True)
 
 

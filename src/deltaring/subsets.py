@@ -133,8 +133,8 @@ def delta_mask(ring: FiniteRing) -> np.ndarray:
             raise InternalInconsistency(
                 f"radical of {ring.label} escapes the delta set")
         if d_idx.size and u_idx.size:
-            left = mask[ring.mul[np.ix_(u_idx, d_idx)]].all()
-            right = mask[ring.mul[np.ix_(d_idx, u_idx)]].all()
+            left = mask[core._outer(ring.mul, u_idx, d_idx)].all()
+            right = mask[core._outer(ring.mul, d_idx, u_idx)].all()
             if not (left and right):
                 raise InternalInconsistency(
                     f"delta set of {ring.label} is not closed under unit multiples")
@@ -222,7 +222,7 @@ def sumset_mask(ring: FiniteRing, a_idx: np.ndarray, b_idx: np.ndarray) -> np.nd
     """Characteristic vector of {a + b : a in A, b in B}."""
     mask = np.zeros(ring.order, dtype=bool)
     if len(a_idx) and len(b_idx):
-        mask[ring.add[np.ix_(a_idx, b_idx)].ravel()] = True
+        mask[core._outer(ring.add, a_idx, b_idx).ravel()] = True
     return mask
 
 

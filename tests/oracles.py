@@ -251,6 +251,12 @@ def naive_is_semi_tripotent(R) -> bool:
 
 
 def naive_is_strongly_2_nil_clean(R) -> bool:
+    return naive_first_non_strongly_2_nil_clean(R) is None
+
+
+def naive_first_non_strongly_2_nil_clean(R) -> int | None:
+    """Smallest a that is no e1 + e2 + q with commuting idempotents e1, e2
+    and a nilpotent q commuting with both, or None."""
     idem = naive_idempotents(R)
     nil = set(naive_nilpotents(R))
 
@@ -270,5 +276,31 @@ def naive_is_strongly_2_nil_clean(R) -> bool:
             if found:
                 break
         if not found:
-            return False
-    return True
+            return a
+    return None
+
+
+def naive_first_non_exchange(R) -> int | None:
+    """Smallest a with no idempotent e in a*R such that 1 - e lies in
+    (1 - a)*R, or None."""
+    idem = naive_idempotents(R)
+    for a in range(R.order):
+        a_r = {int(R.mul[a, r]) for r in range(R.order)}
+        b_r = {int(R.mul[R.sub(R.one, a), r]) for r in range(R.order)}
+        if not any(e in a_r and R.sub(R.one, e) in b_r for e in idem):
+            return a
+    return None
+
+
+def naive_unit_orbits(R, within) -> list[tuple[int, ...]]:
+    """The two-sided unit orbits {u*a*v : u, v units} of the members of the
+    mask `within`, each sorted, in order of their smallest member."""
+    units = naive_units(R)
+    orbits, seen = [], set()
+    for a in map(int, np.flatnonzero(within)):
+        if a in seen:
+            continue
+        orbit = {int(R.mul[int(R.mul[u, a]), v]) for u in units for v in units}
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits

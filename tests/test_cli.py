@@ -95,6 +95,22 @@ def test_verify_threads_flag_keeps_output_stable(capsys):
     assert serial == threaded
 
 
+def test_thread_count_below_one_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("DELTA_RING_THREADS", raising=False)
+    for argv, source in (((("--threads", "0"), "--threads must be at least 1, got 0")),
+                         (("--threads", "-2"), "--threads must be at least 1, got -2")):
+        code, out, err = run(capsys, "verify", "T3.8", *argv)
+        assert (code, out) == (2, "") and source in err
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("DELTA_RING_THREADS", raw)
+        code, out, err = run(capsys, "verify", "all")
+        assert (code, out) == (2, "")
+        assert f"DELTA_RING_THREADS must be at least 1, got {raw}" in err
+    # the flag wins over the environment
+    code, _, _ = run(capsys, "verify", "T3.8", "--threads", "2")
+    assert code == 0
+
+
 def test_verify_max_order_restricts_scope(capsys):
     code, out, _ = run(capsys, "verify", "T2.8", "--max-order", "30", "--json")
     assert code == 0

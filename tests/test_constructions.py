@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from deltaring import core, dsl, subsets
+from deltaring import core, dsl, harness, subsets
 from deltaring import constructions as cons
 from deltaring.errors import (
     InvalidBimodule,
@@ -245,3 +249,21 @@ def test_construction_outputs_are_validated(zmod):
         for a in range(ring.order):
             assert int(ring.add[a, ring.neg[a]]) == ring.zero
             assert int(ring.mul[ring.one, a]) == a
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_catalog_tables_match_golden():
+    # tables and names of every catalog ring, hashed: any change to how
+    # constructions fill their tables must leave these bytes alone
+    golden = json.loads((Path(__file__).parent / "golden" / "catalog_tables.json").read_text())
+    got = {R.label: {"add": _sha256(np.ascontiguousarray(R.add, dtype="<i4").tobytes()),
+                     "mul": _sha256(np.ascontiguousarray(R.mul, dtype="<i4").tobytes()),
+                     "zero": R.zero, "one": R.one,
+                     "names": _sha256(json.dumps(list(R.names)).encode())}
+           for R in harness.catalog_rings()}
+    assert list(got) == list(golden)
+    for label, row in golden.items():
+        assert got[label] == row, label

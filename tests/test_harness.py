@@ -73,13 +73,33 @@ def test_ideals_inside_radical(zmod):
 
 
 @pytest.mark.parametrize("expr", ["Z16", "K(Z4,s=0)", "Prod(Z8,Z27)", "FM(2,Z4,s=2)",
-                                  "T(2,Z4)"])
+                                  "T(2,Z4)", "Z64", "DT(Z3,Z3)", "K(Z4,s=2)"])
 def test_ideals_inside_radical_matches_closure_lattice(expr):
     R = dsl.build_str(expr)
     got = [ideal.indices for ideal in harness.ideals_inside_radical(R)]
     want = [ideal.indices
             for ideal in oracles.closure_lattice_ideals(R, subsets.jacobson_mask(R))]
     assert got == want
+
+
+@pytest.mark.parametrize("expr", ["Z64", "DT(Z3,Z3)", "K(Z4,s=2)", "T(2,Z4)"])
+def test_ideals_inside_radical_closes_once_per_unit_orbit(expr, monkeypatch):
+    R = dsl.build_str(expr)
+    jac = subsets.jacobson_mask(R)
+    orbits = oracles.naive_unit_orbits(R, jac)
+    assert len(orbits) < jac.sum()          # orbits merge, so closures are skipped
+    real = core.ideal_generated
+    seeds = []
+
+    def counted(ring, gens):
+        seeds.append(list(gens))
+        return real(ring, gens)
+
+    subsets.unit_mask(R)
+    monkeypatch.setattr(core, "ideal_generated", counted)
+    harness.ideals_inside_radical(R)
+    # one closure per orbit, seeded with the orbit's smallest member
+    assert seeds == [[orbit[0]] for orbit in orbits]
 
 
 def test_projection_kernel_equals_ideal_over_full_lattices():

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from deltaring import dsl, predicates as pr, subsets
+from deltaring import core, dsl, harness, predicates as pr, subsets
 from deltaring.errors import UnknownClass
 from deltaring.predicates import check_class, class_verdict, revalidate_witness
 
@@ -272,3 +275,35 @@ def test_every_false_witness_revalidates():
                 assert revalidate_witness(R, report), (expr, name)
                 checked += 1
     assert checked > 40  # the sweep really exercised false verdicts
+
+
+def test_class_reports_match_golden():
+    # verdict and witness element indices of every class on every catalog
+    # ring: a faster scan must pick the same smallest counterexample
+    golden = json.loads((Path(__file__).parent / "golden" / "class_reports.json").read_text())
+    rings = harness.catalog_rings()
+    assert [R.label for R in rings] == list(golden)
+    for R in rings:
+        got = {name: [report.verdict, [w.element for w in report.witness]]
+               for name in pr.ALL_CLASSES for report in [check_class(R, name)]}
+        assert got == golden[R.label], R.label
+
+
+def test_block_scans_match_per_element_oracles(monkeypatch):
+    rings = [R for R in harness.catalog_rings()
+             if not class_verdict(R, "strongly-2-nil-clean")]
+    assert len(rings) > 100
+    expected = {R.label: {"exchange": oracles.naive_first_non_exchange(R),
+                          "strongly-2-nil-clean": oracles.naive_first_non_strongly_2_nil_clean(R)}
+                for R in rings}
+    # the default blocks, then blocks of a few rows so witnesses fall past
+    # the first block
+    for cells in (core._BLOCK_CELLS, 64):
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        for R in rings:
+            for kind, first_bad in expected[R.label].items():
+                report = pr.clean_check(R, kind)
+                assert report.verdict == (first_bad is None), (R.label, kind)
+                assert [w.element for w in report.witness] == (
+                    [] if first_bad is None else [first_bad]), (R.label, kind)
+                assert revalidate_witness(R, report), (R.label, kind)
