@@ -1,11 +1,19 @@
 """Finite unital rings as dense operation tables over indexed elements.
 
 Elements of a ring of order n are the integers 0..n-1; addition and
-multiplication are n-by-n lookup tables (row-major numpy arrays, so every
-scan is a fancy-indexing pass).  A 2-D lookup of rows R against columns C
-goes rows first, then columns (`_outer`): gathering whole rows and then
-taking columns from them is cheaper in numpy than one broadcast
-(`np.ix_`) gather.  Holding a `FiniteRing` is proof that the
+multiplication are n-by-n lookup tables (C-contiguous numpy arrays, so
+every scan is a fancy-indexing pass).  A 2-D lookup of rows R against
+columns C goes rows first, then columns (`_outer`): gathering whole rows
+and then taking columns from them is cheaper in numpy than one broadcast
+(`np.ix_`) gather.  A value-dependent lookup `table[rows, cols]`, with
+index arrays that broadcast to an n-by-n grid (a*x*a, a*g + a*c), goes
+through `_lookup`.  On a table larger than one block of `_BLOCK_CELLS`
+cells that is one `np.take` on the flattened table with flat indices
+rows*n + cols, built one row block at a time, so every temporary is
+block-sized; a smaller table stays in cache and takes numpy's own gather.
+Passes over all n^2 pairs (distributivity, homomorphism certificates) run
+in the same row blocks and stop at the first block with a failing pair
+(`_first_mismatch`).  Holding a `FiniteRing` is proof that the
 tables really form a unital ring: every one is either validated from its
 tables or derived from a ring that already was, under a certificate.
 
@@ -13,7 +21,11 @@ tables or derived from a ring that already was, under a certificate.
 Light's associativity test over an additive generating set, biadditivity
 of the product on generator pairs, and associativity of the product on
 generator triples (sound once biadditivity is known, since the associator
-is additive in each slot).
+is additive in each slot).  For additive rank r (the size of the greedy
+generating set) that is r Light passes, each one row gather and a
+symmetry test, and 2r distributivity passes (left and right per
+generator), each over all n^2 pairs in row blocks; the first failing
+instance is reported in row-major order within the first failing pass.
 
 Derived rings are certified, not re-validated.  `quotient_ring` checks the
 ideal and then the projection with `validate_hom`: a surjective map that
@@ -27,6 +39,7 @@ both operations, so every ring law holds on the subset.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +48,7 @@ from .errors import (
     AxiomViolation,
     HomViolation,
     InternalInconsistency,
+    MalformedRing,
     NotAnIdeal,
     NotIdempotent,
     OrderGuardExceeded,
@@ -49,17 +63,36 @@ def _resolve_guard(order_guard: int | None) -> int:
 
 
 def _as_table(obj, name: str) -> np.ndarray:
-    table = np.asarray(obj)
+    """`obj` as a C-contiguous int32 table: a square grid of integer element
+    indices in 0..n-1.  Types and ranges are checked before narrowing, so a
+    bool, float or out-of-range cell is rejected, never coerced."""
+    try:
+        table = np.asarray(obj)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedRing(f"{name} table must be a list of equal-length rows") from None
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise ValueError(f"{name} table must be square, got shape {table.shape}")
+        raise MalformedRing(f"{name} table must be square, got shape {table.shape}")
     if not np.issubdtype(table.dtype, np.integer):
-        raise ValueError(f"{name} table must hold integer element indices")
-    return np.ascontiguousarray(table.astype(np.int32))
+        raise MalformedRing(f"{name} table must hold integer element indices")
+    if table.size and (table.min() < 0 or table.max() >= table.shape[0]):
+        raise MalformedRing(f"{name} entries out of range")
+    if not isinstance(obj, np.ndarray):
+        # numpy reads a bool among ints as 0 or 1, so only those cells can hide one
+        n = table.shape[1]
+        if bool in {obj[k // n][k % n].__class__ for k in np.flatnonzero(table <= 1).tolist()}:
+            raise MalformedRing(f"{name} table must hold integer element indices, not bools")
+    return np.ascontiguousarray(table, dtype=np.int32)
+
+
+def _identity_index(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise MalformedRing(f"{name} must be an integer element index, got {value!r}")
+    return int(value)
 
 
 def _outer(table: np.ndarray, rows, cols) -> np.ndarray:
     """`table[r, c]` for every r in `rows` (axis 0) and c in `cols` (axis 1)."""
-    return table[rows][:, cols]
+    return np.take(table[rows], cols, axis=1)
 
 
 _BLOCK_CELLS = 1 << 16
@@ -72,9 +105,63 @@ def _row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
     return [(lo, min(rows, lo + step)) for lo in range(0, rows, step)]
 
 
+def _index_dtype(n: int) -> type:
+    """Flat indices r*n + c into an n-by-n table fit int32 below n^2 = 2^31."""
+    return np.int64 if n * n >= 1 << 31 else np.int32
+
+
+def _lookup(table: np.ndarray, rows, cols) -> np.ndarray:
+    """`table[rows, cols]` for broadcastable index arrays (at least 1-D).
+
+    A table of at most one block stays in cache, where numpy's own gather
+    is fastest.  A larger one is read as `np.take(table.ravel(), rows * n +
+    cols)`, one block of leading-axis rows at a time (`_row_blocks`), so the
+    flat indices are block-sized; only the result is full-sized.
+    """
+    if table.size <= _BLOCK_CELLS:
+        return table[rows, cols]
+    n = table.shape[1]
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    shape = np.broadcast_shapes(rows.shape, cols.shape)
+    # operands that are constant along the leading axis broadcast into every block
+    rows_lead = rows.ndim == len(shape) and rows.shape[0] > 1
+    cols_lead = cols.ndim == len(shape) and cols.shape[0] > 1
+    flat, dtype = table.ravel(), _index_dtype(n)
+    out = np.empty(shape, dtype=table.dtype)
+    for lo, hi in _row_blocks(shape[0], math.prod(shape[1:])):
+        idx = (rows[lo:hi] if rows_lead else rows).astype(dtype) * n
+        np.take(flat, idx + (cols[lo:hi] if cols_lead else cols), out=out[lo:hi])
+    return out
+
+
+def _is_symmetric(table: np.ndarray) -> bool:
+    """`table == table.T`, compared one pair of square tiles of about
+    `_BLOCK_CELLS` cells at a time, so the transposed side stays in cache."""
+    n = table.shape[0]
+    side = max(1, math.isqrt(_BLOCK_CELLS))
+    for i in range(0, n, side):
+        for j in range(i, n, side):
+            if not np.array_equal(table[i:i + side, j:j + side],
+                                  table[j:j + side, i:i + side].T):
+                return False
+    return True
+
+
 def _first_bad_pair(bad: np.ndarray) -> tuple[int, int]:
     a, b = np.argwhere(bad)[0]
     return int(a), int(b)
+
+
+def _first_mismatch(n: int, sides) -> tuple[int, int] | None:
+    """First (row, column) in row-major order where the two arrays that
+    `sides(lo, hi)` returns for rows lo..hi-1 of an n-by-n grid differ, or
+    None when they agree on every row block."""
+    for lo, hi in _row_blocks(n, n):
+        lhs, rhs = sides(lo, hi)
+        if not np.array_equal(lhs, rhs):
+            a, b = _first_bad_pair(lhs != rhs)
+            return lo + a, b
+    return None
 
 
 class FiniteRing:
@@ -132,7 +219,7 @@ class FiniteRing:
     def is_commutative(self) -> bool:
         cached = self._cache.get("commutative")
         if cached is None:
-            cached = bool(np.array_equal(self.mul, self.mul.T))
+            cached = _is_symmetric(self.mul)
             self._cache["commutative"] = cached
         return cached
 
@@ -286,29 +373,29 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
 
 
 def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, zero: int) -> None:
+    n = add.shape[0]
     gens = additive_generators(add, zero)
     # Light's test: with a set generating the table, middle-slot triples decide
-    # associativity for all triples.
-    for g in [zero] + gens:
-        u = add[:, g]
-        lhs = add[u, :]
-        rhs = add[:, add[g, :]]
-        if not np.array_equal(lhs, rhs):
-            a, c = _first_bad_pair(lhs != rhs)
+    # associativity for all triples.  M = add[add[:, g]] holds (a+g)+c at
+    # [a, c], and (add being commutative) a+(g+c) = (c+g)+a at [c, a], so the
+    # test is M == M.T.  g = zero passes by the identity law checked before.
+    for g in gens:
+        M = add[add[:, g]]
+        if not _is_symmetric(M):
+            a, c = _first_bad_pair(M != M.T)
             raise AxiomViolation("add-associativity", (a, g, c))
     # Biadditivity of mul on generator pairs extends to all pairs by induction
     # over generator words, given the additive group laws above.
     for g in gens:
-        lhs = mul[:, add[g, :]]
-        rhs = add[mul[:, g][:, None], mul]
-        if not np.array_equal(lhs, rhs):
-            a, c = _first_bad_pair(lhs != rhs)
-            raise AxiomViolation("left-distributivity", (a, g, c))
-        lhs = mul[add[:, g], :]
-        rhs = add[mul, mul[g, :][None, :]]
-        if not np.array_equal(lhs, rhs):
-            a, c = _first_bad_pair(lhs != rhs)
-            raise AxiomViolation("right-distributivity", (a, g, c))
+        bad = _first_mismatch(n, lambda lo, hi: (
+            np.take(mul[lo:hi], add[g], axis=1),
+            _lookup(add, mul[lo:hi, g, None], mul[lo:hi])))
+        if bad is not None:
+            raise AxiomViolation("left-distributivity", (bad[0], g, bad[1]))
+        bad = _first_mismatch(n, lambda lo, hi: (
+            mul[add[lo:hi, g]], _lookup(add, mul[lo:hi], mul[g])))
+        if bad is not None:
+            raise AxiomViolation("right-distributivity", (bad[0], g, bad[1]))
     # With biadditivity established the associator is additive in each slot,
     # so vanishing on generator triples forces vanishing everywhere.
     for g1 in gens:
@@ -326,29 +413,27 @@ def validate_ring(add, mul, zero: int, one: int, label: str = "R",
 
     Raises `AxiomViolation` (with the first failing instance) when any law
     fails, `OrderGuardExceeded` past the configured size cap, and
-    `ValueError` on malformed input (non-square tables, indices out of
-    range).  The returned object is immutable.
+    `MalformedRing` (a `ValueError`) on malformed input: non-square tables,
+    cells or identities that are not integers, indices out of range.  The
+    returned object is immutable.
     """
     add_t = _as_table(add, "add")
     mul_t = _as_table(mul, "mul")
     if add_t.shape != mul_t.shape:
-        raise ValueError("add and mul tables must have the same order")
+        raise MalformedRing("add and mul tables must have the same order")
     n = add_t.shape[0]
     guard = _resolve_guard(order_guard)
     if n > guard:
         raise OrderGuardExceeded(f"order {n} exceeds the order guard {guard}")
-    zero, one = int(zero), int(one)
+    zero, one = _identity_index(zero, "zero"), _identity_index(one, "one")
     if not (0 <= zero < n and 0 <= one < n):
-        raise ValueError("zero/one indices out of range")
-    for t, nm in ((add_t, "add"), (mul_t, "mul")):
-        if t.size and (t.min() < 0 or t.max() >= n):
-            raise ValueError(f"{nm} entries out of range")
+        raise MalformedRing("zero/one indices out of range")
     if n < 2 or zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
                              "rings here have 0 != 1, so the order is at least 2")
 
     arange = np.arange(n, dtype=np.int32)
-    if not np.array_equal(add_t, add_t.T):
+    if not _is_symmetric(add_t):
         a, b = _first_bad_pair(add_t != add_t.T)
         raise AxiomViolation("add-commutativity", (a, b))
     if not np.array_equal(add_t[zero], arange):
@@ -371,7 +456,10 @@ def validate_ring(add, mul, zero: int, one: int, label: str = "R",
 def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one: int,
                     names) -> FiniteRing:
     """The one place a `FiniteRing` is made, for tables already known to
-    form a ring: validated by `validate_ring` or certified by a derivation."""
+    form a ring: validated by `validate_ring` or certified by a derivation.
+    Tables are stored C-contiguous: a column gather can leave them in column
+    order, which makes every row-first scan on the ring stride."""
+    add, mul = np.ascontiguousarray(add), np.ascontiguousarray(mul)
     n = add.shape[0]
     if zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
@@ -590,26 +678,26 @@ def center(ring: FiniteRing) -> ElementSet:
 
 def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
     """Check that the index map is a unital ring homomorphism (exhaustively)."""
-    m = np.asarray(mapping, dtype=np.int32)
+    m = np.asarray(mapping)
     if m.shape != (source.order,):
         raise ValueError("map must assign an image to every source element")
+    if not np.issubdtype(m.dtype, np.integer):
+        raise ValueError("map images must be integer element indices")
+    # checked at the given width, so an image past int32 cannot wrap into range
     if m.size and (m.min() < 0 or m.max() >= target.order):
         raise ValueError("map image out of range")
+    m = m.astype(np.int32)
     if int(m[source.zero]) != target.zero:
         raise HomViolation("zero", (source.zero,))
     if int(m[source.one]) != target.one:
         raise HomViolation("one", (source.one,))
-    lhs = np.take(m, source.add)
-    rhs = _outer(target.add, m, m)
-    if not np.array_equal(lhs, rhs):
-        a, b = _first_bad_pair(lhs != rhs)
-        raise HomViolation("additive", (a, b))
-    lhs = np.take(m, source.mul)
-    rhs = _outer(target.mul, m, m)
-    if not np.array_equal(lhs, rhs):
-        a, b = _first_bad_pair(lhs != rhs)
-        raise HomViolation("multiplicative", (a, b))
-    m = m.copy()
+    n = source.order
+    for kind, src, tgt in (("additive", source.add, target.add),
+                           ("multiplicative", source.mul, target.mul)):
+        bad = _first_mismatch(n, lambda lo, hi: (
+            np.take(m, src[lo:hi]), _outer(tgt, m[lo:hi], m)))
+        if bad is not None:
+            raise HomViolation(kind, bad)
     m.setflags(write=False)
     return RingHom(source, target, m)
 
@@ -774,12 +862,25 @@ def ring_to_json(ring: FiniteRing) -> str:
 
 
 def ring_from_dict(data: dict, *, order_guard: int | None = None) -> FiniteRing:
+    """Validate a decoded dump; `MalformedRing` when it is not one."""
+    if not isinstance(data, dict):
+        raise MalformedRing(f"a ring dump must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("add", "mul", "zero", "one") if key not in data]
+    if missing:
+        raise MalformedRing(f"ring dump lacks {', '.join(missing)}")
+    label = data.get("label", "R")
+    if not isinstance(label, str):
+        raise MalformedRing(f"label must be a string, got {label!r}")
     return validate_ring(data["add"], data["mul"], data["zero"], data["one"],
-                         label=data.get("label", "R"), order_guard=order_guard)
+                         label=label, order_guard=order_guard)
 
 
 def ring_from_json(text: str, *, order_guard: int | None = None) -> FiniteRing:
-    return ring_from_dict(json.loads(text), order_guard=order_guard)
+    try:
+        data = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise MalformedRing(f"a ring dump must be JSON text: {exc}") from None
+    return ring_from_dict(data, order_guard=order_guard)
 
 
 def check_internal(condition: bool, message: str) -> None:

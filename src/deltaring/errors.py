@@ -20,6 +20,13 @@ class AxiomViolation(RingError):
         super().__init__(message or f"{kind} fails at {self.witness}")
 
 
+class MalformedRing(RingError, ValueError):
+    """Ring data has the wrong shape, type or range: a table that is not a
+    square grid of integer indices below its order, a non-integer identity,
+    or a dump that is not a JSON object with those fields.  Also a
+    `ValueError`, so callers that caught the older plain errors still work."""
+
+
 class HomViolation(RingError):
     """A map is not a unital ring homomorphism; carries the failing pair."""
 

@@ -137,9 +137,8 @@ def regularity_check(ring: FiniteRing, kind: str) -> CheckReport:
     arange = np.arange(n, dtype=np.int32)
 
     if kind in ("regular", "unit-regular"):
-        outer = ring.mul[ring.mul, arange[:, None]]   # [a, x] = a*x*a
-        if kind == "unit-regular":
-            outer = outer[:, np.flatnonzero(subsets.unit_mask(ring))]
+        xs = ring.mul if kind == "regular" else ring.mul[:, subsets.unit_mask(ring)]
+        outer = core._lookup(ring.mul, xs, arange[:, None])   # [a, x] = a*x*a
         ok = (outer == arange[:, None]).any(axis=1)
         bad = np.flatnonzero(~ok)
         if bad.size:
@@ -162,7 +161,7 @@ def regularity_check(ring: FiniteRing, kind: str) -> CheckReport:
             if idx.size == 0:
                 break
             if kind == "pi-regular":
-                vals = ring.mul[ring.mul[p[idx], :], p[idx][:, None]]
+                vals = core._lookup(ring.mul, ring.mul[p[idx], :], p[idx][:, None])
                 ok = (vals == p[idx][:, None]).any(axis=1)
             else:
                 nxt = ring.mul[p[idx], idx]

@@ -175,7 +175,7 @@ def prime_radical(ring: FiniteRing) -> ElementSet:
     def compute():
         n = ring.order
         col = np.arange(n, dtype=np.int32)[:, None]
-        sandwich = ring.mul[ring.mul, col]          # [a, r] = a*r*a
+        sandwich = core._lookup(ring.mul, ring.mul, col)   # [a, r] = a*r*a
         mask = np.zeros(n, dtype=bool)
         mask[ring.zero] = True
         while True:

@@ -5,7 +5,8 @@ shared code with the library's vectorized scans.  The axiom oracle checks
 every ring law on all pairs and triples literally (numpy broadcasting over
 the n^3 triples), sharing nothing with the library's generator-based
 validator.  The generator oracle re-closes the whole additive span after
-each generator.  The ideal oracle is a plain closure-lattice search.  Expected
+each generator.  The ideal oracle is a plain closure-lattice search.  The
+homomorphism oracle compares images one pair at a time.  Expected
 values in the tests are either frozen from these oracles or checked against
 them directly.
 """
@@ -304,3 +305,23 @@ def naive_unit_orbits(R, within) -> list[tuple[int, ...]]:
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
     return orbits
+
+
+def naive_hom_violation(source, target, mapping) -> tuple[str, tuple[int, ...]] | None:
+    """First way the index map fails to be a unital homomorphism, as
+    (kind, witness) in `validate_hom`'s order: the images of 0 and 1, then
+    every pair for +, then every pair for *, one pair at a time in row-major
+    order.  None when the map is a homomorphism."""
+    m = [int(v) for v in mapping]
+    if m[source.zero] != target.zero:
+        return "zero", (source.zero,)
+    if m[source.one] != target.one:
+        return "one", (source.one,)
+    for kind, src, tgt in (("additive", source.add, target.add),
+                           ("multiplicative", source.mul, target.mul)):
+        src, tgt = src.tolist(), tgt.tolist()
+        for a in range(source.order):
+            for b in range(source.order):
+                if m[src[a][b]] != tgt[m[a]][m[b]]:
+                    return kind, (a, b)
+    return None

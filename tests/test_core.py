@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from deltaring.constructions import direct_product, matrix_index, matrix_ring, u
 from deltaring.errors import (
     AxiomViolation,
     HomViolation,
+    MalformedRing,
     NotAnIdeal,
     NotIdempotent,
     OrderGuardExceeded,
@@ -77,6 +80,88 @@ def test_generator_path_matches_exhaustive(zmod):
     with pytest.raises(AxiomViolation):
         core.validate_ring(add, mul, 0, 1)
     assert oracles.first_axiom_violation(add, mul, 0, 1) is not None
+
+
+# ---------------------------------------------------------------------------
+# lookup kernel and blocked passes
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+def test_lookup_matches_fancy_indexing(monkeypatch, cells):
+    # the row-blocked flat gather equals numpy's table[rows, cols] on
+    # broadcast shapes; at 64 cells a block holds a row or a few
+    if cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(5)
+    shapes = lambda n: [((n, n), (n, n)), ((n, 1), (n,)), ((1, n), (n, 1)),
+                        ((n,), (n,)), ((3, 1, n), (1, 5, 1)), ((0, n), (n,))]
+    for n in (1, 2, 7, 40, 300):
+        table = rng.integers(0, n, size=(n, n), dtype=np.int32)
+        for t in (table, table.T):
+            for rshape, cshape in shapes(n):
+                rows = rng.integers(0, n, size=rshape)
+                cols = rng.integers(0, n, size=cshape).astype(np.int32)
+                got = core._lookup(t, rows, cols)
+                assert got.dtype == t.dtype
+                assert np.array_equal(got, t[rows, cols]), (n, rshape, cshape)
+
+
+def test_flat_index_dtype_widens_at_two_to_the_31():
+    # r*n + c <= n^2 - 1 fits int32 exactly while n^2 < 2^31, i.e. n <= 46340
+    assert 46340 ** 2 < 2 ** 31 <= 46341 ** 2
+    assert core._index_dtype(2) is np.int32
+    assert core._index_dtype(46340) is np.int32
+    assert core._index_dtype(46341) is np.int64
+    assert core._index_dtype(10 ** 6) is np.int64
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+def test_is_symmetric_compares_every_pair(monkeypatch, cells):
+    if cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(9)
+    for n in (1, 5, 9, 33, 300):
+        t = rng.integers(0, n, size=(n, n))
+        sym = np.triu(t) + np.triu(t, 1).T
+        assert core._is_symmetric(sym)
+        for a, b in {(0, n - 1), (n - 1, n // 2), (n // 3, n - 2), (1, 0)}:
+            if 0 <= b < n and a < n and a != b:
+                broken = sym.copy()
+                broken[a, b] += 1
+                assert not core._is_symmetric(broken), (n, a, b)
+
+
+def _corrupt(R, row):
+    """The tables of a golden row: one cell set to a value, or a mul row
+    replaced by the matching column."""
+    table = np.array(getattr(R, row["table"]))
+    if "cell" in row:
+        a, b = row["cell"]
+        table[a, b] = row["value"]
+    else:
+        table[row["row"]] = R.mul[:, row["from_column"]]
+    return (table, R.mul) if row["table"] == "add" else (R.add, table)
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+def test_validation_witnesses_match_golden(monkeypatch, cells):
+    # law and first failing instance for seeded corruptions of catalog rings
+    # up to order 729, frozen from the validator as it was before its passes
+    # ran in row blocks: single cells of both tables, many past the first
+    # block, and mul rows replaced by columns (right-distributivity)
+    if cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    golden = json.loads((Path(__file__).parent / "golden" / "validation_witnesses.json")
+                        .read_text())
+    assert {row["law"] for row in golden} >= {
+        "add-commutativity", "add-associativity", "left-distributivity",
+        "right-distributivity"}
+    for row in golden:
+        R = dsl.build_str(row["ring"])
+        add, mul = _corrupt(R, row)
+        with pytest.raises(AxiomViolation) as exc:
+            core.validate_ring(add, mul, R.zero, R.one)
+        assert (exc.value.kind, list(exc.value.witness)) == (row["law"], row["instance"]), row
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +372,49 @@ def test_validate_hom_examples(zmod):
         core.validate_hom(Z4, Z2, [0, 1, 1, 0])
 
 
+def _hom_outcome(source, target, mapping):
+    try:
+        core.validate_hom(source, target, mapping)
+    except HomViolation as exc:
+        return exc.kind, exc.witness
+    return None
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+def test_validate_hom_witness_matches_naive_double_loop(monkeypatch, cells):
+    # corrupted projections R -> R/J (one image moved), and the projection
+    # into the opposite ring of R/J (additive, multiplicative only where R/J
+    # is commutative): the blocked passes report the oracle's first pair
+    if cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    rng = random.Random(11)
+    kinds = set()
+    for label in ("Z12", "M(2,Z3)", "K(Z4,s=2)", "DT(Z4,Z4)", "T(3,Z3)"):
+        R = dsl.build_str(label)
+        Q, proj = core.quotient_ring(R, subsets.jacobson_radical(R))
+        opposite = core.validate_ring(Q.add, np.ascontiguousarray(Q.mul.T), Q.zero, Q.one)
+        expect = oracles.naive_hom_violation(R, opposite, proj.map)
+        assert _hom_outcome(R, opposite, proj.map) == expect, label
+        kinds.add(expect and expect[0])
+        for x in [R.one] + [rng.randrange(R.order) for _ in range(3)]:
+            m = proj.map.copy()
+            m[x] = (m[x] + rng.randrange(1, Q.order)) % Q.order
+            expect = oracles.naive_hom_violation(R, Q, m)
+            assert _hom_outcome(R, Q, m) == expect, (label, x)
+            kinds.add(expect and expect[0])
+    assert kinds >= {"one", "additive", "multiplicative", None}
+
+
 def test_validate_hom_shape_errors(zmod):
     Z4, Z2 = zmod(4), zmod(2)
     with pytest.raises(ValueError):
         core.validate_hom(Z4, Z2, [0, 1, 0])       # wrong length
     with pytest.raises(ValueError):
         core.validate_hom(Z4, Z2, [0, 1, 0, 9])    # image out of range
+    with pytest.raises(ValueError):                # would wrap to 1 in int32
+        core.validate_hom(Z4, Z2, np.array([0, 1, 0, 2 ** 32 + 1]))
+    with pytest.raises(ValueError):
+        core.validate_hom(Z4, Z2, [0.0, 1.5, 0.0, 1.0])
 
 
 def test_element_set_range_checked(zmod):
@@ -369,6 +491,50 @@ def test_dump_round_trip(zmod):
     assert core.ring_to_json(back) == text
     data = json.loads(text)
     assert set(data) == {"label", "order", "add", "mul", "zero", "one"}
+
+
+def _z2_dump() -> dict:
+    return {"label": "Z2", "order": 2, "add": [[0, 1], [1, 0]],
+            "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1}
+
+
+def _edited(**changes) -> str:
+    data = _z2_dump()
+    for key, value in changes.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", [
+    _edited(mul=[[0, 0], [0, 2 ** 32 + 1]]),   # wrapped to 1 when narrowed first
+    _edited(mul=[[0, 0], [0, 2 ** 70]]),
+    _edited(add=[[0, 1], [1, -1]]),
+    _edited(one=1.5), _edited(one=True), _edited(zero="0"), _edited(zero=None),
+    _edited(add=[[0, True], [True, 0]]), _edited(mul=[[0.0, 0], [0, 1]]),
+    _edited(mul=[["0", "0"], ["0", "1"]]), _edited(add=[[0, 1], [1]]),
+    _edited(add=[[0, 1], None]), _edited(add={}), _edited(add=[]),
+    _edited(add=[[[0], [1]], [[1], [0]]]), _edited(mul=[[0]]),
+    _edited(label=5), "{}", "[]", "7", '"Z2"', "not json", _edited()[:-3],
+])
+def test_malformed_dumps_raise_one_error(text):
+    with pytest.raises(MalformedRing) as exc:
+        core.ring_from_json(text)
+    assert isinstance(exc.value, ValueError) and str(exc.value)
+
+
+def test_table_cells_are_range_checked_before_narrowing():
+    # an int64 table is checked at its own width, not after a wrap to int32
+    add = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    mul = np.array([[0, 0], [0, 2 ** 32 + 1]], dtype=np.int64)
+    with pytest.raises(MalformedRing, match="mul entries out of range"):
+        core.validate_ring(add, mul, 0, 1)
+    with pytest.raises(MalformedRing):
+        core.validate_ring(add, [[0, 0], [0, np.int64(2 ** 32 + 1)]], 0, 1)
+    assert core.ring_from_json(_edited(label=None)).label == "R"
+    assert core.validate_ring(add, [[0, 0], [0, 1]], np.int32(0), np.int64(1)).one == 1
 
 
 def test_semantic_tags_revalidated(zmod):

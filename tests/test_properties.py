@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import copy
+import json
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from deltaring import core, dsl, subsets
+from deltaring.errors import MalformedRing
 
 import oracles
 from conftest import zmod_tables
@@ -105,6 +109,58 @@ def test_single_cell_corruption_is_caught(m, data):
         raise AssertionError(f"corruption at {which}[{i}][{j}] (+{shift}) was accepted")
     assert oracles.first_axiom_violation(add, mul, 0, 1) is not None, \
         f"the oracle missed the corruption at {which}[{i}][{j}] (+{shift})"
+
+
+_WRONG_TYPES = st.sampled_from(
+    [None, "x", "1", 1.5, 1.0, True, False, [], {}, [[0]], [1]]).map(copy.deepcopy)
+
+
+@st.composite
+def damaged_dumps(draw):
+    """A valid dump of Z_m with one or two kinds of damage: a dropped key, a
+    field, row or cell of another type, a ragged row, or truncated text."""
+    data = json.loads(core.ring_to_json(zmod(draw(st.integers(min_value=2, max_value=9)))))
+    kinds = ["drop", "retype", "row", "cell", "ragged", "truncate"]
+    # distinct kinds: a second ragged edit could even the rows out again
+    for how in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2, unique=True)):
+        name = draw(st.sampled_from(["add", "mul"]))
+        table = data.get(name)
+        if how in ("drop", "retype") and data:
+            key = draw(st.sampled_from(sorted(data)))
+            if how == "drop":
+                del data[key]
+            else:
+                data[key] = draw(_WRONG_TYPES)
+        elif how == "truncate":
+            text = json.dumps(data)
+            return text[:draw(st.integers(min_value=0, max_value=len(text) - 1))]
+        elif isinstance(table, list) and table and all(isinstance(r, list) and r for r in table):
+            i = draw(st.integers(min_value=0, max_value=len(table) - 1))
+            if how == "row":
+                table[i] = draw(_WRONG_TYPES)
+            elif how == "cell":
+                table[i][draw(st.integers(min_value=0, max_value=len(table[i]) - 1))] = \
+                    draw(_WRONG_TYPES)
+            elif all(len(r) == len(table) for r in table):
+                # only a square table: a row replaced earlier might be evened out
+                if draw(st.booleans()):
+                    table[i].pop()
+                else:
+                    table[i].append(0)
+    return json.dumps(data)
+
+
+@given(damaged_dumps())
+@settings(max_examples=300, deadline=None)
+def test_damaged_dumps_load_or_raise_malformed_ring(text):
+    # a damaged dump never escapes as KeyError, TypeError, a numpy error or
+    # a decoder error, and no damage here reaches the ring laws
+    try:
+        ring = core.ring_from_json(text)
+    except MalformedRing as exc:
+        assert isinstance(exc, ValueError) and str(exc)
+    else:
+        assert isinstance(ring, core.FiniteRing) and isinstance(ring.label, str)
 
 
 # --- expression round-trip -------------------------------------------------
