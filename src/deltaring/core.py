@@ -72,7 +72,7 @@ def _as_table(obj, name: str) -> np.ndarray:
         raise MalformedRing(f"{name} table must be a list of equal-length rows") from None
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise MalformedRing(f"{name} table must be square, got shape {table.shape}")
-    if not np.issubdtype(table.dtype, np.integer):
+    if table.dtype.kind not in "iu":
         raise MalformedRing(f"{name} table must hold integer element indices")
     if table.size and (table.min() < 0 or table.max() >= table.shape[0]):
         raise MalformedRing(f"{name} entries out of range")
@@ -92,7 +92,7 @@ def _identity_index(value, name: str) -> int:
 
 def _outer(table: np.ndarray, rows, cols) -> np.ndarray:
     """`table[r, c]` for every r in `rows` (axis 0) and c in `cols` (axis 1)."""
-    return np.take(table[rows], cols, axis=1)
+    return table[rows][:, cols]
 
 
 _BLOCK_CELLS = 1 << 16
@@ -695,7 +695,7 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
     for kind, src, tgt in (("additive", source.add, target.add),
                            ("multiplicative", source.mul, target.mul)):
         bad = _first_mismatch(n, lambda lo, hi: (
-            np.take(m, src[lo:hi]), _outer(tgt, m[lo:hi], m)))
+            np.take(m, src[lo:hi]), np.take(tgt[m[lo:hi]], m, axis=1)))
         if bad is not None:
             raise HomViolation(kind, bad)
     m.setflags(write=False)

@@ -383,8 +383,9 @@ def _hom_outcome(source, target, mapping):
 @pytest.mark.parametrize("cells", [None, 64])
 def test_validate_hom_witness_matches_naive_double_loop(monkeypatch, cells):
     # corrupted projections R -> R/J (one image moved), and the projection
-    # into the opposite ring of R/J (additive, multiplicative only where R/J
-    # is commutative): the blocked passes report the oracle's first pair
+    # into the opposite ring of R/J, which is always additive and is
+    # multiplicative exactly when R/J is commutative: the blocked passes
+    # report the oracle's first failing pair, or none
     if cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
     rng = random.Random(11)
