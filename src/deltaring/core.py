@@ -681,7 +681,7 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
     m = np.asarray(mapping)
     if m.shape != (source.order,):
         raise ValueError("map must assign an image to every source element")
-    if not np.issubdtype(m.dtype, np.integer):
+    if m.dtype.kind not in "iu":
         raise ValueError("map images must be integer element indices")
     # checked at the given width, so an image past int32 cannot wrap into range
     if m.size and (m.min() < 0 or m.max() >= target.order):
