@@ -91,8 +91,16 @@ def _identity_index(value, name: str) -> int:
 
 
 def _outer(table: np.ndarray, rows, cols) -> np.ndarray:
-    """`table[r, c]` for every r in `rows` (axis 0) and c in `cols` (axis 1)."""
-    return table[rows][:, cols]
+    """`table[r, c]` for every r in `rows` (axis 0) and c in `cols` (axis 1).
+
+    Past one block of result cells the columns come from `np.take`, several
+    times faster there than `[:, cols]` (whose result is column-ordered);
+    below it `[:, cols]` is the faster of the two.
+    """
+    picked = table[rows]
+    if picked.shape[0] * np.size(cols) > _BLOCK_CELLS:
+        return np.take(picked, cols, axis=1)
+    return picked[:, cols]
 
 
 _BLOCK_CELLS = 1 << 16

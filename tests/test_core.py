@@ -89,7 +89,8 @@ def test_generator_path_matches_exhaustive(zmod):
 @pytest.mark.parametrize("cells", [None, 64])
 def test_lookup_matches_fancy_indexing(monkeypatch, cells):
     # the row-blocked flat gather equals numpy's table[rows, cols] on
-    # broadcast shapes; at 64 cells a block holds a row or a few
+    # broadcast shapes, and _outer equals np.ix_ on both of its paths; at 64
+    # cells a block holds a row or a few
     if cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
     rng = np.random.default_rng(5)
@@ -104,6 +105,10 @@ def test_lookup_matches_fancy_indexing(monkeypatch, cells):
                 got = core._lookup(t, rows, cols)
                 assert got.dtype == t.dtype
                 assert np.array_equal(got, t[rows, cols]), (n, rshape, cshape)
+            for size in (1, n // 3, 2 * n):
+                rows = rng.integers(0, n, size=size)
+                cols = rng.integers(0, n, size=2 * n - size)
+                assert np.array_equal(core._outer(t, rows, cols), t[np.ix_(rows, cols)])
 
 
 def test_flat_index_dtype_widens_at_two_to_the_31():
