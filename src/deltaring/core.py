@@ -98,7 +98,7 @@ def _outer(table: np.ndarray, rows, cols) -> np.ndarray:
     below it `[:, cols]` is the faster of the two.
     """
     picked = table[rows]
-    if picked.shape[0] * np.size(cols) > _BLOCK_CELLS:
+    if len(picked) * len(cols) > _BLOCK_CELLS:
         return np.take(picked, cols, axis=1)
     return picked[:, cols]
 
