@@ -79,7 +79,8 @@ def _as_table(obj, name: str) -> np.ndarray:
     if not isinstance(obj, np.ndarray):
         # numpy reads a bool among ints as 0 or 1, so only those cells can hide one
         n = table.shape[1]
-        if bool in {obj[k // n][k % n].__class__ for k in np.flatnonzero(table <= 1).tolist()}:
+        kinds = {obj[k // n][k % n].__class__ for k in np.flatnonzero(table <= 1).tolist()}
+        if bool in kinds or np.bool_ in kinds:
             raise MalformedRing(f"{name} table must hold integer element indices, not bools")
     return np.ascontiguousarray(table, dtype=np.int32)
 

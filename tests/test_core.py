@@ -539,6 +539,8 @@ def test_table_cells_are_range_checked_before_narrowing():
         core.validate_ring(add, mul, 0, 1)
     with pytest.raises(MalformedRing):
         core.validate_ring(add, [[0, 0], [0, np.int64(2 ** 32 + 1)]], 0, 1)
+    with pytest.raises(MalformedRing, match="not bools"):
+        core.validate_ring(add, [[0, 0], [0, np.True_]], 0, 1)
     assert core.ring_from_json(_edited(label=None)).label == "R"
     assert core.validate_ring(add, [[0, 0], [0, 1]], np.int32(0), np.int64(1)).one == 1
 
