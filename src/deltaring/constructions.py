@@ -241,10 +241,9 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
     arange = np.arange(n, dtype=np.int64)
     cols = [((arange // strides[c]) % sizes[c]).astype(np.int32) for c in range(len(sizes))]
 
-    acc = np.zeros((n, n), dtype=np.int64)
+    add = np.zeros((n, n), dtype=np.int64)
     for c, col in enumerate(cols):
-        acc += strides[c] * core._outer(add_tables[c], col, col).astype(np.int64)
-    add = acc.astype(np.int32)
+        add += strides[c] * core._outer(add_tables[c], col, col).astype(np.int64)
 
     # `mul_row` broadcasts: left coefficients come as columns, right ones as
     # rows, so one call fills a whole block of rows of the product table.
@@ -333,8 +332,7 @@ def direct_product(factors: list[FiniteRing], *, order_guard: int | None = None,
     one = sum(strides[c] * factors[c].one for c in range(len(factors)))
     names = _tuple_names([f.names for f in factors], sizes)
     lbl = label or "Prod(" + ",".join(f.label for f in factors) + ")"
-    return validate_ring(add.astype(np.int32), mul.astype(np.int32), zero, one,
-                         label=lbl, names=names, order_guard=guard)
+    return validate_ring(add, mul, zero, one, label=lbl, names=names, order_guard=guard)
 
 
 def matrix_ring(R: FiniteRing, n: int, *, order_guard: int | None = None,

@@ -62,16 +62,19 @@ def _resolve_guard(order_guard: int | None) -> int:
     return DEFAULT_ORDER_GUARD if order_guard is None else int(order_guard)
 
 
-def _as_table(obj, name: str) -> np.ndarray:
-    """`obj` as a C-contiguous int32 table: a square grid of integer element
-    indices in 0..n-1.  Types and ranges are checked before narrowing, so a
-    bool, float or out-of-range cell is rejected, never coerced."""
+def _as_table(obj, name: str, guard: int) -> np.ndarray:
+    """`obj` as a C-contiguous int32 table of element indices in 0..n-1 that
+    shares no memory with `obj`.  The order is held to the guard before any
+    cell is read, and ranges are checked before narrowing, so a bool or
+    out-of-range cell is rejected, never coerced."""
     try:
         table = np.asarray(obj)
     except (TypeError, ValueError, OverflowError):
         raise MalformedRing(f"{name} table must be a list of equal-length rows") from None
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise MalformedRing(f"{name} table must be square, got shape {table.shape}")
+    if table.shape[0] > guard:
+        raise OrderGuardExceeded(f"order {table.shape[0]} exceeds the order guard {guard}")
     if table.dtype.kind not in "iu":
         raise MalformedRing(f"{name} table must hold integer element indices")
     if table.size and (table.min() < 0 or table.max() >= table.shape[0]):
@@ -82,7 +85,9 @@ def _as_table(obj, name: str) -> np.ndarray:
         kinds = {obj[k // n][k % n].__class__ for k in np.flatnonzero(table <= 1).tolist()}
         if bool in kinds or np.bool_ in kinds:
             raise MalformedRing(f"{name} table must hold integer element indices, not bools")
-    return np.ascontiguousarray(table, dtype=np.int32)
+    out = np.ascontiguousarray(table, dtype=np.int32)
+    # the ring freezes its tables, so a caller's buffer is copied, never frozen or aliased
+    return out.copy() if np.may_share_memory(out, table) else out
 
 
 def _identity_index(value, name: str) -> int:
@@ -92,16 +97,9 @@ def _identity_index(value, name: str) -> int:
 
 
 def _outer(table: np.ndarray, rows, cols) -> np.ndarray:
-    """`table[r, c]` for every r in `rows` (axis 0) and c in `cols` (axis 1).
-
-    Past one block of result cells the columns come from `np.take`, several
-    times faster there than `[:, cols]` (whose result is column-ordered);
-    below it `[:, cols]` is the faster of the two.
-    """
-    picked = table[rows]
-    if len(picked) * len(cols) > _BLOCK_CELLS:
-        return np.take(picked, cols, axis=1)
-    return picked[:, cols]
+    """`table[r, c]` for every r in `rows` (axis 0) and c in `cols` (axis 1),
+    as a C-contiguous array (`[:, cols]` would return it column-ordered)."""
+    return np.take(table[rows], cols, axis=1)
 
 
 _BLOCK_CELLS = 1 << 16
@@ -424,16 +422,14 @@ def validate_ring(add, mul, zero: int, one: int, label: str = "R",
     fails, `OrderGuardExceeded` past the configured size cap, and
     `MalformedRing` (a `ValueError`) on malformed input: non-square tables,
     cells or identities that are not integers, indices out of range.  The
-    returned object is immutable.
+    returned object is immutable and shares no memory with `add` or `mul`.
     """
-    add_t = _as_table(add, "add")
-    mul_t = _as_table(mul, "mul")
+    guard = _resolve_guard(order_guard)
+    add_t = _as_table(add, "add", guard)
+    mul_t = _as_table(mul, "mul", guard)
     if add_t.shape != mul_t.shape:
         raise MalformedRing("add and mul tables must have the same order")
     n = add_t.shape[0]
-    guard = _resolve_guard(order_guard)
-    if n > guard:
-        raise OrderGuardExceeded(f"order {n} exceeds the order guard {guard}")
     zero, one = _identity_index(zero, "zero"), _identity_index(one, "one")
     if not (0 <= zero < n and 0 <= one < n):
         raise MalformedRing("zero/one indices out of range")
@@ -466,9 +462,7 @@ def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one
                     names) -> FiniteRing:
     """The one place a `FiniteRing` is made, for tables already known to
     form a ring: validated by `validate_ring` or certified by a derivation.
-    Tables are stored C-contiguous: a column gather can leave them in column
-    order, which makes every row-first scan on the ring stride."""
-    add, mul = np.ascontiguousarray(add), np.ascontiguousarray(mul)
+    Every caller passes C-contiguous tables, so row-first scans are dense."""
     n = add.shape[0]
     if zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
@@ -704,7 +698,7 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
     for kind, src, tgt in (("additive", source.add, target.add),
                            ("multiplicative", source.mul, target.mul)):
         bad = _first_mismatch(n, lambda lo, hi: (
-            np.take(m, src[lo:hi]), np.take(tgt[m[lo:hi]], m, axis=1)))
+            np.take(m, src[lo:hi]), _outer(tgt, m[lo:hi], m)))
         if bad is not None:
             raise HomViolation(kind, bad)
     m.setflags(write=False)
@@ -887,7 +881,7 @@ def ring_from_dict(data: dict, *, order_guard: int | None = None) -> FiniteRing:
 def ring_from_json(text: str, *, order_guard: int | None = None) -> FiniteRing:
     try:
         data = json.loads(text)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise MalformedRing(f"a ring dump must be JSON text: {exc}") from None
     return ring_from_dict(data, order_guard=order_guard)
 

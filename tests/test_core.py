@@ -89,7 +89,7 @@ def test_generator_path_matches_exhaustive(zmod):
 @pytest.mark.parametrize("cells", [None, 64])
 def test_lookup_matches_fancy_indexing(monkeypatch, cells):
     # the row-blocked flat gather equals numpy's table[rows, cols] on
-    # broadcast shapes, and _outer equals np.ix_ on both of its paths; at 64
+    # broadcast shapes, and _outer equals np.ix_ as a C-ordered array; at 64
     # cells a block holds a row or a few
     if cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
@@ -108,7 +108,9 @@ def test_lookup_matches_fancy_indexing(monkeypatch, cells):
             for size in (1, n // 3, 2 * n):
                 rows = rng.integers(0, n, size=size)
                 cols = rng.integers(0, n, size=2 * n - size)
-                assert np.array_equal(core._outer(t, rows, cols), t[np.ix_(rows, cols)])
+                got = core._outer(t, rows, cols)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, t[np.ix_(rows, cols)])
 
 
 def test_flat_index_dtype_widens_at_two_to_the_31():
@@ -524,6 +526,7 @@ def _edited(**changes) -> str:
     _edited(add=[[0, 1], None]), _edited(add={}), _edited(add=[]),
     _edited(add=[[[0], [1]], [[1], [0]]]), _edited(mul=[[0]]),
     _edited(label=5), "{}", "[]", "7", '"Z2"', "not json", _edited()[:-3],
+    pytest.param("[" * 100000, id="past-the-decoder-recursion-limit"),
 ])
 def test_malformed_dumps_raise_one_error(text):
     with pytest.raises(MalformedRing) as exc:
@@ -543,6 +546,23 @@ def test_table_cells_are_range_checked_before_narrowing():
         core.validate_ring(add, [[0, 0], [0, np.True_]], 0, 1)
     assert core.ring_from_json(_edited(label=None)).label == "R"
     assert core.validate_ring(add, [[0, 0], [0, 1]], np.int32(0), np.int64(1)).one == 1
+
+
+def test_validation_copies_the_callers_tables():
+    # a validated ring neither freezes nor aliases the arrays it was given,
+    # so writing to them later cannot change the ring
+    buf = np.array([[[0, 1], [1, 0]], [[0, 0], [0, 1]]], dtype=np.int32)
+    R = core.validate_ring(buf[0], buf[1], 0, 1)
+    buf[:] = 0
+    assert R.add.tolist() == [[0, 1], [1, 0]] and R.mul.tolist() == [[0, 0], [0, 1]]
+    assert not R.add.flags.writeable
+
+
+def test_order_guard_is_checked_before_the_cells():
+    # an over-guard dump is refused for its order before any cell is read
+    add = [[0, 1, 2], [1, 2, 0], [2, 0, 7]]
+    with pytest.raises(OrderGuardExceeded):
+        core.validate_ring(add, [[0, True, 2], [1, 2, 0], [2, 0, 7]], 0, 1, order_guard=2)
 
 
 def test_semantic_tags_revalidated(zmod):
