@@ -7,18 +7,22 @@ and group rings with their augmentation map.
 
 Every construction lives on coefficient tuples over its base ring(s):
 elements are encoded most-significant-coordinate-first (mixed radix), so
-dumps are reproducible bit-exactly, and the product table is filled one
-row at a time with vectorized table lookups.
+dumps are reproducible bit-exactly.  One builder, `_tuple_ring`, makes
+every ring: it evaluates the construction's product only on the zero row
+and the rows of the additive generators, fills every other row of the
+product table from right distributivity with batched table lookups, and
+validates the tables it made in place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, subsets
-from .core import ElementSet, FiniteRing, RingHom, check_internal, validate_ring
+from .core import ElementSet, FiniteRing, RingHom, check_internal
 from .errors import (
     InvalidBimodule,
     InvalidEndomorphism,
@@ -229,6 +233,20 @@ def _strides(sizes: list[int]) -> list[int]:
 def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
                 zero_tuple: tuple[int, ...], one_tuple: tuple[int, ...],
                 mul_row, names, *, order_guard: int | None) -> FiniteRing:
+    """The ring on coefficient tuples whose coordinate c adds by
+    `add_tables[c]` and whose product `mul_row` gives coordinatewise.
+
+    Precondition: `mul_row` is additive in its left argument, (a + a')b =
+    ab + a'b, as every product made of ring and bimodule tables is.  So it
+    is evaluated only on the zero row and the r additive generator rows, and
+    every other row follows from right distributivity, row(x + g) = row(x) +
+    row(g), breadth first over the span of the generators.  Validation then
+    checks that law for every (x, g, c), so generator rows that break an
+    additive relation are rejected, never used.
+
+    The order is held to the guard before anything is allocated;
+    `names()` gives the element names and is called only after that.
+    """
     guard = core._resolve_guard(order_guard)
     total = 1
     for s in sizes:
@@ -241,54 +259,64 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
     arange = np.arange(n, dtype=np.int64)
     cols = [((arange // strides[c]) % sizes[c]).astype(np.int32) for c in range(len(sizes))]
 
-    add = np.zeros((n, n), dtype=np.int64)
-    for c, col in enumerate(cols):
-        add += strides[c] * core._outer(add_tables[c], col, col).astype(np.int64)
-
-    # `mul_row` broadcasts: left coefficients come as columns, right ones as
-    # rows, so one call fills a whole block of rows of the product table.
-    mul = np.empty((n, n), dtype=np.int32)
-    right = tuple(col[None, :] for col in cols)
+    # cells are indices below n, so int32 sums of the coordinate parts cannot overflow
+    add = np.zeros((n, n), dtype=np.int32)
     for lo, hi in core._row_blocks(n, n):
-        out_cols = mul_row(tuple(col[lo:hi, None] for col in cols), right)
-        block = np.zeros((hi - lo, n), dtype=np.int64)
-        for c, oc in enumerate(out_cols):
-            block += strides[c] * oc.astype(np.int64)
-        mul[lo:hi] = block
+        for c, col in enumerate(cols):
+            add[lo:hi] += strides[c] * core._outer(add_tables[c], col[lo:hi], col)
 
     def encode(tup):
         return int(sum(strides[c] * tup[c] for c in range(len(sizes))))
 
-    return validate_ring(add, mul, encode(zero_tuple), encode(one_tuple),
-                         label=label, names=names, order_guard=guard)
+    zero, one = encode(zero_tuple), encode(one_tuple)
+    gens = core.additive_generators(add, zero)
+
+    # `mul_row` broadcasts: left coefficients come as columns, right ones as
+    # rows, so one call gives the rows of the zero and of every generator.
+    mul = np.empty((n, n), dtype=np.int32)
+    seeds = np.array([zero] + gens)
+    out_cols = mul_row(tuple(col[seeds, None] for col in cols),
+                       tuple(col[None, :] for col in cols))
+    rows = np.zeros((len(seeds), n), dtype=np.int32)
+    for c, oc in enumerate(out_cols):
+        rows += strides[c] * oc
+    mul[seeds] = rows
+    known = np.zeros(n, dtype=bool)
+    known[seeds] = True
+    frontier = np.array(gens)
+    while frontier.size:
+        reached = []
+        for g in gens:
+            targets = add[frontier, g]
+            fresh = ~known[targets]
+            src, dst = frontier[fresh], targets[fresh]
+            known[dst] = True
+            mul[dst] = core._lookup(add, mul[src], mul[g])
+            reached.append(dst)
+        frontier = np.concatenate(reached)
+    return core._validated_ring(add, mul, zero, one, label, names(), gens)
+
+
+def _element_names(sizes: list[int], name) -> list[str]:
+    """`name(coordinates)` for every element, in index order."""
+    strides = _strides(sizes)
+    return [name(tuple((x // st) % s for st, s in zip(strides, sizes)))
+            for x in range(math.prod(sizes))]
 
 
 def _tuple_names(coord_names: list[tuple[str, ...]], sizes: list[int]) -> list[str]:
-    n = 1
-    for s in sizes:
-        n *= s
-    strides = _strides(sizes)
-    out = []
-    for x in range(n):
-        parts = [coord_names[c][(x // strides[c]) % sizes[c]] for c in range(len(sizes))]
-        out.append("(" + ",".join(parts) + ")")
-    return out
+    return _element_names(sizes, lambda tup: "(" + ",".join(
+        coord_names[c][v] for c, v in enumerate(tup)) + ")")
 
 
 def _poly_names(base_names: tuple[str, ...], sizes: list[int], var_names: list[str]) -> list[str]:
     """Display tuples (a_0, ..., a_k) as a_0 + a_1*v1 + ... with zeros dropped."""
-    n = 1
-    for s in sizes:
-        n *= s
-    strides = _strides(sizes)
-    out = []
-    for x in range(n):
+    def name(tup):
         terms = []
-        for c in range(len(sizes)):
-            cname = base_names[(x // strides[c]) % sizes[c]]
+        for v, a in zip(var_names, tup):
+            cname = base_names[a]
             if cname == "0":
                 continue
-            v = var_names[c]
             if not v:
                 terms.append(cname)
             elif cname == "1":
@@ -297,8 +325,9 @@ def _poly_names(base_names: tuple[str, ...], sizes: list[int], var_names: list[s
                 terms.append(f"{cname}{v}")
             else:
                 terms.append(f"({cname}){v}")
-        out.append("+".join(terms) if terms else "0")
-    return out
+        return "+".join(terms) if terms else "0"
+
+    return _element_names(sizes, name)
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +348,15 @@ def direct_product(factors: list[FiniteRing], *, order_guard: int | None = None,
         if total > guard:
             raise OrderGuardExceeded(f"product order exceeds the guard {guard}")
     sizes = [f.order for f in factors]
-    strides = _strides(sizes)
-    n = total
-    arange = np.arange(n, dtype=np.int64)
-    cols = [((arange // strides[c]) % sizes[c]).astype(np.int32) for c in range(len(sizes))]
-    add = np.zeros((n, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for c, f in enumerate(factors):
-        add += strides[c] * core._outer(f.add, cols[c], cols[c]).astype(np.int64)
-        mul += strides[c] * core._outer(f.mul, cols[c], cols[c]).astype(np.int64)
-    zero = sum(strides[c] * factors[c].zero for c in range(len(factors)))
-    one = sum(strides[c] * factors[c].one for c in range(len(factors)))
-    names = _tuple_names([f.names for f in factors], sizes)
-    lbl = label or "Prod(" + ",".join(f.label for f in factors) + ")"
-    return validate_ring(add, mul, zero, one, label=lbl, names=names, order_guard=guard)
+
+    def mul_row(a, cols):
+        return [f.mul[a[c], cols[c]] for c, f in enumerate(factors)]
+
+    return _tuple_ring(label or "Prod(" + ",".join(f.label for f in factors) + ")",
+                       sizes, [f.add for f in factors],
+                       tuple(f.zero for f in factors), tuple(f.one for f in factors), mul_row,
+                       lambda: _tuple_names([f.names for f in factors], sizes),
+                       order_guard=guard)
 
 
 def matrix_ring(R: FiniteRing, n: int, *, order_guard: int | None = None,
@@ -362,16 +386,14 @@ def matrix_ring(R: FiniteRing, n: int, *, order_guard: int | None = None,
         rows = ["[" + ",".join(R.names[tup[i * n + j]] for j in range(n)) + "]" for i in range(n)]
         return "[" + ",".join(rows) + "]"
 
-    strides = _strides(sizes)
     total = R.order ** k
     guard = core._resolve_guard(order_guard)
     if total > guard:
         raise OrderGuardExceeded(f"matrix ring order {total} exceeds the guard {guard}")
-    names = [name(tuple((x // strides[c]) % R.order for c in range(k))) for x in range(total)]
     zero = tuple([R.zero] * k)
     one = tuple(R.one if i == j else R.zero for i in range(n) for j in range(n))
     return _tuple_ring(label or f"M({n},{R.label})", sizes, adds, zero, one,
-                       mul_row, names, order_guard=order_guard)
+                       mul_row, lambda: _element_names(sizes, name), order_guard=order_guard)
 
 
 def matrix_index(R: FiniteRing, n: int, entries) -> int:
@@ -416,16 +438,14 @@ def upper_triangular(R: FiniteRing, n: int, *, order_guard: int | None = None,
             rows.append("[" + ",".join(row) + "]")
         return "[" + ",".join(rows) + "]"
 
-    strides = _strides(sizes)
     total = R.order ** k
     guard = core._resolve_guard(order_guard)
     if total > guard:
         raise OrderGuardExceeded(f"triangular ring order {total} exceeds the guard {guard}")
-    names = [name(tuple((x // strides[c]) % R.order for c in range(k))) for x in range(total)]
     zero = tuple([R.zero] * k)
     one = tuple(R.one if i == j else R.zero for (i, j) in coords)
     return _tuple_ring(label or f"T({n},{R.label})", sizes, adds, zero, one,
-                       mul_row, names, order_guard=order_guard)
+                       mul_row, lambda: _element_names(sizes, name), order_guard=order_guard)
 
 
 def identity_endomorphism(R: FiniteRing) -> RingHom:
@@ -460,11 +480,12 @@ def truncated_skew_poly(R: FiniteRing, alpha: RingHom | None, n: int, *,
             out.append(acc)
         return out
 
-    names = _poly_names(R.names, sizes, [""] + ["x" if c == 1 else f"x^{c}" for c in range(1, n)])
+    var_names = [""] + ["x" if c == 1 else f"x^{c}" for c in range(1, n)]
     zero = tuple([R.zero] * n)
     one = tuple([R.one] + [R.zero] * (n - 1))
     return _tuple_ring(label or f"TruncSkew({R.label},{endo_label},{n})",
-                       sizes, adds, zero, one, mul_row, names, order_guard=order_guard)
+                       sizes, adds, zero, one, mul_row,
+                       lambda: _poly_names(R.names, sizes, var_names), order_guard=order_guard)
 
 
 def _require_rr_bimodule(R: FiniteRing, M: Bimodule | None) -> Bimodule:
@@ -492,10 +513,9 @@ def trivial_extension(R: FiniteRing, M: Bimodule | None = None, *,
         part_m = M.add[M.left_act[r1, cols[1]], M.right_act[m1, cols[0]]]
         return [part_r, part_m]
 
-    names = _tuple_names([R.names, M.names], sizes)
     out = _tuple_ring(label or f"Triv({R.label},{M.label})", sizes, adds,
-                      (R.zero, M.zero), (R.one, M.zero), mul_row, names,
-                      order_guard=order_guard)
+                      (R.zero, M.zero), (R.one, M.zero), mul_row,
+                      lambda: _tuple_names([R.names, M.names], sizes), order_guard=order_guard)
     n = out.order
     rpart = (np.arange(n, dtype=np.int64) // M.order).astype(np.int32)
     check_internal(np.array_equal(subsets.unit_mask(out), subsets.unit_mask(R)[rpart]),
@@ -541,10 +561,10 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, M: Bimodule | None = None, *
                 M.add[M.left_act[r1, cols[1]], M.right_act[m1, cols[2]]],
                 S.mul[s1, cols[2]]]
 
-    names = _tuple_names([R.names, M.names, S.names], sizes)
     return _tuple_ring(label or f"FT({R.label},{S.label},{M.label})", sizes, adds,
-                       (R.zero, M.zero, S.zero), (R.one, M.zero, S.one),
-                       mul_row, names, order_guard=order_guard)
+                       (R.zero, M.zero, S.zero), (R.one, M.zero, S.one), mul_row,
+                       lambda: _tuple_names([R.names, M.names, S.names], sizes),
+                       order_guard=order_guard)
 
 
 def trivial_morita(A: FiniteRing, B: FiniteRing, M: Bimodule | None = None,
@@ -570,11 +590,11 @@ def trivial_morita(A: FiniteRing, B: FiniteRing, M: Bimodule | None = None,
                 N.add[N.left_act[b1, cols[2]], N.right_act[n1, cols[0]]],
                 B.mul[b1, cols[3]]]
 
-    names = _tuple_names([A.names, M.names, N.names, B.names], sizes)
     return _tuple_ring(label or f"TrivialContext({A.label},{B.label})", sizes, adds,
                        (A.zero, M.zero, N.zero, B.zero),
-                       (A.one, M.zero, N.zero, B.one),
-                       mul_row, names, order_guard=order_guard)
+                       (A.one, M.zero, N.zero, B.one), mul_row,
+                       lambda: _tuple_names([A.names, M.names, N.names, B.names], sizes),
+                       order_guard=order_guard)
 
 
 def generalized_matrix(R: FiniteRing, s: int, *, order_guard: int | None = None,
@@ -595,10 +615,9 @@ def generalized_matrix(R: FiniteRing, s: int, *, order_guard: int | None = None,
         cb = R.add[R.mul[s, R.mul[y1, cols[1]]], R.mul[b1, cols[3]]]
         return [ca, cx, cy, cb]
 
-    names = _tuple_names([R.names] * 4, sizes)
     return _tuple_ring(label or f"K({R.label},s={R.names[s]})", sizes, adds,
-                       (R.zero,) * 4, (R.one, R.zero, R.zero, R.one),
-                       mul_row, names, order_guard=order_guard)
+                       (R.zero,) * 4, (R.one, R.zero, R.zero, R.one), mul_row,
+                       lambda: _tuple_names([R.names] * 4, sizes), order_guard=order_guard)
 
 
 def scale_exponent(i: int, k: int, j: int) -> int:
@@ -634,11 +653,11 @@ def formal_matrix(R: FiniteRing, n: int, s: int, *, order_guard: int | None = No
                 out.append(acc)
         return out
 
-    names = _tuple_names([R.names] * k2, sizes)
     zero = tuple([R.zero] * k2)
     one = tuple(R.one if i == j else R.zero for i in range(n) for j in range(n))
     return _tuple_ring(label or f"FM({n},{R.label},s={R.names[s]})", sizes, adds,
-                       zero, one, mul_row, names, order_guard=order_guard)
+                       zero, one, mul_row, lambda: _tuple_names([R.names] * k2, sizes),
+                       order_guard=order_guard)
 
 
 def group_ring(R: FiniteRing, G: FiniteGroup, *, order_guard: int | None = None,
@@ -657,12 +676,11 @@ def group_ring(R: FiniteRing, G: FiniteGroup, *, order_guard: int | None = None,
             out.append(acc)
         return out
 
-    names = _poly_names(R.names, sizes,
-                        ["" if g == G.identity else G.names[g] for g in range(G.order)])
+    var_names = ["" if g == G.identity else G.names[g] for g in range(G.order)]
     zero = tuple([R.zero] * G.order)
     one = tuple(R.one if g == G.identity else R.zero for g in range(G.order))
-    out = _tuple_ring(label or f"GR({R.label},{G.label})", sizes, adds, zero, one,
-                      mul_row, names, order_guard=order_guard)
+    out = _tuple_ring(label or f"GR({R.label},{G.label})", sizes, adds, zero, one, mul_row,
+                      lambda: _poly_names(R.names, sizes, var_names), order_guard=order_guard)
     out._cache["group_ring"] = (R, G)
     return out
 

@@ -26,6 +26,9 @@ generating set) that is r Light passes, each one row gather and a
 symmetry test, and 2r distributivity passes (left and right per
 generator), each over all n^2 pairs in row blocks; the first failing
 instance is reported in row-major order within the first failing pass.
+`validate_ring` copies and range-checks the caller's tables and hands them
+to `_validated_ring`, which runs the procedure; the constructions hand
+theirs, fresh and well-formed, to `_validated_ring` directly.
 
 Derived rings are certified, not re-validated.  `quotient_ring` checks the
 ideal and then the projection with `validate_hom`: a surjective map that
@@ -102,7 +105,11 @@ def _outer(table: np.ndarray, rows, cols) -> np.ndarray:
     return np.take(table[rows], cols, axis=1)
 
 
-_BLOCK_CELLS = 1 << 16
+# 2^14 int32 cells make a 64 KiB block temporary.  glibc serves requests
+# above its mmap threshold (initially 128 KiB) with a fresh mmap, whose pages
+# fault in one by one on first touch, so a block temporary of 2^16 cells
+# (256 KiB) would cost a run of page faults per block in a cold process.
+_BLOCK_CELLS = 1 << 14
 
 
 def _row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
@@ -379,9 +386,8 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
     return gens
 
 
-def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, zero: int) -> None:
+def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> None:
     n = add.shape[0]
-    gens = additive_generators(add, zero)
     # Light's test: with a set generating the table, middle-slot triples decide
     # associativity for all triples.  M = add[add[:, g]] holds (a+g)+c at
     # [a, c], and (add being commutative) a+(g+c) = (c+g)+a at [c, a], so the
@@ -433,35 +439,45 @@ def validate_ring(add, mul, zero: int, one: int, label: str = "R",
     zero, one = _identity_index(zero, "zero"), _identity_index(one, "one")
     if not (0 <= zero < n and 0 <= one < n):
         raise MalformedRing("zero/one indices out of range")
+    return _validated_ring(add_t, mul_t, zero, one, label, names)
+
+
+def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label: str,
+                    names, gens: list[int] | None = None) -> FiniteRing:
+    """`validate_ring`'s axiom checks on well-formed tables, which the ring
+    then freezes in place: C-contiguous int32 tables of one order that no
+    caller holds, with `zero` and `one` in range.  `gens` is
+    `additive_generators(add, zero)` when the caller already has it."""
+    n = add.shape[0]
     if n < 2 or zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
                              "rings here have 0 != 1, so the order is at least 2")
 
     arange = np.arange(n, dtype=np.int32)
-    if not _is_symmetric(add_t):
-        a, b = _first_bad_pair(add_t != add_t.T)
+    if not _is_symmetric(add):
+        a, b = _first_bad_pair(add != add.T)
         raise AxiomViolation("add-commutativity", (a, b))
-    if not np.array_equal(add_t[zero], arange):
-        c = int(np.flatnonzero(add_t[zero] != arange)[0])
+    if not np.array_equal(add[zero], arange):
+        c = int(np.flatnonzero(add[zero] != arange)[0])
         raise AxiomViolation("add-identity", (zero, c))
-    has_inverse = (add_t == zero).any(axis=1)
+    has_inverse = (add == zero).any(axis=1)
     if not has_inverse.all():
         raise AxiomViolation("add-inverse", (int(np.flatnonzero(~has_inverse)[0]),))
-    if not np.array_equal(mul_t[one], arange):
-        c = int(np.flatnonzero(mul_t[one] != arange)[0])
+    if not np.array_equal(mul[one], arange):
+        c = int(np.flatnonzero(mul[one] != arange)[0])
         raise AxiomViolation("mul-identity", (one, c))
-    if not np.array_equal(mul_t[:, one], arange):
-        c = int(np.flatnonzero(mul_t[:, one] != arange)[0])
+    if not np.array_equal(mul[:, one], arange):
+        c = int(np.flatnonzero(mul[:, one] != arange)[0])
         raise AxiomViolation("mul-identity", (c, one))
 
-    _generator_triple_checks(add_t, mul_t, zero)
-    return _certified_ring(label, add_t, mul_t, zero, one, names)
+    _generator_triple_checks(add, mul, additive_generators(add, zero) if gens is None else gens)
+    return _certified_ring(label, add, mul, zero, one, names)
 
 
 def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one: int,
                     names) -> FiniteRing:
     """The one place a `FiniteRing` is made, for tables already known to
-    form a ring: validated by `validate_ring` or certified by a derivation.
+    form a ring: validated by `_validated_ring` or certified by a derivation.
     Every caller passes C-contiguous tables, so row-first scans are dense."""
     n = add.shape[0]
     if zero == one:

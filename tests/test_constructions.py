@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from deltaring import core, dsl, harness, subsets
 from deltaring import constructions as cons
 from deltaring.errors import (
+    AxiomViolation,
     InvalidBimodule,
     NotCentral,
     OrderGuardExceeded,
@@ -45,6 +47,86 @@ def test_order_guard_checked_before_building(zmod):
         cons.matrix_ring(zmod(3), 3)  # 3^9 elements
     with pytest.raises(OrderGuardExceeded):
         cons.direct_product([zmod(100), zmod(100)], order_guard=1000)
+
+
+def test_order_guard_fires_before_any_element_name(monkeypatch):
+    # naming all 64^4 or 16^6 elements first would take seconds and, for
+    # larger expressions, all memory
+    def refuse(*args, **kwargs):
+        raise AssertionError("element names built before the order guard")
+
+    for helper in ("_element_names", "_tuple_names", "_poly_names"):
+        monkeypatch.setattr(cons, helper, refuse)
+    for expr, reach in (("K(Z64,s=0)", 262144), ("GR(Z16,S3)", 65536)):
+        message = f"{expr}: order would reach at least {reach}, past the guard 4096"
+        with pytest.raises(OrderGuardExceeded, match=re.escape(message)):
+            dsl.build_str(expr)
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+def test_tuple_ring_fills_from_the_generator_rows(monkeypatch, zmod, cells):
+    # every construction evaluates its product on the zero row and the r
+    # additive generator rows only, and the filled table is the one that
+    # evaluating it on every row gives
+    if cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    real = cons._tuple_ring
+    calls = []
+
+    def spy(label, sizes, add_tables, zero, one, mul_row, names, **kwargs):
+        rows = []
+
+        def counted(left, right):
+            rows.append(len(left[0]))
+            return mul_row(left, right)
+
+        ring = real(label, sizes, add_tables, zero, one, counted, names, **kwargs)
+        strides = cons._strides(sizes)
+        coords = [(np.arange(ring.order) // st) % sz for st, sz in zip(strides, sizes)]
+        full = mul_row(tuple(c[:, None] for c in coords), tuple(c[None, :] for c in coords))
+        assert np.array_equal(ring.mul, sum(st * np.asarray(c) for st, c in zip(strides, full)))
+        calls.append((label, rows, 1 + len(core.additive_generators(ring.add, ring.zero))))
+        return ring
+
+    monkeypatch.setattr(cons, "_tuple_ring", spy)
+    Z2, Z3, Z4 = zmod(2), zmod(3), zmod(4)
+    groups = cons.group_catalog()
+    cons.direct_product([Z4, Z3, Z2])
+    cons.matrix_ring(Z3, 2)
+    cons.upper_triangular(Z4, 2)
+    cons.truncated_skew_poly(Z3, None, 3)
+    cons.dt_extension(Z3)
+    cons.formal_triangular(Z2, Z3)
+    cons.trivial_morita(Z2, Z3)
+    cons.generalized_matrix(Z4, 2)
+    cons.formal_matrix(Z4, 2, 2)
+    cons.group_ring(Z2, groups["S3"])
+    cons.group_ring(Z3, groups["V4"])
+    assert len(calls) == 12
+    for label, rows, expected in calls:
+        assert rows == [expected], label
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+def test_generator_rows_that_break_an_additive_relation_are_rejected(monkeypatch, zmod, cells):
+    # Z4 x Z2 coordinates, element 2b + a for (b, a).  The generators are
+    # (0,1) of order 2 and (1,0) of order 4; the identity (1,0) gets the
+    # identity row, and (0,1) a row f of order 4, which twice (0,1) = 0
+    # cannot carry.  Every filled row is additive in the generator (0,1)
+    # and both identity laws hold, so the first law to fail is right
+    # distributivity at x = g = (0,1): 0*c = 0 but f(c) + f(c) != 0.
+    if cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    f_b, f_a = np.array([0, 0, 1, 0]), np.array([0, 1, 0, 0])
+
+    def mul_row(left, right):
+        (b, a), (d, c) = left, right
+        return [(b * d + a * f_b[d]) % 4, (b * c + a * f_a[d]) % 2]
+
+    with pytest.raises(AxiomViolation) as err:
+        cons._tuple_ring("Z4xZ2", [4, 2], [zmod(4).add, zmod(2).add], (0, 0), (1, 0),
+                         mul_row, lambda: None, order_guard=None)
+    assert (err.value.kind, err.value.witness) == ("right-distributivity", (1, 1, 4))
 
 
 def test_truncated_skew_examples(zmod):
@@ -255,15 +337,40 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _table_hashes(R) -> dict:
+    return {"add": _sha256(np.ascontiguousarray(R.add, dtype="<i4").tobytes()),
+            "mul": _sha256(np.ascontiguousarray(R.mul, dtype="<i4").tobytes()),
+            "zero": R.zero, "one": R.one,
+            "names": _sha256(json.dumps(list(R.names)).encode())}
+
+
+def _golden(name: str) -> dict:
+    return json.loads((Path(__file__).parent / "golden" / name).read_text())
+
+
 def test_catalog_tables_match_golden():
     # tables and names of every catalog ring, hashed: any change to how
     # constructions fill their tables must leave these bytes alone
-    golden = json.loads((Path(__file__).parent / "golden" / "catalog_tables.json").read_text())
-    got = {R.label: {"add": _sha256(np.ascontiguousarray(R.add, dtype="<i4").tobytes()),
-                     "mul": _sha256(np.ascontiguousarray(R.mul, dtype="<i4").tobytes()),
-                     "zero": R.zero, "one": R.one,
-                     "names": _sha256(json.dumps(list(R.names)).encode())}
-           for R in harness.catalog_rings()}
+    golden = _golden("catalog_tables.json")
+    got = {R.label: _table_hashes(R) for R in harness.catalog_rings()}
     assert list(got) == list(golden)
     for label, row in golden.items():
         assert got[label] == row, label
+
+
+# one ring per constructor, orders 256 to 2048, none of them in the catalog
+LARGE_EXPRS = ["Prod(Z8,Z8,Z8)", "T(2,Z9)", "M(2,Z5)", "GR(Z4,V4)", "TruncSkew(GF(4),frob,4)",
+               "Triv(Z25,Z25)", "DT(GF(4),GF(4))", "FM(2,Z4,s=0)", "K(Z5,s=2)",
+               "Prod(Z32,Z64)", "FT(Z8,Z8,Z8)"]
+
+
+def test_large_tables_match_golden():
+    # the same hashes past the catalog's orders, where the tables are filled
+    # and validated in row blocks
+    golden = _golden("large_tables.json")
+    assert list(golden) == LARGE_EXPRS
+    catalog = {R.label for R in harness.catalog_rings()}
+    for expr in LARGE_EXPRS:
+        R = dsl.build_str(expr)
+        assert R.label not in catalog and 256 <= R.order <= 2048
+        assert _table_hashes(R) == golden[expr], expr

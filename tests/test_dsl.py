@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from deltaring import constructions, core, dsl, predicates, subsets
+from deltaring import core, dsl, predicates, subsets
 from deltaring.errors import (
     BadArity,
     ExprSyntaxError,
@@ -102,15 +102,16 @@ def test_build_memoization_and_determinism():
 
 
 def test_concurrent_builds_validate_each_ring_once(monkeypatch):
-    real = core.validate_ring
+    # every validation, from tables or from a construction, passes through
+    # core._validated_ring, so that is the one function counted
+    real = core._validated_ring
     labels = []
 
-    def counted(*args, **kwargs):
-        labels.append(kwargs["label"])
-        return real(*args, **kwargs)
+    def counted(add, mul, zero, one, label, *args):
+        labels.append(label)
+        return real(add, mul, zero, one, label, *args)
 
-    for module in (core, dsl, constructions):
-        monkeypatch.setattr(module, "validate_ring", counted)
+    monkeypatch.setattr(core, "_validated_ring", counted)
     dsl.clear_build_cache()
     exprs = ["T(2,Z4)", "Prod(Z4,Z9)", "GR(Z2,S3)", "K(Z3,s=0)"]
     interval = sys.getswitchinterval()

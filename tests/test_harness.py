@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltaring import constructions, core, dsl, harness, subsets
+from deltaring import core, dsl, harness, subsets
 from deltaring.errors import UnknownCheckId, UnknownClass
 
 import oracles
@@ -233,15 +233,14 @@ def test_transfer_reports_constructions_that_differ_from_parts():
 
 
 def test_cold_run_all_builds_each_ring_once_under_threads(monkeypatch):
-    real = core.validate_ring
+    real = core._validated_ring
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(None)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    for module in (core, dsl, constructions):
-        monkeypatch.setattr(module, "validate_ring", counted)
+    monkeypatch.setattr(core, "_validated_ring", counted)
     counts = []
     for threads in (1, 2):
         dsl.clear_build_cache()
