@@ -4,17 +4,11 @@ from .core import (
     DEFAULT_ORDER_GUARD,
     ElementSet,
     FiniteRing,
-    MatrixUnitSystem,
     RingHom,
-    alpha_compatible,
     center,
     corner_ring,
-    element_arith,
-    find_endomorphisms,
-    find_matrix_units,
     ideal_generated,
     induced_subring,
-    inverse,
     is_ideal,
     is_unital_subring,
     quotient_ring,
@@ -35,22 +29,16 @@ __all__ = [
     "DEFAULT_ORDER_GUARD",
     "ElementSet",
     "FiniteRing",
-    "MatrixUnitSystem",
     "RingHom",
     "Witness",
-    "alpha_compatible",
     "center",
     "constructions",
     "corner_ring",
     "dsl",
-    "element_arith",
     "errors",
-    "find_endomorphisms",
-    "find_matrix_units",
     "harness",
     "ideal_generated",
     "induced_subring",
-    "inverse",
     "is_ideal",
     "is_unital_subring",
     "predicates",

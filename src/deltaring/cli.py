@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 for success / a true verdict, 1 for a false verdict or a
-failed check, 2 for usage, parse, or build errors.  Reports go to stdout,
-diagnostics to stderr.  The order guard and thread count come from
-DELTA_RING_MAX_ORDER / DELTA_RING_THREADS; flags win over the environment.
+failed check, 2 for usage, parse, or build errors.  When the reader of
+stdout goes away early (`deltaring info ... | head`), the command exits 1
+without a message.  Reports go to stdout, diagnostics to stderr.  The
+order guard and thread count come from DELTA_RING_MAX_ORDER /
+DELTA_RING_THREADS; flags win over the environment.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def cmd_verify(args) -> int:
     guard = _order_guard(args)
     if guard is not None:
         rings = [dsl.build(e, order_guard=guard) for _, e in dsl.catalog()
-                 if _expr_fits(e, guard)]
+                 if dsl.order_of(e, guard) <= guard]
     else:
         rings = None
     if args.suite == "all":
@@ -126,13 +128,6 @@ def cmd_verify(args) -> int:
                     print(f"  {result.check_id} witness on {ce['ring']}: "
                           f"{w['role']} = {w['display']} (index {w['element-index']})")
     return 0 if all(r.verdict for r in results) else 1
-
-
-def _expr_fits(expr, guard: int) -> bool:
-    try:
-        return dsl.build(expr, order_guard=guard).order <= guard
-    except RingError:
-        return False
 
 
 def cmd_search(args) -> int:
@@ -221,7 +216,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: send the rest of the output nowhere, so the
+        # flush at interpreter exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except RingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -341,12 +341,6 @@ def direct_product(factors: list[FiniteRing], *, order_guard: int | None = None,
         raise ValueError("need at least one factor")
     if len(factors) == 1:
         return factors[0]
-    guard = core._resolve_guard(order_guard)
-    total = 1
-    for f in factors:
-        total *= f.order
-        if total > guard:
-            raise OrderGuardExceeded(f"product order exceeds the guard {guard}")
     sizes = [f.order for f in factors]
 
     def mul_row(a, cols):
@@ -356,44 +350,18 @@ def direct_product(factors: list[FiniteRing], *, order_guard: int | None = None,
                        sizes, [f.add for f in factors],
                        tuple(f.zero for f in factors), tuple(f.one for f in factors), mul_row,
                        lambda: _tuple_names([f.names for f in factors], sizes),
-                       order_guard=guard)
+                       order_guard=order_guard)
 
 
 def matrix_ring(R: FiniteRing, n: int, *, order_guard: int | None = None,
                 label: str | None = None) -> FiniteRing:
     """Full n-by-n matrices over R, entries row-major, first entry most
     significant in the element encoding."""
-    if n < 1:
-        raise ValueError("matrix size must be positive")
-    if n == 1:
-        return R
-    k = n * n
-    sizes = [R.order] * k
-    adds = [R.add] * k
-
-    def mul_row(a, cols):
-        out = []
-        for i in range(n):
-            for j in range(n):
-                acc = None
-                for t in range(n):
-                    term = R.mul[a[i * n + t], cols[t * n + j]]
-                    acc = term if acc is None else R.add[acc, term]
-                out.append(acc)
-        return out
-
     def name(tup):
         rows = ["[" + ",".join(R.names[tup[i * n + j]] for j in range(n)) + "]" for i in range(n)]
         return "[" + ",".join(rows) + "]"
 
-    total = R.order ** k
-    guard = core._resolve_guard(order_guard)
-    if total > guard:
-        raise OrderGuardExceeded(f"matrix ring order {total} exceeds the guard {guard}")
-    zero = tuple([R.zero] * k)
-    one = tuple(R.one if i == j else R.zero for i in range(n) for j in range(n))
-    return _tuple_ring(label or f"M({n},{R.label})", sizes, adds, zero, one,
-                       mul_row, lambda: _element_names(sizes, name), order_guard=order_guard)
+    return _scaled_matrix(R, n, R.one, label or f"M({n},{R.label})", name, order_guard)
 
 
 def matrix_index(R: FiniteRing, n: int, entries) -> int:
@@ -438,10 +406,6 @@ def upper_triangular(R: FiniteRing, n: int, *, order_guard: int | None = None,
             rows.append("[" + ",".join(row) + "]")
         return "[" + ",".join(rows) + "]"
 
-    total = R.order ** k
-    guard = core._resolve_guard(order_guard)
-    if total > guard:
-        raise OrderGuardExceeded(f"triangular ring order {total} exceeds the guard {guard}")
     zero = tuple([R.zero] * k)
     one = tuple(R.one if i == j else R.zero for (i, j) in coords)
     return _tuple_ring(label or f"T({n},{R.label})", sizes, adds, zero, one,
@@ -567,36 +531,6 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, M: Bimodule | None = None, *
                        order_guard=order_guard)
 
 
-def trivial_morita(A: FiniteRing, B: FiniteRing, M: Bimodule | None = None,
-                   N: Bimodule | None = None, *, order_guard: int | None = None,
-                   label: str | None = None) -> FiniteRing:
-    """2x2 block ring with zero pairings: quadruples (a, m, n, b) where
-    m sits in an (A,B)-bimodule and n in a (B,A)-bimodule."""
-    if M is None:
-        M = zero_bimodule(A, B)
-    if N is None:
-        N = zero_bimodule(B, A)
-    if M.left_ring is not A or M.right_ring is not B:
-        raise InvalidBimodule("M must be an (A,B)-bimodule")
-    if N.left_ring is not B or N.right_ring is not A:
-        raise InvalidBimodule("N must be a (B,A)-bimodule")
-    sizes = [A.order, M.order, N.order, B.order]
-    adds = [A.add, M.add, N.add, B.add]
-
-    def mul_row(t, cols):
-        a1, m1, n1, b1 = t
-        return [A.mul[a1, cols[0]],
-                M.add[M.left_act[a1, cols[1]], M.right_act[m1, cols[3]]],
-                N.add[N.left_act[b1, cols[2]], N.right_act[n1, cols[0]]],
-                B.mul[b1, cols[3]]]
-
-    return _tuple_ring(label or f"TrivialContext({A.label},{B.label})", sizes, adds,
-                       (A.zero, M.zero, N.zero, B.zero),
-                       (A.one, M.zero, N.zero, B.one), mul_row,
-                       lambda: _tuple_names([A.names, M.names, N.names, B.names], sizes),
-                       order_guard=order_guard)
-
-
 def generalized_matrix(R: FiniteRing, s: int, *, order_guard: int | None = None,
                        label: str | None = None) -> FiniteRing:
     """K_s(R): quadruples (a, x, y, b) with both cross products scaled by the
@@ -632,6 +566,15 @@ def formal_matrix(R: FiniteRing, n: int, s: int, *, order_guard: int | None = No
     s = int(s)
     if not bool(core.center(R).members[s]):
         raise NotCentral(f"element {s} is not central in {R.label}")
+    return _scaled_matrix(R, n, s, label or f"FM({n},{R.label},s={R.names[s]})",
+                          lambda tup: "(" + ",".join(R.names[v] for v in tup) + ")",
+                          order_guard)
+
+
+def _scaled_matrix(R: FiniteRing, n: int, s: int, label: str, name,
+                   order_guard: int | None) -> FiniteRing:
+    """The n-by-n matrices of `formal_matrix`, elements named by `name(entries)`.
+    `matrix_ring` is the case s = 1, where every scaling is by the identity."""
     if n < 1:
         raise ValueError("matrix size must be positive")
     if n == 1:
@@ -639,7 +582,6 @@ def formal_matrix(R: FiniteRing, n: int, s: int, *, order_guard: int | None = No
     spow = [R.one, s, int(R.mul[s, s])]
     k2 = n * n
     sizes = [R.order] * k2
-    adds = [R.add] * k2
 
     def mul_row(a, cols):
         out = []
@@ -655,9 +597,8 @@ def formal_matrix(R: FiniteRing, n: int, s: int, *, order_guard: int | None = No
 
     zero = tuple([R.zero] * k2)
     one = tuple(R.one if i == j else R.zero for i in range(n) for j in range(n))
-    return _tuple_ring(label or f"FM({n},{R.label},s={R.names[s]})", sizes, adds,
-                       zero, one, mul_row, lambda: _tuple_names([R.names] * k2, sizes),
-                       order_guard=order_guard)
+    return _tuple_ring(label, sizes, [R.add] * k2, zero, one, mul_row,
+                       lambda: _element_names(sizes, name), order_guard=order_guard)
 
 
 def group_ring(R: FiniteRing, G: FiniteGroup, *, order_guard: int | None = None,

@@ -56,7 +56,6 @@ from .errors import (
     NotIdempotent,
     OrderGuardExceeded,
 )
-from .report import CheckReport, Witness
 
 DEFAULT_ORDER_GUARD = 4096
 
@@ -331,32 +330,6 @@ class RingHom:
         return ElementSet(self.source, self.map == self.target.zero)
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixUnitSystem:
-    """n^2 nonzero elements e_ij with e_ij*e_st = [j==s]*e_it."""
-
-    ring: FiniteRing
-    n: int
-    units: tuple[tuple[int, ...], ...]
-    corner_identity: int
-
-    def validate(self) -> bool:
-        R, n = self.ring, self.n
-        for i in range(n):
-            for j in range(n):
-                if self.units[i][j] == R.zero:
-                    return False
-                for s in range(n):
-                    for t in range(n):
-                        expected = self.units[i][t] if j == s else R.zero
-                        if int(R.mul[self.units[i][j], self.units[s][t]]) != expected:
-                            return False
-        total = R.zero
-        for i in range(n):
-            total = int(R.add[total, self.units[i][i]])
-        return total == self.corner_identity and int(R.mul[total, total]) == total
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -392,9 +365,11 @@ def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) 
     # associativity for all triples.  M = add[add[:, g]] holds (a+g)+c at
     # [a, c], and (add being commutative) a+(g+c) = (c+g)+a at [c, a], so the
     # test is M == M.T.  g = zero passes by the identity law checked before.
+    # M is not kept across generators, so at most one n-by-n gather is alive;
+    # it is gathered again only to name a failing instance.
     for g in gens:
-        M = add[add[:, g]]
-        if not _is_symmetric(M):
+        if not _is_symmetric(add[add[:, g]]):
+            M = add[add[:, g]]
             a, c = _first_bad_pair(M != M.T)
             raise AxiomViolation("add-associativity", (a, g, c))
     # Biadditivity of mul on generator pairs extends to all pairs by induction
@@ -496,46 +471,6 @@ def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one
 def _relabel(ring: FiniteRing, label: str) -> FiniteRing:
     """The same certified tables under another label (a fresh memo)."""
     return _certified_ring(label, ring.add, ring.mul, ring.zero, ring.one, ring.names)
-
-
-# ---------------------------------------------------------------------------
-# element arithmetic
-
-
-def element_arith(ring: FiniteRing, op: str, *args: int) -> int:
-    """Table-backed element arithmetic: add, neg, sub, mul, pow."""
-    def check(i):
-        i = int(i)
-        if not 0 <= i < ring.order:
-            raise ValueError(f"element index {i} out of range for order {ring.order}")
-        return i
-
-    if op == "add":
-        a, b = args
-        return int(ring.add[check(a), check(b)])
-    if op == "neg":
-        (a,) = args
-        return int(ring.neg[check(a)])
-    if op == "sub":
-        a, b = args
-        return ring.sub(check(a), check(b))
-    if op == "mul":
-        a, b = args
-        return int(ring.mul[check(a), check(b)])
-    if op == "pow":
-        a, k = args
-        return ring.pow(check(a), int(k))
-    raise ValueError(f"unknown element operation {op!r}")
-
-
-def inverse(ring: FiniteRing, a: int) -> int | None:
-    """Two-sided inverse of a, or None.  Unique in a finite ring."""
-    row = ring.mul[a] == ring.one
-    col = ring.mul[:, a] == ring.one
-    both = row & col
-    if not both.any():
-        return None
-    return int(np.flatnonzero(both)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -719,156 +654,6 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
             raise HomViolation(kind, bad)
     m.setflags(write=False)
     return RingHom(source, target, m)
-
-
-def alpha_compatible(ring: FiniteRing, alpha: RingHom) -> CheckReport:
-    """Does a*b = 0 hold exactly when a*alpha(b) = 0, for all pairs?"""
-    if alpha.source is not ring or alpha.target is not ring:
-        raise ValueError("alpha must be an endomorphism of the given ring")
-    plain = ring.mul == ring.zero
-    twisted = ring.mul[:, alpha.map] == ring.zero
-    same = plain == twisted
-    if same.all():
-        return CheckReport(ring.label, "compatible-endomorphism", True,
-                           notes="a*b = 0 iff a*alpha(b) = 0 for all pairs")
-    a, b = _first_bad_pair(~same)
-    direction = "a*b = 0 but a*alpha(b) != 0" if plain[a, b] else "a*alpha(b) = 0 but a*b != 0"
-    return CheckReport(ring.label, "compatible-endomorphism", False,
-                       witness=[Witness("left-factor", a, ring.names[a]),
-                                Witness("right-factor", b, ring.names[b])],
-                       notes=direction)
-
-
-def find_endomorphisms(ring: FiniteRing, limit: int = 64) -> list[RingHom]:
-    """Unital ring endomorphisms, found by backtracking over additive
-    generators.  Offered only up to `limit`; supply and validate the map
-    yourself for larger rings."""
-    if ring.order > limit:
-        raise ValueError(f"endomorphism discovery is offered only for order <= {limit}")
-    add, mul = ring.add, ring.mul
-    n = ring.order
-
-    def close(partial: dict[int, int], pairs: list[tuple[int, int]]) -> dict[int, int] | None:
-        # Propagate additivity from the known graph; None on conflict.
-        known = dict(partial)
-        frontier = pairs
-        while frontier:
-            nxt = []
-            for a, b in frontier:
-                c = int(add[a, b])
-                img = int(add[known[a], known[b]])
-                if c in known:
-                    if known[c] != img:
-                        return None
-                else:
-                    known[c] = img
-                    nxt.extend((c, d) for d in list(known))
-                    nxt.extend((d, c) for d in list(known))
-            frontier = nxt
-        for a in known:
-            for b in known:
-                c = int(mul[a, b])
-                if c in known and known[c] != int(mul[known[a], known[b]]):
-                    return None
-        return known
-
-    base = close({ring.zero: ring.zero, ring.one: ring.one},
-                 [(ring.zero, ring.one), (ring.one, ring.one)])
-    results: list[RingHom] = []
-
-    def extend(known: dict[int, int]):
-        missing = [a for a in range(n) if a not in known]
-        if not missing:
-            m = np.array([known[a] for a in range(n)], dtype=np.int32)
-            try:
-                results.append(validate_hom(ring, ring, m))
-            except HomViolation:
-                pass
-            return
-        g = missing[0]
-        for y in range(n):
-            trial = dict(known)
-            trial[g] = y
-            closed = close(trial, [(g, d) for d in list(trial)] + [(d, g) for d in list(trial)])
-            if closed is not None:
-                extend(closed)
-
-    if base is not None:
-        extend(base)
-    results.sort(key=lambda h: tuple(int(v) for v in h.map))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# matrix-unit systems
-
-
-def find_matrix_units(ring: FiniteRing, n: int, within: ElementSet | None = None) -> MatrixUnitSystem | None:
-    """Backtracking search for a system of n^2 matrix units inside `within`.
-
-    Only e_11 and the pairs (e_1j, e_j1) are searched (ascending element
-    index); the remaining units are forced as e_i1*e_1j and the full n^4
-    relation set is verified before returning.  Deterministic."""
-    if n < 2:
-        raise ValueError("matrix-unit systems need n >= 2")
-    mask = within.members if within is not None else np.ones(ring.order, dtype=bool)
-    mul, zero = ring.mul, ring.zero
-    cand = [int(a) for a in np.flatnonzero(mask) if a != zero]
-
-    def pair_ok(e11: int, pairs: list[tuple[int, int]], x: int, y: int) -> bool:
-        if int(mul[e11, x]) != x or int(mul[x, e11]) != zero:
-            return False
-        if int(mul[y, e11]) != y or int(mul[e11, y]) != zero:
-            return False
-        if int(mul[x, y]) != e11 or int(mul[x, x]) != zero or int(mul[y, y]) != zero:
-            return False
-        for xp, yp in pairs:
-            if int(mul[x, xp]) != zero or int(mul[xp, x]) != zero:
-                return False
-            if int(mul[yp, y]) != zero or int(mul[y, yp]) != zero:
-                return False
-        return True
-
-    def assemble(e11: int, pairs: list[tuple[int, int]]) -> MatrixUnitSystem | None:
-        units = [[0] * n for _ in range(n)]
-        units[0][0] = e11
-        for j, (x, y) in enumerate(pairs, start=1):
-            units[0][j] = x
-            units[j][0] = y
-        for i in range(1, n):
-            for j in range(1, n):
-                units[i][j] = int(mul[units[i][0], units[0][j]])
-        for i in range(n):
-            for j in range(n):
-                if units[i][j] == zero or not mask[units[i][j]]:
-                    return None
-        system = MatrixUnitSystem(ring, n, tuple(tuple(row) for row in units), 0)
-        total = zero
-        for i in range(n):
-            total = int(ring.add[total, units[i][i]])
-        system = MatrixUnitSystem(ring, n, system.units, total)
-        return system if system.validate() else None
-
-    def search(e11: int, pairs: list[tuple[int, int]]) -> MatrixUnitSystem | None:
-        if len(pairs) == n - 1:
-            return assemble(e11, pairs)
-        for x in cand:
-            if int(mul[e11, x]) != x:
-                continue
-            for y in cand:
-                if pair_ok(e11, pairs, x, y):
-                    found = search(e11, pairs + [(x, y)])
-                    if found is not None:
-                        return found
-        return None
-
-    for e11 in cand:
-        if int(mul[e11, e11]) != e11:
-            continue
-        found = search(e11, [])
-        if found is not None:
-            return found
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,14 @@ Building is memoized by the canonical printed form, behind a lock held
 across the build, so each ring is built once; cache hits return the
 identical immutable ring, so identical expressions always yield
 bit-identical dumps.
+
+The order guard is checked once per expression, at the top of `build`:
+`order_of` reads the order off the expression (for `Quot` and `Corner`
+the base's order, an upper bound), so an expression past the guard is
+rejected before any table is allocated and whether or not it is cached.
+`--max-order` selects catalog rings by the same `order_of`.  The guard in
+`constructions._tuple_ring` serves callers of the constructions, and the
+one in `core.validate_ring` (`_as_table`) serves ring dumps.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -169,9 +178,16 @@ def print_expr(e: RingExpr) -> str:
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<punct>[(),=]))")
 
 CTORS = {"Prod", "M", "T", "TruncSkew", "Triv", "DT", "FT", "K", "FM", "GR", "Quot", "Corner"}
-GROUP_NAMES = {"C1", "C2", "C3", "C4", "C5", "C6", "V4", "S3"}
+GROUP_ORDERS = {"C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "V4": 4, "S3": 6}
 ENDO_NAMES = {"id", "frob"}
 _ZNAME = re.compile(r"^Z(\d+)$")
+
+
+def _int(text: str, pos: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:      # past Python's limit on the digits of a decimal string
+        raise ExprSyntaxError(pos, what, f"{what} at position {pos} has too many digits") from None
 
 
 class _Parser:
@@ -211,7 +227,7 @@ class _Parser:
         kind, text, pos = self.next(what)
         if kind != "int":
             raise ExprSyntaxError(pos, what)
-        return int(text)
+        return _int(text, pos, what)
 
     def expect_name(self, what: str = "name") -> tuple[str, int]:
         kind, text, pos = self.next(what)
@@ -227,7 +243,7 @@ class _Parser:
         name, pos = self.expect_name("ring name or constructor")
         zm = _ZNAME.match(name)
         if zm and name != "Z":
-            m = int(zm.group(1))
+            m = _int(zm.group(1), pos + 1, "modulus")
             if m < 2:
                 raise UnknownName(f"Z{m}: modulus must be at least 2")
             return Named("Z", m)
@@ -272,6 +288,8 @@ class _Parser:
                 raise UnknownName(f"unknown endomorphism {endo!r} at position {epos}")
             self.expect_punct(",")
             n = self.expect_int("truncation degree")
+            if n < 2:
+                raise BadArity("TruncSkew: truncation degree must be at least 2")
             return TruncSkew(base, endo, n)
         if ctor in ("Triv", "DT"):
             base = self.parse_expr()
@@ -312,7 +330,7 @@ class _Parser:
             base = self.parse_expr()
             self.expect_punct(",")
             gname, gpos = self.expect_name("group name")
-            if gname not in GROUP_NAMES:
+            if gname not in GROUP_ORDERS:
                 raise UnknownName(f"unknown group {gname!r} at position {gpos}")
             return GroupRing(base, gname)
         if ctor == "Quot":
@@ -377,13 +395,17 @@ def _gf_name(coeffs: tuple[int, ...]) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _require_field(q: int) -> None:
+    if q not in SUPPORTED_FIELDS:
+        raise UnsupportedField(f"GF({q}) is not built in; supported: {SUPPORTED_FIELDS}")
+
+
 def galois_field(q: int, *, label: str | None = None) -> FiniteRing:
     """GF(q) for q in SUPPORTED_FIELDS, via fixed irreducible polynomials."""
+    _require_field(q)
     if q in _GF_PRIMES:
         add, mul = _zmod_tables(q)
         return validate_ring(add, mul, 0, 1, label=label or f"GF({q})")
-    if q not in _GF_POLYS:
-        raise UnsupportedField(f"GF({q}) is not built in; supported: {SUPPORTED_FIELDS}")
     p, k, tail = _GF_POLYS[q]
 
     def decode(idx: int) -> tuple[int, ...]:
@@ -443,12 +465,59 @@ def _field_char(q: int) -> int:
     return _GF_POLYS[q][0]
 
 
+def order_of(e: RingExpr, cap: int) -> int:
+    """The order of the ring `e` denotes, read off the expression.
+
+    Exact for every constructor; for `Quot` and `Corner` it is the base's
+    order, an upper bound.  Coordinate sizes are multiplied one at a time
+    and the first partial product past `cap` is returned as it stands.  Every
+    node of a parsed expression has order at least 2, so that takes a few
+    rounds, however large the numbers written in the expression are.
+    Raises `UnsupportedField` for a GF(q) that is not built in.
+    """
+    def product(sizes) -> int:
+        total = 1
+        for size in sizes:
+            total *= size
+            if total > cap:
+                break
+        return total
+
+    def power(base: RingExpr, count: int) -> int:
+        return product(repeat(order_of(base, cap), count))
+
+    match e:
+        case Named("Z", m):
+            return m
+        case Named("GF", q):
+            _require_field(q)
+            return q
+        case Product(factors):
+            return product(order_of(f, cap) for f in factors)
+        case Matrix(n, base) | FMns(n, base, _):
+            return power(base, n * n)
+        case Triangular(n, base):
+            return power(base, n * (n + 1) // 2)
+        case TruncSkew(base, _, n):
+            return power(base, n)
+        case Triv(base):
+            return power(base, 2)
+        case DT(base) | Ks(base, _):
+            return power(base, 4)
+        case FormalTri(left, _, True):
+            return power(left, 3)
+        case FormalTri(left, right, False):
+            return product(order_of(side, cap) for side in (left, right))
+        case GroupRing(base, g):
+            return power(base, GROUP_ORDERS[g])
+        case Quotient(base, _) | Corner(base, _):
+            return order_of(base, cap)
+    raise ValueError(f"unbuildable node {e!r}")
+
+
 def _build_uncached(e: RingExpr, canonical: str, guard: int | None) -> FiniteRing:
     match e:
         case Named("Z", m):
-            limit = core._resolve_guard(guard)
-            if m > limit:
-                raise OrderGuardExceeded(f"order {m} exceeds the order guard {limit}")
             add, mul = _zmod_tables(m)
             return validate_ring(add, mul, 0, 1, label=canonical, order_guard=guard)
         case Named("GF", q):
@@ -521,17 +590,21 @@ def _build_uncached(e: RingExpr, canonical: str, guard: int | None) -> FiniteRin
 def build(e: RingExpr, *, order_guard: int | None = None) -> FiniteRing:
     """Build (and memoize) the ring denoted by an expression.
 
+    The expression is held to the guard by `order_of` before anything is
+    built or looked up, so a cached ring and a cold build are admitted alike.
     The lock is held across an uncached build (it is re-entrant, since
     building recurses into sub-expressions), so concurrent callers build
     each ring once."""
     canonical = print_expr(e)
     guard = core._resolve_guard(order_guard)
+    reach = order_of(e, guard)
+    if reach > guard:
+        raise OrderGuardExceeded(
+            f"{canonical}: order would reach at least {reach}, past the guard {guard}")
     with _BUILD_LOCK:
         ring = _BUILD_CACHE.get(canonical)
         if ring is None:
             ring = _BUILD_CACHE[canonical] = _build_uncached(e, canonical, order_guard)
-    if ring.order > guard:
-        raise OrderGuardExceeded(f"{canonical}: order {ring.order} exceeds the guard {guard}")
     return ring
 
 

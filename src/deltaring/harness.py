@@ -35,7 +35,7 @@ from . import core, dsl, subsets
 from .core import ElementSet, FiniteRing, RingHom
 from .errors import UnknownCheckId, UnknownClass
 from .predicates import check_class, class_verdict, revalidate_witness
-from .report import Witness
+from .report import CheckReport, Witness
 
 
 @dataclass
@@ -398,9 +398,9 @@ def _run_T3_8(rings):
             continue
         a = cons.matrix_index(base, 2, [[base.zero, base.one], [base.one, base.one]])
         sq_minus = ring.sub(ring.pow(a, 2), ring.one)
-        manual = core.CheckReport(ring.label, "2-delta-u", False,
-                                  [Witness("unit", a, ring.names[a]),
-                                   Witness("unit-square-minus-one", sq_minus, ring.names[sq_minus])])
+        manual = CheckReport(ring.label, "2-delta-u", False,
+                             [Witness("unit", a, ring.names[a]),
+                              Witness("unit-square-minus-one", sq_minus, ring.names[sq_minus])])
         if sq_minus != a or not revalidate_witness(ring, manual):
             bad.append(_counterexample(ring, "the [[0,1],[1,1]] witness was not accepted"))
             continue

@@ -134,13 +134,6 @@ def naive_units(R) -> list[int]:
     return out
 
 
-def naive_inverse(R, a: int) -> int | None:
-    for b in range(R.order):
-        if int(R.mul[a, b]) == R.one and int(R.mul[b, a]) == R.one:
-            return b
-    return None
-
-
 def naive_idempotents(R) -> list[int]:
     return [a for a in range(R.order) if int(R.mul[a, a]) == a]
 

@@ -178,18 +178,70 @@ def test_zmod_guard_before_allocation(capsys, monkeypatch):
     monkeypatch.delenv("DELTA_RING_MAX_ORDER", raising=False)
     monkeypatch.setattr(dsl, "_zmod_tables", refuse)
     code, _, err = run(capsys, "info", "Z5000")
-    assert code == 2 and "order 5000 exceeds the order guard 4096" in err
+    assert code == 2 and "Z5000: order would reach at least 5000, past the guard 4096" in err
 
 
-def test_verify_all_cold_runs_identical_across_thread_counts():
-    # fresh interpreters, so no run reads verdicts memoized by another
+def test_verify_max_order_64_matches_golden(capsys, monkeypatch):
+    # the scope under --max-order is taken from the expressions' orders,
+    # before any ring is built; the report is pinned as it was when the
+    # scope came from building every catalog ring
+    monkeypatch.delenv("DELTA_RING_THREADS", raising=False)
+    code, out, _ = run(capsys, "verify", "all", "--json", "--max-order", "64")
+    golden = (Path(__file__).parent / "golden" / "verify_max_order_64.json").read_text()
+    assert code == 0 and out == golden
+
+
+def _cli_env() -> dict:
     env = {k: v for k, v in os.environ.items()
            if k not in ("DELTA_RING_MAX_ORDER", "DELTA_RING_THREADS")}
     src = str(Path(deltaring.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# runs `cli.main` in a fresh interpreter and prints its wall time after the
+# command's own output; interpreter start and imports are left out of the
+# time, since they do not depend on the expression
+_TIMED_MAIN = """\
+import sys, time
+from deltaring import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(time.perf_counter() - start)
+raise SystemExit(code)
+"""
+
+
+def test_guard_rejects_huge_expressions_fast_and_without_traceback():
+    for argv, reach, guard in ((["M(1500,Z3)"], 6561, 4096),
+                               (["GR(M(1500,Z3),C2)"], 6561, 4096),
+                               (["TruncSkew(Z3,id,300000)"], 6561, 4096),
+                               (["Quot(Z12,6)", "--max-order", "8"], 12, 8),
+                               (["Corner(M(2,Z2),8)", "--max-order", "8"], 16, 8)):
+        proc = subprocess.run([sys.executable, "-c", _TIMED_MAIN, "info", *argv],
+                              capture_output=True, text=True, env=_cli_env(), timeout=120)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr == (f"error: {argv[0]}: order would reach at least {reach}, "
+                               f"past the guard {guard}\n")
+        assert float(proc.stdout) < 0.5, argv
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader leaves after its first read, as `deltaring ... | head -c 100`
+    # does; the dump is larger than a pipe buffer, so the writer sees it go
+    with subprocess.Popen([sys.executable, "-m", "deltaring.cli", "info", "Z300", "--dump"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env()) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+def test_verify_all_cold_runs_identical_across_thread_counts():
+    # fresh interpreters, so no run reads verdicts memoized by another
     procs = [subprocess.Popen([sys.executable, "-m", "deltaring.cli", "verify", "all",
                                "--json", "--threads", str(t)],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
              for t in (1, 2, 4)]
     try:
         outputs = [p.communicate(timeout=300) for p in procs]

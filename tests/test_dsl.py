@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import json
+import re
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from deltaring import constructions as cons
 from deltaring import core, dsl, predicates, subsets
 from deltaring.errors import (
     BadArity,
@@ -55,6 +60,13 @@ def test_parse_error_positions():
         dsl.parse("Triv(Z2,Z3)")
     with pytest.raises(InvalidBimodule):
         dsl.parse("FT(Z2,Z2,Z3)")
+    with pytest.raises(BadArity):
+        dsl.parse("TruncSkew(Z2,id,1)")
+    # integers past Python's limit on decimal digits are syntax errors too
+    with pytest.raises(ExprSyntaxError, match="modulus at position 1 has too many digits"):
+        dsl.parse("Z" + "9" * 5000)
+    with pytest.raises(ExprSyntaxError, match="matrix size at position 2 has too many digits"):
+        dsl.parse("M(" + "9" * 5000 + ",Z2)")
 
 
 def test_print_parse_roundtrip():
@@ -198,6 +210,61 @@ def test_order_guard_flows_through():
     dsl.clear_build_cache()
     with pytest.raises(OrderGuardExceeded):
         dsl.build_str("GF(9)", order_guard=4)
+
+
+@pytest.mark.parametrize("text", ["M(1500,Z3)", "GR(M(1500,Z3),C2)"])
+def test_guard_names_the_expression_it_rejects(text):
+    message = f"{text}: order would reach at least 6561, past the guard 4096"
+    with pytest.raises(OrderGuardExceeded, match=re.escape(message)):
+        dsl.build_str(text)
+
+
+def test_guard_fires_before_any_construction_runs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction ran before the order guard")
+
+    monkeypatch.setattr(cons, "identity_endomorphism", refuse)
+    monkeypatch.setattr(cons, "truncated_skew_poly", refuse)
+    with pytest.raises(OrderGuardExceeded):
+        dsl.build_str("TruncSkew(Z3,id,300000)")
+
+
+@pytest.mark.parametrize("text", ["Quot(Z12,6)", "Corner(M(2,Z2),8)"])
+def test_guard_treats_cached_and_cold_builds_alike(text):
+    # the guard reads the base's order off the expression, so a quotient or
+    # corner small enough to pass is rejected whether or not it is cached
+    dsl.clear_build_cache()
+    with pytest.raises(OrderGuardExceeded):
+        dsl.build_str(text, order_guard=8)
+    assert dsl.build_str(text).order <= 8
+    with pytest.raises(OrderGuardExceeded):
+        dsl.build_str(text, order_guard=8)
+
+
+def test_order_of_equals_the_built_order():
+    large = json.loads((Path(__file__).parent / "golden" / "large_tables.json").read_text())
+    exprs = [e for _, e in dsl.catalog()] + [dsl.parse(t) for t in large]
+    assert len(exprs) == 182 + 11
+    for e in exprs:
+        assert dsl.order_of(e, core.DEFAULT_ORDER_GUARD) == dsl.build(e).order, e
+
+
+def test_order_of_stops_at_the_first_product_past_the_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("order_of built a ring")
+
+    monkeypatch.setattr(dsl, "_build_uncached", refuse)
+    monkeypatch.setattr(cons, "group_catalog", refuse)
+    start = time.perf_counter()
+    for text, reach in (("M(99999999,Z2)", 8192), ("T(99999999,GF(9))", 6561),
+                        ("TruncSkew(Z3,id,300000)", 6561), ("K(Z64,s=0)", 262144),
+                        ("GR(Z16,S3)", 65536), ("FM(99999999,Z99999999,s=0)", 99999999),
+                        ("Prod(Z4096,Z2,GF(6))", 8192), ("FT(Z2,Z3)", 6),
+                        ("FT(Z8,Z8,Z8)", 512), ("Quot(M(2,Z2),1)", 16)):
+        assert dsl.order_of(dsl.parse(text), 4096) == reach, text
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(UnsupportedField):
+        dsl.order_of(dsl.parse("M(99999999,GF(6))"), 4096)
 
 
 def test_catalog_contents_and_guard():

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from deltaring import core, dsl, subsets
-from deltaring.errors import MalformedRing
+from deltaring.errors import MalformedRing, RingError
 
 import oracles
 from conftest import zmod_tables
@@ -196,14 +196,41 @@ def test_parse_print_roundtrip(e):
     assert dsl.parse(dsl.print_expr(e)) == e
 
 
+# the grammar's tokens and some it does not have, joined in any order
+expr_tokens = st.sampled_from(
+    sorted(dsl.CTORS | set(dsl.GROUP_ORDERS) | dsl.ENDO_NAMES)
+    + ["Z", "Z0", "Z1", "Z2", "Z12", "GF", "s", "x", "0", "1", "2", "3", "9", "00",
+       "(", ")", ",", "=", " ", "#", "-"])
+expr_texts = st.lists(expr_tokens, max_size=24).map("".join)
+
+
+@st.composite
+def edited_exprs(draw):
+    """A printed expression with one span replaced by a token."""
+    text = dsl.print_expr(draw(exprs))
+    lo = draw(st.integers(0, len(text)))
+    hi = draw(st.integers(lo, min(len(text), lo + 3)))
+    return text[:lo] + draw(expr_tokens) + text[hi:]
+
+
+@given(st.one_of(st.text(max_size=40), expr_texts, edited_exprs()))
+@settings(max_examples=600, deadline=None)
+def test_any_string_parses_or_raises_ring_error(text):
+    try:
+        e = dsl.parse(text)
+    except RingError:
+        return
+    assert dsl.parse(dsl.print_expr(e)) == e
+
+
 @given(moduli, st.integers(min_value=0, max_value=47), st.integers(min_value=0, max_value=47))
 @settings(max_examples=30, deadline=None)
-def test_element_arith_consistency(m, a, b):
+def test_ring_arithmetic_consistency(m, a, b):
     R = zmod(m)
     a, b = a % m, b % m
-    assert core.element_arith(R, "add", a, core.element_arith(R, "neg", a)) == R.zero
-    assert core.element_arith(R, "sub", a, b) == (a - b) % m
-    assert core.element_arith(R, "pow", a, 3) == pow(a, 3, m)
+    assert int(R.add[a, R.neg[a]]) == R.zero
+    assert R.sub(a, b) == (a - b) % m
+    assert R.pow(a, 3) == pow(a, 3, m)
 
 
 @st.composite
