@@ -17,7 +17,7 @@ import sys
 
 from . import core, dsl, harness, subsets
 from .errors import RingError
-from .predicates import CLASS_CONDITIONS, CLASS_REGISTRY, check_class
+from .predicates import ALL_CLASSES, CLASSES, check_class
 
 
 def _env_int(name: str) -> int | None:
@@ -65,7 +65,7 @@ def _info_payload(ring) -> dict:
     for name, fn in set_fns.items():
         es = fn(ring)
         sets[name] = {"indices": es.indices, "displays": es.displays()}
-    classes = {name: check_class(ring, name).verdict for name in CLASS_REGISTRY}
+    classes = {name: check_class(ring, name).verdict for name in ALL_CLASSES}
     return {"subject": ring.label, "order": ring.order, "zero": ring.zero,
             "one": ring.one, "sets": sets, "classes": classes}
 
@@ -155,9 +155,8 @@ def _split(values: list[str]) -> list[str]:
 
 
 def cmd_classes(args) -> int:
-    payload = {name: {"category": CLASS_REGISTRY[name][0],
-                      "condition": CLASS_CONDITIONS[name]}
-               for name in CLASS_REGISTRY}
+    payload = {name: {"category": category, "condition": condition}
+               for name, (category, condition) in CLASSES.items()}
     if args.json:
         _emit(payload)
     else:

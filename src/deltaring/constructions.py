@@ -17,6 +17,7 @@ validates the tables it made in place.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +232,7 @@ def _strides(sizes: list[int]) -> list[int]:
 
 
 def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
-                zero_tuple: tuple[int, ...], one_tuple: tuple[int, ...],
+                zero_tuple: Sequence[int], one_tuple: Sequence[int],
                 mul_row, names, *, order_guard: int | None) -> FiniteRing:
     """The ring on coefficient tuples whose coordinate c adds by
     `add_tables[c]` and whose product `mul_row` gives coordinatewise.
@@ -383,31 +384,36 @@ def upper_triangular(R: FiniteRing, n: int, *, order_guard: int | None = None,
         raise ValueError("matrix size must be positive")
     if n == 1:
         return R
-    coords = [(i, j) for i in range(n) for j in range(i, n)]
-    pos = {c: t for t, c in enumerate(coords)}
-    k = len(coords)
+    k = n * (n + 1) // 2
     sizes = [R.order] * k
     adds = [R.add] * k
 
+    def pos(i, j):
+        """Coordinate of entry (i, j): rows above i hold n + (n-1) + ... + (n-i+1)."""
+        return i * n - i * (i - 1) // 2 + j - i
+
     def mul_row(a, cols):
         out = []
-        for (i, j) in coords:
-            acc = None
-            for t in range(i, j + 1):
-                term = R.mul[a[pos[(i, t)]], cols[pos[(t, j)]]]
-                acc = term if acc is None else R.add[acc, term]
-            out.append(acc)
+        for i in range(n):
+            for j in range(i, n):
+                acc = None
+                for t in range(i, j + 1):
+                    term = R.mul[a[pos(i, t)], cols[pos(t, j)]]
+                    acc = term if acc is None else R.add[acc, term]
+                out.append(acc)
         return out
 
     def name(tup):
         rows = []
         for i in range(n):
-            row = [R.names[tup[pos[(i, j)]]] if j >= i else "0" for j in range(n)]
+            row = [R.names[tup[pos(i, j)]] if j >= i else "0" for j in range(n)]
             rows.append("[" + ",".join(row) + "]")
         return "[" + ",".join(rows) + "]"
 
-    zero = tuple([R.zero] * k)
-    one = tuple(R.one if i == j else R.zero for (i, j) in coords)
+    zero = [R.zero] * k
+    one = [R.zero] * k
+    for i in range(n):
+        one[pos(i, i)] = R.one
     return _tuple_ring(label or f"T({n},{R.label})", sizes, adds, zero, one,
                        mul_row, lambda: _element_names(sizes, name), order_guard=order_guard)
 
@@ -427,14 +433,13 @@ def truncated_skew_poly(R: FiniteRing, alpha: RingHom | None, n: int, *,
         alpha = identity_endomorphism(R)
     if alpha.source is not R or alpha.target is not R:
         raise InvalidEndomorphism("alpha must be a validated endomorphism of the base ring")
-    powers = [np.arange(R.order, dtype=np.int32)]
-    for _ in range(1, n):
-        powers.append(alpha.map[powers[-1]])
-
     sizes = [R.order] * n
     adds = [R.add] * n
 
     def mul_row(a, cols):
+        powers = [np.arange(R.order, dtype=np.int32)]
+        for _ in range(1, n):
+            powers.append(alpha.map[powers[-1]])
         out = []
         for m in range(n):
             acc = None
@@ -444,12 +449,14 @@ def truncated_skew_poly(R: FiniteRing, alpha: RingHom | None, n: int, *,
             out.append(acc)
         return out
 
-    var_names = [""] + ["x" if c == 1 else f"x^{c}" for c in range(1, n)]
+    def names():
+        var_names = [""] + ["x" if c == 1 else f"x^{c}" for c in range(1, n)]
+        return _poly_names(R.names, sizes, var_names)
+
     zero = tuple([R.zero] * n)
     one = tuple([R.one] + [R.zero] * (n - 1))
     return _tuple_ring(label or f"TruncSkew({R.label},{endo_label},{n})",
-                       sizes, adds, zero, one, mul_row,
-                       lambda: _poly_names(R.names, sizes, var_names), order_guard=order_guard)
+                       sizes, adds, zero, one, mul_row, names, order_guard=order_guard)
 
 
 def _require_rr_bimodule(R: FiniteRing, M: Bimodule | None) -> Bimodule:
@@ -595,8 +602,9 @@ def _scaled_matrix(R: FiniteRing, n: int, s: int, label: str, name,
                 out.append(acc)
         return out
 
-    zero = tuple([R.zero] * k2)
-    one = tuple(R.one if i == j else R.zero for i in range(n) for j in range(n))
+    zero = [R.zero] * k2
+    one = [R.zero] * k2
+    one[::n + 1] = [R.one] * n                     # the diagonal entries (i, i)
     return _tuple_ring(label, sizes, [R.add] * k2, zero, one, mul_row,
                        lambda: _element_names(sizes, name), order_guard=order_guard)
 

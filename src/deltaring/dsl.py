@@ -9,6 +9,10 @@ Grammar (whitespace-insensitive, decimal integers):
     group := "C" int | "V4" | "S3"
     endo  := "id" | "frob"
 
+Constructors nest at most MAX_NESTING deep.  The parser refuses deeper text
+with an ExprSyntaxError, so printing, `order_of` and `build`, which recurse
+over the tree, stay within Python's recursion limit.
+
 Building is memoized by the canonical printed form, behind a lock held
 across the build, so each ring is built once; cache hits return the
 identical immutable ring, so identical expressions always yield
@@ -181,6 +185,7 @@ CTORS = {"Prod", "M", "T", "TruncSkew", "Triv", "DT", "FT", "K", "FM", "GR", "Qu
 GROUP_ORDERS = {"C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "V4": 4, "S3": 6}
 ENDO_NAMES = {"id", "frob"}
 _ZNAME = re.compile(r"^Z(\d+)$")
+MAX_NESTING = 200   # constructors open at once; catalog expressions open one
 
 
 def _int(text: str, pos: int, what: str) -> int:
@@ -207,6 +212,7 @@ class _Parser:
                     self.tokens.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -254,9 +260,14 @@ class _Parser:
             return Named("GF", q)
         if name not in CTORS:
             raise UnknownName(f"unknown name or constructor {name!r} at position {pos}")
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(pos, "a ring name", f"syntax error at position {pos}: "
+                                  f"constructors nest deeper than {MAX_NESTING} levels")
+        self.depth += 1
         self.expect_punct("(")
         node = self.parse_ctor(name, pos)
         self.expect_punct(")")
+        self.depth -= 1
         return node
 
     def parse_scalar(self) -> int:

@@ -33,8 +33,8 @@ import numpy as np
 from . import constructions as cons
 from . import core, dsl, subsets
 from .core import ElementSet, FiniteRing, RingHom
-from .errors import UnknownCheckId, UnknownClass
-from .predicates import check_class, class_verdict, revalidate_witness
+from .errors import UnknownCheckId
+from .predicates import check_class, class_key, class_verdict, revalidate_witness
 from .report import CheckReport, Witness
 
 
@@ -708,10 +708,8 @@ def search_classes(include: list[str], exclude: list[str],
                    rings: list[FiniteRing] | None = None) -> list[str]:
     """Catalog rings in all `include` classes and none of the `exclude`
     classes, sorted by order then label."""
-    from .predicates import CLASS_REGISTRY
-    for name in list(include) + list(exclude):
-        if name.lower() not in CLASS_REGISTRY:
-            raise UnknownClass(f"unknown ring class {name!r}")
+    for name in [*include, *exclude]:
+        class_key(name)
     pool = _scope(rings)
     if max_order is not None:
         pool = [r for r in pool if r.order <= max_order]

@@ -1,9 +1,12 @@
 """Ring-class membership tests with re-checkable witnesses.
 
-Every predicate scans the ring exhaustively (vectorized over the tables),
-returns a CheckReport, and deterministically reports the smallest
-counterexample.  Verdicts are memoized on the ring; `revalidate_witness`
-re-checks a false report's elements by direct arithmetic.
+`CLASSES` is the one table of ring classes: a row per class with its
+category and defining condition, in report order.  Each category has a
+scan, which decides its classes exhaustively over the tables and reports
+the smallest counterexample, and next to it a re-check, which confirms a
+false verdict's witness by plain arithmetic, independently of the scan;
+`_CATEGORIES` pairs them.  A new class is a row in `CLASSES` plus a branch
+in its category's scan and re-check.  Verdicts are memoized on the ring.
 """
 
 from __future__ import annotations
@@ -15,15 +18,47 @@ from .core import FiniteRing
 from .errors import UnknownClass
 from .report import CheckReport, Witness
 
-UNIT_CLASSES = ("uj", "uu", "delta-u", "uq", "unj", "uuc",
-                "2-uj", "2-uu", "2-delta-u", "2-uq", "2-unj")
-REGULARITY_KINDS = ("regular", "unit-regular", "strongly-regular",
-                    "pi-regular", "strongly-pi-regular", "semiregular")
-CLEAN_KINDS = ("clean", "exchange", "j-clean", "delta-clean",
-               "strongly-nil-clean", "strongly-2-nil-clean", "semi-tripotent")
-STRUCTURAL_KINDS = ("boolean", "2-boolean", "tripotent", "reduced", "abelian",
-                    "dedekind-finite", "local", "division", "semisimple",
-                    "semipotent", "potent", "2-primal")
+# name: (category, condition)
+CLASSES = {
+    "uj": ("unit-class", "every unit is 1 + an element of the radical, and conversely"),
+    "uu": ("unit-class", "every unit is 1 + a nilpotent, and conversely"),
+    "delta-u": ("unit-class", "every unit is 1 + an element of the delta set, and conversely"),
+    "uq": ("unit-class", "every unit is 1 + a quasinilpotent, and conversely"),
+    "unj": ("unit-class", "every unit is 1 + nilpotent + radical element, and conversely"),
+    "uuc": ("unit-class", "every unit is uniquely a sum of an idempotent and a unit"),
+    "2-uj": ("unit-class", "the square of every unit is 1 + a radical element"),
+    "2-uu": ("unit-class", "the square of every unit is 1 + a nilpotent"),
+    "2-delta-u": ("unit-class", "the square of every unit is 1 + a delta-set element"),
+    "2-uq": ("unit-class", "the square of every unit is 1 + a quasinilpotent"),
+    "2-unj": ("unit-class", "the square of every unit is 1 + nilpotent + radical element"),
+    "regular": ("regularity", "every a equals a*x*a for some x"),
+    "unit-regular": ("regularity", "every a equals a*u*a for some unit u"),
+    "strongly-regular": ("regularity", "every a lies in a^2 * R"),
+    "pi-regular": ("regularity", "some power of every a lies in (that power)*R*(that power)"),
+    "strongly-pi-regular": ("regularity", "some power of every a lies in (next power)*R"),
+    "semiregular": ("regularity", "the radical quotient is regular and idempotents lift"),
+    "clean": ("clean", "every element is an idempotent plus a unit"),
+    "exchange": ("clean", "every a admits an idempotent e in a*R with 1-e in (1-a)*R"),
+    "j-clean": ("clean", "every element is an idempotent plus a radical element"),
+    "delta-clean": ("clean", "every element is an idempotent plus a delta-set element"),
+    "strongly-nil-clean": ("clean", "every element is an idempotent plus a commuting nilpotent"),
+    "strongly-2-nil-clean": ("clean", "every element is two idempotents plus a nilpotent, "
+                                      "pairwise commuting"),
+    "semi-tripotent": ("clean", "every element is e + j with e^3 = e and j in the radical"),
+    "boolean": ("structural", "every element is idempotent"),
+    "2-boolean": ("structural", "the square of every element is idempotent"),
+    "tripotent": ("structural", "every element satisfies a^3 = a"),
+    "reduced": ("structural", "no nonzero nilpotent elements"),
+    "abelian": ("structural", "every idempotent is central"),
+    "dedekind-finite": ("structural", "a*b = 1 implies b*a = 1"),
+    "local": ("structural", "modulo the radical every element is zero or invertible"),
+    "division": ("structural", "every nonzero element is invertible"),
+    "semisimple": ("structural", "the radical is zero (finite rings are artinian)"),
+    "semipotent": ("structural", "a*R contains a nonzero idempotent for every a outside "
+                                 "the radical"),
+    "potent": ("structural", "semipotent and idempotents lift modulo the radical"),
+    "2-primal": ("structural", "the prime radical is exactly the set of nilpotents"),
+}
 
 
 def _wit(ring: FiniteRing, role: str, idx: int) -> Witness:
@@ -34,41 +69,43 @@ def _report(ring, name, verdict, witness=(), notes=""):
     return CheckReport(ring.label, name, bool(verdict), list(witness), notes)
 
 
+def _first_bad(ring, name, bad, role="element", notes=""):
+    """Report on a mask of failing elements: true when it is empty, else
+    false with the smallest failing element as the witness."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        return _report(ring, name, False, [_wit(ring, role, int(hits[0]))], notes)
+    return _report(ring, name, True)
+
+
 # ---------------------------------------------------------------------------
-# named element-set selectors for the unit classes
+# unit-group classes
 
 
-def _named_set_mask(ring: FiniteRing, base: str) -> np.ndarray:
-    if base == "uj":
-        return subsets.jacobson_mask(ring)
-    if base == "uu":
-        return subsets.nilpotent_mask(ring)
-    if base == "delta-u":
-        return subsets.delta_mask(ring)
-    if base == "uq":
-        return subsets.quasinilpotent_mask(ring)
-    if base == "unj":
-        nil = np.flatnonzero(subsets.nilpotent_mask(ring))
-        jac = np.flatnonzero(subsets.jacobson_mask(ring))
-        # the literal sumset Nil + J, not its ideal closure
-        return subsets.sumset_mask(ring, nil, jac)
-    raise UnknownClass(base)
+def _nil_plus_j_mask(ring: FiniteRing) -> np.ndarray:
+    nil = np.flatnonzero(subsets.nilpotent_mask(ring))
+    jac = np.flatnonzero(subsets.jacobson_mask(ring))
+    # the literal sumset Nil + J, not its ideal closure
+    return subsets.sumset_mask(ring, nil, jac)
 
 
-_SET_LABEL = {"uj": "J", "uu": "Nil", "delta-u": "Delta", "uq": "QN", "unj": "Nil+J"}
-_SET_NOTES = {"uq": subsets.QN_DEFINITION, "unj": "literal sumset Nil+J, not its ideal closure"}
+# base class: (label of its set S, the mask of S, notes for its reports).  The
+# masks are looked up in `subsets` at call time, so a wrapper installed there
+# sees every call.
+_UNIT_SETS = {
+    "uj": ("J", lambda ring: subsets.jacobson_mask(ring), ""),
+    "uu": ("Nil", lambda ring: subsets.nilpotent_mask(ring), ""),
+    "delta-u": ("Delta", lambda ring: subsets.delta_mask(ring), ""),
+    "uq": ("QN", lambda ring: subsets.quasinilpotent_mask(ring), subsets.QN_DEFINITION),
+    "unj": ("Nil+J", _nil_plus_j_mask, "literal sumset Nil+J, not its ideal closure"),
+}
 
 
-def unit_class_check(ring: FiniteRing, cls: str) -> CheckReport:
-    """Unit-group classes.
-
-    Plain classes demand U(R) = 1 + S for the named set S (both inclusions
-    checked); 2-prefixed classes demand u^2 - 1 in S for every unit; uuc
-    demands every unit has exactly one idempotent-plus-unit decomposition.
-    """
-    name = cls.lower()
-    if name not in UNIT_CLASSES:
-        raise UnknownClass(f"unknown unit class {cls!r}")
+def _unit_class(ring: FiniteRing, name: str) -> CheckReport:
+    """Plain classes demand U(R) = 1 + S for the set S of their base in
+    `_UNIT_SETS` (both inclusions checked); 2-prefixed classes demand u^2 - 1
+    in S for every unit; uuc demands every unit has exactly one
+    idempotent-plus-unit decomposition."""
     u_idx = np.flatnonzero(subsets.unit_mask(ring))
     minus_one = int(ring.neg[ring.one])
 
@@ -89,11 +126,9 @@ def unit_class_check(ring: FiniteRing, cls: str) -> CheckReport:
         return _report(ring, name, False, wits,
                        notes=f"unit has {int(counts[bad[0]])} clean decompositions")
 
-    two = name.startswith("2-")
-    base = name[2:] if two else name
-    mask = _named_set_mask(ring, base)
-    notes = _SET_NOTES.get(base, "")
-    if two:
+    label, mask_of, notes = _UNIT_SETS[name.removeprefix("2-")]
+    mask = mask_of(ring)
+    if name.startswith("2-"):
         squares = ring.mul[u_idx, u_idx]
         diffs = ring.add[squares, minus_one]
         bad = np.flatnonzero(~mask[diffs])
@@ -102,7 +137,7 @@ def unit_class_check(ring: FiniteRing, cls: str) -> CheckReport:
             return _report(ring, name, False,
                            [_wit(ring, "unit", u),
                             _wit(ring, "unit-square-minus-one", int(diffs[bad[0]]))],
-                           notes or f"u^2-1 escapes {_SET_LABEL[base]}")
+                           notes or f"u^2-1 escapes {label}")
         return _report(ring, name, True, notes=notes)
 
     diffs = ring.add[u_idx, minus_one]
@@ -112,7 +147,7 @@ def unit_class_check(ring: FiniteRing, cls: str) -> CheckReport:
         return _report(ring, name, False,
                        [_wit(ring, "unit", u),
                         _wit(ring, "unit-minus-one", int(diffs[bad[0]]))],
-                       notes or f"u-1 escapes {_SET_LABEL[base]}")
+                       notes or f"u-1 escapes {label}")
     s_idx = np.flatnonzero(mask)
     shifted = ring.add[ring.one, s_idx]
     bad = np.flatnonzero(~subsets.unit_mask(ring)[shifted])
@@ -121,18 +156,38 @@ def unit_class_check(ring: FiniteRing, cls: str) -> CheckReport:
         return _report(ring, name, False,
                        [_wit(ring, "set-element", s),
                         _wit(ring, "one-plus-set-element", int(shifted[bad[0]]))],
-                       notes or f"1+s is not a unit for some s in {_SET_LABEL[base]}")
+                       notes or f"1+s is not a unit for some s in {label}")
     return _report(ring, name, True, notes=notes)
+
+
+def _unit_class_recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
+    unit = subsets.unit_mask(ring)
+    if name == "uuc":
+        u = roles["unit"]
+        if not unit[u]:
+            return False
+        id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
+        count = int(unit[ring.add[u, ring.neg[id_idx]]].sum())
+        return count != 1
+
+    two = name.startswith("2-")
+    mask = _UNIT_SETS[name.removeprefix("2-")][1](ring)
+    if "unit" in roles:
+        u = roles["unit"]
+        if not unit[u]:
+            return False
+        diff = ring.sub(ring.pow(u, 2) if two else u, ring.one)
+        claimed = roles.get("unit-square-minus-one" if two else "unit-minus-one", diff)
+        return diff == claimed and not mask[diff]
+    s = roles["set-element"]
+    return bool(mask[s]) and not unit[int(ring.add[ring.one, s])]
 
 
 # ---------------------------------------------------------------------------
 # regularity
 
 
-def regularity_check(ring: FiniteRing, kind: str) -> CheckReport:
-    kind = kind.lower()
-    if kind not in REGULARITY_KINDS:
-        raise UnknownClass(f"unknown regularity kind {kind!r}")
+def _regularity(ring: FiniteRing, kind: str) -> CheckReport:
     n = ring.order
     arange = np.arange(n, dtype=np.int32)
 
@@ -140,18 +195,12 @@ def regularity_check(ring: FiniteRing, kind: str) -> CheckReport:
         xs = ring.mul if kind == "regular" else ring.mul[:, subsets.unit_mask(ring)]
         outer = core._lookup(ring.mul, xs, arange[:, None])   # [a, x] = a*x*a
         ok = (outer == arange[:, None]).any(axis=1)
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            return _report(ring, kind, False, [_wit(ring, "element", int(bad[0]))])
-        return _report(ring, kind, True)
+        return _first_bad(ring, kind, ~ok)
 
     if kind == "strongly-regular":
         rows = ring.mul[ring.mul.diagonal()]          # [a, r] = a^2 * r
         ok = (rows == arange[:, None]).any(axis=1)
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            return _report(ring, kind, False, [_wit(ring, "element", int(bad[0]))])
-        return _report(ring, kind, True)
+        return _first_bad(ring, kind, ~ok)
 
     if kind in ("pi-regular", "strongly-pi-regular"):
         p = arange.copy()
@@ -170,15 +219,11 @@ def regularity_check(ring: FiniteRing, kind: str) -> CheckReport:
             if not unresolved.any():
                 break
             p = ring.mul[p, arange]
-        bad = np.flatnonzero(unresolved)
-        if bad.size:
-            return _report(ring, kind, False, [_wit(ring, "element", int(bad[0]))],
-                           notes=f"no exponent up to {n} works")
-        return _report(ring, kind, True)
+        return _first_bad(ring, kind, unresolved, notes=f"no exponent up to {n} works")
 
     # semiregular: R/J regular and idempotents lift
     quotient, proj = subsets.radical_quotient(ring)
-    inner = regularity_check(quotient, "regular")
+    inner = _regularity(quotient, "regular")
     if not inner.verdict:
         rep = _quotient_rep(proj, inner.witness[0].element)
         return _report(ring, kind, False, [_wit(ring, "element-with-nonregular-image", rep)],
@@ -207,14 +252,52 @@ def _unlifted_idempotent(ring, quotient, proj) -> int | None:
     return _quotient_rep(proj, int(hits[0]))
 
 
+def _unlifted_recheck(ring: FiniteRing, rep: int) -> bool:
+    """Is the coset of `rep` an idempotent of R/J with no idempotent preimage?"""
+    quotient, proj = subsets.radical_quotient(ring)
+    q = int(proj.map[rep])
+    if int(quotient.mul[q, q]) != q:
+        return False
+    return all(int(proj.map[e]) != q
+               for e in np.flatnonzero(subsets.idempotent_mask(ring)))
+
+
+def _regularity_recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
+    if name == "semiregular":
+        if "unlifted-idempotent-rep" in roles:
+            return _unlifted_recheck(ring, roles["unlifted-idempotent-rep"])
+        quotient, proj = subsets.radical_quotient(ring)
+        q = int(proj.map[roles["element-with-nonregular-image"]])
+        return all(int(quotient.mul[quotient.mul[q, x], q]) != q
+                   for x in range(quotient.order))
+
+    a = roles["element"]
+    if name == "regular":
+        return all(int(ring.mul[ring.mul[a, x], a]) != a for x in range(ring.order))
+    if name == "unit-regular":
+        return all(int(ring.mul[ring.mul[a, x], a]) != a
+                   for x in np.flatnonzero(subsets.unit_mask(ring)))
+    if name == "strongly-regular":
+        sq = int(ring.mul[a, a])
+        return a not in set(int(v) for v in ring.mul[sq])
+    p = a
+    for _ in range(ring.order):
+        if name == "pi-regular":
+            if any(int(ring.mul[ring.mul[p, x], p]) == p for x in range(ring.order)):
+                return False
+        else:
+            nxt = int(ring.mul[p, a])
+            if p in set(int(v) for v in ring.mul[nxt]):
+                return False
+        p = int(ring.mul[p, a])
+    return True
+
+
 # ---------------------------------------------------------------------------
 # clean-style decompositions
 
 
-def clean_check(ring: FiniteRing, kind: str) -> CheckReport:
-    kind = kind.lower()
-    if kind not in CLEAN_KINDS:
-        raise UnknownClass(f"unknown clean kind {kind!r}")
+def _clean(ring: FiniteRing, kind: str) -> CheckReport:
     n = ring.order
     id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
 
@@ -227,21 +310,14 @@ def clean_check(ring: FiniteRing, kind: str) -> CheckReport:
     }
     if kind in sumsets:
         a_idx, b_idx = sumsets[kind]
-        mask = subsets.sumset_mask(ring, a_idx, b_idx)
-        bad = np.flatnonzero(~mask)
-        if bad.size:
-            return _report(ring, kind, False, [_wit(ring, "element", int(bad[0]))])
-        return _report(ring, kind, True)
+        return _first_bad(ring, kind, ~subsets.sumset_mask(ring, a_idx, b_idx))
 
     if kind == "strongly-nil-clean":
         diffs = ring.add[:, ring.neg[id_idx]]         # [a, e] = a - e
         comm = subsets.commuting_matrix(ring)
         ok = (subsets.nilpotent_mask(ring)[diffs]
               & comm[id_idx[None, :], diffs]).any(axis=1)
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            return _report(ring, kind, False, [_wit(ring, "element", int(bad[0]))])
-        return _report(ring, kind, True)
+        return _first_bad(ring, kind, ~ok)
 
     if kind == "strongly-2-nil-clean":
         comm = subsets.commuting_matrix(ring)
@@ -279,17 +355,47 @@ def _block_scan(ring: FiniteRing, kind: str, width: int, ok_rows) -> CheckReport
     return _report(ring, kind, True)
 
 
+def _clean_recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
+    a = roles["element"]
+    id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
+    if name == "clean":
+        return not subsets.unit_mask(ring)[ring.add[a, ring.neg[id_idx]]].any()
+    if name == "j-clean":
+        return not subsets.jacobson_mask(ring)[ring.add[a, ring.neg[id_idx]]].any()
+    if name == "delta-clean":
+        return not subsets.delta_mask(ring)[ring.add[a, ring.neg[id_idx]]].any()
+    if name == "semi-tripotent":
+        trip = np.flatnonzero(subsets.tripotent_mask(ring))
+        return not subsets.jacobson_mask(ring)[ring.add[a, ring.neg[trip]]].any()
+    if name == "strongly-nil-clean":
+        comm = subsets.commuting_matrix(ring)
+        diffs = ring.add[a, ring.neg[id_idx]]
+        return not (subsets.nilpotent_mask(ring)[diffs] & comm[id_idx, diffs]).any()
+    if name == "strongly-2-nil-clean":
+        comm = subsets.commuting_matrix(ring)
+        nil = subsets.nilpotent_mask(ring)
+        for e1 in id_idx:
+            for e2 in id_idx:
+                if not comm[e1, e2]:
+                    continue
+                q = int(ring.add[ring.add[a, ring.neg[e1]], ring.neg[e2]])
+                if nil[q] and comm[e1, q] and comm[e2, q]:
+                    return False
+        return True
+    # exchange
+    in_a = set(int(v) for v in ring.mul[a])
+    in_b = set(int(v) for v in ring.mul[ring.sub(ring.one, a)])
+    for e in id_idx:
+        if int(e) in in_a and ring.sub(ring.one, int(e)) in in_b:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # structural classes
 
 
-def structural_check(ring: FiniteRing, kind: str) -> CheckReport:
-    kind = kind.lower()
-    if kind not in STRUCTURAL_KINDS:
-        raise UnknownClass(f"unknown structural kind {kind!r}")
-    n = ring.order
-    arange = np.arange(n, dtype=np.int32)
-
+def _structural(ring: FiniteRing, kind: str) -> CheckReport:
     if kind == "boolean":
         bad = np.flatnonzero(~subsets.idempotent_mask(ring))
         if bad.size:
@@ -359,10 +465,7 @@ def structural_check(ring: FiniteRing, kind: str) -> CheckReport:
     if kind == "division":
         ok = subsets.unit_mask(ring).copy()
         ok[ring.zero] = True
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            return _report(ring, kind, False, [_wit(ring, "nonzero-non-unit", int(bad[0]))])
-        return _report(ring, kind, True)
+        return _first_bad(ring, kind, ~ok, "nonzero-non-unit")
 
     if kind == "semisimple":
         jac = np.flatnonzero(subsets.jacobson_mask(ring))
@@ -393,11 +496,54 @@ def structural_check(ring: FiniteRing, kind: str) -> CheckReport:
     # 2-primal
     nilstar = subsets.prime_radical(ring).members
     nil = subsets.nilpotent_mask(ring)
-    bad = np.flatnonzero(nil & ~nilstar)
-    if bad.size:
-        return _report(ring, kind, False,
-                       [_wit(ring, "nilpotent-outside-prime-radical", int(bad[0]))])
-    return _report(ring, kind, True)
+    return _first_bad(ring, kind, nil & ~nilstar, "nilpotent-outside-prime-radical")
+
+
+def _structural_recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
+    if name == "boolean":
+        a = roles["element"]
+        return int(ring.mul[a, a]) != a
+    if name == "2-boolean":
+        a = roles["element"]
+        sq = int(ring.mul[a, a])
+        return int(ring.mul[sq, sq]) != sq
+    if name == "tripotent":
+        a = roles["element"]
+        return ring.pow(a, 3) != a
+    if name == "reduced":
+        a = roles["nonzero-nilpotent"]
+        return a != ring.zero and bool(subsets.nilpotent_mask(ring)[a])
+    if name == "abelian":
+        e, r = roles["idempotent"], roles["non-commuting-element"]
+        return int(ring.mul[e, e]) == e and int(ring.mul[e, r]) != int(ring.mul[r, e])
+    if name == "dedekind-finite":
+        a, b = roles["left-factor"], roles["right-factor"]
+        return int(ring.mul[a, b]) == ring.one and int(ring.mul[b, a]) != ring.one
+    if name == "local":
+        quotient, proj = subsets.radical_quotient(ring)
+        q = int(proj.map[roles["non-unit-non-radical"]])
+        return q != quotient.zero and not subsets.unit_mask(quotient)[q]
+    if name == "division":
+        a = roles["nonzero-non-unit"]
+        return a != ring.zero and not subsets.unit_mask(ring)[a]
+    if name == "semisimple":
+        a = roles["nonzero-radical-element"]
+        return a != ring.zero and bool(subsets.jacobson_mask(ring)[a])
+    if name == "potent" and "unlifted-idempotent-rep" in roles:
+        return _unlifted_recheck(ring, roles["unlifted-idempotent-rep"])
+    if name in ("semipotent", "potent"):
+        a = roles["element"]
+        if subsets.jacobson_mask(ring)[a]:
+            return False
+        idm = subsets.idempotent_mask(ring)
+        return not any(idm[v] and int(v) != ring.zero for v in ring.mul[a])
+    # 2-primal
+    a = roles["nilpotent-outside-prime-radical"]
+    return bool(subsets.nilpotent_mask(ring)[a]) and a not in subsets.prime_radical(ring)
+
+
+# ---------------------------------------------------------------------------
+# the Jacobson pair property (not a class: T2.11 checks it on delta-u rings)
 
 
 def jacobson_pair_check(ring: FiniteRing) -> CheckReport:
@@ -419,71 +565,49 @@ def jacobson_pair_check(ring: FiniteRing) -> CheckReport:
                    notes=notes)
 
 
+def _jacobson_pair_recheck(ring: FiniteRing, roles: dict[str, int]) -> bool:
+    a, b = roles["left-factor"], roles["right-factor"]
+    d = subsets.delta_mask(ring)
+    lhs = bool(d[ring.sub(ring.one, int(ring.mul[a, b]))])
+    rhs = bool(d[ring.sub(ring.one, int(ring.mul[b, a]))])
+    return lhs != rhs
+
+
 # ---------------------------------------------------------------------------
-# registry and dispatch
+# dispatch
 
-CLASS_REGISTRY: dict[str, tuple[str, object]] = {}
-for _name in UNIT_CLASSES:
-    CLASS_REGISTRY[_name] = ("unit-class", unit_class_check)
-for _name in REGULARITY_KINDS:
-    CLASS_REGISTRY[_name] = ("regularity", regularity_check)
-for _name in CLEAN_KINDS:
-    CLASS_REGISTRY[_name] = ("clean", clean_check)
-for _name in STRUCTURAL_KINDS:
-    CLASS_REGISTRY[_name] = ("structural", structural_check)
-
-ALL_CLASSES = tuple(CLASS_REGISTRY)
-
-CLASS_CONDITIONS = {
-    "uj": "every unit is 1 + an element of the radical, and conversely",
-    "uu": "every unit is 1 + a nilpotent, and conversely",
-    "delta-u": "every unit is 1 + an element of the delta set, and conversely",
-    "uq": "every unit is 1 + a quasinilpotent, and conversely",
-    "unj": "every unit is 1 + nilpotent + radical element, and conversely",
-    "uuc": "every unit is uniquely a sum of an idempotent and a unit",
-    "2-uj": "the square of every unit is 1 + a radical element",
-    "2-uu": "the square of every unit is 1 + a nilpotent",
-    "2-delta-u": "the square of every unit is 1 + a delta-set element",
-    "2-uq": "the square of every unit is 1 + a quasinilpotent",
-    "2-unj": "the square of every unit is 1 + nilpotent + radical element",
-    "regular": "every a equals a*x*a for some x",
-    "unit-regular": "every a equals a*u*a for some unit u",
-    "strongly-regular": "every a lies in a^2 * R",
-    "pi-regular": "some power of every a lies in (that power)*R*(that power)",
-    "strongly-pi-regular": "some power of every a lies in (next power)*R",
-    "semiregular": "the radical quotient is regular and idempotents lift",
-    "clean": "every element is an idempotent plus a unit",
-    "exchange": "every a admits an idempotent e in a*R with 1-e in (1-a)*R",
-    "j-clean": "every element is an idempotent plus a radical element",
-    "delta-clean": "every element is an idempotent plus a delta-set element",
-    "strongly-nil-clean": "every element is an idempotent plus a commuting nilpotent",
-    "strongly-2-nil-clean": "every element is two idempotents plus a nilpotent, pairwise commuting",
-    "semi-tripotent": "every element is e + j with e^3 = e and j in the radical",
-    "boolean": "every element is idempotent",
-    "2-boolean": "the square of every element is idempotent",
-    "tripotent": "every element satisfies a^3 = a",
-    "reduced": "no nonzero nilpotent elements",
-    "abelian": "every idempotent is central",
-    "dedekind-finite": "a*b = 1 implies b*a = 1",
-    "local": "modulo the radical every element is zero or invertible",
-    "division": "every nonzero element is invertible",
-    "semisimple": "the radical is zero (finite rings are artinian)",
-    "semipotent": "a*R contains a nonzero idempotent for every a outside the radical",
-    "potent": "semipotent and idempotents lift modulo the radical",
-    "2-primal": "the prime radical is exactly the set of nilpotents",
+# category: (scan, witness re-check); both take the ring and the class name
+_CATEGORIES = {
+    "unit-class": (_unit_class, _unit_class_recheck),
+    "regularity": (_regularity, _regularity_recheck),
+    "clean": (_clean, _clean_recheck),
+    "structural": (_structural, _structural_recheck),
 }
+
+# name: (category, scan); `check_class` calls each scan through this dict, so a
+# wrapper stored in it sees every call
+CLASS_REGISTRY = {name: (category, _CATEGORIES[category][0])
+                  for name, (category, _) in CLASSES.items()}
+ALL_CLASSES = tuple(CLASSES)
+
+
+def class_key(name: str) -> str:
+    """The registered form of a class name (names are case-insensitive);
+    raises UnknownClass for a name that is not in `CLASSES`."""
+    key = name.lower()
+    if key not in CLASSES:
+        raise UnknownClass(f"unknown ring class {name!r}; known: {', '.join(ALL_CLASSES)}")
+    return key
 
 
 def check_class(ring: FiniteRing, name: str) -> CheckReport:
-    """Dispatch a class check by kebab-case name, memoized per ring."""
-    key = name.lower()
-    if key not in CLASS_REGISTRY:
-        raise UnknownClass(f"unknown ring class {name!r}; known: {', '.join(ALL_CLASSES)}")
+    """Dispatch a class check by kebab-case name, memoized per ring.  Threads
+    that race on one ring all get the report that was stored first."""
+    key = class_key(name)
     cache_key = ("class", key)
     hit = ring._cache.get(cache_key)
     if hit is None:
-        hit = CLASS_REGISTRY[key][1](ring, key)
-        ring._cache[cache_key] = hit
+        hit = ring._cache.setdefault(cache_key, CLASS_REGISTRY[key][1](ring, key))
     return hit
 
 
@@ -491,162 +615,15 @@ def class_verdict(ring: FiniteRing, name: str) -> bool:
     return check_class(ring, name).verdict
 
 
-# ---------------------------------------------------------------------------
-# witness re-validation
-
-
-def _roles(report: CheckReport) -> dict[str, int]:
-    return {w.role: w.element for w in report.witness}
-
-
 def revalidate_witness(ring: FiniteRing, report: CheckReport) -> bool:
     """Confirm by direct arithmetic that a false report's witness really
     violates the class condition.  True reports trivially revalidate."""
     if report.verdict:
         return True
-    name = report.predicate
-    roles = _roles(report)
-    unit = subsets.unit_mask(ring)
-
-    if name in UNIT_CLASSES and name != "uuc":
-        two = name.startswith("2-")
-        base = name[2:] if two else name
-        mask = _named_set_mask(ring, base)
-        if "unit" in roles:
-            u = roles["unit"]
-            if not unit[u]:
-                return False
-            diff = ring.sub(ring.pow(u, 2) if two else u, ring.one)
-            claimed = roles.get("unit-square-minus-one" if two else "unit-minus-one", diff)
-            return diff == claimed and not mask[diff]
-        s = roles["set-element"]
-        return bool(mask[s]) and not unit[int(ring.add[ring.one, s])]
-
-    if name == "uuc":
-        u = roles["unit"]
-        if not unit[u]:
-            return False
-        id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
-        count = int(unit[ring.add[u, ring.neg[id_idx]]].sum())
-        return count != 1
-
-    if name in ("regular", "unit-regular", "strongly-regular",
-                "pi-regular", "strongly-pi-regular"):
-        a = roles["element"]
-        if name == "regular":
-            return all(int(ring.mul[ring.mul[a, x], a]) != a for x in range(ring.order))
-        if name == "unit-regular":
-            return all(int(ring.mul[ring.mul[a, x], a]) != a
-                       for x in np.flatnonzero(unit))
-        if name == "strongly-regular":
-            sq = int(ring.mul[a, a])
-            return a not in set(int(v) for v in ring.mul[sq])
-        p = a
-        for _ in range(ring.order):
-            if name == "pi-regular":
-                if any(int(ring.mul[ring.mul[p, x], p]) == p for x in range(ring.order)):
-                    return False
-            else:
-                nxt = int(ring.mul[p, a])
-                if p in set(int(v) for v in ring.mul[nxt]):
-                    return False
-            p = int(ring.mul[p, a])
-        return True
-
-    if name in ("semiregular", "potent") and "unlifted-idempotent-rep" in roles:
-        quotient, proj = subsets.radical_quotient(ring)
-        q = int(proj.map[roles["unlifted-idempotent-rep"]])
-        if int(quotient.mul[q, q]) != q:
-            return False
-        return all(int(proj.map[e]) != q
-                   for e in np.flatnonzero(subsets.idempotent_mask(ring)))
-
-    if name == "semiregular":
-        quotient, proj = subsets.radical_quotient(ring)
-        q = int(proj.map[roles["element-with-nonregular-image"]])
-        return all(int(quotient.mul[quotient.mul[q, x], q]) != q
-                   for x in range(quotient.order))
-
-    if name in CLEAN_KINDS:
-        a = roles["element"]
-        id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
-        if name == "clean":
-            return not unit[ring.add[a, ring.neg[id_idx]]].any()
-        if name == "j-clean":
-            return not subsets.jacobson_mask(ring)[ring.add[a, ring.neg[id_idx]]].any()
-        if name == "delta-clean":
-            return not subsets.delta_mask(ring)[ring.add[a, ring.neg[id_idx]]].any()
-        if name == "semi-tripotent":
-            trip = np.flatnonzero(subsets.tripotent_mask(ring))
-            return not subsets.jacobson_mask(ring)[ring.add[a, ring.neg[trip]]].any()
-        if name == "strongly-nil-clean":
-            comm = subsets.commuting_matrix(ring)
-            diffs = ring.add[a, ring.neg[id_idx]]
-            return not (subsets.nilpotent_mask(ring)[diffs] & comm[id_idx, diffs]).any()
-        if name == "strongly-2-nil-clean":
-            comm = subsets.commuting_matrix(ring)
-            nil = subsets.nilpotent_mask(ring)
-            for e1 in id_idx:
-                for e2 in id_idx:
-                    if not comm[e1, e2]:
-                        continue
-                    q = int(ring.add[ring.add[a, ring.neg[e1]], ring.neg[e2]])
-                    if nil[q] and comm[e1, q] and comm[e2, q]:
-                        return False
-            return True
-        # exchange
-        in_a = set(int(v) for v in ring.mul[a])
-        in_b = set(int(v) for v in ring.mul[ring.sub(ring.one, a)])
-        for e in id_idx:
-            if int(e) in in_a and ring.sub(ring.one, int(e)) in in_b:
-                return False
-        return True
-
-    if name in STRUCTURAL_KINDS:
-        if name == "boolean":
-            a = roles["element"]
-            return int(ring.mul[a, a]) != a
-        if name == "2-boolean":
-            a = roles["element"]
-            sq = int(ring.mul[a, a])
-            return int(ring.mul[sq, sq]) != sq
-        if name == "tripotent":
-            a = roles["element"]
-            return ring.pow(a, 3) != a
-        if name == "reduced":
-            a = roles["nonzero-nilpotent"]
-            return a != ring.zero and bool(subsets.nilpotent_mask(ring)[a])
-        if name == "abelian":
-            e, r = roles["idempotent"], roles["non-commuting-element"]
-            return int(ring.mul[e, e]) == e and int(ring.mul[e, r]) != int(ring.mul[r, e])
-        if name == "dedekind-finite":
-            a, b = roles["left-factor"], roles["right-factor"]
-            return int(ring.mul[a, b]) == ring.one and int(ring.mul[b, a]) != ring.one
-        if name == "local":
-            quotient, proj = subsets.radical_quotient(ring)
-            q = int(proj.map[roles["non-unit-non-radical"]])
-            return q != quotient.zero and not subsets.unit_mask(quotient)[q]
-        if name == "division":
-            a = roles["nonzero-non-unit"]
-            return a != ring.zero and not unit[a]
-        if name == "semisimple":
-            a = roles["nonzero-radical-element"]
-            return a != ring.zero and bool(subsets.jacobson_mask(ring)[a])
-        if name in ("semipotent", "potent"):
-            a = roles["element"]
-            if subsets.jacobson_mask(ring)[a]:
-                return False
-            idm = subsets.idempotent_mask(ring)
-            return not any(idm[v] and int(v) != ring.zero for v in ring.mul[a])
-        if name == "2-primal":
-            a = roles["nilpotent-outside-prime-radical"]
-            return bool(subsets.nilpotent_mask(ring)[a]) and a not in subsets.prime_radical(ring)
-
-    if name == "jacobson-pair":
-        a, b = roles["left-factor"], roles["right-factor"]
-        d = subsets.delta_mask(ring)
-        lhs = bool(d[ring.sub(ring.one, int(ring.mul[a, b]))])
-        rhs = bool(d[ring.sub(ring.one, int(ring.mul[b, a]))])
-        return lhs != rhs
-
-    raise UnknownClass(f"no revalidator for predicate {name!r}")
+    roles = {w.role: w.element for w in report.witness}
+    if report.predicate == "jacobson-pair":
+        return _jacobson_pair_recheck(ring, roles)
+    key = class_key(report.predicate)
+    category, _ = CLASSES[key]
+    _, recheck = _CATEGORIES[category]
+    return recheck(ring, key, roles)

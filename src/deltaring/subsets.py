@@ -20,11 +20,13 @@ QN_DEFINITION = "quasinilpotent: 1 + a*x is a unit for every x commuting with a"
 
 
 def _cached_mask(ring: FiniteRing, key: str, compute) -> np.ndarray:
+    """The memoized read-only array under `key`.  Threads that race on one
+    ring all get the array that was stored first."""
     mask = ring._cache.get(key)
     if mask is None:
         mask = compute()
         mask.setflags(write=False)
-        ring._cache[key] = mask
+        mask = ring._cache.setdefault(key, mask)
     return mask
 
 
@@ -82,14 +84,7 @@ def tripotent_elements(ring: FiniteRing) -> ElementSet:
 
 def one_minus(ring: FiniteRing) -> np.ndarray:
     """Vector x -> 1 - x."""
-    def compute():
-        return ring.add[ring.one, ring.neg]
-    vec = ring._cache.get("one_minus")
-    if vec is None:
-        vec = compute()
-        vec.setflags(write=False)
-        ring._cache["one_minus"] = vec
-    return vec
+    return _cached_mask(ring, "one_minus", lambda: ring.add[ring.one, ring.neg])
 
 
 def jacobson_mask(ring: FiniteRing) -> np.ndarray:
@@ -147,8 +142,7 @@ def unit_subring(ring: FiniteRing) -> tuple[ElementSet, FiniteRing]:
         members = core.subring_generated(ring, units(ring), unital=True)
         sub, elems = core.induced_subring(ring, members, ring.one,
                                           label=f"unitspan({ring.label})")
-        cached = (members, sub, elems)
-        ring._cache["unit_subring"] = cached
+        cached = ring._cache.setdefault("unit_subring", (members, sub, elems))
     members, sub, _ = cached
     return members, sub
 
@@ -184,12 +178,7 @@ def prime_radical(ring: FiniteRing) -> ElementSet:
 
 
 def commuting_matrix(ring: FiniteRing) -> np.ndarray:
-    mat = ring._cache.get("commut")
-    if mat is None:
-        mat = ring.mul == ring.mul.T
-        mat.setflags(write=False)
-        ring._cache["commut"] = mat
-    return mat
+    return _cached_mask(ring, "commut", lambda: ring.mul == ring.mul.T)
 
 
 def quasinilpotent_mask(ring: FiniteRing) -> np.ndarray:
@@ -218,6 +207,5 @@ def radical_quotient(ring: FiniteRing) -> tuple[FiniteRing, core.RingHom]:
     """R/J(R) with its projection, cached."""
     cached = ring._cache.get("rj")
     if cached is None:
-        cached = core.quotient_ring(ring, jacobson_radical(ring))
-        ring._cache["rj"] = cached
+        cached = ring._cache.setdefault("rj", core.quotient_ring(ring, jacobson_radical(ring)))
     return cached

@@ -226,6 +226,24 @@ def test_guard_rejects_huge_expressions_fast_and_without_traceback():
         assert float(proc.stdout) < 0.5, argv
 
 
+def test_too_deep_nesting_exits_2_without_traceback(capsys):
+    deepest = "Prod(" * dsl.MAX_NESTING + "Z2" + ")" * dsl.MAX_NESTING
+    code, out, _ = run(capsys, "info", deepest, "--json")
+    assert code == 0 and json.loads(out)["order"] == 2
+    # one level more, and the M(2, chain whose parse once overflowed the stack
+    for text in ("Prod(" + deepest + ")", "M(2," * 600 + "Z2" + ")" * 600):
+        proc = subprocess.run([sys.executable, "-m", "deltaring.cli", "info", text],
+                              capture_output=True, text=True, env=_cli_env(), timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: syntax error at position ")
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_search_unknown_class_with_empty_pool(capsys):
+    code, _, err = run(capsys, "search", "--include", "no-such-class", "--max-order", "1")
+    assert code == 2 and "unknown ring class 'no-such-class'" in err
+
+
 def test_closed_stdout_exits_quietly():
     # the reader leaves after its first read, as `deltaring ... | head -c 100`
     # does; the dump is larger than a pipe buffer, so the writer sees it go

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,18 @@ def test_order_guard_fires_before_any_element_name(monkeypatch):
         message = f"{expr}: order would reach at least {reach}, past the guard 4096"
         with pytest.raises(OrderGuardExceeded, match=re.escape(message)):
             dsl.build_str(expr)
+
+
+def test_order_guard_fires_before_per_coordinate_work(zmod):
+    # lists of endomorphism powers, entry positions or diagonal entries, one
+    # per coordinate, are made only once the order is known to fit
+    for build in (lambda: cons.truncated_skew_poly(zmod(3), None, 300000),
+                  lambda: cons.upper_triangular(zmod(3), 1000),
+                  lambda: cons.matrix_ring(zmod(3), 1000)):
+        start = time.perf_counter()
+        with pytest.raises(OrderGuardExceeded):
+            build()
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("cells", [None, 64])

@@ -69,6 +69,20 @@ def test_parse_error_positions():
         dsl.parse("M(" + "9" * 5000 + ",Z2)")
 
 
+def test_nesting_past_the_limit_is_a_syntax_error():
+    # the deepest allowed nesting parses, prints and builds; one level more
+    # is refused by the parser, at the constructor that goes too deep
+    depth = dsl.MAX_NESTING
+    deepest = "Prod(" * depth + "Z2" + ")" * depth
+    assert dsl.print_expr(dsl.parse(deepest)) == deepest
+    assert dsl.build_str(deepest).order == 2
+    for ctor in ("Prod(", "M(2,"):
+        text = ctor * (depth + 1) + "Z2" + ")" * (depth + 1)
+        with pytest.raises(ExprSyntaxError, match=f"nest deeper than {depth} levels") as exc:
+            dsl.parse(text)
+        assert exc.value.position == len(ctor) * depth
+
+
 def test_print_parse_roundtrip():
     samples = [
         "Z2", "Z120", "GF(9)", "Prod(Z2,Z3)", "Prod(Z2,Z2,Z2)",

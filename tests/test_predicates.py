@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from deltaring import core, dsl, harness, predicates as pr, subsets
 from deltaring.errors import UnknownClass
 from deltaring.predicates import check_class, class_verdict, revalidate_witness
+from deltaring.report import CheckReport, Witness
 
 import oracles
 
@@ -53,7 +56,7 @@ def test_uuc_counts_trivial_decomposition():
 def test_unj_uses_literal_sumset():
     R = b("Z12")
     report = check_class(R, "unj")
-    assert "sumset" in pr._SET_NOTES["unj"]
+    assert "sumset" in pr._UNIT_SETS["unj"][2]
     nil = subsets.nilpotents(R).indices
     jac = subsets.jacobson_radical(R).indices
     sums = {int(R.add[q, j]) for q in nil for j in jac}
@@ -184,6 +187,33 @@ def test_unknown_class():
         check_class(b("Z4"), "totally-made-up")
 
 
+def test_racing_threads_share_one_memoized_report():
+    # more threads than cores start together on a fresh ring, with frequent
+    # switches; each may compute a report, but all must get the one stored first
+    R = b("T(3,Z2)")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for name in ("2-delta-u", "semiregular", "exchange"):
+            fresh = core.validate_ring(R.add, R.mul, R.zero, R.one, label=R.label)
+            barrier = threading.Barrier(4)
+            got = [None] * 4
+
+            def work(i):
+                barrier.wait(timeout=60)
+                got[i] = check_class(fresh, name)
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive(), name
+            assert got[0] is not None and all(g is got[0] for g in got), name
+            assert check_class(fresh, name) is got[0], name
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_implication_diagram_on_sample():
     arrows = [("uj", "2-uj"), ("uj", "delta-u"), ("2-uj", "2-delta-u"),
               ("delta-u", "2-delta-u"), ("delta-u", "uuc")]
@@ -263,18 +293,69 @@ def test_group_rings_match_maschke():
 
 
 def test_every_false_witness_revalidates():
-    exprs = ("Z3", "Z5", "Z6", "Z8", "Z12", "GF(4)", "GF(8)", "M(2,Z2)",
-             "M(2,Z3)", "T(2,Z3)", "Prod(Z2,Z5)", "GR(Z2,C3)", "Triv(Z5,Z5)")
     checked = 0
-    for expr in exprs:
-        R = b(expr)
+    for R in harness.catalog_rings():
         for name in pr.ALL_CLASSES:
             report = check_class(R, name)
             if not report.verdict:
-                assert report.witness, (expr, name)
-                assert revalidate_witness(R, report), (expr, name)
+                assert report.witness, (R.label, name)
+                assert revalidate_witness(R, report), (R.label, name)
                 checked += 1
-    assert checked > 40  # the sweep really exercised false verdicts
+    assert checked == 3459  # every false verdict of class_reports.json
+
+
+# For every class, witness roles as its scan reports them, pointing at
+# elements that satisfy the condition: the re-check must refuse each.  For
+# clean, exchange, semiregular, pi-regular, strongly-pi-regular, semipotent,
+# potent and dedekind-finite, which no catalog ring fails, these are the only
+# reports their re-checks see.
+_NEGATIVE_CONTROLS = {
+    "uj": ("Z4", {"unit": 3, "unit-minus-one": 2}),
+    "uu": ("Z4", {"unit": 3, "unit-minus-one": 2}),
+    "delta-u": ("Z4", {"unit": 3, "unit-minus-one": 2}),
+    "uq": ("Z4", {"set-element": 2, "one-plus-set-element": 3}),
+    "unj": ("Z4", {"set-element": 2, "one-plus-set-element": 3}),
+    "uuc": ("Z2", {"unit": 1}),
+    "2-uj": ("Z4", {"unit": 3, "unit-square-minus-one": 0}),
+    "2-uu": ("Z9", {"unit": 2, "unit-square-minus-one": 3}),
+    "2-delta-u": ("Z3", {"unit": 2, "unit-square-minus-one": 0}),
+    "2-uq": ("Z4", {"unit": 3, "unit-square-minus-one": 0}),
+    "2-unj": ("Z9", {"unit": 4, "unit-square-minus-one": 6}),
+    "regular": ("Z6", {"element": 2}),
+    "unit-regular": ("Z6", {"element": 2}),
+    "strongly-regular": ("Z6", {"element": 2}),
+    "pi-regular": ("Z4", {"element": 2}),
+    "strongly-pi-regular": ("Z4", {"element": 2}),
+    "semiregular": ("Z4", {"element-with-nonregular-image": 1}),
+    "clean": ("Z6", {"element": 2}),
+    "exchange": ("Z6", {"element": 2}),
+    "j-clean": ("Z4", {"element": 3}),
+    "delta-clean": ("Z4", {"element": 3}),
+    "strongly-nil-clean": ("Z4", {"element": 3}),
+    "strongly-2-nil-clean": ("Z4", {"element": 3}),
+    "semi-tripotent": ("Z4", {"element": 3}),
+    "boolean": ("Z2", {"element": 1, "square": 1}),
+    "2-boolean": ("Z3", {"element": 2, "square": 1}),
+    "tripotent": ("Z3", {"element": 2, "cube": 2}),
+    "reduced": ("Z6", {"nonzero-nilpotent": 3}),
+    "abelian": ("Z6", {"idempotent": 3, "non-commuting-element": 2}),
+    "dedekind-finite": ("Z6", {"left-factor": 5, "right-factor": 5}),
+    "local": ("Z4", {"non-unit-non-radical": 1}),
+    "division": ("Z5", {"nonzero-non-unit": 2}),
+    "semisimple": ("Z6", {"nonzero-radical-element": 3}),
+    "semipotent": ("Z6", {"element": 2}),
+    "potent": ("Z4", {"unlifted-idempotent-rep": 1}),
+    "2-primal": ("Z4", {"nilpotent-outside-prime-radical": 2}),
+}
+
+
+@pytest.mark.parametrize("name", pr.ALL_CLASSES)
+def test_witness_recheck_refuses_elements_that_satisfy_the_condition(name):
+    expr, roles = _NEGATIVE_CONTROLS[name]
+    R = b(expr)
+    report = CheckReport(R.label, name, False,
+                         [Witness(role, e, R.names[e]) for role, e in roles.items()])
+    assert revalidate_witness(R, report) is False
 
 
 def test_class_reports_match_golden():
@@ -302,7 +383,7 @@ def test_block_scans_match_per_element_oracles(monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         for R in rings:
             for kind, first_bad in expected[R.label].items():
-                report = pr.clean_check(R, kind)
+                report = pr._clean(R, kind)
                 assert report.verdict == (first_bad is None), (R.label, kind)
                 assert [w.element for w in report.witness] == (
                     [] if first_bad is None else [first_bad]), (R.label, kind)
