@@ -10,7 +10,6 @@ from .core import (
     ideal_generated,
     induced_subring,
     is_ideal,
-    is_unital_subring,
     quotient_ring,
     ring_from_dict,
     ring_from_json,
@@ -40,7 +39,6 @@ __all__ = [
     "ideal_generated",
     "induced_subring",
     "is_ideal",
-    "is_unital_subring",
     "predicates",
     "quotient_ring",
     "ring_from_dict",

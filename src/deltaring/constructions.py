@@ -16,6 +16,7 @@ validates the tables it made in place.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -231,6 +232,20 @@ def _strides(sizes: list[int]) -> list[int]:
     return out
 
 
+def _hold_to_guard(label: str, sizes, order_guard: int | None) -> int:
+    """The product of the coordinate sizes `sizes` (any iterable), raising
+    `OrderGuardExceeded` as soon as a partial product passes the guard, so
+    an iterable as long as a huge order is never walked to its end."""
+    guard = core._resolve_guard(order_guard)
+    total = 1
+    for s in sizes:
+        total *= s
+        if total > guard:
+            raise OrderGuardExceeded(
+                f"{label}: order would reach at least {total}, past the guard {guard}")
+    return total
+
+
 def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
                 zero_tuple: Sequence[int], one_tuple: Sequence[int],
                 mul_row, names, *, order_guard: int | None) -> FiniteRing:
@@ -242,20 +257,13 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
     is evaluated only on the zero row and the r additive generator rows, and
     every other row follows from right distributivity, row(x + g) = row(x) +
     row(g), breadth first over the span of the generators.  Validation then
-    checks that law for every (x, g, c), so generator rows that break an
+    proves that law for every (x, g, c), so generator rows that break an
     additive relation are rejected, never used.
 
     The order is held to the guard before anything is allocated;
     `names()` gives the element names and is called only after that.
     """
-    guard = core._resolve_guard(order_guard)
-    total = 1
-    for s in sizes:
-        total *= s
-        if total > guard:
-            raise OrderGuardExceeded(
-                f"{label}: order would reach at least {total}, past the guard {guard}")
-    n = total
+    n = _hold_to_guard(label, sizes, order_guard)
     strides = _strides(sizes)
     arange = np.arange(n, dtype=np.int64)
     cols = [((arange // strides[c]) % sizes[c]).astype(np.int32) for c in range(len(sizes))]
@@ -385,6 +393,8 @@ def upper_triangular(R: FiniteRing, n: int, *, order_guard: int | None = None,
     if n == 1:
         return R
     k = n * (n + 1) // 2
+    label = label or f"T({n},{R.label})"
+    _hold_to_guard(label, itertools.repeat(R.order, k), order_guard)
     sizes = [R.order] * k
     adds = [R.add] * k
 
@@ -414,12 +424,12 @@ def upper_triangular(R: FiniteRing, n: int, *, order_guard: int | None = None,
     one = [R.zero] * k
     for i in range(n):
         one[pos(i, i)] = R.one
-    return _tuple_ring(label or f"T({n},{R.label})", sizes, adds, zero, one,
+    return _tuple_ring(label, sizes, adds, zero, one,
                        mul_row, lambda: _element_names(sizes, name), order_guard=order_guard)
 
 
 def identity_endomorphism(R: FiniteRing) -> RingHom:
-    return core.validate_hom(R, R, np.arange(R.order, dtype=np.int32))
+    return core._identity_hom(R, R)
 
 
 def truncated_skew_poly(R: FiniteRing, alpha: RingHom | None, n: int, *,
@@ -433,6 +443,8 @@ def truncated_skew_poly(R: FiniteRing, alpha: RingHom | None, n: int, *,
         alpha = identity_endomorphism(R)
     if alpha.source is not R or alpha.target is not R:
         raise InvalidEndomorphism("alpha must be a validated endomorphism of the base ring")
+    label = label or f"TruncSkew({R.label},{endo_label},{n})"
+    _hold_to_guard(label, itertools.repeat(R.order, n), order_guard)
     sizes = [R.order] * n
     adds = [R.add] * n
 
@@ -455,8 +467,7 @@ def truncated_skew_poly(R: FiniteRing, alpha: RingHom | None, n: int, *,
 
     zero = tuple([R.zero] * n)
     one = tuple([R.one] + [R.zero] * (n - 1))
-    return _tuple_ring(label or f"TruncSkew({R.label},{endo_label},{n})",
-                       sizes, adds, zero, one, mul_row, names, order_guard=order_guard)
+    return _tuple_ring(label, sizes, adds, zero, one, mul_row, names, order_guard=order_guard)
 
 
 def _require_rr_bimodule(R: FiniteRing, M: Bimodule | None) -> Bimodule:
@@ -586,8 +597,9 @@ def _scaled_matrix(R: FiniteRing, n: int, s: int, label: str, name,
         raise ValueError("matrix size must be positive")
     if n == 1:
         return R
-    spow = [R.one, s, int(R.mul[s, s])]
     k2 = n * n
+    _hold_to_guard(label, itertools.repeat(R.order, k2), order_guard)
+    spow = [R.one, s, int(R.mul[s, s])]
     sizes = [R.order] * k2
 
     def mul_row(a, cols):

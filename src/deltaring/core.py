@@ -23,20 +23,33 @@ of the product on generator pairs, and associativity of the product on
 generator triples (sound once biadditivity is known, since the associator
 is additive in each slot).  For additive rank r (the size of the greedy
 generating set) that is r Light passes, each one row gather and a
-symmetry test, and 2r distributivity passes (left and right per
-generator), each over all n^2 pairs in row blocks; the first failing
-instance is reported in row-major order within the first failing pass.
-`validate_ring` copies and range-checks the caller's tables and hands them
-to `_validated_ring`, which runs the procedure; the constructions hand
-theirs, fresh and well-formed, to `_validated_ring` directly.
+symmetry test; r full left distributivity passes, a(g+c) = ag + ac over
+all n^2 pairs in row blocks; and r right passes on the generator columns
+only, (x+g)h = xh + gh for generators g, h and all x, r*n cells each.  Left
+distributivity everywhere makes x -> xz the sum of the maps x -> xh for
+the generators h that sum to z, so right distributivity follows.  A
+rejection names the violation that the two-sided order L(g1), R(g1),
+L(g2), R(g2), ..., with full right passes R, meets first: a failure at
+L(gk) replays R(g1..gk-1), one in gk's column pass replays R(g1..gk), and
+one on a generator triple replays them all.  The first replayed pass to
+fail names the violation, else the failure found does, each at its first
+failing instance in row-major order within its pass.  `validate_ring`
+copies and range-checks the caller's tables and hands them to
+`_validated_ring`, which runs the procedure; the constructions hand theirs,
+fresh and well-formed, to `_validated_ring` directly.
 
 Derived rings are certified, not re-validated.  `quotient_ring` checks the
-ideal and then the projection with `validate_hom`: a surjective map that
-preserves 0, 1, + and * carries every ring law onto its image (first
-isomorphism theorem).  `induced_subring` (and so `corner_ring`) checks that
-the subset contains 0, is closed under negation, addition and
-multiplication, and has the given identity; the inclusion then preserves
-both operations, so every ring law holds on the subset.
+ideal with `is_ideal`, then certifies the projection on the coset
+representatives S (`_certified_projection`, n(|I| + 2|S| + 1) cells
+instead of the 2n^2 of `validate_hom`, which checks a map between given
+rings): a surjective homomorphism with kernel I carries every ring law
+onto the quotient (first isomorphism theorem).  R/{0} is R's own tables
+under bracketed names with the identity as its projection, and the
+identity needs no certificate (nor in `constructions.identity_endomorphism`).
+`induced_subring` (and so `corner_ring`) checks that the subset contains
+0, is closed under negation, addition and multiplication, and has the
+given identity; the inclusion then preserves both operations, so every
+ring law holds on the subset.
 """
 
 from __future__ import annotations
@@ -251,8 +264,8 @@ class FiniteRing:
 class ElementSet:
     """A subset of a ring's elements as a boolean characteristic vector.
 
-    Semantic claims (ideal, unital subring) are never trusted: re-validate
-    with `is_ideal` / `is_unital_subring` before relying on them.
+    Semantic claims (an ideal) are never trusted: re-validate with
+    `is_ideal` before relying on them.
     """
 
     ring: FiniteRing
@@ -359,8 +372,19 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
     return gens
 
 
+def _left_pass(add: np.ndarray, mul: np.ndarray, g: int) -> tuple[int, int] | None:
+    """First (a, c) in row-major order with a(g+c) != ag + ac, or None."""
+    return _first_mismatch(add.shape[0], lambda lo, hi: (
+        np.take(mul[lo:hi], add[g], axis=1), _lookup(add, mul[lo:hi, g, None], mul[lo:hi])))
+
+
+def _right_pass(add: np.ndarray, mul: np.ndarray, g: int) -> tuple[int, int] | None:
+    """First (x, c) in row-major order with (x+g)c != xc + gc, or None."""
+    return _first_mismatch(add.shape[0], lambda lo, hi: (
+        mul[add[lo:hi, g]], _lookup(add, mul[lo:hi], mul[g])))
+
+
 def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> None:
-    n = add.shape[0]
     # Light's test: with a set generating the table, middle-slot triples decide
     # associativity for all triples.  M = add[add[:, g]] holds (a+g)+c at
     # [a, c], and (add being commutative) a+(g+c) = (c+g)+a at [c, a], so the
@@ -372,18 +396,31 @@ def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) 
             M = add[add[:, g]]
             a, c = _first_bad_pair(M != M.T)
             raise AxiomViolation("add-associativity", (a, g, c))
-    # Biadditivity of mul on generator pairs extends to all pairs by induction
-    # over generator words, given the additive group laws above.
-    for g in gens:
-        bad = _first_mismatch(n, lambda lo, hi: (
-            np.take(mul[lo:hi], add[g], axis=1),
-            _lookup(add, mul[lo:hi, g, None], mul[lo:hi])))
+
+    def named(upto: int, found: AxiomViolation) -> AxiomViolation:
+        # The violation that the two-sided order L(g1), R(g1), L(g2), ...
+        # meets first: the full right passes it would have run before `found`.
+        for g in gens[:upto]:
+            bad = _right_pass(add, mul, g)
+            if bad is not None:
+                return AxiomViolation("right-distributivity", (bad[0], g, bad[1]))
+        return found
+
+    # Biadditivity.  The full left passes give left distributivity everywhere
+    # by induction over generator words, given the additive group laws above;
+    # the right passes on the generator columns h make each x -> xh additive,
+    # and every x -> xz is a pointwise sum of those.
+    cols = np.array(gens, dtype=np.int32)
+    mul_cols = np.take(mul, cols, axis=1)
+    for k, g in enumerate(gens):
+        bad = _left_pass(add, mul, g)
         if bad is not None:
-            raise AxiomViolation("left-distributivity", (bad[0], g, bad[1]))
-        bad = _first_mismatch(n, lambda lo, hi: (
-            mul[add[lo:hi, g]], _lookup(add, mul[lo:hi], mul[g])))
-        if bad is not None:
-            raise AxiomViolation("right-distributivity", (bad[0], g, bad[1]))
+            raise named(k, AxiomViolation("left-distributivity", (bad[0], g, bad[1])))
+        lhs = _lookup(mul, add[:, g, None], cols)
+        rhs = _lookup(add, mul_cols, mul[g, cols])
+        if not np.array_equal(lhs, rhs):
+            x, j = _first_bad_pair(lhs != rhs)
+            raise named(k + 1, AxiomViolation("right-distributivity", (x, g, gens[j])))
     # With biadditivity established the associator is additive in each slot,
     # so vanishing on generator triples forces vanishing everywhere.
     for g1 in gens:
@@ -392,7 +429,7 @@ def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) 
             row2 = mul[g2]
             for g3 in gens:
                 if mul[m12, g3] != mul[g1, row2[g3]]:
-                    raise AxiomViolation("mul-associativity", (g1, g2, g3))
+                    raise named(len(gens), AxiomViolation("mul-associativity", (g1, g2, g3)))
 
 
 def validate_ring(add, mul, zero: int, one: int, label: str = "R",
@@ -450,10 +487,11 @@ def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label
 
 
 def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one: int,
-                    names) -> FiniteRing:
+                    names, neg: np.ndarray | None = None) -> FiniteRing:
     """The one place a `FiniteRing` is made, for tables already known to
     form a ring: validated by `_validated_ring` or certified by a derivation.
-    Every caller passes C-contiguous tables, so row-first scans are dense."""
+    Every caller passes C-contiguous tables, so row-first scans are dense.
+    `neg` is the negation vector of `add` when the caller already has it."""
     n = add.shape[0]
     if zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
@@ -464,7 +502,8 @@ def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one
         names = tuple(str(s) for s in names)
         if len(names) != n:
             raise ValueError("names must have one entry per element")
-    neg = (add == zero).argmax(axis=1).astype(np.int32)
+    if neg is None:
+        neg = (add == zero).argmax(axis=1).astype(np.int32)
     return FiniteRing(label, add, mul, zero, one, names, neg)
 
 
@@ -530,18 +569,6 @@ def is_ideal(ring: FiniteRing, subset: ElementSet) -> bool:
     return True
 
 
-def is_unital_subring(ring: FiniteRing, subset: ElementSet) -> bool:
-    mask = subset.members
-    idx = np.flatnonzero(mask)
-    if not (mask[ring.zero] and mask[ring.one]):
-        return False
-    if not mask[_outer(ring.add, idx, ring.neg[idx])].all():
-        return False
-    if not mask[_outer(ring.mul, idx, idx)].all():
-        return False
-    return True
-
-
 def _ideal_label(ring: FiniteRing, idx: np.ndarray) -> str:
     if idx.size <= 12:
         inner = ",".join(str(int(i)) for i in idx)
@@ -553,13 +580,20 @@ def quotient_ring(ring: FiniteRing, ideal: ElementSet) -> tuple[FiniteRing, Ring
     """Quotient by a validated two-sided ideal, plus the projection.
 
     Coset representatives are canonical: the smallest element index in each
-    coset, listed in ascending order.
+    coset, listed in ascending order.  R/{0} is R's own frozen tables under
+    bracketed names, with the identity as its projection.
     """
     if not is_ideal(ring, ideal):
         raise NotAnIdeal(f"subset {ideal.indices} is not a two-sided ideal of {ring.label}")
     if ideal.members.all():
         raise ValueError("quotient by the whole ring is the zero ring, which is excluded")
     idx = np.flatnonzero(ideal.members)
+    label = _ideal_label(ring, idx)
+    if idx.size == 1:
+        names = tuple(f"[{s}]" for s in ring.names)
+        quotient = _certified_ring(label, ring.add, ring.mul, ring.zero, ring.one, names,
+                                   ring.neg)
+        return quotient, _identity_hom(ring, quotient)
     rep = ring.add[:, idx].min(axis=1).astype(np.int32)
     reps = np.unique(rep)
     pos = np.full(ring.order, -1, dtype=np.int32)
@@ -569,11 +603,50 @@ def quotient_ring(ring: FiniteRing, ideal: ElementSet) -> tuple[FiniteRing, Ring
     qzero = int(pos[rep[ring.zero]])
     qone = int(pos[rep[ring.one]])
     names = tuple(f"[{ring.names[int(r)]}]" for r in reps)
-    quotient = _certified_ring(_ideal_label(ring, idx), qadd, qmul, qzero, qone, names)
-    # The certificate: the projection is surjective by construction, so its
-    # validation as a homomorphism proves the quotient tables form a ring.
-    proj = validate_hom(ring, quotient, pos[rep])
-    return quotient, proj
+    quotient = _certified_ring(label, qadd, qmul, qzero, qone, names)
+    return quotient, _certified_projection(ring, ideal.members, reps, quotient, pos[rep])
+
+
+def _certified_projection(ring: FiniteRing, members: np.ndarray, reps: np.ndarray,
+                          quotient: FiniteRing, m: np.ndarray) -> RingHom:
+    """The projection m of `ring` onto `quotient` by the ideal I whose mask is
+    `members`, certified on the coset representatives S = `reps`.
+
+    Checks m(0), m(1), m(reps) = 0..|S|-1 and, for all a and b, (a) m(a+i) =
+    m(a) for i in I, (b) a - s in I for the s = reps[m(a)], and (c) m(s+b) =
+    m(s) + m(b) and m(sb) = m(s)m(b) for s in S: n(|I| + 2|S| + 1) cells.  By
+    (b) and (a) every a is s + i with m(a) = m(s); then m(a+b) = m(s + (i+b))
+    = m(s) + m(b) by (c) and (a), and m(ab) = m(sb + ib) = m(sb) = m(s)m(b),
+    since ib lies in the ideal.  So m is a surjective unital homomorphism
+    whose kernel is exactly I, and the quotient tables form a ring (first
+    isomorphism theorem), as `validate_hom` would prove on 2n^2 cells.
+    """
+    n, q = ring.order, quotient.order
+    idx = np.flatnonzero(members)
+    if int(m[ring.zero]) != quotient.zero:
+        raise HomViolation("zero", (ring.zero,))
+    if int(m[ring.one]) != quotient.one:
+        raise HomViolation("one", (ring.one,))
+    onto = np.flatnonzero(m[reps] != np.arange(q))
+    if onto.size:
+        raise HomViolation("onto", (int(reps[onto[0]]),))
+    for lo, hi in _row_blocks(n, idx.size):
+        bad = np.take(m, np.take(ring.add[lo:hi], idx, axis=1)) != m[lo:hi, None]
+        if bad.any():
+            a, j = _first_bad_pair(bad)
+            raise HomViolation("coset", (lo + a, int(idx[j])))
+    off = np.flatnonzero(~members[ring.add[np.arange(n), ring.neg[reps[m]]]])
+    if off.size:
+        raise HomViolation("coset", (int(off[0]), int(reps[m[off[0]]])))
+    for kind, src, tgt in (("additive", ring.add, quotient.add),
+                           ("multiplicative", ring.mul, quotient.mul)):
+        for lo, hi in _row_blocks(q, n):
+            bad = np.take(m, src[reps[lo:hi]]) != np.take(tgt[lo:hi], m, axis=1)
+            if bad.any():
+                s, b = _first_bad_pair(bad)
+                raise HomViolation(kind, (int(reps[lo + s]), b))
+    m.setflags(write=False)
+    return RingHom(ring, quotient, m)
 
 
 def induced_subring(ring: FiniteRing, subset: ElementSet, one: int,
@@ -628,6 +701,14 @@ def center(ring: FiniteRing) -> ElementSet:
 
 # ---------------------------------------------------------------------------
 # homomorphisms
+
+
+def _identity_hom(source: FiniteRing, target: FiniteRing) -> RingHom:
+    """The identity map between rings on the same tables: a homomorphism
+    with no certificate to check."""
+    m = np.arange(source.order, dtype=np.int32)
+    m.setflags(write=False)
+    return RingHom(source, target, m)
 
 
 def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:

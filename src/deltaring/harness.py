@@ -32,7 +32,7 @@ import numpy as np
 
 from . import constructions as cons
 from . import core, dsl, subsets
-from .core import ElementSet, FiniteRing, RingHom
+from .core import ElementSet, FiniteRing
 from .errors import UnknownCheckId
 from .predicates import check_class, class_key, class_verdict, revalidate_witness
 from .report import CheckReport, Witness
@@ -111,19 +111,6 @@ def _instances(texts, rings) -> list[dsl.RingExpr]:
 
 # ---------------------------------------------------------------------------
 # helpers shared by several checks
-
-
-def units_lift(hom: RingHom) -> tuple[bool, int | None]:
-    """Does every unit of the target have a unit preimage?  Returns the
-    smallest unliftable target unit otherwise."""
-    src_units = np.flatnonzero(subsets.unit_mask(hom.source))
-    covered = np.zeros(hom.target.order, dtype=bool)
-    covered[hom.map[src_units]] = True
-    missing = subsets.unit_mask(hom.target) & ~covered
-    hits = np.flatnonzero(missing)
-    if hits.size == 0:
-        return True, None
-    return False, int(hits[0])
 
 
 def ideals_inside_radical(ring: FiniteRing) -> list[ElementSet]:

@@ -4,7 +4,8 @@ The element-set oracles walk the ring tables with plain loops, with no
 shared code with the library's vectorized scans.  The axiom oracle checks
 every ring law on all pairs and triples literally (numpy broadcasting over
 the n^3 triples), sharing nothing with the library's generator-based
-validator.  The generator oracle re-closes the whole additive span after
+validator.  The two-sided reference runs the generator procedure with both
+full distributivity sides, in the pass order that names a violation.  The generator oracle re-closes the whole additive span after
 each generator.  The ideal oracle is a plain closure-lattice search.  The
 homomorphism oracle compares images one pair at a time.  Expected
 values in the tests are either frozen from these oracles or checked against
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from deltaring import core
+from deltaring.errors import AxiomViolation
 
 
 def first_axiom_violation(add, mul, zero: int, one: int) -> str | None:
@@ -47,6 +49,37 @@ def first_axiom_violation(add, mul, zero: int, one: int) -> str | None:
         if not np.array_equal(lhs, rhs):
             return law
     return None
+
+
+def _first_pair(bad: np.ndarray) -> tuple[int, int]:
+    a, b = np.argwhere(bad)[0]
+    return int(a), int(b)
+
+
+def two_sided_generator_checks(add, mul, gens: list[int]) -> None:
+    """The generator procedure with both distributivity sides in full:
+    Light's passes, then a(g+c) = ag + ac and (x+g)c = xc + gc on every
+    pair, in the order L(g1), R(g1), L(g2), R(g2), ..., then associativity
+    on generator triples.  Raises the first `AxiomViolation` in that order,
+    at the first failing pair in row-major order within its pass.  Whole
+    tables at once, no row blocks."""
+    for g in gens:
+        M = add[add[:, g]]
+        if not np.array_equal(M, M.T):
+            a, c = _first_pair(M != M.T)
+            raise AxiomViolation("add-associativity", (a, g, c))
+    for g in gens:
+        for law, lhs, rhs in (
+                ("left-distributivity", mul[:, add[g]], add[mul[:, g, None], mul]),
+                ("right-distributivity", mul[add[:, g]], add[mul, mul[g]])):
+            if not np.array_equal(lhs, rhs):
+                a, c = _first_pair(lhs != rhs)
+                raise AxiomViolation(law, (a, g, c))
+    for g1 in gens:
+        for g2 in gens:
+            for g3 in gens:
+                if mul[mul[g1, g2], g3] != mul[g1, mul[g2, g3]]:
+                    raise AxiomViolation("mul-associativity", (g1, g2, g3))
 
 
 def _magma_closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:

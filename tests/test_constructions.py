@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,24 @@ def test_order_guard_fires_before_per_coordinate_work(zmod):
         with pytest.raises(OrderGuardExceeded):
             build()
         assert time.perf_counter() - start < 0.1
+
+
+def test_order_guard_fires_before_per_coordinate_lists(zmod):
+    # the order is sized from |R| and the number of coordinates, so the
+    # sizes, tables and identity lists of 9 million or 4.5 million
+    # coordinates are never built; the guard's message is the builder's
+    Z3 = zmod(3)
+    for build, label in ((lambda: cons.matrix_ring(Z3, 3000), "M(3000,Z3)"),
+                         (lambda: cons.upper_triangular(Z3, 3000), "T(3000,Z3)")):
+        message = f"{label}: order would reach at least 6561, past the guard 4096"
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderGuardExceeded, match=re.escape(message)):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, label
 
 
 @pytest.mark.parametrize("cells", [None, 64])

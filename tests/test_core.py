@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltaring import core, dsl, subsets
+from deltaring import constructions as cons
+from deltaring import core, dsl, harness, subsets
 from deltaring.constructions import direct_product, matrix_index, matrix_ring, upper_triangular
 from deltaring.errors import (
     AxiomViolation,
@@ -187,6 +188,27 @@ def test_light_passes_hold_one_table_at_a_time():
     assert peak < 1.5 * R.order ** 2 * 4
 
 
+def test_valid_ring_runs_full_left_passes_only(monkeypatch):
+    # a valid ring of rank r pays r full left passes and no full right pass;
+    # the right side is checked on the generator columns only
+    calls = {"left": [], "right": []}
+    for side in calls:
+        real = getattr(core, f"_{side}_pass")
+
+        def spy(add, mul, g, real=real, side=side):
+            calls[side].append(g)
+            return real(add, mul, g)
+
+        monkeypatch.setattr(core, f"_{side}_pass", spy)
+    for expr in ("M(2,Z3)", "GR(Z2,S3)", "K(Z4,s=2)"):
+        R = dsl.build_str(expr)
+        calls["left"].clear()
+        core.validate_ring(R.add, R.mul, R.zero, R.one)
+        gens = core.additive_generators(R.add, R.zero)
+        assert len(gens) >= 4
+        assert calls == {"left": gens, "right": []}, expr
+
+
 # ---------------------------------------------------------------------------
 # element arithmetic
 
@@ -261,7 +283,91 @@ def test_quotient_examples(zmod):
     assert int(Q3.add[one_plus_one, Q3.one]) == Q3.zero  # 1+1+1 = 0
 
 
-def test_quotient_requires_ideal(zmod):
+def test_quotient_by_zero_ideal_is_the_ring_itself(monkeypatch):
+    # R/{0} shares R's frozen arrays, brackets the names and projects by the
+    # identity, with no certificate to check
+    def refuse(*args, **kwargs):
+        raise AssertionError("the identity needs no certificate")
+
+    monkeypatch.setattr(core, "validate_hom", refuse)
+    monkeypatch.setattr(core, "_certified_projection", refuse)
+    R = dsl.build_str("T(2,Z3)")
+    Q, proj = core.quotient_ring(R, core.ideal_generated(R, []))
+    for ours, theirs in ((Q.add, R.add), (Q.mul, R.mul), (Q.neg, R.neg)):
+        assert np.shares_memory(ours, theirs) and not ours.flags.writeable
+    assert Q.label == f"{R.label}/{{{R.zero}}}" and (Q.zero, Q.one) == (R.zero, R.one)
+    assert Q.names == tuple(f"[{s}]" for s in R.names)
+    assert proj.source is R and proj.target is Q
+    assert np.array_equal(proj.map, np.arange(R.order)) and not proj.map.flags.writeable
+    ident = cons.identity_endomorphism(R)
+    assert ident.source is ident.target is R and np.array_equal(ident.map, proj.map)
+
+
+def _rejects(certify) -> bool:
+    try:
+        certify()
+    except HomViolation:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+def test_coset_certificate_rejects_what_validate_hom_rejects(monkeypatch, cells):
+    # one corrupted cell of a quotient table, or one moved image of the
+    # projection: the certificate on coset representatives and the full
+    # homomorphism check reject the same ones, the zero ideal included
+    if cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    rng = random.Random(3)
+    cases = 0
+    for expr in ("Z12", "Z16", "T(2,Z3)", "GR(Z4,C2)", "K(Z4,s=2)", "T(3,Z2)"):
+        R = dsl.build_str(expr)
+        for ideal in harness.ideals_inside_radical(R):
+            reps = np.unique(R.add[:, np.flatnonzero(ideal.members)].min(axis=1))
+            Q, proj = core.quotient_ring(R, ideal)
+            q = Q.order
+            variants = [(Q.add, Q.mul, proj.map)]
+            for _ in range(3):
+                add, mul = np.array(Q.add), np.array(Q.mul)
+                table = add if rng.random() < 0.5 else mul
+                a, b = rng.randrange(q), rng.randrange(q)
+                table[a, b] = (table[a, b] + rng.randrange(1, q)) % q
+                variants.append((add, mul, proj.map))
+                m = np.array(proj.map)
+                x = rng.randrange(R.order)
+                m[x] = (m[x] + rng.randrange(1, q)) % q
+                variants.append((Q.add, Q.mul, m))
+            for add, mul, m in variants:
+                target = core._certified_ring(Q.label, add, mul, Q.zero, Q.one, Q.names)
+                full = _rejects(lambda: core.validate_hom(R, target, m))
+                assert full == (add is not Q.add or mul is not Q.mul or m is not proj.map)
+                assert _rejects(lambda: core._certified_projection(
+                    R, ideal.members, reps, target, np.array(m))) == full, (expr, ideal.indices)
+                cases += 1
+    assert cases > 200
+
+
+def test_coset_certificate_pins_the_kernel_to_the_ideal(zmod):
+    # validate_hom accepts both maps, which are homomorphisms onto rings of
+    # the right tables; the certificate also proves that the kernel is I.
+    # Z8 -> Z2 has kernel {0,2,4,6}, larger than I = {0,4}: a - s lies
+    # outside I at a = 2 (check (b)).  The identity of Z4 has kernel {0},
+    # smaller than I = {0,2}: m(0 + 2) != m(0) (check (a)).
+    Z8, Z4, Z2 = zmod(8), zmod(4), zmod(2)
+    for R, idx, reps, Q, m, instance in (
+            (Z8, [0, 4], [0, 1], Z2, np.arange(8) % 2, (2, 0)),
+            (Z4, [0, 2], [0, 1, 2, 3], Z4, np.arange(4), (0, 2))):
+        core.validate_hom(R, Q, m)
+        with pytest.raises(HomViolation) as exc:
+            core._certified_projection(R, np.isin(np.arange(R.order), idx), np.array(reps), Q,
+                                       m.astype(np.int32))
+        assert (exc.value.kind, exc.value.witness) == ("coset", instance)
+
+
+def test_quotient_requires_ideal(zmod, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no quotient is made for a one-sided ideal")
+
     Z12 = zmod(12)
     with pytest.raises(NotAnIdeal):
         core.quotient_ring(Z12, core.ElementSet.from_indices(Z12, [0, 5]))
@@ -270,6 +376,11 @@ def test_quotient_requires_ideal(zmod):
     first_column = [matrix_index(zmod(2), 2, [[a, 0], [c, 0]]) for a in (0, 1) for c in (0, 1)]
     left_ideal = core.ElementSet.from_indices(M2, first_column)
     assert not core.is_ideal(M2, left_ideal)
+    with pytest.raises(NotAnIdeal):
+        core.quotient_ring(M2, left_ideal)
+    # the coset certificate's step m(sb + ib) = m(sb) needs ib in the ideal,
+    # so a left ideal is refused before any quotient table is made
+    monkeypatch.setattr(core, "_certified_ring", refuse)
     with pytest.raises(NotAnIdeal):
         core.quotient_ring(M2, left_ideal)
 
@@ -511,8 +622,6 @@ def test_semantic_tags_revalidated(zmod):
     not_ideal = core.ElementSet.from_indices(Z12, [0, 5])
     assert not core.is_ideal(Z12, not_ideal)
     assert core.is_ideal(Z12, core.ideal_generated(Z12, [6]))
-    assert core.is_unital_subring(Z12, core.subring_generated(Z12, [], unital=True))
-    assert not core.is_unital_subring(Z12, core.ElementSet.from_indices(Z12, [0, 6]))
 
 
 def test_additive_generators_match_whole_span_closure_on_catalog():

@@ -115,14 +115,6 @@ def test_projection_kernel_equals_ideal_over_full_lattices():
             assert quotient.order * len(ideal) == R.order, expr
 
 
-def test_units_lift_on_projections():
-    for expr in ("Z4", "Z12", "T(2,Z3)", "GR(Z2,C2)"):
-        R = dsl.build_str(expr)
-        _, proj = subsets.radical_quotient(R)
-        lifted, missing = harness.units_lift(proj)
-        assert lifted and missing is None, expr
-
-
 def test_search_classes_examples():
     found = harness.search_classes(["2-delta-u"], ["delta-u"], max_order=16)
     assert "Z3" in found

@@ -4,10 +4,11 @@ import copy
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltaring import core, dsl, subsets
-from deltaring.errors import MalformedRing, RingError
+from deltaring.errors import AxiomViolation, MalformedRing, RingError
 
 import oracles
 from conftest import zmod_tables
@@ -109,6 +110,53 @@ def test_single_cell_corruption_is_caught(m, data):
         raise AssertionError(f"corruption at {which}[{i}][{j}] (+{shift}) was accepted")
     assert oracles.first_axiom_violation(add, mul, 0, 1) is not None, \
         f"the oracle missed the corruption at {which}[{i}][{j}] (+{shift})"
+
+
+# additive rank 2 to 6, orders 4 to 256
+RANK_RINGS = ("Prod(Z2,Z2)", "Prod(Z4,Z6)", "T(2,Z2)", "GF(8)", "M(2,Z2)", "T(2,Z3)",
+              "GR(Z2,S3)", "Triv(Z8,Z8)", "K(Z4,s=2)")
+
+
+@st.composite
+def corrupted_ring_tables(draw):
+    """A ring of additive rank at least 2 with one cell of either table
+    changed (rows near the end drawn often, diagonal cells too, so that add
+    stays commutative), or with one mul row replaced by a column."""
+    R = dsl.build_str(draw(st.sampled_from(RANK_RINGS)))
+    n = R.order
+    add, mul = np.array(R.add), np.array(R.mul)
+    row = draw(st.one_of(st.integers(0, n - 1), st.integers(n - 3, n - 1)))
+    how = draw(st.sampled_from(["add", "mul", "mul-row"]))
+    if how == "mul-row":
+        mul[row] = R.mul[:, draw(st.integers(0, n - 1))]
+    else:
+        table = add if how == "add" else mul
+        col = draw(st.one_of(st.integers(0, n - 1), st.just(row)))
+        table[row, col] = (table[row, col] + draw(st.integers(1, n - 1))) % n
+    return R, add, mul
+
+
+def _validation_outcome(add, mul, zero, one):
+    try:
+        core.validate_ring(add, mul, zero, one)
+    except AxiomViolation as exc:
+        return exc.kind, tuple(exc.witness)
+    return None
+
+
+@given(corrupted_ring_tables())
+@settings(max_examples=200, deadline=None)
+def test_left_side_validation_names_the_two_sided_violation(case):
+    # validation with one full distributivity side accepts and rejects the
+    # same tables as the two-sided pass order, and names the same violation,
+    # with whole-table blocks and with blocks of a few rows
+    R, add, mul = case
+    for cells in (core._BLOCK_CELLS, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK_CELLS", cells)
+            got = _validation_outcome(add, mul, R.zero, R.one)
+            mp.setattr(core, "_generator_triple_checks", oracles.two_sided_generator_checks)
+            assert got == _validation_outcome(add, mul, R.zero, R.one), (R.label, cells)
 
 
 _WRONG_TYPES = st.sampled_from(
