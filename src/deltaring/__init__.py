@@ -18,7 +18,9 @@ from .core import (
     validate_hom,
     validate_ring,
 )
-from . import constructions, dsl, errors, harness, predicates, subsets
+# `harness` is imported on first use (`from deltaring import harness`), so the
+# `info`, `check` and `classes` commands do not load the theorem suite
+from . import constructions, dsl, errors, predicates, subsets
 from .report import CheckReport, Witness
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import core, dsl, harness, subsets
+from . import core, dsl, subsets
 from .errors import RingError
 from .predicates import ALL_CLASSES, CLASSES, check_class
 
@@ -105,6 +105,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import harness
+
     threads = _threads(args)
     guard = _order_guard(args)
     if guard is not None:
@@ -131,6 +133,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import harness
+
     include = _split(args.include)
     exclude = _split(args.exclude)
     matches = harness.search_classes(include, exclude, max_order=args.max_order)

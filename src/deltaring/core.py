@@ -366,9 +366,10 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
         covered[g] = True
         new = np.array([g])
         while new.size:
-            reach = _outer(add, new, np.flatnonzero(covered)).ravel()
-            new = np.unique(reach[~covered[reach]])
-            covered[new] = True
+            hit = np.zeros(n, dtype=bool)
+            hit[_outer(add, new, np.flatnonzero(covered))] = True
+            new = np.flatnonzero(hit & ~covered)
+            covered |= hit
     return gens
 
 
@@ -595,7 +596,7 @@ def quotient_ring(ring: FiniteRing, ideal: ElementSet) -> tuple[FiniteRing, Ring
                                    ring.neg)
         return quotient, _identity_hom(ring, quotient)
     rep = ring.add[:, idx].min(axis=1).astype(np.int32)
-    reps = np.unique(rep)
+    reps = np.flatnonzero(rep == np.arange(ring.order))   # each coset's least member is its own
     pos = np.full(ring.order, -1, dtype=np.int32)
     pos[reps] = np.arange(reps.size, dtype=np.int32)
     qadd = pos[rep[_outer(ring.add, reps, reps)]]

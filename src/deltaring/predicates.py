@@ -7,6 +7,25 @@ the smallest counterexample, and next to it a re-check, which confirms a
 false verdict's witness by plain arithmetic, independently of the scan;
 `_CATEGORIES` pairs them.  A new class is a row in `CLASSES` plus a branch
 in its category's scan and re-check.  Verdicts are memoized on the ring.
+
+Five scans decide each element by an equivalent condition that holds
+element by element in every ring, so the failing set and its smallest
+member are those of the defining condition.  Four read the matrix
+`subsets.idempotent_reach` (which idempotents lie in a*R):
+
+- regular: a = a*x*a for some x iff a*R = e*R for an idempotent e, that is
+  e in a*R with e*a = a (Goodearl, *Von Neumann Regular Rings*, Thm 1.1):
+  from a = a*x*a take e = a*x; from e = a*r and e*a = a, a = a*r*a;
+- pi-regular: some power of a is regular, read from the regular mask;
+- exchange: the defining condition, e in a*R and 1 - e in (1-a)*R, read as
+  two entries of the matrix (1 - e is idempotent);
+- semipotent and potent: a*R holds a nonzero idempotent, or a is in J.
+
+The fifth is unit-regular: a = a*u*a for a unit u iff a = e*v for an
+idempotent e and a unit v (Ehrlich, *Unit-regular rings*, 1968: e = a*u,
+v = u^-1; conversely e*v*v^-1*e*v = e*v), so its elements are the product
+set E*U.  The re-checks keep literal loops over the defining conditions, so
+scan and re-check stay independent.
 """
 
 from __future__ import annotations
@@ -187,34 +206,89 @@ def _unit_class_recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> b
 # regularity
 
 
+def _regular_mask(ring: FiniteRing) -> np.ndarray:
+    """Regular elements: some idempotent e in a*R with e*a = a."""
+    def compute():
+        n = ring.order
+        id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
+        reach = subsets.idempotent_reach(ring)
+        ok = np.empty(n, dtype=bool)
+        for lo, hi in core._row_blocks(n, id_idx.size):
+            fixes = ring.mul[id_idx, lo:hi].T == np.arange(lo, hi)[:, None]   # [a, j] e_j*a = a
+            ok[lo:hi] = (reach[lo:hi] & fixes).any(axis=1)
+        return ok
+    return subsets._cached_mask(ring, "regular_mask", compute)
+
+
+def _unit_regular_mask(ring: FiniteRing) -> np.ndarray:
+    """Unit-regular elements: the product set E*U."""
+    id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
+    u_idx = np.flatnonzero(subsets.unit_mask(ring))
+    ok = np.zeros(ring.order, dtype=bool)
+    for lo, hi in core._row_blocks(id_idx.size, u_idx.size):
+        ok[core._outer(ring.mul, id_idx[lo:hi], u_idx)] = True
+    return ok
+
+
+def _pi_regular_mask(ring: FiniteRing) -> np.ndarray:
+    """Elements with a regular power a^k, k = 1..n."""
+    n = ring.order
+    arange = np.arange(n, dtype=np.int32)
+    regular = _regular_mask(ring)
+    p = arange
+    ok = np.zeros(n, dtype=bool)
+    for _ in range(n):
+        ok |= regular[p]
+        if ok.all():
+            break
+        p = ring.mul[p, arange]
+    return ok
+
+
+def _exchange_mask(ring: FiniteRing) -> np.ndarray:
+    """Elements with an idempotent e in a*R and 1 - e in (1-a)*R."""
+    id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
+    om = subsets.one_minus(ring)
+    reach = subsets.idempotent_reach(ring)
+    complement = np.searchsorted(id_idx, om[id_idx])     # column of 1 - e_j
+    return (reach & core._outer(reach, om, complement)).any(axis=1)
+
+
+def _semipotent_mask(ring: FiniteRing) -> np.ndarray:
+    """Elements in J or with a nonzero idempotent in a*R."""
+    id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
+    reach = subsets.idempotent_reach(ring)[:, id_idx != ring.zero]
+    return reach.any(axis=1) | subsets.jacobson_mask(ring)
+
+
 def _regularity(ring: FiniteRing, kind: str) -> CheckReport:
     n = ring.order
     arange = np.arange(n, dtype=np.int32)
 
-    if kind in ("regular", "unit-regular"):
-        xs = ring.mul if kind == "regular" else ring.mul[:, subsets.unit_mask(ring)]
-        outer = core._lookup(ring.mul, xs, arange[:, None])   # [a, x] = a*x*a
-        ok = (outer == arange[:, None]).any(axis=1)
-        return _first_bad(ring, kind, ~ok)
+    if kind == "regular":
+        return _first_bad(ring, kind, ~_regular_mask(ring))
+
+    if kind == "unit-regular":
+        return _first_bad(ring, kind, ~_unit_regular_mask(ring))
+
+    if kind == "pi-regular":
+        return _first_bad(ring, kind, ~_pi_regular_mask(ring),
+                          notes=f"no exponent up to {n} works")
 
     if kind == "strongly-regular":
         rows = ring.mul[ring.mul.diagonal()]          # [a, r] = a^2 * r
         ok = (rows == arange[:, None]).any(axis=1)
         return _first_bad(ring, kind, ~ok)
 
-    if kind in ("pi-regular", "strongly-pi-regular"):
+    if kind == "strongly-pi-regular":
         p = arange.copy()
         unresolved = np.ones(n, dtype=bool)
         for _ in range(n):
             idx = np.flatnonzero(unresolved)
             if idx.size == 0:
                 break
-            if kind == "pi-regular":
-                vals = core._lookup(ring.mul, ring.mul[p[idx], :], p[idx][:, None])
-                ok = (vals == p[idx][:, None]).any(axis=1)
-            else:
-                nxt = ring.mul[p[idx], idx]
-                ok = (ring.mul[nxt, :] == p[idx][:, None]).any(axis=1)
+            nxt = ring.mul[p[idx], idx]
+            ok = (ring.mul[nxt, :] == p[idx][:, None]).any(axis=1)
             unresolved[idx[ok]] = False
             if not unresolved.any():
                 break
@@ -298,7 +372,6 @@ def _regularity_recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> b
 
 
 def _clean(ring: FiniteRing, kind: str) -> CheckReport:
-    n = ring.order
     id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
 
     sumsets = {
@@ -333,16 +406,7 @@ def _clean(ring: FiniteRing, kind: str) -> CheckReport:
         return _block_scan(ring, kind, e1.size, decomposable)
 
     # exchange: some idempotent e lies in a*R with 1-e in (1-a)*R
-    om = subsets.one_minus(ring)
-
-    def exchangeable(lo, hi):
-        rows = np.arange(hi - lo)[:, None]
-        in_a = np.zeros((hi - lo, n), dtype=bool)
-        in_a[rows, ring.mul[lo:hi]] = True
-        in_b = np.zeros((hi - lo, n), dtype=bool)
-        in_b[rows, ring.mul[om[lo:hi]]] = True
-        return (in_a[:, id_idx] & in_b[:, om[id_idx]]).any(axis=1)
-    return _block_scan(ring, kind, n, exchangeable)
+    return _first_bad(ring, kind, ~_exchange_mask(ring))
 
 
 def _block_scan(ring: FiniteRing, kind: str, width: int, ok_rows) -> CheckReport:
@@ -442,10 +506,13 @@ def _structural(ring: FiniteRing, kind: str) -> CheckReport:
         return _report(ring, kind, True)
 
     if kind == "dedekind-finite":
-        hits = ring.mul == ring.one
-        bad = hits & ~hits.T
-        if bad.any():
-            a, b = np.argwhere(bad)[0]
+        # a*b = 1 with b*a != 1 for some b exactly when a has a right inverse
+        # but is not a unit (a unit's only right inverse is its inverse)
+        right_inverse = (ring.mul == ring.one).any(axis=1)
+        bad = np.flatnonzero(right_inverse & ~subsets.unit_mask(ring))
+        if bad.size:
+            a = int(bad[0])
+            b = int(np.argmax(ring.mul[a] == ring.one))
             return _report(ring, kind, False,
                            [_wit(ring, "left-factor", int(a)), _wit(ring, "right-factor", int(b))],
                            notes="a*b = 1 but b*a != 1")
@@ -476,11 +543,7 @@ def _structural(ring: FiniteRing, kind: str) -> CheckReport:
         return _report(ring, kind, True)
 
     if kind in ("semipotent", "potent"):
-        nz_idem = subsets.idempotent_mask(ring).copy()
-        nz_idem[ring.zero] = False
-        reach = nz_idem[ring.mul].any(axis=1)         # a*R meets a nonzero idempotent
-        ok = reach | subsets.jacobson_mask(ring)
-        bad = np.flatnonzero(~ok)
+        bad = np.flatnonzero(~_semipotent_mask(ring))
         notes = "principal right ideal criterion: a outside J needs a nonzero idempotent in a*R"
         if bad.size:
             return _report(ring, kind, False, [_wit(ring, "element", int(bad[0]))], notes=notes)

@@ -6,6 +6,24 @@ subring, the prime radical, and quasinilpotents.  All functions are pure
 and memoized on the ring; each set that has a forced postcondition
 re-checks it and raises InternalInconsistency on failure (that would be an
 implementation bug, not bad input).
+
+A finite ring is artinian and strongly pi-regular, which gives three of
+the radical sets by identities that hold in every finite ring (Lam, *A
+First Course in Noncommutative Rings*, sections 4 and 10):
+
+- J(R) = {a : R*a is nil}.  J(R) is nilpotent, so R*a inside J is nil;
+  a nil left ideal lies in J, and a is in R*a.
+- the prime radical is J(R): in an artinian ring the prime ideals are the
+  maximal ideals, whose intersection is J(R).
+- the quasinilpotents are Nil(R).  A nilpotent a times a commuting x is
+  nilpotent, so 1 + a*x is a unit.  Otherwise the Fitting idempotent e of
+  a is nonzero, commutes with a, and a*e is a unit of e*R*e; x = -(a*e)^-1
+  in e*R*e commutes with a, and 1 + a*x = 1 - e is not a unit, since
+  (1 - e)*e = 0.
+
+`idempotent_reach` is the kernel of the regularity, exchange and
+semipotent scans in `predicates`: which idempotents lie in each principal
+right ideal a*R.
 """
 
 from __future__ import annotations
@@ -89,11 +107,11 @@ def one_minus(ring: FiniteRing) -> np.ndarray:
 
 def jacobson_mask(ring: FiniteRing) -> np.ndarray:
     def compute():
-        om = one_minus(ring)
-        u = unit_mask(ring)
-        # a is quasi-regular on the left: 1 - r*a invertible for all r.  In a
-        # finite ring one-sided inverses are two-sided, so this is J(R).
-        mask = u[om[ring.mul]].all(axis=0)
+        # a is in J(R) exactly when every r*a is nilpotent (module docstring)
+        nil = nilpotent_mask(ring)
+        mask = np.ones(ring.order, dtype=bool)
+        for lo, hi in core._row_blocks(ring.order, ring.order):
+            mask &= np.take(nil, ring.mul[lo:hi]).all(axis=0)
         if not core.is_ideal(ring, ElementSet(ring, mask)):
             raise InternalInconsistency(
                 f"computed radical of {ring.label} is not a two-sided ideal")
@@ -102,7 +120,8 @@ def jacobson_mask(ring: FiniteRing) -> np.ndarray:
 
 
 def jacobson_radical(ring: FiniteRing) -> ElementSet:
-    """{a : 1 - r*a is a unit for every r}, validated to be an ideal."""
+    """{a : 1 - r*a is a unit for every r}, computed as {a : R*a is nil} and
+    validated to be an ideal."""
     return ElementSet(ring, jacobson_mask(ring))
 
 
@@ -153,23 +172,10 @@ def unit_subring_elements(ring: FiniteRing) -> np.ndarray:
 
 
 def prime_radical(ring: FiniteRing) -> ElementSet:
-    """Least semiprime ideal, by fixpoint iteration from {0}."""
+    """Least semiprime ideal; in a finite ring it is J(R) (module docstring),
+    re-checked to consist of nilpotents."""
     def compute():
-        n = ring.order
-        col = np.arange(n, dtype=np.int32)[:, None]
-        sandwich = core._lookup(ring.mul, ring.mul, col)   # [a, r] = a*r*a
-        mask = np.zeros(n, dtype=bool)
-        mask[ring.zero] = True
-        while True:
-            forced = mask[sandwich].all(axis=1)     # a with a*R*a inside I
-            new = forced & ~mask
-            if not new.any():
-                break
-            mask = core.ideal_generated(
-                ring, np.flatnonzero(mask | forced)).members.copy()
-        if (mask[sandwich].all(axis=1) & ~mask).any():
-            raise InternalInconsistency(
-                f"prime radical of {ring.label} is not semiprime at the fixpoint")
+        mask = jacobson_mask(ring).copy()
         if not nilpotent_mask(ring)[np.flatnonzero(mask)].all():
             raise InternalInconsistency(
                 f"prime radical of {ring.label} contains a non-nilpotent")
@@ -182,17 +188,39 @@ def commuting_matrix(ring: FiniteRing) -> np.ndarray:
 
 
 def quasinilpotent_mask(ring: FiniteRing) -> np.ndarray:
-    def compute():
-        comm = commuting_matrix(ring)
-        one_plus = ring.add[ring.one]
-        ok = unit_mask(ring)[one_plus[ring.mul]]
-        return (~comm | ok).all(axis=1)
-    return _cached_mask(ring, "qn_mask", compute)
+    # in a finite ring the quasinilpotents are the nilpotents (module docstring)
+    return _cached_mask(ring, "qn_mask", lambda: nilpotent_mask(ring).copy())
 
 
 def quasinilpotents(ring: FiniteRing) -> ElementSet:
-    """Elements a with 1 + a*x invertible for every x commuting with a."""
+    """Elements a with 1 + a*x invertible for every x commuting with a:
+    Nil(R) in a finite ring."""
     return ElementSet(ring, quasinilpotent_mask(ring))
+
+
+def idempotent_reach(ring: FiniteRing) -> np.ndarray:
+    """Bool matrix P with P[a, j] true when the j-th smallest idempotent lies
+    in a*R.
+
+    Each row of `mul` is scattered into its row of P through `pos`, which
+    sends an idempotent to its column and every other element to a spare
+    last column; `pos` has n entries, so it stays in cache while the blocks
+    of `mul` stream past.
+    """
+    def compute():
+        n = ring.order
+        id_idx = np.flatnonzero(idempotent_mask(ring))
+        width = id_idx.size + 1
+        pos = np.full(n, id_idx.size, dtype=np.int32)
+        pos[id_idx] = np.arange(id_idx.size, dtype=np.int32)
+        reach = np.zeros((n, width), dtype=bool)
+        flat = reach.ravel()
+        dtype = np.int64 if n * width >= 1 << 31 else np.int32
+        for lo, hi in core._row_blocks(n, n):
+            starts = np.arange(lo, hi, dtype=dtype)[:, None] * width
+            flat[np.take(pos, ring.mul[lo:hi]) + starts] = True
+        return reach[:, :-1]
+    return _cached_mask(ring, "idem_reach", compute)
 
 
 def sumset_mask(ring: FiniteRing, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:

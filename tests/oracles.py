@@ -7,7 +7,8 @@ the n^3 triples), sharing nothing with the library's generator-based
 validator.  The two-sided reference runs the generator procedure with both
 full distributivity sides, in the pass order that names a violation.  The generator oracle re-closes the whole additive span after
 each generator.  The ideal oracle is a plain closure-lattice search.  The
-homomorphism oracle compares images one pair at a time.  Expected
+homomorphism oracle compares images one pair at a time.  The prime
+radical oracle is the semiprime fixpoint of its definition.  Expected
 values in the tests are either frozen from these oracles or checked against
 them directly.
 """
@@ -224,6 +225,20 @@ def naive_quasinilpotents(R) -> list[int]:
         if good:
             out.append(a)
     return out
+
+
+def naive_prime_radical(R) -> list[int]:
+    """Least semiprime ideal, by fixpoint iteration from {0}: add every a with
+    a*R*a inside the current ideal, close to an ideal, repeat."""
+    n = R.order
+    sandwich = R.mul[R.mul, np.arange(n)[:, None]]      # [a, r] = a*r*a
+    mask = np.zeros(n, dtype=bool)
+    mask[R.zero] = True
+    while True:
+        forced = mask[sandwich].all(axis=1)
+        if not (forced & ~mask).any():
+            return [int(a) for a in np.flatnonzero(mask)]
+        mask = core.ideal_generated(R, np.flatnonzero(mask | forced)).members.copy()
 
 
 def naive_center(R) -> list[int]:

@@ -212,6 +212,18 @@ raise SystemExit(code)
 """
 
 
+def test_cli_import_leaves_out_the_theorem_harness():
+    # info, check and classes never run the suite; only verify and search
+    # import the harness and its thread pool
+    probe = ("import sys, deltaring.cli; "
+             "print(sorted(m for m in ('deltaring.harness', 'concurrent.futures') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_guard_rejects_huge_expressions_fast_and_without_traceback():
     for argv, reach, guard in ((["M(1500,Z3)"], 6561, 4096),
                                (["GR(M(1500,Z3),C2)"], 6561, 4096),

@@ -107,6 +107,60 @@ def test_strongly_regular_matches_brute_force():
         assert class_verdict(R, "strongly-regular") == expected, expr
 
 
+def _literal_element_masks(R) -> dict[str, list[bool]]:
+    """Each element's condition for the five classes whose scans read
+    `subsets.idempotent_reach` or a product set, by plain loops over the
+    defining condition."""
+    n, mul = R.order, R.mul.tolist()
+    idem = oracles.naive_idempotents(R)
+    units = oracles.naive_units(R)
+    jac = set(oracles.naive_jacobson(R))
+    right = [set(row) for row in mul]                 # a*R
+
+    def powers(a):
+        p = a
+        for _ in range(n):
+            yield p
+            p = mul[p][a]
+
+    regular = [any(mul[mul[a][x]][a] == a for x in range(n)) for a in range(n)]
+    return {
+        "regular": regular,
+        "unit-regular": [any(mul[mul[a][u]][a] == a for u in units) for a in range(n)],
+        "pi-regular": [any(regular[p] for p in powers(a)) for a in range(n)],
+        "exchange": [any(e in right[a] and R.sub(R.one, e) in right[R.sub(R.one, a)]
+                         for e in idem) for a in range(n)],
+        "semipotent": [a in jac or any(e != R.zero and e in right[a] for e in idem)
+                       for a in range(n)],
+    }
+
+
+ELEMENT_MASKS = {"regular": pr._regular_mask, "unit-regular": pr._unit_regular_mask,
+                 "pi-regular": pr._pi_regular_mask, "exchange": pr._exchange_mask,
+                 "semipotent": pr._semipotent_mask}
+MASK_SAMPLE = ("Z4", "Z6", "Z8", "Z12", "GF(8)", "M(2,Z2)", "T(2,Z2)", "T(2,Z3)", "T(3,Z2)",
+               "GR(Z2,C3)", "GR(Z2,S3)", "K(Z4,s=2)", "Triv(Z4,Z4)", "Prod(Z4,GF(4))",
+               "TruncSkew(GF(4),frob,2)", "M(2,Z3)")
+
+
+@pytest.mark.parametrize("block_cells", [None, 4])
+def test_element_masks_match_literal_conditions(monkeypatch, block_cells):
+    # the regular, pi-regular, exchange and semipotent masks come from the
+    # idempotents-in-a*R matrix and the unit-regular mask from the product set
+    # E*U; each must equal its defining condition element by element, with
+    # tables in one block and split into blocks of a few rows
+    if block_cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
+    seen_false = set()
+    for expr in MASK_SAMPLE:
+        R = core._relabel(b(expr), expr)              # a fresh memo
+        for name, expected in _literal_element_masks(R).items():
+            assert ELEMENT_MASKS[name](R).tolist() == expected, (expr, name)
+            if not all(expected):
+                seen_false.add(name)
+    assert seen_false == {"regular", "unit-regular"}
+
+
 # ---------------------------------------------------------------------------
 # clean family
 

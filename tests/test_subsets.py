@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deltaring import core, dsl, subsets
+from deltaring import core, dsl, harness, subsets
 from deltaring.errors import InternalInconsistency
 
 import oracles
@@ -70,6 +70,46 @@ def test_quasinilpotents_examples(zmod):
     for m in (4, 6, 9, 12):
         assert subsets.quasinilpotents(zmod(m)).indices == \
             oracles.naive_quasinilpotents(zmod(m))
+
+
+# orders 256-729 from the inspect pool, outside the catalog
+LARGE_SAMPLE = ("M(2,Z4)", "GR(Z4,C4)", "Triv(Z16,Z16)", "T(2,Z7)", "T(2,Z8)", "M(2,Z5)")
+
+
+def test_radical_identities_against_definitions():
+    # a finite ring is artinian and strongly pi-regular, so J(R) = {a : R*a
+    # nil}, the prime radical is J(R) and the quasinilpotents are Nil(R); the
+    # oracles compute each set from its definition
+    rings = harness.catalog_rings() + [dsl.build_str(e) for e in LARGE_SAMPLE]
+    assert len(rings) == 182 + len(LARGE_SAMPLE)
+    for R in rings:
+        assert subsets.jacobson_radical(R).indices == oracles.naive_jacobson(R), R.label
+        assert subsets.prime_radical(R).indices == oracles.naive_prime_radical(R), R.label
+        assert subsets.quasinilpotents(R).indices == \
+            oracles.naive_quasinilpotents(R), R.label
+
+
+def test_radical_at_split_blocks(monkeypatch):
+    # the radical scan reads `mul` in row blocks; one row per block must give
+    # the radical too
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 1)
+    for expr in ("T(2,Z4)", "GR(Z4,C2)", "M(2,Z2)", "K(Z4,s=2)"):
+        R = core._relabel(dsl.build_str(expr), expr)          # a fresh memo
+        assert subsets.jacobson_radical(R).indices == oracles.naive_jacobson(R), expr
+
+
+@pytest.mark.parametrize("block_cells", [None, 4])
+def test_idempotent_reach_is_membership_in_principal_right_ideals(monkeypatch, block_cells):
+    # P[a, j] says whether the j-th smallest idempotent lies in a*R; checked
+    # against the literal sets a*R, with the table in one block and in
+    # blocks of one row
+    if block_cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
+    for expr in ("Z12", "M(2,Z2)", "T(2,Z3)", "GR(Z2,S3)", "Prod(Z4,GF(4))", "M(2,Z3)"):
+        R = core._relabel(dsl.build_str(expr), expr)          # a fresh memo
+        idem = oracles.naive_idempotents(R)
+        expected = [[e in set(row) for e in idem] for row in R.mul.tolist()]
+        assert subsets.idempotent_reach(R).tolist() == expected, expr
 
 
 def test_oracle_identity_on_sample(zmod):
