@@ -4,8 +4,8 @@ Exit codes: 0 for success / a true verdict, 1 for a false verdict or a
 failed check, 2 for usage, parse, or build errors.  When the reader of
 stdout goes away early (`deltaring info ... | head`), the command exits 1
 without a message.  Reports go to stdout, diagnostics to stderr.  The
-order guard and thread count come from DELTA_RING_MAX_ORDER /
-DELTA_RING_THREADS; flags win over the environment.
+order guard and the number of `verify all` worker processes come from
+DELTA_RING_MAX_ORDER / DELTA_RING_THREADS; flags win over the environment.
 """
 
 from __future__ import annotations
@@ -195,7 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock runtimes (off by default so reports are byte-stable)")
     p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes for `verify all`, forked after the ring scope is "
+                        "built and capped at the number of checks; the report is "
+                        "byte-identical for every count")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", help="catalog rings inside/outside the given classes")

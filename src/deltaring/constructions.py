@@ -508,15 +508,18 @@ def trivial_extension(R: FiniteRing, M: Bimodule | None = None, *,
 
 
 def dt_extension(R: FiniteRing, M: Bimodule | None = None, *,
-                 order_guard: int | None = None, label: str | None = None) -> FiniteRing:
+                 order_guard: int | None = None, label: str | None = None,
+                 inner: FiniteRing | None = None) -> FiniteRing:
     """The doubled trivial extension: Triv(R,M) extended by itself, whose
     elements ((a,m),(b,n)) are shown as quadruples (a, m, b, n).
 
     The nested pair encoding is the mixed-radix encoding of the quadruple,
-    so the ring is the validated nested extension under new names.
+    so the ring is the validated nested extension under new names.  `inner`
+    is `trivial_extension(R, M)` when the caller already has it.
     """
     M = _require_rr_bimodule(R, M)
-    inner = trivial_extension(R, M, order_guard=order_guard)
+    if inner is None:
+        inner = trivial_extension(R, M, order_guard=order_guard)
     nested = trivial_extension(inner, None, order_guard=order_guard)
     names = _tuple_names([R.names, M.names, R.names, M.names],
                          [R.order, M.order, R.order, M.order])

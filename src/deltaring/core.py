@@ -117,6 +117,14 @@ def _outer(table: np.ndarray, rows, cols) -> np.ndarray:
     return np.take(table[rows], cols, axis=1)
 
 
+def _marked(values, n: int) -> np.ndarray:
+    """Bool vector of length `n` that is True at each index in `values`:
+    the distinct values without `np.unique`'s sort."""
+    mask = np.zeros(n, dtype=bool)
+    mask[values] = True
+    return mask
+
+
 # 2^14 int32 cells make a 64 KiB block temporary.  glibc serves requests
 # above its mmap threshold (initially 128 KiB) with a fresh mmap, whose pages
 # fault in one by one on first touch, so a block temporary of 2^16 cells
@@ -333,11 +341,11 @@ class RingHom:
 
     @property
     def is_surjective(self) -> bool:
-        return len(np.unique(self.map)) == self.target.order
+        return bool(_marked(self.map, self.target.order).all())
 
     @property
     def is_injective(self) -> bool:
-        return len(np.unique(self.map)) == self.source.order
+        return int(_marked(self.map, self.target.order).sum()) == self.source.order
 
     def kernel(self) -> ElementSet:
         return ElementSet(self.source, self.map == self.target.zero)
@@ -366,8 +374,7 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
         covered[g] = True
         new = np.array([g])
         while new.size:
-            hit = np.zeros(n, dtype=bool)
-            hit[_outer(add, new, np.flatnonzero(covered))] = True
+            hit = _marked(_outer(add, new, np.flatnonzero(covered)), n)
             new = np.flatnonzero(hit & ~covered)
             covered |= hit
     return gens
@@ -522,15 +529,16 @@ def _closure(ring: FiniteRing, seed, extend) -> ElementSet:
 
     `extend(new, cur)` returns the elements that pairs with at least one
     member in `new` reach; pairs of older members were taken in an earlier
-    round, so each round only looks at the frontier.
+    round, so each round only looks at the frontier.  Reached elements are
+    marked in a bool vector, so a round costs no sort.
     """
     mask = np.zeros(ring.order, dtype=bool)
     mask[np.asarray(seed, dtype=np.int64)] = True
     new = np.flatnonzero(mask)
     while new.size:
-        reach = extend(new, np.flatnonzero(mask))
-        new = np.unique(reach[~mask[reach]])
-        mask[new] = True
+        hit = _marked(extend(new, np.flatnonzero(mask)), ring.order)
+        new = np.flatnonzero(hit & ~mask)
+        mask |= hit
     return ElementSet(ring, mask)
 
 
@@ -687,10 +695,8 @@ def corner_ring(ring: FiniteRing, e: int) -> FiniteRing:
     e = int(e)
     if e == ring.zero or int(ring.mul[e, e]) != e:
         raise NotIdempotent(f"element {e} of {ring.label} is not a nonzero idempotent")
-    vals = np.unique(ring.mul[ring.mul[e, :], e])
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[vals] = True
-    out, _ = induced_subring(ring, ElementSet(ring, mask), e,
+    eRe = _marked(ring.mul[ring.mul[e, :], e], ring.order)
+    out, _ = induced_subring(ring, ElementSet(ring, eRe), e,
                              label=f"corner({ring.label},{e})")
     return out
 

@@ -557,8 +557,10 @@ def _build_uncached(e: RingExpr, canonical: str, guard: int | None) -> FiniteRin
             return cons.trivial_extension(build(base, order_guard=guard),
                                           order_guard=guard, label=canonical)
         case DT(base):
-            return cons.dt_extension(build(base, order_guard=guard),
-                                     order_guard=guard, label=canonical)
+            # the inner Triv(base) comes from the build cache, so building both
+            # rings validates it once
+            return cons.dt_extension(build(base, order_guard=guard), order_guard=guard,
+                                     label=canonical, inner=build(Triv(base), order_guard=guard))
         case FormalTri(left, right, regular):
             L = build(left, order_guard=guard)
             Rr = build(right, order_guard=guard)

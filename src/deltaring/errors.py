@@ -7,17 +7,27 @@ class RingError(Exception):
     """Base class for every toolkit error."""
 
 
-class AxiomViolation(RingError):
-    """A ring axiom failed on concrete elements.
-
-    `kind` is a short tag ("mul-associativity", "add-commutativity", ...);
-    `witness` holds the element indices of the first failing instance.
-    """
+class _Witnessed(RingError):
+    """An error tagged with a `kind` and the element indices of its witness."""
 
     def __init__(self, kind: str, witness: tuple = (), message: str = ""):
         self.kind = kind
         self.witness = tuple(int(w) for w in witness)
         super().__init__(message or f"{kind} fails at {self.witness}")
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, not from `args` (which
+        # holds only the message), so an error that crossed a process
+        # boundary reads and compares as the original
+        return type(self), (self.kind, self.witness, str(self)), self.__dict__
+
+
+class AxiomViolation(_Witnessed):
+    """A ring axiom failed on concrete elements.
+
+    `kind` is a short tag ("mul-associativity", "add-commutativity", ...);
+    `witness` holds the element indices of the first failing instance.
+    """
 
 
 class MalformedRing(RingError, ValueError):
@@ -27,13 +37,8 @@ class MalformedRing(RingError, ValueError):
     `ValueError`, so callers that caught the older plain errors still work."""
 
 
-class HomViolation(RingError):
+class HomViolation(_Witnessed):
     """A map is not a unital ring homomorphism; carries the failing pair."""
-
-    def __init__(self, kind: str, witness: tuple = (), message: str = ""):
-        self.kind = kind
-        self.witness = tuple(int(w) for w in witness)
-        super().__init__(message or f"{kind} fails at {self.witness}")
 
 
 class NotAnIdeal(RingError):
@@ -83,6 +88,9 @@ class ExprSyntaxError(RingError):
         self.position = int(position)
         self.expected = expected
         super().__init__(message or f"syntax error at position {self.position}: expected {expected}")
+
+    def __reduce__(self):
+        return type(self), (self.position, self.expected, str(self)), self.__dict__
 
 
 class UnknownCheckId(RingError):

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,7 +246,7 @@ def _context_isomorphism(expr, built, parts) -> str | None:
     isomorphically onto the trivial extension of R x R by M+N."""
     base = parts[0]
     n = base.order
-    prod = cons.direct_product([base, base])
+    prod = dsl.build(dsl.Product((expr.base, expr.base)))
     triv = cons.trivial_extension(prod, _cross_bimodule(prod, base))
     a, x, y, b = np.unravel_index(np.arange(built.order), (n,) * 4)
     try:
@@ -446,7 +445,7 @@ def _run_T3_27(rings):
     bad = []
     for r in scope:
         u_idx = np.flatnonzero(subsets.unit_mask(r))
-        squares = np.unique(r.mul[u_idx, u_idx])
+        squares = np.flatnonzero(core._marked(r.mul[u_idx, u_idx], r.order))
         total = _sumset(r, squares, squares)
         if (total & ~subsets.delta_mask(r)).any():
             a = int(np.flatnonzero(total & ~subsets.delta_mask(r))[0])
@@ -661,16 +660,43 @@ def run_check(check_id: str, rings: list[FiniteRing] | None = None,
                         counterexamples, elapsed if include_timings else 0, notes)
 
 
+# The scope and timing flag of the running `run_all`, set in the parent
+# before its workers fork, so they inherit the built rings instead of
+# receiving them pickled.
+_INHERITED: tuple[list[FiniteRing] | None, bool] = (None, False)
+
+
+def _run_inherited(check_id: str) -> TheoremCheck:
+    rings, include_timings = _INHERITED
+    return run_check(check_id, rings, include_timings)
+
+
 def run_all(rings: list[FiniteRing] | None = None, threads: int = 1,
             include_timings: bool = False) -> list[TheoremCheck]:
-    """Run every check; results in registry order regardless of scheduling."""
+    """Run every check; results in registry order regardless of scheduling.
+
+    With `threads` above 1 the scope is built first, then the checks run on
+    that many forked worker processes (at most one per check), which
+    inherit the scope and every verdict memoized on it.  Forking is safe
+    only while no other thread runs in the process, as in the CLI."""
     ids = check_ids()
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {cid: pool.submit(run_check, cid, rings, include_timings)
-                       for cid in ids}
-            return [futures[cid].result() for cid in ids]
-    return [run_check(cid, rings, include_timings) for cid in ids]
+    workers = min(threads or 1, len(ids))
+    if workers <= 1:
+        return [run_check(cid, rings, include_timings) for cid in ids]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _INHERITED
+    if rings is None:
+        catalog_rings()
+    _INHERITED = (rings, include_timings)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_run_inherited, cid) for cid in ids]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _INHERITED = (None, False)
 
 
 def summary(results: list[TheoremCheck]) -> str:

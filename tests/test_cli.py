@@ -283,3 +283,13 @@ def test_verify_all_cold_runs_identical_across_thread_counts():
     first = outputs[0][0]
     assert json.loads(first)["verdict"] is True
     assert all(out == first for out, _ in outputs)
+
+
+def test_verify_max_order_64_on_workers_matches_golden():
+    # a fresh interpreter: the workers see only the scope list the parent
+    # built from --max-order, inherited when they fork
+    proc = subprocess.run([sys.executable, "-m", "deltaring.cli", "verify", "all", "--json",
+                           "--max-order", "64", "--threads", "2"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=300)
+    golden = (Path(__file__).parent / "golden" / "verify_max_order_64.json").read_text()
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", golden)

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deltaring import core, dsl, harness, subsets
-from deltaring.errors import UnknownCheckId, UnknownClass
+from deltaring.errors import (AxiomViolation, ExprSyntaxError, HomViolation, UnknownCheckId,
+                              UnknownClass)
 
 import oracles
 
@@ -224,20 +228,95 @@ def test_transfer_reports_constructions_that_differ_from_parts():
                               "witness": []}]
 
 
-def test_cold_run_all_builds_each_ring_once_under_threads(monkeypatch):
-    real = core._validated_ring
-    calls = []
+def test_cold_run_all_builds_each_ring_once_under_threads(monkeypatch, tmp_path):
+    # forked workers inherit both wrappers and append to the same log: one
+    # line per ring validation (process id and label), and one when the
+    # worker pool is made, before any worker starts
+    log = tmp_path / "validations.log"
 
-    def counted(*args):
-        calls.append(None)
+    def note(label):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\t{label}\n")
+
+    real = core._validated_ring
+
+    def logged(*args):
+        note(args[4])
         return real(*args)
 
-    monkeypatch.setattr(core, "_validated_ring", counted)
-    counts = []
-    for threads in (1, 2):
+    class NotedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            note("<pool>")
+            super().__init__(*args, **kwargs)
+
+    def cold_rows(run):
         dsl.clear_build_cache()
         harness._CATALOG_RINGS = None
-        calls.clear()
-        harness.run_all(threads=threads)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        log.write_text("")
+        run()
+        return [tuple(line.split("\t")) for line in log.read_text().splitlines()]
+
+    monkeypatch.setattr(core, "_validated_ring", logged)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NotedPool)
+    parent = str(os.getpid())
+    scope = cold_rows(harness.catalog_rings)
+    assert scope and len(set(scope)) == len(scope)
+    for threads in (1, 2):
+        rows = cold_rows(lambda: harness.run_all(threads=threads))
+        # no process validates any ring twice
+        assert len(set(rows)) == len(rows), threads
+        if threads == 1:
+            assert (parent, "<pool>") not in rows
+            continue
+        # the scope is validated in the parent, each ring once, before the
+        # pool; no worker validates a scope ring again
+        pool_at = rows.index((parent, "<pool>"))
+        assert rows[:pool_at] == scope
+        assert not {label for _, label in rows[pool_at + 1:]} & {label for _, label in scope}
+        assert {pid for pid, _ in rows[pool_at + 1:]} - {parent}
+
+
+def test_run_all_caps_workers_at_the_check_count(monkeypatch):
+    made = []
+
+    class InProcessPool:
+        # records its size and runs each submission at once, in this process
+        def __init__(self, max_workers, mp_context=None):
+            made.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    sample = rings("Z2", "Z4", "GF(4)")
+    serial = harness.results_to_json(harness.run_all(sample))
+    assert made == []
+    assert harness.results_to_json(harness.run_all(sample, threads=10_000)) == serial
+    assert made == [len(harness.check_ids())]
+
+
+def test_run_all_leaves_no_worker_running():
+    sample = rings("Z2", "Z4", "GF(4)")
+    assert all(r.verdict for r in harness.run_all(sample, threads=2))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error", [AxiomViolation("mul-identity", (1, 2)),
+                                   HomViolation("coset", (3, 4)),
+                                   ExprSyntaxError(5, "')'")],
+                         ids=lambda e: type(e).__name__)
+def test_run_all_passes_a_worker_error_on_intact(error, monkeypatch):
+    def broken(rings):
+        raise error
+
+    monkeypatch.setitem(harness.CHECKS, "T3.8", (harness.CHECKS["T3.8"][0], broken))
+    with pytest.raises(type(error)) as raised:
+        harness.run_all(rings("Z2", "Z4"), threads=2)
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    assert vars(raised.value) == vars(error)
+    assert multiprocessing.active_children() == []
