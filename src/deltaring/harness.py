@@ -660,6 +660,16 @@ def run_check(check_id: str, rings: list[FiniteRing] | None = None,
                         counterexamples, elapsed if include_timings else 0, notes)
 
 
+# The checks that dominate a catalog run, longest first: alone on the
+# built catalog, on a 2-core x86-64 VM, T3.5 takes ~0.33 s, T-oracle
+# ~0.2 s and T3.7 ~0.14 s, every other check under 0.08 s.  Workers take
+# checks in submission order, so these go first and the short checks fill
+# in behind them.  In registry order T-oracle comes last and starts late
+# on whichever worker is free, and the other worker idles for 0.09-0.22 s,
+# a different amount each run.
+_LONGEST = ("T3.5", "T-oracle", "T3.7")
+
+
 # The scope and timing flag of the running `run_all`, set in the parent
 # before its workers fork, so they inherit the built rings instead of
 # receiving them pickled.
@@ -677,8 +687,9 @@ def run_all(rings: list[FiniteRing] | None = None, threads: int = 1,
 
     With `threads` above 1 the scope is built first, then the checks run on
     that many forked worker processes (at most one per check), which
-    inherit the scope and every verdict memoized on it.  Forking is safe
-    only while no other thread runs in the process, as in the CLI."""
+    inherit the scope and every verdict memoized on it and take the
+    longest checks first.  Forking is safe only while no other thread runs
+    in the process, as in the CLI."""
     ids = check_ids()
     workers = min(threads or 1, len(ids))
     if workers <= 1:
@@ -692,8 +703,9 @@ def run_all(rings: list[FiniteRing] | None = None, threads: int = 1,
     _INHERITED = (rings, include_timings)
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(_run_inherited, cid) for cid in ids]
-        return [f.result() for f in futures]
+        order = [*_LONGEST, *(cid for cid in ids if cid not in _LONGEST)]
+        futures = {cid: pool.submit(_run_inherited, cid) for cid in order}
+        return [futures[cid].result() for cid in ids]
     finally:
         pool.shutdown(cancel_futures=True)
         _INHERITED = (None, False)

@@ -300,6 +300,31 @@ def test_run_all_caps_workers_at_the_check_count(monkeypatch):
     assert made == [len(harness.check_ids())]
 
 
+def test_run_all_submits_the_longest_checks_first(monkeypatch):
+    submitted = []
+
+    class InProcessPool:
+        # records the submitted check ids and runs each at once, in this process
+        def __init__(self, max_workers, mp_context=None):
+            pass
+
+        def submit(self, fn, check_id):
+            submitted.append(check_id)
+            future = concurrent.futures.Future()
+            future.set_result(fn(check_id))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    results = harness.run_all(rings("Z2", "Z4", "GF(4)"), threads=2)
+    longest = list(harness._LONGEST)
+    assert submitted[:len(longest)] == longest
+    assert sorted(submitted) == sorted(harness.check_ids())
+    assert [r.check_id for r in results] == harness.check_ids()
+
+
 def test_run_all_leaves_no_worker_running():
     sample = rings("Z2", "Z4", "GF(4)")
     assert all(r.verdict for r in harness.run_all(sample, threads=2))
