@@ -1,8 +1,12 @@
 """Desk-scale theorem checks over the ring catalog, plus class search.
 
 Each registered check encodes one statement as an executable assertion
-over a ring set (or over fixed construction instances).  Most checks are
-one of two combinators applied to data rows:
+over a ring set (or over fixed construction instances).  Every check but
+one is the runner `_each(test, where, instances)`: its scope is the rings
+given (else the catalog), or with `instances` the fixed expressions among
+them; it keeps the items where `where` holds and collects the
+counterexamples that `test(item)` returns for each.  Two families of
+tests come from data rows:
 
 - `_agree(forms)`: verdict forms (conjunctions of classes) coincide on
   every catalog ring, after an optional hypothesis is re-verified;
@@ -10,11 +14,12 @@ one of two combinators applied to data rows:
   when its parts are, plus an optional side condition per instance.
 
 The construction rows are the catalog's own instances (`dsl`) plus a few
-extra instances outside it.  The remaining checks are plain runners.
-Biconditionals are always evaluated by computing both sides
-independently; hypotheses that are automatic for finite rings (exchange,
-potent, artinian, nil radical) are re-verified rather than assumed
-wherever that is cheap.
+extra instances outside it.  The other tests are written out one per
+check.  T3.8 is the only plain runner, since its notes are built from the
+certificates it finds.  Biconditionals are always evaluated by computing
+both sides independently; hypotheses that are automatic for finite rings
+(exchange, potent, artinian, nil radical) are re-verified rather than
+assumed wherever that is cheap.
 
 Reports are deterministic: two runs over the same catalog are
 byte-identical (timings default to zero and are opt-in).
@@ -33,7 +38,8 @@ from . import constructions as cons
 from . import core, dsl, subsets
 from .core import ElementSet, FiniteRing
 from .errors import UnknownCheckId
-from .predicates import check_class, class_key, class_verdict, revalidate_witness
+from .predicates import (check_class, class_key, class_verdict, jacobson_pair_check,
+                         revalidate_witness)
 from .report import CheckReport, Witness
 
 
@@ -150,19 +156,34 @@ def ideals_inside_radical(ring: FiniteRing) -> list[ElementSet]:
     return sorted(ideals, key=lambda ideal: ideal.indices)
 
 
-def _sumset(ring: FiniteRing, a_idx, b_idx) -> np.ndarray:
-    return subsets.sumset_mask(ring, np.asarray(a_idx, dtype=np.int64),
-                               np.asarray(b_idx, dtype=np.int64))
-
-
 def _two_in_delta(ring: FiniteRing) -> bool:
     two = int(ring.add[ring.one, ring.one])
     return bool(subsets.delta_mask(ring)[two])
 
 
+def _holds(form: str):
+    """Predicate: a ring lies in every class of the conjunction `form` ("a+b+c")."""
+    return lambda r: all(class_verdict(r, c) for c in form.split("+"))
+
+
 # ---------------------------------------------------------------------------
-# the two combinators.  Each returns a runner: rings -> (scope_size,
-# counterexamples, notes).
+# the runner.  `_each(...)` returns rings -> (scope_size, counterexamples,
+# notes); `_agree` and `_transfer` hand it a test built from their rows.
+
+
+def _each(test, where=None, instances=None, notes: str = ""):
+    """Runner: `test(item)` returns the counterexamples of one item in scope.
+
+    The scope is the rings given (else the catalog) or, with `instances`,
+    the fixed expressions among them (`_instances`).  Only the items where
+    `where(item)` holds are in scope, and only they count towards its size.
+    """
+    def run(rings):
+        scope = _scope(rings) if instances is None else _instances(instances, rings)
+        if where is not None:
+            scope = [item for item in scope if where(item)]
+        return len(scope), [c for item in scope for c in test(item)], notes
+    return run
 
 
 def _agree(forms, hypothesis=None, notes: str = ""):
@@ -172,18 +193,14 @@ def _agree(forms, hypothesis=None, notes: str = ""):
     optional (predicate, note) pair, re-verified on each ring first; a ring
     that fails it is a counterexample under that note.
     """
-    def run(rings):
-        scope = _scope(rings)
-        bad = []
-        for r in scope:
-            if hypothesis is not None and not hypothesis[0](r):
-                bad.append(_counterexample(r, hypothesis[1]))
-                continue
-            verdicts = {f: all(class_verdict(r, c) for c in f.split("+")) for f in forms}
-            if len(set(verdicts.values())) != 1:
-                bad.append(_counterexample(r, f"equivalence broken: {verdicts}"))
-        return len(scope), bad, notes
-    return run
+    def test(r):
+        if hypothesis is not None and not hypothesis[0](r):
+            return [_counterexample(r, hypothesis[1])]
+        verdicts = {f: _holds(f)(r) for f in forms}
+        if len(set(verdicts.values())) != 1:
+            return [_counterexample(r, f"equivalence broken: {verdicts}")]
+        return []
+    return _each(test, notes=notes)
 
 
 def _parts(expr: dsl.RingExpr) -> tuple[dsl.RingExpr, ...]:
@@ -200,22 +217,17 @@ def _transfer(rows, notes: str, one_way: bool = False, side=None):
     forces 2-delta-u parts.  `side(expr, built, parts)` returns the note of
     a failed extra hypothesis or identity, or None; it is asked first.
     """
-    def run(rings):
-        exprs = _instances(rows, rings)
-        bad = []
-        for expr in exprs:
-            built = dsl.build(expr)
-            parts = [dsl.build(p) for p in _parts(expr)]
-            note = side(expr, built, parts) if side is not None else None
-            if note is None:
-                whole = class_verdict(built, "2-delta-u")
-                each = all(class_verdict(p, "2-delta-u") for p in parts)
-                if whole != each and (whole or not one_way):
-                    note = f"construction={whole}, parts={each}"
-            if note is not None:
-                bad.append(_counterexample(built, note))
-        return len(exprs), bad, notes
-    return run
+    def test(expr):
+        built = dsl.build(expr)
+        parts = [dsl.build(p) for p in _parts(expr)]
+        note = side(expr, built, parts) if side is not None else None
+        if note is None:
+            whole = class_verdict(built, "2-delta-u")
+            each = all(class_verdict(p, "2-delta-u") for p in parts)
+            if whole != each and (whole or not one_way):
+                note = f"construction={whole}, parts={each}"
+        return [] if note is None else [_counterexample(built, note)]
+    return _each(test, instances=rows, notes=notes)
 
 
 def _radical_nil(r: FiniteRing) -> bool:
@@ -271,102 +283,72 @@ def _cross_bimodule(prod: FiniteRing, R: FiniteRing) -> cons.Bimodule:
 
 
 # ---------------------------------------------------------------------------
-# the remaining runners.  Each returns (scope_size, counterexamples, notes).
+# the remaining tests, one per check: a ring (or a fixed instance) in, its
+# counterexamples out.  T3.8 is a plain runner.
 
 
-def _run_T2_1(rings):
-    scope = [r for r in _scope(rings) if class_verdict(r, "delta-u")]
-    bad = []
-    for r in scope:
-        u_idx = np.flatnonzero(subsets.unit_mask(r))
-        uu = _sumset(r, u_idx, u_idx)
-        if (uu & ~subsets.delta_mask(r)).any():
-            a = int(np.flatnonzero(uu & ~subsets.delta_mask(r))[0])
-            bad.append(_counterexample(r, "a unit sum escapes the delta set",
-                                       [Witness("unit-sum", a, r.names[a])]))
+def _test_T2_1(r):
+    u_idx = np.flatnonzero(subsets.unit_mask(r))
+    uu = subsets.sumset_mask(r, u_idx, u_idx)
+    if (uu & ~subsets.delta_mask(r)).any():
+        a = int(np.flatnonzero(uu & ~subsets.delta_mask(r))[0])
+        return [_counterexample(r, "a unit sum escapes the delta set",
+                                [Witness("unit-sum", a, r.names[a])])]
+    if not class_verdict(r, "uuc"):
+        return [_counterexample(r, "delta-u ring is not uuc", check_class(r, "uuc").witness)]
+    if (np.flatnonzero(uu & subsets.idempotent_mask(r)) != r.zero).any():
+        return [_counterexample(r, "(U+U) meets the idempotents beyond 0")]
+    return []
+
+
+def _test_T2_2(r):
+    for ring in (r, subsets.radical_quotient(r)[0]):
+        u_idx = np.flatnonzero(subsets.unit_mask(ring))
+        if subsets.sumset_mask(ring, u_idx, u_idx)[ring.one]:
+            return [_counterexample(r, f"two units of {ring.label} sum to 1")]
+    return []
+
+
+def _test_T2_4(r):
+    if not class_verdict(r, "semipotent"):
+        return [_counterexample(r, "finite ring failed the semipotent hypothesis")]
+    quotient, _ = subsets.radical_quotient(r)
+    verdicts = {
+        "delta-u": class_verdict(r, "delta-u"),
+        "quotient-boolean": class_verdict(quotient, "boolean"),
+        "uj": class_verdict(r, "uj"),
+        "quotient-uu": class_verdict(quotient, "uu"),
+    }
+    if len(set(verdicts.values())) != 1:
+        return [_counterexample(r, f"equivalence broken: {verdicts}")]
+    return []
+
+
+def _test_T2_11(r):
+    rep = jacobson_pair_check(r)
+    return [] if rep.verdict else [
+        _counterexample(r, "1-ab and 1-ba disagree about the delta set", rep.witness)]
+
+
+def _test_T3_5(r):
+    base = class_verdict(r, "2-delta-u")
+    for ideal in ideals_inside_radical(r):
+        quotient, _ = core.quotient_ring(r, ideal)
+        if class_verdict(quotient, "2-delta-u") != base:
+            return [_counterexample(
+                r, f"quotient by {ideal.indices} flips the 2-delta-u verdict")]
+    return []
+
+
+def _test_T3_7(r):
+    for e in map(int, np.flatnonzero(subsets.idempotent_mask(r))):
+        if e == r.zero:
             continue
-        if not class_verdict(r, "uuc"):
-            bad.append(_counterexample(r, "delta-u ring is not uuc",
-                                       check_class(r, "uuc").witness))
-            continue
-        idm = subsets.idempotent_mask(r)
-        meet = np.flatnonzero(uu & idm)
-        if any(int(e) != r.zero for e in meet):
-            bad.append(_counterexample(r, "(U+U) meets the idempotents beyond 0"))
-    return len(scope), bad, "scope: catalog rings verified delta-u"
-
-
-def _run_T2_2(rings):
-    scope = [r for r in _scope(rings) if class_verdict(r, "delta-u")]
-    bad = []
-    for r in scope:
-        for ring in (r, subsets.radical_quotient(r)[0]):
-            u_idx = np.flatnonzero(subsets.unit_mask(ring))
-            if _sumset(ring, u_idx, u_idx)[ring.one]:
-                bad.append(_counterexample(r, f"two units of {ring.label} sum to 1"))
-                break
-    return len(scope), bad, "scope: catalog rings verified delta-u"
-
-
-def _run_T2_4(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        if not class_verdict(r, "semipotent"):
-            bad.append(_counterexample(r, "finite ring failed the semipotent hypothesis"))
-            continue
-        quotient, _ = subsets.radical_quotient(r)
-        verdicts = {
-            "delta-u": class_verdict(r, "delta-u"),
-            "quotient-boolean": class_verdict(quotient, "boolean"),
-            "uj": class_verdict(r, "uj"),
-            "quotient-uu": class_verdict(quotient, "uu"),
-        }
-        if len(set(verdicts.values())) != 1:
-            bad.append(_counterexample(r, f"equivalence broken: {verdicts}"))
-    return len(scope), bad, "finite rings are semipotent; the hypothesis is re-verified"
-
-
-def _run_T2_11(rings):
-    from .predicates import jacobson_pair_check
-    scope = [r for r in _scope(rings) if class_verdict(r, "delta-u")]
-    bad = []
-    for r in scope:
-        rep = jacobson_pair_check(r)
-        if not rep.verdict:
-            bad.append(_counterexample(r, "1-ab and 1-ba disagree about the delta set",
-                                       rep.witness))
-    return len(scope), bad, "scope: catalog rings verified delta-u"
-
-
-def _run_T3_5(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        base = class_verdict(r, "2-delta-u")
-        for ideal in ideals_inside_radical(r):
-            quotient, _ = core.quotient_ring(r, ideal)
-            if class_verdict(quotient, "2-delta-u") != base:
-                bad.append(_counterexample(
-                    r, f"quotient by {ideal.indices} flips the 2-delta-u verdict"))
-                break
-    return len(scope), bad, "every ideal inside the radical"
-
-
-def _run_T3_7(rings):
-    scope = [r for r in _scope(rings) if class_verdict(r, "2-delta-u")]
-    bad = []
-    for r in scope:
-        for e in np.flatnonzero(subsets.idempotent_mask(r)):
-            e = int(e)
-            if e == r.zero:
-                continue
-            corner = core.corner_ring(r, e)
-            if not class_verdict(corner, "2-delta-u"):
-                bad.append(_counterexample(r, f"corner at idempotent {e} is not 2-delta-u",
-                                           [Witness("idempotent", e, r.names[e])]))
-                break
-    return len(scope), bad, "scope: catalog rings verified 2-delta-u; every nonzero idempotent"
+        corner = core.corner_ring(r, e)
+        if not class_verdict(corner, "2-delta-u"):
+            return [_counterexample(r, f"corner at idempotent {e} is not 2-delta-u",
+                                    [Witness("idempotent", e, r.names[e])])]
+    return []
 
 
 def _run_T3_8(rings):
@@ -394,31 +376,21 @@ def _run_T3_8(rings):
     return len(exprs), bad, "; ".join(certs) if certs else "no instances in scope"
 
 
-def _run_T3_15(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        delta = subsets.delta_mask(r)
-        sq = r.mul.diagonal()
-        closed = not (delta[sq] & ~delta).any()
-        rhs = _two_in_delta(r) and class_verdict(r, "2-delta-u") and closed
-        lhs = class_verdict(r, "delta-u")
-        if lhs != rhs:
-            bad.append(_counterexample(
-                r, f"delta-u={lhs} but [2 in Delta]={_two_in_delta(r)} "
-                   f"2-delta-u={class_verdict(r, '2-delta-u')} sqrt-closed={closed}"))
-    return len(scope), bad, ""
+def _test_T3_15(r):
+    delta = subsets.delta_mask(r)
+    sq = r.mul.diagonal()
+    closed = not (delta[sq] & ~delta).any()
+    rhs = _two_in_delta(r) and class_verdict(r, "2-delta-u") and closed
+    lhs = class_verdict(r, "delta-u")
+    return [] if lhs == rhs else [_counterexample(
+        r, f"delta-u={lhs} but [2 in Delta]={_two_in_delta(r)} "
+           f"2-delta-u={class_verdict(r, '2-delta-u')} sqrt-closed={closed}")]
 
 
-def _run_T3_17(rings):
-    scope = [r for r in _scope(rings) if class_verdict(r, "2-delta-u")]
-    bad = []
-    for r in scope:
-        v = {k: class_verdict(r, k) for k in ("semiregular", "exchange", "clean")}
-        if not all(v.values()):
-            # they must agree, and on finite rings they are moreover all true
-            bad.append(_counterexample(r, f"expected all true, got {v}"))
-    return len(scope), bad, "scope: catalog rings verified 2-delta-u; finite rings make all three hold"
+def _test_T3_17(r):
+    # they must agree, and on finite rings they are moreover all true
+    v = {k: class_verdict(r, k) for k in ("semiregular", "exchange", "clean")}
+    return [] if all(v.values()) else [_counterexample(r, f"expected all true, got {v}")]
 
 
 _FIELD_PRODUCTS = ("Prod(GF(2),GF(2))", "Prod(GF(2),GF(3))", "Prod(GF(3),GF(3))",
@@ -427,153 +399,118 @@ _FIELD_PRODUCTS = ("Prod(GF(2),GF(2))", "Prod(GF(2),GF(3))", "Prod(GF(3),GF(3))"
                    "Prod(GF(2),GF(3),GF(7))")
 
 
-def _run_T3_26(rings):
-    exprs = _instances(_FIELD_PRODUCTS, rings)
-    bad = []
-    for expr in exprs:
-        ring = dsl.build(expr)
-        expected = all(f.param in (2, 3) for f in expr.factors)
-        got = class_verdict(ring, "2-delta-u")
-        if got != expected:
-            bad.append(_counterexample(ring, f"verdict {got}, factor rule says {expected}"))
-    return len(exprs), bad, "semisimple commutative instances: products of the built-in fields"
+def _test_T3_26(expr):
+    ring = dsl.build(expr)
+    expected = all(f.param in (2, 3) for f in expr.factors)
+    got = class_verdict(ring, "2-delta-u")
+    return [] if got == expected else [
+        _counterexample(ring, f"verdict {got}, factor rule says {expected}")]
 
 
-def _run_T3_27(rings):
-    scope = [r for r in _scope(rings)
-             if class_verdict(r, "2-delta-u") and _two_in_delta(r)]
-    bad = []
-    for r in scope:
-        u_idx = np.flatnonzero(subsets.unit_mask(r))
-        squares = np.flatnonzero(core._marked(r.mul[u_idx, u_idx], r.order))
-        total = _sumset(r, squares, squares)
-        if (total & ~subsets.delta_mask(r)).any():
-            a = int(np.flatnonzero(total & ~subsets.delta_mask(r))[0])
-            bad.append(_counterexample(r, "a sum of two unit squares escapes the delta set",
-                                       [Witness("sum", a, r.names[a])]))
-            continue
-        meet = np.flatnonzero(total & subsets.idempotent_mask(r))
-        if any(int(e) != r.zero for e in meet):
-            bad.append(_counterexample(r, "(U^2+U^2) meets the idempotents beyond 0"))
-    return len(scope), bad, "scope: 2-delta-u catalog rings with 2 in the delta set"
+def _test_T3_27(r):
+    u_idx = np.flatnonzero(subsets.unit_mask(r))
+    squares = np.flatnonzero(core._marked(r.mul[u_idx, u_idx], r.order))
+    total = subsets.sumset_mask(r, squares, squares)
+    if (total & ~subsets.delta_mask(r)).any():
+        a = int(np.flatnonzero(total & ~subsets.delta_mask(r))[0])
+        return [_counterexample(r, "a sum of two unit squares escapes the delta set",
+                                [Witness("sum", a, r.names[a])])]
+    if (np.flatnonzero(total & subsets.idempotent_mask(r)) != r.zero).any():
+        return [_counterexample(r, "(U^2+U^2) meets the idempotents beyond 0")]
+    return []
 
 
-def _run_T3_28(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        if not class_verdict(r, "dedekind-finite"):
-            bad.append(_counterexample(r, "finite ring not dedekind-finite: implementation bug"))
-    return len(scope), bad, "every finite ring is dedekind-finite, so 2-delta-u ones are too"
+def _test_T3_28(r):
+    return [] if class_verdict(r, "dedekind-finite") else [
+        _counterexample(r, "finite ring not dedekind-finite: implementation bug")]
 
 
-def _run_T4_5x(rings):
-    exprs = _instances(_CATALOG["TruncSkew"], rings)
-    bad = []
-    for expr in exprs:
-        ring, base = dsl.build(expr), dsl.build(expr.base)
-        lead = (np.arange(ring.order, dtype=np.int64)
-                // (ring.order // base.order)).astype(np.int32)
-        expected = subsets.delta_mask(base)[lead]
-        if not np.array_equal(subsets.delta_mask(ring), expected):
-            bad.append(_counterexample(
-                ring, "delta set is not [constant coefficient in the base delta set]"))
-    return len(exprs), bad, "truncation collapses the delta set onto the constant coefficient"
+def _test_T4_5x(expr):
+    ring, base = dsl.build(expr), dsl.build(expr.base)
+    lead = (np.arange(ring.order, dtype=np.int64)
+            // (ring.order // base.order)).astype(np.int32)
+    same = np.array_equal(subsets.delta_mask(ring), subsets.delta_mask(base)[lead])
+    return [] if same else [_counterexample(
+        ring, "delta set is not [constant coefficient in the base delta set]")]
 
 
 _P_GROUP_INSTANCES = ("GR(Z2,C2)", "GR(Z4,C2)", "GR(Z2,V4)", "GR(Z9,C3)")
 
 
-def _run_TG2(rings):
-    exprs = _instances(_P_GROUP_INSTANCES, rings)
-    bad = []
-    for expr in exprs:
-        base = dsl.build(expr.base)
-        p = cons.group_catalog()[expr.group].prime
-        if p is None:
-            bad.append(_counterexample(base, f"{expr.group} is not a prime-power group"))
-            continue
-        p_elem = base.zero
-        for _ in range(p):
-            p_elem = int(base.add[p_elem, base.one])
-        if not subsets.jacobson_mask(base)[p_elem]:
-            bad.append(_counterexample(base, f"{p}*1 is not in the radical"))
-            continue
-        if not class_verdict(base, "2-delta-u"):
-            bad.append(_counterexample(base, "chosen base ring is not 2-delta-u"))
-            continue
-        ring = dsl.build(expr)
-        if not class_verdict(ring, "2-delta-u"):
-            bad.append(_counterexample(ring, "group ring over a fitting p-group is not 2-delta-u"))
-    return len(exprs), bad, "2-delta-u base with p in the radical and a p-group"
+def _test_TG2(expr):
+    base = dsl.build(expr.base)
+    p = cons.group_catalog()[expr.group].prime
+    if p is None:
+        return [_counterexample(base, f"{expr.group} is not a prime-power group")]
+    p_elem = base.zero
+    for _ in range(p):
+        p_elem = int(base.add[p_elem, base.one])
+    if not subsets.jacobson_mask(base)[p_elem]:
+        return [_counterexample(base, f"{p}*1 is not in the radical")]
+    if not class_verdict(base, "2-delta-u"):
+        return [_counterexample(base, "chosen base ring is not 2-delta-u")]
+    ring = dsl.build(expr)
+    if not class_verdict(ring, "2-delta-u"):
+        return [_counterexample(ring, "group ring over a fitting p-group is not 2-delta-u")]
+    return []
 
 
-def _run_TG3(rings):
-    exprs = [e for e in _instances(_CATALOG["GR"], rings)
-             if cons.group_catalog()[e.group].prime != 2]
-    bad = []
-    for expr in exprs:
-        ring = dsl.build(expr)
-        if class_verdict(ring, "2-delta-u") and _two_in_delta(ring):
-            bad.append(_counterexample(ring, "2-delta-u with 2 in the delta set over a non-2-group"))
-    return len(exprs), bad, "contrapositive on every catalog group ring with a non-2-group"
+def _test_TG3(expr):
+    ring = dsl.build(expr)
+    if class_verdict(ring, "2-delta-u") and _two_in_delta(ring):
+        return [_counterexample(ring, "2-delta-u with 2 in the delta set over a non-2-group")]
+    return []
 
 
-def _run_TL4_14(rings):
-    exprs = _instances(_P_GROUP_INSTANCES, rings)
-    bad = []
-    for expr in exprs:
-        ring = dsl.build(expr)
-        _, kernel = cons.augmentation(ring)
-        if not subsets.jacobson_mask(ring)[np.flatnonzero(kernel.members)].all():
-            bad.append(_counterexample(ring, "augmentation ideal escapes the radical"))
-    return len(exprs), bad, "augmentation ideal inside the radical on the p-group instances"
+def _test_TL4_14(expr):
+    ring = dsl.build(expr)
+    _, kernel = cons.augmentation(ring)
+    inside = subsets.jacobson_mask(ring)[np.flatnonzero(kernel.members)].all()
+    return [] if inside else [_counterexample(ring, "augmentation ideal escapes the radical")]
 
 
-def _run_oracle(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        _, sub = subsets.unit_subring(r)
-        elems = subsets.unit_subring_elements(r)
-        mapped = sorted(int(elems[j]) for j in subsets.jacobson_radical(sub).indices)
-        if mapped != subsets.delta_set(r).indices:
-            bad.append(_counterexample(r, "delta set differs from the unit-subring radical"))
-    return len(scope), bad, "two independent algorithms, one identity"
+def _test_oracle(r):
+    _, sub = subsets.unit_subring(r)
+    elems = subsets.unit_subring_elements(r)
+    mapped = sorted(int(elems[j]) for j in subsets.jacobson_radical(sub).indices)
+    return [] if mapped == subsets.delta_set(r).indices else [
+        _counterexample(r, "delta set differs from the unit-subring radical")]
 
 
 _DIAGRAM_ARROWS = [("uj", "2-uj"), ("uj", "delta-u"), ("2-uj", "2-delta-u"),
                    ("delta-u", "2-delta-u"), ("delta-u", "uuc")]
 
 
-def _run_diagram(rings):
-    scope = _scope(rings)
-    bad = []
-    for r in scope:
-        for low, high in _DIAGRAM_ARROWS:
-            if class_verdict(r, low) and not class_verdict(r, high):
-                bad.append(_counterexample(r, f"{low} holds but {high} fails"))
-    return len(scope), bad, "implication arrows as verdict-subset relations"
+def _test_diagram(r):
+    return [_counterexample(r, f"{low} holds but {high} fails")
+            for low, high in _DIAGRAM_ARROWS
+            if class_verdict(r, low) and not class_verdict(r, high)]
 
 
 CHECKS: dict[str, tuple[str, object]] = {
     "T2.1": ("On delta-u rings, unit sums land in the delta set, units are uniquely clean, "
-             "and (U+U) meets the idempotents only in 0.", _run_T2_1),
+             "and (U+U) meets the idempotents only in 0.",
+             _each(_test_T2_1, _holds("delta-u"), notes="scope: catalog rings verified delta-u")),
     "T2.2": ("On delta-u rings, no two units sum to 1, in the ring or its radical quotient.",
-             _run_T2_2),
+             _each(_test_T2_2, _holds("delta-u"), notes="scope: catalog rings verified delta-u")),
     "T2.4": ("On finite (hence semipotent) rings: delta-u, Boolean radical quotient, uj, "
-             "and uu radical quotient are one condition.", _run_T2_4),
+             "and uu radical quotient are one condition.",
+             _each(_test_T2_4,
+                   notes="finite rings are semipotent; the hypothesis is re-verified")),
     "T2.8": ("On finite rings the classes delta-u, uj, and uu coincide.",
              _agree(("delta-u", "uj", "uu"))),
     "T2.9": ("On finite rings delta-u and j-clean coincide.",
              _agree(("delta-u", "j-clean"),
                     notes="finite rings are potent, so the two classes must agree")),
-    "T2.11": ("On delta-u rings, 1-ab is in the delta set exactly when 1-ba is.", _run_T2_11),
+    "T2.11": ("On delta-u rings, 1-ab is in the delta set exactly when 1-ba is.",
+              _each(_test_T2_11, _holds("delta-u"), notes="scope: catalog rings verified delta-u")),
     "T3.1": ("A finite product is 2-delta-u exactly when every factor is.",
              _transfer(_CATALOG["Prod"] + ("Prod(Z3,Z9)",), "fixed product instances")),
     "T3.5": ("For every ideal inside the radical, the ring and its quotient agree "
-             "about 2-delta-u.", _run_T3_5),
-    "T3.7": ("Corners of 2-delta-u rings at nonzero idempotents stay 2-delta-u.", _run_T3_7),
+             "about 2-delta-u.", _each(_test_T3_5, notes="every ideal inside the radical")),
+    "T3.7": ("Corners of 2-delta-u rings at nonzero idempotents stay 2-delta-u.",
+             _each(_test_T3_7, _holds("2-delta-u"),
+                   notes="scope: catalog rings verified 2-delta-u; every nonzero idempotent")),
     "T3.8": ("2x2 matrix rings over Z2 and Z3 are not 2-delta-u, and the unit with "
              "u^2-1 = u certifies it.", _run_T3_8),
     "T3.13": ("Regular 2-delta-u, pi-regular reduced 2-delta-u, and the identity x^3 = x "
@@ -585,30 +522,39 @@ CHECKS: dict[str, tuple[str, object]] = {
               _agree(("regular+2-delta-u", "strongly-regular+2-delta-u",
                       "unit-regular+2-delta-u", "tripotent"))),
     "T3.15": ("delta-u holds exactly when 2 lies in the delta set, the ring is 2-delta-u, "
-              "and delta-set membership descends along squares.", _run_T3_15),
+              "and delta-set membership descends along squares.", _each(_test_T3_15)),
     "T3.16": ("On finite (hence exchange) rings, 2-delta-u and semi-tripotent coincide.",
               _agree(("2-delta-u", "semi-tripotent"),
-                     (lambda r: class_verdict(r, "exchange"),
-                      "finite ring failed the exchange hypothesis"),
+                     (_holds("exchange"), "finite ring failed the exchange hypothesis"),
                      "finite rings are exchange; the hypothesis is re-verified")),
-    "T3.17": ("On 2-delta-u rings, semiregular, exchange, and clean coincide.", _run_T3_17),
+    "T3.17": ("On 2-delta-u rings, semiregular, exchange, and clean coincide.",
+              _each(_test_T3_17, _holds("2-delta-u"),
+                    notes="scope: catalog rings verified 2-delta-u; "
+                          "finite rings make all three hold")),
     "T3.18": ("With a nil radical, 2-delta-u and strongly 2-nil-clean coincide.",
               _agree(("2-delta-u", "strongly-2-nil-clean"),
                      (_radical_nil, "radical of a finite ring is not nil"),
                      "the nil-radical hypothesis is re-verified")),
     "T3.26": ("A product of fields is 2-delta-u exactly when every factor has 2 or 3 "
-              "elements.", _run_T3_26),
+              "elements.",
+              _each(_test_T3_26, instances=_FIELD_PRODUCTS,
+                    notes="semisimple commutative instances: products of the built-in fields")),
     "T3.27": ("On 2-delta-u rings with 2 in the delta set, sums of two unit squares stay "
-              "in the delta set and meet the idempotents only in 0.", _run_T3_27),
+              "in the delta set and meet the idempotents only in 0.",
+              _each(_test_T3_27, lambda r: _holds("2-delta-u")(r) and _two_in_delta(r),
+                    notes="scope: 2-delta-u catalog rings with 2 in the delta set")),
     "T3.28": ("2-delta-u rings are dedekind-finite (automatic here: all finite rings are).",
-              _run_T3_28),
+              _each(_test_T3_28, notes="every finite ring is dedekind-finite, so 2-delta-u "
+                                       "ones are too")),
     "T4.5": ("Trivial extensions, truncated skew-polynomial rings, and triangular matrix "
              "rings preserve and reflect 2-delta-u.",
              _transfer(_CATALOG["Triv"] + _CATALOG["TruncSkew"] + _CATALOG["T"]
                        + ("T(2,Z5)", "T(2,GF(4))"),
                        "trivial extensions, truncated skew rings, triangular rings")),
     "T4.5x": ("The delta set of a truncated skew-polynomial ring consists of the tuples "
-              "whose constant coefficient lies in the base delta set.", _run_T4_5x),
+              "whose constant coefficient lies in the base delta set.",
+              _each(_test_T4_5x, instances=_CATALOG["TruncSkew"],
+                    notes="truncation collapses the delta set onto the constant coefficient")),
     "TDT": ("The doubled trivial extension is 2-delta-u exactly when the base is.",
             _transfer(_CATALOG["DT"], "doubled trivial extensions")),
     "T4.9": ("For a central radical scalar, the scaled 2x2 block ring is 2-delta-u exactly "
@@ -630,13 +576,22 @@ CHECKS: dict[str, tuple[str, object]] = {
             _transfer(_CATALOG["GR"], "group ring 2-delta-u forces the coefficient ring 2-delta-u",
                       one_way=True)),
     "TG2": ("Over a 2-delta-u ring with the prime p in the radical, group rings of finite "
-            "p-groups are 2-delta-u.", _run_TG2),
-    "TG3": ("A 2-delta-u group ring with 2 in its delta set forces a 2-group.", _run_TG3),
+            "p-groups are 2-delta-u.",
+            _each(_test_TG2, instances=_P_GROUP_INSTANCES,
+                  notes="2-delta-u base with p in the radical and a p-group")),
+    "TG3": ("A 2-delta-u group ring with 2 in its delta set forces a 2-group.",
+            _each(_test_TG3, lambda e: cons.group_catalog()[e.group].prime != 2,
+                  instances=_CATALOG["GR"],
+                  notes="contrapositive on every catalog group ring with a non-2-group")),
     "TL4.14": ("With the prime p in the radical and a p-group, the augmentation ideal sits "
-               "inside the radical of the group ring.", _run_TL4_14),
-    "T-oracle": ("The delta set equals the radical of the unit-generated subring.", _run_oracle),
+               "inside the radical of the group ring.",
+               _each(_test_TL4_14, instances=_P_GROUP_INSTANCES,
+                     notes="augmentation ideal inside the radical on the p-group instances")),
+    "T-oracle": ("The delta set equals the radical of the unit-generated subring.",
+                 _each(_test_oracle, notes="two independent algorithms, one identity")),
     "T-diagram": ("uj implies 2-uj and delta-u; delta-u implies 2-delta-u and uuc; 2-uj "
-                  "implies 2-delta-u.", _run_diagram),
+                  "implies 2-delta-u.",
+                  _each(_test_diagram, notes="implication arrows as verdict-subset relations")),
 }
 
 

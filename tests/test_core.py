@@ -351,17 +351,18 @@ def test_coset_certificate_pins_the_kernel_to_the_ideal(zmod):
     # validate_hom accepts both maps, which are homomorphisms onto rings of
     # the right tables; the certificate also proves that the kernel is I.
     # Z8 -> Z2 has kernel {0,2,4,6}, larger than I = {0,4}: a - s lies
-    # outside I at a = 2 (check (b)).  The identity of Z4 has kernel {0},
-    # smaller than I = {0,2}: m(0 + 2) != m(0) (check (a)).
+    # outside I at a = 2 (check (a)).  The identity of Z4 has kernel {0},
+    # smaller than I = {0,2}: its 4 representatives are too many for the
+    # 4/|I| = 2 cosets (the count |S|·|I| = n).
     Z8, Z4, Z2 = zmod(8), zmod(4), zmod(2)
-    for R, idx, reps, Q, m, instance in (
-            (Z8, [0, 4], [0, 1], Z2, np.arange(8) % 2, (2, 0)),
-            (Z4, [0, 2], [0, 1, 2, 3], Z4, np.arange(4), (0, 2))):
+    for R, idx, reps, Q, m, kind, instance in (
+            (Z8, [0, 4], [0, 1], Z2, np.arange(8) % 2, "coset", (2, 0)),
+            (Z4, [0, 2], [0, 1, 2, 3], Z4, np.arange(4), "coset-count", ())):
         core.validate_hom(R, Q, m)
         with pytest.raises(HomViolation) as exc:
             core._certified_projection(R, np.isin(np.arange(R.order), idx), np.array(reps), Q,
                                        m.astype(np.int32))
-        assert (exc.value.kind, exc.value.witness) == ("coset", instance)
+        assert (exc.value.kind, exc.value.witness) == (kind, instance)
 
 
 def test_quotient_requires_ideal(zmod, monkeypatch):

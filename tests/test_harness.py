@@ -53,6 +53,71 @@ def test_empty_scope_vacuous_pass_with_warning():
     assert "vacuous" in result.notes
 
 
+def test_each_counts_only_the_rings_where_holds():
+    # `where` drops the odd orders before `test` sees them, and the dropped
+    # rings do not count towards the scope size
+    tested = []
+
+    def test(r):
+        tested.append(r.label)
+        return [harness._counterexample(r, "even order")]
+
+    run = harness._each(test, where=lambda r: r.order % 2 == 0, notes="even orders")
+    size, bad, notes = run(rings("Z2", "Z3", "Z4", "Z9", "Z6"))
+    assert (size, notes) == (3, "even orders")
+    assert tested == ["Z2", "Z4", "Z6"]
+    assert [c["ring"] for c in bad] == ["Z2", "Z4", "Z6"]
+
+
+def test_each_filters_instances_by_label_then_applies_where_to_expressions():
+    # instances outside the given rings are dropped by label; `where` sees
+    # the parsed expressions that remain
+    seen = []
+
+    def where(expr):
+        seen.append(expr)
+        return expr.group != "C2"
+
+    run = harness._each(lambda expr: [harness._counterexample(dsl.build(expr), "kept")],
+                        where, ("GR(Z2,C2)", "GR(Z2,C3)", "GR(Z3,C2)", "GR(Z3,C3)"))
+    size, bad, _ = run(rings("Z4", "GR(Z3,C2)", "GR(Z2,C3)", "GR(Z3,C3)"))
+    assert all(isinstance(expr, dsl.GroupRing) for expr in seen)
+    assert [dsl.print_expr(expr) for expr in seen] == ["GR(Z2,C3)", "GR(Z3,C2)", "GR(Z3,C3)"]
+    assert size == 2 and [c["ring"] for c in bad] == ["GR(Z2,C3)", "GR(Z3,C3)"]
+    assert harness._each(lambda expr: [], instances=("GR(Z2,C2)", "Z5"))(None)[0] == 2
+
+
+def test_each_reports_every_counterexample_of_a_ring_sorted(monkeypatch):
+    # two counterexamples for one ring both reach the report, and run_check
+    # sorts them by ring label, keeping each ring's own order
+    def test(r):
+        if r.order % 3:
+            return []
+        return [harness._counterexample(r, "first"), harness._counterexample(r, "second")]
+
+    monkeypatch.setitem(harness.CHECKS, "T-each", ("statement", harness._each(test)))
+    result = harness.run_check("T-each", rings("Z9", "Z4", "Z6", "Z12"))
+    assert not result.verdict and result.scope_size == 4
+    assert [(c["ring"], c["notes"]) for c in result.counterexamples] == [
+        ("Z12", "first"), ("Z12", "second"), ("Z6", "first"), ("Z6", "second"),
+        ("Z9", "first"), ("Z9", "second")]
+
+
+def test_each_with_an_empty_scope_is_a_vacuous_pass(monkeypatch):
+    def test(item):
+        raise AssertionError("nothing is in scope")
+
+    monkeypatch.setitem(harness.CHECKS, "T-none", (
+        "statement", harness._each(test, where=lambda r: r.order > 100, notes="large")))
+    monkeypatch.setitem(harness.CHECKS, "T-no-instances", (
+        "statement", harness._each(test, instances=("M(2,Z2)",))))
+    for check_id, notes in (("T-none", "large; warning: empty scope, vacuous pass"),
+                            ("T-no-instances", "warning: empty scope, vacuous pass")):
+        result = harness.run_check(check_id, rings("Z2", "Z4"))
+        assert result.verdict and result.scope_size == 0 and result.counterexamples == []
+        assert result.notes == notes
+
+
 def test_run_check_deterministic_json():
     a = harness.run_check("T3.5", rings("Z12", "Z16", "T(2,Z2)")).to_json()
     b = harness.run_check("T3.5", rings("Z12", "Z16", "T(2,Z2)")).to_json()
