@@ -289,3 +289,71 @@ def test_catalog_contents_and_guard():
     built = [dsl.build(e) for _, e in entries]
     assert all(r.order <= dsl.CATALOG_MAX_ORDER for r in built)
     assert max(r.order for r in built) == 729
+
+
+# --- parse-error golden ------------------------------------------------------
+
+PARSE_ERRORS = Path(__file__).parent / "golden" / "parse_errors.json"
+
+_GRAMMAR_TOKENS = sorted(dsl.CTORS | set(dsl.GROUP_ORDERS) | dsl.ENDO_NAMES) + [
+    "Z", "Z0", "Z1", "Z2", "Z12", "GF", "s", "x", "0", "1", "2", "3", "9", "00",
+    "(", ")", ",", "=", " ", "#", "-"]
+_PRINTED = [
+    "Z2", "GF(9)", "Prod(Z2,Z3)", "M(2,Z2)", "T(3,Z3)", "TruncSkew(GF(4),frob,2)",
+    "Triv(Z5,Z5)", "DT(Z3,Z3)", "FT(Z2,Z3)", "FT(Z4,Z4,Z4)", "K(GF(4),s=0)",
+    "FM(2,Z4,s=2)", "GR(Z9,C3)", "Quot(Z12,6,4)", "Corner(M(2,Z2),9)",
+    "M(2,Prod(Z2,Triv(Z3,Z3)))", "GR(T(2,K(Z2,s=1)),S3)",
+]
+_EXPLICIT = [
+    "M(2 Z3)", "Z3)", "Prod(Z2,", "Wat(Z2)", "GR(Z2,C9)", "Quot(Z12)", "Triv(Z2,Z3)",
+    "FT(Z2,Z2,Z3)", "TruncSkew(Z2,id,1)", "Z" + "9" * 5000, "M(" + "9" * 5000 + ",Z2)",
+    # checks that could fire in either order
+    "M(0,Wat(Z2))", "T(0,Z1)", "FM(0,Z2,s=x)", "FM(0,Z2)", "TruncSkew(Z1,foo,1)",
+    "TruncSkew(Z2,foo,1)", "Triv(Z2,Z1)", "DT(Z2,Z2", "FT(Z2,Z3,Wat)", "GR(Z1,C9)",
+    "K(Z2,t=1)", "K(Z2,s 1)", "Quot(Z2,x)", "Corner(Z2)", "GF(", "GF(x)", "Z01",
+    "", "   ", "Prod()", "M(2,Z2) Z3", "M(0,Z2)", "T(0,Z2)", "FM(0,Z2,s=0)",
+    "TruncSkew(Z2,id,0)", "K(Z2,s=99)", "Quot(Z2,)", "Corner(Z2,x)", "GR(Z2,C1)",
+    "Prod(Z2,,Z3)", "FT(Z2)", "Triv(Z2,Z2,Z2)", "DT(Z2,Z3)", "FT(Z2,Z3,Z3)", "K(Z2)",
+    "FM(2,Z2)", "FM(2,Z2,0)", "GF(4", "Z", "s=1", "Triv(Z2,Z2)", "DT(Z2)",
+    "Prod(" * (dsl.MAX_NESTING + 1) + "Z2" + ")" * (dsl.MAX_NESTING + 1),
+    "M(2," * (dsl.MAX_NESTING + 1) + "Z2" + ")" * (dsl.MAX_NESTING + 1),
+]
+
+
+def _parse_error_inputs(seed: int = 16) -> list[str]:
+    """About 300 texts: joined grammar tokens, printed expressions with one
+    span replaced by a token, and explicit cases."""
+    import random
+
+    rng = random.Random(seed)
+    texts = ["".join(rng.choices(_GRAMMAR_TOKENS, k=rng.randint(0, 24))) for _ in range(150)]
+    for _ in range(120):
+        text = rng.choice(_PRINTED)
+        lo = rng.randint(0, len(text))
+        hi = rng.randint(lo, min(len(text), lo + 3))
+        texts.append(text[:lo] + rng.choice(_GRAMMAR_TOKENS) + text[hi:])
+    return texts + _EXPLICIT
+
+
+def _parse_outcome(text: str) -> dict:
+    try:
+        e = dsl.parse(text)
+    except Exception as exc:
+        return {"text": text, "error": type(exc).__name__, "message": str(exc),
+                "position": getattr(exc, "position", None)}
+    return {"text": text, "error": None, "message": dsl.print_expr(e), "position": None}
+
+
+def test_parse_errors_match_golden():
+    # every error keeps its type, message and position, and each text that
+    # parses keeps its printed form
+    golden = json.loads(PARSE_ERRORS.read_text())
+    assert len(golden) >= 300
+    for row in golden:
+        assert _parse_outcome(row["text"]) == row
+
+
+if __name__ == "__main__":
+    # regenerate the golden: python tests/test_dsl.py
+    PARSE_ERRORS.write_text(json.dumps([_parse_outcome(t) for t in _parse_error_inputs()],
+                                       indent=1) + "\n")
