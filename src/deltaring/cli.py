@@ -5,7 +5,8 @@ failed check, 2 for usage, parse, or build errors.  When the reader of
 stdout goes away early (`deltaring info ... | head`), the command exits 1
 without a message.  Reports go to stdout, diagnostics to stderr.  The
 order guard and the number of `verify all` worker processes come from
-DELTA_RING_MAX_ORDER / DELTA_RING_THREADS; flags win over the environment.
+DELTA_RING_MAX_ORDER / DELTA_RING_THREADS; flags win over the environment,
+and a value below 1 from either is a usage error.
 """
 
 from __future__ import annotations
@@ -30,20 +31,24 @@ def _env_int(name: str) -> int | None:
         raise RingError(f"{name} must be an integer, got {raw!r}")
 
 
+def _at_least_one(args, attr: str, env: str | None = None) -> int | None:
+    """The flag `attr`, else the environment variable `env`; a value below 1
+    is a usage error that names where it came from."""
+    source, value = "--" + attr.replace("_", "-"), getattr(args, attr, None)
+    if value is None and env is not None:
+        source, value = env, _env_int(env)
+    if value is not None and value < 1:
+        raise RingError(f"{source} must be at least 1, got {value}")
+    return value
+
+
 def _order_guard(args) -> int | None:
-    flag = getattr(args, "max_order", None)
-    return flag if flag is not None else _env_int("DELTA_RING_MAX_ORDER")
+    return _at_least_one(args, "max_order", "DELTA_RING_MAX_ORDER")
 
 
 def _threads(args) -> int:
-    flag = getattr(args, "threads", None)
-    source, threads = (("--threads", flag) if flag is not None
-                       else ("DELTA_RING_THREADS", _env_int("DELTA_RING_THREADS")))
-    if threads is None:
-        return 1
-    if threads < 1:
-        raise RingError(f"{source} must be at least 1, got {threads}")
-    return threads
+    threads = _at_least_one(args, "threads", "DELTA_RING_THREADS")
+    return 1 if threads is None else threads
 
 
 def _emit(obj) -> None:
@@ -137,13 +142,14 @@ def cmd_search(args) -> int:
 
     include = _split(args.include)
     exclude = _split(args.exclude)
-    matches = harness.search_classes(include, exclude, max_order=args.max_order)
+    max_order = _at_least_one(args, "max_order")
+    matches = harness.search_classes(include, exclude, max_order=max_order)
     if args.json:
         _emit({"include": include, "exclude": exclude,
-               "max_order": args.max_order, "matches": matches})
+               "max_order": max_order, "matches": matches})
     else:
         print(f"rings in {include} and outside {exclude}"
-              + (f" with order <= {args.max_order}" if args.max_order else "") + ":")
+              + (f" with order <= {max_order}" if max_order is not None else "") + ":")
         for label in matches:
             print(f"  {label}")
         if not matches:

@@ -9,6 +9,14 @@ Grammar (whitespace-insensitive, decimal integers):
     group := "C" int | "V4" | "S3"
     endo  := "id" | "frob"
 
+Each constructor is one row of `_TABLE`, made by `_constructor`: the name
+it is written with, its node class, its arguments in text order (which name
+the node's fields and fix how it parses and prints), how many copies of
+each ring argument its order multiplies, and its builder.  The parser,
+`print_expr`, `order_of` and `_build_uncached` walk the row and have no
+case for any constructor (only for the names, the leaves), so adding a
+constructor is adding one row.
+
 Constructors nest at most MAX_NESTING deep.  The parser refuses deeper text
 with an ExprSyntaxError, so printing, `order_of` and `build`, which recurse
 over the tree, stay within Python's recursion limit.
@@ -16,7 +24,8 @@ over the tree, stay within Python's recursion limit.
 Building is memoized by the canonical printed form, behind a lock held
 across the build, so each ring is built once; cache hits return the
 identical immutable ring, so identical expressions always yield
-bit-identical dumps.
+bit-identical dumps.  A built ring always carries its canonical form as its
+label, also where a construction returns a ring it was given (`M(1,R)`).
 
 The order guard is checked once per expression, at the top of `build`:
 `order_of` reads the order off the expression (for `Quot` and `Corner`
@@ -31,8 +40,6 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -54,85 +61,188 @@ from .errors import (
 
 
 class RingExpr:
-    """Base class of expression nodes."""
+    """An expression node: an immutable value whose fields are its
+    `__slots__`, compared and hashed by its type and field values."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, "
+                            f"got {len(values)}")
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class Named(RingExpr):
-    kind: str          # "Z" or "GF"
-    param: int
+    __slots__ = ("kind", "param")      # kind "Z" or "GF"
 
 
-@dataclass(frozen=True)
-class Product(RingExpr):
-    factors: tuple[RingExpr, ...]
+# ---------------------------------------------------------------------------
+# the constructor table
 
 
-@dataclass(frozen=True)
-class Matrix(RingExpr):
-    size: int
-    base: RingExpr
+class _Arg:
+    """One argument of a constructor, in text order.
+
+    `kind` is one of
+      "ring"     a ring expression;
+      "rings"    one or more ring expressions;
+      "int"      an integer; one below `least` is a BadArity with `message`,
+                 raised once the argument after it is read;
+      "index"    an element index of the ring argument;
+      "indices"  one or more element indices, each after a comma;
+      "scalar"   an element index, optionally written `s=`;
+      "name"     a name from `choices`, `what` saying what it names;
+      "repeat"   an optional ring that must print as the rings in the fields
+                 `same`, else an InvalidBimodule with `message`; it prints
+                 as a repeat of the ring before it.
+    `field` names the node field that holds the value; a "repeat" without
+    one always prints.  Messages are formatted with the constructor's name
+    as `ctor`.  Indices are held to the ring's order at build time.
+    """
+
+    __slots__ = ("kind", "field", "what", "least", "message", "choices", "same")
+
+    def __init__(self, kind, field=None, what="", *, least=0, message="", choices=(), same=()):
+        self.kind, self.field, self.what = kind, field, what
+        self.least, self.message, self.choices, self.same = least, message, choices, same
 
 
-@dataclass(frozen=True)
-class Triangular(RingExpr):
-    size: int
-    base: RingExpr
+_TABLE: dict[str, type[RingExpr]] = {}
 
 
-@dataclass(frozen=True)
-class TruncSkew(RingExpr):
-    base: RingExpr
-    endo: str
-    degree: int
+def _constructor(ctor: str, node: str, args: list[_Arg], copies, make) -> type[RingExpr]:
+    """Register the constructor written `ctor` and return its node class.
+
+    `copies(e)` gives, for each ring argument of `e` in order, how many
+    copies of it the order of `e` multiplies.  `make(e, *rings, order_guard=,
+    label=)` builds `e` from its built ring arguments; it reaches the
+    constructions through module attributes at call time."""
+    # a comma follows each argument that another one follows, except where
+    # the next argument is optional and reads its own comma
+    commas = tuple(after.kind not in ("indices", "repeat") for after in args[1:]) + (False,)
+    cls = type(node, (RingExpr,), {
+        "__slots__": tuple(arg.field for arg in args if arg.field),
+        "__module__": __name__, "_ctor": ctor, "_args": args, "_commas": commas,
+        "_copies": staticmethod(copies), "_make": staticmethod(make)})
+    _TABLE[ctor] = cls
+    return cls
 
 
-@dataclass(frozen=True)
-class Triv(RingExpr):
-    base: RingExpr
+GROUP_ORDERS = {"C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "V4": 4, "S3": 6}
+ENDO_NAMES = {"id", "frob"}
+_BASE = _Arg("ring", "base")
+_SIZE = _Arg("int", "size", "matrix size", least=1, message="{ctor}: size must be positive")
+_SCALAR = _Arg("scalar", "scalar", "scalar index")
+_BASE_AGAIN = _Arg("repeat", same=("base",), message=(
+    "{ctor}: the expression language only offers the regular bimodule, "
+    "so the second argument must repeat the base ring"))
 
 
-@dataclass(frozen=True)
-class DT(RingExpr):
-    base: RingExpr
+def _skew_poly(e, R, **kw):
+    if e.endo == "id":
+        alpha = cons.identity_endomorphism(R)
+    elif isinstance(e.base, Named) and e.base.kind == "GF":
+        alpha = frobenius(R, _field_char(e.base.param))
+    else:
+        raise InvalidEndomorphism("frob binds only on GF(q) base expressions")
+    return cons.truncated_skew_poly(R, alpha, e.degree, endo_label=e.endo, **kw)
 
 
-@dataclass(frozen=True)
-class FormalTri(RingExpr):
-    left: RingExpr
-    right: RingExpr
-    regular: bool      # True: regular bimodule (all three args equal); False: zero
+def _formal_triangular(e, L, R, **kw):
+    if e.regular and L is not R:
+        raise InvalidBimodule("FT(A,A,A) needs equal rings")
+    return cons.formal_triangular(L, R, cons.regular_bimodule(L) if e.regular else None, **kw)
 
 
-@dataclass(frozen=True)
-class Ks(RingExpr):
-    base: RingExpr
-    scalar: int
+Product = _constructor(
+    "Prod", "Product", [_Arg("rings", "factors")],
+    lambda e: (1,) * len(e.factors),
+    lambda e, *factors, **kw: cons.direct_product(list(factors), **kw))
+Matrix = _constructor(
+    "M", "Matrix", [_SIZE, _BASE],
+    lambda e: (e.size * e.size,),
+    lambda e, R, **kw: cons.matrix_ring(R, e.size, **kw))
+Triangular = _constructor(
+    "T", "Triangular", [_SIZE, _BASE],
+    lambda e: (e.size * (e.size + 1) // 2,),
+    lambda e, R, **kw: cons.upper_triangular(R, e.size, **kw))
+TruncSkew = _constructor(
+    "TruncSkew", "TruncSkew",
+    [_BASE, _Arg("name", "endo", "endomorphism", choices=ENDO_NAMES),
+     _Arg("int", "degree", "truncation degree", least=2,
+          message="{ctor}: truncation degree must be at least 2")],
+    lambda e: (e.degree,),
+    _skew_poly)
+Triv = _constructor(
+    "Triv", "Triv", [_BASE, _BASE_AGAIN],
+    lambda e: (2,),
+    lambda e, R, **kw: cons.trivial_extension(R, **kw))
+# the inner Triv(base) comes from the build cache, so building both rings validates it once
+DT = _constructor(
+    "DT", "DT", [_BASE, _BASE_AGAIN],
+    lambda e: (4,),
+    lambda e, R, **kw: cons.dt_extension(
+        R, inner=build(Triv(e.base), order_guard=kw["order_guard"]), **kw))
+# regular: True for the regular bimodule (all three arguments equal), False for zero
+FormalTri = _constructor(
+    "FT", "FormalTri",
+    [_Arg("ring", "left"), _Arg("ring", "right"),
+     _Arg("repeat", "regular", same=("left", "right"),
+          message="FT(A,B) uses the zero bimodule; FT(A,A,A) the regular one")],
+    lambda e: (1, 2) if e.regular else (1, 1),
+    _formal_triangular)
+Ks = _constructor(
+    "K", "Ks", [_BASE, _SCALAR],
+    lambda e: (4,),
+    lambda e, R, **kw: cons.generalized_matrix(R, e.scalar, **kw))
+FMns = _constructor(
+    "FM", "FMns", [_SIZE, _BASE, _SCALAR],
+    lambda e: (e.size * e.size,),
+    lambda e, R, **kw: cons.formal_matrix(R, e.size, e.scalar, **kw))
+GroupRing = _constructor(
+    "GR", "GroupRing", [_BASE, _Arg("name", "group", "group", choices=GROUP_ORDERS)],
+    lambda e: (GROUP_ORDERS[e.group],),
+    lambda e, R, **kw: cons.group_ring(R, cons.group_catalog()[e.group], **kw))
+Quotient = _constructor(
+    "Quot", "Quotient", [_BASE, _Arg("indices", "gens", "ideal generator index")],
+    lambda e: (1,),
+    lambda e, R, **kw: core.quotient_ring(R, core.ideal_generated(R, e.gens))[0])
+Corner = _constructor(
+    "Corner", "Corner", [_BASE, _Arg("index", "idem", "idempotent index")],
+    lambda e: (1,),
+    lambda e, R, **kw: core.corner_ring(R, e.idem))
+
+CTORS = set(_TABLE)
 
 
-@dataclass(frozen=True)
-class FMns(RingExpr):
-    size: int
-    base: RingExpr
-    scalar: int
-
-
-@dataclass(frozen=True)
-class GroupRing(RingExpr):
-    base: RingExpr
-    group: str
-
-
-@dataclass(frozen=True)
-class Quotient(RingExpr):
-    base: RingExpr
-    gens: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Corner(RingExpr):
-    base: RingExpr
-    idem: int
+def _rings(e: RingExpr):
+    """The ring arguments of a constructor node, in text order."""
+    for arg in type(e)._args:
+        if arg.kind == "ring":
+            yield getattr(e, arg.field)
+        elif arg.kind == "rings":
+            yield from getattr(e, arg.field)
 
 
 # ---------------------------------------------------------------------------
@@ -141,50 +251,33 @@ class Corner(RingExpr):
 
 def print_expr(e: RingExpr) -> str:
     """Canonical form; parse(print_expr(e)) reproduces e."""
-    match e:
-        case Named("Z", m):
-            return f"Z{m}"
-        case Named("GF", q):
-            return f"GF({q})"
-        case Product(factors):
-            return "Prod(" + ",".join(print_expr(f) for f in factors) + ")"
-        case Matrix(n, base):
-            return f"M({n},{print_expr(base)})"
-        case Triangular(n, base):
-            return f"T({n},{print_expr(base)})"
-        case TruncSkew(base, endo, n):
-            return f"TruncSkew({print_expr(base)},{endo},{n})"
-        case Triv(base):
-            b = print_expr(base)
-            return f"Triv({b},{b})"
-        case DT(base):
-            b = print_expr(base)
-            return f"DT({b},{b})"
-        case FormalTri(left, right, regular):
-            l, r = print_expr(left), print_expr(right)
-            return f"FT({l},{r},{r})" if regular else f"FT({l},{r})"
-        case Ks(base, s):
-            return f"K({print_expr(base)},s={s})"
-        case FMns(n, base, s):
-            return f"FM({n},{print_expr(base)},s={s})"
-        case GroupRing(base, g):
-            return f"GR({print_expr(base)},{g})"
-        case Quotient(base, gens):
-            return f"Quot({print_expr(base)}," + ",".join(str(g) for g in gens) + ")"
-        case Corner(base, idem):
-            return f"Corner({print_expr(base)},{idem})"
-    raise ValueError(f"unprintable node {e!r}")
+    if type(e) is Named:
+        return f"Z{e.param}" if e.kind == "Z" else f"GF({e.param})"
+    parts = []
+    for arg in type(e)._args:
+        kind = arg.kind
+        value = getattr(e, arg.field) if arg.field else True
+        if kind == "ring":
+            parts.append(print_expr(value))
+        elif kind == "rings":
+            for factor in value:
+                parts.append(print_expr(factor))
+        elif kind == "indices":
+            parts.extend(map(str, value))
+        elif kind == "repeat":
+            if value:
+                parts.append(parts[-1])
+        elif kind == "scalar":
+            parts.append(f"s={value}")
+        else:
+            parts.append(str(value))
+    return f"{type(e)._ctor}({','.join(parts)})"
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<punct>[(),=]))")
-
-CTORS = {"Prod", "M", "T", "TruncSkew", "Triv", "DT", "FT", "K", "FM", "GR", "Quot", "Corner"}
-GROUP_ORDERS = {"C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "V4": 4, "S3": 6}
-ENDO_NAMES = {"id", "frob"}
-_ZNAME = re.compile(r"^Z(\d+)$")
 MAX_NESTING = 200   # constructors open at once; catalog expressions open one
 
 
@@ -207,9 +300,8 @@ class _Parser:
                 if stripped >= len(text):
                     break
                 raise ExprSyntaxError(stripped, "integer, name, or punctuation")
-            for kind in ("int", "name", "punct"):
-                if m.group(kind) is not None:
-                    self.tokens.append((kind, m.group(kind), m.start(kind)))
+            kind = m.lastgroup
+            self.tokens.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         self.i = 0
         self.depth = 0
@@ -241,15 +333,17 @@ class _Parser:
             raise ExprSyntaxError(pos, what)
         return text, pos
 
-    def at_punct(self, ch: str) -> bool:
+    def take_punct(self, ch: str) -> bool:
+        """Consume `ch` if it comes next; say whether it did."""
         tok = self.peek()
-        return tok is not None and tok[0] == "punct" and tok[1] == ch
+        found = tok is not None and tok[0] == "punct" and tok[1] == ch
+        self.i += found
+        return found
 
     def parse_expr(self) -> RingExpr:
         name, pos = self.expect_name("ring name or constructor")
-        zm = _ZNAME.match(name)
-        if zm and name != "Z":
-            m = _int(zm.group(1), pos + 1, "modulus")
+        if name[0] == "Z" and name[1:].isdigit():
+            m = _int(name[1:], pos + 1, "modulus")
             if m < 2:
                 raise UnknownName(f"Z{m}: modulus must be at least 2")
             return Named("Z", m)
@@ -265,7 +359,7 @@ class _Parser:
                                   f"constructors nest deeper than {MAX_NESTING} levels")
         self.depth += 1
         self.expect_punct("(")
-        node = self.parse_ctor(name, pos)
+        node = self.parse_ctor(name)
         self.expect_punct(")")
         self.depth -= 1
         return node
@@ -277,87 +371,52 @@ class _Parser:
             self.expect_punct("=")
         return self.expect_int("element index")
 
-    def parse_ctor(self, ctor: str, pos: int) -> RingExpr:
-        if ctor == "Prod":
-            factors = [self.parse_expr()]
-            while self.at_punct(","):
+    def parse_ctor(self, ctor: str) -> RingExpr:
+        """The arguments of `ctor`, read by its row of `_TABLE`."""
+        node = _TABLE[ctor]
+        values: dict[str, object] = {}
+        short = ""      # an int below its least value, reported after the next argument
+        for arg, comma in zip(node._args, node._commas):
+            kind = arg.kind
+            if kind == "ring":
+                value = self.parse_expr()
+            elif kind == "rings":
+                value = [self.parse_expr()]
+                while self.take_punct(","):
+                    value.append(self.parse_expr())
+                value = tuple(value)
+            elif kind == "indices":
+                value = []
+                while self.take_punct(","):
+                    value.append(self.expect_int(arg.what))
+                if not value:
+                    raise BadArity(f"{ctor} needs at least one {arg.what}")
+                value = tuple(value)
+            elif kind == "repeat":
+                value = self.take_punct(",")
+                if value:
+                    module = print_expr(self.parse_expr())
+                    if any(module != print_expr(values[field]) for field in arg.same):
+                        raise InvalidBimodule(arg.message.format(ctor=ctor))
+            elif kind == "name":
+                value, pos = self.expect_name(f"{arg.what} name")
+                if value not in arg.choices:
+                    raise UnknownName(f"unknown {arg.what} {value!r} at position {pos}")
+            elif kind == "scalar":
+                value = self.parse_scalar()
+            else:
+                value = self.expect_int(arg.what)
+            if comma:
                 self.expect_punct(",")
-                factors.append(self.parse_expr())
-            return Product(tuple(factors))
-        if ctor in ("M", "T"):
-            n = self.expect_int("matrix size")
-            self.expect_punct(",")
-            base = self.parse_expr()
-            if n < 1:
-                raise BadArity(f"{ctor}: size must be positive")
-            return Matrix(n, base) if ctor == "M" else Triangular(n, base)
-        if ctor == "TruncSkew":
-            base = self.parse_expr()
-            self.expect_punct(",")
-            endo, epos = self.expect_name("endomorphism name")
-            if endo not in ENDO_NAMES:
-                raise UnknownName(f"unknown endomorphism {endo!r} at position {epos}")
-            self.expect_punct(",")
-            n = self.expect_int("truncation degree")
-            if n < 2:
-                raise BadArity("TruncSkew: truncation degree must be at least 2")
-            return TruncSkew(base, endo, n)
-        if ctor in ("Triv", "DT"):
-            base = self.parse_expr()
-            if self.at_punct(","):
-                self.expect_punct(",")
-                module = self.parse_expr()
-                if print_expr(module) != print_expr(base):
-                    raise InvalidBimodule(
-                        f"{ctor}: the expression language only offers the regular bimodule, "
-                        "so the second argument must repeat the base ring")
-            return Triv(base) if ctor == "Triv" else DT(base)
-        if ctor == "FT":
-            left = self.parse_expr()
-            self.expect_punct(",")
-            right = self.parse_expr()
-            if self.at_punct(","):
-                self.expect_punct(",")
-                module = self.parse_expr()
-                same = print_expr(module) == print_expr(left) == print_expr(right)
-                if not same:
-                    raise InvalidBimodule(
-                        "FT(A,B) uses the zero bimodule; FT(A,A,A) the regular one")
-                return FormalTri(left, right, True)
-            return FormalTri(left, right, False)
-        if ctor == "K":
-            base = self.parse_expr()
-            self.expect_punct(",")
-            return Ks(base, self.parse_scalar())
-        if ctor == "FM":
-            n = self.expect_int("matrix size")
-            self.expect_punct(",")
-            base = self.parse_expr()
-            self.expect_punct(",")
-            if n < 1:
-                raise BadArity("FM: size must be positive")
-            return FMns(n, base, self.parse_scalar())
-        if ctor == "GR":
-            base = self.parse_expr()
-            self.expect_punct(",")
-            gname, gpos = self.expect_name("group name")
-            if gname not in GROUP_ORDERS:
-                raise UnknownName(f"unknown group {gname!r} at position {gpos}")
-            return GroupRing(base, gname)
-        if ctor == "Quot":
-            base = self.parse_expr()
-            gens = []
-            while self.at_punct(","):
-                self.expect_punct(",")
-                gens.append(self.expect_int("ideal generator index"))
-            if not gens:
-                raise BadArity("Quot needs at least one ideal generator index")
-            return Quotient(base, tuple(gens))
-        if ctor == "Corner":
-            base = self.parse_expr()
-            self.expect_punct(",")
-            return Corner(base, self.expect_int("idempotent index"))
-        raise UnknownName(f"unknown constructor {ctor!r} at position {pos}")
+            if short:
+                raise BadArity(short)
+            if kind == "int" and value < arg.least:
+                short = arg.message.format(ctor=ctor)
+            if arg.field:
+                values[arg.field] = value
+        if short:
+            raise BadArity(short)
+        return node(*values.values())
 
 
 def parse(text: str) -> RingExpr:
@@ -468,6 +527,7 @@ def frobenius(field: FiniteRing, p: int) -> core.RingHom:
 
 _BUILD_CACHE: dict[str, FiniteRing] = {}
 _BUILD_LOCK = threading.RLock()
+_INDICES = ("index", "indices", "scalar")
 
 
 def _field_char(q: int) -> int:
@@ -486,118 +546,36 @@ def order_of(e: RingExpr, cap: int) -> int:
     rounds, however large the numbers written in the expression are.
     Raises `UnsupportedField` for a GF(q) that is not built in.
     """
-    def product(sizes) -> int:
-        total = 1
-        for size in sizes:
+    if type(e) is Named:
+        if e.kind == "GF":
+            _require_field(e.param)
+        return e.param
+    total = 1
+    for ring, count in zip(_rings(e), type(e)._copies(e)):
+        size = order_of(ring, cap)
+        for _ in range(count):
             total *= size
             if total > cap:
-                break
-        return total
-
-    def power(base: RingExpr, count: int) -> int:
-        return product(repeat(order_of(base, cap), count))
-
-    match e:
-        case Named("Z", m):
-            return m
-        case Named("GF", q):
-            _require_field(q)
-            return q
-        case Product(factors):
-            return product(order_of(f, cap) for f in factors)
-        case Matrix(n, base) | FMns(n, base, _):
-            return power(base, n * n)
-        case Triangular(n, base):
-            return power(base, n * (n + 1) // 2)
-        case TruncSkew(base, _, n):
-            return power(base, n)
-        case Triv(base):
-            return power(base, 2)
-        case DT(base) | Ks(base, _):
-            return power(base, 4)
-        case FormalTri(left, _, True):
-            return power(left, 3)
-        case FormalTri(left, right, False):
-            return product(order_of(side, cap) for side in (left, right))
-        case GroupRing(base, g):
-            return power(base, GROUP_ORDERS[g])
-        case Quotient(base, _) | Corner(base, _):
-            return order_of(base, cap)
-    raise ValueError(f"unbuildable node {e!r}")
+                return total
+    return total
 
 
 def _build_uncached(e: RingExpr, canonical: str, guard: int | None) -> FiniteRing:
-    match e:
-        case Named("Z", m):
-            add, mul = _zmod_tables(m)
-            return validate_ring(add, mul, 0, 1, label=canonical, order_guard=guard)
-        case Named("GF", q):
-            return galois_field(q, label=canonical)
-        case Product(factors):
-            built = [build(f, order_guard=guard) for f in factors]
-            return cons.direct_product(built, order_guard=guard, label=canonical)
-        case Matrix(n, base):
-            return cons.matrix_ring(build(base, order_guard=guard), n,
-                                    order_guard=guard, label=canonical)
-        case Triangular(n, base):
-            return cons.upper_triangular(build(base, order_guard=guard), n,
-                                         order_guard=guard, label=canonical)
-        case TruncSkew(base, endo, n):
-            R = build(base, order_guard=guard)
-            if endo == "id":
-                alpha = cons.identity_endomorphism(R)
-            else:
-                if not (isinstance(base, Named) and base.kind == "GF"):
-                    raise InvalidEndomorphism(
-                        "frob binds only on GF(q) base expressions")
-                alpha = frobenius(R, _field_char(base.param))
-            return cons.truncated_skew_poly(R, alpha, n, order_guard=guard,
-                                            label=canonical, endo_label=endo)
-        case Triv(base):
-            return cons.trivial_extension(build(base, order_guard=guard),
-                                          order_guard=guard, label=canonical)
-        case DT(base):
-            # the inner Triv(base) comes from the build cache, so building both
-            # rings validates it once
-            return cons.dt_extension(build(base, order_guard=guard), order_guard=guard,
-                                     label=canonical, inner=build(Triv(base), order_guard=guard))
-        case FormalTri(left, right, regular):
-            L = build(left, order_guard=guard)
-            Rr = build(right, order_guard=guard)
-            if regular:
-                if L is not Rr:
-                    raise InvalidBimodule("FT(A,A,A) needs equal rings")
-                module = cons.regular_bimodule(L)
-            else:
-                module = None
-            return cons.formal_triangular(L, Rr, module, order_guard=guard, label=canonical)
-        case Ks(base, s):
-            R = build(base, order_guard=guard)
-            if not 0 <= s < R.order:
-                raise BadArity(f"scalar index {s} out of range for {R.label}")
-            return cons.generalized_matrix(R, s, order_guard=guard, label=canonical)
-        case FMns(n, base, s):
-            R = build(base, order_guard=guard)
-            if not 0 <= s < R.order:
-                raise BadArity(f"scalar index {s} out of range for {R.label}")
-            return cons.formal_matrix(R, n, s, order_guard=guard, label=canonical)
-        case GroupRing(base, gname):
-            R = build(base, order_guard=guard)
-            G = cons.group_catalog()[gname]
-            return cons.group_ring(R, G, order_guard=guard, label=canonical)
-        case Quotient(base, gens):
-            R = build(base, order_guard=guard)
-            for g in gens:
-                if not 0 <= g < R.order:
-                    raise BadArity(f"ideal generator index {g} out of range for {R.label}")
-            Q, _ = core.quotient_ring(R, core.ideal_generated(R, gens))
-            return core._relabel(Q, canonical)
-        case Corner(base, idem):
-            R = build(base, order_guard=guard)
-            if not 0 <= idem < R.order:
-                raise BadArity(f"idempotent index {idem} out of range for {R.label}")
-            return core._relabel(core.corner_ring(R, idem), canonical)
-    raise ValueError(f"unbuildable node {e!r}")
+    if type(e) is Named:
+        if e.kind == "GF":
+            return galois_field(e.param, label=canonical)
+        add, mul = _zmod_tables(e.param)
+        return validate_ring(add, mul, 0, 1, label=canonical, order_guard=guard)
+    rings = []
+    for ring in _rings(e):
+        rings.append(build(ring, order_guard=guard))
+    for arg in type(e)._args:
+        if arg.kind in _INDICES:
+            value = getattr(e, arg.field)
+            for i in value if arg.kind == "indices" else (value,):
+                if not 0 <= i < rings[0].order:
+                    raise BadArity(f"{arg.what} {i} out of range for {rings[0].label}")
+    return type(e)._make(e, *rings, order_guard=guard, label=canonical)
 
 
 def build(e: RingExpr, *, order_guard: int | None = None) -> FiniteRing:
@@ -607,7 +585,9 @@ def build(e: RingExpr, *, order_guard: int | None = None) -> FiniteRing:
     built or looked up, so a cached ring and a cold build are admitted alike.
     The lock is held across an uncached build (it is re-entrant, since
     building recurses into sub-expressions), so concurrent callers build
-    each ring once."""
+    each ring once.  A construction that returns a ring under another label
+    (a quotient, a corner, or the ring it was given) is relabelled to the
+    canonical form, without validating it again."""
     canonical = print_expr(e)
     guard = core._resolve_guard(order_guard)
     reach = order_of(e, guard)
@@ -617,7 +597,10 @@ def build(e: RingExpr, *, order_guard: int | None = None) -> FiniteRing:
     with _BUILD_LOCK:
         ring = _BUILD_CACHE.get(canonical)
         if ring is None:
-            ring = _BUILD_CACHE[canonical] = _build_uncached(e, canonical, order_guard)
+            ring = _build_uncached(e, canonical, order_guard)
+            if ring.label != canonical:
+                ring = core._relabel(ring, canonical)
+            _BUILD_CACHE[canonical] = ring
     return ring
 
 

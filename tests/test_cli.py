@@ -111,6 +111,32 @@ def test_thread_count_below_one_is_a_usage_error(capsys, monkeypatch):
     assert code == 0
 
 
+def test_max_order_below_one_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("DELTA_RING_MAX_ORDER", raising=False)
+    for argv in (("verify", "all", "--max-order", "0"), ("info", "Z2", "--max-order", "-3"),
+                 ("check", "2-delta-u", "Z2", "--max-order", "0"),
+                 ("search", "--include", "uj", "--max-order", "0")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"--max-order must be at least 1, got {argv[-1]}" in err
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("DELTA_RING_MAX_ORDER", raw)
+        for argv in (("verify", "all"), ("info", "Z2")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert f"DELTA_RING_MAX_ORDER must be at least 1, got {raw}" in err
+    # the flag wins over the environment, and 1 is a bound
+    code, out, _ = run(capsys, "info", "Z2", "--max-order", "2")
+    assert code == 0 and "ring Z2" in out
+    code, out, _ = run(capsys, "search", "--include", "uj", "--max-order", "1")
+    assert (code, out) == (0, "rings in ['uj'] and outside [] with order <= 1:\n  (none)\n")
+
+
+def test_size_one_constructor_keeps_its_label(capsys):
+    code, out, _ = run(capsys, "info", "M(1,Z4)", "--json")
+    assert code == 0 and json.loads(out)["subject"] == "M(1,Z4)"
+
+
 def test_verify_max_order_restricts_scope(capsys):
     code, out, _ = run(capsys, "verify", "T2.8", "--max-order", "30", "--json")
     assert code == 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import re
 import sys
 import time
@@ -93,6 +94,97 @@ def test_print_parse_roundtrip():
     ]
     for text in samples:
         assert dsl.print_expr(dsl.parse(text)) == text
+
+
+def test_built_rings_carry_their_canonical_label():
+    # a size-one constructor returns the ring it was given; the build labels
+    # it with the constructor's own printed form and leaves that ring alone
+    samples = [
+        "Z2", "Z120", "GF(9)", "Prod(Z2,Z3)", "Prod(Z2,Z2,Z2)",
+        "M(2,Z2)", "T(3,Z3)", "TruncSkew(GF(4),frob,2)", "TruncSkew(Z2,id,5)",
+        "Triv(Z5,Z5)", "DT(Z3,Z3)", "FT(Z2,Z3)", "FT(Z4,Z4,Z4)",
+        "K(GF(4),s=0)", "FM(2,Z4,s=2)", "GR(Z9,C3)", "Quot(Z12,6,4)",
+        "Corner(M(2,Z2),9)", "M(1,Z4)", "T(1,Z3)", "FM(1,Z4,s=2)", "Prod(Z5)",
+    ]
+    for text in samples:
+        assert dsl.build_str(text).label == dsl.print_expr(dsl.parse(text)), text
+    for base in ("Z4", "Z3", "Z5"):
+        assert dsl.build_str(base).label == base
+    assert np.array_equal(dsl.build_str("M(1,Z4)").mul, dsl.build_str("Z4").mul)
+
+
+def test_nodes_compare_and_hash_by_type_and_fields():
+    b, c = dsl.parse("Z2"), dsl.parse("Z3")
+    assert dsl.Matrix(2, b) != dsl.Triangular(2, b)
+    assert dsl.Triv(b) != dsl.DT(b)
+    assert dsl.FormalTri(c, b, True) != dsl.FormalTri(c, b, False)
+    e = dsl.parse("M(2,Prod(Z2,Z3))")
+    assert e == dsl.Matrix(2, dsl.Product((b, c))) and e is not dsl.parse("M(2,Prod(Z2,Z3))")
+    assert hash(e) == hash(dsl.parse("M(2, Prod(Z2, Z3))"))
+    table = {e: "m", dsl.Triangular(2, dsl.Product((b, c))): "t"}
+    assert table[dsl.parse("M(2,Prod(Z2,Z3))")] == "m" and len(table) == 2
+    assert repr(dsl.Matrix(2, b)) == "Matrix(size=2, base=Named(kind='Z', param=2))"
+    assert repr(dsl.Quotient(c, (1, 2))) == "Quotient(base=Named(kind='Z', param=3), gens=(1, 2))"
+    assert pickle.loads(pickle.dumps(e)) == e
+    with pytest.raises(AttributeError):
+        e.size = 3
+    with pytest.raises(TypeError):
+        dsl.Matrix(2)
+
+
+def test_every_constructor_has_one_row():
+    rows = [node._ctor for node in dsl.RingExpr.__subclasses__() if node is not dsl.Named]
+    assert len(rows) == len(set(rows)) and set(rows) == dsl.CTORS
+    assert all(dsl._TABLE[name]._ctor == name for name in dsl.CTORS)
+
+
+def test_group_orders_match_the_group_catalog():
+    # order_of reads this copy so that it never builds a group
+    assert dsl.GROUP_ORDERS == {name: G.order for name, G in cons.group_catalog().items()}
+
+
+def _deepest_frame(fn, *args) -> int:
+    """The most Python frames on the stack while `fn(*args)` runs."""
+    deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal deepest
+        if event == "call":
+            depth = 0
+            while frame is not None:
+                depth, frame = depth + 1, frame.f_back
+            deepest = max(deepest, depth)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+@pytest.mark.parametrize("opening,closing,builds", [
+    ("Prod(", ")", True), ("M(1,", ")", True), ("T(1,", ")", True),
+    ("FM(1,", ",s=0)", True), ("GR(", ",C1)", True), ("Quot(", ",0)", True),
+    ("Corner(", ",1)", True), ("FT(Z2,", ")", False), ("K(", ",s=0)", False),
+    ("TruncSkew(", ",id,2)", False),
+])
+def test_frames_per_nesting_level(opening, closing, builds):
+    # each level of nesting costs at most 2 frames to parse, 2 to print,
+    # 3 for order_of and 2 to build, so MAX_NESTING levels stay far inside
+    # the default recursion limit (Triv and DT are left out: their printed
+    # form doubles with each level)
+    def text(depth):
+        return opening * depth + "Z2" + closing * depth
+
+    def per_level(fn, wrap):
+        return (_deepest_frame(fn, wrap(text(100))) - _deepest_frame(fn, wrap(text(50)))) / 50
+
+    assert per_level(dsl.parse, str) <= 2
+    assert per_level(dsl.print_expr, dsl.parse) <= 2
+    assert per_level(lambda e: dsl.order_of(e, 4096), dsl.parse) <= 3
+    if builds:
+        assert per_level(lambda e: (dsl.clear_build_cache(), dsl.build(e)), dsl.parse) <= 2
 
 
 def test_build_examples():
