@@ -132,11 +132,6 @@ def test_max_order_below_one_is_a_usage_error(capsys, monkeypatch):
     assert (code, out) == (0, "rings in ['uj'] and outside [] with order <= 1:\n  (none)\n")
 
 
-def test_size_one_constructor_keeps_its_label(capsys):
-    code, out, _ = run(capsys, "info", "M(1,Z4)", "--json")
-    assert code == 0 and json.loads(out)["subject"] == "M(1,Z4)"
-
-
 def test_verify_max_order_restricts_scope(capsys):
     code, out, _ = run(capsys, "verify", "T2.8", "--max-order", "30", "--json")
     assert code == 0
