@@ -424,6 +424,19 @@ def test_class_reports_match_golden():
         assert got == golden[R.label], R.label
 
 
+def test_class_report_roles_and_notes_match_golden():
+    # witness roles and notes of every class on every catalog ring, which
+    # the verdict golden above does not pin
+    golden = json.loads((Path(__file__).parent / "golden" / "class_report_notes.json")
+                        .read_text(encoding="utf-8"))
+    rings = harness.catalog_rings()
+    assert [R.label for R in rings] == list(golden)
+    for R in rings:
+        got = {name: [[w.role for w in report.witness], report.notes]
+               for name in pr.ALL_CLASSES for report in [check_class(R, name)]}
+        assert got == golden[R.label], R.label
+
+
 def test_block_scans_match_per_element_oracles(monkeypatch):
     rings = [R for R in harness.catalog_rings()
              if not class_verdict(R, "strongly-2-nil-clean")]
