@@ -166,7 +166,7 @@ def _split(values: list[str]) -> list[str]:
 
 def cmd_classes(args) -> int:
     payload = {name: {"category": category, "condition": condition}
-               for name, (category, condition) in CLASSES.items()}
+               for name, (category, condition, *_) in CLASSES.items()}
     if args.json:
         _emit(payload)
     else:

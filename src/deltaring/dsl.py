@@ -30,7 +30,8 @@ label, also where a construction returns a ring it was given (`M(1,R)`).
 The order guard is checked once per expression, at the top of `build`:
 `order_of` reads the order off the expression (for `Quot` and `Corner`
 the base's order, an upper bound), so an expression past the guard is
-rejected before any table is allocated and whether or not it is cached.
+rejected before any table is allocated, before its canonical form is
+printed, and whether or not it is cached.
 `--max-order` selects catalog rings by the same `order_of`.  The guard in
 `constructions._tuple_ring` serves callers of the constructions, and the
 one in `core.validate_ring` (`_as_table`) serves ring dumps.
@@ -249,29 +250,36 @@ def _rings(e: RingExpr):
 # printing
 
 
-def print_expr(e: RingExpr) -> str:
-    """Canonical form; parse(print_expr(e)) reproduces e."""
+def print_expr(e: RingExpr, limit: int | None = None) -> str:
+    """Canonical form; parse(print_expr(e)) reproduces e.
+
+    A repeated ring prints twice, so nested `Triv` and `DT` double in length
+    with each level.  With `limit`, a form longer than `limit` characters is
+    cut to that many and "..." is appended; every argument is cut the same
+    way before it is joined, so the full form is never built."""
     if type(e) is Named:
-        return f"Z{e.param}" if e.kind == "Z" else f"GF({e.param})"
-    parts = []
-    for arg in type(e)._args:
-        kind = arg.kind
-        value = getattr(e, arg.field) if arg.field else True
-        if kind == "ring":
-            parts.append(print_expr(value))
-        elif kind == "rings":
-            for factor in value:
-                parts.append(print_expr(factor))
-        elif kind == "indices":
-            parts.extend(map(str, value))
-        elif kind == "repeat":
-            if value:
-                parts.append(parts[-1])
-        elif kind == "scalar":
-            parts.append(f"s={value}")
-        else:
-            parts.append(str(value))
-    return f"{type(e)._ctor}({','.join(parts)})"
+        text = f"Z{e.param}" if e.kind == "Z" else f"GF({e.param})"
+    else:
+        parts = []
+        for arg in type(e)._args:
+            kind = arg.kind
+            value = getattr(e, arg.field) if arg.field else True
+            if kind == "ring":
+                parts.append(print_expr(value, limit))
+            elif kind == "rings":
+                for factor in value:
+                    parts.append(print_expr(factor, limit))
+            elif kind == "indices":
+                parts.extend(map(str, value))
+            elif kind == "repeat":
+                if value:
+                    parts.append(parts[-1])
+            elif kind == "scalar":
+                parts.append(f"s={value}")
+            else:
+                parts.append(str(value))
+        text = f"{type(e)._ctor}({','.join(parts)})"
+    return text if limit is None or len(text) <= limit else text[:limit] + "..."
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +403,8 @@ class _Parser:
             elif kind == "repeat":
                 value = self.take_punct(",")
                 if value:
-                    module = print_expr(self.parse_expr())
-                    if any(module != print_expr(values[field]) for field in arg.same):
+                    module = self.parse_expr()
+                    if any(module != values[field] for field in arg.same):
                         raise InvalidBimodule(arg.message.format(ctor=ctor))
             elif kind == "name":
                 value, pos = self.expect_name(f"{arg.what} name")
@@ -528,6 +536,7 @@ def frobenius(field: FiniteRing, p: int) -> core.RingHom:
 _BUILD_CACHE: dict[str, FiniteRing] = {}
 _BUILD_LOCK = threading.RLock()
 _INDICES = ("index", "indices", "scalar")
+_MESSAGE_FORM = 200     # characters of the canonical form an order-guard message shows
 
 
 def _field_char(q: int) -> int:
@@ -581,19 +590,20 @@ def _build_uncached(e: RingExpr, canonical: str, guard: int | None) -> FiniteRin
 def build(e: RingExpr, *, order_guard: int | None = None) -> FiniteRing:
     """Build (and memoize) the ring denoted by an expression.
 
-    The expression is held to the guard by `order_of` before anything is
-    built or looked up, so a cached ring and a cold build are admitted alike.
+    The expression is held to the guard by `order_of` before it is printed,
+    built or looked up, so a cached ring and a cold build are admitted alike;
+    the message shows the canonical form cut to `_MESSAGE_FORM` characters.
     The lock is held across an uncached build (it is re-entrant, since
     building recurses into sub-expressions), so concurrent callers build
     each ring once.  A construction that returns a ring under another label
     (a quotient, a corner, or the ring it was given) is relabelled to the
     canonical form, without validating it again."""
-    canonical = print_expr(e)
     guard = core._resolve_guard(order_guard)
     reach = order_of(e, guard)
     if reach > guard:
-        raise OrderGuardExceeded(
-            f"{canonical}: order would reach at least {reach}, past the guard {guard}")
+        raise OrderGuardExceeded(f"{print_expr(e, _MESSAGE_FORM)}: order would reach at "
+                                 f"least {reach}, past the guard {guard}")
+    canonical = print_expr(e)
     with _BUILD_LOCK:
         ring = _BUILD_CACHE.get(canonical)
         if ring is None:

@@ -259,6 +259,44 @@ def test_guard_rejects_huge_expressions_fast_and_without_traceback():
         assert float(proc.stdout) < 0.5, argv
 
 
+# the start of a child whose address space may grow by at most 512 MB past
+# what its imports took, so that an input asking for more memory fails with
+# MemoryError in the child instead of exhausting the machine
+_LIMITED = """\
+import resource, sys, time
+from deltaring import cli, dsl
+used = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+soft, hard = used + (512 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY:
+    soft = min(soft, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+"""
+# Triv(R) prints as Triv(R,R), so 40 nested levels print 2^40 copies of Z2
+_TRIV_40 = "Triv(" * 40 + "Z2" + ")" * 40
+
+
+def test_guard_refuses_a_doubling_form_before_printing_it():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED + "raise SystemExit(cli.main(sys.argv[1:]))",
+         "info", _TRIV_40], capture_output=True, text=True, env=_cli_env(), timeout=120)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert len(proc.stderr) < 1024 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: Triv(Triv(")
+    assert proc.stderr.endswith("...: order would reach at least 65536, past the guard 4096\n")
+
+
+def test_repeated_base_is_compared_as_a_node_not_as_printed_text():
+    probe = _LIMITED + (f"T = {_TRIV_40!r}\n"
+                        "start = time.perf_counter()\n"
+                        "e = dsl.parse(f'Triv({T},{T})')\n"
+                        "print(time.perf_counter() - start, e.base == dsl.parse(T))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    elapsed, same = proc.stdout.split()
+    assert float(elapsed) < 0.5 and same == "True"
+
+
 def test_too_deep_nesting_exits_2_without_traceback(capsys):
     deepest = "Prod(" * dsl.MAX_NESTING + "Z2" + ")" * dsl.MAX_NESTING
     code, out, _ = run(capsys, "info", deepest, "--json")

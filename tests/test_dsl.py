@@ -96,6 +96,19 @@ def test_print_parse_roundtrip():
         assert dsl.print_expr(dsl.parse(text)) == text
 
 
+def test_print_limit_keeps_the_start_of_the_canonical_form():
+    # past the limit the form is its first `limit` characters and "...";
+    # within it, the whole form
+    for text in ("Z2", "Prod(Z2,Z3)", "FT(Triv(Z2),Triv(Z2),Triv(Z2))",
+                 "Triv(" * 6 + "Z2" + ")" * 6, "DT(" * 3 + "GF(4)" + ")" * 3,
+                 "Prod(M(2,Triv(Z3)),GR(DT(Z2),C2),Quot(Z12,6,4))"):
+        e = dsl.parse(text)
+        full = dsl.print_expr(e)
+        for limit in range(len(full) + 2):
+            cut = full if len(full) <= limit else full[:limit] + "..."
+            assert dsl.print_expr(e, limit) == cut, (text, limit)
+
+
 def test_built_rings_carry_their_canonical_label():
     # a size-one constructor returns the ring it was given; the build labels
     # it with the constructor's own printed form and leaves that ring alone

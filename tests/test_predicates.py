@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import sys
 import threading
@@ -56,7 +57,7 @@ def test_uuc_counts_trivial_decomposition():
 def test_unj_uses_literal_sumset():
     R = b("Z12")
     report = check_class(R, "unj")
-    assert "sumset" in pr._UNIT_SETS["unj"][2]
+    assert "sumset" in report.notes
     nil = subsets.nilpotents(R).indices
     jac = subsets.jacobson_radical(R).indices
     sums = {int(R.add[q, j]) for q in nil for j in jac}
@@ -241,6 +242,26 @@ def test_unknown_class():
         check_class(b("Z4"), "totally-made-up")
 
 
+def _bench_categories() -> tuple[str, ...]:
+    """The categories whose `predicates.{cat}.self_s` bench/run.py reports."""
+    source = (Path(__file__).parent.parent / "bench" / "run.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_CATEGORIES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py no longer names its class categories")
+
+
+def test_registry_is_the_class_table_seen_by_the_tracer():
+    # bench/tracer.py wraps each scan in CLASS_REGISTRY and names its span
+    # after the category stored beside it; bench/run.py reads one metric per
+    # category, so each must have a row
+    assert list(pr.CLASS_REGISTRY) == list(pr.CLASSES)
+    for name, row in pr.CLASSES.items():
+        assert pr.CLASS_REGISTRY[name] == (row[0], row[2]), name
+    categories = {category for category, *_ in pr.CLASSES.values()}
+    assert categories == set(_bench_categories())
+
+
 def test_racing_threads_share_one_memoized_report():
     # more threads than cores start together on a fresh ring, with frequent
     # switches; each may compute a report, but all must get the one stored first
@@ -412,6 +433,38 @@ def test_witness_recheck_refuses_elements_that_satisfy_the_condition(name):
     assert revalidate_witness(R, report) is False
 
 
+# the classes decided element by element, with the role of the element
+# their reports name
+ELEMENTWISE = {
+    **dict.fromkeys(("regular", "unit-regular", "strongly-regular", "pi-regular",
+                     "strongly-pi-regular", "clean", "exchange", "j-clean", "delta-clean",
+                     "strongly-nil-clean", "strongly-2-nil-clean", "semi-tripotent",
+                     "boolean", "2-boolean", "tripotent", "semipotent"), "element"),
+    "reduced": "nonzero-nilpotent",
+    "division": "nonzero-non-unit",
+    "semisimple": "nonzero-radical-element",
+    "2-primal": "nilpotent-outside-prime-radical",
+}
+
+
+@pytest.mark.parametrize("name", ELEMENTWISE)
+def test_recheck_decides_each_element_of_an_elementwise_scan(name):
+    # the re-check tests one element literally, apart from the scan, so it
+    # also checks true verdicts: it must confirm a false report's witness,
+    # refuse every element below it, and refuse every element of a ring the
+    # scan puts in the class (orders <= 32 keep the literal loops quick)
+    role, recheck = ELEMENTWISE[name], pr.CLASSES[name][3]
+    for R in harness.catalog_rings():
+        if R.order > 32:
+            continue
+        report = check_class(R, name)
+        roles = {w.role: w.element for w in report.witness}
+        if not report.verdict:
+            assert recheck(R, name, roles), (R.label, name)
+        for a in range(roles.get(role, R.order)):
+            assert not recheck(R, name, {role: a}), (R.label, name, a)
+
+
 def test_class_reports_match_golden():
     # verdict and witness element indices of every class on every catalog
     # ring: a faster scan must pick the same smallest counterexample
@@ -450,7 +503,7 @@ def test_block_scans_match_per_element_oracles(monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         for R in rings:
             for kind, first_bad in expected[R.label].items():
-                report = pr._clean(R, kind)
+                report = pr.CLASSES[kind][2](R, kind)
                 assert report.verdict == (first_bad is None), (R.label, kind)
                 assert [w.element for w in report.witness] == (
                     [] if first_bad is None else [first_bad]), (R.label, kind)
