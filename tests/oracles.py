@@ -8,7 +8,9 @@ validator.  The two-sided reference runs the generator procedure with both
 full distributivity sides, in the pass order that names a violation.  The generator oracle re-closes the whole additive span after
 each generator.  The ideal oracle is a plain closure-lattice search.  The
 homomorphism oracle compares images one pair at a time.  The prime
-radical oracle is the semiprime fixpoint of its definition.  Expected
+radical oracle is the semiprime fixpoint of its definition.  The product
+oracles write each construction's multiplication from its textbook
+definition, one loop over the coordinates.  Expected
 values in the tests are either frozen from these oracles or checked against
 them directly.
 """
@@ -366,3 +368,104 @@ def naive_hom_violation(source, target, mapping) -> tuple[str, tuple[int, ...]] 
                 if m[src[a][b]] != tgt[m[a]][m[b]]:
                     return kind, (a, b)
     return None
+
+
+# ---------------------------------------------------------------------------
+# construction products, from their textbook definitions.  Each `*_product`
+# takes two coordinate lists, most significant coordinate first, whose entries
+# are arrays of base-ring elements (or plain integers), and returns the
+# coordinate list of the product.
+
+
+def product_table(size: int, k: int, product) -> np.ndarray:
+    """The multiplication table of the ring on `k` coordinates of `size`
+    values each, encoded in mixed radix with the first coordinate most
+    significant: every coordinate loop runs once, over all pairs at once."""
+    n = size ** k
+    x = np.arange(n)
+    digits = [(x // size ** (k - 1 - c)) % size for c in range(k)]
+    out = product([d[:, None] for d in digits], [d[None, :] for d in digits])
+    table = np.zeros((n, n), dtype=np.int64)
+    for c in range(k):
+        table += np.asarray(out[c], dtype=np.int64) * size ** (k - 1 - c)
+    return table
+
+
+def poly_mul(a, b, p: int, tail) -> list:
+    """Product of two polynomials over Z_p, coefficients x^{k-1} first,
+    modulo the monic x^k + tail (`tail` also x^{k-1} first)."""
+    k = len(a)
+    prod = [0] * (2 * k - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            prod[i + j] = prod[i + j] + ca * cb
+    # x^k = -tail: fold each leading coefficient into the k below it
+    for t in range(k - 1):
+        lead = prod[t] % p
+        prod[t] = 0
+        for u, cf in enumerate(tail):
+            prod[t + 1 + u] = (prod[t + 1 + u] - lead * cf) % p
+    return [c % p for c in prod[k - 1:]]
+
+
+def _power(R, s: int, e: int) -> int:
+    out = R.one
+    for _ in range(e):
+        out = int(R.mul[out, s])
+    return out
+
+
+def formal_matrix_product(R, n: int, s: int):
+    """FM_n(R; s): (AB)_ij = sum over k of s^(1 + [i=j] - [i=k] - [k=j]) a_ik b_kj."""
+    def product(a, b):
+        out = []
+        for i in range(n):
+            for j in range(n):
+                acc = R.zero
+                for k in range(n):
+                    scale = _power(R, s, 1 + (i == j) - (i == k) - (k == j))
+                    term = R.mul[scale, R.mul[a[i * n + k], b[k * n + j]]]
+                    acc = R.add[acc, term]
+                out.append(acc)
+        return out
+    return product
+
+
+def morita_product(R, s: int):
+    """K_s(R): [[a,x],[y,b]] [[a',x'],[y',b']] =
+    [[aa' + s xy', ax' + xb'], [ya' + by', s yx' + bb']]."""
+    def product(left, right):
+        (a, x, y, b), (a2, x2, y2, b2) = left, right
+        return [R.add[R.mul[a, a2], R.mul[s, R.mul[x, y2]]],
+                R.add[R.mul[a, x2], R.mul[x, b2]],
+                R.add[R.mul[y, a2], R.mul[b, y2]],
+                R.add[R.mul[s, R.mul[y, x2]], R.mul[b, b2]]]
+    return product
+
+
+def group_ring_product(R, G):
+    """RG: (sum a_g g)(sum b_h h) = sum over g, h of a_g b_h (gh)."""
+    def product(a, b):
+        out = [R.zero] * G.order
+        for g in range(G.order):
+            for h in range(G.order):
+                gh = int(G.table[g, h])
+                out[gh] = R.add[out[gh], R.mul[a[g], b[h]]]
+        return out
+    return product
+
+
+def skew_product(R, alpha, n: int):
+    """R[x; alpha]/(x^n): (sum a_i x^i)(sum b_j x^j) = sum over i + j < n of
+    a_i alpha^i(b_j) x^(i+j), for the endomorphism given as the map `alpha`."""
+    def product(a, b):
+        out = [R.zero] * n
+        for i in range(n):
+            for j in range(n - i):
+                twisted = b[j]
+                for _ in range(i):
+                    twisted = alpha[twisted]
+                out[i + j] = R.add[out[i + j], R.mul[a[i], twisted]]
+        return out
+    return product
+

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -210,6 +211,35 @@ def test_verify_max_order_64_matches_golden(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "all", "--json", "--max-order", "64")
     golden = (Path(__file__).parent / "golden" / "verify_max_order_64.json").read_text()
     assert code == 0 and out == golden
+
+
+# the 31 rings of the benchmark's inspect pool (orders 256-2048, none in the
+# catalog), then the rings the product oracles of test_constructions check
+POOL_EXPRS = [
+    "Prod(Z16,Z16)", "Triv(Z16,Z16)", "GR(Z16,C2)", "GR(Z4,C4)", "GR(Z4,V4)", "M(2,Z4)",
+    "FM(2,Z4,s=0)", "GR(GF(4),C4)", "TruncSkew(GF(4),frob,4)", "DT(GF(4),GF(4))", "T(2,Z7)",
+    "GR(Z7,C3)", "Prod(Z8,Z8,Z8)", "T(2,Z8)", "T(2,GF(8))", "GR(GF(8),C3)",
+    "TruncSkew(GF(8),frob,3)", "Triv(Z25,Z25)", "M(2,Z5)", "GR(Z5,C4)", "TruncSkew(Z5,id,4)",
+    "Prod(Z27,Z27)", "T(2,Z9)", "T(2,GF(9))", "GR(GF(9),C3)", "T(2,Z10)", "Prod(Z32,Z32)",
+    "GR(GF(4),C5)", "M(2,Z6)", "T(2,Z12)", "Prod(Z32,Z64)",
+    "GF(4)", "GF(8)", "GF(9)", "FM(3,Z2,s=0)", "K(Z3,s=1)", "K(GF(4),s=1)", "GR(Z3,V4)",
+    "TruncSkew(GF(9),frob,2)", "FM(2,Z3,s=1)",
+]
+
+
+def test_pool_outputs_match_golden(capsys, monkeypatch):
+    # `info --json` and `info --dump` past the catalog's rings, hashed: how
+    # the constructions fill their tables must leave these bytes alone
+    monkeypatch.delenv("DELTA_RING_MAX_ORDER", raising=False)
+    golden = json.loads((Path(__file__).parent / "golden" / "pool_outputs.json").read_text())
+    assert list(golden) == POOL_EXPRS
+    for expr in POOL_EXPRS:
+        got = {}
+        for flag in ("--json", "--dump"):
+            code, out, _ = run(capsys, "info", expr, flag)
+            assert code == 0, (expr, flag)
+            got[flag[2:]] = hashlib.sha256(out.encode()).hexdigest()
+        assert got == golden[expr], expr
 
 
 def _cli_env() -> dict:

@@ -20,6 +20,8 @@ from deltaring.errors import (
 )
 from deltaring.predicates import class_verdict
 
+import oracles
+
 
 def test_direct_product_examples(zmod):
     Z2, Z3 = zmod(2), zmod(3)
@@ -336,6 +338,39 @@ def test_group_ring_examples(zmod):
 def test_augmentation_needs_group_ring(zmod):
     with pytest.raises(ValueError):
         cons.augmentation(zmod(4))
+
+
+def _frobenius_map(F, p: int) -> np.ndarray:
+    x = np.arange(F.order)
+    out = x
+    for _ in range(p - 1):
+        out = F.mul[out, x]
+    return out
+
+
+# each ring next to the size and count of its coordinates and its textbook
+# product; the GF(q) moduli are x^2+x+1 and x^3+x+1 over Z2 and x^2+1 over Z3
+_TEXTBOOK_PRODUCTS = {
+    "GF(4)": lambda: (2, 2, lambda a, b: oracles.poly_mul(a, b, 2, (1, 1))),
+    "GF(8)": lambda: (2, 3, lambda a, b: oracles.poly_mul(a, b, 2, (0, 1, 1))),
+    "GF(9)": lambda: (3, 2, lambda a, b: oracles.poly_mul(a, b, 3, (0, 1))),
+    "FM(3,Z2,s=0)": lambda: (2, 9, oracles.formal_matrix_product(dsl.build_str("Z2"), 3, 0)),
+    "K(Z3,s=1)": lambda: (3, 4, oracles.morita_product(dsl.build_str("Z3"), 1)),
+    "K(GF(4),s=1)": lambda: (4, 4, oracles.morita_product(dsl.build_str("GF(4)"), 1)),
+    "GR(Z3,V4)": lambda: (3, 4, oracles.group_ring_product(dsl.build_str("Z3"),
+                                                             cons.group_catalog()["V4"])),
+    "TruncSkew(GF(9),frob,2)": lambda: (9, 2, oracles.skew_product(
+        dsl.build_str("GF(9)"), _frobenius_map(dsl.build_str("GF(9)"), 3), 2)),
+    "FM(2,Z3,s=1)": lambda: (3, 4, oracles.formal_matrix_product(dsl.build_str("Z3"), 2, 1)),
+}
+
+
+@pytest.mark.parametrize("expr", list(_TEXTBOOK_PRODUCTS))
+def test_products_match_their_textbook_definitions(expr):
+    size, k, product = _TEXTBOOK_PRODUCTS[expr]()
+    R = dsl.build_str(expr)
+    assert R.order == size ** k
+    assert np.array_equal(R.mul, oracles.product_table(size, k, product)), expr
 
 
 def test_bimodule_validation(zmod):
