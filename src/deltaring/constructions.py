@@ -7,9 +7,15 @@ and group rings with their augmentation map.
 
 Every construction lives on coefficient tuples over its base ring(s):
 elements are encoded most-significant-coordinate-first (mixed radix), so
-dumps are reproducible bit-exactly.  One builder, `_tuple_ring`, makes
-every ring: it evaluates the construction's product only on the zero row
-and the rows of the additive generators, fills every other row of the
+dumps are reproducible bit-exactly.  A construction is given by its
+structure tables: coordinate c of a product ab is the sum, under the
+addition of coordinate c, of table[a_l, b_r] over the construction's terms
+(c, l, r, table).  Each table is a ring product, a bimodule action, or a
+ring product twisted by a central scalar or an endomorphism, so each is
+additive in its left argument.  `_bilinear` makes the product of a term
+list, `_over` the ring of a term list on R^k, and one builder,
+`_tuple_ring`, makes every ring: it evaluates the product only on the zero
+row and the rows of the additive generators, fills every other row of the
 product table from right distributivity with batched table lookups, and
 validates the tables it made in place.
 """
@@ -250,15 +256,18 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
                 zero_tuple: Sequence[int], one_tuple: Sequence[int],
                 mul_row, names, *, order_guard: int | None) -> FiniteRing:
     """The ring on coefficient tuples whose coordinate c adds by
-    `add_tables[c]` and whose product `mul_row` gives coordinatewise.
+    `add_tables[c]` and whose product `mul_row` gives coordinatewise:
+    `mul_row(a, b)` takes the coordinate arrays of the left and right
+    factors, which broadcast, and returns those of the products.  The
+    constructions pass `_bilinear(add_tables, terms)`.
 
     Precondition: `mul_row` is additive in its left argument, (a + a')b =
-    ab + a'b, as every product made of ring and bimodule tables is.  So it
-    is evaluated only on the zero row and the r additive generator rows, and
-    every other row follows from right distributivity, row(x + g) = row(x) +
-    row(g), breadth first over the span of the generators.  Validation then
-    proves that law for every (x, g, c), so generator rows that break an
-    additive relation are rejected, never used.
+    ab + a'b, as a sum of structure-table terms is.  So it is evaluated
+    only on the zero row and the r additive generator rows, and every other
+    row follows from right distributivity, row(x + g) = row(x) + row(g),
+    breadth first over the span of the generators.  Validation then proves
+    that law for every (x, g, c), so generator rows that break an additive
+    relation are rejected, never used.
 
     The order is held to the guard before anything is allocated;
     `names()` gives the element names and is called only after that.
@@ -306,6 +315,37 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
     return core._validated_ring(add, mul, zero, one, label, names(), gens)
 
 
+def _bilinear(add_tables: list[np.ndarray], terms):
+    """The `mul_row` whose coordinate c is the sum, under `add_tables[c]`,
+    of `table[a[l], b[r]]` over the terms (c, l, r, table).  Every
+    coordinate has a term.  `terms` may be lazy; it is read once, here."""
+    terms = list(terms)
+
+    def mul_row(a, b):
+        out = [None] * len(add_tables)
+        for c, l, r, table in terms:
+            term = table[a[l], b[r]]
+            out[c] = term if out[c] is None else add_tables[c][out[c], term]
+        return out
+
+    return mul_row
+
+
+def _over(R: FiniteRing, k: int, label: str, terms, ones, names,
+          order_guard: int | None) -> FiniteRing:
+    """The ring on R^k whose product has the structure-table `terms` (see
+    `_bilinear`) and whose 1 has R's 1 at the coordinates `ones`, 0 at the
+    others.  The order is held to the guard first, so `terms` and `ones`
+    (a generator or a range) are walked only for a ring that fits."""
+    _hold_to_guard(label, itertools.repeat(R.order, k), order_guard)
+    one = [R.zero] * k
+    for c in ones:
+        one[c] = R.one
+    adds = [R.add] * k
+    return _tuple_ring(label, [R.order] * k, adds, [R.zero] * k, one,
+                       _bilinear(adds, terms), names, order_guard=order_guard)
+
+
 def _element_names(sizes: list[int], name) -> list[str]:
     """`name(coordinates)` for every element, in index order."""
     strides = _strides(sizes)
@@ -351,13 +391,11 @@ def direct_product(factors: list[FiniteRing], *, order_guard: int | None = None,
     if len(factors) == 1:
         return factors[0]
     sizes = [f.order for f in factors]
-
-    def mul_row(a, cols):
-        return [f.mul[a[c], cols[c]] for c, f in enumerate(factors)]
-
+    adds = [f.add for f in factors]
+    terms = [(c, c, c, f.mul) for c, f in enumerate(factors)]
     return _tuple_ring(label or "Prod(" + ",".join(f.label for f in factors) + ")",
-                       sizes, [f.add for f in factors],
-                       tuple(f.zero for f in factors), tuple(f.one for f in factors), mul_row,
+                       sizes, adds, tuple(f.zero for f in factors),
+                       tuple(f.one for f in factors), _bilinear(adds, terms),
                        lambda: _tuple_names([f.names for f in factors], sizes),
                        order_guard=order_guard)
 
@@ -393,25 +431,10 @@ def upper_triangular(R: FiniteRing, n: int, *, order_guard: int | None = None,
     if n == 1:
         return R
     k = n * (n + 1) // 2
-    label = label or f"T({n},{R.label})"
-    _hold_to_guard(label, itertools.repeat(R.order, k), order_guard)
-    sizes = [R.order] * k
-    adds = [R.add] * k
 
     def pos(i, j):
         """Coordinate of entry (i, j): rows above i hold n + (n-1) + ... + (n-i+1)."""
         return i * n - i * (i - 1) // 2 + j - i
-
-    def mul_row(a, cols):
-        out = []
-        for i in range(n):
-            for j in range(i, n):
-                acc = None
-                for t in range(i, j + 1):
-                    term = R.mul[a[pos(i, t)], cols[pos(t, j)]]
-                    acc = term if acc is None else R.add[acc, term]
-                out.append(acc)
-        return out
 
     def name(tup):
         rows = []
@@ -420,12 +443,10 @@ def upper_triangular(R: FiniteRing, n: int, *, order_guard: int | None = None,
             rows.append("[" + ",".join(row) + "]")
         return "[" + ",".join(rows) + "]"
 
-    zero = [R.zero] * k
-    one = [R.zero] * k
-    for i in range(n):
-        one[pos(i, i)] = R.one
-    return _tuple_ring(label, sizes, adds, zero, one,
-                       mul_row, lambda: _element_names(sizes, name), order_guard=order_guard)
+    terms = ((pos(i, j), pos(i, t), pos(t, j), R.mul)
+             for i in range(n) for j in range(i, n) for t in range(i, j + 1))
+    return _over(R, k, label or f"T({n},{R.label})", terms, (pos(i, i) for i in range(n)),
+                 lambda: _element_names([R.order] * k, name), order_guard)
 
 
 def identity_endomorphism(R: FiniteRing) -> RingHom:
@@ -443,31 +464,23 @@ def truncated_skew_poly(R: FiniteRing, alpha: RingHom | None, n: int, *,
         alpha = identity_endomorphism(R)
     if alpha.source is not R or alpha.target is not R:
         raise InvalidEndomorphism("alpha must be a validated endomorphism of the base ring")
-    label = label or f"TruncSkew({R.label},{endo_label},{n})"
-    _hold_to_guard(label, itertools.repeat(R.order, n), order_guard)
-    sizes = [R.order] * n
-    adds = [R.add] * n
 
-    def mul_row(a, cols):
-        powers = [np.arange(R.order, dtype=np.int32)]
-        for _ in range(1, n):
-            powers.append(alpha.map[powers[-1]])
-        out = []
+    def terms():
+        # (a x^i)(b x^j) = a alpha^i(b) x^(i+j), so x^i's table is (a, b) -> a alpha^i(b)
+        twisted, power = [], np.arange(R.order, dtype=np.int32)
+        for _ in range(n):
+            twisted.append(np.take(R.mul, power, axis=1))
+            power = alpha.map[power]
         for m in range(n):
-            acc = None
             for i in range(m + 1):
-                term = R.mul[a[i], powers[i][cols[m - i]]]
-                acc = term if acc is None else R.add[acc, term]
-            out.append(acc)
-        return out
+                yield m, i, m - i, twisted[i]
 
     def names():
         var_names = [""] + ["x" if c == 1 else f"x^{c}" for c in range(1, n)]
-        return _poly_names(R.names, sizes, var_names)
+        return _poly_names(R.names, [R.order] * n, var_names)
 
-    zero = tuple([R.zero] * n)
-    one = tuple([R.one] + [R.zero] * (n - 1))
-    return _tuple_ring(label, sizes, adds, zero, one, mul_row, names, order_guard=order_guard)
+    return _over(R, n, label or f"TruncSkew({R.label},{endo_label},{n})", terms(), [0],
+                 names, order_guard)
 
 
 def _require_rr_bimodule(R: FiniteRing, M: Bimodule | None) -> Bimodule:
@@ -488,15 +501,9 @@ def trivial_extension(R: FiniteRing, M: Bimodule | None = None, *,
     M = _require_rr_bimodule(R, M)
     sizes = [R.order, M.order]
     adds = [R.add, M.add]
-
-    def mul_row(a, cols):
-        r1, m1 = a
-        part_r = R.mul[r1, cols[0]]
-        part_m = M.add[M.left_act[r1, cols[1]], M.right_act[m1, cols[0]]]
-        return [part_r, part_m]
-
+    terms = [(0, 0, 0, R.mul), (1, 0, 1, M.left_act), (1, 1, 0, M.right_act)]
     out = _tuple_ring(label or f"Triv({R.label},{M.label})", sizes, adds,
-                      (R.zero, M.zero), (R.one, M.zero), mul_row,
+                      (R.zero, M.zero), (R.one, M.zero), _bilinear(adds, terms),
                       lambda: _tuple_names([R.names, M.names], sizes), order_guard=order_guard)
     n = out.order
     rpart = (np.arange(n, dtype=np.int64) // M.order).astype(np.int32)
@@ -539,15 +546,9 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, M: Bimodule | None = None, *
         raise InvalidBimodule("module must be an (R,S)-bimodule")
     sizes = [R.order, M.order, S.order]
     adds = [R.add, M.add, S.add]
-
-    def mul_row(t, cols):
-        r1, m1, s1 = t
-        return [R.mul[r1, cols[0]],
-                M.add[M.left_act[r1, cols[1]], M.right_act[m1, cols[2]]],
-                S.mul[s1, cols[2]]]
-
+    terms = [(0, 0, 0, R.mul), (1, 0, 1, M.left_act), (1, 1, 2, M.right_act), (2, 2, 2, S.mul)]
     return _tuple_ring(label or f"FT({R.label},{S.label},{M.label})", sizes, adds,
-                       (R.zero, M.zero, S.zero), (R.one, M.zero, S.one), mul_row,
+                       (R.zero, M.zero, S.zero), (R.one, M.zero, S.one), _bilinear(adds, terms),
                        lambda: _tuple_names([R.names, M.names, S.names], sizes),
                        order_guard=order_guard)
 
@@ -559,20 +560,13 @@ def generalized_matrix(R: FiniteRing, s: int, *, order_guard: int | None = None,
     s = int(s)
     if not bool(core.center(R).members[s]):
         raise NotCentral(f"element {s} is not central in {R.label}")
-    sizes = [R.order] * 4
-    adds = [R.add] * 4
-
-    def mul_row(t, cols):
-        a1, x1, y1, b1 = t
-        ca = R.add[R.mul[a1, cols[0]], R.mul[s, R.mul[x1, cols[2]]]]
-        cx = R.add[R.mul[a1, cols[1]], R.mul[x1, cols[3]]]
-        cy = R.add[R.mul[y1, cols[0]], R.mul[b1, cols[2]]]
-        cb = R.add[R.mul[s, R.mul[y1, cols[1]]], R.mul[b1, cols[3]]]
-        return [ca, cx, cy, cb]
-
-    return _tuple_ring(label or f"K({R.label},s={R.names[s]})", sizes, adds,
-                       (R.zero,) * 4, (R.one, R.zero, R.zero, R.one), mul_row,
-                       lambda: _tuple_names([R.names] * 4, sizes), order_guard=order_guard)
+    # (a, x, y, b)(a', x', y', b') = (aa' + s xy', ax' + xb', ya' + by', s yx' + bb'),
+    # written out here, not derived from `formal_matrix`, which T4.10 compares it with
+    scaled = R.mul[s][R.mul]                            # (x, y) -> s(xy)
+    terms = [(0, 0, 0, R.mul), (0, 1, 2, scaled), (1, 0, 1, R.mul), (1, 1, 3, R.mul),
+             (2, 2, 0, R.mul), (2, 3, 2, R.mul), (3, 2, 1, scaled), (3, 3, 3, R.mul)]
+    return _over(R, 4, label or f"K({R.label},s={R.names[s]})", terms, (0, 3),
+                 lambda: _tuple_names([R.names] * 4, [R.order] * 4), order_guard)
 
 
 def scale_exponent(i: int, k: int, j: int) -> int:
@@ -601,50 +595,26 @@ def _scaled_matrix(R: FiniteRing, n: int, s: int, label: str, name,
     if n == 1:
         return R
     k2 = n * n
-    _hold_to_guard(label, itertools.repeat(R.order, k2), order_guard)
-    spow = [R.one, s, int(R.mul[s, s])]
-    sizes = [R.order] * k2
 
-    def mul_row(a, cols):
-        out = []
-        for i in range(n):
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    term = R.mul[spow[scale_exponent(i, k, j)],
-                                 R.mul[a[i * n + k], cols[k * n + j]]]
-                    acc = term if acc is None else R.add[acc, term]
-                out.append(acc)
-        return out
+    def terms():
+        scaled = [R.mul[e][R.mul] for e in (R.one, s, int(R.mul[s, s]))]   # s^e(xy)
+        for i, k, j in itertools.product(range(n), repeat=3):
+            yield i * n + j, i * n + k, k * n + j, scaled[scale_exponent(i, k, j)]
 
-    zero = [R.zero] * k2
-    one = [R.zero] * k2
-    one[::n + 1] = [R.one] * n                     # the diagonal entries (i, i)
-    return _tuple_ring(label, sizes, [R.add] * k2, zero, one, mul_row,
-                       lambda: _element_names(sizes, name), order_guard=order_guard)
+    # the 1 sits at the diagonal entries (i, i)
+    return _over(R, k2, label, terms(), range(0, k2, n + 1),
+                 lambda: _element_names([R.order] * k2, name), order_guard)
 
 
 def group_ring(R: FiniteRing, G: FiniteGroup, *, order_guard: int | None = None,
                label: str | None = None) -> FiniteRing:
     """R-linear combinations of group elements under convolution."""
-    sizes = [R.order] * G.order
-    adds = [R.add] * G.order
-
-    def mul_row(a, cols):
-        out = []
-        for h in range(G.order):
-            acc = None
-            for g in range(G.order):
-                term = R.mul[a[g], cols[int(G.table[int(G.inv[g]), h])]]
-                acc = term if acc is None else R.add[acc, term]
-            out.append(acc)
-        return out
-
+    # the coefficient of h in ab sums a_g b_(g^-1 h) over g
+    terms = ((h, g, int(G.table[G.inv[g], h]), R.mul)
+             for h in range(G.order) for g in range(G.order))
     var_names = ["" if g == G.identity else G.names[g] for g in range(G.order)]
-    zero = tuple([R.zero] * G.order)
-    one = tuple(R.one if g == G.identity else R.zero for g in range(G.order))
-    out = _tuple_ring(label or f"GR({R.label},{G.label})", sizes, adds, zero, one, mul_row,
-                      lambda: _poly_names(R.names, sizes, var_names), order_guard=order_guard)
+    out = _over(R, G.order, label or f"GR({R.label},{G.label})", terms, [G.identity],
+                lambda: _poly_names(R.names, [R.order] * G.order, var_names), order_guard)
     out._cache["group_ring"] = (R, G)
     return out
 

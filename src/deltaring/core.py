@@ -294,10 +294,6 @@ class ElementSet:
             mask[idx] = True
         return cls(ring, mask)
 
-    @classmethod
-    def full(cls, ring: FiniteRing) -> "ElementSet":
-        return cls(ring, np.ones(ring.order, dtype=bool))
-
     @property
     def indices(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.members)]

@@ -33,7 +33,8 @@ the base's order, an upper bound), so an expression past the guard is
 rejected before any table is allocated, before its canonical form is
 printed, and whether or not it is cached.
 `--max-order` selects catalog rings by the same `order_of`.  The guard in
-`constructions._tuple_ring` serves callers of the constructions, and the
+`constructions._tuple_ring` (held before any per-coordinate work by
+`constructions._over`) serves direct callers of the constructions, and the
 one in `core.validate_ring` (`_as_table`) serves ring dumps.
 """
 
@@ -479,50 +480,30 @@ def _require_field(q: int) -> None:
 
 
 def galois_field(q: int, *, label: str | None = None) -> FiniteRing:
-    """GF(q) for q in SUPPORTED_FIELDS, via fixed irreducible polynomials."""
+    """GF(q) for q in SUPPORTED_FIELDS, via fixed irreducible polynomials:
+    for q = p^k with k > 1, the ring on coefficient tuples over Z_p whose
+    product reduces x^(a+b) modulo the polynomial."""
     _require_field(q)
     if q in _GF_PRIMES:
         add, mul = _zmod_tables(q)
         return validate_ring(add, mul, 0, 1, label=label or f"GF({q})")
     p, k, tail = _GF_POLYS[q]
-
-    def decode(idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(k):
-            out.append(idx % p)
-            idx //= p
-        return tuple(reversed(out))  # most significant first
-
-    def encode(coeffs) -> int:
-        idx = 0
-        for c in coeffs:
-            idx = idx * p + (c % p)
-        return idx
-
-    def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        prod = [0] * (2 * k - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                prod[i + j] += ca * cb
-        # reduce modulo x^k = -(tail), most-significant-first layout
-        for t in range(0, k - 1):
-            lead = prod[t] % p
-            prod[t] = 0
-            if lead:
-                for u, cf in enumerate(tail):
-                    prod[t + 1 + u] = (prod[t + 1 + u] - lead * cf) % p
-        return tuple(c % p for c in prod[k - 1:])
-
-    n = q
-    add = np.zeros((n, n), dtype=np.int32)
-    mul = np.zeros((n, n), dtype=np.int32)
-    elems = [decode(i) for i in range(n)]
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add[i, j] = encode(tuple((x + y) % p for x, y in zip(a, b)))
-            mul[i, j] = encode(poly_mul(a, b))
-    names = tuple(_gf_name(a) for a in elems)
-    return validate_ring(add, mul, 0, 1, label=label or f"GF({q})", names=names)
+    add, mul = _zmod_tables(p)
+    # x^e modulo x^k + tail for e <= 2k - 2, coefficients x^(k-1) first
+    rems, power = [], [0] * (k - 1) + [1]
+    for _ in range(2 * k - 1):
+        rems.append(power)
+        power = [(c - power[0] * t) % p for c, t in zip(power[1:] + [0], tail)]
+    # coordinate l holds the coefficient of x^(k-1-l), so a_l b_r adds
+    # coef * a_l * b_r to coordinate c for each coefficient coef of the
+    # remainder of x^(2k-2-l-r)
+    scaled = [mul[coef][mul] for coef in range(p)]
+    terms = [(c, l, r, scaled[coef]) for l in range(k) for r in range(k)
+             for c, coef in enumerate(rems[2 * k - 2 - l - r]) if coef]
+    adds = [add] * k
+    return cons._tuple_ring(label or f"GF({q})", [p] * k, adds, [0] * k, [0] * (k - 1) + [1],
+                            cons._bilinear(adds, terms),
+                            lambda: cons._element_names([p] * k, _gf_name), order_guard=None)
 
 
 def frobenius(field: FiniteRing, p: int) -> core.RingHom:

@@ -594,14 +594,6 @@ def jacobson_pair_check(ring: FiniteRing) -> CheckReport:
                    notes=notes)
 
 
-def _jacobson_pair_recheck(ring: FiniteRing, roles: dict[str, int]) -> bool:
-    a, b = roles["left-factor"], roles["right-factor"]
-    d = subsets.delta_mask(ring)
-    lhs = bool(d[ring.sub(ring.one, int(ring.mul[a, b]))])
-    rhs = bool(d[ring.sub(ring.one, int(ring.mul[b, a]))])
-    return lhs != rhs
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -635,8 +627,5 @@ def revalidate_witness(ring: FiniteRing, report: CheckReport) -> bool:
     violates the class condition.  True reports trivially revalidate."""
     if report.verdict:
         return True
-    roles = {w.role: w.element for w in report.witness}
-    if report.predicate == "jacobson-pair":
-        return _jacobson_pair_recheck(ring, roles)
     key = class_key(report.predicate)
-    return CLASSES[key][3](ring, key, roles)
+    return CLASSES[key][3](ring, key, {w.role: w.element for w in report.witness})

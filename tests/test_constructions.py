@@ -362,6 +362,12 @@ _TEXTBOOK_PRODUCTS = {
     "TruncSkew(GF(9),frob,2)": lambda: (9, 2, oracles.skew_product(
         dsl.build_str("GF(9)"), _frobenius_map(dsl.build_str("GF(9)"), 3), 2)),
     "FM(2,Z3,s=1)": lambda: (3, 4, oracles.formal_matrix_product(dsl.build_str("Z3"), 2, 1)),
+    # a scalar that is not 1 and whose square is not itself, and a group
+    # that is not abelian, which the rings above cannot tell apart
+    "K(Z3,s=2)": lambda: (3, 4, oracles.morita_product(dsl.build_str("Z3"), 2)),
+    "FM(2,Z3,s=2)": lambda: (3, 4, oracles.formal_matrix_product(dsl.build_str("Z3"), 2, 2)),
+    "GR(Z2,S3)": lambda: (2, 6, oracles.group_ring_product(dsl.build_str("Z2"),
+                                                             cons.group_catalog()["S3"])),
 }
 
 
