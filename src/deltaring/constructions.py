@@ -317,8 +317,8 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
 
 def _bilinear(add_tables: list[np.ndarray], terms):
     """The `mul_row` whose coordinate c is the sum, under `add_tables[c]`,
-    of `table[a[l], b[r]]` over the terms (c, l, r, table).  Every
-    coordinate has a term.  `terms` may be lazy; it is read once, here."""
+    of `table[a[l], b[r]]` over the terms (c, l, r, table); each coordinate
+    needs at least one term.  `terms` may be lazy; it is read once, here."""
     terms = list(terms)
 
     def mul_row(a, b):

@@ -623,8 +623,8 @@ def class_verdict(ring: FiniteRing, name: str) -> bool:
 
 
 def revalidate_witness(ring: FiniteRing, report: CheckReport) -> bool:
-    """Confirm by direct arithmetic that a false report's witness really
-    violates the class condition.  True reports trivially revalidate."""
+    """Confirm by direct arithmetic that a false class report's witness
+    really violates the class condition.  True reports trivially revalidate."""
     if report.verdict:
         return True
     key = class_key(report.predicate)
