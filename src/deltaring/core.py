@@ -254,16 +254,6 @@ class FiniteRing:
             self._cache["commutative"] = cached
         return cached
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "order": self.order,
-            "add": self.add.tolist(),
-            "mul": self.mul.tolist(),
-            "zero": self.zero,
-            "one": self.one,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ElementSet:
@@ -742,9 +732,123 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
 # serialization
 
 
+# A dump is the compact JSON of {add, label, mul, one, order, zero}, keys
+# sorted: `json.dumps(..., sort_keys=True, separators=(",", ":"))`, written
+# and read here as dense tables rather than as one Python object per cell.
+# `ring_to_json` renders each table from the digit strings of 0..n-1, one
+# row block at a time.  `ring_from_json` reads text in exactly that form
+# (`_canonical_dump`) without `json.loads`, and hands any other text to
+# `json.loads`; both give `ring_from_dict` the same keys and values, with
+# the tables as int64 arrays or as lists, so every outcome is the same.
+
+_DUMP_HEAD = '{"add":[['
+_LABEL_KEY = ']],"label":"'
+_MUL_KEY = ',"mul":[['
+# a canonical cell has at most 18 digits, so it is below 10^18 < 2^63 and
+# numpy's parse of it into int64 is exact; digits are counted up to 18
+_CELL_POWERS = tuple(10 ** k for k in range(1, 18))
+_JSON_DECODER = json.JSONDecoder()
+
+
+def _table_json(table: np.ndarray) -> list[str]:
+    """The table `[[a,b,...],[...],...]` as compact JSON, in row-block chunks.
+
+    Each block gathers, for every cell, the digits of its value followed by
+    "," (or by "],[" in a row's last column) from fixed-width byte strings
+    of 0..n-1, then drops their NUL padding."""
+    rows, n = table.shape
+    digits = [str(v).encode() for v in range(n)]
+    width = len(digits[-1])
+    cells = np.array([d + b"," for d in digits], dtype=f"S{width + 1}")
+    row_ends = np.array([d + b"],[" for d in digits], dtype=f"S{width + 3}")
+    chunks = ["[["]
+    for lo, hi in _row_blocks(rows, n):
+        block = table[lo:hi]
+        text = np.concatenate(
+            (cells[block[:, :-1]].view(np.uint8).reshape(hi - lo, -1),
+             row_ends[block[:, -1]].view(np.uint8).reshape(hi - lo, -1)), axis=1)
+        chunks.append(text.tobytes().translate(None, b"\0").decode("ascii"))
+    chunks[-1] = chunks[-1][:-2] + "]"   # the last row closes the table
+    return chunks
+
+
 def ring_to_json(ring: FiniteRing) -> str:
-    """Dump format: {label, order, add, mul, zero, one}; round-trips bit-exactly."""
-    return json.dumps(ring.to_dict(), sort_keys=True, separators=(",", ":"))
+    """The ring's dump, byte for byte `json.dumps({add, label, mul, one,
+    order, zero}, sort_keys=True, separators=(",", ":"))` with the tables as
+    nested lists; `ring_from_json` reads it back bit-exactly."""
+    label = json.dumps(ring.label, sort_keys=True, separators=(",", ":"))
+    return "".join(['{"add":', *_table_json(ring.add), ',"label":', label, ',"mul":',
+                    *_table_json(ring.mul),
+                    f',"one":{ring.one},"order":{ring.order},"zero":{ring.zero}}}'])
+
+
+def _canonical_table(body: str) -> np.ndarray | None:
+    """The int64 table `[[body]]` when `body` is rows of equal length joined
+    by "],[", each a ","-joined run of canonical JSON integers (digits, no
+    leading zero) of at most 18 digits; None for any other body.
+
+    After the charset and empty-token gates numpy parses every token.  The
+    parse is proved exact and every token canonical when the digit counts
+    of the values, each counted up to 18, add up to the digits in the text:
+    a token with a leading zero, or one of 19 digits or more (which numpy
+    saturates), has more digits than its value is counted with."""
+    if not body.isascii():
+        return None
+    rows = body.encode("ascii").split(b"],[")
+    commas = rows[0].count(b",")
+    if any(row.count(b",") != commas for row in rows):
+        return None
+    flat = b",".join(rows)
+    if not flat or flat.translate(None, b"0123456789,"):
+        return None
+    is_comma = np.frombuffer(flat, dtype=np.uint8) == ord(",")
+    if is_comma[0] or is_comma[-1] or (is_comma[1:] & is_comma[:-1]).any():
+        return None
+    values = np.fromstring(flat, dtype=np.int64, sep=",")
+    top, cells = values.max(), values.size
+    digits = cells + sum(int(np.count_nonzero(values >= p)) for p in _CELL_POWERS if p <= top)
+    if digits != len(flat) - (cells - 1):
+        return None
+    return values.reshape(len(rows), commas + 1)
+
+
+def _canonical_dump(text) -> dict | None:
+    """The dict that `json.loads(text)` gives, with int64 arrays for its
+    tables, when `text` is a canonical dump: a str that opens with
+    `{"add":[[`, then the add table, a string label, the mul table, and a
+    tail that closes the object without an add, label or mul key.  None for
+    any other text, which `json.loads` then reads."""
+    if not isinstance(text, str) or not text.startswith(_DUMP_HEAD):
+        return None
+    add_end = text.find("]]", len(_DUMP_HEAD))
+    if add_end < 0 or not text.startswith(_LABEL_KEY, add_end):
+        return None
+    try:
+        label, at = _JSON_DECODER.raw_decode(text, add_end + len(_LABEL_KEY) - 1)
+    except ValueError:
+        return None
+    if not text.startswith(_MUL_KEY, at):
+        return None
+    mul_end = text.find("]]", at + len(_MUL_KEY))
+    if mul_end < 0:
+        return None
+    tail = text[mul_end + 2:]
+    if tail == "}":
+        rest = {}
+    elif tail.startswith(',"'):
+        try:
+            rest = json.loads("{" + tail[1:])
+        except (ValueError, RecursionError):
+            return None
+        if not rest.keys().isdisjoint(("add", "label", "mul")):
+            return None
+    else:
+        return None
+    add = _canonical_table(text[len(_DUMP_HEAD):add_end])
+    mul = None if add is None else _canonical_table(text[at + len(_MUL_KEY):mul_end])
+    if mul is None:
+        return None
+    return {"add": add, "label": label, "mul": mul, **rest}
 
 
 def ring_from_dict(data: dict, *, order_guard: int | None = None) -> FiniteRing:
@@ -762,10 +866,22 @@ def ring_from_dict(data: dict, *, order_guard: int | None = None) -> FiniteRing:
 
 
 def ring_from_json(text: str, *, order_guard: int | None = None) -> FiniteRing:
-    try:
-        data = json.loads(text)
-    except (TypeError, ValueError, RecursionError) as exc:
-        raise MalformedRing(f"a ring dump must be JSON text: {exc}") from None
+    """Load and validate a ring dump (JSON text, or bytes that `json.loads`
+    reads).
+
+    A canonical dump, the form `ring_to_json` writes, is decoded straight
+    into int64 tables; any other text goes through `json.loads`.  Either
+    way `ring_from_dict` sees the same keys and values, so the ring, or the
+    error class and message, is the same as `ring_from_dict(json.loads(text))`
+    gives: `MalformedRing` for text that is not a dump, `OrderGuardExceeded`
+    past the order guard, `AxiomViolation` for tables that break a ring law.
+    """
+    data = _canonical_dump(text)
+    if data is None:
+        try:
+            data = json.loads(text)
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise MalformedRing(f"a ring dump must be JSON text: {exc}") from None
     return ring_from_dict(data, order_guard=order_guard)
 
 

@@ -10,17 +10,21 @@ each generator.  The ideal oracle is a plain closure-lattice search.  The
 homomorphism oracle compares images one pair at a time.  The prime
 radical oracle is the semiprime fixpoint of its definition.  The product
 oracles write each construction's multiplication from its textbook
-definition, one loop over the coordinates.  Expected
+definition, one loop over the coordinates.  The dump oracles are the
+serialization as `json` writes and reads it, with the tables as nested
+lists.  Expected
 values in the tests are either frozen from these oracles or checked against
 them directly.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from deltaring import core
-from deltaring.errors import AxiomViolation
+from deltaring.errors import AxiomViolation, MalformedRing
 
 
 def first_axiom_violation(add, mul, zero: int, one: int) -> str | None:
@@ -469,3 +473,20 @@ def skew_product(R, alpha, n: int):
         return out
     return product
 
+
+def ring_dump(R) -> str:
+    """The ring's dump as `json.dumps` writes it from nested lists."""
+    return json.dumps({"label": R.label, "order": R.order, "add": R.add.tolist(),
+                       "mul": R.mul.tolist(), "zero": R.zero, "one": R.one},
+                      sort_keys=True, separators=(",", ":"))
+
+
+def ring_from_loaded_json(text):
+    """A dump loaded through `json.loads` and `core.ring_from_dict`, with a
+    decoder error raised as the `MalformedRing` that `core.ring_from_json`
+    raises for text that is not JSON."""
+    try:
+        data = json.loads(text)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise MalformedRing(f"a ring dump must be JSON text: {exc}") from None
+    return core.ring_from_dict(data)

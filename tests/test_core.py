@@ -559,32 +559,68 @@ def _z2_dump() -> dict:
             "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1}
 
 
-def _edited(**changes) -> str:
+def _edited(compact: bool = False, **changes) -> str:
+    """The Z2 dump with `changes` (None drops a key), as `json.dumps` writes
+    it by default or, with `compact`, in the sorted compact form of
+    `ring_to_json`, which `ring_from_json` decodes without `json.loads`."""
     data = _z2_dump()
     for key, value in changes.items():
         if value is None:
             del data[key]
         else:
             data[key] = value
+    if compact:
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
     return json.dumps(data)
 
 
+_MALFORMED_EDITS = [
+    dict(mul=[[0, 0], [0, 2 ** 32 + 1]]),   # wrapped to 1 when narrowed first
+    dict(mul=[[0, 0], [0, 2 ** 70]]),
+    dict(add=[[0, 1], [1, 10 ** 18]]), dict(mul=[[0, 0], [0, 2 ** 63]]),   # int64, float64
+    dict(add=[[0, 1], [1, -1]]),
+    dict(one=1.5), dict(one=True), dict(zero="0"), dict(zero=None),
+    dict(add=[[0, True], [True, 0]]), dict(mul=[[0.0, 0], [0, 1]]),
+    dict(mul=[["0", "0"], ["0", "1"]]), dict(add=[[0, 1], [1]]),
+    dict(add=[[0, 1], None]), dict(add={}), dict(add=[]),
+    dict(add=[[[0], [1]], [[1], [0]]]), dict(mul=[[0]]),
+    dict(label=5),
+]
+
+
 @pytest.mark.parametrize("text", [
-    _edited(mul=[[0, 0], [0, 2 ** 32 + 1]]),   # wrapped to 1 when narrowed first
-    _edited(mul=[[0, 0], [0, 2 ** 70]]),
-    _edited(add=[[0, 1], [1, -1]]),
-    _edited(one=1.5), _edited(one=True), _edited(zero="0"), _edited(zero=None),
-    _edited(add=[[0, True], [True, 0]]), _edited(mul=[[0.0, 0], [0, 1]]),
-    _edited(mul=[["0", "0"], ["0", "1"]]), _edited(add=[[0, 1], [1]]),
-    _edited(add=[[0, 1], None]), _edited(add={}), _edited(add=[]),
-    _edited(add=[[[0], [1]], [[1], [0]]]), _edited(mul=[[0]]),
-    _edited(label=5), "{}", "[]", "7", '"Z2"', "not json", _edited()[:-3],
+    *(_edited(**edit) for edit in _MALFORMED_EDITS),
+    "{}", "[]", "7", '"Z2"', "not json", _edited()[:-3],
     pytest.param("[" * 100000, id="past-the-decoder-recursion-limit"),
+    *(_edited(compact=True, **edit) for edit in _MALFORMED_EDITS),
+    _edited(compact=True)[:-3],
+    _edited(compact=True, one=None, order=None, zero=None).replace("}", ",}"),
 ])
 def test_malformed_dumps_raise_one_error(text):
     with pytest.raises(MalformedRing) as exc:
         core.ring_from_json(text)
     assert isinstance(exc.value, ValueError) and str(exc.value)
+    # the error that decoding with json.loads gives, word for word
+    with pytest.raises(MalformedRing) as expected:
+        oracles.ring_from_loaded_json(text)
+    assert str(exc.value) == str(expected.value)
+
+
+def test_dumps_match_the_json_encoder():
+    # ring_to_json writes the bytes json.dumps writes from nested lists, and
+    # reads them back on the canonical path, hostile labels included
+    rings = [dsl.build(expr) for _, expr in dsl.catalog()]
+    for R in rings:
+        text = core.ring_to_json(R)
+        assert text == oracles.ring_dump(R), R.label
+        assert core._canonical_dump(text) is not None, R.label
+    for label in ['"', "\\", "\u0394", "\x01", ']],"mul":[[']:
+        R = core._relabel(rings[5], label)
+        text = core.ring_to_json(R)
+        assert text == oracles.ring_dump(R), label
+        back = core.ring_from_json(text)
+        assert back.label == label and core._canonical_dump(text)["label"] == label
+        assert np.array_equal(back.add, R.add) and np.array_equal(back.mul, R.mul)
 
 
 def test_table_cells_are_range_checked_before_narrowing():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -166,8 +167,17 @@ _WRONG_TYPES = st.sampled_from(
 @st.composite
 def damaged_dumps(draw):
     """A valid dump of Z_m with one or two kinds of damage: a dropped key, a
-    field, row or cell of another type, a ragged row, or truncated text."""
+    field, row or cell of another type, a ragged row, or truncated text.
+    It is written as `json.dumps` writes by default or in the sorted compact
+    form of `ring_to_json`, which `ring_from_json` decodes on its own path."""
     data = json.loads(core.ring_to_json(zmod(draw(st.integers(min_value=2, max_value=9)))))
+    compact = draw(st.booleans())
+
+    def render(data):
+        if compact:
+            return json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return json.dumps(data)
+
     kinds = ["drop", "retype", "row", "cell", "ragged", "truncate"]
     # distinct kinds: a second ragged edit could even the rows out again
     for how in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2, unique=True)):
@@ -180,7 +190,7 @@ def damaged_dumps(draw):
             else:
                 data[key] = draw(_WRONG_TYPES)
         elif how == "truncate":
-            text = json.dumps(data)
+            text = render(data)
             return text[:draw(st.integers(min_value=0, max_value=len(text) - 1))]
         elif isinstance(table, list) and table and all(isinstance(r, list) and r for r in table):
             i = draw(st.integers(min_value=0, max_value=len(table) - 1))
@@ -195,7 +205,7 @@ def damaged_dumps(draw):
                     table[i].pop()
                 else:
                     table[i].append(0)
-    return json.dumps(data)
+    return render(data)
 
 
 @given(damaged_dumps())
@@ -209,6 +219,99 @@ def test_damaged_dumps_load_or_raise_malformed_ring(text):
         assert isinstance(exc, ValueError) and str(exc)
     else:
         assert isinstance(ring, core.FiniteRing) and isinstance(ring.label, str)
+
+
+CATALOG = dsl.catalog()
+_MUTATIONS = ["shifted", "leading-zero", "wide", "twenty-digits", "not-an-index", "empty",
+              "ragged", "whitespace", "duplicate-add", "trailing", "bytes"]
+# the text that replaces one cell, by mutation; json.loads makes an int64
+# table of cells below 2^63 and a float64 one past it
+_CELL_TOKENS = {
+    "wide": st.one_of(st.sampled_from([10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1, 2 ** 63]),
+                      st.integers(10 ** 17, 10 ** 19 - 1)).map(str),
+    "twenty-digits": st.integers(10 ** 19, 10 ** 20 - 1).map(str),
+    "not-an-index": st.sampled_from(["-1", "1.0", "true"]),
+    "empty": st.just(""),
+}
+
+
+def _edit_table(text: str, name: str, edit) -> str:
+    """`text` with the rows of table `name`, as lists of cell strings,
+    changed in place by `edit`."""
+    lo = text.index(f'"{name}":[[') + len(name) + 5
+    hi = text.index("]]", lo)
+    rows = [row.split(",") for row in text[lo:hi].split("],[")]
+    edit(rows)
+    return text[:lo] + "],[".join(",".join(row) for row in rows) + text[hi:]
+
+
+@st.composite
+def mutated_dumps(draw):
+    """The canonical dump of a catalog ring with one to three mutations: a
+    cell changed by +1 mod n (still canonical), with a leading zero, of 18
+    or 19 digits (about the widest cell the direct decoder takes), of 20
+    digits, that is no element index (-1, 1.0, true), or empty; the last
+    cell of one row moved to another (ragged rows, square total);
+    whitespace anywhere; a duplicate trailing "add" key; data after the
+    object; bytes instead of str."""
+    R = dsl.build(draw(st.sampled_from(CATALOG))[1])
+    text = core.ring_to_json(R)
+    n = R.order
+    table = draw(st.sampled_from(["add", "mul"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kinds = draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3, unique=True))
+
+    def set_cell(value):
+        def edit(rows):
+            rows[i][j] = value(rows[i][j])
+        return edit
+
+    def move_last_cell(rows):
+        rows[(i + 1 + j % (n - 1)) % n].append(rows[i].pop())
+
+    for how in _MUTATIONS:   # cells first, then the text around them
+        if how not in kinds:
+            continue
+        if how == "shifted":
+            text = _edit_table(text, table, set_cell(lambda cell: str((int(cell) + 1) % n)))
+        elif how == "leading-zero":
+            text = _edit_table(text, table, set_cell(lambda cell: "0" + cell))
+        elif how in _CELL_TOKENS:
+            token = draw(_CELL_TOKENS[how])
+            text = _edit_table(text, table, set_cell(lambda cell: token))
+        elif how == "ragged":
+            text = _edit_table(text, table, move_last_cell)
+        elif how == "whitespace":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from([" ", "\n", "\t", "\r"])) + text[at:]
+        elif how == "duplicate-add":
+            text = text[:-1] + ',"add":' + draw(st.sampled_from(["[[0]]", "[[0,1],[1,0]]"])) + "}"
+        elif how == "trailing":
+            text += draw(st.sampled_from([" ", "\n", "x", "}", "0", ",{}", '{"add":[[0]]}']))
+        else:
+            text = text.encode()
+    return text
+
+
+def _load_outcome(load, text):
+    """The tables, label and identities that `load(text)` returns, or the
+    class and message of the ring error it raises; any warning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            R = load(text)
+        except RingError as exc:
+            return type(exc), str(exc)
+    return R.add.tobytes(), R.mul.tobytes(), R.add.shape, R.label, R.zero, R.one
+
+
+@given(mutated_dumps())
+@settings(max_examples=300, deadline=None)
+def test_ring_from_json_matches_json_loads_on_mutated_dumps(text):
+    # decoding canonical text directly has the outcome of json.loads and
+    # ring_from_dict on every mutant, accepted or rejected, message included
+    assert _load_outcome(core.ring_from_json, text) == \
+        _load_outcome(oracles.ring_from_loaded_json, text)
 
 
 # --- expression round-trip -------------------------------------------------
