@@ -227,19 +227,30 @@ POOL_EXPRS = [
 ]
 
 
-def test_pool_outputs_match_golden(capsys, monkeypatch):
-    # `info --json` and `info --dump` past the catalog's rings, hashed: how
-    # the constructions fill their tables must leave these bytes alone
-    monkeypatch.delenv("DELTA_RING_MAX_ORDER", raising=False)
-    golden = json.loads((Path(__file__).parent / "golden" / "pool_outputs.json").read_text())
-    assert list(golden) == POOL_EXPRS
-    for expr in POOL_EXPRS:
+def _assert_info_hashes(capsys, golden_name: str, exprs: list[str]) -> None:
+    golden = json.loads((Path(__file__).parent / "golden" / golden_name).read_text())
+    assert list(golden) == exprs
+    for expr in exprs:
         got = {}
         for flag in ("--json", "--dump"):
             code, out, _ = run(capsys, "info", expr, flag)
             assert code == 0, (expr, flag)
             got[flag[2:]] = hashlib.sha256(out.encode()).hexdigest()
         assert got == golden[expr], expr
+
+
+def test_pool_outputs_match_golden(capsys, monkeypatch):
+    # `info --json` and `info --dump` past the catalog's rings, hashed: how
+    # the constructions fill their tables must leave these bytes alone
+    monkeypatch.delenv("DELTA_RING_MAX_ORDER", raising=False)
+    _assert_info_hashes(capsys, "pool_outputs.json", POOL_EXPRS)
+
+
+def test_catalog_info_matches_golden(capsys, monkeypatch):
+    # `info --json` and `info --dump` of every catalog ring, hashed: the
+    # element sets, class verdicts and dumps of the whole catalog
+    monkeypatch.delenv("DELTA_RING_MAX_ORDER", raising=False)
+    _assert_info_hashes(capsys, "catalog_info.json", [expr for expr, _ in dsl.catalog()])
 
 
 def _cli_env() -> dict:
