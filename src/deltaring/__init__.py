@@ -2,7 +2,6 @@
 
 from .core import (
     DEFAULT_ORDER_GUARD,
-    ElementSet,
     FiniteRing,
     RingHom,
     center,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckReport",
     "DEFAULT_ORDER_GUARD",
-    "ElementSet",
     "FiniteRing",
     "RingHom",
     "Witness",

@@ -16,6 +16,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import core, dsl, subsets
 from .errors import RingError
 from .predicates import ALL_CLASSES, CLASSES, check_class
@@ -56,20 +58,20 @@ def _emit(obj) -> None:
 
 
 def _info_payload(ring) -> dict:
-    set_fns = {
-        "units": subsets.units,
-        "idempotents": subsets.idempotents,
-        "nilpotents": subsets.nilpotents,
-        "tripotents": subsets.tripotent_elements,
-        "jacobson-radical": subsets.jacobson_radical,
-        "delta-set": subsets.delta_set,
-        "prime-radical": subsets.prime_radical,
-        "quasinilpotents": subsets.quasinilpotents,
+    masks = {
+        "units": subsets.unit_mask(ring),
+        "idempotents": subsets.idempotent_mask(ring),
+        "nilpotents": subsets.nilpotent_mask(ring),
+        "tripotents": subsets.tripotent_mask(ring),
+        "jacobson-radical": subsets.jacobson_mask(ring),
+        "delta-set": subsets.delta_mask(ring),
+        "prime-radical": subsets.prime_radical(ring),
+        "quasinilpotents": subsets.quasinilpotent_mask(ring),
     }
     sets = {}
-    for name, fn in set_fns.items():
-        es = fn(ring)
-        sets[name] = {"indices": es.indices, "displays": es.displays()}
+    for name, mask in masks.items():
+        indices = np.flatnonzero(mask).tolist()
+        sets[name] = {"indices": indices, "displays": [ring.names[i] for i in indices]}
     classes = {name: check_class(ring, name).verdict for name in ALL_CLASSES}
     return {"subject": ring.label, "order": ring.order, "zero": ring.zero,
             "one": ring.one, "sets": sets, "classes": classes}
@@ -78,7 +80,9 @@ def _info_payload(ring) -> dict:
 def cmd_info(args) -> int:
     ring = dsl.build_str(args.expr, order_guard=_order_guard(args))
     if args.dump:
-        print(core.ring_to_json(ring))
+        # written as made, so only one row block of the dump is held at a time
+        sys.stdout.writelines(core.ring_json_chunks(ring))
+        sys.stdout.write("\n")
         return 0
     payload = _info_payload(ring)
     if args.json:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, subsets
-from .core import ElementSet, FiniteRing, RingHom, check_internal
+from .core import FiniteRing, RingHom, check_internal
 from .errors import (
     InvalidBimodule,
     InvalidEndomorphism,
@@ -75,10 +75,12 @@ class FiniteGroup:
 
 
 def validate_group(table, identity: int, label: str, names=None) -> FiniteGroup:
-    t = np.asarray(table, dtype=np.int32)
+    t = np.asarray(table)
     n = t.shape[0]
-    if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
+    # checked at the given width, so a wide or fractional cell cannot narrow into range
+    if t.shape != (n, n) or t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
         raise ValueError("bad group table")
+    t = t.astype(np.int32)
     identity = int(identity)
     arange = np.arange(n, dtype=np.int32)
     if not (np.array_equal(t[identity], arange) and np.array_equal(t[:, identity], arange)):
@@ -163,17 +165,20 @@ def validate_bimodule(left_ring: FiniteRing, right_ring: FiniteRing,
                       add, left_act, right_act, label: str = "M",
                       names=None) -> Bimodule:
     """Exhaustively verify the bimodule axioms, including balance (rm)s = r(ms)."""
-    addt = np.asarray(add, dtype=np.int32)
-    la = np.asarray(left_act, dtype=np.int32)
-    ra = np.asarray(right_act, dtype=np.int32)
+    addt, la, ra = np.asarray(add), np.asarray(left_act), np.asarray(right_act)
     m = addt.shape[0]
     if addt.shape != (m, m):
         raise InvalidBimodule("additive table must be square")
     if la.shape != (left_ring.order, m) or ra.shape != (m, right_ring.order):
         raise InvalidBimodule("action table shapes do not match the acting rings")
+    # checked at the given width, so a wide or fractional cell cannot narrow into range
     for t, nm in ((addt, "add"), (la, "left action"), (ra, "right action")):
+        if t.dtype.kind not in "iu":
+            raise InvalidBimodule(f"{nm} entries must be integer element indices")
         if t.size and (t.min() < 0 or t.max() >= m):
             raise InvalidBimodule(f"{nm} entries out of range")
+    # copies, so the frozen tables are never the caller's arrays
+    addt, la, ra = addt.astype(np.int32), la.astype(np.int32), ra.astype(np.int32)
     if not np.array_equal(addt, addt.T):
         raise InvalidBimodule("module addition is not commutative")
     zero_rows = [i for i in range(m) if np.array_equal(addt[i], np.arange(m, dtype=np.int32))]
@@ -558,7 +563,7 @@ def generalized_matrix(R: FiniteRing, s: int, *, order_guard: int | None = None,
     """K_s(R): quadruples (a, x, y, b) with both cross products scaled by the
     central element s."""
     s = int(s)
-    if not bool(core.center(R).members[s]):
+    if not core.center(R)[s]:
         raise NotCentral(f"element {s} is not central in {R.label}")
     # (a, x, y, b)(a', x', y', b') = (aa' + s xy', ax' + xb', ya' + by', s yx' + bb'),
     # written out here, not derived from `formal_matrix`, which T4.10 compares it with
@@ -579,7 +584,7 @@ def formal_matrix(R: FiniteRing, n: int, s: int, *, order_guard: int | None = No
     """n-by-n matrices over R with the product twisted by powers of a central
     element s: the (i,k)x(k,j) term is scaled by s**scale_exponent(i,k,j)."""
     s = int(s)
-    if not bool(core.center(R).members[s]):
+    if not core.center(R)[s]:
         raise NotCentral(f"element {s} is not central in {R.label}")
     return _scaled_matrix(R, n, s, label or f"FM({n},{R.label},s={R.names[s]})",
                           lambda tup: "(" + ",".join(R.names[v] for v in tup) + ")",
@@ -619,8 +624,8 @@ def group_ring(R: FiniteRing, G: FiniteGroup, *, order_guard: int | None = None,
     return out
 
 
-def augmentation(RG: FiniteRing) -> tuple[RingHom, ElementSet]:
-    """Coefficient-sum map of a group ring and its kernel ideal.
+def augmentation(RG: FiniteRing) -> tuple[RingHom, np.ndarray]:
+    """Coefficient-sum map of a group ring and the mask of its kernel ideal.
 
     The kernel always has |R|^(|G|-1) elements and the map is a surjective
     homomorphism; both facts are re-verified here.
@@ -639,7 +644,7 @@ def augmentation(RG: FiniteRing) -> tuple[RingHom, ElementSet]:
     hom = core.validate_hom(RG, R, eps)
     check_internal(hom.is_surjective, f"augmentation of {RG.label} is not surjective")
     kernel = hom.kernel()
-    check_internal(len(kernel) == R.order ** (G.order - 1),
+    check_internal(int(kernel.sum()) == R.order ** (G.order - 1),
                    f"augmentation kernel of {RG.label} has the wrong size")
     check_internal(core.is_ideal(RG, kernel),
                    f"augmentation kernel of {RG.label} is not an ideal")

@@ -117,6 +117,11 @@ def _outer(table: np.ndarray, rows, cols) -> np.ndarray:
     return np.take(table[rows], cols, axis=1)
 
 
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    mask.setflags(write=False)
+    return mask
+
+
 def _marked(values, n: int) -> np.ndarray:
     """Bool vector of length `n` that is True at each index in `values`:
     the distinct values without `np.unique`'s sort."""
@@ -256,62 +261,6 @@ class FiniteRing:
 
 
 @dataclass(frozen=True, eq=False)
-class ElementSet:
-    """A subset of a ring's elements as a boolean characteristic vector.
-
-    Semantic claims (an ideal) are never trusted: re-validate with
-    `is_ideal` before relying on them.
-    """
-
-    ring: FiniteRing
-    members: np.ndarray
-
-    def __post_init__(self):
-        mask = np.asarray(self.members, dtype=bool)
-        if mask.shape != (self.ring.order,):
-            raise ValueError("characteristic vector must have length equal to the ring order")
-        mask = mask.copy()
-        mask.setflags(write=False)
-        object.__setattr__(self, "members", mask)
-
-    @classmethod
-    def from_indices(cls, ring: FiniteRing, indices) -> "ElementSet":
-        mask = np.zeros(ring.order, dtype=bool)
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= ring.order:
-                raise ValueError("element index out of range")
-            mask[idx] = True
-        return cls(ring, mask)
-
-    @property
-    def indices(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.members)]
-
-    def displays(self) -> list[str]:
-        return [self.ring.names[i] for i in self.indices]
-
-    def __len__(self) -> int:
-        return int(self.members.sum())
-
-    def __contains__(self, a: int) -> bool:
-        return bool(self.members[a])
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ElementSet)
-            and self.ring is other.ring
-            and np.array_equal(self.members, other.members)
-        )
-
-    def __repr__(self) -> str:
-        return f"ElementSet({self.ring.label}, {self.indices})"
-
-
-@dataclass(frozen=True, eq=False)
 class RingHom:
     """A validated unital ring homomorphism, stored as an index map."""
 
@@ -330,8 +279,8 @@ class RingHom:
     def is_injective(self) -> bool:
         return int(_marked(self.map, self.target.order).sum()) == self.source.order
 
-    def kernel(self) -> ElementSet:
-        return ElementSet(self.source, self.map == self.target.zero)
+    def kernel(self) -> np.ndarray:
+        return _frozen(self.map == self.target.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -504,51 +453,62 @@ def _relabel(ring: FiniteRing, label: str) -> FiniteRing:
 
 
 # ---------------------------------------------------------------------------
-# subsets: closures, ideals, subrings
+# subsets: closures, ideals, subrings.  An element set is a bool mask of
+# length n (its characteristic vector); those returned here are read-only.
 
 
-def _closure(ring: FiniteRing, seed, extend) -> ElementSet:
-    """Least superset of `seed` that `extend` cannot enlarge.
+def _element_mask(ring: FiniteRing, subset) -> np.ndarray:
+    """`subset` as a mask over the ring's elements; `ValueError` otherwise."""
+    mask = np.asarray(subset)
+    if mask.dtype != bool or mask.shape != (ring.order,):
+        raise ValueError("an element set must be a bool vector of length equal to the ring order")
+    return mask
+
+
+def _closure(ring: FiniteRing, gens, extra: list[int], extend) -> np.ndarray:
+    """Least superset of the element indices `gens` and `extra` that
+    `extend` cannot enlarge; `ValueError` when `gens` holds anything but
+    indices of the ring's elements, a bool mask included.
 
     `extend(new, cur)` returns the elements that pairs with at least one
     member in `new` reach; pairs of older members were taken in an earlier
     round, so each round only looks at the frontier.  Reached elements are
     marked in a bool vector, so a round costs no sort.
     """
+    idx = np.asarray(list(gens))
+    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= ring.order):
+        raise ValueError("generators must be element indices of the ring")
     mask = np.zeros(ring.order, dtype=bool)
-    mask[np.asarray(seed, dtype=np.int64)] = True
+    mask[idx.astype(np.int64)] = True
+    mask[extra] = True
     new = np.flatnonzero(mask)
     while new.size:
         hit = _marked(extend(new, np.flatnonzero(mask)), ring.order)
         new = np.flatnonzero(hit & ~mask)
         mask |= hit
-    return ElementSet(ring, mask)
+    return _frozen(mask)
 
 
-def subring_generated(ring: FiniteRing, gens, unital: bool = True) -> ElementSet:
+def subring_generated(ring: FiniteRing, gens, unital: bool = True) -> np.ndarray:
     """Least subset closed under subtraction and multiplication containing
-    `gens` (and the identity when `unital`)."""
-    seed = list(gens.indices if isinstance(gens, ElementSet) else gens)
-    if unital:
-        seed.append(ring.one)
+    the element indices `gens` (and the identity when `unital`)."""
     add, mul, neg = ring.add, ring.mul, ring.neg
-    return _closure(ring, seed, lambda new, cur: np.concatenate((
+    return _closure(ring, gens, [ring.one] if unital else [], lambda new, cur: np.concatenate((
         _outer(add, new, neg[cur]).ravel(), _outer(add, cur, neg[new]).ravel(),
         _outer(mul, new, cur).ravel(), _outer(mul, cur, new).ravel())))
 
 
-def ideal_generated(ring: FiniteRing, gens) -> ElementSet:
-    """Least two-sided ideal containing `gens` (fixpoint closure)."""
-    seed = list(gens.indices if isinstance(gens, ElementSet) else gens)
-    seed.append(ring.zero)
+def ideal_generated(ring: FiniteRing, gens) -> np.ndarray:
+    """Least two-sided ideal containing the element indices `gens`
+    (fixpoint closure)."""
     add, mul = ring.add, ring.mul
-    return _closure(ring, seed, lambda new, cur: np.concatenate((
+    return _closure(ring, gens, [ring.zero], lambda new, cur: np.concatenate((
         _outer(add, new, cur).ravel(), mul[:, new].ravel(), mul[new, :].ravel())))
 
 
-def is_ideal(ring: FiniteRing, subset: ElementSet) -> bool:
-    """Re-validate the two-sided ideal property (never trusted from tags)."""
-    mask = subset.members
+def is_ideal(ring: FiniteRing, subset) -> bool:
+    """Re-validate the two-sided ideal property of the mask `subset`."""
+    mask = _element_mask(ring, subset)
     idx = np.flatnonzero(mask)
     if not mask[ring.zero]:
         return False
@@ -568,18 +528,19 @@ def _ideal_label(ring: FiniteRing, idx: np.ndarray) -> str:
     return f"{ring.label}/|I|={idx.size}"
 
 
-def quotient_ring(ring: FiniteRing, ideal: ElementSet) -> tuple[FiniteRing, RingHom]:
+def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, RingHom]:
     """Quotient by a validated two-sided ideal, plus the projection.
 
     Coset representatives are canonical: the smallest element index in each
     coset, listed in ascending order.  R/{0} is R's own frozen tables under
     bracketed names, with the identity as its projection.
     """
-    if not is_ideal(ring, ideal):
-        raise NotAnIdeal(f"subset {ideal.indices} is not a two-sided ideal of {ring.label}")
-    if ideal.members.all():
+    mask = _element_mask(ring, ideal)
+    idx = np.flatnonzero(mask)
+    if not is_ideal(ring, mask):
+        raise NotAnIdeal(f"subset {idx.tolist()} is not a two-sided ideal of {ring.label}")
+    if idx.size == ring.order:
         raise ValueError("quotient by the whole ring is the zero ring, which is excluded")
-    idx = np.flatnonzero(ideal.members)
     label = _ideal_label(ring, idx)
     if idx.size == 1:
         names = tuple(f"[{s}]" for s in ring.names)
@@ -596,7 +557,7 @@ def quotient_ring(ring: FiniteRing, ideal: ElementSet) -> tuple[FiniteRing, Ring
     qone = int(pos[rep[ring.one]])
     names = tuple(f"[{ring.names[int(r)]}]" for r in reps)
     quotient = _certified_ring(label, qadd, qmul, qzero, qone, names)
-    return quotient, _certified_projection(ring, ideal.members, reps, quotient, pos[rep])
+    return quotient, _certified_projection(ring, mask, reps, quotient, pos[rep])
 
 
 def _certified_projection(ring: FiniteRing, members: np.ndarray, reps: np.ndarray,
@@ -642,15 +603,15 @@ def _certified_projection(ring: FiniteRing, members: np.ndarray, reps: np.ndarra
     return RingHom(ring, quotient, m)
 
 
-def induced_subring(ring: FiniteRing, subset: ElementSet, one: int,
+def induced_subring(ring: FiniteRing, subset, one: int,
                     label: str | None = None) -> tuple[FiniteRing, np.ndarray]:
     """Ring structure on a multiplicatively and additively closed subset.
 
-    Element i of the result is the i-th smallest member index of `subset`;
-    the returned index array realises that correspondence.  `one` must be a
-    two-sided identity on the subset.
+    Element i of the result is the i-th smallest member index of the mask
+    `subset`; the returned read-only index array realises that
+    correspondence.  `one` must be a two-sided identity on the subset.
     """
-    mask = subset.members
+    mask = _element_mask(ring, subset)
     elems = np.flatnonzero(mask).astype(np.int32)
     if not (mask[ring.zero] and mask[ring.neg[elems]].all()):
         raise ValueError("subset does not contain 0 and the negatives of its members")
@@ -671,7 +632,7 @@ def induced_subring(ring: FiniteRing, subset: ElementSet, one: int,
     # identity, so every ring law holds there: no re-validation is needed.
     out = _certified_ring(label or f"{ring.label}|sub({elems.size})", sub_add, sub_mul,
                           int(pos[ring.zero]), int(pos[one]), names)
-    return out, elems
+    return out, _frozen(elems)
 
 
 def corner_ring(ring: FiniteRing, e: int) -> FiniteRing:
@@ -680,14 +641,14 @@ def corner_ring(ring: FiniteRing, e: int) -> FiniteRing:
     if e == ring.zero or int(ring.mul[e, e]) != e:
         raise NotIdempotent(f"element {e} of {ring.label} is not a nonzero idempotent")
     eRe = _marked(ring.mul[ring.mul[e, :], e], ring.order)
-    out, _ = induced_subring(ring, ElementSet(ring, eRe), e,
+    out, _ = induced_subring(ring, eRe, e,
                              label=f"corner({ring.label},{e})")
     return out
 
 
-def center(ring: FiniteRing) -> ElementSet:
-    """Elements commuting with everything."""
-    return ElementSet(ring, (ring.mul == ring.mul.T).all(axis=1))
+def center(ring: FiniteRing) -> np.ndarray:
+    """Mask of the elements commuting with everything."""
+    return _frozen((ring.mul == ring.mul.T).all(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -735,11 +696,12 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
 # A dump is the compact JSON of {add, label, mul, one, order, zero}, keys
 # sorted: `json.dumps(..., sort_keys=True, separators=(",", ":"))`, written
 # and read here as dense tables rather than as one Python object per cell.
-# `ring_to_json` renders each table from the digit strings of 0..n-1, one
-# row block at a time.  `ring_from_json` reads text in exactly that form
-# (`_canonical_dump`) without `json.loads`, and hands any other text to
-# `json.loads`; both give `ring_from_dict` the same keys and values, with
-# the tables as int64 arrays or as lists, so every outcome is the same.
+# `ring_json_chunks` renders each table from the digit strings of 0..n-1,
+# one row block at a time, and `ring_to_json` joins its chunks.
+# `ring_from_json` reads text in exactly that form (`_canonical_dump`)
+# without `json.loads`, and hands any other text to `json.loads`; both give
+# `ring_from_dict` the same keys and values, with the tables as int64 arrays
+# or as lists, so every outcome is the same.
 
 _DUMP_HEAD = '{"add":[['
 _LABEL_KEY = ']],"label":"'
@@ -750,8 +712,9 @@ _CELL_POWERS = tuple(10 ** k for k in range(1, 18))
 _JSON_DECODER = json.JSONDecoder()
 
 
-def _table_json(table: np.ndarray) -> list[str]:
-    """The table `[[a,b,...],[...],...]` as compact JSON, in row-block chunks.
+def _table_json(table: np.ndarray):
+    """The table `[[a,b,...],[...],...]` as compact JSON, yielded in
+    row-block chunks.
 
     Each block gathers, for every cell, the digits of its value followed by
     "," (or by "],[" in a row's last column) from fixed-width byte strings
@@ -761,25 +724,33 @@ def _table_json(table: np.ndarray) -> list[str]:
     width = len(digits[-1])
     cells = np.array([d + b"," for d in digits], dtype=f"S{width + 1}")
     row_ends = np.array([d + b"],[" for d in digits], dtype=f"S{width + 3}")
-    chunks = ["[["]
+    yield "[["
     for lo, hi in _row_blocks(rows, n):
         block = table[lo:hi]
         text = np.concatenate(
             (cells[block[:, :-1]].view(np.uint8).reshape(hi - lo, -1),
              row_ends[block[:, -1]].view(np.uint8).reshape(hi - lo, -1)), axis=1)
-        chunks.append(text.tobytes().translate(None, b"\0").decode("ascii"))
-    chunks[-1] = chunks[-1][:-2] + "]"   # the last row closes the table
-    return chunks
+        chunk = text.tobytes().translate(None, b"\0").decode("ascii")
+        yield chunk if hi < rows else chunk[:-2] + "]"   # the last row closes the table
+
+
+def ring_json_chunks(ring: FiniteRing):
+    """The ring's dump in consecutive chunks of at most one row block of a
+    table each, so a writer holds one block at a time; `ring_to_json` is
+    their concatenation."""
+    yield '{"add":'
+    yield from _table_json(ring.add)
+    yield ',"label":' + json.dumps(ring.label, sort_keys=True, separators=(",", ":"))
+    yield ',"mul":'
+    yield from _table_json(ring.mul)
+    yield f',"one":{ring.one},"order":{ring.order},"zero":{ring.zero}}}'
 
 
 def ring_to_json(ring: FiniteRing) -> str:
     """The ring's dump, byte for byte `json.dumps({add, label, mul, one,
     order, zero}, sort_keys=True, separators=(",", ":"))` with the tables as
     nested lists; `ring_from_json` reads it back bit-exactly."""
-    label = json.dumps(ring.label, sort_keys=True, separators=(",", ":"))
-    return "".join(['{"add":', *_table_json(ring.add), ',"label":', label, ',"mul":',
-                    *_table_json(ring.mul),
-                    f',"one":{ring.one},"order":{ring.order},"zero":{ring.zero}}}'])
+    return "".join(ring_json_chunks(ring))
 
 
 def _canonical_table(body: str) -> np.ndarray | None:

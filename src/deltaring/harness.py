@@ -36,7 +36,7 @@ import numpy as np
 
 from . import constructions as cons
 from . import core, dsl, subsets
-from .core import ElementSet, FiniteRing
+from .core import FiniteRing
 from .errors import UnknownCheckId
 from .predicates import (check_class, class_key, class_verdict, jacobson_pair_check,
                          revalidate_witness)
@@ -118,8 +118,9 @@ def _instances(texts, rings) -> list[dsl.RingExpr]:
 # helpers shared by several checks
 
 
-def ideals_inside_radical(ring: FiniteRing) -> list[ElementSet]:
-    """Every two-sided ideal contained in J(R), sorted by index tuple.
+def ideals_inside_radical(ring: FiniteRing) -> list[np.ndarray]:
+    """The mask of every two-sided ideal contained in J(R), sorted by index
+    tuple.
 
     Each such ideal is a sum of principal ideals generated inside J(R), so
     the search takes one closure per two-sided unit orbit {u*a*v} of the
@@ -132,7 +133,7 @@ def ideals_inside_radical(ring: FiniteRing) -> list[ElementSet]:
     for a in np.flatnonzero(subsets.jacobson_mask(ring)):
         if done[a]:
             continue
-        members = core.ideal_generated(ring, [int(a)]).members
+        members = core.ideal_generated(ring, [int(a)])
         principal.setdefault(members.tobytes(), members)
         done[core._outer(ring.mul, ring.mul[u_idx, a], u_idx)] = True
     zero = np.zeros(ring.order, dtype=bool)
@@ -152,8 +153,7 @@ def ideals_inside_radical(ring: FiniteRing) -> list[ElementSet]:
                     seen[key] = total
                     nxt.append(total)
         frontier = nxt
-    ideals = [ElementSet(ring, mask) for mask in seen.values()]
-    return sorted(ideals, key=lambda ideal: ideal.indices)
+    return sorted(seen.values(), key=lambda ideal: np.flatnonzero(ideal).tolist())
 
 
 def _two_in_delta(ring: FiniteRing) -> bool:
@@ -237,7 +237,7 @@ def _radical_nil(r: FiniteRing) -> bool:
 def _central_radical_scalar(expr, built, parts) -> str | None:
     """T4.9's hypothesis: the scalar lies in the center and in J(R)."""
     base, s = parts[0], expr.scalar
-    if not (subsets.jacobson_mask(base)[s] and core.center(base).members[s]):
+    if not (subsets.jacobson_mask(base)[s] and core.center(base)[s]):
         return f"scalar {s} is not in the center-radical"
     return None
 
@@ -336,7 +336,7 @@ def _test_T3_5(r):
         quotient, _ = core.quotient_ring(r, ideal)
         if class_verdict(quotient, "2-delta-u") != base:
             return [_counterexample(
-                r, f"quotient by {ideal.indices} flips the 2-delta-u verdict")]
+                r, f"quotient by {np.flatnonzero(ideal).tolist()} flips the 2-delta-u verdict")]
     return []
 
 
@@ -465,15 +465,15 @@ def _test_TG3(expr):
 def _test_TL4_14(expr):
     ring = dsl.build(expr)
     _, kernel = cons.augmentation(ring)
-    inside = subsets.jacobson_mask(ring)[np.flatnonzero(kernel.members)].all()
+    inside = subsets.jacobson_mask(ring)[kernel].all()
     return [] if inside else [_counterexample(ring, "augmentation ideal escapes the radical")]
 
 
 def _test_oracle(r):
-    _, sub = subsets.unit_subring(r)
-    elems = subsets.unit_subring_elements(r)
-    mapped = sorted(int(elems[j]) for j in subsets.jacobson_radical(sub).indices)
-    return [] if mapped == subsets.delta_set(r).indices else [
+    sub, elems = subsets.unit_subring(r)
+    mapped = np.zeros(r.order, dtype=bool)
+    mapped[elems[subsets.jacobson_mask(sub)]] = True
+    return [] if np.array_equal(mapped, subsets.delta_mask(r)) else [
         _counterexample(r, "delta set differs from the unit-subring radical")]
 
 

@@ -559,8 +559,8 @@ CLASSES = {
                _potent, _unlifted_or(_semipotent[1])),
     "2-primal": ("structural", "the prime radical is exactly the set of nilpotents",
                  *_elementwise(lambda ring: (~subsets.nilpotent_mask(ring)
-                                             | subsets.prime_radical(ring).members),
-                               lambda ring, a: (a in subsets.prime_radical(ring)
+                                             | subsets.prime_radical(ring)),
+                               lambda ring, a: (subsets.prime_radical(ring)[a]
                                                 or not _is_nilpotent(ring, a)),
                                role="nilpotent-outside-prime-radical")),
 }

@@ -1,11 +1,14 @@
-"""Canonical element sets of a finite ring.
+"""Canonical element sets of a finite ring, one function per set.
 
 Units, idempotents, nilpotents, tripotent elements, the Jacobson radical,
-the delta set {r : r + U(R) is contained in U(R)}, the unit-generated
-subring, the prime radical, and quasinilpotents.  All functions are pure
-and memoized on the ring; each set that has a forced postcondition
-re-checks it and raises InternalInconsistency on failure (that would be an
-implementation bug, not bad input).
+the delta set {r : r + U(R) is contained in U(R)}, the prime radical and
+the quasinilpotents, each a read-only bool mask of length n (`*_mask`, and
+`prime_radical`), plus the unit-generated subring (`unit_subring`).  All
+functions are pure and memoized on the ring; each set that has a forced
+postcondition re-checks it and raises InternalInconsistency on failure
+(that would be an implementation bug, not bad input).  Callers look these
+functions up in this module when they call them, so a wrapper installed
+here sees every call.
 
 A finite ring is artinian and strongly pi-regular, which gives three of
 the radical sets by identities that hold in every finite ring (Lam, *A
@@ -31,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .core import ElementSet, FiniteRing
+from .core import FiniteRing
 from .errors import InternalInconsistency
 
 QN_DEFINITION = "quasinilpotent: 1 + a*x is a unit for every x commuting with a"
@@ -55,19 +58,11 @@ def unit_mask(ring: FiniteRing) -> np.ndarray:
     return _cached_mask(ring, "unit_mask", compute)
 
 
-def units(ring: FiniteRing) -> ElementSet:
-    return ElementSet(ring, unit_mask(ring))
-
-
 def idempotent_mask(ring: FiniteRing) -> np.ndarray:
     def compute():
         n = ring.order
         return ring.mul.diagonal() == np.arange(n, dtype=np.int32)
     return _cached_mask(ring, "idem_mask", compute)
-
-
-def idempotents(ring: FiniteRing) -> ElementSet:
-    return ElementSet(ring, idempotent_mask(ring))
 
 
 def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
@@ -83,21 +78,13 @@ def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
     return _cached_mask(ring, "nil_mask", compute)
 
 
-def nilpotents(ring: FiniteRing) -> ElementSet:
-    return ElementSet(ring, nilpotent_mask(ring))
-
-
 def tripotent_mask(ring: FiniteRing) -> np.ndarray:
+    """Elements with a**3 = a."""
     def compute():
         n = ring.order
         arange = np.arange(n, dtype=np.int32)
         return ring.mul[ring.mul.diagonal(), arange] == arange
     return _cached_mask(ring, "trip_mask", compute)
-
-
-def tripotent_elements(ring: FiniteRing) -> ElementSet:
-    """Elements with a**3 = a."""
-    return ElementSet(ring, tripotent_mask(ring))
 
 
 def one_minus(ring: FiniteRing) -> np.ndarray:
@@ -106,26 +93,23 @@ def one_minus(ring: FiniteRing) -> np.ndarray:
 
 
 def jacobson_mask(ring: FiniteRing) -> np.ndarray:
+    """{a : 1 - r*a is a unit for every r}, computed as {a : R*a is nil} and
+    validated to be an ideal."""
     def compute():
         # a is in J(R) exactly when every r*a is nilpotent (module docstring)
         nil = nilpotent_mask(ring)
         mask = np.ones(ring.order, dtype=bool)
         for lo, hi in core._row_blocks(ring.order, ring.order):
             mask &= np.take(nil, ring.mul[lo:hi]).all(axis=0)
-        if not core.is_ideal(ring, ElementSet(ring, mask)):
+        if not core.is_ideal(ring, mask):
             raise InternalInconsistency(
                 f"computed radical of {ring.label} is not a two-sided ideal")
         return mask
     return _cached_mask(ring, "jac_mask", compute)
 
 
-def jacobson_radical(ring: FiniteRing) -> ElementSet:
-    """{a : 1 - r*a is a unit for every r}, computed as {a : R*a is nil} and
-    validated to be an ideal."""
-    return ElementSet(ring, jacobson_mask(ring))
-
-
 def delta_mask(ring: FiniteRing) -> np.ndarray:
+    """{r : r + u is a unit for every unit u}."""
     def compute():
         u = unit_mask(ring)
         u_idx = np.flatnonzero(u)
@@ -144,34 +128,23 @@ def delta_mask(ring: FiniteRing) -> np.ndarray:
     return _cached_mask(ring, "delta_mask", compute)
 
 
-def delta_set(ring: FiniteRing) -> ElementSet:
-    """{r : r + u is a unit for every unit u}."""
-    return ElementSet(ring, delta_mask(ring))
+def unit_subring(ring: FiniteRing) -> tuple[FiniteRing, np.ndarray]:
+    """The unital subring generated by the units, as `induced_subring`
+    returns it: the induced ring and its members, element i of the ring
+    being the i-th smallest member index.
 
-
-def unit_subring(ring: FiniteRing) -> tuple[ElementSet, FiniteRing]:
-    """The unital subring generated by the units, with its induced ring.
-
-    Element i of the induced ring is the i-th smallest member index, which
-    makes it usable as an independent oracle: the delta set of the ambient
-    ring must equal the radical of this subring, mapped back.
+    That makes it usable as an independent oracle: the delta set of the
+    ambient ring must equal the radical of this subring, mapped back.
     """
     cached = ring._cache.get("unit_subring")
     if cached is None:
-        members = core.subring_generated(ring, units(ring), unital=True)
-        sub, elems = core.induced_subring(ring, members, ring.one,
-                                          label=f"unitspan({ring.label})")
-        cached = ring._cache.setdefault("unit_subring", (members, sub, elems))
-    members, sub, _ = cached
-    return members, sub
+        members = core.subring_generated(ring, np.flatnonzero(unit_mask(ring)), unital=True)
+        cached = ring._cache.setdefault("unit_subring", core.induced_subring(
+            ring, members, ring.one, label=f"unitspan({ring.label})"))
+    return cached
 
 
-def unit_subring_elements(ring: FiniteRing) -> np.ndarray:
-    unit_subring(ring)
-    return ring._cache["unit_subring"][2]
-
-
-def prime_radical(ring: FiniteRing) -> ElementSet:
+def prime_radical(ring: FiniteRing) -> np.ndarray:
     """Least semiprime ideal; in a finite ring it is J(R) (module docstring),
     re-checked to consist of nilpotents."""
     def compute():
@@ -180,7 +153,7 @@ def prime_radical(ring: FiniteRing) -> ElementSet:
             raise InternalInconsistency(
                 f"prime radical of {ring.label} contains a non-nilpotent")
         return mask
-    return ElementSet(ring, _cached_mask(ring, "nilstar_mask", compute))
+    return _cached_mask(ring, "nilstar_mask", compute)
 
 
 def commuting_matrix(ring: FiniteRing) -> np.ndarray:
@@ -188,14 +161,9 @@ def commuting_matrix(ring: FiniteRing) -> np.ndarray:
 
 
 def quasinilpotent_mask(ring: FiniteRing) -> np.ndarray:
-    # in a finite ring the quasinilpotents are the nilpotents (module docstring)
-    return _cached_mask(ring, "qn_mask", lambda: nilpotent_mask(ring).copy())
-
-
-def quasinilpotents(ring: FiniteRing) -> ElementSet:
     """Elements a with 1 + a*x invertible for every x commuting with a:
-    Nil(R) in a finite ring."""
-    return ElementSet(ring, quasinilpotent_mask(ring))
+    Nil(R) in a finite ring (module docstring)."""
+    return _cached_mask(ring, "qn_mask", lambda: nilpotent_mask(ring).copy())
 
 
 def idempotent_reach(ring: FiniteRing) -> np.ndarray:
@@ -235,5 +203,5 @@ def radical_quotient(ring: FiniteRing) -> tuple[FiniteRing, core.RingHom]:
     """R/J(R) with its projection, cached."""
     cached = ring._cache.get("rj")
     if cached is None:
-        cached = ring._cache.setdefault("rj", core.quotient_ring(ring, jacobson_radical(ring)))
+        cached = ring._cache.setdefault("rj", core.quotient_ring(ring, jacobson_mask(ring)))
     return cached

@@ -27,6 +27,19 @@ from deltaring import core
 from deltaring.errors import AxiomViolation, MalformedRing
 
 
+def mask_of(R, indices) -> np.ndarray:
+    """The bool mask of R's elements with the given indices."""
+    mask = np.zeros(R.order, dtype=bool)
+    mask[list(indices)] = True
+    return mask
+
+
+def members(mask) -> list[int]:
+    """The element indices of a bool mask, in ascending order."""
+    assert mask.dtype == bool and mask.ndim == 1
+    return np.flatnonzero(mask).tolist()
+
+
 def first_axiom_violation(add, mul, zero: int, one: int) -> str | None:
     """Name of the first ring law that the tables break, or None.
 
@@ -139,24 +152,24 @@ def naive_subring_generated(R, gens, unital: bool = True) -> list[int]:
 
 
 def closure_lattice_ideals(R, within=None) -> list:
-    """Every two-sided ideal inside the mask `within` (default: everything),
-    by adjoining one element at a time to known ideals and taking the full
-    fixpoint closure; sorted by index tuple."""
+    """The mask of every two-sided ideal inside the mask `within` (default:
+    everything), by adjoining one element at a time to known ideals and
+    taking the full fixpoint closure; sorted by index tuple."""
     allowed = np.ones(R.order, dtype=bool) if within is None else within
     candidates = [int(a) for a in np.flatnonzero(allowed)]
     zero = core.ideal_generated(R, [])
-    seen = {tuple(zero.indices): zero}
+    seen = {tuple(members(zero)): zero}
     frontier = [zero]
     while frontier:
         nxt = []
         for ideal in frontier:
             for a in candidates:
-                if a in ideal:
+                if ideal[a]:
                     continue
-                bigger = core.ideal_generated(R, ideal.indices + [a])
-                if not allowed[bigger.members].all():
+                bigger = core.ideal_generated(R, members(ideal) + [a])
+                if not allowed[bigger].all():
                     continue
-                key = tuple(bigger.indices)
+                key = tuple(members(bigger))
                 if key not in seen:
                     seen[key] = bigger
                     nxt.append(bigger)
@@ -244,7 +257,7 @@ def naive_prime_radical(R) -> list[int]:
         forced = mask[sandwich].all(axis=1)
         if not (forced & ~mask).any():
             return [int(a) for a in np.flatnonzero(mask)]
-        mask = core.ideal_generated(R, np.flatnonzero(mask | forced)).members.copy()
+        mask = core.ideal_generated(R, np.flatnonzero(mask | forced))
 
 
 def naive_center(R) -> list[int]:

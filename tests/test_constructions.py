@@ -21,6 +21,7 @@ from deltaring.errors import (
 from deltaring.predicates import class_verdict
 
 import oracles
+from oracles import members
 
 
 def test_direct_product_examples(zmod):
@@ -39,7 +40,7 @@ def test_matrix_ring_examples(zmod):
     Z2 = zmod(2)
     M2 = cons.matrix_ring(Z2, 2)
     assert M2.order == 16
-    assert len(subsets.units(M2)) == 6  # the invertible 2x2 matrices over F2
+    assert subsets.unit_mask(M2).sum() == 6  # the invertible 2x2 matrices over F2
     assert cons.matrix_ring(zmod(5), 1) is zmod(5)
     T2 = cons.upper_triangular(Z2, 2)
     assert T2.order == 8
@@ -166,7 +167,7 @@ def test_truncated_skew_examples(zmod):
     Z2 = zmod(2)
     TS = cons.truncated_skew_poly(Z2, None, 2)
     assert TS.order == 4
-    assert [TS.names[i] for i in subsets.units(TS).indices] == ["1", "1+x"]
+    assert [TS.names[i] for i in members(subsets.unit_mask(TS))] == ["1", "1+x"]
 
     gf4 = dsl.build_str("GF(4)")
     frob = dsl.frobenius(gf4, 2)
@@ -208,7 +209,7 @@ def test_trivial_extension_examples(zmod):
     TR = cons.trivial_extension(Z2)
     TS = cons.truncated_skew_poly(Z2, None, 2)
     assert np.array_equal(TR.add, TS.add) and np.array_equal(TR.mul, TS.mul)
-    assert len(subsets.units(cons.trivial_extension(Z3))) == 6
+    assert subsets.unit_mask(cons.trivial_extension(Z3)).sum() == 6
     with_zero = cons.trivial_extension(Z3, cons.zero_bimodule(Z3, Z3))
     assert np.array_equal(with_zero.add, Z3.add)
     assert np.array_equal(with_zero.mul, Z3.mul)
@@ -310,11 +311,11 @@ def test_group_ring_examples(zmod):
     G = cons.group_catalog()
     RG = cons.group_ring(Z2, G["C2"])
     assert RG.order == 4
-    unit_names = {RG.names[i] for i in subsets.units(RG).indices}
+    unit_names = {RG.names[i] for i in members(subsets.unit_mask(RG))}
     assert unit_names == {"1", "g"}
     eps, kernel = cons.augmentation(RG)
-    assert {RG.names[i] for i in kernel.indices} == {"0", "1+g"}
-    assert eps.is_surjective and len(kernel) == 2
+    assert {RG.names[i] for i in members(kernel)} == {"0", "1+g"}
+    assert eps.is_surjective and kernel.sum() == 2
 
     RG3 = cons.group_ring(Z2, G["C3"])
     assert not class_verdict(RG3, "2-delta-u")
@@ -388,6 +389,27 @@ def test_bimodule_validation(zmod):
     broken[2][3] = (broken[2][3] + 1) % 4
     with pytest.raises(InvalidBimodule):
         cons.validate_bimodule(Z4, Z4, reg.add, broken, reg.right_act)
+
+
+@pytest.mark.parametrize("kind, cell", [("bimodule", 2 ** 32 + 1), ("bimodule", 1.5),
+                                        ("group", 2 ** 32), ("group", 0.7)])
+def test_wide_or_fractional_cells_are_refused_before_narrowing(zmod, kind, cell):
+    # a cell is range-checked at the width it is given: as int32, 2^32 + 1
+    # would read as 1 and 2^32 as 0, and 1.5 or 0.7 would truncate into range
+    Z2 = zmod(2)
+    if kind == "bimodule":
+        table = np.array(Z2.mul, dtype=np.int64 if isinstance(cell, int) else float)
+        build = lambda t: cons.validate_bimodule(Z2, Z2, Z2.add, t, Z2.mul)
+        error = InvalidBimodule
+    else:
+        table = np.array([[0, 1], [1, 0]], dtype=np.int64 if isinstance(cell, int) else float)
+        build = lambda t: cons.validate_group(t, 0, "C2")
+        error = ValueError
+    if isinstance(cell, int):
+        assert build(table).order == 2            # the same table at its own width is valid
+    table[1, 1] = cell
+    with pytest.raises(error):
+        build(table)
 
 
 def test_construction_outputs_are_validated(zmod):

@@ -21,6 +21,7 @@ from deltaring.errors import (
 )
 
 import oracles
+from oracles import members
 from conftest import zmod_tables
 
 
@@ -231,38 +232,49 @@ def test_ring_arithmetic_examples(zmod):
 
 def test_subring_generated_examples(zmod):
     Z8, Z6 = zmod(8), zmod(6)
-    full = core.subring_generated(Z8, subsets.units(Z8), unital=True)
-    assert full.indices == list(range(8))
+    full = core.subring_generated(Z8, np.flatnonzero(subsets.unit_mask(Z8)), unital=True)
+    assert members(full) == list(range(8))
     closed = core.subring_generated(Z6, [3], unital=False)
-    assert closed.indices == [0, 3]
+    assert members(closed) == [0, 3]
     prime_sub = core.subring_generated(Z6, [], unital=True)
-    assert prime_sub.indices == list(range(6))  # 1 generates everything
+    assert members(prime_sub) == list(range(6))  # 1 generates everything
 
 
 def test_subring_generated_idempotent(zmod):
     Z12 = zmod(12)
     s = core.subring_generated(Z12, [4, 6], unital=False)
-    again = core.subring_generated(Z12, s, unital=False)
-    assert s == again
+    again = core.subring_generated(Z12, np.flatnonzero(s), unital=False)
+    assert np.array_equal(s, again) and not s.flags.writeable
+
+
+@pytest.mark.parametrize("closure", [core.ideal_generated, core.subring_generated])
+def test_closure_generators_are_element_indices(zmod, closure):
+    # generators are indices of the ring's elements: a mask in their place
+    # would seed {0, 1}, and -1 would wrap to the last element
+    Z6 = zmod(6)
+    assert members(closure(Z6, np.array([2, 4]))) == members(closure(Z6, [4, 2]))
+    for bad in (oracles.mask_of(Z6, [0, 3]), [-1], [6], [1.0], np.array([2.5])):
+        with pytest.raises(ValueError, match="generators must be element indices"):
+            closure(Z6, bad)
 
 
 def test_ideal_generated_examples(zmod):
     Z12 = zmod(12)
-    assert core.ideal_generated(Z12, [6]).indices == [0, 6]
-    assert core.ideal_generated(Z12, [1]).indices == list(range(12))
+    assert members(core.ideal_generated(Z12, [6])) == [0, 6]
+    assert members(core.ideal_generated(Z12, [1])) == list(range(12))
     T2 = upper_triangular(zmod(2), 2)
     e12 = T2.names.index("[[0,1],[0,0]]")
     ideal = core.ideal_generated(T2, [e12])
-    assert ideal.indices == [T2.zero, e12]  # the strictly upper triangular set
+    assert members(ideal) == [T2.zero, e12]  # the strictly upper triangular set
 
 
 @pytest.mark.parametrize("expr", ["T(2,Z2)", "M(2,Z2)", "T(2,Z3)", "GR(Z2,S3)"])
 def test_closures_match_naive_on_noncommutative_rings(expr):
     R = dsl.build_str(expr)
     for gens in ([], [R.one], *([a] for a in range(R.order)), [2, 5], [3, R.order - 1]):
-        assert core.ideal_generated(R, gens).indices == oracles.naive_ideal_generated(R, gens)
+        assert members(core.ideal_generated(R, gens)) == oracles.naive_ideal_generated(R, gens)
         for unital in (True, False):
-            assert (core.subring_generated(R, gens, unital=unital).indices
+            assert (members(core.subring_generated(R, gens, unital=unital))
                     == oracles.naive_subring_generated(R, gens, unital))
 
 
@@ -271,7 +283,7 @@ def test_quotient_examples(zmod):
     Q, proj = core.quotient_ring(Z12, core.ideal_generated(Z12, [6]))
     assert Q.order == 6
     assert np.array_equal(Q.add, Z6.add) and np.array_equal(Q.mul, Z6.mul)
-    assert proj.is_surjective and proj.kernel().indices == [0, 6]
+    assert proj.is_surjective and members(proj.kernel()) == [0, 6]
 
     R, ident = core.quotient_ring(Z6, core.ideal_generated(Z6, [0]))
     assert R.order == 6 and np.array_equal(R.add, Z6.add)
@@ -323,7 +335,7 @@ def test_coset_certificate_rejects_what_validate_hom_rejects(monkeypatch, cells)
     for expr in ("Z12", "Z16", "T(2,Z3)", "GR(Z4,C2)", "K(Z4,s=2)", "T(3,Z2)"):
         R = dsl.build_str(expr)
         for ideal in harness.ideals_inside_radical(R):
-            reps = np.unique(R.add[:, np.flatnonzero(ideal.members)].min(axis=1))
+            reps = np.unique(R.add[:, np.flatnonzero(ideal)].min(axis=1))
             Q, proj = core.quotient_ring(R, ideal)
             q = Q.order
             variants = [(Q.add, Q.mul, proj.map)]
@@ -342,7 +354,7 @@ def test_coset_certificate_rejects_what_validate_hom_rejects(monkeypatch, cells)
                 full = _rejects(lambda: core.validate_hom(R, target, m))
                 assert full == (add is not Q.add or mul is not Q.mul or m is not proj.map)
                 assert _rejects(lambda: core._certified_projection(
-                    R, ideal.members, reps, target, np.array(m))) == full, (expr, ideal.indices)
+                    R, ideal, reps, target, np.array(m))) == full, (expr, members(ideal))
                 cases += 1
     assert cases > 200
 
@@ -371,11 +383,11 @@ def test_quotient_requires_ideal(zmod, monkeypatch):
 
     Z12 = zmod(12)
     with pytest.raises(NotAnIdeal):
-        core.quotient_ring(Z12, core.ElementSet.from_indices(Z12, [0, 5]))
+        core.quotient_ring(Z12, oracles.mask_of(Z12, [0, 5]))
     # an additive subgroup that is a left ideal but not a two-sided one
     M2 = matrix_ring(zmod(2), 2)
     first_column = [matrix_index(zmod(2), 2, [[a, 0], [c, 0]]) for a in (0, 1) for c in (0, 1)]
-    left_ideal = core.ElementSet.from_indices(M2, first_column)
+    left_ideal = oracles.mask_of(M2, first_column)
     assert not core.is_ideal(M2, left_ideal)
     with pytest.raises(NotAnIdeal):
         core.quotient_ring(M2, left_ideal)
@@ -402,7 +414,7 @@ def test_quotient_is_certified_not_revalidated(zmod, monkeypatch):
 def test_induced_subring_certificate_rejections(zmod):
     Z6 = zmod(6)
     # {0,2,4} = 2*Z6 is closed, with identity 4 (a copy of Z3)
-    evens = core.ElementSet.from_indices(Z6, [0, 2, 4])
+    evens = oracles.mask_of(Z6, [0, 2, 4])
     sub, elems = core.induced_subring(Z6, evens, 4)
     assert sub.order == 3 and list(elems) == [0, 2, 4] and sub.one == 2
     assert oracles.first_axiom_violation(sub.add, sub.mul, sub.zero, sub.one) is None
@@ -415,13 +427,13 @@ def test_induced_subring_certificate_rejections(zmod):
         core.induced_subring(Z6, evens, 1)
     # {0,1,5} holds its negatives but is not closed: 1+1 = 2
     with pytest.raises(ValueError):
-        core.induced_subring(Z6, core.ElementSet.from_indices(Z6, [0, 1, 5]), 1)
+        core.induced_subring(Z6, oracles.mask_of(Z6, [0, 1, 5]), 1)
     # {1,2} misses 0
     with pytest.raises(ValueError):
-        core.induced_subring(Z6, core.ElementSet.from_indices(Z6, [1, 2]), 1)
+        core.induced_subring(Z6, oracles.mask_of(Z6, [1, 2]), 1)
     # {0} has no identity distinct from 0
     with pytest.raises(AxiomViolation):
-        core.induced_subring(Z6, core.ElementSet.from_indices(Z6, [0]), 0)
+        core.induced_subring(Z6, oracles.mask_of(Z6, [0]), 0)
 
 
 def test_quotient_kernel_equals_ideal_across_small_rings(zmod):
@@ -429,14 +441,14 @@ def test_quotient_kernel_equals_ideal_across_small_rings(zmod):
         R = zmod(m)
         for g in range(m):
             ideal = core.ideal_generated(R, [g])
-            if len(ideal) == m:
+            if ideal.sum() == m:
                 with pytest.raises(ValueError):
                     core.quotient_ring(R, ideal)
                 continue
             Q, proj = core.quotient_ring(R, ideal)
             assert proj.is_surjective
-            assert proj.kernel() == ideal
-            assert Q.order * len(ideal) == R.order
+            assert np.array_equal(proj.kernel(), ideal)
+            assert Q.order * ideal.sum() == R.order
 
 
 def test_corner_examples(zmod):
@@ -465,12 +477,12 @@ def test_center_examples(zmod):
     Z2 = zmod(2)
     M2 = matrix_ring(Z2, 2)
     eye = matrix_index(Z2, 2, [[1, 0], [0, 1]])
-    assert core.center(M2).indices == [0, eye] == oracles.naive_center(M2)
+    assert members(core.center(M2)) == [0, eye] == oracles.naive_center(M2)
     Z12 = zmod(12)
-    assert core.center(Z12).indices == list(range(12))
+    assert members(core.center(Z12)) == list(range(12))
     T2 = upper_triangular(Z2, 2)
-    assert core.center(T2).indices == oracles.naive_center(T2)
-    assert len(core.center(T2)) == 2
+    assert members(core.center(T2)) == oracles.naive_center(T2)
+    assert core.center(T2).sum() == 2
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +522,7 @@ def test_validate_hom_witness_matches_naive_double_loop(monkeypatch, cells):
     kinds = set()
     for label in ("Z12", "M(2,Z3)", "K(Z4,s=2)", "DT(Z4,Z4)", "T(3,Z3)"):
         R = dsl.build_str(label)
-        Q, proj = core.quotient_ring(R, subsets.jacobson_radical(R))
+        Q, proj = core.quotient_ring(R, subsets.jacobson_mask(R))
         opposite = core.validate_ring(Q.add, np.ascontiguousarray(Q.mul.T), Q.zero, Q.one)
         expect = oracles.naive_hom_violation(R, opposite, proj.map)
         assert _hom_outcome(R, opposite, proj.map) == expect, label
@@ -536,9 +548,20 @@ def test_validate_hom_shape_errors(zmod):
         core.validate_hom(Z4, Z2, [0.0, 1.5, 0.0, 1.0])
 
 
-def test_element_set_range_checked(zmod):
-    with pytest.raises(ValueError):
-        core.ElementSet.from_indices(zmod(4), [0, 7])
+@pytest.mark.parametrize("entry, good", [
+    (lambda R, mask: core.is_ideal(R, mask), [0, 2]),
+    (lambda R, mask: core.quotient_ring(R, mask), [0, 2]),
+    (lambda R, mask: core.induced_subring(R, mask, R.one), [0, 1, 2, 3]),
+], ids=["is_ideal", "quotient_ring", "induced_subring"])
+def test_element_set_inputs_are_masks_of_the_ring_order(zmod, entry, good):
+    # an element set is a bool vector with one entry per element: a mask of
+    # another length or shape, or element indices in its place, is refused
+    Z4 = zmod(4)
+    mask = oracles.mask_of(Z4, good)
+    assert entry(Z4, mask)
+    for bad in (mask[:-1], np.append(mask, False), mask[:, None], mask.astype(np.int64), good):
+        with pytest.raises(ValueError, match="bool vector of length equal to the ring order"):
+            entry(Z4, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +679,7 @@ def test_order_guard_is_checked_before_the_cells():
 
 def test_semantic_tags_revalidated(zmod):
     Z12 = zmod(12)
-    not_ideal = core.ElementSet.from_indices(Z12, [0, 5])
+    not_ideal = oracles.mask_of(Z12, [0, 5])
     assert not core.is_ideal(Z12, not_ideal)
     assert core.is_ideal(Z12, core.ideal_generated(Z12, [6]))
 

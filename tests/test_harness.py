@@ -14,6 +14,7 @@ from deltaring.errors import (AxiomViolation, ExprSyntaxError, HomViolation, Unk
                               UnknownClass)
 
 import oracles
+from oracles import members
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -134,19 +135,19 @@ def test_ideals_inside_radical(zmod):
     Z16 = dsl.build_str("Z16")
     ideals = harness.ideals_inside_radical(Z16)
     # chains 0 < 8Z < 4Z < 2Z inside J(Z16) = 2Z
-    sizes = sorted(len(i) for i in ideals)
+    sizes = sorted(int(i.sum()) for i in ideals)
     assert sizes == [1, 2, 4, 8]
     for ideal in ideals:
         assert core.is_ideal(Z16, ideal)
-        assert set(ideal.indices) <= set(subsets.jacobson_radical(Z16).indices)
+        assert set(members(ideal)) <= set(members(subsets.jacobson_mask(Z16)))
 
 
 @pytest.mark.parametrize("expr", ["Z16", "K(Z4,s=0)", "Prod(Z8,Z27)", "FM(2,Z4,s=2)",
                                   "T(2,Z4)", "Z64", "DT(Z3,Z3)", "K(Z4,s=2)"])
 def test_ideals_inside_radical_matches_closure_lattice(expr):
     R = dsl.build_str(expr)
-    got = [ideal.indices for ideal in harness.ideals_inside_radical(R)]
-    want = [ideal.indices
+    got = [members(ideal) for ideal in harness.ideals_inside_radical(R)]
+    want = [members(ideal)
             for ideal in oracles.closure_lattice_ideals(R, subsets.jacobson_mask(R))]
     assert got == want
 
@@ -176,12 +177,12 @@ def test_projection_kernel_equals_ideal_over_full_lattices():
                  "GR(Z2,C2)", "Prod(Z2,Z2,Z2)", "TruncSkew(Z3,id,2)"):
         R = dsl.build_str(expr)
         for ideal in oracles.closure_lattice_ideals(R):
-            if len(ideal) == R.order:
+            if ideal.all():
                 continue
             quotient, proj = core.quotient_ring(R, ideal)
             assert proj.is_surjective, expr
-            assert proj.kernel() == ideal, expr
-            assert quotient.order * len(ideal) == R.order, expr
+            assert np.array_equal(proj.kernel(), ideal), expr
+            assert quotient.order * ideal.sum() == R.order, expr
 
 
 def test_search_classes_examples():
@@ -205,17 +206,16 @@ def test_oracle_check_detects_sabotage(monkeypatch):
     assert result.verdict
 
     import deltaring.subsets as subsets_mod
-    real = subsets_mod.delta_set
+    real = subsets_mod.delta_mask
 
     def corrupted(ring):
         out = real(ring)
         if ring.label == "Z12":
-            mask = out.members.copy()
-            mask[1] = True  # claim 1 is in the delta set
-            return core.ElementSet(ring, mask)
+            out = out.copy()
+            out[1] = True  # claim 1 is in the delta set
         return out
 
-    monkeypatch.setattr(subsets_mod, "delta_set", corrupted)
+    monkeypatch.setattr(subsets_mod, "delta_mask", corrupted)
     bad = harness.run_check("T-oracle", ring_list)
     assert not bad.verdict
     assert bad.counterexamples[0]["ring"] == "Z12"

@@ -14,6 +14,7 @@ from deltaring.predicates import check_class, class_verdict, revalidate_witness
 from deltaring.report import CheckReport, Witness
 
 import oracles
+from oracles import members
 
 
 def b(expr: str):
@@ -58,11 +59,11 @@ def test_unj_uses_literal_sumset():
     R = b("Z12")
     report = check_class(R, "unj")
     assert "sumset" in report.notes
-    nil = subsets.nilpotents(R).indices
-    jac = subsets.jacobson_radical(R).indices
+    nil = members(subsets.nilpotent_mask(R))
+    jac = members(subsets.jacobson_mask(R))
     sums = {int(R.add[q, j]) for q in nil for j in jac}
-    expected = all(R.sub(u, R.one) in sums for u in subsets.units(R).indices) and \
-        all(int(R.add[R.one, s]) in set(subsets.units(R).indices) for s in sums)
+    expected = all(R.sub(u, R.one) in sums for u in members(subsets.unit_mask(R))) and \
+        all(int(R.add[R.one, s]) in set(members(subsets.unit_mask(R))) for s in sums)
     assert report.verdict == expected
 
 

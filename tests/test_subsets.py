@@ -7,68 +7,69 @@ from deltaring import core, dsl, harness, subsets
 from deltaring.errors import InternalInconsistency
 
 import oracles
+from oracles import members
 
 
 def test_units_examples(zmod):
-    assert subsets.units(zmod(6)).indices == [1, 5] == oracles.naive_units(zmod(6))
-    assert subsets.units(zmod(8)).indices == [1, 3, 5, 7]
+    assert members(subsets.unit_mask(zmod(6))) == [1, 5] == oracles.naive_units(zmod(6))
+    assert members(subsets.unit_mask(zmod(8))) == [1, 3, 5, 7]
     gf4 = dsl.build_str("GF(4)")
-    assert subsets.units(gf4).indices == [1, 2, 3]
+    assert members(subsets.unit_mask(gf4)) == [1, 2, 3]
 
 
 def test_idempotents_nilpotents_tripotents(zmod):
-    assert subsets.idempotents(zmod(6)).indices == [0, 1, 3, 4]
-    assert subsets.nilpotents(zmod(12)).indices == [0, 6]
-    assert subsets.tripotent_elements(zmod(3)).indices == [0, 1, 2]
+    assert members(subsets.idempotent_mask(zmod(6))) == [0, 1, 3, 4]
+    assert members(subsets.nilpotent_mask(zmod(12))) == [0, 6]
+    assert members(subsets.tripotent_mask(zmod(3))) == [0, 1, 2]
     for m in (4, 6, 9, 10, 12, 16, 27):
         R = zmod(m)
-        assert subsets.idempotents(R).indices == oracles.naive_idempotents(R)
-        assert subsets.nilpotents(R).indices == oracles.naive_nilpotents(R)
-        assert subsets.tripotent_elements(R).indices == oracles.naive_tripotents(R)
+        assert members(subsets.idempotent_mask(R)) == oracles.naive_idempotents(R)
+        assert members(subsets.nilpotent_mask(R)) == oracles.naive_nilpotents(R)
+        assert members(subsets.tripotent_mask(R)) == oracles.naive_tripotents(R)
 
 
 def test_jacobson_examples(zmod):
-    assert subsets.jacobson_radical(zmod(12)).indices == [0, 6] == oracles.naive_jacobson(zmod(12))
-    assert subsets.jacobson_radical(zmod(6)).indices == [0]
+    assert members(subsets.jacobson_mask(zmod(12))) == [0, 6] == oracles.naive_jacobson(zmod(12))
+    assert members(subsets.jacobson_mask(zmod(6))) == [0]
     T2 = dsl.build_str("T(2,Z2)")
     strict_upper = [0, 2]  # (0,0,0) and (0,1,0) in the (1,1),(1,2),(2,2) encoding
-    assert subsets.jacobson_radical(T2).indices == strict_upper == oracles.naive_jacobson(T2)
+    assert members(subsets.jacobson_mask(T2)) == strict_upper == oracles.naive_jacobson(T2)
 
 
 def test_delta_examples(zmod):
-    assert subsets.delta_set(zmod(4)).indices == [0, 2]
-    assert subsets.delta_set(zmod(6)).indices == [0]
-    assert subsets.delta_set(zmod(8)).indices == [0, 2, 4, 6]
+    assert members(subsets.delta_mask(zmod(4))) == [0, 2]
+    assert members(subsets.delta_mask(zmod(6))) == [0]
+    assert members(subsets.delta_mask(zmod(8))) == [0, 2, 4, 6]
     for m in (4, 6, 8, 9, 10, 12):
-        assert subsets.delta_set(zmod(m)).indices == oracles.naive_delta(zmod(m))
+        assert members(subsets.delta_mask(zmod(m))) == oracles.naive_delta(zmod(m))
 
 
 def test_unit_subring_examples(zmod):
-    members, sub = subsets.unit_subring(zmod(8))
-    assert members.indices == list(range(8)) and sub.order == 8
+    sub, elems = subsets.unit_subring(zmod(8))
+    assert elems.tolist() == list(range(8)) and sub.order == 8
     P = dsl.build_str("Prod(Z2,Z3)")
-    members, sub = subsets.unit_subring(P)
-    assert len(members) == P.order  # units generate everything
+    sub, elems = subsets.unit_subring(P)
+    assert len(elems) == sub.order == P.order  # units generate everything
     gf4 = dsl.build_str("GF(4)")
-    members, _ = subsets.unit_subring(gf4)
-    assert len(members) == 4
+    sub, elems = subsets.unit_subring(gf4)
+    assert len(elems) == sub.order == 4
 
 
 def test_prime_radical_examples(zmod):
-    assert subsets.prime_radical(zmod(12)).indices == [0, 6]
+    assert members(subsets.prime_radical(zmod(12))) == [0, 6]
     M2 = dsl.build_str("M(2,Z2)")
-    assert subsets.prime_radical(M2).indices == [0]
+    assert members(subsets.prime_radical(M2)) == [0]
     T2 = dsl.build_str("T(2,Z2)")
-    assert subsets.prime_radical(T2).indices == subsets.jacobson_radical(T2).indices
+    assert members(subsets.prime_radical(T2)) == members(subsets.jacobson_mask(T2))
 
 
 def test_quasinilpotents_examples(zmod):
-    assert subsets.quasinilpotents(zmod(4)).indices == [0, 2]
-    assert subsets.quasinilpotents(zmod(6)).indices == [0]
+    assert members(subsets.quasinilpotent_mask(zmod(4))) == [0, 2]
+    assert members(subsets.quasinilpotent_mask(zmod(6))) == [0]
     gf4 = dsl.build_str("GF(4)")
-    assert subsets.quasinilpotents(gf4).indices == [0]
+    assert members(subsets.quasinilpotent_mask(gf4)) == [0]
     for m in (4, 6, 9, 12):
-        assert subsets.quasinilpotents(zmod(m)).indices == \
+        assert members(subsets.quasinilpotent_mask(zmod(m))) == \
             oracles.naive_quasinilpotents(zmod(m))
 
 
@@ -83,9 +84,9 @@ def test_radical_identities_against_definitions():
     rings = harness.catalog_rings() + [dsl.build_str(e) for e in LARGE_SAMPLE]
     assert len(rings) == 182 + len(LARGE_SAMPLE)
     for R in rings:
-        assert subsets.jacobson_radical(R).indices == oracles.naive_jacobson(R), R.label
-        assert subsets.prime_radical(R).indices == oracles.naive_prime_radical(R), R.label
-        assert subsets.quasinilpotents(R).indices == \
+        assert members(subsets.jacobson_mask(R)) == oracles.naive_jacobson(R), R.label
+        assert members(subsets.prime_radical(R)) == oracles.naive_prime_radical(R), R.label
+        assert members(subsets.quasinilpotent_mask(R)) == \
             oracles.naive_quasinilpotents(R), R.label
 
 
@@ -95,7 +96,7 @@ def test_radical_at_split_blocks(monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_CELLS", 1)
     for expr in ("T(2,Z4)", "GR(Z4,C2)", "M(2,Z2)", "K(Z4,s=2)"):
         R = core._relabel(dsl.build_str(expr), expr)          # a fresh memo
-        assert subsets.jacobson_radical(R).indices == oracles.naive_jacobson(R), expr
+        assert members(subsets.jacobson_mask(R)) == oracles.naive_jacobson(R), expr
 
 
 @pytest.mark.parametrize("block_cells", [None, 4])
@@ -118,20 +119,19 @@ def test_oracle_identity_on_sample(zmod):
     for expr in ("Z4", "Z6", "Z8", "Z12", "Z16", "Z30", "GF(4)", "GF(9)",
                  "M(2,Z2)", "T(2,Z3)", "GR(Z2,C2)", "Triv(Z4,Z4)"):
         R = dsl.build_str(expr)
-        _, sub = subsets.unit_subring(R)
-        elems = subsets.unit_subring_elements(R)
-        mapped = sorted(int(elems[j]) for j in subsets.jacobson_radical(sub).indices)
-        assert mapped == subsets.delta_set(R).indices, expr
+        sub, elems = subsets.unit_subring(R)
+        mapped = sorted(int(elems[j]) for j in members(subsets.jacobson_mask(sub)))
+        assert mapped == members(subsets.delta_mask(R)), expr
 
 
 def test_radical_inside_delta_and_closures(zmod):
     for m in range(2, 40):
         R = zmod(m)
-        jac = subsets.jacobson_radical(R)
-        delta = subsets.delta_set(R)
-        assert set(jac.indices) <= set(delta.indices)
-        u = subsets.units(R).indices
-        for d in delta.indices:
+        jac = members(subsets.jacobson_mask(R))
+        delta = members(subsets.delta_mask(R))
+        assert set(jac) <= set(delta)
+        u = members(subsets.unit_mask(R))
+        for d in delta:
             for x in u:
                 assert int(R.mul[d, x]) in delta and int(R.mul[x, d]) in delta
 
@@ -141,36 +141,36 @@ def test_delta_of_radical_quotient_is_projected_delta():
                  "Triv(Z9,Z9)", "K(Z4,s=2)"):
         R = dsl.build_str(expr)
         quotient, proj = subsets.radical_quotient(R)
-        image = sorted({int(proj.map[d]) for d in subsets.delta_set(R).indices})
-        assert image == subsets.delta_set(quotient).indices, expr
+        image = sorted({int(proj.map[d]) for d in members(subsets.delta_mask(R))})
+        assert image == members(subsets.delta_mask(quotient)), expr
 
 
 def test_delta_equals_radical_iff_ideal():
     for expr in ("Z4", "Z6", "Z12", "GF(8)", "M(2,Z3)", "T(3,Z2)", "GR(Z2,V4)"):
         R = dsl.build_str(expr)
-        delta = subsets.delta_set(R)
+        delta = subsets.delta_mask(R)
         if core.is_ideal(R, delta):
-            assert delta == subsets.jacobson_radical(R), expr
+            assert np.array_equal(delta, subsets.jacobson_mask(R)), expr
 
 
 def test_prime_radical_inside_nilpotents():
     for expr in ("Z12", "Z16", "M(2,Z2)", "T(2,Z3)", "GR(Z2,C3)", "K(Z4,s=0)"):
         R = dsl.build_str(expr)
-        assert set(subsets.prime_radical(R).indices) <= set(subsets.nilpotents(R).indices)
+        assert set(members(subsets.prime_radical(R))) <= set(members(subsets.nilpotent_mask(R)))
 
 
 def test_known_group_and_radical_orders():
     # independent closed-form values: |GL_2(F_q)| = (q^2-1)(q^2-q)
-    assert len(subsets.units(dsl.build_str("M(2,Z2)"))) == 6
-    assert len(subsets.units(dsl.build_str("M(2,Z3)"))) == 48
+    assert subsets.unit_mask(dsl.build_str("M(2,Z2)")).sum() == 6
+    assert subsets.unit_mask(dsl.build_str("M(2,Z3)")).sum() == 48
     # triangular matrices: units have invertible diagonal
-    assert len(subsets.units(dsl.build_str("T(2,Z4)"))) == 2 * 2 * 4
+    assert subsets.unit_mask(dsl.build_str("T(2,Z4)")).sum() == 2 * 2 * 4
     # the radical of a triangular ring over a field is the strict upper part
-    assert len(subsets.jacobson_radical(dsl.build_str("T(3,Z3)"))) == 27
+    assert subsets.jacobson_mask(dsl.build_str("T(3,Z3)")).sum() == 27
     # local group algebra: the radical is the complement of the units
     rg = dsl.build_str("GR(Z9,C3)")
-    assert len(subsets.jacobson_radical(rg)) == 243
-    assert len(subsets.units(rg)) == 729 - 243
+    assert subsets.jacobson_mask(rg).sum() == 243
+    assert subsets.unit_mask(rg).sum() == 729 - 243
 
 
 def test_internal_inconsistency_guard(zmod):
@@ -181,4 +181,4 @@ def test_internal_inconsistency_guard(zmod):
     bad_jac[R.one] = True  # 1 is never in the radical
     R._cache["jac_mask"] = bad_jac
     with pytest.raises(InternalInconsistency):
-        subsets.delta_set(R)
+        subsets.delta_mask(R)
