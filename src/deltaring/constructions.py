@@ -12,12 +12,13 @@ structure tables: coordinate c of a product ab is the sum, under the
 addition of coordinate c, of table[a_l, b_r] over the construction's terms
 (c, l, r, table).  Each table is a ring product, a bimodule action, or a
 ring product twisted by a central scalar or an endomorphism, so each is
-additive in its left argument.  `_bilinear` makes the product of a term
-list, `_over` the ring of a term list on R^k, and one builder,
-`_tuple_ring`, makes every ring: it evaluates the product only on the zero
-row and the rows of the additive generators, fills every other row of the
-product table from right distributivity with batched table lookups, and
-validates the tables it made in place.
+additive in each argument.  `_over` makes the ring of a term list on R^k,
+and one builder, `_tuple_ring`, makes every ring: it evaluates the product
+(`_term_products`) only on the zero row and the rows of the additive
+generators, fills every other row of the product table from right
+distributivity with batched table lookups, and hands the tables with their
+terms to `core._validated_ring`, which certifies them from the terms (see
+`core`).
 """
 
 from __future__ import annotations
@@ -259,25 +260,27 @@ def _hold_to_guard(label: str, sizes, order_guard: int | None) -> int:
 
 def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
                 zero_tuple: Sequence[int], one_tuple: Sequence[int],
-                mul_row, names, *, order_guard: int | None) -> FiniteRing:
+                terms, names, *, order_guard: int | None) -> FiniteRing:
     """The ring on coefficient tuples whose coordinate c adds by
-    `add_tables[c]` and whose product `mul_row` gives coordinatewise:
-    `mul_row(a, b)` takes the coordinate arrays of the left and right
-    factors, which broadcast, and returns those of the products.  The
-    constructions pass `_bilinear(add_tables, terms)`.
+    `add_tables[c]` and whose product has the structure-table `terms`
+    (c, l, r, table): coordinate c of ab is the sum, under `add_tables[c]`,
+    of `table[a_l, b_r]`; each coordinate needs at least one term.
 
-    Precondition: `mul_row` is additive in its left argument, (a + a')b =
-    ab + a'b, as a sum of structure-table terms is.  So it is evaluated
-    only on the zero row and the r additive generator rows, and every other
-    row follows from right distributivity, row(x + g) = row(x) + row(g),
-    breadth first over the span of the generators.  Validation then proves
-    that law for every (x, g, c), so generator rows that break an additive
-    relation are rejected, never used.
+    The product is evaluated (`_term_products`) only on the zero row and
+    the r additive generator rows, and every other row follows from right
+    distributivity, row(x + g) = row(x) + row(g), breadth first over the
+    span of the generators.  When every coordinate addition is an abelian
+    group the generators are each coordinate's, last coordinate first,
+    which is the greedy `core.additive_generators` of the whole table; the
+    tables are then certified from the terms, and otherwise validated in
+    full, so terms that break an additive relation are rejected, never used.
 
-    The order is held to the guard before anything is allocated;
-    `names()` gives the element names and is called only after that.
+    The order is held to the guard before `terms` (which may be lazy) is
+    read or anything is allocated; `names()` gives the element names and is
+    called only after that.
     """
     n = _hold_to_guard(label, sizes, order_guard)
+    terms = list(terms)
     strides = _strides(sizes)
     arange = np.arange(n, dtype=np.int64)
     cols = [((arange // strides[c]) % sizes[c]).astype(np.int32) for c in range(len(sizes))]
@@ -292,14 +295,18 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
         return int(sum(strides[c] * tup[c] for c in range(len(sizes))))
 
     zero, one = encode(zero_tuple), encode(one_tuple)
-    gens = core.additive_generators(add, zero)
+    coord_gens = core._coordinate_generators(add_tables, zero_tuple)
+    if coord_gens is None:
+        gens = core.additive_generators(add, zero)
+    else:
+        gens = [strides[c] * g for c in reversed(range(len(sizes))) for g in coord_gens[c]]
 
-    # `mul_row` broadcasts: left coefficients come as columns, right ones as
-    # rows, so one call gives the rows of the zero and of every generator.
+    # left coefficients come as columns, right ones as rows, so one call
+    # gives the rows of the zero and of every generator
     mul = np.empty((n, n), dtype=np.int32)
     seeds = np.array([zero] + gens)
-    out_cols = mul_row(tuple(col[seeds, None] for col in cols),
-                       tuple(col[None, :] for col in cols))
+    out_cols = _term_products(add_tables, terms, [col[seeds, None] for col in cols],
+                              [col[None, :] for col in cols])
     rows = np.zeros((len(seeds), n), dtype=np.int32)
     for c, oc in enumerate(out_cols):
         rows += strides[c] * oc
@@ -317,38 +324,34 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
             mul[dst] = core._lookup(add, mul[src], mul[g])
             reached.append(dst)
         frontier = np.concatenate(reached)
-    return core._validated_ring(add, mul, zero, one, label, names(), gens)
+    return core._validated_ring(add, mul, zero, one, label, names(), gens,
+                                (add_tables, zero_tuple, coord_gens, terms))
 
 
-def _bilinear(add_tables: list[np.ndarray], terms):
-    """The `mul_row` whose coordinate c is the sum, under `add_tables[c]`,
-    of `table[a[l], b[r]]` over the terms (c, l, r, table); each coordinate
-    needs at least one term.  `terms` may be lazy; it is read once, here."""
-    terms = list(terms)
-
-    def mul_row(a, b):
-        out = [None] * len(add_tables)
-        for c, l, r, table in terms:
-            term = table[a[l], b[r]]
-            out[c] = term if out[c] is None else add_tables[c][out[c], term]
-        return out
-
-    return mul_row
+def _term_products(add_tables: list[np.ndarray], terms, left, right) -> list[np.ndarray]:
+    """The coordinate arrays of the products of the elements whose
+    coordinate arrays are `left` and `right` (which broadcast): coordinate c
+    is the sum, under `add_tables[c]`, of `table[left[l], right[r]]` over
+    the terms (c, l, r, table)."""
+    out = [None] * len(add_tables)
+    for c, l, r, table in terms:
+        term = table[left[l], right[r]]
+        out[c] = term if out[c] is None else add_tables[c][out[c], term]
+    return out
 
 
 def _over(R: FiniteRing, k: int, label: str, terms, ones, names,
           order_guard: int | None) -> FiniteRing:
     """The ring on R^k whose product has the structure-table `terms` (see
-    `_bilinear`) and whose 1 has R's 1 at the coordinates `ones`, 0 at the
+    `_tuple_ring`) and whose 1 has R's 1 at the coordinates `ones`, 0 at the
     others.  The order is held to the guard first, so `terms` and `ones`
     (a generator or a range) are walked only for a ring that fits."""
     _hold_to_guard(label, itertools.repeat(R.order, k), order_guard)
     one = [R.zero] * k
     for c in ones:
         one[c] = R.one
-    adds = [R.add] * k
-    return _tuple_ring(label, [R.order] * k, adds, [R.zero] * k, one,
-                       _bilinear(adds, terms), names, order_guard=order_guard)
+    return _tuple_ring(label, [R.order] * k, [R.add] * k, [R.zero] * k, one, terms, names,
+                       order_guard=order_guard)
 
 
 def _element_names(sizes: list[int], name) -> list[str]:
@@ -396,11 +399,10 @@ def direct_product(factors: list[FiniteRing], *, order_guard: int | None = None,
     if len(factors) == 1:
         return factors[0]
     sizes = [f.order for f in factors]
-    adds = [f.add for f in factors]
     terms = [(c, c, c, f.mul) for c, f in enumerate(factors)]
     return _tuple_ring(label or "Prod(" + ",".join(f.label for f in factors) + ")",
-                       sizes, adds, tuple(f.zero for f in factors),
-                       tuple(f.one for f in factors), _bilinear(adds, terms),
+                       sizes, [f.add for f in factors], tuple(f.zero for f in factors),
+                       tuple(f.one for f in factors), terms,
                        lambda: _tuple_names([f.names for f in factors], sizes),
                        order_guard=order_guard)
 
@@ -505,10 +507,9 @@ def trivial_extension(R: FiniteRing, M: Bimodule | None = None, *,
     """
     M = _require_rr_bimodule(R, M)
     sizes = [R.order, M.order]
-    adds = [R.add, M.add]
     terms = [(0, 0, 0, R.mul), (1, 0, 1, M.left_act), (1, 1, 0, M.right_act)]
-    out = _tuple_ring(label or f"Triv({R.label},{M.label})", sizes, adds,
-                      (R.zero, M.zero), (R.one, M.zero), _bilinear(adds, terms),
+    out = _tuple_ring(label or f"Triv({R.label},{M.label})", sizes, [R.add, M.add],
+                      (R.zero, M.zero), (R.one, M.zero), terms,
                       lambda: _tuple_names([R.names, M.names], sizes), order_guard=order_guard)
     n = out.order
     rpart = (np.arange(n, dtype=np.int64) // M.order).astype(np.int32)
@@ -550,11 +551,10 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, M: Bimodule | None = None, *
     if M.left_ring is not R or M.right_ring is not S:
         raise InvalidBimodule("module must be an (R,S)-bimodule")
     sizes = [R.order, M.order, S.order]
-    adds = [R.add, M.add, S.add]
     terms = [(0, 0, 0, R.mul), (1, 0, 1, M.left_act), (1, 1, 2, M.right_act), (2, 2, 2, S.mul)]
-    return _tuple_ring(label or f"FT({R.label},{S.label},{M.label})", sizes, adds,
-                       (R.zero, M.zero, S.zero), (R.one, M.zero, S.one), _bilinear(adds, terms),
-                       lambda: _tuple_names([R.names, M.names, S.names], sizes),
+    return _tuple_ring(label or f"FT({R.label},{S.label},{M.label})", sizes,
+                       [R.add, M.add, S.add], (R.zero, M.zero, S.zero), (R.one, M.zero, S.one),
+                       terms, lambda: _tuple_names([R.names, M.names, S.names], sizes),
                        order_guard=order_guard)
 
 

@@ -35,8 +35,28 @@ one on a generator triple replays them all.  The first replayed pass to
 fail names the violation, else the failure found does, each at its first
 failing instance in row-major order within its pass.  `validate_ring`
 copies and range-checks the caller's tables and hands them to
-`_validated_ring`, which runs the procedure; the constructions hand theirs,
-fresh and well-formed, to `_validated_ring` directly.
+`_validated_ring`, which runs the procedure.
+
+A ring built from structure tables is certified from them instead.
+`constructions._tuple_ring` fills the tables of a ring on coordinate
+tuples from its terms (c, l, r, table): coordinate c of ab is the sum,
+under coordinate c's addition, of table[a_l, b_r].  It hands
+`_validated_ring` the term structure with the tables, and
+`_structure_certified` proves the ring laws in five steps: (1) each
+distinct coordinate addition is an abelian group on its own small domain
+(`_coordinate_generators`: the group laws and Light's test); (2) each
+distinct term table is additive in each argument, checked on the
+generators of its own coordinate groups, |A_l|·|A_r| cells per generator;
+(3) both identity laws, 2n cells; (4) associativity on the r^3 triples of
+the ring's additive generators, the coordinate images of each coordinate's
+generators; (5) `_certified_ring`.  By (1) the addition is a direct
+product of abelian groups and by (2) the product of the terms is
+biadditive, so the rows filled from the generator rows by additivity are
+that product; the associator is then additive in each slot, and (4) gives
+associativity everywhere, as in Light's argument.  When any step fails,
+`_validated_ring` runs the full procedure on the same tables, so a
+rejection names the same violation and witness as it would without the
+certificate.
 
 Derived rings are certified, not re-validated.  `quotient_ring` checks the
 ideal with `is_ideal`, then certifies the projection on the coset
@@ -251,14 +271,6 @@ class FiniteRing:
             k >>= 1
         return result
 
-    @property
-    def is_commutative(self) -> bool:
-        cached = self._cache.get("commutative")
-        if cached is None:
-            cached = _is_symmetric(self.mul)
-            self._cache["commutative"] = cached
-        return cached
-
 
 @dataclass(frozen=True, eq=False)
 class RingHom:
@@ -312,6 +324,57 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
     return gens
 
 
+# The checks raise where they find a violation: a violation returned and
+# then raised from a local would tie the traceback's frames, and the tables
+# they hold, into a cycle that only the cyclic collector frees.
+
+def _check_abelian(add: np.ndarray, zero: int) -> None:
+    """Raise the first of commutativity, the identity `zero` and inverses,
+    in that order, that the addition table `add` breaks."""
+    if not _is_symmetric(add):
+        a, b = _first_bad_pair(add != add.T)
+        raise AxiomViolation("add-commutativity", (a, b))
+    arange = np.arange(add.shape[0], dtype=np.int32)
+    if not np.array_equal(add[zero], arange):
+        c = int(np.flatnonzero(add[zero] != arange)[0])
+        raise AxiomViolation("add-identity", (zero, c))
+    has_inverse = (add == zero).any(axis=1)
+    if not has_inverse.all():
+        raise AxiomViolation("add-inverse", (int(np.flatnonzero(~has_inverse)[0]),))
+
+
+def _check_light(add: np.ndarray, gens: list[int]) -> None:
+    # Light's test: with a set generating the table, middle-slot triples decide
+    # associativity for all triples.  M = add[add[:, g]] holds (a+g)+c at
+    # [a, c], and (add being commutative) a+(g+c) = (c+g)+a at [c, a], so the
+    # test is M == M.T.  g = zero passes by the identity law checked before.
+    # M is not kept across generators, so at most one n-by-n gather is alive;
+    # it is gathered again only to name a failing instance.
+    for g in gens:
+        if not _is_symmetric(add[add[:, g]]):
+            M = add[add[:, g]]
+            a, c = _first_bad_pair(M != M.T)
+            raise AxiomViolation("add-associativity", (a, g, c))
+
+
+def _coordinate_generators(add_tables, zeros) -> list[list[int]] | None:
+    """Each coordinate's `additive_generators`, when every distinct
+    addition table is an abelian group with its coordinate's zero as the
+    identity (the group laws, then Light's test); else None."""
+    found: dict = {}
+    for add, zero in zip(add_tables, zeros):
+        if (id(add), zero) not in found:
+            try:
+                _check_abelian(add, zero)
+                gens = additive_generators(add, zero)
+                _check_light(add, gens)
+            except AxiomViolation:
+                gens = None
+            found[id(add), zero] = gens
+    out = [found[id(add), zero] for add, zero in zip(add_tables, zeros)]
+    return None if None in out else out
+
+
 def _left_pass(add: np.ndarray, mul: np.ndarray, g: int) -> tuple[int, int] | None:
     """First (a, c) in row-major order with a(g+c) != ag + ac, or None."""
     return _first_mismatch(add.shape[0], lambda lo, hi: (
@@ -324,18 +387,19 @@ def _right_pass(add: np.ndarray, mul: np.ndarray, g: int) -> tuple[int, int] | N
         mul[add[lo:hi, g]], _lookup(add, mul[lo:hi], mul[g])))
 
 
+def _bad_triple(mul: np.ndarray, gens: list[int]) -> tuple[int, int, int] | None:
+    """The first (g1, g2, g3) over `gens` in nested-loop order with
+    (g1g2)g3 != g1(g2g3), or None: r^3 cells for r generators."""
+    g = np.array(gens)
+    pairs = _outer(mul, g, g)           # g_i g_j at [i, j]
+    bad = mul[pairs[:, :, None], g] != mul[g[:, None, None], pairs]
+    if not bad.any():
+        return None
+    return tuple(int(gens[i]) for i in np.argwhere(bad)[0])
+
+
 def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> None:
-    # Light's test: with a set generating the table, middle-slot triples decide
-    # associativity for all triples.  M = add[add[:, g]] holds (a+g)+c at
-    # [a, c], and (add being commutative) a+(g+c) = (c+g)+a at [c, a], so the
-    # test is M == M.T.  g = zero passes by the identity law checked before.
-    # M is not kept across generators, so at most one n-by-n gather is alive;
-    # it is gathered again only to name a failing instance.
-    for g in gens:
-        if not _is_symmetric(add[add[:, g]]):
-            M = add[add[:, g]]
-            a, c = _first_bad_pair(M != M.T)
-            raise AxiomViolation("add-associativity", (a, g, c))
+    _check_light(add, gens)
 
     def named(upto: int, found: AxiomViolation) -> AxiomViolation:
         # The violation that the two-sided order L(g1), R(g1), L(g2), ...
@@ -363,13 +427,44 @@ def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) 
             raise named(k + 1, AxiomViolation("right-distributivity", (x, g, gens[j])))
     # With biadditivity established the associator is additive in each slot,
     # so vanishing on generator triples forces vanishing everywhere.
-    for g1 in gens:
-        for g2 in gens:
-            m12 = mul[g1, g2]
-            row2 = mul[g2]
-            for g3 in gens:
-                if mul[m12, g3] != mul[g1, row2[g3]]:
-                    raise named(len(gens), AxiomViolation("mul-associativity", (g1, g2, g3)))
+    triple = _bad_triple(mul, gens)
+    if triple is not None:
+        raise named(len(gens), AxiomViolation("mul-associativity", triple))
+
+
+def _additive_rows(table: np.ndarray, add: np.ndarray, zero: int, gens: list[int],
+                   out: np.ndarray, out_zero: int) -> bool:
+    """Whether x -> table[x] is additive, x adding by `add` (identity `zero`,
+    generators `gens`) and cells by `out`: table[zero] is all `out_zero` and
+    table[x+g] = table[x] + table[g] for every x and generator g, which in
+    an abelian group gives it for every pair."""
+    return bool((table[zero] == out_zero).all()) and all(
+        np.array_equal(table[add[g]], _lookup(out, table, table[g])) for g in gens)
+
+
+def _structure_certified(mul: np.ndarray, one: int, gens: list[int], structure) -> bool:
+    """Whether the term structure proves the ring laws of the tables that
+    `constructions._tuple_ring` filled from it: steps (2)-(4) of the module
+    docstring.  `structure` is (add_tables, zeros, coordinate generators,
+    terms), the generators being `_coordinate_generators(add_tables,
+    zeros)`, which is None when step (1) failed; `gens` are their images."""
+    add_tables, zeros, coord_gens, terms = structure
+    if coord_gens is None:
+        return False
+    seen = set()
+    for c, l, r, table in terms:
+        key = (id(table), id(add_tables[c]), id(add_tables[l]), id(add_tables[r]))
+        if key in seen:
+            continue
+        seen.add(key)
+        if not (_additive_rows(table, add_tables[l], zeros[l], coord_gens[l],
+                               add_tables[c], zeros[c])
+                and _additive_rows(table.T, add_tables[r], zeros[r], coord_gens[r],
+                                   add_tables[c], zeros[c])):
+            return False
+    arange = np.arange(mul.shape[0], dtype=np.int32)
+    return (np.array_equal(mul[one], arange) and np.array_equal(mul[:, one], arange)
+            and _bad_triple(mul, gens) is None)
 
 
 def validate_ring(add, mul, zero: int, one: int, label: str = "R",
@@ -395,34 +490,27 @@ def validate_ring(add, mul, zero: int, one: int, label: str = "R",
 
 
 def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label: str,
-                    names, gens: list[int] | None = None) -> FiniteRing:
+                    names, gens: list[int] | None = None, structure=None) -> FiniteRing:
     """`validate_ring`'s axiom checks on well-formed tables, which the ring
     then freezes in place: C-contiguous int32 tables of one order that no
     caller holds, with `zero` and `one` in range.  `gens` is
-    `additive_generators(add, zero)` when the caller already has it."""
+    `additive_generators(add, zero)` when the caller already has it.  A
+    `structure` that the tables were filled from (`_structure_certified`)
+    replaces the full procedure when it certifies them."""
     n = add.shape[0]
     if n < 2 or zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
                              "rings here have 0 != 1, so the order is at least 2")
-
-    arange = np.arange(n, dtype=np.int32)
-    if not _is_symmetric(add):
-        a, b = _first_bad_pair(add != add.T)
-        raise AxiomViolation("add-commutativity", (a, b))
-    if not np.array_equal(add[zero], arange):
-        c = int(np.flatnonzero(add[zero] != arange)[0])
-        raise AxiomViolation("add-identity", (zero, c))
-    has_inverse = (add == zero).any(axis=1)
-    if not has_inverse.all():
-        raise AxiomViolation("add-inverse", (int(np.flatnonzero(~has_inverse)[0]),))
-    if not np.array_equal(mul[one], arange):
-        c = int(np.flatnonzero(mul[one] != arange)[0])
-        raise AxiomViolation("mul-identity", (one, c))
-    if not np.array_equal(mul[:, one], arange):
-        c = int(np.flatnonzero(mul[:, one] != arange)[0])
-        raise AxiomViolation("mul-identity", (c, one))
-
-    _generator_triple_checks(add, mul, additive_generators(add, zero) if gens is None else gens)
+    if structure is None or not _structure_certified(mul, one, gens, structure):
+        _check_abelian(add, zero)
+        arange = np.arange(n, dtype=np.int32)
+        if not np.array_equal(mul[one], arange):
+            c = int(np.flatnonzero(mul[one] != arange)[0])
+            raise AxiomViolation("mul-identity", (one, c))
+        if not np.array_equal(mul[:, one], arange):
+            c = int(np.flatnonzero(mul[:, one] != arange)[0])
+            raise AxiomViolation("mul-identity", (c, one))
+        _generator_triple_checks(add, mul, additive_generators(add, zero) if gens is None else gens)
     return _certified_ring(label, add, mul, zero, one, names)
 
 

@@ -500,9 +500,8 @@ def galois_field(q: int, *, label: str | None = None) -> FiniteRing:
     scaled = [mul[coef][mul] for coef in range(p)]
     terms = [(c, l, r, scaled[coef]) for l in range(k) for r in range(k)
              for c, coef in enumerate(rems[2 * k - 2 - l - r]) if coef]
-    adds = [add] * k
-    return cons._tuple_ring(label or f"GF({q})", [p] * k, adds, [0] * k, [0] * (k - 1) + [1],
-                            cons._bilinear(adds, terms),
+    return cons._tuple_ring(label or f"GF({q})", [p] * k, [add] * k, [0] * k,
+                            [0] * (k - 1) + [1], terms,
                             lambda: cons._element_names([p] * k, _gf_name), order_guard=None)
 
 

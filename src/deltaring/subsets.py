@@ -52,9 +52,12 @@ def _cached_mask(ring: FiniteRing, key: str, compute) -> np.ndarray:
 
 
 def unit_mask(ring: FiniteRing) -> np.ndarray:
+    # a unit's right inverse is unique, so a is a unit exactly when its first
+    # right inverse b (if any) is also a left one, ba = 1
     def compute():
-        hits = ring.mul == ring.one
-        return (hits & hits.T).any(axis=1)
+        a = np.arange(ring.order)
+        b = (ring.mul == ring.one).argmax(axis=1)
+        return (ring.mul[a, b] == ring.one) & (ring.mul[b, a] == ring.one)
     return _cached_mask(ring, "unit_mask", compute)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import re
 import time
@@ -105,25 +106,26 @@ def test_tuple_ring_fills_from_the_generator_rows(monkeypatch, zmod, cells):
     # evaluating it on every row gives
     if cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
-    real = cons._tuple_ring
-    calls = []
+    real, products = cons._tuple_ring, cons._term_products
+    calls, evaluated = [], []
 
-    def spy(label, sizes, add_tables, zero, one, mul_row, names, **kwargs):
-        rows = []
+    def counted(add_tables, terms, left, right):
+        evaluated.append(len(left[0]))
+        return products(add_tables, terms, left, right)
 
-        def counted(left, right):
-            rows.append(len(left[0]))
-            return mul_row(left, right)
-
-        ring = real(label, sizes, add_tables, zero, one, counted, names, **kwargs)
+    def spy(label, sizes, add_tables, zero, one, terms, names, **kwargs):
+        terms, before = list(terms), len(evaluated)
+        ring = real(label, sizes, add_tables, zero, one, terms, names, **kwargs)
+        rows = evaluated[before:]
         strides = cons._strides(sizes)
         coords = [(np.arange(ring.order) // st) % sz for st, sz in zip(strides, sizes)]
-        full = mul_row(tuple(c[:, None] for c in coords), tuple(c[None, :] for c in coords))
+        full = products(add_tables, terms, [c[:, None] for c in coords], [c[None, :] for c in coords])
         assert np.array_equal(ring.mul, sum(st * np.asarray(c) for st, c in zip(strides, full)))
         calls.append((label, rows, 1 + len(core.additive_generators(ring.add, ring.zero))))
         return ring
 
     monkeypatch.setattr(cons, "_tuple_ring", spy)
+    monkeypatch.setattr(cons, "_term_products", counted)
     Z2, Z3, Z4 = zmod(2), zmod(3), zmod(4)
     groups = cons.group_catalog()
     cons.direct_product([Z4, Z3, Z2])
@@ -146,21 +148,138 @@ def test_generator_rows_that_break_an_additive_relation_are_rejected(monkeypatch
     # Z4 x Z2 coordinates, element 2b + a for (b, a).  The generators are
     # (0,1) of order 2 and (1,0) of order 4; the identity (1,0) gets the
     # identity row, and (0,1) a row f of order 4, which twice (0,1) = 0
-    # cannot carry.  Every filled row is additive in the generator (0,1)
-    # and both identity laws hold, so the first law to fail is right
-    # distributivity at x = g = (0,1): 0*c = 0 but f(c) + f(c) != 0.
+    # cannot carry.  The term (a, d) -> a·f_b(d) into Z4 is not additive in
+    # a, so the certificate refuses it.  Every filled row is additive in the
+    # generator (0,1) and both identity laws hold, so the first law to fail
+    # is right distributivity at x = g = (0,1): 0*c = 0 but f(c) + f(c) != 0.
     if cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
     f_b, f_a = np.array([0, 0, 1, 0]), np.array([0, 1, 0, 0])
+    a, d = np.arange(2)[:, None], np.arange(4)[None, :]
+    Z4, Z2 = zmod(4), zmod(2)
+    terms = [(0, 0, 0, Z4.mul), (0, 1, 0, (a * f_b[d]) % 4),
+             (1, 0, 1, (np.arange(4)[:, None] * np.arange(2)[None, :]) % 2),
+             (1, 1, 0, (a * f_a[d]) % 2)]
+    real, certified = core._structure_certified, []
 
-    def mul_row(left, right):
-        (b, a), (d, c) = left, right
-        return [(b * d + a * f_b[d]) % 4, (b * c + a * f_a[d]) % 2]
+    def spy(*args):
+        certified.append(real(*args))
+        return certified[-1]
 
+    monkeypatch.setattr(core, "_structure_certified", spy)
     with pytest.raises(AxiomViolation) as err:
-        cons._tuple_ring("Z4xZ2", [4, 2], [zmod(4).add, zmod(2).add], (0, 0), (1, 0),
-                         mul_row, lambda: None, order_guard=None)
+        cons._tuple_ring("Z4xZ2", [4, 2], [Z4.add, Z2.add], (0, 0), (1, 0),
+                         terms, lambda: None, order_guard=None)
     assert (err.value.kind, err.value.witness) == ("right-distributivity", (1, 1, 4))
+    assert certified == [False]
+
+
+def _products_mod(m: int, rows: int, cols: int) -> np.ndarray:
+    return (np.arange(rows)[:, None] * np.arange(cols)[None, :]) % m
+
+
+def _group_table(name: str) -> np.ndarray:
+    """The addition of a coordinate: a ring's, V4's, the trivial group Z1's,
+    or one that is not a group: B, ({0,1}, or), where 1 has no inverse, and
+    S10, the Steiner loop of the affine plane over Z3 (0 and the 9 points of
+    Z3^2, p + p = 0 and p + q = -p - q), which is not associative."""
+    if name == "Z1":
+        return np.zeros((1, 1), dtype=np.int32)
+    if name == "B":
+        return np.array([[0, 1], [1, 1]], dtype=np.int32)
+    if name == "S10":
+        x, y = np.arange(9) // 3, np.arange(9) % 3
+        table = np.zeros((10, 10), dtype=np.int32)
+        table[0] = table[:, 0] = np.arange(10)
+        table[1:, 1:] = 1 + 3 * ((-x[:, None] - x) % 3) + (-y[:, None] - y) % 3
+        np.fill_diagonal(table[1:, 1:], 0)
+        return table
+    return dsl.build_str("Prod(Z2,Z2)" if name == "V4" else name).add
+
+
+# Term structures whose filled tables satisfy both identity laws and are
+# associative on the generator triples but are not rings, each refused by
+# one check of the certificate alone.  (1) The near-ring of the
+# zero-preserving maps of V4 under composition, coordinate p-1 holding the
+# value at p: (fg)(p) = f(g(p)) is additive in f only.  (2) On Z2 x Z4 x Z4
+# with the 1 in the last coordinate, the generator g = (1,0,0) of order 2
+# acts on (0,1,0) by a term additive in its right argument only, with order
+# 4.  (3) A term from a coordinate of order 1 adds b_1 to every product, 0·b
+# included; a_0 b_1 is written twice, so 1·b = b.  (4) The Boolean semiring
+# ({0,1}, or, and).  (5) The trivial extension of Z2 by S10.
+_V4 = np.arange(4)
+_ACT = np.array([[0] * 10, list(range(10))])        # Z2 acting on S10 by 1·y = y
+_NOT_RINGS = {
+    "near-ring": (["V4"] * 3, (1, 2, 3),
+                  [(p - 1, q - 1, p - 1, _V4[:, None] * (_V4[None, :] == q))
+                   for p in range(1, 4) for q in range(1, 4)],
+                  ("left-distributivity", (1, 1, 2))),
+    "order-breaking": (["Z2", "Z4", "Z4"], (0, 0, 1),
+                       [(2, 2, 2, _products_mod(4, 4, 4)), (1, 2, 1, _products_mod(4, 4, 4)),
+                        (0, 2, 0, _products_mod(2, 4, 2)), (0, 0, 2, _products_mod(2, 2, 4)),
+                        (0, 0, 0, _products_mod(2, 2, 2)), (1, 0, 1, _products_mod(4, 2, 4)),
+                        (1, 1, 2, _products_mod(4, 4, 4))],
+                       ("right-distributivity", (16, 16, 4))),
+    "constant": (["Z2", "Z2", "Z1"], (1, 0, 0),
+                 [(0, 0, 0, _products_mod(2, 2, 2)), (1, 0, 1, _products_mod(2, 2, 2)),
+                  (1, 0, 1, _products_mod(2, 2, 2)), (1, 1, 0, _products_mod(2, 2, 2)),
+                  (1, 2, 1, np.array([[0, 1]])), (2, 0, 0, np.zeros((2, 2), dtype=int))],
+                 ("right-distributivity", (0, 1, 1))),
+    "boolean": (["B"], (1,), [(0, 0, 0, _products_mod(2, 2, 2))], ("add-inverse", (1,))),
+    "steiner": (["Z2", "S10"], (1, 0),
+                [(0, 0, 0, _products_mod(2, 2, 2)), (1, 0, 1, _ACT), (1, 1, 0, _ACT.T.copy())],
+                ("add-associativity", (2, 1, 4))),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_RINGS))
+def test_structures_that_are_not_rings_are_refused(monkeypatch, case):
+    groups, one, terms, violation = _NOT_RINGS[case]
+    adds = [_group_table(g) for g in groups]
+    real, certified = core._structure_certified, []
+
+    def spy(*args):
+        certified.append(real(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(core, "_structure_certified", spy)
+    with pytest.raises(AxiomViolation) as err:
+        cons._tuple_ring(case, [len(a) for a in adds], adds, (0,) * len(adds), one, terms,
+                         lambda: None, order_guard=None)
+    assert (err.value.kind, err.value.witness) == violation
+    assert certified == [False]
+
+
+def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
+    # a certificate that refused every ring would still pass every golden
+    # through the full procedure, so the refusals are counted on a cold
+    # build of the 182 catalog rings and the 31 rings of the benchmark's
+    # inspect pool; the generators `_tuple_ring` fills from are the greedy
+    # ones of the whole table
+    spec = importlib.util.spec_from_file_location(
+        "bench_pool", Path(__file__).parent.parent / "bench" / "pool.py")
+    pool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pool)
+    validated, certified = core._validated_ring, core._structure_certified
+    verdicts = []
+
+    def checked(add, mul, zero, one, label, names, gens=None, structure=None):
+        if structure is not None:
+            assert gens == core.additive_generators(add, zero), label
+        return validated(add, mul, zero, one, label, names, gens, structure)
+
+    def counted(*args):
+        verdicts.append(certified(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(core, "_validated_ring", checked)
+    monkeypatch.setattr(core, "_structure_certified", counted)
+    dsl.clear_build_cache()
+    for _, expr in dsl.catalog():
+        dsl.build(expr)
+    for expr, _ in pool.INSPECT_POOL:
+        dsl.build_str(expr)
+    assert len(verdicts) >= len(pool.INSPECT_POOL) and verdicts.count(False) == 0
 
 
 def test_truncated_skew_examples(zmod):
@@ -172,7 +291,7 @@ def test_truncated_skew_examples(zmod):
     gf4 = dsl.build_str("GF(4)")
     frob = dsl.frobenius(gf4, 2)
     skew = cons.truncated_skew_poly(gf4, frob, 2)
-    assert skew.order == 16 and not skew.is_commutative
+    assert skew.order == 16 and not core._is_symmetric(skew.mul)
     # the defining relation: x * w = w^2 * x for the field generator w
     w = gf4.names.index("x")
     w_sq = int(gf4.mul[w, w])
@@ -200,7 +319,7 @@ def test_truncated_skew_with_nontrivial_endomorphism(zmod):
     P = cons.direct_product([Z2, Z2])
     swap = core.validate_hom(P, P, [0, 2, 1, 3])
     ring = cons.truncated_skew_poly(P, swap, 3)
-    assert ring.order == 64 and not ring.is_commutative
+    assert ring.order == 64 and not core._is_symmetric(ring.mul)
     assert class_verdict(ring, "2-delta-u") == class_verdict(P, "2-delta-u")
 
 

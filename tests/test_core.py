@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -682,6 +684,33 @@ def test_semantic_tags_revalidated(zmod):
     not_ideal = oracles.mask_of(Z12, [0, 5])
     assert not core.is_ideal(Z12, not_ideal)
     assert core.is_ideal(Z12, core.ideal_generated(Z12, [6]))
+
+
+@pytest.mark.parametrize("edits, kind", [
+    ([("add", 1, 2, 4)], "add-commutativity"),
+    ([("add", 1, 4, 1), ("add", 4, 1, 1)], "add-inverse"),
+    ([("add", 1, 1, 0)], "add-associativity"),
+    ([("mul", 2, 3, 0)], "left-distributivity"),
+])
+def test_a_rejection_leaves_no_reference_cycle(edits, kind):
+    # dropping the caught error frees the rejected tables at once: an error
+    # raised from a local of the frame that raises it would tie the
+    # traceback's frames, and the tables they hold, into a cycle that only
+    # the cyclic collector frees, so a stream of rejected dumps piles up
+    add, mul = (np.array(t, dtype=np.int32) for t in zmod_tables(5))
+    for name, i, j, value in edits:
+        (add if name == "add" else mul)[i, j] = value
+    freed = weakref.ref(add)
+    gc.disable()
+    try:
+        try:
+            core._validated_ring(add, mul, 0, 1, "R", None)
+        except AxiomViolation as exc:
+            got = exc.kind
+        del add, mul
+        assert got == kind and freed() is None
+    finally:
+        gc.enable()
 
 
 def test_additive_generators_match_whole_span_closure_on_catalog():

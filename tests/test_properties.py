@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltaring import constructions as cons
 from deltaring import core, dsl, subsets
 from deltaring.errors import AxiomViolation, MalformedRing, RingError
 
@@ -158,6 +159,136 @@ def test_left_side_validation_names_the_two_sided_violation(case):
             got = _validation_outcome(add, mul, R.zero, R.one)
             mp.setattr(core, "_generator_triple_checks", oracles.two_sided_generator_checks)
             assert got == _validation_outcome(add, mul, R.zero, R.one), (R.label, cells)
+
+
+# coordinate rings of the structure-table draws: T(2,Z2) has non-central
+# elements, so a scaled term s(xy) can break associativity
+STRUCTURE_RINGS = ("Z2", "Z3", "Z4", "GF(4)", "T(2,Z2)")
+
+
+def _random_table(draw, shape, values: int, zero_edges: bool) -> np.ndarray:
+    """A random table, rarely biadditive; with `zero_edges` its row and
+    column at 0 are 0, so it adds nothing to a product with 0."""
+    table = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(0, values, shape)
+    if zero_edges:
+        table[0] = table[:, 0] = 0
+    return table
+
+
+def _cross_table(draw, rings, c, l, r, unit: bool) -> np.ndarray:
+    """A table from coordinates l x r into c: s(xy) when the three share one
+    ring, (x*y*k) mod m_c across Z_m coordinates (additive on a side only
+    when m_c divides k times its modulus), else random with a zero row and
+    column.  With `unit`, s = k = 1 and the random table's row at 1 is the
+    identity map."""
+    R = rings[c]
+    if rings[l] is R and rings[r] is R:
+        s = R.one if unit else draw(st.integers(0, R.order - 1))
+        return R.mul[s][R.mul]
+    x, y = np.arange(rings[l].order)[:, None], np.arange(rings[r].order)[None, :]
+    if all(rings[i].label[0] == "Z" for i in (c, l, r)):
+        return (x * y * (1 if unit else draw(st.integers(1, R.order - 1)))) % R.order
+    table = _random_table(draw, (x.size, y.size), R.order, True)
+    if unit:
+        table[rings[l].one] = np.arange(R.order)
+    return table
+
+
+@st.composite
+def unital_algebras(draw):
+    """2-3 coordinates (order at most 64) whose last, e, carries the 1:
+    e·b_i = b_i·e = b_i by unit tables and each other product b_i b_j a sum
+    of cross tables, so the identity laws hold and the certificate's other
+    steps decide.  Scaled products over T(2,Z2) have non-central s; mixed
+    Z_m coordinates give products additive on one side only; an eighth of
+    the draws change one cell of a coordinate's addition."""
+    names = draw(st.lists(st.sampled_from(STRUCTURE_RINGS), min_size=2, max_size=3)
+                 .filter(lambda ns: np.prod([dsl.build_str(n).order for n in ns]) <= 64))
+    rings = [dsl.build_str(n) for n in names]
+    e = len(rings) - 1
+    terms = [(e, e, e, rings[e].mul)]
+    for i in range(e):
+        unit = _cross_table(draw, rings, i, e, i, True)
+        terms += [(i, e, i, unit), (i, i, e, np.ascontiguousarray(unit.T))]
+        for j in range(e):
+            for c in draw(st.lists(st.integers(0, e), max_size=2)):
+                terms.append((c, i, j, _cross_table(draw, rings, c, i, j, False)))
+    adds = [R.add for R in rings]
+    if draw(st.integers(0, 7)) == 0:
+        c = draw(st.integers(0, e))
+        adds[c] = add = np.array(adds[c])
+        a, b = draw(st.integers(1, len(add) - 1)), draw(st.integers(1, len(add) - 1))
+        add[a, b] = add[b, a] = add[a, a]
+    return ([R.order for R in rings], adds, [R.zero for R in rings],
+            [R.zero for R in rings[:e]] + [rings[e].one], terms)
+
+
+@st.composite
+def arbitrary_structures(draw):
+    """1-3 coordinates (order at most 64), each with 1-3 terms: a scaled
+    product s(xy) of the coordinate's ring, a product (x*y*k) mod m_c across
+    Z_m coordinates (as in `_cross_table`), or a random table; sometimes one
+    coordinate's addition has a changed cell, and the 1 has 1, 0 or any
+    element per coordinate."""
+    names = draw(st.lists(st.sampled_from(STRUCTURE_RINGS), min_size=1, max_size=3)
+                 .filter(lambda ns: np.prod([dsl.build_str(n).order for n in ns]) <= 64))
+    rings = [dsl.build_str(n) for n in names]
+    sizes = [R.order for R in rings]
+    adds = [R.add for R in rings]
+    if draw(st.integers(0, 7)) == 0:
+        c = draw(st.integers(0, len(rings) - 1))
+        adds[c] = add = np.array(adds[c])
+        a, b = draw(st.integers(1, sizes[c] - 1)), draw(st.integers(1, sizes[c] - 1))
+        add[a, b] = add[b, a] = add[a, a]
+    terms = []
+    for c, R in enumerate(rings):
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["scaled", "modular", "random"]))
+            if kind == "scaled":
+                same = [i for i, ring in enumerate(rings) if ring is R]
+                l, r = draw(st.sampled_from(same)), draw(st.sampled_from(same))
+                s = draw(st.one_of(st.just(R.one), st.integers(0, R.order - 1)))
+                terms.append((c, l, r, R.mul[s][R.mul]))
+                continue
+            l, r = draw(st.integers(0, len(rings) - 1)), draw(st.integers(0, len(rings) - 1))
+            if kind == "modular" and all(rings[i].label[0] == "Z" for i in (c, l, r)):
+                k = draw(st.integers(1, sizes[c] - 1))
+                x, y = np.arange(sizes[l])[:, None], np.arange(sizes[r])[None, :]
+                terms.append((c, l, r, (x * y * k) % sizes[c]))
+            else:
+                terms.append((c, l, r, _random_table(draw, (sizes[l], sizes[r]), sizes[c], False)))
+    one = [draw(st.one_of(st.just(R.one), st.just(R.zero), st.integers(0, R.order - 1)))
+           for R in rings]
+    return sizes, adds, [R.zero for R in rings], one, terms
+
+
+def _ring_outcome(make):
+    try:
+        ring = make()
+    except AxiomViolation as exc:
+        return exc.kind, tuple(exc.witness)
+    return "ring", ring.add.tobytes(), ring.mul.tobytes()
+
+
+@given(st.one_of(unital_algebras(), arbitrary_structures()))
+@settings(max_examples=300, deadline=None)
+def test_structure_certificate_accepts_what_validation_accepts(case):
+    # the certified path of the tables `_tuple_ring` fills gives the ring, or
+    # the (kind, witness), that the full procedure gives on the same tables;
+    # the generators it fills from are the greedy ones of the whole table
+    sizes, adds, zeros, one, terms = case
+    real, seen = core._validated_ring, []
+
+    def compare(add, mul, zero, one, label, names, gens, structure):
+        assert gens == core.additive_generators(add, zero)
+        seen.append(_ring_outcome(lambda: real(add.copy(), mul.copy(), zero, one, label, names)))
+        return real(add, mul, zero, one, label, names, gens, structure)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_validated_ring", compare)
+        got = _ring_outcome(lambda: cons._tuple_ring("S", sizes, adds, zeros, one, terms,
+                                                     lambda: None, order_guard=None))
+    assert seen == [got]
 
 
 _WRONG_TYPES = st.sampled_from(
