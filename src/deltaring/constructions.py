@@ -269,11 +269,9 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
     The product is evaluated (`_term_products`) only on the zero row and
     the r additive generator rows, and every other row follows from right
     distributivity, row(x + g) = row(x) + row(g), breadth first over the
-    span of the generators.  When every coordinate addition is an abelian
-    group the generators are each coordinate's, last coordinate first,
-    which is the greedy `core.additive_generators` of the whole table; the
-    tables are then certified from the terms, and otherwise validated in
-    full, so terms that break an additive relation are rejected, never used.
+    span of the generators.  The tables are then certified from the terms,
+    or validated in full where the certificate fails, so terms that break
+    an additive relation are rejected, never used.
 
     The order is held to the guard before `terms` (which may be lazy) is
     read or anything is allocated; `names()` gives the element names and is
@@ -295,11 +293,7 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
         return int(sum(strides[c] * tup[c] for c in range(len(sizes))))
 
     zero, one = encode(zero_tuple), encode(one_tuple)
-    coord_gens = core._coordinate_generators(add_tables, zero_tuple)
-    if coord_gens is None:
-        gens = core.additive_generators(add, zero)
-    else:
-        gens = [strides[c] * g for c in reversed(range(len(sizes))) for g in coord_gens[c]]
+    gens = core.additive_generators(add, zero)
 
     # left coefficients come as columns, right ones as rows, so one call
     # gives the rows of the zero and of every generator
@@ -325,7 +319,7 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
             reached.append(dst)
         frontier = np.concatenate(reached)
     return core._validated_ring(add, mul, zero, one, label, names(), gens,
-                                (add_tables, zero_tuple, coord_gens, terms))
+                                (add_tables, zero_tuple, terms))
 
 
 def _term_products(add_tables: list[np.ndarray], terms, left, right) -> list[np.ndarray]:

@@ -48,12 +48,12 @@ distinct coordinate addition is an abelian group on its own small domain
 distinct term table is additive in each argument, checked on the
 generators of its own coordinate groups, |A_l|·|A_r| cells per generator;
 (3) both identity laws, 2n cells; (4) associativity on the r^3 triples of
-the ring's additive generators, the coordinate images of each coordinate's
-generators; (5) `_certified_ring`.  By (1) the addition is a direct
-product of abelian groups and by (2) the product of the terms is
-biadditive, so the rows filled from the generator rows by additivity are
-that product; the associator is then additive in each slot, and (4) gives
-associativity everywhere, as in Light's argument.  When any step fails,
+the additive generators that the tables were filled from; (5)
+`_certified_ring`.  By (1) the addition is a direct product of abelian
+groups and by (2) the product of the terms is biadditive, so the rows
+filled from the generator rows by additivity are that product; the
+associator is then additive in each slot, and (4) gives associativity
+everywhere, as in Light's argument.  When any step fails,
 `_validated_ring` runs the full procedure on the same tables, so a
 rejection names the same violation and witness as it would without the
 certificate.
@@ -443,12 +443,11 @@ def _additive_rows(table: np.ndarray, add: np.ndarray, zero: int, gens: list[int
 
 
 def _structure_certified(mul: np.ndarray, one: int, gens: list[int], structure) -> bool:
-    """Whether the term structure proves the ring laws of the tables that
-    `constructions._tuple_ring` filled from it: steps (2)-(4) of the module
-    docstring.  `structure` is (add_tables, zeros, coordinate generators,
-    terms), the generators being `_coordinate_generators(add_tables,
-    zeros)`, which is None when step (1) failed; `gens` are their images."""
-    add_tables, zeros, coord_gens, terms = structure
+    """Whether the term structure (add_tables, zeros, terms) proves the ring
+    laws of the tables that `constructions._tuple_ring` filled from it on
+    the additive generators `gens`: steps (1)-(4) of the module docstring."""
+    add_tables, zeros, terms = structure
+    coord_gens = _coordinate_generators(add_tables, zeros)
     if coord_gens is None:
         return False
     seen = set()

@@ -254,25 +254,17 @@ def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
     # a certificate that refused every ring would still pass every golden
     # through the full procedure, so the refusals are counted on a cold
     # build of the 182 catalog rings and the 31 rings of the benchmark's
-    # inspect pool; the generators `_tuple_ring` fills from are the greedy
-    # ones of the whole table
+    # inspect pool
     spec = importlib.util.spec_from_file_location(
         "bench_pool", Path(__file__).parent.parent / "bench" / "pool.py")
     pool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pool)
-    validated, certified = core._validated_ring, core._structure_certified
-    verdicts = []
-
-    def checked(add, mul, zero, one, label, names, gens=None, structure=None):
-        if structure is not None:
-            assert gens == core.additive_generators(add, zero), label
-        return validated(add, mul, zero, one, label, names, gens, structure)
+    certified, verdicts = core._structure_certified, []
 
     def counted(*args):
         verdicts.append(certified(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(core, "_validated_ring", checked)
     monkeypatch.setattr(core, "_structure_certified", counted)
     dsl.clear_build_cache()
     for _, expr in dsl.catalog():
@@ -280,6 +272,23 @@ def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
     for expr, _ in pool.INSPECT_POOL:
         dsl.build_str(expr)
     assert len(verdicts) >= len(pool.INSPECT_POOL) and verdicts.count(False) == 0
+
+
+@pytest.mark.parametrize("m, shift", [(2, 1), (4, 1), (4, 3)])
+def test_constructions_over_a_ring_whose_zero_is_not_index_0(zmod, m, shift):
+    # R is Z_m storing x at index x + shift; the direct product R x R and
+    # the trivial extension of R are Z_m's under the same relabelling of
+    # each coordinate, (a, b) being at index m*a + b in both
+    at = np.roll(np.arange(m), shift)           # the element stored at each index
+    index = np.argsort(at)
+    Z = zmod(m)
+    R = core.validate_ring(index[Z.add[at][:, at]], index[Z.mul[at][:, at]],
+                           int(index[0]), int(index[1]), label="R")
+    relabel = (m * index[:, None] + index[None, :]).ravel()
+    for plain, shifted in [(cons.direct_product([Z, Z]), cons.direct_product([R, R])),
+                           (cons.trivial_extension(Z), cons.trivial_extension(R))]:
+        hom = core.validate_hom(plain, shifted, relabel)
+        assert hom.is_injective and hom.is_surjective, shifted.label
 
 
 def test_truncated_skew_examples(zmod):
