@@ -13,12 +13,12 @@ addition of coordinate c, of table[a_l, b_r] over the construction's terms
 (c, l, r, table).  Each table is a ring product, a bimodule action, or a
 ring product twisted by a central scalar or an endomorphism, so each is
 additive in each argument.  `_over` makes the ring of a term list on R^k,
-and one builder, `_tuple_ring`, makes every ring: it evaluates the product
-(`_term_products`) only on the zero row and the rows of the additive
-generators, fills every other row of the product table from right
-distributivity with batched table lookups, and hands the tables with their
-terms to `core._validated_ring`, which certifies them from the terms (see
-`core`).
+and one builder, `_tuple_ring`, makes every ring: in one walk it finds the
+additive generators, evaluates the product (`_term_products`) only on the
+zero row and their rows, and fills every other row from right
+distributivity; `core._validated_ring` then certifies the tables from the
+terms (see `core`).  A ring is named by its default form, e.g. `FT(R,S,0)`,
+which `dsl.build` replaces by the canonical form.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ class Bimodule:
     left_act: np.ndarray
     right_act: np.ndarray
     zero: int
-    label: str = "M"
-    names: tuple[str, ...] = ()
+    label: str
+    names: tuple[str, ...]
 
     def __repr__(self) -> str:
         return f"Bimodule({self.label!r}, order={self.order})"
@@ -266,12 +266,15 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
     (c, l, r, table): coordinate c of ab is the sum, under `add_tables[c]`,
     of `table[a_l, b_r]`; each coordinate needs at least one term.
 
-    The product is evaluated (`_term_products`) only on the zero row and
-    the r additive generator rows, and every other row follows from right
-    distributivity, row(x + g) = row(x) + row(g), breadth first over the
-    span of the generators.  The tables are then certified from the terms,
-    or validated in full where the certificate fails, so terms that break
-    an additive relation are rejected, never used.
+    The zero's row is evaluated from the terms; then, while some element
+    is unreached, the least one becomes the next generator g, its row is
+    evaluated, and the rows of the cosets H + g, H + 2g, ... of the span H
+    reached so far follow from row(x + g) = row(x) + row(g).  For a group
+    addition the span of H and g is the union of those cosets, so these are
+    the greedy generators of `core.additive_generators`; whatever the
+    addition, every row is written.  The tables are then certified from the
+    terms, or validated in full where the certificate fails, so terms that
+    break an additive relation are rejected, never used.
 
     The order is held to the guard before `terms` (which may be lazy) is
     read or anything is allocated; `names()` gives the element names and is
@@ -293,33 +296,32 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
         return int(sum(strides[c] * tup[c] for c in range(len(sizes))))
 
     zero, one = encode(zero_tuple), encode(one_tuple)
-    gens = core.additive_generators(add, zero)
 
-    # left coefficients come as columns, right ones as rows, so one call
-    # gives the rows of the zero and of every generator
+    def evaluate(x):
+        # left coefficients as a column, right ones as a row: x's product row
+        out = _term_products(add_tables, terms, [col[x:x + 1, None] for col in cols],
+                             [col[None, :] for col in cols])
+        mul[x] = sum(strides[c] * oc for c, oc in enumerate(out))
+
     mul = np.empty((n, n), dtype=np.int32)
-    seeds = np.array([zero] + gens)
-    out_cols = _term_products(add_tables, terms, [col[seeds, None] for col in cols],
-                              [col[None, :] for col in cols])
-    rows = np.zeros((len(seeds), n), dtype=np.int32)
-    for c, oc in enumerate(out_cols):
-        rows += strides[c] * oc
-    mul[seeds] = rows
-    known = np.zeros(n, dtype=bool)
-    known[seeds] = True
-    frontier = np.array(gens)
-    while frontier.size:
-        reached = []
-        for g in gens:
-            targets = add[frontier, g]
-            fresh = ~known[targets]
-            src, dst = frontier[fresh], targets[fresh]
-            known[dst] = True
-            mul[dst] = core._lookup(add, mul[src], mul[g])
-            reached.append(dst)
-        frontier = np.concatenate(reached)
-    return core._validated_ring(add, mul, zero, one, label, names(), gens,
-                                (add_tables, zero_tuple, terms))
+    evaluate(zero)
+    known, gens = core._marked([zero], n), []
+    while not known.all():
+        g = int(np.argmin(known))           # the least element not reached yet
+        src = np.flatnonzero(known)         # the span H reached before g
+        gens.append(g)
+        evaluate(g)
+        known[g] = True
+        dst = add[src, g]
+        while True:                         # the cosets H + g, H + 2g, ...
+            fresh = ~known[dst]
+            known[dst[fresh]] = True
+            mul[dst[fresh]] = core._lookup(add, mul[src[fresh]], mul[g])
+            src, dst = dst, add[dst, g]
+            if known[dst].all():
+                break
+    return core._validated_ring(add, mul, zero, one, label, names(),
+                                (add_tables, zero_tuple, terms, gens))
 
 
 def _term_products(add_tables: list[np.ndarray], terms, left, right) -> list[np.ndarray]:
@@ -385,8 +387,7 @@ def _poly_names(base_names: tuple[str, ...], sizes: list[int], var_names: list[s
 # constructions
 
 
-def direct_product(factors: list[FiniteRing], *, order_guard: int | None = None,
-                   label: str | None = None) -> FiniteRing:
+def direct_product(factors: list[FiniteRing], *, order_guard: int | None = None) -> FiniteRing:
     """Componentwise product; a single factor is returned unchanged."""
     if not factors:
         raise ValueError("need at least one factor")
@@ -394,22 +395,21 @@ def direct_product(factors: list[FiniteRing], *, order_guard: int | None = None,
         return factors[0]
     sizes = [f.order for f in factors]
     terms = [(c, c, c, f.mul) for c, f in enumerate(factors)]
-    return _tuple_ring(label or "Prod(" + ",".join(f.label for f in factors) + ")",
+    return _tuple_ring("Prod(" + ",".join(f.label for f in factors) + ")",
                        sizes, [f.add for f in factors], tuple(f.zero for f in factors),
                        tuple(f.one for f in factors), terms,
                        lambda: _tuple_names([f.names for f in factors], sizes),
                        order_guard=order_guard)
 
 
-def matrix_ring(R: FiniteRing, n: int, *, order_guard: int | None = None,
-                label: str | None = None) -> FiniteRing:
+def matrix_ring(R: FiniteRing, n: int, *, order_guard: int | None = None) -> FiniteRing:
     """Full n-by-n matrices over R, entries row-major, first entry most
     significant in the element encoding."""
     def name(tup):
         rows = ["[" + ",".join(R.names[tup[i * n + j]] for j in range(n)) + "]" for i in range(n)]
         return "[" + ",".join(rows) + "]"
 
-    return _scaled_matrix(R, n, R.one, label or f"M({n},{R.label})", name, order_guard)
+    return _scaled_matrix(R, n, R.one, f"M({n},{R.label})", name, order_guard)
 
 
 def matrix_index(R: FiniteRing, n: int, entries) -> int:
@@ -423,8 +423,7 @@ def matrix_index(R: FiniteRing, n: int, entries) -> int:
     return idx
 
 
-def upper_triangular(R: FiniteRing, n: int, *, order_guard: int | None = None,
-                     label: str | None = None) -> FiniteRing:
+def upper_triangular(R: FiniteRing, n: int, *, order_guard: int | None = None) -> FiniteRing:
     """Upper triangular n-by-n matrices over R, coordinates (i,j) with i<=j
     in row-major order."""
     if n < 1:
@@ -446,7 +445,7 @@ def upper_triangular(R: FiniteRing, n: int, *, order_guard: int | None = None,
 
     terms = ((pos(i, j), pos(i, t), pos(t, j), R.mul)
              for i in range(n) for j in range(i, n) for t in range(i, j + 1))
-    return _over(R, k, label or f"T({n},{R.label})", terms, (pos(i, i) for i in range(n)),
+    return _over(R, k, f"T({n},{R.label})", terms, (pos(i, i) for i in range(n)),
                  lambda: _element_names([R.order] * k, name), order_guard)
 
 
@@ -455,8 +454,7 @@ def identity_endomorphism(R: FiniteRing) -> RingHom:
 
 
 def truncated_skew_poly(R: FiniteRing, alpha: RingHom | None, n: int, *,
-                        order_guard: int | None = None, label: str | None = None,
-                        endo_label: str = "id") -> FiniteRing:
+                        order_guard: int | None = None, endo_label: str = "id") -> FiniteRing:
     """Polynomials a_0 + a_1 x + ... + a_{n-1} x^{n-1} with x*r = alpha(r)*x
     and x^n = 0."""
     if n < 2:
@@ -480,7 +478,7 @@ def truncated_skew_poly(R: FiniteRing, alpha: RingHom | None, n: int, *,
         var_names = [""] + ["x" if c == 1 else f"x^{c}" for c in range(1, n)]
         return _poly_names(R.names, [R.order] * n, var_names)
 
-    return _over(R, n, label or f"TruncSkew({R.label},{endo_label},{n})", terms(), [0],
+    return _over(R, n, f"TruncSkew({R.label},{endo_label},{n})", terms(), [0],
                  names, order_guard)
 
 
@@ -493,7 +491,7 @@ def _require_rr_bimodule(R: FiniteRing, M: Bimodule | None) -> Bimodule:
 
 
 def trivial_extension(R: FiniteRing, M: Bimodule | None = None, *,
-                      order_guard: int | None = None, label: str | None = None) -> FiniteRing:
+                      order_guard: int | None = None) -> FiniteRing:
     """Pairs (r, m) with (r,m)(s,n) = (rs, rn + ms).  M defaults to R.
 
     Postcondition (verified): the units are exactly the pairs with a unit
@@ -502,7 +500,7 @@ def trivial_extension(R: FiniteRing, M: Bimodule | None = None, *,
     M = _require_rr_bimodule(R, M)
     sizes = [R.order, M.order]
     terms = [(0, 0, 0, R.mul), (1, 0, 1, M.left_act), (1, 1, 0, M.right_act)]
-    out = _tuple_ring(label or f"Triv({R.label},{M.label})", sizes, [R.add, M.add],
+    out = _tuple_ring(f"Triv({R.label},{M.label})", sizes, [R.add, M.add],
                       (R.zero, M.zero), (R.one, M.zero), terms,
                       lambda: _tuple_names([R.names, M.names], sizes), order_guard=order_guard)
     n = out.order
@@ -515,8 +513,7 @@ def trivial_extension(R: FiniteRing, M: Bimodule | None = None, *,
 
 
 def dt_extension(R: FiniteRing, M: Bimodule | None = None, *,
-                 order_guard: int | None = None, label: str | None = None,
-                 inner: FiniteRing | None = None) -> FiniteRing:
+                 order_guard: int | None = None, inner: FiniteRing | None = None) -> FiniteRing:
     """The doubled trivial extension: Triv(R,M) extended by itself, whose
     elements ((a,m),(b,n)) are shown as quadruples (a, m, b, n).
 
@@ -530,12 +527,12 @@ def dt_extension(R: FiniteRing, M: Bimodule | None = None, *,
     nested = trivial_extension(inner, None, order_guard=order_guard)
     names = _tuple_names([R.names, M.names, R.names, M.names],
                          [R.order, M.order, R.order, M.order])
-    return core._certified_ring(label or f"DT({R.label},{M.label})", nested.add, nested.mul,
+    return core._certified_ring(f"DT({R.label},{M.label})", nested.add, nested.mul,
                                 nested.zero, nested.one, names)
 
 
 def formal_triangular(R: FiniteRing, S: FiniteRing, M: Bimodule | None = None, *,
-                      order_guard: int | None = None, label: str | None = None) -> FiniteRing:
+                      order_guard: int | None = None) -> FiniteRing:
     """Triples (r, m, s) with (r1,m1,s1)(r2,m2,s2) = (r1r2, r1m2 + m1s2, s1s2).
 
     M must be an (R,S)-bimodule; None means the zero bimodule.
@@ -546,14 +543,13 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, M: Bimodule | None = None, *
         raise InvalidBimodule("module must be an (R,S)-bimodule")
     sizes = [R.order, M.order, S.order]
     terms = [(0, 0, 0, R.mul), (1, 0, 1, M.left_act), (1, 1, 2, M.right_act), (2, 2, 2, S.mul)]
-    return _tuple_ring(label or f"FT({R.label},{S.label},{M.label})", sizes,
+    return _tuple_ring(f"FT({R.label},{S.label},{M.label})", sizes,
                        [R.add, M.add, S.add], (R.zero, M.zero, S.zero), (R.one, M.zero, S.one),
                        terms, lambda: _tuple_names([R.names, M.names, S.names], sizes),
                        order_guard=order_guard)
 
 
-def generalized_matrix(R: FiniteRing, s: int, *, order_guard: int | None = None,
-                       label: str | None = None) -> FiniteRing:
+def generalized_matrix(R: FiniteRing, s: int, *, order_guard: int | None = None) -> FiniteRing:
     """K_s(R): quadruples (a, x, y, b) with both cross products scaled by the
     central element s."""
     s = int(s)
@@ -564,7 +560,7 @@ def generalized_matrix(R: FiniteRing, s: int, *, order_guard: int | None = None,
     scaled = R.mul[s][R.mul]                            # (x, y) -> s(xy)
     terms = [(0, 0, 0, R.mul), (0, 1, 2, scaled), (1, 0, 1, R.mul), (1, 1, 3, R.mul),
              (2, 2, 0, R.mul), (2, 3, 2, R.mul), (3, 2, 1, scaled), (3, 3, 3, R.mul)]
-    return _over(R, 4, label or f"K({R.label},s={R.names[s]})", terms, (0, 3),
+    return _over(R, 4, f"K({R.label},s={R.names[s]})", terms, (0, 3),
                  lambda: _tuple_names([R.names] * 4, [R.order] * 4), order_guard)
 
 
@@ -573,14 +569,13 @@ def scale_exponent(i: int, k: int, j: int) -> int:
     return 1 + (i == j) - (i == k) - (k == j)
 
 
-def formal_matrix(R: FiniteRing, n: int, s: int, *, order_guard: int | None = None,
-                  label: str | None = None) -> FiniteRing:
+def formal_matrix(R: FiniteRing, n: int, s: int, *, order_guard: int | None = None) -> FiniteRing:
     """n-by-n matrices over R with the product twisted by powers of a central
     element s: the (i,k)x(k,j) term is scaled by s**scale_exponent(i,k,j)."""
     s = int(s)
     if not core.center(R)[s]:
         raise NotCentral(f"element {s} is not central in {R.label}")
-    return _scaled_matrix(R, n, s, label or f"FM({n},{R.label},s={R.names[s]})",
+    return _scaled_matrix(R, n, s, f"FM({n},{R.label},s={R.names[s]})",
                           lambda tup: "(" + ",".join(R.names[v] for v in tup) + ")",
                           order_guard)
 
@@ -605,14 +600,13 @@ def _scaled_matrix(R: FiniteRing, n: int, s: int, label: str, name,
                  lambda: _element_names([R.order] * k2, name), order_guard)
 
 
-def group_ring(R: FiniteRing, G: FiniteGroup, *, order_guard: int | None = None,
-               label: str | None = None) -> FiniteRing:
+def group_ring(R: FiniteRing, G: FiniteGroup, *, order_guard: int | None = None) -> FiniteRing:
     """R-linear combinations of group elements under convolution."""
     # the coefficient of h in ab sums a_g b_(g^-1 h) over g
     terms = ((h, g, int(G.table[G.inv[g], h]), R.mul)
              for h in range(G.order) for g in range(G.order))
     var_names = ["" if g == G.identity else G.names[g] for g in range(G.order)]
-    out = _over(R, G.order, label or f"GR({R.label},{G.label})", terms, [G.identity],
+    out = _over(R, G.order, f"GR({R.label},{G.label})", terms, [G.identity],
                 lambda: _poly_names(R.names, [R.order] * G.order, var_names), order_guard)
     out._cache["group_ring"] = (R, G)
     return out

@@ -40,23 +40,24 @@ copies and range-checks the caller's tables and hands them to
 A ring built from structure tables is certified from them instead.
 `constructions._tuple_ring` fills the tables of a ring on coordinate
 tuples from its terms (c, l, r, table): coordinate c of ab is the sum,
-under coordinate c's addition, of table[a_l, b_r].  It hands
-`_validated_ring` the term structure with the tables, and
+under coordinate c's addition, of table[a_l, b_r].  It evaluates the terms
+only on the rows of the zero and of the greedy additive generators, which
+it finds in the same walk, fills the other rows by additivity, and hands
+`_validated_ring` the term structure and the generators with the tables;
 `_structure_certified` proves the ring laws in five steps: (1) each
 distinct coordinate addition is an abelian group on its own small domain
 (`_coordinate_generators`: the group laws and Light's test); (2) each
 distinct term table is additive in each argument, checked on the
 generators of its own coordinate groups, |A_l|·|A_r| cells per generator;
 (3) both identity laws, 2n cells; (4) associativity on the r^3 triples of
-the additive generators that the tables were filled from; (5)
+those generators, `additive_generators(add, zero)` for the group (1) proves; (5)
 `_certified_ring`.  By (1) the addition is a direct product of abelian
 groups and by (2) the product of the terms is biadditive, so the rows
 filled from the generator rows by additivity are that product; the
 associator is then additive in each slot, and (4) gives associativity
 everywhere, as in Light's argument.  When any step fails,
 `_validated_ring` runs the full procedure on the same tables, so a
-rejection names the same violation and witness as it would without the
-certificate.
+rejection names the same violation and witness as `validate_ring` does.
 
 Derived rings are certified, not re-validated.  `quotient_ring` checks the
 ideal with `is_ideal`, then certifies the projection on the coset
@@ -442,11 +443,11 @@ def _additive_rows(table: np.ndarray, add: np.ndarray, zero: int, gens: list[int
         np.array_equal(table[add[g]], _lookup(out, table, table[g])) for g in gens)
 
 
-def _structure_certified(mul: np.ndarray, one: int, gens: list[int], structure) -> bool:
-    """Whether the term structure (add_tables, zeros, terms) proves the ring
-    laws of the tables that `constructions._tuple_ring` filled from it on
+def _structure_certified(mul: np.ndarray, one: int, structure) -> bool:
+    """Whether the term structure (add_tables, zeros, terms, gens) proves
+    the ring laws of the tables `constructions._tuple_ring` filled from it on
     the additive generators `gens`: steps (1)-(4) of the module docstring."""
-    add_tables, zeros, terms = structure
+    add_tables, zeros, terms, gens = structure
     coord_gens = _coordinate_generators(add_tables, zeros)
     if coord_gens is None:
         return False
@@ -489,18 +490,17 @@ def validate_ring(add, mul, zero: int, one: int, label: str = "R",
 
 
 def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label: str,
-                    names, gens: list[int] | None = None, structure=None) -> FiniteRing:
+                    names, structure=None) -> FiniteRing:
     """`validate_ring`'s axiom checks on well-formed tables, which the ring
     then freezes in place: C-contiguous int32 tables of one order that no
-    caller holds, with `zero` and `one` in range.  `gens` is
-    `additive_generators(add, zero)` when the caller already has it.  A
-    `structure` that the tables were filled from (`_structure_certified`)
-    replaces the full procedure when it certifies them."""
+    caller holds, with `zero` and `one` in range.  A `structure` that the
+    tables were filled from (`_structure_certified`) replaces the full
+    procedure when it certifies them."""
     n = add.shape[0]
     if n < 2 or zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
                              "rings here have 0 != 1, so the order is at least 2")
-    if structure is None or not _structure_certified(mul, one, gens, structure):
+    if structure is None or not _structure_certified(mul, one, structure):
         _check_abelian(add, zero)
         arange = np.arange(n, dtype=np.int32)
         if not np.array_equal(mul[one], arange):
@@ -509,7 +509,7 @@ def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label
         if not np.array_equal(mul[:, one], arange):
             c = int(np.flatnonzero(mul[:, one] != arange)[0])
             raise AxiomViolation("mul-identity", (c, one))
-        _generator_triple_checks(add, mul, additive_generators(add, zero) if gens is None else gens)
+        _generator_triple_checks(add, mul, additive_generators(add, zero))
     return _certified_ring(label, add, mul, zero, one, names)
 
 
@@ -536,7 +536,7 @@ def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one
 
 def _relabel(ring: FiniteRing, label: str) -> FiniteRing:
     """The same certified tables under another label (a fresh memo)."""
-    return _certified_ring(label, ring.add, ring.mul, ring.zero, ring.one, ring.names)
+    return _certified_ring(label, ring.add, ring.mul, ring.zero, ring.one, ring.names, ring.neg)
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,9 @@ def _constructor(ctor: str, node: str, args: list[_Arg], copies, make) -> type[R
     """Register the constructor written `ctor` and return its node class.
 
     `copies(e)` gives, for each ring argument of `e` in order, how many
-    copies of it the order of `e` multiplies.  `make(e, *rings, order_guard=,
-    label=)` builds `e` from its built ring arguments; it reaches the
-    constructions through module attributes at call time."""
+    copies of it the order of `e` multiplies.  `make(e, *rings, order_guard=)`
+    builds `e` from its built ring arguments (under the construction's own
+    label); it reaches the constructions through module attributes at call time."""
     # a comma follows each argument that another one follows, except where
     # the next argument is optional and reads its own comma
     commas = tuple(after.kind not in ("indices", "repeat") for after in args[1:]) + (False,)
@@ -479,14 +479,14 @@ def _require_field(q: int) -> None:
         raise UnsupportedField(f"GF({q}) is not built in; supported: {SUPPORTED_FIELDS}")
 
 
-def galois_field(q: int, *, label: str | None = None) -> FiniteRing:
+def galois_field(q: int) -> FiniteRing:
     """GF(q) for q in SUPPORTED_FIELDS, via fixed irreducible polynomials:
     for q = p^k with k > 1, the ring on coefficient tuples over Z_p whose
     product reduces x^(a+b) modulo the polynomial."""
     _require_field(q)
     if q in _GF_PRIMES:
         add, mul = _zmod_tables(q)
-        return validate_ring(add, mul, 0, 1, label=label or f"GF({q})")
+        return validate_ring(add, mul, 0, 1, label=f"GF({q})")
     p, k, tail = _GF_POLYS[q]
     add, mul = _zmod_tables(p)
     # x^e modulo x^k + tail for e <= 2k - 2, coefficients x^(k-1) first
@@ -500,7 +500,7 @@ def galois_field(q: int, *, label: str | None = None) -> FiniteRing:
     scaled = [mul[coef][mul] for coef in range(p)]
     terms = [(c, l, r, scaled[coef]) for l in range(k) for r in range(k)
              for c, coef in enumerate(rems[2 * k - 2 - l - r]) if coef]
-    return cons._tuple_ring(label or f"GF({q})", [p] * k, [add] * k, [0] * k,
+    return cons._tuple_ring(f"GF({q})", [p] * k, [add] * k, [0] * k,
                             [0] * (k - 1) + [1], terms,
                             lambda: cons._element_names([p] * k, _gf_name), order_guard=None)
 
@@ -552,7 +552,7 @@ def order_of(e: RingExpr, cap: int) -> int:
 def _build_uncached(e: RingExpr, canonical: str, guard: int | None) -> FiniteRing:
     if type(e) is Named:
         if e.kind == "GF":
-            return galois_field(e.param, label=canonical)
+            return galois_field(e.param)
         add, mul = _zmod_tables(e.param)
         return validate_ring(add, mul, 0, 1, label=canonical, order_guard=guard)
     rings = []
@@ -564,7 +564,7 @@ def _build_uncached(e: RingExpr, canonical: str, guard: int | None) -> FiniteRin
             for i in value if arg.kind == "indices" else (value,):
                 if not 0 <= i < rings[0].order:
                     raise BadArity(f"{arg.what} {i} out of range for {rings[0].label}")
-    return type(e)._make(e, *rings, order_guard=guard, label=canonical)
+    return type(e)._make(e, *rings, order_guard=guard)
 
 
 def build(e: RingExpr, *, order_guard: int | None = None) -> FiniteRing:
@@ -575,9 +575,9 @@ def build(e: RingExpr, *, order_guard: int | None = None) -> FiniteRing:
     the message shows the canonical form cut to `_MESSAGE_FORM` characters.
     The lock is held across an uncached build (it is re-entrant, since
     building recurses into sub-expressions), so concurrent callers build
-    each ring once.  A construction that returns a ring under another label
-    (a quotient, a corner, or the ring it was given) is relabelled to the
-    canonical form, without validating it again."""
+    each ring once.  A ring built under another label (a construction's
+    default form such as `FT(Z2,Z3,0)`, a quotient, a corner, or the ring
+    it was given) is relabelled to the canonical form, without validating it again."""
     guard = core._resolve_guard(order_guard)
     reach = order_of(e, guard)
     if reach > guard:

@@ -218,6 +218,19 @@ def test_verify_max_order_64_matches_golden(capsys, monkeypatch):
     assert code == 0 and out == golden
 
 
+def test_verify_max_order_that_keeps_the_catalog_reports_as_without_it(capsys, monkeypatch):
+    # the largest catalog order is 729; a guard at or above it drops no
+    # catalog ring, so no check may lose the instances it takes from outside
+    # the catalog (T3.26 read scope 0, T3.1 8 and T4.10 2 under the default guard)
+    monkeypatch.delenv("DELTA_RING_THREADS", raising=False)
+    monkeypatch.delenv("DELTA_RING_MAX_ORDER", raising=False)
+    code, plain, _ = run(capsys, "verify", "all", "--json")
+    assert code == 0
+    for guard in ("4096", "1024", "729"):
+        guarded = run(capsys, "verify", "all", "--json", "--max-order", guard)
+        assert guarded == (0, plain, ""), guard
+
+
 # the 31 rings of the benchmark's inspect pool (orders 256-2048, none in the
 # catalog), then the rings the product oracles of test_constructions check
 POOL_EXPRS = [

@@ -102,8 +102,8 @@ def test_order_guard_fires_before_per_coordinate_lists(zmod):
 @pytest.mark.parametrize("cells", [None, 64])
 def test_tuple_ring_fills_from_the_generator_rows(monkeypatch, zmod, cells):
     # every construction evaluates its product on the zero row and the r
-    # additive generator rows only, and the filled table is the one that
-    # evaluating it on every row gives
+    # additive generator rows only, one row at a time, and the filled table
+    # is the one that evaluating it on every row gives
     if cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
     real, products = cons._tuple_ring, cons._term_products
@@ -140,7 +140,7 @@ def test_tuple_ring_fills_from_the_generator_rows(monkeypatch, zmod, cells):
     cons.group_ring(Z3, groups["V4"])
     assert len(calls) == 11
     for label, rows, expected in calls:
-        assert rows == [expected], label
+        assert rows == [1] * expected, label
 
 
 @pytest.mark.parametrize("cells", [None, 64])
@@ -250,28 +250,71 @@ def test_structures_that_are_not_rings_are_refused(monkeypatch, case):
     assert certified == [False]
 
 
+@pytest.mark.parametrize("fill", [None, 0, 123456])
+def test_every_product_row_is_written_under_a_non_associative_addition(monkeypatch, zmod, fill):
+    # a Bimodule made directly skips validate_bimodule; this module addition
+    # is commutative, with identity 0 and inverses, but (1+1)+2 != 1+(1+2).
+    # The fill writes every row of the product, so the full procedure reads
+    # no uninitialised memory and names the same law whatever np.empty returns
+    if fill is not None:
+        empty = np.empty
+
+        def prefilled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(fill)
+            return out
+
+        monkeypatch.setattr(np, "empty", prefilled)
+    Z2 = zmod(2)
+    la = np.array([[0, 0, 0, 0], [0, 1, 2, 3]], dtype=np.int32)
+    add = np.array([[0, 1, 2, 3], [1, 2, 0, 3], [2, 0, 3, 1], [3, 3, 1, 0]], dtype=np.int32)
+    M = cons.Bimodule(Z2, Z2, 4, add, la, la.T.copy(), 0, "M", ("0", "1", "2", "3"))
+    with pytest.raises(AxiomViolation) as err:
+        cons.trivial_extension(Z2, M)
+    assert (err.value.kind, err.value.witness) == ("add-associativity", (1, 1, 2))
+
+
+def test_bimodule_has_no_default_label_or_names(zmod):
+    # with the names defaulted to (), every construction over the module
+    # failed with an IndexError when it named its elements
+    Z2 = zmod(2)
+    with pytest.raises(TypeError):
+        cons.Bimodule(Z2, Z2, 2, Z2.add, Z2.mul, Z2.mul, 0)
+    assert cons.trivial_extension(
+        Z2, cons.Bimodule(Z2, Z2, 2, Z2.add, Z2.mul, Z2.mul, 0, "M", ("0", "1"))).order == 4
+
+
 def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
     # a certificate that refused every ring would still pass every golden
     # through the full procedure, so the refusals are counted on a cold
     # build of the 182 catalog rings and the 31 rings of the benchmark's
-    # inspect pool
+    # inspect pool; the generators the fill found, which the certificate's
+    # associativity step uses, are the greedy ones of the whole table
     spec = importlib.util.spec_from_file_location(
         "bench_pool", Path(__file__).parent.parent / "bench" / "pool.py")
     pool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pool)
     certified, verdicts = core._structure_certified, []
+    validated, other_generators = core._validated_ring, []
 
     def counted(*args):
         verdicts.append(certified(*args))
         return verdicts[-1]
 
+    def compared(add, mul, zero, one, label, names, structure=None):
+        if structure is not None and structure[3] != core.additive_generators(add, zero):
+            other_generators.append(label)
+        return validated(add, mul, zero, one, label, names, structure)
+
     monkeypatch.setattr(core, "_structure_certified", counted)
+    monkeypatch.setattr(core, "_validated_ring", compared)
     dsl.clear_build_cache()
     for _, expr in dsl.catalog():
         dsl.build(expr)
     for expr, _ in pool.INSPECT_POOL:
         dsl.build_str(expr)
     assert len(verdicts) >= len(pool.INSPECT_POOL) and verdicts.count(False) == 0
+    assert other_generators == []
 
 
 @pytest.mark.parametrize("m, shift", [(2, 1), (4, 1), (4, 3)])

@@ -290,9 +290,9 @@ def test_structure_certificate_accepts_what_validation_accepts(case):
     sizes, adds, zeros, one, terms = case
     real, seen = core._validated_ring, []
 
-    def compare(add, mul, zero, one, label, names, gens, structure):
+    def compare(add, mul, zero, one, label, names, structure):
         seen.append(_ring_outcome(lambda: real(add.copy(), mul.copy(), zero, one, label, names)))
-        return real(add, mul, zero, one, label, names, gens, structure)
+        return real(add, mul, zero, one, label, names, structure)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_validated_ring", compare)
