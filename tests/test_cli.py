@@ -221,7 +221,7 @@ def test_verify_max_order_64_matches_golden(capsys, monkeypatch):
 def test_verify_max_order_that_keeps_the_catalog_reports_as_without_it(capsys, monkeypatch):
     # the largest catalog order is 729; a guard at or above it drops no
     # catalog ring, so no check may lose the instances it takes from outside
-    # the catalog (T3.26 read scope 0, T3.1 8 and T4.10 2 under the default guard)
+    # the catalog (T3.26, T3.1 and T4.10 take some)
     monkeypatch.delenv("DELTA_RING_THREADS", raising=False)
     monkeypatch.delenv("DELTA_RING_MAX_ORDER", raising=False)
     code, plain, _ = run(capsys, "verify", "all", "--json")
