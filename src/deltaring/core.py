@@ -77,6 +77,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +100,11 @@ def _resolve_guard(order_guard: int | None) -> int:
     return DEFAULT_ORDER_GUARD if order_guard is None else int(order_guard)
 
 
+def _hold_to_guard(n: int, guard: int) -> None:
+    if n > guard:
+        raise OrderGuardExceeded(f"order {n} exceeds the order guard {guard}")
+
+
 def _as_table(obj, name: str, guard: int) -> np.ndarray:
     """`obj` as a C-contiguous int32 table of element indices in 0..n-1 that
     shares no memory with `obj`.  The order is held to the guard before any
@@ -109,8 +116,7 @@ def _as_table(obj, name: str, guard: int) -> np.ndarray:
         raise MalformedRing(f"{name} table must be a list of equal-length rows") from None
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise MalformedRing(f"{name} table must be square, got shape {table.shape}")
-    if table.shape[0] > guard:
-        raise OrderGuardExceeded(f"order {table.shape[0]} exceeds the order guard {guard}")
+    _hold_to_guard(table.shape[0], guard)
     if table.dtype.kind not in "iu":
         raise MalformedRing(f"{name} table must hold integer element indices")
     if table.size and (table.min() < 0 or table.max() >= table.shape[0]):
@@ -787,16 +793,30 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
 # one row block at a time, and `ring_to_json` joins its chunks.
 # `ring_from_json` reads text in exactly that form (`_canonical_dump`)
 # without `json.loads`, and hands any other text to `json.loads`; both give
-# `ring_from_dict` the same keys and values, with the tables as int64 arrays
+# `ring_from_dict` the same keys and values, with the tables as int32 arrays
 # or as lists, so every outcome is the same.
+#
+# Canonical text is read in two steps.  The text checks (`_table_text`) run
+# on the calling thread and give each table's cells as one ","-joined byte
+# string and its shape.  An add table that is square and past the order
+# guard is then refused, as `ring_from_dict` refuses it, before any cell is
+# parsed, once the text is known to be JSON with `zero` and `one` keys.
+# Otherwise numpy parses the cells (`_parsed_tables`); when both tables are
+# larger than one block, a worker thread parses the mul table while the
+# calling thread parses the add table (`np.fromstring` releases the GIL).
+# The worker allocates only its parse result, and it is joined before the
+# call returns or raises, so no thread outlives a call and an error in the
+# worker reaches the caller.
 
 _DUMP_HEAD = '{"add":[['
 _LABEL_KEY = ']],"label":"'
 _MUL_KEY = ',"mul":[['
-# a canonical cell has at most 18 digits, so it is below 10^18 < 2^63 and
-# numpy's parse of it into int64 is exact; digits are counted up to 18
-_CELL_POWERS = tuple(10 ** k for k in range(1, 18))
+# a canonical cell has at most 9 digits, so it is below 10^9 < 2^31 and
+# numpy's parse of it into int32 is exact; digits are counted up to 9
+_CELL_POWERS = tuple(10 ** k for k in range(1, 9))
 _JSON_DECODER = json.JSONDecoder()
+# a token other than the first with a leading zero, which JSON refuses
+_LEADING_ZERO = re.compile(rb",0[0-9]")
 
 
 def _table_json(table: np.ndarray):
@@ -840,42 +860,95 @@ def ring_to_json(ring: FiniteRing) -> str:
     return "".join(ring_json_chunks(ring))
 
 
-def _canonical_table(body: str) -> np.ndarray | None:
-    """The int64 table `[[body]]` when `body` is rows of equal length joined
-    by "],[", each a ","-joined run of canonical JSON integers (digits, no
-    leading zero) of at most 18 digits; None for any other body.
-
-    After the charset and empty-token gates numpy parses every token.  The
-    parse is proved exact and every token canonical when the digit counts
-    of the values, each counted up to 18, add up to the digits in the text:
-    a token with a leading zero, or one of 19 digits or more (which numpy
-    saturates), has more digits than its value is counted with."""
-    if not body.isascii():
+def _table_text(text: str, lo: int, hi: int) -> tuple[bytes, tuple[int, int]] | None:
+    """The cells of the table `[[text[lo:hi]]]` as one ","-joined byte
+    string, and the table's shape, when `text[lo:hi]` is rows of equal
+    length joined by "],[", each a ","-joined run of nonempty digit tokens;
+    None for any other body.  Such a body is JSON unless a token has a
+    leading zero."""
+    try:
+        rows = text[lo:hi].encode("ascii").split(b"],[")
+    except UnicodeEncodeError:
         return None
-    rows = body.encode("ascii").split(b"],[")
-    commas = rows[0].count(b",")
-    if any(row.count(b",") != commas for row in rows):
+    shape = (len(rows), rows[0].count(b",") + 1)
+    if any(row.count(b",") != shape[1] - 1 for row in rows):
         return None
     flat = b",".join(rows)
+    del rows
     if not flat or flat.translate(None, b"0123456789,"):
         return None
     is_comma = np.frombuffer(flat, dtype=np.uint8) == ord(",")
-    if is_comma[0] or is_comma[-1] or (is_comma[1:] & is_comma[:-1]).any():
-        return None
-    values = np.fromstring(flat, dtype=np.int64, sep=",")
+    empty_token = is_comma[0] or is_comma[-1] or (is_comma[1:] & is_comma[:-1]).any()
+    del is_comma
+    return None if empty_token else (flat, shape)
+
+
+def _has_leading_zero(flat: bytes) -> bool:
+    return (flat[:1] == b"0" and flat[1:2].isdigit()) or _LEADING_ZERO.search(flat) is not None
+
+
+def _parse_cells(flat: bytes, shape: tuple[int, int]) -> np.ndarray:
+    return np.fromstring(flat, dtype=np.int32, sep=",", count=shape[0] * shape[1])
+
+
+def _parse_into(box: list, flat: bytes, shape: tuple[int, int]) -> None:
+    """The worker thread's body: the parse, or the error it raised, into `box`."""
+    try:
+        box.append(_parse_cells(flat, shape))
+    except BaseException as exc:   # handed to the caller, which raises it
+        box.append(exc)
+
+
+def _parsed_tables(add: tuple[bytes, tuple[int, int]], mul: tuple[bytes, tuple[int, int]]):
+    """The flat int32 cells of both tables that `_table_text` gave, the mul
+    table's parsed on a worker thread when both are larger than one block.
+    The worker is joined before this returns or raises, and its error, if
+    any, is raised here."""
+    if min(add[1][0] * add[1][1], mul[1][0] * mul[1][1]) <= _BLOCK_CELLS:
+        return _parse_cells(*add), _parse_cells(*mul)
+    box: list = []
+    worker = threading.Thread(target=_parse_into, args=(box, *mul), name="ring_from_json")
+    worker.start()
+    try:
+        add_cells = _parse_cells(*add)
+    finally:
+        worker.join()
+    mul_cells = box.pop()
+    if isinstance(mul_cells, BaseException):
+        try:
+            raise mul_cells
+        finally:
+            mul_cells = None   # the traceback holds this frame: break the cycle
+    return add_cells, mul_cells
+
+
+def _exact_table(values: np.ndarray, flat: bytes, shape: tuple[int, int]) -> np.ndarray | None:
+    """The parsed cells as a table of `shape` when the parse was exact and
+    every token canonical (digits, no leading zero, at most 9 digits);
+    None otherwise.
+
+    That holds when the digit counts of the values, each counted up to 9,
+    add up to the digits in the text: a token with a leading zero, or one
+    of 10 digits or more (which numpy wraps into int32), has more digits
+    than its value is counted with."""
     top, cells = values.max(), values.size
     digits = cells + sum(int(np.count_nonzero(values >= p)) for p in _CELL_POWERS if p <= top)
     if digits != len(flat) - (cells - 1):
         return None
-    return values.reshape(len(rows), commas + 1)
+    return values.reshape(shape)
 
 
-def _canonical_dump(text) -> dict | None:
-    """The dict that `json.loads(text)` gives, with int64 arrays for its
+def _canonical_dump(text, guard: int) -> dict | None:
+    """The dict that `json.loads(text)` gives, with int32 arrays for its
     tables, when `text` is a canonical dump: a str that opens with
     `{"add":[[`, then the add table, a string label, the mul table, and a
     tail that closes the object without an add, label or mul key.  None for
-    any other text, which `json.loads` then reads."""
+    any other text, which `json.loads` then reads.
+
+    Raises `OrderGuardExceeded`, before any cell is parsed, where
+    `ring_from_dict` would refuse the decoded dump at `guard`: the text is
+    JSON, it has `zero` and `one`, and its add table is square and past the
+    guard."""
     if not isinstance(text, str) or not text.startswith(_DUMP_HEAD):
         return None
     add_end = text.find("]]", len(_DUMP_HEAD))
@@ -902,11 +975,22 @@ def _canonical_dump(text) -> dict | None:
             return None
     else:
         return None
-    add = _canonical_table(text[len(_DUMP_HEAD):add_end])
-    mul = None if add is None else _canonical_table(text[at + len(_MUL_KEY):mul_end])
+    add = _table_text(text, len(_DUMP_HEAD), add_end)
+    mul = None if add is None else _table_text(text, at + len(_MUL_KEY), mul_end)
     if mul is None:
         return None
-    return {"add": add, "label": label, "mul": mul, **rest}
+    n, cols = add[1]
+    if n == cols > guard and "zero" in rest and "one" in rest:
+        if _has_leading_zero(add[0]) or _has_leading_zero(mul[0]):
+            return None   # not JSON
+        _hold_to_guard(n, guard)
+    add_cells, mul_cells = _parsed_tables(add, mul)
+    add_table = _exact_table(add_cells, *add)
+    del add
+    mul_table = None if add_table is None else _exact_table(mul_cells, *mul)
+    if mul_table is None:
+        return None
+    return {"add": add_table, "label": label, "mul": mul_table, **rest}
 
 
 def ring_from_dict(data: dict, *, order_guard: int | None = None) -> FiniteRing:
@@ -928,19 +1012,27 @@ def ring_from_json(text: str, *, order_guard: int | None = None) -> FiniteRing:
     reads).
 
     A canonical dump, the form `ring_to_json` writes, is decoded straight
-    into int64 tables; any other text goes through `json.loads`.  Either
+    into int32 tables; any other text goes through `json.loads`.  Either
     way `ring_from_dict` sees the same keys and values, so the ring, or the
     error class and message, is the same as `ring_from_dict(json.loads(text))`
     gives: `MalformedRing` for text that is not a dump, `OrderGuardExceeded`
     past the order guard, `AxiomViolation` for tables that break a ring law.
+
+    A canonical dump whose add table is past the guard is refused from its
+    text checks, before any cell is parsed.  When both of its tables are
+    larger than one block, the mul table is parsed on a worker thread while
+    this thread parses the add table; the worker is joined before the call
+    returns or raises, so no thread outlives the call, and an error in the
+    worker is raised here.
     """
-    data = _canonical_dump(text)
+    guard = _resolve_guard(order_guard)
+    data = _canonical_dump(text, guard)
     if data is None:
         try:
             data = json.loads(text)
         except (TypeError, ValueError, RecursionError) as exc:
             raise MalformedRing(f"a ring dump must be JSON text: {exc}") from None
-    return ring_from_dict(data, order_guard=order_guard)
+    return ring_from_dict(data, order_guard=guard)
 
 
 def check_internal(condition: bool, message: str) -> None:

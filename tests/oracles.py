@@ -494,7 +494,7 @@ def ring_dump(R) -> str:
                       sort_keys=True, separators=(",", ":"))
 
 
-def ring_from_loaded_json(text):
+def ring_from_loaded_json(text, order_guard=None):
     """A dump loaded through `json.loads` and `core.ring_from_dict`, with a
     decoder error raised as the `MalformedRing` that `core.ring_from_json`
     raises for text that is not JSON."""
@@ -502,4 +502,4 @@ def ring_from_loaded_json(text):
         data = json.loads(text)
     except (TypeError, ValueError, RecursionError) as exc:
         raise MalformedRing(f"a ring dump must be JSON text: {exc}") from None
-    return core.ring_from_dict(data)
+    return core.ring_from_dict(data, order_guard=order_guard)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import json
 import random
+import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -631,6 +633,124 @@ def test_malformed_dumps_raise_one_error(text):
     assert str(exc.value) == str(expected.value)
 
 
+def _compact(data: dict) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _moved_last_cell(table: list) -> list:
+    return [table[0][:-1], table[1] + table[0][-1:], *table[2:]]
+
+
+# edits of the Z9 dump, loaded under an order guard of 8, with whether the
+# guard refuses it from the text alone: a missing identity, a non-string
+# label, and an add table that is not square or not JSON win over the guard
+_OVER_GUARD_EDITS = [
+    ("pristine", lambda text: text, True),
+    ("shorter-mul", lambda text: _compact({**json.loads(text), "mul": json.loads(text)["mul"][:3]}),
+     True),
+    ("no-zero", lambda text: _compact({k: v for k, v in json.loads(text).items() if k != "zero"}),
+     False),
+    ("no-identities", lambda text: _compact(
+        {k: v for k, v in json.loads(text).items() if k not in ("zero", "one")}), False),
+    ("label-not-a-string", lambda text: _compact({**json.loads(text), "label": 5}), False),
+    ("add-not-square", lambda text: _compact(
+        {**json.loads(text), "add": [row + [0] for row in json.loads(text)["add"]]}), False),
+    ("ragged-add", lambda text: _compact(
+        {**json.loads(text), "add": _moved_last_cell(json.loads(text)["add"])}), False),
+    ("leading-zero-in-add", lambda text: text.replace('"add":[[0,', '"add":[[00,', 1), False),
+    ("leading-zero-in-mul", lambda text: text.replace('"mul":[[0,0,', '"mul":[[0,00,', 1), False),
+]
+
+
+@pytest.mark.parametrize("edit, refused_from_text", [edit[1:] for edit in _OVER_GUARD_EDITS],
+                         ids=[edit[0] for edit in _OVER_GUARD_EDITS])
+def test_over_guard_dump_is_refused_before_its_cells_are_parsed(zmod, monkeypatch, edit,
+                                                                 refused_from_text):
+    text = edit(core.ring_to_json(zmod(9)))
+    parsed = []
+    parse = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda *a, **k: parsed.append(a) or parse(*a, **k))
+    with pytest.raises((MalformedRing, OrderGuardExceeded)) as exc:
+        core.ring_from_json(text, order_guard=8)
+    # the error that json.loads and ring_from_dict give, word for word
+    with pytest.raises(type(exc.value)) as expected:
+        oracles.ring_from_loaded_json(text, order_guard=8)
+    assert str(exc.value) == str(expected.value)
+    if refused_from_text:
+        assert isinstance(exc.value, OrderGuardExceeded) and parsed == []
+
+
+def test_dump_at_the_order_guard_loads(zmod):
+    R = zmod(9)
+    back = core.ring_from_json(core.ring_to_json(R), order_guard=9)
+    assert np.array_equal(back.add, R.add) and np.array_equal(back.mul, R.mul)
+
+
+def test_no_thread_outlives_ring_from_json(zmod, monkeypatch):
+    # tables past one block are parsed on two threads; the worker is joined
+    # before every return and raise (harness.run_all forks, which is only
+    # safe with no other thread running), and its error reaches the caller
+    R = zmod(131)
+    assert R.order ** 2 > core._BLOCK_CELLS
+    text = core.ring_to_json(R)
+    data = json.loads(text)
+    data["mul"][1][1] = 2
+    not_an_identity = _compact(data)
+    leading_zero = text.replace('"mul":[[0,', '"mul":[[00,', 1)
+    start = threading.active_count()
+    parsers = []
+    parse = np.fromstring
+
+    def spy(*args, **kwargs):
+        parsers.append(threading.current_thread() is threading.main_thread())
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", spy)
+    back = core.ring_from_json(text)
+    assert np.array_equal(back.add, R.add) and np.array_equal(back.mul, R.mul)
+    assert threading.active_count() == start
+    with pytest.raises(AxiomViolation):
+        core.ring_from_json(not_an_identity)
+    assert threading.active_count() == start
+    with pytest.raises(MalformedRing):
+        core.ring_from_json(leading_zero)
+    assert threading.active_count() == start
+    assert parsers.count(False) == parsers.count(True) == 3   # one worker a load
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("the worker's parse failed")
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", failing)
+    with pytest.raises(MemoryError, match="the worker's parse failed"):
+        core.ring_from_json(text)
+    assert threading.active_count() == start
+
+
+def test_concurrent_loads_each_join_their_worker(zmod):
+    # four callers at once, each with its own worker, switching often
+    R = zmod(131)
+    text = core.ring_to_json(R)
+    start = threading.active_count()
+    loaded = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=lambda: loaded.append(core.ring_from_json(text)))
+                   for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(loaded) == 4
+    assert all(np.array_equal(B.add, R.add) and np.array_equal(B.mul, R.mul) for B in loaded)
+    assert threading.active_count() == start
+
+
 def test_dumps_match_the_json_encoder():
     # ring_to_json writes the bytes json.dumps writes from nested lists, and
     # reads them back on the canonical path, hostile labels included
@@ -638,13 +758,14 @@ def test_dumps_match_the_json_encoder():
     for R in rings:
         text = core.ring_to_json(R)
         assert text == oracles.ring_dump(R), R.label
-        assert core._canonical_dump(text) is not None, R.label
+        assert core._canonical_dump(text, core.DEFAULT_ORDER_GUARD) is not None, R.label
     for label in ['"', "\\", "\u0394", "\x01", ']],"mul":[[']:
         R = core._relabel(rings[5], label)
         text = core.ring_to_json(R)
         assert text == oracles.ring_dump(R), label
         back = core.ring_from_json(text)
-        assert back.label == label and core._canonical_dump(text)["label"] == label
+        assert back.label == label
+        assert core._canonical_dump(text, core.DEFAULT_ORDER_GUARD)["label"] == label
         assert np.array_equal(back.add, R.add) and np.array_equal(back.mul, R.mul)
 
 

@@ -3,11 +3,14 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from deltaring import constructions as cons
 from deltaring import core, dsl, subsets
@@ -366,10 +369,12 @@ CATALOG = dsl.catalog()
 _MUTATIONS = ["shifted", "leading-zero", "wide", "twenty-digits", "not-an-index", "empty",
               "ragged", "whitespace", "duplicate-add", "trailing", "bytes"]
 # the text that replaces one cell, by mutation; json.loads makes an int64
-# table of cells below 2^63 and a float64 one past it
+# table of cells below 2^63 and a float64 one past it, and the direct
+# decoder parses into int32, which wraps a cell of 10 digits or more
 _CELL_TOKENS = {
-    "wide": st.one_of(st.sampled_from([10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1, 2 ** 63]),
-                      st.integers(10 ** 17, 10 ** 19 - 1)).map(str),
+    "wide": st.one_of(st.sampled_from([10 ** 9 - 1, 10 ** 9, 2 ** 31 - 1, 2 ** 31, 2 ** 32,
+                                       2 ** 32 + 1, 10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1, 2 ** 63]),
+                      st.integers(10 ** 8, 10 ** 10), st.integers(10 ** 17, 10 ** 19 - 1)).map(str),
     "twenty-digits": st.integers(10 ** 19, 10 ** 20 - 1).map(str),
     "not-an-index": st.sampled_from(["-1", "1.0", "true"]),
     "empty": st.just(""),
@@ -386,22 +391,23 @@ def _edit_table(text: str, name: str, edit) -> str:
     return text[:lo] + "],[".join(",".join(row) for row in rows) + text[hi:]
 
 
-@st.composite
-def mutated_dumps(draw):
-    """The canonical dump of a catalog ring with one to three mutations: a
-    cell changed by +1 mod n (still canonical), with a leading zero, of 18
-    or 19 digits (about the widest cell the direct decoder takes), of 20
-    digits, that is no element index (-1, 1.0, true), or empty; the last
-    cell of one row moved to another (ragged rows, square total);
-    whitespace anywhere; a duplicate trailing "add" key; data after the
-    object; bytes instead of str."""
-    R = dsl.build(draw(st.sampled_from(CATALOG))[1])
-    text = core.ring_to_json(R)
-    n = R.order
-    table = draw(st.sampled_from(["add", "mul"]))
-    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    kinds = draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3, unique=True))
+def _mutation_arg(how: str, text: str):
+    """The strategy of what mutation `how` of `text` is given: the token
+    that replaces a cell, where which whitespace goes, or the text added."""
+    if how in _CELL_TOKENS:
+        return _CELL_TOKENS[how]
+    if how == "whitespace":
+        return st.tuples(st.integers(0, len(text)), st.sampled_from([" ", "\n", "\t", "\r"]))
+    if how == "duplicate-add":
+        return st.sampled_from(["[[0]]", "[[0,1],[1,0]]"])
+    if how == "trailing":
+        return st.sampled_from([" ", "\n", "x", "}", "0", ",{}", '{"add":[[0]]}'])
+    return st.none()
 
+
+def _mutated(text: str, n: int, table: str, i: int, j: int, how: str, arg):
+    """`text`, the dump of a ring of order n, with mutation `how` (given
+    `arg`) of cell (i, j) of `table`, of its rows or of the text around it."""
     def set_cell(value):
         def edit(rows):
             rows[i][j] = value(rows[i][j])
@@ -410,27 +416,42 @@ def mutated_dumps(draw):
     def move_last_cell(rows):
         rows[(i + 1 + j % (n - 1)) % n].append(rows[i].pop())
 
+    if how == "shifted":
+        return _edit_table(text, table, set_cell(lambda cell: str((int(cell) + 1) % n)))
+    if how == "leading-zero":
+        return _edit_table(text, table, set_cell(lambda cell: "0" + cell))
+    if how in _CELL_TOKENS:
+        return _edit_table(text, table, set_cell(lambda cell: arg))
+    if how == "ragged":
+        return _edit_table(text, table, move_last_cell)
+    if how == "whitespace":
+        at, space = arg
+        return text[:at] + space + text[at:]
+    if how == "duplicate-add":
+        return text[:-1] + ',"add":' + arg + "}"
+    if how == "trailing":
+        return text + arg
+    return text.encode()
+
+
+@st.composite
+def mutated_dumps(draw):
+    """The canonical dump of a catalog ring with one to three mutations: a
+    cell changed by +1 mod n (still canonical), with a leading zero, of 9
+    to 11 digits (about the widest cell the direct decoder takes) or of 18
+    or 19 digits, of 20 digits, that is no element index (-1, 1.0, true),
+    or empty; the last cell of one row moved to another (ragged rows,
+    square total); whitespace anywhere; a duplicate trailing "add" key;
+    data after the object; bytes instead of str."""
+    R = dsl.build(draw(st.sampled_from(CATALOG))[1])
+    text = core.ring_to_json(R)
+    n = R.order
+    table = draw(st.sampled_from(["add", "mul"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kinds = draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3, unique=True))
     for how in _MUTATIONS:   # cells first, then the text around them
-        if how not in kinds:
-            continue
-        if how == "shifted":
-            text = _edit_table(text, table, set_cell(lambda cell: str((int(cell) + 1) % n)))
-        elif how == "leading-zero":
-            text = _edit_table(text, table, set_cell(lambda cell: "0" + cell))
-        elif how in _CELL_TOKENS:
-            token = draw(_CELL_TOKENS[how])
-            text = _edit_table(text, table, set_cell(lambda cell: token))
-        elif how == "ragged":
-            text = _edit_table(text, table, move_last_cell)
-        elif how == "whitespace":
-            at = draw(st.integers(0, len(text)))
-            text = text[:at] + draw(st.sampled_from([" ", "\n", "\t", "\r"])) + text[at:]
-        elif how == "duplicate-add":
-            text = text[:-1] + ',"add":' + draw(st.sampled_from(["[[0]]", "[[0,1],[1,0]]"])) + "}"
-        elif how == "trailing":
-            text += draw(st.sampled_from([" ", "\n", "x", "}", "0", ",{}", '{"add":[[0]]}']))
-        else:
-            text = text.encode()
+        if how in kinds:
+            text = _mutated(text, n, table, i, j, how, draw(_mutation_arg(how, text)))
     return text
 
 
@@ -446,13 +467,70 @@ def _load_outcome(load, text):
     return R.add.tobytes(), R.mul.tobytes(), R.add.shape, R.label, R.zero, R.one
 
 
+def _load_with_path(text):
+    """`_load_outcome(core.ring_from_json, text)`, and how the decoder
+    parsed the cells: "json.loads" when it parsed none of them itself, else
+    on "one thread" or on "two threads"."""
+    on_main = []
+    parse = np.fromstring
+
+    def spy(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return parse(*args, **kwargs)
+
+    with mock.patch.object(np, "fromstring", spy):
+        outcome = _load_outcome(core.ring_from_json, text)
+    return outcome, ("json.loads" if not on_main else "one thread" if all(on_main)
+                     else "two threads")
+
+
 @given(mutated_dumps())
 @settings(max_examples=300, deadline=None)
 def test_ring_from_json_matches_json_loads_on_mutated_dumps(text):
     # decoding canonical text directly has the outcome of json.loads and
     # ring_from_dict on every mutant, accepted or rejected, message included
-    assert _load_outcome(core.ring_from_json, text) == \
-        _load_outcome(oracles.ring_from_loaded_json, text)
+    outcome, path = _load_with_path(text)
+    event(f"cells parsed: {path}")
+    assert outcome == _load_outcome(oracles.ring_from_loaded_json, text)
+
+
+@functools.cache
+def _catalog_ring_of_order(least: int) -> core.FiniteRing:
+    """The catalog ring of the least order at least `least`."""
+    return min((dsl.build(expr) for _, expr in CATALOG if dsl.build(expr).order >= least),
+               key=lambda R: R.order)
+
+
+# what a mutation is given in the deterministic comparison below
+_MUTATION_EXAMPLES = {"wide": str(2 ** 32 + 1), "twenty-digits": str(10 ** 19),
+                      "not-an-index": "true", "empty": "", "duplicate-add": "[[0,1],[1,0]]",
+                      "trailing": "x"}
+# the mutations whose text passes the text checks, so its cells are parsed
+_PARSED = {"shifted", "leading-zero", "wide", "twenty-digits"}
+
+
+@pytest.mark.parametrize("past_one_block", [False, True], ids=["one-block", "past-one-block"])
+@pytest.mark.parametrize("table", ["add", "mul"])
+@pytest.mark.parametrize("how", _MUTATIONS)
+def test_ring_from_json_matches_json_loads_on_both_parse_paths(how, table, past_one_block):
+    # every mutation kind, in either table, has the outcome of json.loads on
+    # a ring whose tables are parsed on one thread and on one whose tables
+    # (past one block of cells) are parsed on two
+    R = _catalog_ring_of_order(math.isqrt(core._BLOCK_CELLS) + 1 if past_one_block else 12)
+    assert (R.order ** 2 > core._BLOCK_CELLS) == past_one_block
+    text = core.ring_to_json(R)
+    n = R.order
+    if how == "whitespace":   # after the table's first cell
+        arg = (text.index(",", text.index(f'"{table}":[[')) + 1, " ")
+    else:
+        arg = _MUTATION_EXAMPLES.get(how)
+    text = _mutated(text, n, table, n // 2, n // 3, how, arg)
+    outcome, path = _load_with_path(text)
+    assert outcome == _load_outcome(oracles.ring_from_loaded_json, text)
+    if how not in _PARSED:
+        assert path == "json.loads"
+    else:
+        assert path == ("two threads" if past_one_block else "one thread")
 
 
 # --- expression round-trip -------------------------------------------------
