@@ -180,36 +180,50 @@ def validate_bimodule(left_ring: FiniteRing, right_ring: FiniteRing,
             raise InvalidBimodule(f"{nm} entries out of range")
     # copies, so the frozen tables are never the caller's arrays
     addt, la, ra = addt.astype(np.int32), la.astype(np.int32), ra.astype(np.int32)
-    if not np.array_equal(addt, addt.T):
+
+    def holds(rows: int, cells: int, sides) -> bool:
+        # A law's two sides, indexed by its first operand and built by
+        # `sides(lo, hi)` for that operand's rows lo..hi-1, `cells` cells a
+        # row, compared in row blocks of about `core._BLOCK_CELLS` cells.
+        return all(np.array_equal(*sides(lo, hi)) for lo, hi in core._row_blocks(rows, cells))
+
+    arange = np.arange(m, dtype=np.int32)
+    if not core._is_symmetric(addt):
         raise InvalidBimodule("module addition is not commutative")
-    zero_rows = [i for i in range(m) if np.array_equal(addt[i], np.arange(m, dtype=np.int32))]
+    zero_rows = [i for i in range(m) if np.array_equal(addt[i], arange)]
     if len(zero_rows) != 1:
         raise InvalidBimodule("module addition has no unique zero")
     zero = zero_rows[0]
-    if not np.array_equal(addt[addt, :], addt[:, addt]):
+    if not holds(m, m * m, lambda lo, hi: (addt[addt[lo:hi]], np.take(addt[lo:hi], addt, axis=1))):
         raise InvalidBimodule("module addition is not associative")
-    if not (addt == zero).any(axis=1).all():
+    if core._first_column(addt, zero).min() < 0:
         raise InvalidBimodule("module addition misses inverses")
 
     R, S = left_ring, right_ring
-    if not np.array_equal(la[R.one], np.arange(m, dtype=np.int32)):
+    if not np.array_equal(la[R.one], arange):
         raise InvalidBimodule("1*m != m")
-    if not np.array_equal(ra[:, S.one], np.arange(m, dtype=np.int32)):
+    if not np.array_equal(ra[:, S.one], arange):
         raise InvalidBimodule("m*1 != m")
-    if not np.array_equal(la[:, addt], addt[la[:, :, None], la[:, None, :]]):
-        raise InvalidBimodule("r(m+m') != rm+rm'")
-    if not np.array_equal(la[R.add, :], addt[la[:, None, :], la[None, :, :]]):
-        raise InvalidBimodule("(r+r')m != rm+r'm")
-    if not np.array_equal(la[R.mul, :], la[:, la]):
-        raise InvalidBimodule("(rr')m != r(r'm)")
-    if not np.array_equal(ra[addt, :], addt[ra[:, None, :], ra[None, :, :]]):
-        raise InvalidBimodule("(m+m')s != ms+m's")
-    if not np.array_equal(ra[:, S.add], addt[ra[:, :, None], ra[:, None, :]]):
-        raise InvalidBimodule("m(s+s') != ms+ms'")
-    if not np.array_equal(ra[:, S.mul], ra[ra, :]):
-        raise InvalidBimodule("m(ss') != (ms)s'")
-    if not np.array_equal(ra[la, :], la[:, ra]):
-        raise InvalidBimodule("(rm)s != r(ms)")
+    r, s = R.order, S.order
+    laws = (   # message, rows and cells a row of the first operand, sides
+        ("r(m+m') != rm+rm'", r, m * m, lambda lo, hi: (
+            np.take(la[lo:hi], addt, axis=1), addt[la[lo:hi, :, None], la[lo:hi, None, :]])),
+        ("(r+r')m != rm+r'm", r, r * m, lambda lo, hi: (
+            la[R.add[lo:hi]], addt[la[lo:hi, None, :], la[None, :, :]])),
+        ("(rr')m != r(r'm)", r, r * m, lambda lo, hi: (
+            la[R.mul[lo:hi]], np.take(la[lo:hi], la, axis=1))),
+        ("(m+m')s != ms+m's", m, m * s, lambda lo, hi: (
+            ra[addt[lo:hi]], addt[ra[lo:hi, None, :], ra[None, :, :]])),
+        ("m(s+s') != ms+ms'", m, s * s, lambda lo, hi: (
+            np.take(ra[lo:hi], S.add, axis=1), addt[ra[lo:hi, :, None], ra[lo:hi, None, :]])),
+        ("m(ss') != (ms)s'", m, s * s, lambda lo, hi: (
+            np.take(ra[lo:hi], S.mul, axis=1), ra[ra[lo:hi]])),
+        ("(rm)s != r(ms)", r, m * s, lambda lo, hi: (
+            ra[la[lo:hi]], np.take(la[lo:hi], ra, axis=1))),
+    )
+    for message, rows, cells, sides in laws:
+        if not holds(rows, cells, sides):
+            raise InvalidBimodule(message)
     if names is None:
         names = tuple(str(i) for i in range(m))
     addt.setflags(write=False)
@@ -316,7 +330,9 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
         while True:                         # the cosets H + g, H + 2g, ...
             fresh = ~known[dst]
             known[dst[fresh]] = True
-            mul[dst[fresh]] = core._lookup(add, mul[src[fresh]], mul[g])
+            rows, sums = src[fresh], dst[fresh]
+            for lo, hi in core._row_blocks(rows.size, n):
+                mul[sums[lo:hi]] = core._lookup(add, mul[rows[lo:hi]], mul[g])
             src, dst = dst, add[dst, g]
             if known[dst].all():
                 break

@@ -3,31 +3,41 @@
 Elements of a ring of order n are the integers 0..n-1; addition and
 multiplication are n-by-n lookup tables (C-contiguous numpy arrays, so
 every scan is a fancy-indexing pass).  A 2-D lookup of rows R against
-columns C goes rows first, then columns (`_outer`): gathering whole rows
-and then taking columns from them is cheaper in numpy than one broadcast
-(`np.ix_`) gather.  A value-dependent lookup `table[rows, cols]`, with
-index arrays that broadcast to an n-by-n grid (a*x*a, a*g + a*c), goes
-through `_lookup`.  On a table larger than one block of `_BLOCK_CELLS`
-cells that is one `np.take` on the flattened table with flat indices
-rows*n + cols, built one row block at a time, so every temporary is
-block-sized; a smaller table stays in cache and takes numpy's own gather.
-Passes over all n^2 pairs (distributivity, homomorphism certificates) run
-in the same row blocks and stop at the first block with a failing pair
-(`_first_mismatch`).  Holding a `FiniteRing` is proof that the
-tables really form a unital ring: every one is either validated from its
-tables or derived from a ring that already was, under a certificate.
+columns C goes rows first, then columns: gathering whole rows and then
+taking columns from them is cheaper in numpy than one broadcast (`np.ix_`)
+gather.  It is made one row block of about `_BLOCK_CELLS` cells at a time
+(`_outer_blocks`), and a pass that reduces it to a vector or a verdict
+reads it block by block (`_all_in`, `_marked_outer`, `_first_column`,
+`is_ideal`, the coset representatives of `quotient_ring`, and the scans of
+`subsets` and `predicates`), so it holds no n-by-n or n-by-|S| temporary;
+`_outer` joins the blocks only where the array is the result, such as a
+quotient's tables.  Symmetry tests (commutativity, Light's test) compare
+square tiles and name a failing pair from row blocks against column
+blocks, so they gather no n-by-n array either.  A value-dependent lookup
+`table[rows, cols]`, with index arrays that broadcast to an n-by-n grid
+(a*x*a, a*g + a*c), goes through `_lookup`.  On a table larger than one
+block of `_BLOCK_CELLS` cells that is one `np.take` on the flattened table
+with flat indices rows*n + cols, built one row block at a time, so every
+temporary is block-sized; a smaller table stays in cache and takes numpy's
+own gather, as does an `_outer` of at most one block.  Passes over all
+n^2 pairs (distributivity, homomorphism certificates) run in the same row
+blocks and stop at the first block with a failing pair
+(`_first_mismatch`).  Holding a `FiniteRing` is proof that the tables
+really form a unital ring: every one is either validated from its tables
+or derived from a ring that already was, under a certificate.
 
 `validate_ring` is exact at every order with one complete procedure:
 Light's associativity test over an additive generating set, biadditivity
 of the product on generator pairs, and associativity of the product on
 generator triples (sound once biadditivity is known, since the associator
 is additive in each slot).  For additive rank r (the size of the greedy
-generating set) that is r Light passes, each one row gather and a
-symmetry test; r full left distributivity passes, a(g+c) = ag + ac over
-all n^2 pairs in row blocks; and r right passes on the generator columns
-only, (x+g)h = xh + gh for generators g, h and all x, r*n cells each.  Left
-distributivity everywhere makes x -> xz the sum of the maps x -> xh for
-the generators h that sum to z, so right distributivity follows.  A
+generating set) that is r Light passes, each a symmetry test of
+add[add[:, g]] tile by tile; r full left distributivity passes, a(g+c) =
+ag + ac over all n^2 pairs in row blocks; and r right passes on the
+generator columns only, (x+g)h = xh + gh for generators g, h and all x,
+r*n cells each.  Left distributivity everywhere makes x -> xz the sum of
+the maps x -> xh for the generators h that sum to z, so right
+distributivity follows.  A
 rejection names the violation that the two-sided order L(g1), R(g1),
 L(g2), R(g2), ..., with full right passes R, meets first: a failure at
 L(gk) replays R(g1..gk-1), one in gk's column pass replays R(g1..gk), and
@@ -138,12 +148,6 @@ def _identity_index(value, name: str) -> int:
     return int(value)
 
 
-def _outer(table: np.ndarray, rows, cols) -> np.ndarray:
-    """`table[r, c]` for every r in `rows` (axis 0) and c in `cols` (axis 1),
-    as a C-contiguous array (`[:, cols]` would return it column-ordered)."""
-    return np.take(table[rows], cols, axis=1)
-
-
 def _frozen(mask: np.ndarray) -> np.ndarray:
     mask.setflags(write=False)
     return mask
@@ -168,6 +172,8 @@ def _row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
     """Bounds (lo, hi) of consecutive blocks of `rows` rows that hold about
     `_BLOCK_CELLS` cells at `width` cells a row (at least one row each)."""
     step = max(1, _BLOCK_CELLS // max(1, width))
+    if rows <= step:   # one block or none, without the comprehension's call
+        return [(0, rows)] if rows else []
     return [(lo, min(rows, lo + step)) for lo in range(0, rows, step)]
 
 
@@ -200,15 +206,77 @@ def _lookup(table: np.ndarray, rows, cols) -> np.ndarray:
     return out
 
 
-def _is_symmetric(table: np.ndarray) -> bool:
-    """`table == table.T`, compared one pair of square tiles of about
-    `_BLOCK_CELLS` cells at a time, so the transposed side stays in cache."""
+def _outer_blocks(table: np.ndarray, rows=None, cols=None):
+    """Yield (lo, hi, block) for consecutive row blocks of the array
+    `table[r, c]`, r in `rows` (axis 0) and c in `cols` (axis 1): block
+    holds its rows lo..hi-1, C-contiguous when `cols` is given.  `rows`
+    None takes the table's own rows in order, `cols` None every column.
+    A block gathers whole rows, then takes its columns from them, so a
+    block of gathered rows is sized at the table's width."""
+    count = table.shape[0] if rows is None else len(rows)
+    width = table.shape[1] if rows is not None or cols is None else len(cols)
+    for lo, hi in _row_blocks(count, width):
+        block = table[lo:hi] if rows is None else table[rows[lo:hi]]
+        yield lo, hi, block if cols is None else np.take(block, cols, axis=1)
+
+
+def _outer(table: np.ndarray, rows, cols, through: np.ndarray | None = None) -> np.ndarray:
+    """`table[r, c]` for every r in `rows` (axis 0) and c in `cols` (axis 1),
+    or `through[table[r, c]]` when the vector `through` is given, as a
+    C-contiguous array built one row block at a time (`_outer_blocks`)."""
+    rows = np.asarray(rows)
+    if len(rows) * table.shape[1] <= _BLOCK_CELLS:
+        out = np.take(table[rows], cols, axis=1)
+        return out if through is None else through[out]
+    out = np.empty((len(rows), len(cols)), dtype=(table if through is None else through).dtype)
+    for lo, hi, block in _outer_blocks(table, rows, cols):
+        if through is None:
+            out[lo:hi] = block
+        else:
+            np.take(through, block, out=out[lo:hi])
+    return out
+
+
+def _marked_outer(table: np.ndarray, rows=None, cols=None) -> np.ndarray:
+    """Bool vector over the table's elements that is True at each value of
+    `_outer_blocks(table, rows, cols)`, marked one row block at a time."""
+    mask = np.zeros(table.shape[0], dtype=bool)
+    for _, _, block in _outer_blocks(table, rows, cols):
+        mask[block] = True
+    return mask
+
+
+def _all_in(mask: np.ndarray, table: np.ndarray, rows=None, cols=None) -> bool:
+    """Whether `mask` holds at every `table[r, c]` of `_outer_blocks(table,
+    rows, cols)`; the scan stops at the first block that fails."""
+    return all(mask[block].all() for _, _, block in _outer_blocks(table, rows, cols))
+
+
+def _first_column(table: np.ndarray, value: int) -> np.ndarray:
+    """Each row's first column that holds `value`, or -1 in a row that holds
+    none, as an int32 vector made in row blocks."""
+    out = np.empty(table.shape[0], dtype=np.int32)
+    for lo, hi, block in _outer_blocks(table):
+        hit = block == value
+        out[lo:hi] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    return out
+
+
+def _is_symmetric(table: np.ndarray, rows: np.ndarray | None = None) -> bool:
+    """`M == M.T` for M = `table[rows]` (`table` itself when `rows` is None),
+    compared one pair of square tiles of about `_BLOCK_CELLS` cells at a
+    time, so the transposed side stays in cache and M is never gathered
+    whole."""
     n = table.shape[0]
     side = max(1, math.isqrt(_BLOCK_CELLS))
+
+    def tile(i: int, j: int) -> np.ndarray:
+        cols = slice(j, j + side)
+        return table[i:i + side, cols] if rows is None else table[rows[i:i + side], cols]
+
     for i in range(0, n, side):
         for j in range(i, n, side):
-            if not np.array_equal(table[i:i + side, j:j + side],
-                                  table[j:j + side, i:i + side].T):
+            if not np.array_equal(tile(i, j), tile(j, i).T):
                 return False
     return True
 
@@ -325,7 +393,7 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
         covered[g] = True
         new = np.array([g])
         while new.size:
-            hit = _marked(_outer(add, new, np.flatnonzero(covered)), n)
+            hit = _marked_outer(add, new, np.flatnonzero(covered))
             new = np.flatnonzero(hit & ~covered)
             covered |= hit
     return gens
@@ -335,19 +403,30 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
 # then raised from a local would tie the traceback's frames, and the tables
 # they hold, into a cycle that only the cyclic collector frees.
 
-def _check_abelian(add: np.ndarray, zero: int) -> None:
+def _first_asymmetry(table: np.ndarray, rows: np.ndarray | None = None) -> tuple[int, int]:
+    """The first (a, c) in row-major order with M[a, c] != M[c, a], for M as
+    in `_is_symmetric`, which must have found M asymmetric: row blocks of M
+    against column blocks, so no n-by-n array is made."""
+    n = table.shape[0]
+    if rows is None:
+        return _first_mismatch(n, lambda lo, hi: (table[lo:hi], table[:, lo:hi].T))
+    return _first_mismatch(n, lambda lo, hi: (table[rows[lo:hi]], table[rows, lo:hi].T))
+
+
+def _check_abelian(add: np.ndarray, zero: int) -> np.ndarray:
     """Raise the first of commutativity, the identity `zero` and inverses,
-    in that order, that the addition table `add` breaks."""
+    in that order, that the addition table `add` breaks; else return the
+    negation vector."""
     if not _is_symmetric(add):
-        a, b = _first_bad_pair(add != add.T)
-        raise AxiomViolation("add-commutativity", (a, b))
+        raise AxiomViolation("add-commutativity", _first_asymmetry(add))
     arange = np.arange(add.shape[0], dtype=np.int32)
     if not np.array_equal(add[zero], arange):
         c = int(np.flatnonzero(add[zero] != arange)[0])
         raise AxiomViolation("add-identity", (zero, c))
-    has_inverse = (add == zero).any(axis=1)
-    if not has_inverse.all():
-        raise AxiomViolation("add-inverse", (int(np.flatnonzero(~has_inverse)[0]),))
+    neg = _first_column(add, zero)
+    if neg.min() < 0:
+        raise AxiomViolation("add-inverse", (int(np.flatnonzero(neg < 0)[0]),))
+    return neg
 
 
 def _check_light(add: np.ndarray, gens: list[int]) -> None:
@@ -355,12 +434,11 @@ def _check_light(add: np.ndarray, gens: list[int]) -> None:
     # associativity for all triples.  M = add[add[:, g]] holds (a+g)+c at
     # [a, c], and (add being commutative) a+(g+c) = (c+g)+a at [c, a], so the
     # test is M == M.T.  g = zero passes by the identity law checked before.
-    # M is not kept across generators, so at most one n-by-n gather is alive;
-    # it is gathered again only to name a failing instance.
+    # M is compared tile by tile and never gathered whole.
     for g in gens:
-        if not _is_symmetric(add[add[:, g]]):
-            M = add[add[:, g]]
-            a, c = _first_bad_pair(M != M.T)
+        col = np.ascontiguousarray(add[:, g])
+        if not _is_symmetric(add, col):
+            a, c = _first_asymmetry(add, col)
             raise AxiomViolation("add-associativity", (a, g, c))
 
 
@@ -506,8 +584,9 @@ def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label
     if n < 2 or zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
                              "rings here have 0 != 1, so the order is at least 2")
+    neg = None
     if structure is None or not _structure_certified(mul, one, structure):
-        _check_abelian(add, zero)
+        neg = _check_abelian(add, zero)
         arange = np.arange(n, dtype=np.int32)
         if not np.array_equal(mul[one], arange):
             c = int(np.flatnonzero(mul[one] != arange)[0])
@@ -516,7 +595,7 @@ def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label
             c = int(np.flatnonzero(mul[:, one] != arange)[0])
             raise AxiomViolation("mul-identity", (c, one))
         _generator_triple_checks(add, mul, additive_generators(add, zero))
-    return _certified_ring(label, add, mul, zero, one, names)
+    return _certified_ring(label, add, mul, zero, one, names, neg)
 
 
 def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one: int,
@@ -536,7 +615,7 @@ def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one
         if len(names) != n:
             raise ValueError("names must have one entry per element")
     if neg is None:
-        neg = (add == zero).argmax(axis=1).astype(np.int32)
+        neg = _first_column(add, zero)
     return FiniteRing(label, add, mul, zero, one, names, neg)
 
 
@@ -603,15 +682,10 @@ def is_ideal(ring: FiniteRing, subset) -> bool:
     """Re-validate the two-sided ideal property of the mask `subset`."""
     mask = _element_mask(ring, subset)
     idx = np.flatnonzero(mask)
-    if not mask[ring.zero]:
-        return False
-    if not mask[_outer(ring.add, idx, idx)].all():
-        return False
-    if not mask[ring.mul[:, idx]].all():
-        return False
-    if not mask[ring.mul[idx, :]].all():
-        return False
-    return True
+    # sums, left multiples r*i, right multiples i*r, each in row blocks
+    return bool(mask[ring.zero]) and (_all_in(mask, ring.add, idx, idx)
+                                      and _all_in(mask, ring.mul, None, idx)
+                                      and _all_in(mask, ring.mul, idx))
 
 
 def _ideal_label(ring: FiniteRing, idx: np.ndarray) -> str:
@@ -640,17 +714,18 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, RingHom]:
         quotient = _certified_ring(label, ring.add, ring.mul, ring.zero, ring.one, names,
                                    ring.neg)
         return quotient, _identity_hom(ring, quotient)
-    rep = ring.add[:, idx].min(axis=1).astype(np.int32)
+    rep = np.empty(ring.order, dtype=np.int32)          # each element's least coset member
+    for lo, hi, block in _outer_blocks(ring.add, None, idx):
+        rep[lo:hi] = block.min(axis=1)
     reps = np.flatnonzero(rep == np.arange(ring.order))   # each coset's least member is its own
     pos = np.full(ring.order, -1, dtype=np.int32)
     pos[reps] = np.arange(reps.size, dtype=np.int32)
-    qadd = pos[rep[_outer(ring.add, reps, reps)]]
-    qmul = pos[rep[_outer(ring.mul, reps, reps)]]
-    qzero = int(pos[rep[ring.zero]])
-    qone = int(pos[rep[ring.one]])
+    proj = pos[rep]
+    qadd = _outer(ring.add, reps, reps, proj)
+    qmul = _outer(ring.mul, reps, reps, proj)
     names = tuple(f"[{ring.names[int(r)]}]" for r in reps)
-    quotient = _certified_ring(label, qadd, qmul, qzero, qone, names)
-    return quotient, _certified_projection(ring, mask, reps, quotient, pos[rep])
+    quotient = _certified_ring(label, qadd, qmul, int(proj[ring.zero]), int(proj[ring.one]), names)
+    return quotient, _certified_projection(ring, mask, reps, quotient, proj)
 
 
 def _certified_projection(ring: FiniteRing, members: np.ndarray, reps: np.ndarray,
@@ -710,8 +785,8 @@ def induced_subring(ring: FiniteRing, subset, one: int,
         raise ValueError("subset does not contain 0 and the negatives of its members")
     pos = np.full(ring.order, -1, dtype=np.int32)
     pos[elems] = np.arange(elems.size, dtype=np.int32)
-    sub_add = pos[_outer(ring.add, elems, elems)]
-    sub_mul = pos[_outer(ring.mul, elems, elems)]
+    sub_add = _outer(ring.add, elems, elems, pos)
+    sub_mul = _outer(ring.mul, elems, elems, pos)
     if sub_add.min() < 0 or sub_mul.min() < 0:
         raise ValueError("subset is not closed under the ring operations")
     one = int(one)
@@ -740,8 +815,11 @@ def corner_ring(ring: FiniteRing, e: int) -> FiniteRing:
 
 
 def center(ring: FiniteRing) -> np.ndarray:
-    """Mask of the elements commuting with everything."""
-    return _frozen((ring.mul == ring.mul.T).all(axis=1))
+    """Mask of the elements commuting with everything, in row blocks."""
+    mul, out = ring.mul, np.empty(ring.order, dtype=bool)
+    for lo, hi in _row_blocks(ring.order, ring.order):
+        out[lo:hi] = (mul[lo:hi] == mul[:, lo:hi].T).all(axis=1)
+    return _frozen(out)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,20 @@ def _pi_regular_mask(ring: FiniteRing) -> np.ndarray:
     return ok
 
 
+def _rows_hold(ring: FiniteRing, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether row rows[i] of `mul` holds values[i], for each i: values[i]
+    lies in rows[i] * R.  Read in row blocks."""
+    out = np.empty(len(rows), dtype=bool)
+    for lo, hi, block in core._outer_blocks(ring.mul, rows):
+        out[lo:hi] = (block == values[lo:hi, None]).any(axis=1)
+    return out
+
+
+def _strongly_regular_mask(ring: FiniteRing) -> np.ndarray:
+    """Elements a in a^2 * R."""
+    return _rows_hold(ring, ring.mul.diagonal(), np.arange(ring.order))
+
+
 def _strongly_pi_regular_mask(ring: FiniteRing) -> np.ndarray:
     """Elements with a power a^k in a^(k+1) * R, k = 1..n."""
     n = ring.order
@@ -191,8 +205,7 @@ def _strongly_pi_regular_mask(ring: FiniteRing) -> np.ndarray:
     unresolved = np.ones(n, dtype=bool)
     for _ in range(n):
         idx = np.flatnonzero(unresolved)
-        nxt = ring.mul[p[idx], idx]
-        ok = (ring.mul[nxt, :] == p[idx][:, None]).any(axis=1)
+        ok = _rows_hold(ring, ring.mul[p[idx], idx], p[idx])
         unresolved[idx[ok]] = False
         if not unresolved.any():
             break
@@ -206,22 +219,31 @@ def _exchange_mask(ring: FiniteRing) -> np.ndarray:
     om = subsets.one_minus(ring)
     reach = subsets.idempotent_reach(ring)
     complement = np.searchsorted(id_idx, om[id_idx])     # column of 1 - e_j
-    return (reach & core._outer(reach, om, complement)).any(axis=1)
+    ok = np.empty(ring.order, dtype=bool)
+    for lo, hi, block in core._outer_blocks(reach, om, complement):   # [a, j] 1-e_j in (1-a)*R
+        ok[lo:hi] = (reach[lo:hi] & block).any(axis=1)
+    return ok
 
 
 def _strongly_nil_clean_mask(ring: FiniteRing) -> np.ndarray:
     """Elements e + q with e idempotent, q nilpotent and e*q = q*e."""
     id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
-    diffs = ring.add[:, ring.neg[id_idx]]         # [a, e] = a - e
-    comm = subsets.commuting_matrix(ring)
-    return (subsets.nilpotent_mask(ring)[diffs] & comm[id_idx[None, :], diffs]).any(axis=1)
+    comm, nil = subsets.idempotent_commutant(ring), subsets.nilpotent_mask(ring)
+    cols = np.arange(id_idx.size)
+    ok = np.empty(ring.order, dtype=bool)
+    for lo, hi, diffs in core._outer_blocks(ring.add, None, ring.neg[id_idx]):   # [a, j] a - e_j
+        ok[lo:hi] = (nil[diffs] & comm[cols, diffs]).any(axis=1)
+    return ok
 
 
 def _semipotent_mask(ring: FiniteRing) -> np.ndarray:
     """Elements in J or with a nonzero idempotent in a*R."""
     id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
-    reach = subsets.idempotent_reach(ring)[:, id_idx != ring.zero]
-    return reach.any(axis=1) | subsets.jacobson_mask(ring)
+    ok = np.empty(ring.order, dtype=bool)
+    for lo, hi, reach in core._outer_blocks(subsets.idempotent_reach(ring), None,
+                                            np.flatnonzero(id_idx != ring.zero)):
+        ok[lo:hi] = reach.any(axis=1)
+    return ok | subsets.jacobson_mask(ring)
 
 
 def _nil_plus_j_mask(ring: FiniteRing) -> np.ndarray:
@@ -262,18 +284,19 @@ def _is_exchange(ring: FiniteRing, a: int) -> bool:
 def _is_strongly_nil_clean(ring: FiniteRing, a: int) -> bool:
     id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
     diffs = ring.add[a, ring.neg[id_idx]]
-    comm = subsets.commuting_matrix(ring)
-    return bool((subsets.nilpotent_mask(ring)[diffs] & comm[id_idx, diffs]).any())
+    comm = subsets.idempotent_commutant(ring)
+    return bool((subsets.nilpotent_mask(ring)[diffs]
+                 & comm[np.arange(id_idx.size), diffs]).any())
 
 
 def _is_strongly_2_nil_clean(ring: FiniteRing, a: int) -> bool:
     id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
-    comm = subsets.commuting_matrix(ring)
+    comm = subsets.idempotent_commutant(ring)
     nil = subsets.nilpotent_mask(ring)
-    for e1 in id_idx:
-        for e2 in id_idx[comm[e1, id_idx]]:           # the idempotents commuting with e1
-            q = int(ring.add[ring.add[a, ring.neg[e1]], ring.neg[e2]])
-            if nil[q] and comm[e1, q] and comm[e2, q]:
+    for j1, e1 in enumerate(id_idx):
+        for j2 in np.flatnonzero(comm[j1, id_idx]):   # the idempotents commuting with e1
+            q = int(ring.add[ring.add[a, ring.neg[e1]], ring.neg[id_idx[j2]]])
+            if nil[q] and comm[j1, q] and comm[j2, q]:
                 return True
     return False
 
@@ -302,14 +325,15 @@ def _uuc(ring: FiniteRing, name: str) -> CheckReport:
     unit = subsets.unit_mask(ring)
     u_idx = np.flatnonzero(unit)
     id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
-    diffs = core._outer(ring.add, u_idx, ring.neg[id_idx])
-    counts = unit[diffs].sum(axis=1)
+    counts = np.empty(u_idx.size, dtype=np.int64)
+    for lo, hi, diffs in core._outer_blocks(ring.add, u_idx, ring.neg[id_idx]):   # [u, j] u - e_j
+        counts[lo:hi] = unit[diffs].sum(axis=1)
     bad = np.flatnonzero(counts != 1)
     if bad.size == 0:
         return _report(ring, name, True)
     u = int(u_idx[bad[0]])
     witness = [_wit(ring, "unit", u)]
-    for tag, h in zip(("a", "b"), np.flatnonzero(unit[diffs[bad[0]]])[:2]):
+    for tag, h in zip(("a", "b"), np.flatnonzero(unit[ring.add[u, ring.neg[id_idx]]])[:2]):
         e = int(id_idx[h])
         witness.append(_wit(ring, f"idempotent-{tag}", e))
         witness.append(_wit(ring, f"unit-part-{tag}", ring.sub(u, e)))
@@ -375,27 +399,26 @@ def _strongly_2_nil_clean(ring: FiniteRing, name: str) -> CheckReport:
     """Each element minus a commuting pair of idempotents, in row blocks; the
     scan stops at the first block holding an element that fails."""
     id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
-    comm = subsets.commuting_matrix(ring)
-    p1, p2 = np.nonzero(core._outer(comm, id_idx, id_idx))
+    comm = subsets.idempotent_commutant(ring)
+    p1, p2 = np.nonzero(comm[:, id_idx])
     e1, e2 = id_idx[p1], id_idx[p2]               # commuting idempotent pairs
     nil = subsets.nilpotent_mask(ring)
     neg1, neg2 = ring.neg[e1][None, :], ring.neg[e2][None, :]
     for lo, hi in core._row_blocks(ring.order, e1.size):
         q = ring.add[ring.add[np.arange(lo, hi)[:, None], neg1], neg2]   # [a, pair] a - e1 - e2
-        ok = (nil[q] & comm[e1[None, :], q] & comm[e2[None, :], q]).any(axis=1)
+        ok = (nil[q] & comm[p1[None, :], q] & comm[p2[None, :], q]).any(axis=1)
         if not ok.all():
             return _report(ring, name, False, [_wit(ring, "element", lo + int(np.argmin(ok)))])
     return _report(ring, name, True)
 
 
 def _abelian(ring: FiniteRing, name: str) -> CheckReport:
-    comm = subsets.commuting_matrix(ring)
-    id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
-    bad = np.flatnonzero(~comm[id_idx].all(axis=1))
+    comm = subsets.idempotent_commutant(ring)
+    bad = np.flatnonzero(~comm.all(axis=1))
     if bad.size == 0:
         return _report(ring, name, True)
-    e = int(id_idx[bad[0]])
-    r = int(np.flatnonzero(~comm[e])[0])
+    e = int(np.flatnonzero(subsets.idempotent_mask(ring))[bad[0]])
+    r = int(np.flatnonzero(~comm[bad[0]])[0])
     return _report(ring, name, False,
                    [_wit(ring, "idempotent", e), _wit(ring, "non-commuting-element", r)])
 
@@ -408,12 +431,12 @@ def _abelian_recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool
 def _dedekind_finite(ring: FiniteRing, name: str) -> CheckReport:
     # a*b = 1 with b*a != 1 for some b exactly when a has a right inverse
     # but is not a unit (a unit's only right inverse is its inverse)
-    right_inverse = (ring.mul == ring.one).any(axis=1)
-    bad = np.flatnonzero(right_inverse & ~subsets.unit_mask(ring))
+    right_inverse = core._first_column(ring.mul, ring.one)     # -1 where there is none
+    bad = np.flatnonzero((right_inverse >= 0) & ~subsets.unit_mask(ring))
     if bad.size == 0:
         return _report(ring, name, True)
     a = int(bad[0])
-    b = int(np.argmax(ring.mul[a] == ring.one))
+    b = int(right_inverse[a])
     return _report(ring, name, False, [_wit(ring, "left-factor", a), _wit(ring, "right-factor", b)],
                    notes="a*b = 1 but b*a != 1")
 
@@ -494,10 +517,8 @@ CLASSES = {
                          int(ring.mul[ring.mul[a, u], a]) == a
                          for u in np.flatnonzero(subsets.unit_mask(ring))))),
     "strongly-regular": ("regularity", "every a lies in a^2 * R",
-                         *_elementwise(   # rows of a^2 * r
-                             lambda ring: (ring.mul[ring.mul.diagonal()]
-                                           == np.arange(ring.order)[:, None]).any(axis=1),
-                             lambda ring, a: bool((ring.mul[ring.mul[a, a]] == a).any()))),
+                         *_elementwise(_strongly_regular_mask, lambda ring, a: bool(
+                             (ring.mul[ring.mul[a, a]] == a).any()))),
     "pi-regular": ("regularity", "some power of every a lies in (that power)*R*(that power)",
                    *_elementwise(_pi_regular_mask, _is_pi_regular, notes=_NO_POWER)),
     "strongly-pi-regular": ("regularity", "some power of every a lies in (next power)*R",

@@ -24,9 +24,14 @@ First Course in Noncommutative Rings*, sections 4 and 10):
   in e*R*e commutes with a, and 1 + a*x = 1 - e is not a unit, since
   (1 - e)*e = 0.
 
-`idempotent_reach` is the kernel of the regularity, exchange and
-semipotent scans in `predicates`: which idempotents lie in each principal
-right ideal a*R.
+Every pass over a table runs in row blocks (`core._outer_blocks`), so a
+set is computed beside block-sized temporaries, not n-by-n ones.  Two
+results are n-by-|E| by nature, for the idempotents E, and are kept whole:
+`idempotent_reach`, the kernel of the regularity, exchange and semipotent
+scans in `predicates` (which idempotents lie in each principal right ideal
+a*R), and `idempotent_commutant`, the kernel of the strongly-nil-clean,
+strongly-2-nil-clean and abelian scans (which elements commute with each
+idempotent).
 """
 
 from __future__ import annotations
@@ -55,9 +60,8 @@ def unit_mask(ring: FiniteRing) -> np.ndarray:
     # a unit's right inverse is unique, so a is a unit exactly when its first
     # right inverse b (if any) is also a left one, ba = 1
     def compute():
-        a = np.arange(ring.order)
-        b = (ring.mul == ring.one).argmax(axis=1)
-        return (ring.mul[a, b] == ring.one) & (ring.mul[b, a] == ring.one)
+        b = core._first_column(ring.mul, ring.one)       # -1 where a has none
+        return (b >= 0) & (ring.mul[b, np.arange(ring.order)] == ring.one)
     return _cached_mask(ring, "unit_mask", compute)
 
 
@@ -116,17 +120,17 @@ def delta_mask(ring: FiniteRing) -> np.ndarray:
     def compute():
         u = unit_mask(ring)
         u_idx = np.flatnonzero(u)
-        mask = u[ring.add[:, u_idx]].all(axis=1)
+        mask = np.empty(ring.order, dtype=bool)
+        for lo, hi, sums in core._outer_blocks(ring.add, None, u_idx):
+            mask[lo:hi] = u[sums].all(axis=1)
         d_idx = np.flatnonzero(mask)
         if not mask[np.flatnonzero(jacobson_mask(ring))].all():
             raise InternalInconsistency(
                 f"radical of {ring.label} escapes the delta set")
-        if d_idx.size and u_idx.size:
-            left = mask[core._outer(ring.mul, u_idx, d_idx)].all()
-            right = mask[core._outer(ring.mul, d_idx, u_idx)].all()
-            if not (left and right):
-                raise InternalInconsistency(
-                    f"delta set of {ring.label} is not closed under unit multiples")
+        if not (core._all_in(mask, ring.mul, u_idx, d_idx)
+                and core._all_in(mask, ring.mul, d_idx, u_idx)):
+            raise InternalInconsistency(
+                f"delta set of {ring.label} is not closed under unit multiples")
         return mask
     return _cached_mask(ring, "delta_mask", compute)
 
@@ -159,8 +163,13 @@ def prime_radical(ring: FiniteRing) -> np.ndarray:
     return _cached_mask(ring, "nilstar_mask", compute)
 
 
-def commuting_matrix(ring: FiniteRing) -> np.ndarray:
-    return _cached_mask(ring, "commut", lambda: ring.mul == ring.mul.T)
+def idempotent_commutant(ring: FiniteRing) -> np.ndarray:
+    """Bool matrix C with C[j, x] true when the j-th smallest idempotent
+    commutes with x: the rows at idempotents of the relation x*y = y*x."""
+    def compute():
+        id_idx = np.flatnonzero(idempotent_mask(ring))
+        return ring.mul[id_idx] == np.take(ring.mul, id_idx, axis=1).T
+    return _cached_mask(ring, "idem_commutant", compute)
 
 
 def quasinilpotent_mask(ring: FiniteRing) -> np.ndarray:
@@ -196,10 +205,7 @@ def idempotent_reach(ring: FiniteRing) -> np.ndarray:
 
 def sumset_mask(ring: FiniteRing, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
     """Characteristic vector of {a + b : a in A, b in B}."""
-    mask = np.zeros(ring.order, dtype=bool)
-    if len(a_idx) and len(b_idx):
-        mask[core._outer(ring.add, a_idx, b_idx).ravel()] = True
-    return mask
+    return core._marked_outer(ring.add, a_idx, b_idx)
 
 
 def radical_quotient(ring: FiniteRing) -> tuple[FiniteRing, core.RingHom]:

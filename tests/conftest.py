@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from deltaring import core
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak of the memory traced while `fn(*args)` runs, in bytes;
+    numpy reports its array buffers to `tracemalloc`.  Tracing is stopped
+    on the way out, also when `fn` raises."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def zmod_tables(m: int):

@@ -7,7 +7,8 @@ the n^3 triples), sharing nothing with the library's generator-based
 validator.  The two-sided reference runs the generator procedure with both
 full distributivity sides, in the pass order that names a violation.  The generator oracle re-closes the whole additive span after
 each generator.  The ideal oracle is a plain closure-lattice search.  The
-homomorphism oracle compares images one pair at a time.  The prime
+homomorphism oracle compares images one pair at a time.  The bimodule
+oracle checks each module law on all triples at once.  The prime
 radical oracle is the semiprime fixpoint of its definition.  The product
 oracles write each construction's multiplication from its textbook
 definition, one loop over the coordinates.  The dump oracles are the
@@ -384,6 +385,36 @@ def naive_hom_violation(source, target, mapping) -> tuple[str, tuple[int, ...]] 
             for b in range(source.order):
                 if m[src[a][b]] != tgt[m[a]][m[b]]:
                     return kind, (a, b)
+    return None
+
+
+def naive_bimodule_violation(R, S, add, la, ra) -> str | None:
+    """The message of the first law, in `validate_bimodule`'s order, that
+    the in-range tables of an (R,S)-bimodule break, each law compared on
+    all its pairs or triples at once; None when every law holds."""
+    m = add.shape[0]
+    arange = np.arange(m)
+    if not np.array_equal(add, add.T):
+        return "module addition is not commutative"
+    zero_rows = [i for i in range(m) if np.array_equal(add[i], arange)]
+    if len(zero_rows) != 1:
+        return "module addition has no unique zero"
+    laws = (
+        ("module addition is not associative", add[add, :], add[:, add]),
+        ("module addition misses inverses", (add == zero_rows[0]).any(axis=1), True),
+        ("1*m != m", la[R.one], arange),
+        ("m*1 != m", ra[:, S.one], arange),
+        ("r(m+m') != rm+rm'", la[:, add], add[la[:, :, None], la[:, None, :]]),
+        ("(r+r')m != rm+r'm", la[R.add, :], add[la[:, None, :], la[None, :, :]]),
+        ("(rr')m != r(r'm)", la[R.mul, :], la[:, la]),
+        ("(m+m')s != ms+m's", ra[add, :], add[ra[:, None, :], ra[None, :, :]]),
+        ("m(s+s') != ms+ms'", ra[:, S.add], add[ra[:, :, None], ra[:, None, :]]),
+        ("m(ss') != (ms)s'", ra[:, S.mul], ra[ra, :]),
+        ("(rm)s != r(ms)", ra[la, :], la[:, ra]),
+    )
+    for message, lhs, rhs in laws:
+        if not (lhs == rhs).all():
+            return message
     return None
 
 

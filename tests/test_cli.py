@@ -8,9 +8,12 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import deltaring
 from deltaring import cli, core, dsl, schemas
+
+from conftest import traced_peak
 
 
 def run(capsys, *argv):
@@ -290,6 +293,15 @@ code = cli.main(sys.argv[1:])
 print(time.perf_counter() - start)
 raise SystemExit(code)
 """
+
+
+@pytest.mark.parametrize("expr", ["T(2,Z9)", "M(2,Z5)", "Prod(Z27,Z27)"])
+def test_info_payload_holds_its_tables_and_little_else(expr):
+    # every pass of the payload that reduces a table runs in row blocks, so
+    # on a fresh memo no temporary comes near the size of a table
+    R = core._relabel(dsl.build_str(expr), expr)
+    assert 625 <= R.order <= 729
+    assert traced_peak(cli._info_payload, R) < R.order ** 2 * 4 / 2
 
 
 def test_cli_import_leaves_out_the_theorem_harness():

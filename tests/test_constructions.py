@@ -22,6 +22,7 @@ from deltaring.errors import (
 from deltaring.predicates import class_verdict
 
 import oracles
+from conftest import traced_peak
 from oracles import members
 
 
@@ -560,6 +561,69 @@ def test_bimodule_validation(zmod):
     broken[2][3] = (broken[2][3] + 1) % 4
     with pytest.raises(InvalidBimodule):
         cons.validate_bimodule(Z4, Z4, reg.add, broken, reg.right_act)
+
+
+def _bimodule_cases():
+    """(R, S, [add, left action, right action]) of bimodules whose tables
+    hold every law, then of tables that break only the action laws
+    (rr')m, m(ss'), m(s+s') and (rm)s, which a changed cell rarely reaches."""
+    for expr in ("Z4", "M(2,Z2)", "T(2,Z3)", "GF(4)"):
+        R = dsl.build_str(expr)
+        yield R, R, [R.add, R.mul, R.mul]
+    for r, m in ((4, 2), (8, 4)):                     # Z_m over Z_r and Z_m
+        R, M = dsl.build_str(f"Z{r}"), dsl.build_str(f"Z{m}")
+        yield R, M, [M.add, np.arange(r)[:, None] * np.arange(m) % m, M.mul]
+    # GF(4) through phi, additive with phi(1) = phi(x) = 1 but not multiplicative
+    F = dsl.build_str("GF(4)")
+    phi = np.array([0, 1, 1, 0])
+    yield F, F, [F.add, F.mul[phi], F.mul]
+    yield F, F, [F.add, F.mul, F.mul[:, phi]]
+    # ... and through psi, multiplicative with psi(1) = 1 but not additive
+    yield F, F, [F.add, F.mul, F.mul[:, [0, 1, 1, 1]]]
+    # Z2^2 over Prod(Z2,Z2) acting through the non-commuting idempotents P
+    # (left) and Q (right): (a,b) acts as aP + b(I - P)
+    P2 = dsl.build_str("Prod(Z2,Z2)")
+    vec = np.array([[i >> 1, i & 1] for i in range(4)])
+    idem = {"P": np.array([[1, 0], [0, 0]]), "Q": np.array([[1, 1], [0, 0]])}
+
+    def action(E):                                    # [r, x] the index of r acting on x
+        ops = [(a * E + b * (np.eye(2, dtype=int) - E)) % 2 for a, b in vec]
+        return np.array([[int("".join(map(str, op @ v % 2)), 2) for v in vec] for op in ops])
+    yield P2, P2, [P2.add, action(idem["P"]), action(idem["Q"]).T]
+
+
+@pytest.mark.parametrize("cells", [None, 4])
+def test_bimodule_laws_match_the_literal_checks(monkeypatch, cells):
+    # every law is checked in row blocks of its first operand, so each must
+    # refuse the same tables, with the same message, as the literal check on
+    # all its triples at once: the tables as they are, and with one cell changed
+    if cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(11)
+    seen = set()
+    for R, S, tables in _bimodule_cases():
+        for trial in range(41):
+            changed = [np.array(t) for t in tables]
+            if trial:
+                t = changed[trial % 3]
+                a, c = rng.integers(t.shape[0]), rng.integers(t.shape[1])
+                t[a, c] = (t[a, c] + 1) % tables[0].shape[0]
+            expected = oracles.naive_bimodule_violation(R, S, *changed)
+            seen.add(expected)
+            if expected is None:
+                assert cons.validate_bimodule(R, S, *changed).order == tables[0].shape[0]
+            else:
+                with pytest.raises(InvalidBimodule, match=re.escape(expected)):
+                    cons.validate_bimodule(R, S, *changed)
+    assert len(seen) == 14                            # all 13 messages, and None
+
+
+def test_bimodule_validation_holds_no_cubic_temporary():
+    # the laws were compared on all triples at once: 145 MB traced at
+    # order 256 for the regular bimodule
+    R = dsl.build_str("M(2,Z4)")
+    assert R.order == 256
+    assert traced_peak(cons.validate_bimodule, R, R, R.add, R.mul, R.mul) < 4 << 20
 
 
 @pytest.mark.parametrize("kind, cell", [("bimodule", 2 ** 32 + 1), ("bimodule", 1.5),

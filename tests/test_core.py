@@ -5,7 +5,6 @@ import json
 import random
 import sys
 import threading
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from deltaring.errors import (
 
 import oracles
 from oracles import members
-from conftest import zmod_tables
+from conftest import traced_peak, zmod_tables
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +178,13 @@ def test_validation_witnesses_match_golden(monkeypatch, cells):
 
 
 def test_light_passes_hold_one_table_at_a_time():
-    # each of Light's passes gathers one n-by-n table; holding the previous
-    # generator's table while gathering the next would double the peak
+    # Light's passes compare add[add[:, g]] with its transpose tile by tile
+    # and the distributivity passes run in row blocks, so the checks gather
+    # no n-by-n table at all (one such gather per pass held 1 table)
     R = dsl.build_str("Prod(Z32,Z64)")
     gens = core.additive_generators(R.add, R.zero)
     assert (R.order, len(gens)) == (2048, 2)
-    tracemalloc.start()
-    try:
-        core._generator_triple_checks(R.add, R.mul, gens)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * R.order ** 2 * 4
+    assert traced_peak(core._generator_triple_checks, R.add, R.mul, gens) < 0.25 * R.order ** 2 * 4
 
 
 def test_valid_ring_runs_full_left_passes_only(monkeypatch):

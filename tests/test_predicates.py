@@ -110,13 +110,14 @@ def test_strongly_regular_matches_brute_force():
 
 
 def _literal_element_masks(R) -> dict[str, list[bool]]:
-    """Each element's condition for the five classes whose scans read
-    `subsets.idempotent_reach` or a product set, by plain loops over the
-    defining condition."""
+    """Each element's condition for the eight classes whose scans read
+    `subsets.idempotent_reach`, a product set, the idempotent commutant or
+    rows of `mul` in blocks, by plain loops over the defining condition."""
     n, mul = R.order, R.mul.tolist()
     idem = oracles.naive_idempotents(R)
     units = oracles.naive_units(R)
     jac = set(oracles.naive_jacobson(R))
+    nil = set(oracles.naive_nilpotents(R))
     right = [set(row) for row in mul]                 # a*R
 
     def powers(a):
@@ -134,12 +135,18 @@ def _literal_element_masks(R) -> dict[str, list[bool]]:
                          for e in idem) for a in range(n)],
         "semipotent": [a in jac or any(e != R.zero and e in right[a] for e in idem)
                        for a in range(n)],
+        "strongly-regular": [a in right[mul[a][a]] for a in range(n)],
+        "strongly-pi-regular": [any(p in right[mul[p][a]] for p in powers(a)) for a in range(n)],
+        "strongly-nil-clean": [any(R.sub(a, e) in nil and mul[e][R.sub(a, e)] == mul[R.sub(a, e)][e]
+                                   for e in idem) for a in range(n)],
     }
 
 
 ELEMENT_MASKS = {"regular": pr._regular_mask, "unit-regular": pr._unit_regular_mask,
                  "pi-regular": pr._pi_regular_mask, "exchange": pr._exchange_mask,
-                 "semipotent": pr._semipotent_mask}
+                 "semipotent": pr._semipotent_mask, "strongly-regular": pr._strongly_regular_mask,
+                 "strongly-pi-regular": pr._strongly_pi_regular_mask,
+                 "strongly-nil-clean": pr._strongly_nil_clean_mask}
 MASK_SAMPLE = ("Z4", "Z6", "Z8", "Z12", "GF(8)", "M(2,Z2)", "T(2,Z2)", "T(2,Z3)", "T(3,Z2)",
                "GR(Z2,C3)", "GR(Z2,S3)", "K(Z4,s=2)", "Triv(Z4,Z4)", "Prod(Z4,GF(4))",
                "TruncSkew(GF(4),frob,2)", "M(2,Z3)")
@@ -148,9 +155,11 @@ MASK_SAMPLE = ("Z4", "Z6", "Z8", "Z12", "GF(8)", "M(2,Z2)", "T(2,Z2)", "T(2,Z3)"
 @pytest.mark.parametrize("block_cells", [None, 4])
 def test_element_masks_match_literal_conditions(monkeypatch, block_cells):
     # the regular, pi-regular, exchange and semipotent masks come from the
-    # idempotents-in-a*R matrix and the unit-regular mask from the product set
-    # E*U; each must equal its defining condition element by element, with
-    # tables in one block and split into blocks of a few rows
+    # idempotents-in-a*R matrix, the unit-regular mask from the product set
+    # E*U, the strongly-nil-clean mask from the idempotent commutant, and the
+    # strongly-(pi-)regular masks from rows of mul; each must equal its
+    # defining condition element by element, with tables in one block and
+    # split into blocks of a few rows
     if block_cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
     seen_false = set()
@@ -160,7 +169,21 @@ def test_element_masks_match_literal_conditions(monkeypatch, block_cells):
             assert ELEMENT_MASKS[name](R).tolist() == expected, (expr, name)
             if not all(expected):
                 seen_false.add(name)
-    assert seen_false == {"regular", "unit-regular"}
+    assert seen_false == {"regular", "unit-regular", "strongly-regular", "strongly-nil-clean"}
+
+
+@pytest.mark.parametrize("block_cells", [None, 4])
+def test_idempotent_commutant_is_literal_commuting(monkeypatch, block_cells):
+    # row j of the commutant says which x commute with the j-th smallest
+    # idempotent e: e*x == x*e, cell by cell
+    if block_cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
+    for expr in MASK_SAMPLE:
+        R = core._relabel(b(expr), expr)              # a fresh memo
+        mul = R.mul.tolist()
+        expected = [[mul[e][x] == mul[x][e] for x in range(R.order)]
+                    for e in oracles.naive_idempotents(R)]
+        assert subsets.idempotent_commutant(R).tolist() == expected, expr
 
 
 # ---------------------------------------------------------------------------
