@@ -160,12 +160,8 @@ def _regular_mask(ring: FiniteRing) -> np.ndarray:
 
 def _unit_regular_mask(ring: FiniteRing) -> np.ndarray:
     """Unit-regular elements: the product set E*U."""
-    id_idx = np.flatnonzero(subsets.idempotent_mask(ring))
-    u_idx = np.flatnonzero(subsets.unit_mask(ring))
-    ok = np.zeros(ring.order, dtype=bool)
-    for lo, hi in core._row_blocks(id_idx.size, u_idx.size):
-        ok[core._outer(ring.mul, id_idx[lo:hi], u_idx)] = True
-    return ok
+    return core._marked_outer(ring.mul, np.flatnonzero(subsets.idempotent_mask(ring)),
+                              np.flatnonzero(subsets.unit_mask(ring)))
 
 
 def _pi_regular_mask(ring: FiniteRing) -> np.ndarray:
