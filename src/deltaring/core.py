@@ -19,12 +19,11 @@ blocks, so they gather no n-by-n array either.  A value-dependent lookup
 block of `_BLOCK_CELLS` cells that is one `np.take` on the flattened table
 with flat indices rows*n + cols, built one row block at a time, so every
 temporary is block-sized; a smaller table stays in cache and takes numpy's
-own gather, as does an `_outer` of at most one block.  Passes over all
-n^2 pairs (distributivity, homomorphism certificates) run in the same row
-blocks and stop at the first block with a failing pair
-(`_first_mismatch`).  Holding a `FiniteRing` is proof that the tables
-really form a unital ring: every one is either validated from its tables
-or derived from a ring that already was, under a certificate.
+own gather.  Passes over all n^2 pairs (distributivity, homomorphism
+certificates) run in the same row blocks and stop at the first block with
+a failing pair (`_first_mismatch`).  Holding a `FiniteRing` is proof that
+the tables really form a unital ring: every one is either validated from
+its tables or derived from a ring that already was, under a certificate.
 
 `validate_ring` is exact at every order with one complete procedure:
 Light's associativity test over an additive generating set, biadditivity
@@ -172,8 +171,6 @@ def _row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
     """Bounds (lo, hi) of consecutive blocks of `rows` rows that hold about
     `_BLOCK_CELLS` cells at `width` cells a row (at least one row each)."""
     step = max(1, _BLOCK_CELLS // max(1, width))
-    if rows <= step:   # one block or none, without the comprehension's call
-        return [(0, rows)] if rows else []
     return [(lo, min(rows, lo + step)) for lo in range(0, rows, step)]
 
 
@@ -217,17 +214,13 @@ def _outer_blocks(table: np.ndarray, rows=None, cols=None):
     width = table.shape[1] if rows is not None or cols is None else len(cols)
     for lo, hi in _row_blocks(count, width):
         block = table[lo:hi] if rows is None else table[rows[lo:hi]]
-        yield lo, hi, block if cols is None else np.take(block, cols, axis=1)
+        yield lo, hi, block if cols is None else block.take(cols, axis=1)
 
 
 def _outer(table: np.ndarray, rows, cols, through: np.ndarray | None = None) -> np.ndarray:
     """`table[r, c]` for every r in `rows` (axis 0) and c in `cols` (axis 1),
     or `through[table[r, c]]` when the vector `through` is given, as a
     C-contiguous array built one row block at a time (`_outer_blocks`)."""
-    rows = np.asarray(rows)
-    if len(rows) * table.shape[1] <= _BLOCK_CELLS:
-        out = np.take(table[rows], cols, axis=1)
-        return out if through is None else through[out]
     out = np.empty((len(rows), len(cols)), dtype=(table if through is None else through).dtype)
     for lo, hi, block in _outer_blocks(table, rows, cols):
         if through is None:
@@ -249,7 +242,10 @@ def _marked_outer(table: np.ndarray, rows=None, cols=None) -> np.ndarray:
 def _all_in(mask: np.ndarray, table: np.ndarray, rows=None, cols=None) -> bool:
     """Whether `mask` holds at every `table[r, c]` of `_outer_blocks(table,
     rows, cols)`; the scan stops at the first block that fails."""
-    return all(mask[block].all() for _, _, block in _outer_blocks(table, rows, cols))
+    for _, _, block in _outer_blocks(table, rows, cols):
+        if not mask[block].all():
+            return False
+    return True
 
 
 def _first_column(table: np.ndarray, value: int) -> np.ndarray:
@@ -258,7 +254,9 @@ def _first_column(table: np.ndarray, value: int) -> np.ndarray:
     out = np.empty(table.shape[0], dtype=np.int32)
     for lo, hi, block in _outer_blocks(table):
         hit = block == value
-        out[lo:hi] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+        first = out[lo:hi]
+        first[:] = hit.argmax(axis=1)
+        first[(first == 0) & ~hit[:, 0]] = -1     # argmax is 0 in a row without a hit
     return out
 
 
@@ -276,7 +274,8 @@ def _is_symmetric(table: np.ndarray, rows: np.ndarray | None = None) -> bool:
 
     for i in range(0, n, side):
         for j in range(i, n, side):
-            if not np.array_equal(tile(i, j), tile(j, i).T):
+            upper = tile(i, j)
+            if not np.array_equal(upper, (upper if i == j else tile(j, i)).T):
                 return False
     return True
 
@@ -388,13 +387,13 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
     covered[zero] = True
     gens: list[int] = []
     while not covered.all():
-        g = int(np.flatnonzero(~covered)[0])
+        g = int(covered.argmin())          # the first element not yet spanned
         gens.append(g)
         covered[g] = True
         new = np.array([g])
         while new.size:
-            hit = _marked_outer(add, new, np.flatnonzero(covered))
-            new = np.flatnonzero(hit & ~covered)
+            hit = _marked_outer(add, new, covered.nonzero()[0])
+            new = (hit & ~covered).nonzero()[0]
             covered |= hit
     return gens
 
@@ -436,7 +435,7 @@ def _check_light(add: np.ndarray, gens: list[int]) -> None:
     # test is M == M.T.  g = zero passes by the identity law checked before.
     # M is compared tile by tile and never gathered whole.
     for g in gens:
-        col = np.ascontiguousarray(add[:, g])
+        col = add[:, g]
         if not _is_symmetric(add, col):
             a, c = _first_asymmetry(add, col)
             raise AxiomViolation("add-associativity", (a, g, c))
@@ -476,7 +475,7 @@ def _bad_triple(mul: np.ndarray, gens: list[int]) -> tuple[int, int, int] | None
     """The first (g1, g2, g3) over `gens` in nested-loop order with
     (g1g2)g3 != g1(g2g3), or None: r^3 cells for r generators."""
     g = np.array(gens)
-    pairs = _outer(mul, g, g)           # g_i g_j at [i, j]
+    pairs = _lookup(mul, g[:, None], g)     # g_i g_j at [i, j]
     bad = mul[pairs[:, :, None], g] != mul[g[:, None, None], pairs]
     if not bad.any():
         return None

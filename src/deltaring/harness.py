@@ -135,7 +135,7 @@ def ideals_inside_radical(ring: FiniteRing) -> list[np.ndarray]:
             continue
         members = core.ideal_generated(ring, [int(a)])
         principal.setdefault(members.tobytes(), members)
-        done[core._outer(ring.mul, ring.mul[u_idx, a], u_idx)] = True
+        done |= core._marked_outer(ring.mul, ring.mul[u_idx, a], u_idx)
     zero = np.zeros(ring.order, dtype=bool)
     zero[ring.zero] = True
     seen = {zero.tobytes(): zero}
