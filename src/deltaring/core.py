@@ -79,7 +79,12 @@ identity needs no certificate (nor in `constructions.identity_endomorphism`).
 `induced_subring` (and so `corner_ring`) checks that the subset contains
 0, is closed under negation, addition and multiplication, and has the
 given identity; the inclusion then preserves both operations, so every
-ring law holds on the subset.
+ring law holds on the subset.  The subset of every element is closed by
+definition and induces R's own tables, so that subring (the unit subring
+of a ring its units generate, `corner_ring(R, 1)`) shares R's frozen
+tables and negation instead of copying them, under its own label and
+names and with a fresh memo: what is computed on it is computed anew, not
+read from R's memo.
 """
 
 from __future__ import annotations
@@ -641,10 +646,11 @@ def _closure(ring: FiniteRing, gens, extra: list[int], extend) -> np.ndarray:
     `extend` cannot enlarge; `ValueError` when `gens` holds anything but
     indices of the ring's elements, a bool mask included.
 
-    `extend(new, cur)` returns the elements that pairs with at least one
-    member in `new` reach; pairs of older members were taken in an earlier
-    round, so each round only looks at the frontier.  Reached elements are
-    marked in a bool vector, so a round costs no sort.
+    `extend(new, cur)` returns the (table, rows, cols) products that pairs
+    with at least one member in `new` reach; pairs of older members were
+    taken in an earlier round, so each round only looks at the frontier.
+    Each product is marked in a bool vector one row block at a time
+    (`_marked_outer`), so a round costs no sort and holds no product whole.
     """
     idx = np.asarray(list(gens))
     if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= ring.order):
@@ -654,7 +660,9 @@ def _closure(ring: FiniteRing, gens, extra: list[int], extend) -> np.ndarray:
     mask[extra] = True
     new = np.flatnonzero(mask)
     while new.size:
-        hit = _marked(extend(new, np.flatnonzero(mask)), ring.order)
+        hit = np.zeros(ring.order, dtype=bool)
+        for table, rows, cols in extend(new, np.flatnonzero(mask)):
+            hit |= _marked_outer(table, rows, cols)
         new = np.flatnonzero(hit & ~mask)
         mask |= hit
     return _frozen(mask)
@@ -664,17 +672,16 @@ def subring_generated(ring: FiniteRing, gens, unital: bool = True) -> np.ndarray
     """Least subset closed under subtraction and multiplication containing
     the element indices `gens` (and the identity when `unital`)."""
     add, mul, neg = ring.add, ring.mul, ring.neg
-    return _closure(ring, gens, [ring.one] if unital else [], lambda new, cur: np.concatenate((
-        _outer(add, new, neg[cur]).ravel(), _outer(add, cur, neg[new]).ravel(),
-        _outer(mul, new, cur).ravel(), _outer(mul, cur, new).ravel())))
+    return _closure(ring, gens, [ring.one] if unital else [], lambda new, cur: (
+        (add, new, neg[cur]), (add, cur, neg[new]), (mul, new, cur), (mul, cur, new)))
 
 
 def ideal_generated(ring: FiniteRing, gens) -> np.ndarray:
     """Least two-sided ideal containing the element indices `gens`
     (fixpoint closure)."""
     add, mul = ring.add, ring.mul
-    return _closure(ring, gens, [ring.zero], lambda new, cur: np.concatenate((
-        _outer(add, new, cur).ravel(), mul[:, new].ravel(), mul[new, :].ravel())))
+    return _closure(ring, gens, [ring.zero], lambda new, cur: (
+        (add, new, cur), (mul, None, new), (mul, new, None)))
 
 
 def is_ideal(ring: FiniteRing, subset) -> bool:
@@ -777,6 +784,9 @@ def induced_subring(ring: FiniteRing, subset, one: int,
     Element i of the result is the i-th smallest member index of the mask
     `subset`; the returned read-only index array realises that
     correspondence.  `one` must be a two-sided identity on the subset.
+    When the subset is every element, the result's tables and negation are
+    the ring's own frozen arrays, shared rather than copied; its label,
+    names and memo are its own.
     """
     mask = _element_mask(ring, subset)
     elems = np.flatnonzero(mask).astype(np.int32)
@@ -784,10 +794,14 @@ def induced_subring(ring: FiniteRing, subset, one: int,
         raise ValueError("subset does not contain 0 and the negatives of its members")
     pos = np.full(ring.order, -1, dtype=np.int32)
     pos[elems] = np.arange(elems.size, dtype=np.int32)
-    sub_add = _outer(ring.add, elems, elems, pos)
-    sub_mul = _outer(ring.mul, elems, elems, pos)
-    if sub_add.min() < 0 or sub_mul.min() < 0:
-        raise ValueError("subset is not closed under the ring operations")
+    if elems.size == ring.order:     # pos is the identity map: the tables are the ring's
+        sub_add, sub_mul, sub_neg = ring.add, ring.mul, ring.neg
+    else:
+        sub_add = _outer(ring.add, elems, elems, pos)
+        sub_mul = _outer(ring.mul, elems, elems, pos)
+        sub_neg = None
+        if sub_add.min() < 0 or sub_mul.min() < 0:
+            raise ValueError("subset is not closed under the ring operations")
     one = int(one)
     if not mask[one]:
         raise ValueError(f"identity {one} is not a member of the subset")
@@ -798,7 +812,7 @@ def induced_subring(ring: FiniteRing, subset, one: int,
     # The inclusion preserves + and * on a subset holding 0, negatives and an
     # identity, so every ring law holds there: no re-validation is needed.
     out = _certified_ring(label or f"{ring.label}|sub({elems.size})", sub_add, sub_mul,
-                          int(pos[ring.zero]), int(pos[one]), names)
+                          int(pos[ring.zero]), int(pos[one]), names, sub_neg)
     return out, _frozen(elems)
 
 

@@ -598,16 +598,17 @@ def jacobson_pair_check(ring: FiniteRing) -> CheckReport:
     Intended for rings already verified delta-u; runs anywhere and records
     the hypothesis status in the notes.
     """
-    om = subsets.one_minus(ring)
-    in_delta = subsets.delta_mask(ring)[om[ring.mul]]
+    in_delta = subsets.delta_mask(ring)[subsets.one_minus(ring)]     # at x: 1 - x in delta
     hyp = check_class(ring, "delta-u").verdict
     notes = f"delta-u hypothesis {'holds' if hyp else 'does not hold'}"
-    same = in_delta == in_delta.T
-    if same.all():
+    # [1 - ab in delta] against its transpose, a row block against a column block
+    mul = ring.mul
+    bad = core._first_mismatch(ring.order, lambda lo, hi: (
+        in_delta[mul[lo:hi]], in_delta[mul[:, lo:hi]].T))
+    if bad is None:
         return _report(ring, "jacobson-pair", True, notes=notes)
-    a, b = np.argwhere(~same)[0]
     return _report(ring, "jacobson-pair", False,
-                   [_wit(ring, "left-factor", int(a)), _wit(ring, "right-factor", int(b))],
+                   [_wit(ring, "left-factor", bad[0]), _wit(ring, "right-factor", bad[1])],
                    notes=notes)
 
 

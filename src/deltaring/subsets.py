@@ -142,6 +142,8 @@ def unit_subring(ring: FiniteRing) -> tuple[FiniteRing, np.ndarray]:
 
     That makes it usable as an independent oracle: the delta set of the
     ambient ring must equal the radical of this subring, mapped back.
+    When the units generate the whole ring, the subring shares the ring's
+    frozen tables but not its memo, so its radical is computed on its own.
     """
     cached = ring._cache.get("unit_subring")
     if cached is None:

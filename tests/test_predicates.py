@@ -6,6 +6,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from deltaring import core, dsl, harness, predicates as pr, subsets
@@ -14,6 +15,7 @@ from deltaring.predicates import check_class, class_verdict, revalidate_witness
 from deltaring.report import CheckReport, Witness
 
 import oracles
+from conftest import traced_peak
 from oracles import members
 
 
@@ -255,6 +257,45 @@ def test_jacobson_pair_examples():
     assert pr.jacobson_pair_check(b("Z30")).verdict is True  # commutative
     report = pr.jacobson_pair_check(b("M(2,Z2)"))
     assert "hypothesis" in report.notes
+
+
+@pytest.mark.parametrize("block_cells", [None, 4])
+def test_jacobson_pair_scan_matches_the_whole_array_scan(monkeypatch, block_cells):
+    # T2.11 compares row blocks of [1 - ab in delta] with column blocks of
+    # [1 - ba in delta]; the report must be the literal n-by-n comparison's,
+    # its witness the first failing pair in row-major order.  Every catalog
+    # ring passes with its own delta set, so seeded random sets stand in for
+    # it as well, to reach failing pairs
+    if block_cells is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(7)
+    rings = [R for R in harness.catalog_rings() if R.order <= 64]
+    assert any(not class_verdict(R, "delta-u") for R in rings)
+    failed = 0
+    for ring in rings:
+        R = core._relabel(ring, ring.label)                 # a fresh memo
+        notes = f"delta-u hypothesis {'holds' if class_verdict(R, 'delta-u') else 'does not hold'}"
+        for delta in (subsets.delta_mask(R), rng.random(R.order) < 0.5):
+            in_delta = delta[R.add[R.one, R.neg][R.mul]]
+            bad = np.argwhere(in_delta != in_delta.T)
+            expected = [int(x) for x in bad[0]] if bad.size else []
+            with monkeypatch.context() as mp:
+                mp.setattr(subsets, "delta_mask", lambda ring, delta=delta: delta)
+                report = pr.jacobson_pair_check(R)
+            assert report.verdict == (not expected), R.label
+            assert [w.element for w in report.witness] == expected, R.label
+            assert [w.role for w in report.witness] == (
+                ["left-factor", "right-factor"] if expected else []), R.label
+            assert report.notes == notes, R.label
+            failed += not report.verdict
+    assert failed > 10
+
+
+def test_jacobson_pair_scan_holds_no_table():
+    # the two sides are compared one row block at a time; the whole-array
+    # gather and its transpose held 1.26 tables
+    R = b("Prod(Z32,Z64)")
+    assert traced_peak(pr.jacobson_pair_check, R) < 0.25 * R.order ** 2 * 4
 
 
 # ---------------------------------------------------------------------------
