@@ -12,13 +12,32 @@ structure tables: coordinate c of a product ab is the sum, under the
 addition of coordinate c, of table[a_l, b_r] over the construction's terms
 (c, l, r, table).  Each table is a ring product, a bimodule action, or a
 ring product twisted by a central scalar or an endomorphism, so each is
-additive in each argument.  `_over` makes the ring of a term list on R^k,
-and one builder, `_tuple_ring`, makes every ring: in one walk it finds the
-additive generators, evaluates the product (`_term_products`) only on the
-zero row and their rows, and fills every other row from right
-distributivity; `core._validated_ring` then certifies the tables from the
-terms (see `core`).  A ring is named by its default form, e.g. `FT(R,S,0)`,
-which `dsl.build` replaces by the canonical form.
+additive in each argument unless a bimodule is not one.  `_over` makes the
+ring of a term list on R^k, and one builder, `_tuple_ring`, makes every
+ring.  A ring is named by its default form, e.g. `FT(R,S,0)`, which
+`dsl.build` replaces by the canonical form.
+
+`_tuple_ring` fills the tables in one walk that also finds the greedy
+additive generators: it evaluates the product (`_term_products`) only on
+the rows of the zero and of the generators, and fills every other row by
+right distributivity.  `_structure_certified` then proves the ring laws in
+four steps: (1) each distinct coordinate addition is an abelian group on
+its own small domain (`_coordinate_generators`: the group laws and Light's
+test); (2) each distinct term table is additive in each argument, checked
+on the generators of its own coordinate groups, |A_l|·|A_r| cells per
+generator (`_additive_rows`); (3) both identity laws hold, 2n cells; (4)
+the product is associative on the r^3 triples of the generators the walk
+found.  By (1) the addition is a direct product of abelian groups, so the
+walk's generators are those of `core.additive_generators`, and by (2) the
+product of the terms is biadditive, so the rows filled by additivity are
+that product.  The associator is then additive in each slot, and (4) gives
+associativity everywhere, as in Light's argument.  When a step fails,
+`_tuple_ring` evaluates every row from the terms and `core._validated_ring`
+runs the full procedure on those literal tables.  So a ring is accepted
+exactly when the construction's own product is a ring, and a rejection
+names what `core.validate_ring` names on the literal tables.  This is also
+what proves a bimodule: [[R, M], [0, S]] is a ring exactly when M is an
+(R,S)-bimodule, and so is Triv(R, M) when S is R.
 """
 
 from __future__ import annotations
@@ -33,6 +52,7 @@ import numpy as np
 from . import core, subsets
 from .core import FiniteRing, RingHom, check_internal
 from .errors import (
+    AxiomViolation,
     InvalidBimodule,
     InvalidEndomorphism,
     NotCentral,
@@ -145,7 +165,10 @@ class Bimodule:
     """A finite (R,S)-bimodule given by explicit tables.
 
     add: m-by-m table of the additive group; left_act: |R|-by-m; right_act:
-    m-by-|S|.  zero is the additive identity index.
+    m-by-|S|.  zero is the additive identity index.  The record checks that
+    the tables are integer element indices of those shapes, but no law: the
+    ring built on it proves them, since a construction accepts its ring
+    exactly when its product is a ring (module docstring).
     """
 
     left_ring: FiniteRing
@@ -158,78 +181,22 @@ class Bimodule:
     label: str
     names: tuple[str, ...]
 
+    def __post_init__(self):
+        m = self.order
+        for table, shape, name in ((self.add, (m, m), "add"),
+                                   (self.left_act, (self.left_ring.order, m), "left action"),
+                                   (self.right_act, (m, self.right_ring.order), "right action")):
+            if not isinstance(table, np.ndarray) or table.shape != shape:
+                raise InvalidBimodule(f"{name} table must be a {shape[0]}-by-{shape[1]} array")
+            # checked at the given width, so a wide or fractional cell cannot narrow into range
+            if table.dtype.kind not in "iu" or (
+                    table.size and not 0 <= table.min() <= table.max() < m):
+                raise InvalidBimodule(f"{name} entries must be element indices below {m}")
+        if not 0 <= self.zero < m:
+            raise InvalidBimodule(f"zero must be an element index below {m}")
+
     def __repr__(self) -> str:
         return f"Bimodule({self.label!r}, order={self.order})"
-
-
-def validate_bimodule(left_ring: FiniteRing, right_ring: FiniteRing,
-                      add, left_act, right_act, label: str = "M",
-                      names=None) -> Bimodule:
-    """Exhaustively verify the bimodule axioms, including balance (rm)s = r(ms)."""
-    addt, la, ra = np.asarray(add), np.asarray(left_act), np.asarray(right_act)
-    m = addt.shape[0]
-    if addt.shape != (m, m):
-        raise InvalidBimodule("additive table must be square")
-    if la.shape != (left_ring.order, m) or ra.shape != (m, right_ring.order):
-        raise InvalidBimodule("action table shapes do not match the acting rings")
-    # checked at the given width, so a wide or fractional cell cannot narrow into range
-    for t, nm in ((addt, "add"), (la, "left action"), (ra, "right action")):
-        if t.dtype.kind not in "iu":
-            raise InvalidBimodule(f"{nm} entries must be integer element indices")
-        if t.size and (t.min() < 0 or t.max() >= m):
-            raise InvalidBimodule(f"{nm} entries out of range")
-    # copies, so the frozen tables are never the caller's arrays
-    addt, la, ra = addt.astype(np.int32), la.astype(np.int32), ra.astype(np.int32)
-
-    def holds(rows: int, cells: int, sides) -> bool:
-        # A law's two sides, indexed by its first operand and built by
-        # `sides(lo, hi)` for that operand's rows lo..hi-1, `cells` cells a
-        # row, compared in row blocks of about `core._BLOCK_CELLS` cells.
-        return all(np.array_equal(*sides(lo, hi)) for lo, hi in core._row_blocks(rows, cells))
-
-    arange = np.arange(m, dtype=np.int32)
-    if not core._is_symmetric(addt):
-        raise InvalidBimodule("module addition is not commutative")
-    zero_rows = [i for i in range(m) if np.array_equal(addt[i], arange)]
-    if len(zero_rows) != 1:
-        raise InvalidBimodule("module addition has no unique zero")
-    zero = zero_rows[0]
-    if not holds(m, m * m, lambda lo, hi: (addt[addt[lo:hi]], np.take(addt[lo:hi], addt, axis=1))):
-        raise InvalidBimodule("module addition is not associative")
-    if core._first_column(addt, zero).min() < 0:
-        raise InvalidBimodule("module addition misses inverses")
-
-    R, S = left_ring, right_ring
-    if not np.array_equal(la[R.one], arange):
-        raise InvalidBimodule("1*m != m")
-    if not np.array_equal(ra[:, S.one], arange):
-        raise InvalidBimodule("m*1 != m")
-    r, s = R.order, S.order
-    laws = (   # message, rows and cells a row of the first operand, sides
-        ("r(m+m') != rm+rm'", r, m * m, lambda lo, hi: (
-            np.take(la[lo:hi], addt, axis=1), addt[la[lo:hi, :, None], la[lo:hi, None, :]])),
-        ("(r+r')m != rm+r'm", r, r * m, lambda lo, hi: (
-            la[R.add[lo:hi]], addt[la[lo:hi, None, :], la[None, :, :]])),
-        ("(rr')m != r(r'm)", r, r * m, lambda lo, hi: (
-            la[R.mul[lo:hi]], np.take(la[lo:hi], la, axis=1))),
-        ("(m+m')s != ms+m's", m, m * s, lambda lo, hi: (
-            ra[addt[lo:hi]], addt[ra[lo:hi, None, :], ra[None, :, :]])),
-        ("m(s+s') != ms+ms'", m, s * s, lambda lo, hi: (
-            np.take(ra[lo:hi], S.add, axis=1), addt[ra[lo:hi, :, None], ra[lo:hi, None, :]])),
-        ("m(ss') != (ms)s'", m, s * s, lambda lo, hi: (
-            np.take(ra[lo:hi], S.mul, axis=1), ra[ra[lo:hi]])),
-        ("(rm)s != r(ms)", r, m * s, lambda lo, hi: (
-            ra[la[lo:hi]], np.take(la[lo:hi], ra, axis=1))),
-    )
-    for message, rows, cells, sides in laws:
-        if not holds(rows, cells, sides):
-            raise InvalidBimodule(message)
-    if names is None:
-        names = tuple(str(i) for i in range(m))
-    addt.setflags(write=False)
-    la.setflags(write=False)
-    ra.setflags(write=False)
-    return Bimodule(left_ring, right_ring, m, addt, la, ra, zero, label, tuple(names))
 
 
 def regular_bimodule(ring: FiniteRing) -> Bimodule:
@@ -287,8 +254,9 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
     addition the span of H and g is the union of those cosets, so these are
     the greedy generators of `core.additive_generators`; whatever the
     addition, every row is written.  The tables are then certified from the
-    terms, or validated in full where the certificate fails, so terms that
-    break an additive relation are rejected, never used.
+    terms (`_structure_certified`); where the certificate fails, every row
+    is evaluated from the terms and the full procedure runs on those, so
+    the ring is accepted exactly when the terms' own product is a ring.
 
     The order is held to the guard before `terms` (which may be lazy) is
     read or anything is allocated; `names()` gives the element names and is
@@ -311,20 +279,20 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
 
     zero, one = encode(zero_tuple), encode(one_tuple)
 
-    def evaluate(x):
-        # left coefficients as a column, right ones as a row: x's product row
-        out = _term_products(add_tables, terms, [col[x:x + 1, None] for col in cols],
+    def evaluate(lo, hi):
+        # left coefficients as a column, right ones as a row: the product rows lo..hi-1
+        out = _term_products(add_tables, terms, [col[lo:hi, None] for col in cols],
                              [col[None, :] for col in cols])
-        mul[x] = sum(strides[c] * oc for c, oc in enumerate(out))
+        mul[lo:hi] = sum(strides[c] * oc for c, oc in enumerate(out))
 
     mul = np.empty((n, n), dtype=np.int32)
-    evaluate(zero)
+    evaluate(zero, zero + 1)
     known, gens = core._marked([zero], n), []
     while not known.all():
         g = int(np.argmin(known))           # the least element not reached yet
         src = np.flatnonzero(known)         # the span H reached before g
         gens.append(g)
-        evaluate(g)
+        evaluate(g, g + 1)
         known[g] = True
         dst = add[src, g]
         while True:                         # the cosets H + g, H + 2g, ...
@@ -336,8 +304,13 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
             src, dst = dst, add[dst, g]
             if known[dst].all():
                 break
-    return core._validated_ring(add, mul, zero, one, label, names(),
-                                (add_tables, zero_tuple, terms, gens))
+    # a ring with 0 = 1 is refused as such, before the certificate reads its tables
+    certified = zero != one and _structure_certified(mul, one, add_tables, zero_tuple,
+                                                     terms, gens)
+    if not certified:
+        for lo, hi in core._row_blocks(n, n):
+            evaluate(lo, hi)
+    return core._validated_ring(add, mul, zero, one, label, names(), certified)
 
 
 def _term_products(add_tables: list[np.ndarray], terms, left, right) -> list[np.ndarray]:
@@ -350,6 +323,59 @@ def _term_products(add_tables: list[np.ndarray], terms, left, right) -> list[np.
         term = table[left[l], right[r]]
         out[c] = term if out[c] is None else add_tables[c][out[c], term]
     return out
+
+
+def _coordinate_generators(add_tables, zeros) -> list[list[int]] | None:
+    """Each coordinate's `core.additive_generators`, when every distinct
+    addition table is an abelian group with its coordinate's zero as the
+    identity (the group laws, then Light's test); else None."""
+    found: dict = {}
+    for add, zero in zip(add_tables, zeros):
+        if (id(add), zero) not in found:
+            try:
+                core._check_abelian(add, zero)
+                gens = core.additive_generators(add, zero)
+                core._check_light(add, gens)
+            except AxiomViolation:
+                gens = None
+            found[id(add), zero] = gens
+    out = [found[id(add), zero] for add, zero in zip(add_tables, zeros)]
+    return None if None in out else out
+
+
+def _additive_rows(table: np.ndarray, add: np.ndarray, zero: int, gens: list[int],
+                   out: np.ndarray, out_zero: int) -> bool:
+    """Whether x -> table[x] is additive, x adding by `add` (identity `zero`,
+    generators `gens`) and cells by `out`: table[zero] is all `out_zero` and
+    table[x+g] = table[x] + table[g] for every x and generator g, which in
+    an abelian group gives it for every pair."""
+    return bool((table[zero] == out_zero).all()) and all(
+        np.array_equal(table[add[g]], core._lookup(out, table, table[g])) for g in gens)
+
+
+def _structure_certified(mul: np.ndarray, one: int, add_tables, zeros, terms,
+                         gens: list[int]) -> bool:
+    """Whether the coordinate additions and identities and the `terms`
+    prove the ring laws of the product `mul` that `_tuple_ring` filled from
+    them on the additive generators `gens`: steps (1)-(4) of the module
+    docstring."""
+    coord_gens = _coordinate_generators(add_tables, zeros)
+    if coord_gens is None:
+        return False
+    seen = set()
+    for c, l, r, table in terms:
+        key = (id(table), id(add_tables[c]), id(add_tables[l]), id(add_tables[r]))
+        if key in seen:
+            continue
+        seen.add(key)
+        if not (_additive_rows(table, add_tables[l], zeros[l], coord_gens[l],
+                               add_tables[c], zeros[c])
+                and _additive_rows(table.T, add_tables[r], zeros[r], coord_gens[r],
+                                   add_tables[c], zeros[c])):
+            return False
+    arange = np.arange(mul.shape[0], dtype=np.int32)
+    return (np.array_equal(mul[one], arange) and np.array_equal(mul[:, one], arange)
+            and core._bad_triple(mul, gens) is None)
 
 
 def _over(R: FiniteRing, k: int, label: str, terms, ones, names,

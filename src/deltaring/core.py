@@ -46,27 +46,8 @@ failing instance in row-major order within its pass.  `validate_ring`
 copies and range-checks the caller's tables and hands them to
 `_validated_ring`, which runs the procedure.
 
-A ring built from structure tables is certified from them instead.
-`constructions._tuple_ring` fills the tables of a ring on coordinate
-tuples from its terms (c, l, r, table): coordinate c of ab is the sum,
-under coordinate c's addition, of table[a_l, b_r].  It evaluates the terms
-only on the rows of the zero and of the greedy additive generators, which
-it finds in the same walk, fills the other rows by additivity, and hands
-`_validated_ring` the term structure and the generators with the tables;
-`_structure_certified` proves the ring laws in five steps: (1) each
-distinct coordinate addition is an abelian group on its own small domain
-(`_coordinate_generators`: the group laws and Light's test); (2) each
-distinct term table is additive in each argument, checked on the
-generators of its own coordinate groups, |A_l|·|A_r| cells per generator;
-(3) both identity laws, 2n cells; (4) associativity on the r^3 triples of
-those generators, `additive_generators(add, zero)` for the group (1) proves; (5)
-`_certified_ring`.  By (1) the addition is a direct product of abelian
-groups and by (2) the product of the terms is biadditive, so the rows
-filled from the generator rows by additivity are that product; the
-associator is then additive in each slot, and (4) gives associativity
-everywhere, as in Light's argument.  When any step fails,
-`_validated_ring` runs the full procedure on the same tables, so a
-rejection names the same violation and witness as `validate_ring` does.
+A ring built from structure tables is certified from its terms instead
+(`constructions`), and `_validated_ring` skips the procedure for it.
 
 Derived rings are certified, not re-validated.  `quotient_ring` checks the
 ideal with `is_ideal`, then certifies the projection on the coset
@@ -446,24 +427,6 @@ def _check_light(add: np.ndarray, gens: list[int]) -> None:
             raise AxiomViolation("add-associativity", (a, g, c))
 
 
-def _coordinate_generators(add_tables, zeros) -> list[list[int]] | None:
-    """Each coordinate's `additive_generators`, when every distinct
-    addition table is an abelian group with its coordinate's zero as the
-    identity (the group laws, then Light's test); else None."""
-    found: dict = {}
-    for add, zero in zip(add_tables, zeros):
-        if (id(add), zero) not in found:
-            try:
-                _check_abelian(add, zero)
-                gens = additive_generators(add, zero)
-                _check_light(add, gens)
-            except AxiomViolation:
-                gens = None
-            found[id(add), zero] = gens
-    out = [found[id(add), zero] for add, zero in zip(add_tables, zeros)]
-    return None if None in out else out
-
-
 def _left_pass(add: np.ndarray, mul: np.ndarray, g: int) -> tuple[int, int] | None:
     """First (a, c) in row-major order with a(g+c) != ag + ac, or None."""
     return _first_mismatch(add.shape[0], lambda lo, hi: (
@@ -521,40 +484,6 @@ def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) 
         raise named(len(gens), AxiomViolation("mul-associativity", triple))
 
 
-def _additive_rows(table: np.ndarray, add: np.ndarray, zero: int, gens: list[int],
-                   out: np.ndarray, out_zero: int) -> bool:
-    """Whether x -> table[x] is additive, x adding by `add` (identity `zero`,
-    generators `gens`) and cells by `out`: table[zero] is all `out_zero` and
-    table[x+g] = table[x] + table[g] for every x and generator g, which in
-    an abelian group gives it for every pair."""
-    return bool((table[zero] == out_zero).all()) and all(
-        np.array_equal(table[add[g]], _lookup(out, table, table[g])) for g in gens)
-
-
-def _structure_certified(mul: np.ndarray, one: int, structure) -> bool:
-    """Whether the term structure (add_tables, zeros, terms, gens) proves
-    the ring laws of the tables `constructions._tuple_ring` filled from it on
-    the additive generators `gens`: steps (1)-(4) of the module docstring."""
-    add_tables, zeros, terms, gens = structure
-    coord_gens = _coordinate_generators(add_tables, zeros)
-    if coord_gens is None:
-        return False
-    seen = set()
-    for c, l, r, table in terms:
-        key = (id(table), id(add_tables[c]), id(add_tables[l]), id(add_tables[r]))
-        if key in seen:
-            continue
-        seen.add(key)
-        if not (_additive_rows(table, add_tables[l], zeros[l], coord_gens[l],
-                               add_tables[c], zeros[c])
-                and _additive_rows(table.T, add_tables[r], zeros[r], coord_gens[r],
-                                   add_tables[c], zeros[c])):
-            return False
-    arange = np.arange(mul.shape[0], dtype=np.int32)
-    return (np.array_equal(mul[one], arange) and np.array_equal(mul[:, one], arange)
-            and _bad_triple(mul, gens) is None)
-
-
 def validate_ring(add, mul, zero: int, one: int, label: str = "R",
                   names=None, *, order_guard: int | None = None) -> FiniteRing:
     """Check every ring axiom on the given tables and return the ring.
@@ -578,18 +507,18 @@ def validate_ring(add, mul, zero: int, one: int, label: str = "R",
 
 
 def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label: str,
-                    names, structure=None) -> FiniteRing:
+                    names, certified: bool = False) -> FiniteRing:
     """`validate_ring`'s axiom checks on well-formed tables, which the ring
     then freezes in place: C-contiguous int32 tables of one order that no
-    caller holds, with `zero` and `one` in range.  A `structure` that the
-    tables were filled from (`_structure_certified`) replaces the full
-    procedure when it certifies them."""
+    caller holds, with `zero` and `one` in range.  `certified` says that the
+    structure-table certificate of `constructions` proved the ring laws,
+    which then replaces the full procedure."""
     n = add.shape[0]
     if n < 2 or zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
                              "rings here have 0 != 1, so the order is at least 2")
     neg = None
-    if structure is None or not _structure_certified(mul, one, structure):
+    if not certified:
         neg = _check_abelian(add, zero)
         arange = np.arange(n, dtype=np.int32)
         if not np.array_equal(mul[one], arange):

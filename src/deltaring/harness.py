@@ -272,14 +272,15 @@ def _context_isomorphism(expr, built, parts) -> str | None:
 
 def _cross_bimodule(prod: FiniteRing, R: FiniteRing) -> cons.Bimodule:
     """M+N over R x R with M = N = R: (a,b).(m,n) = (am,bn) and
-    (m,n).(a,b) = (mb,na)."""
+    (m,n).(a,b) = (mb,na).  Its laws are proven by the ring built on it."""
     n = R.order
     mx, my = np.divmod(np.arange(n * n), n)
     pa, pb = np.divmod(np.arange(prod.order), n)
     madd = core._outer(R.add, mx, mx) * n + core._outer(R.add, my, my)
     la = core._outer(R.mul, pa, mx) * n + core._outer(R.mul, pb, my)
     ra = core._outer(R.mul, mx, pb) * n + core._outer(R.mul, my, pa)
-    return cons.validate_bimodule(prod, prod, madd, la, ra, label="MxN")
+    return cons.Bimodule(prod, prod, n * n, madd, la, ra, R.zero * (n + 1), "MxN",
+                         tuple(str(i) for i in range(n * n)))
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def _regular_mask(ring: FiniteRing) -> np.ndarray:
             fixes = ring.mul[id_idx, lo:hi].T == np.arange(lo, hi)[:, None]   # [a, j] e_j*a = a
             ok[lo:hi] = (reach[lo:hi] & fixes).any(axis=1)
         return ok
-    return subsets._cached_mask(ring, "regular_mask", compute)
+    return subsets._memo(ring, "regular_mask", compute)
 
 
 def _unit_regular_mask(ring: FiniteRing) -> np.ndarray:
@@ -629,11 +629,7 @@ def check_class(ring: FiniteRing, name: str) -> CheckReport:
     """Dispatch a class check by kebab-case name, memoized per ring.  Threads
     that race on one ring all get the report that was stored first."""
     key = class_key(name)
-    cache_key = ("class", key)
-    hit = ring._cache.get(cache_key)
-    if hit is None:
-        hit = ring._cache.setdefault(cache_key, CLASS_REGISTRY[key][1](ring, key))
-    return hit
+    return subsets._memo(ring, ("class", key), lambda: CLASS_REGISTRY[key][1](ring, key))
 
 
 def class_verdict(ring: FiniteRing, name: str) -> bool:

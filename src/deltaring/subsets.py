@@ -45,15 +45,17 @@ from .errors import InternalInconsistency
 QN_DEFINITION = "quasinilpotent: 1 + a*x is a unit for every x commuting with a"
 
 
-def _cached_mask(ring: FiniteRing, key: str, compute) -> np.ndarray:
-    """The memoized read-only array under `key`.  Threads that race on one
-    ring all get the array that was stored first."""
-    mask = ring._cache.get(key)
-    if mask is None:
-        mask = compute()
-        mask.setflags(write=False)
-        mask = ring._cache.setdefault(key, mask)
-    return mask
+def _memo(ring: FiniteRing, key, compute):
+    """The value memoized on the ring under `key`, from `compute()` on a
+    miss; an array is stored read-only.  Threads that race on one ring all
+    get the value that was stored first."""
+    value = ring._cache.get(key)
+    if value is None:
+        value = compute()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        value = ring._cache.setdefault(key, value)
+    return value
 
 
 def unit_mask(ring: FiniteRing) -> np.ndarray:
@@ -62,14 +64,14 @@ def unit_mask(ring: FiniteRing) -> np.ndarray:
     def compute():
         b = core._first_column(ring.mul, ring.one)       # -1 where a has none
         return (b >= 0) & (ring.mul[b, np.arange(ring.order)] == ring.one)
-    return _cached_mask(ring, "unit_mask", compute)
+    return _memo(ring, "unit_mask", compute)
 
 
 def idempotent_mask(ring: FiniteRing) -> np.ndarray:
     def compute():
         n = ring.order
         return ring.mul.diagonal() == np.arange(n, dtype=np.int32)
-    return _cached_mask(ring, "idem_mask", compute)
+    return _memo(ring, "idem_mask", compute)
 
 
 def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
@@ -82,7 +84,7 @@ def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
         for _ in range(steps):
             p = ring.mul[p, p]
         return p == ring.zero
-    return _cached_mask(ring, "nil_mask", compute)
+    return _memo(ring, "nil_mask", compute)
 
 
 def tripotent_mask(ring: FiniteRing) -> np.ndarray:
@@ -91,12 +93,12 @@ def tripotent_mask(ring: FiniteRing) -> np.ndarray:
         n = ring.order
         arange = np.arange(n, dtype=np.int32)
         return ring.mul[ring.mul.diagonal(), arange] == arange
-    return _cached_mask(ring, "trip_mask", compute)
+    return _memo(ring, "trip_mask", compute)
 
 
 def one_minus(ring: FiniteRing) -> np.ndarray:
     """Vector x -> 1 - x."""
-    return _cached_mask(ring, "one_minus", lambda: ring.add[ring.one, ring.neg])
+    return _memo(ring, "one_minus", lambda: ring.add[ring.one, ring.neg])
 
 
 def jacobson_mask(ring: FiniteRing) -> np.ndarray:
@@ -112,7 +114,7 @@ def jacobson_mask(ring: FiniteRing) -> np.ndarray:
             raise InternalInconsistency(
                 f"computed radical of {ring.label} is not a two-sided ideal")
         return mask
-    return _cached_mask(ring, "jac_mask", compute)
+    return _memo(ring, "jac_mask", compute)
 
 
 def delta_mask(ring: FiniteRing) -> np.ndarray:
@@ -132,7 +134,7 @@ def delta_mask(ring: FiniteRing) -> np.ndarray:
             raise InternalInconsistency(
                 f"delta set of {ring.label} is not closed under unit multiples")
         return mask
-    return _cached_mask(ring, "delta_mask", compute)
+    return _memo(ring, "delta_mask", compute)
 
 
 def unit_subring(ring: FiniteRing) -> tuple[FiniteRing, np.ndarray]:
@@ -145,12 +147,10 @@ def unit_subring(ring: FiniteRing) -> tuple[FiniteRing, np.ndarray]:
     When the units generate the whole ring, the subring shares the ring's
     frozen tables but not its memo, so its radical is computed on its own.
     """
-    cached = ring._cache.get("unit_subring")
-    if cached is None:
+    def compute():
         members = core.subring_generated(ring, np.flatnonzero(unit_mask(ring)), unital=True)
-        cached = ring._cache.setdefault("unit_subring", core.induced_subring(
-            ring, members, ring.one, label=f"unitspan({ring.label})"))
-    return cached
+        return core.induced_subring(ring, members, ring.one, label=f"unitspan({ring.label})")
+    return _memo(ring, "unit_subring", compute)
 
 
 def prime_radical(ring: FiniteRing) -> np.ndarray:
@@ -162,7 +162,7 @@ def prime_radical(ring: FiniteRing) -> np.ndarray:
             raise InternalInconsistency(
                 f"prime radical of {ring.label} contains a non-nilpotent")
         return mask
-    return _cached_mask(ring, "nilstar_mask", compute)
+    return _memo(ring, "nilstar_mask", compute)
 
 
 def idempotent_commutant(ring: FiniteRing) -> np.ndarray:
@@ -171,13 +171,13 @@ def idempotent_commutant(ring: FiniteRing) -> np.ndarray:
     def compute():
         id_idx = np.flatnonzero(idempotent_mask(ring))
         return ring.mul[id_idx] == np.take(ring.mul, id_idx, axis=1).T
-    return _cached_mask(ring, "idem_commutant", compute)
+    return _memo(ring, "idem_commutant", compute)
 
 
 def quasinilpotent_mask(ring: FiniteRing) -> np.ndarray:
     """Elements a with 1 + a*x invertible for every x commuting with a:
     Nil(R) in a finite ring (module docstring)."""
-    return _cached_mask(ring, "qn_mask", lambda: nilpotent_mask(ring).copy())
+    return _memo(ring, "qn_mask", lambda: nilpotent_mask(ring).copy())
 
 
 def idempotent_reach(ring: FiniteRing) -> np.ndarray:
@@ -202,7 +202,7 @@ def idempotent_reach(ring: FiniteRing) -> np.ndarray:
             starts = np.arange(lo, hi, dtype=dtype)[:, None] * width
             flat[np.take(pos, ring.mul[lo:hi]) + starts] = True
         return reach[:, :-1]
-    return _cached_mask(ring, "idem_reach", compute)
+    return _memo(ring, "idem_reach", compute)
 
 
 def sumset_mask(ring: FiniteRing, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
@@ -212,7 +212,4 @@ def sumset_mask(ring: FiniteRing, a_idx: np.ndarray, b_idx: np.ndarray) -> np.nd
 
 def radical_quotient(ring: FiniteRing) -> tuple[FiniteRing, core.RingHom]:
     """R/J(R) with its projection, cached."""
-    cached = ring._cache.get("rj")
-    if cached is None:
-        cached = ring._cache.setdefault("rj", core.quotient_ring(ring, jacobson_mask(ring)))
-    return cached
+    return _memo(ring, "rj", lambda: core.quotient_ring(ring, jacobson_mask(ring)))

@@ -389,9 +389,11 @@ def naive_hom_violation(source, target, mapping) -> tuple[str, tuple[int, ...]] 
 
 
 def naive_bimodule_violation(R, S, add, la, ra) -> str | None:
-    """The message of the first law, in `validate_bimodule`'s order, that
-    the in-range tables of an (R,S)-bimodule break, each law compared on
-    all its pairs or triples at once; None when every law holds."""
+    """The message of the first bimodule law that the in-range tables of
+    an (R,S)-bimodule break, each law compared on all its pairs or triples
+    at once; None when every law holds.  The rings built on the module are
+    checked against it: [[R, M], [0, S]], and Triv(R, M) when S is R, is a
+    ring exactly when this is None."""
     m = add.shape[0]
     arange = np.arange(m)
     if not np.array_equal(add, add.T):

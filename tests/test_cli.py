@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -423,3 +425,21 @@ def test_verify_max_order_64_on_workers_matches_golden():
                           capture_output=True, text=True, env=_cli_env(), timeout=300)
     golden = (Path(__file__).parent / "golden" / "verify_max_order_64.json").read_text()
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", golden)
+
+
+_README_MODULES = ("core", "dsl", "constructions", "predicates", "subsets", "harness",
+                   "cli", "schemas", "errors", "report")
+
+
+def test_readme_names_resolve():
+    # every backticked `module.name` of the package that README.md mentions
+    # is an attribute of that module, so a rename or a deletion cannot leave
+    # the README pointing at code that is gone
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    names = re.findall(r"`(" + "|".join(_README_MODULES) + r")\.([A-Za-z_][\w.]*)", text)
+    assert names
+    for module, attr in names:
+        obj = importlib.import_module(f"deltaring.{module}")
+        for part in attr.rstrip(".").split("."):
+            assert hasattr(obj, part), f"README.md names {module}.{attr}, which does not exist"
+            obj = getattr(obj, part)

@@ -22,7 +22,6 @@ from deltaring.errors import (
 from deltaring.predicates import class_verdict
 
 import oracles
-from conftest import traced_peak
 from oracles import members
 
 
@@ -161,13 +160,13 @@ def test_generator_rows_that_break_an_additive_relation_are_rejected(monkeypatch
     terms = [(0, 0, 0, Z4.mul), (0, 1, 0, (a * f_b[d]) % 4),
              (1, 0, 1, (np.arange(4)[:, None] * np.arange(2)[None, :]) % 2),
              (1, 1, 0, (a * f_a[d]) % 2)]
-    real, certified = core._structure_certified, []
+    real, certified = cons._structure_certified, []
 
     def spy(*args):
         certified.append(real(*args))
         return certified[-1]
 
-    monkeypatch.setattr(core, "_structure_certified", spy)
+    monkeypatch.setattr(cons, "_structure_certified", spy)
     with pytest.raises(AxiomViolation) as err:
         cons._tuple_ring("Z4xZ2", [4, 2], [Z4.add, Z2.add], (0, 0), (1, 0),
                          terms, lambda: None, order_guard=None)
@@ -237,13 +236,13 @@ _NOT_RINGS = {
 def test_structures_that_are_not_rings_are_refused(monkeypatch, case):
     groups, one, terms, violation = _NOT_RINGS[case]
     adds = [_group_table(g) for g in groups]
-    real, certified = core._structure_certified, []
+    real, certified = cons._structure_certified, []
 
     def spy(*args):
         certified.append(real(*args))
         return certified[-1]
 
-    monkeypatch.setattr(core, "_structure_certified", spy)
+    monkeypatch.setattr(cons, "_structure_certified", spy)
     with pytest.raises(AxiomViolation) as err:
         cons._tuple_ring(case, [len(a) for a in adds], adds, (0,) * len(adds), one, terms,
                          lambda: None, order_guard=None)
@@ -253,10 +252,11 @@ def test_structures_that_are_not_rings_are_refused(monkeypatch, case):
 
 @pytest.mark.parametrize("fill", [None, 0, 123456])
 def test_every_product_row_is_written_under_a_non_associative_addition(monkeypatch, zmod, fill):
-    # a Bimodule made directly skips validate_bimodule; this module addition
-    # is commutative, with identity 0 and inverses, but (1+1)+2 != 1+(1+2).
-    # The fill writes every row of the product, so the full procedure reads
-    # no uninitialised memory and names the same law whatever np.empty returns
+    # a Bimodule checks no law; this module addition is commutative, with
+    # identity 0 and inverses, but (1+1)+2 != 1+(1+2).  The certificate
+    # fails, every row is evaluated from the terms, and the full procedure
+    # reads no uninitialised memory: it names the same law whatever
+    # np.empty returns
     if fill is not None:
         empty = np.empty
 
@@ -275,6 +275,21 @@ def test_every_product_row_is_written_under_a_non_associative_addition(monkeypat
     assert (err.value.kind, err.value.witness) == ("add-associativity", (1, 1, 2))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_zero_equal_to_one_is_refused_before_the_certificate(zmod, order):
+    # a one-element structure, and a structure whose 1 is its zero tuple,
+    # are refused for 0 = 1 before the certificate reads the tables (on one
+    # element it had no generators to check associativity on)
+    if order == 2:
+        add, mul = zmod(2).add, zmod(2).mul
+    else:
+        add = mul = np.zeros((1, 1), dtype=np.int32)
+    with pytest.raises(AxiomViolation) as err:
+        cons._tuple_ring("Z", [order], [add], (0,), (0,), [(0, 0, 0, mul)], lambda: None,
+                         order_guard=None)
+    assert (err.value.kind, err.value.witness) == ("identity-distinct", (0, 0))
+
+
 def test_bimodule_has_no_default_label_or_names(zmod):
     # with the names defaulted to (), every construction over the module
     # failed with an IndexError when it named its elements
@@ -288,33 +303,41 @@ def test_bimodule_has_no_default_label_or_names(zmod):
 def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
     # a certificate that refused every ring would still pass every golden
     # through the full procedure, so the refusals are counted on a cold
-    # build of the 182 catalog rings and the 31 rings of the benchmark's
-    # inspect pool; the generators the fill found, which the certificate's
-    # associativity step uses, are the greedy ones of the whole table
+    # build of the 182 catalog rings, the 31 rings of the benchmark's
+    # inspect pool and T4.11's three trivial extensions by M+N; the
+    # generators the fill found, which the certificate's associativity step
+    # uses, are the greedy ones of the whole table
     spec = importlib.util.spec_from_file_location(
         "bench_pool", Path(__file__).parent.parent / "bench" / "pool.py")
     pool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pool)
-    certified, verdicts = core._structure_certified, []
+    certified, verdicts, labels = cons._structure_certified, [], []
     validated, other_generators = core._validated_ring, []
 
     def counted(*args):
-        verdicts.append(certified(*args))
-        return verdicts[-1]
+        verdicts.append((certified(*args), args[-1]))
+        return verdicts[-1][0]
 
-    def compared(add, mul, zero, one, label, names, structure=None):
-        if structure is not None and structure[3] != core.additive_generators(add, zero):
-            other_generators.append(label)
-        return validated(add, mul, zero, one, label, names, structure)
+    def compared(add, mul, zero, one, label, names, certified=False):
+        if certified:
+            labels.append(label)
+            if verdicts[-1][1] != core.additive_generators(add, zero):
+                other_generators.append(label)
+        return validated(add, mul, zero, one, label, names, certified)
 
-    monkeypatch.setattr(core, "_structure_certified", counted)
+    monkeypatch.setattr(cons, "_structure_certified", counted)
     monkeypatch.setattr(core, "_validated_ring", compared)
     dsl.clear_build_cache()
     for _, expr in dsl.catalog():
         dsl.build(expr)
     for expr, _ in pool.INSPECT_POOL:
         dsl.build_str(expr)
-    assert len(verdicts) >= len(pool.INSPECT_POOL) and verdicts.count(False) == 0
+    for base in ("Z2", "Z3", "Z4"):
+        prod = dsl.build_str(f"Prod({base},{base})")
+        cons.trivial_extension(prod, harness._cross_bimodule(prod, dsl.build_str(base)))
+    assert len(verdicts) >= len(pool.INSPECT_POOL) + 3
+    assert all(v for v, _ in verdicts) and len(labels) == len(verdicts)
+    assert {f"Triv(Prod({b},{b}),MxN)" for b in ("Z2", "Z3", "Z4")} <= set(labels)
     assert other_generators == []
 
 
@@ -552,17 +575,6 @@ def test_products_match_their_textbook_definitions(expr):
     assert np.array_equal(R.mul, oracles.product_table(size, k, product)), expr
 
 
-def test_bimodule_validation(zmod):
-    Z4 = zmod(4)
-    reg = cons.regular_bimodule(Z4)
-    rebuilt = cons.validate_bimodule(Z4, Z4, reg.add, reg.left_act, reg.right_act)
-    assert rebuilt.order == 4
-    broken = np.array(reg.left_act)
-    broken[2][3] = (broken[2][3] + 1) % 4
-    with pytest.raises(InvalidBimodule):
-        cons.validate_bimodule(Z4, Z4, reg.add, broken, reg.right_act)
-
-
 def _bimodule_cases():
     """(R, S, [add, left action, right action]) of bimodules whose tables
     hold every law, then of tables that break only the action laws
@@ -592,13 +604,42 @@ def _bimodule_cases():
     yield P2, P2, [P2.add, action(idem["P"]), action(idem["Q"]).T]
 
 
+def _bimodule_rings(R, S, tables, most=1024):
+    """The rings built on the (R,S)-bimodule with the given tables, up to
+    order `most`, each as its (kind, witness) refusal or "ring": [[R, M],
+    [0, S]], and Triv(R, M) when S is R."""
+    m = tables[0].shape[0]
+    M = cons.Bimodule(R, S, m, *tables, 0, "M", tuple(str(i) for i in range(m)))
+    builds = []
+    if R.order * m * S.order <= most:
+        builds.append(lambda: cons.formal_triangular(R, S, M))
+    if S is R and R.order * m <= most:
+        builds.append(lambda: cons.trivial_extension(R, M))
+    out = []
+    for build in builds:
+        try:
+            build()
+            out.append("ring")
+        except AxiomViolation as exc:
+            out.append((exc.kind, exc.witness))
+    return out
+
+
 @pytest.mark.parametrize("cells", [None, 4])
-def test_bimodule_laws_match_the_literal_checks(monkeypatch, cells):
-    # every law is checked in row blocks of its first operand, so each must
-    # refuse the same tables, with the same message, as the literal check on
-    # all its triples at once: the tables as they are, and with one cell changed
+def test_rings_on_a_bimodule_are_accepted_exactly_when_it_is_one(monkeypatch, cells):
+    # [[R, M], [0, S]] is a ring exactly when M is an (R,S)-bimodule, and so
+    # is Triv(R, M) when S is R: each build is accepted exactly when the
+    # literal check of every bimodule law passes, for the tables as they
+    # are and with one cell changed.  A changed cell that the fill never
+    # reads still changes the construction's own product, which is what the
+    # ring is refused on.  FT over M(2,Z2) and T(2,Z3) has 16^3 and 27^3
+    # elements, and refusing a ring of order 4096 takes about a second; at 4
+    # cells a block, where a pass over a ring of order 256 or 729 takes
+    # thousands of blocks, the rings above order 128 are left out too
+    most = 1024
     if cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        most = 128
     rng = np.random.default_rng(11)
     seen = set()
     for R, S, tables in _bimodule_cases():
@@ -608,33 +649,31 @@ def test_bimodule_laws_match_the_literal_checks(monkeypatch, cells):
                 t = changed[trial % 3]
                 a, c = rng.integers(t.shape[0]), rng.integers(t.shape[1])
                 t[a, c] = (t[a, c] + 1) % tables[0].shape[0]
-            expected = oracles.naive_bimodule_violation(R, S, *changed)
-            seen.add(expected)
-            if expected is None:
-                assert cons.validate_bimodule(R, S, *changed).order == tables[0].shape[0]
-            else:
-                with pytest.raises(InvalidBimodule, match=re.escape(expected)):
-                    cons.validate_bimodule(R, S, *changed)
-    assert len(seen) == 14                            # all 13 messages, and None
-
-
-def test_bimodule_validation_holds_no_cubic_temporary():
-    # the laws were compared on all triples at once: 145 MB traced at
-    # order 256 for the regular bimodule
-    R = dsl.build_str("M(2,Z4)")
-    assert R.order == 256
-    assert traced_peak(cons.validate_bimodule, R, R, R.add, R.mul, R.mul) < 4 << 20
+            bimodule = oracles.naive_bimodule_violation(R, S, *changed) is None
+            seen.add(bimodule)
+            for outcome in _bimodule_rings(R, S, changed, most):
+                assert (outcome == "ring") == bimodule, (R.label, S.label, trial, outcome)
+    assert seen == {True, False}
+    # Z4 over (Z8, Z4) with 5·2 read as 3: the filled product is a ring,
+    # the product of the terms is not
+    Z8, Z4 = dsl.build_str("Z8"), dsl.build_str("Z4")
+    la = np.arange(8)[:, None] * np.arange(4) % 4
+    la[5, 2] = 3
+    assert _bimodule_rings(Z8, Z4, [Z4.add, la, Z4.mul]) == [("left-distributivity", (80, 4, 4))]
 
 
 @pytest.mark.parametrize("kind, cell", [("bimodule", 2 ** 32 + 1), ("bimodule", 1.5),
+                                        ("bimodule", 2), ("bimodule", -1),
                                         ("group", 2 ** 32), ("group", 0.7)])
 def test_wide_or_fractional_cells_are_refused_before_narrowing(zmod, kind, cell):
     # a cell is range-checked at the width it is given: as int32, 2^32 + 1
-    # would read as 1 and 2^32 as 0, and 1.5 or 0.7 would truncate into range
+    # would read as 1 and 2^32 as 0, and 1.5 or 0.7 would truncate into
+    # range; a bimodule's cell of 2 or -1 is no element of Z2 (-1 would
+    # index the last one)
     Z2 = zmod(2)
     if kind == "bimodule":
         table = np.array(Z2.mul, dtype=np.int64 if isinstance(cell, int) else float)
-        build = lambda t: cons.validate_bimodule(Z2, Z2, Z2.add, t, Z2.mul)
+        build = lambda t: cons.Bimodule(Z2, Z2, 2, Z2.add, t, Z2.mul, 0, "M", ("0", "1"))
         error = InvalidBimodule
     else:
         table = np.array([[0, 1], [1, 0]], dtype=np.int64 if isinstance(cell, int) else float)
@@ -647,9 +686,19 @@ def test_wide_or_fractional_cells_are_refused_before_narrowing(zmod, kind, cell)
         build(table)
 
 
+def test_bimodule_tables_must_have_the_module_shapes(zmod):
+    Z2, Z3 = zmod(2), zmod(3)
+    with pytest.raises(InvalidBimodule, match="left action table must be a 3-by-2 array"):
+        cons.Bimodule(Z3, Z2, 2, Z2.add, Z2.mul, Z2.mul, 0, "M", ("0", "1"))
+    with pytest.raises(InvalidBimodule, match="add table must be a 2-by-2 array"):
+        cons.Bimodule(Z2, Z2, 2, Z2.add.tolist(), Z2.mul, Z2.mul, 0, "M", ("0", "1"))
+    with pytest.raises(InvalidBimodule, match="zero must be"):
+        cons.Bimodule(Z2, Z2, 2, Z2.add, Z2.mul, Z2.mul, 2, "M", ("0", "1"))
+
+
 def test_construction_outputs_are_validated(zmod):
-    # the builder funnels everything through the full axiom validator; spot
-    # check that derived rings expose consistent neg vectors and identities
+    # a certified construction gets its negation vector from its addition
+    # table: x + (-x) = 0 and 1·x = x for every x of two built rings
     for ring in (cons.matrix_ring(zmod(3), 2),
                  cons.group_ring(zmod(3), cons.group_catalog()["C2"])):
         for a in range(ring.order):

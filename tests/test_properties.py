@@ -288,20 +288,23 @@ def _ring_outcome(make):
 @given(st.one_of(unital_algebras(), arbitrary_structures()))
 @settings(max_examples=300, deadline=None)
 def test_structure_certificate_accepts_what_validation_accepts(case):
-    # the certified path of the tables `_tuple_ring` fills gives the ring, or
-    # the (kind, witness), that the full procedure gives on the same tables
+    # `_tuple_ring` gives the ring, or the (kind, witness), that the full
+    # procedure gives on the literal tables: the product of the coordinate
+    # additions and the product of the terms, evaluated on every row
     sizes, adds, zeros, one, terms = case
-    real, seen = core._validated_ring, []
-
-    def compare(add, mul, zero, one, label, names, structure):
-        seen.append(_ring_outcome(lambda: real(add.copy(), mul.copy(), zero, one, label, names)))
-        return real(add, mul, zero, one, label, names, structure)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_validated_ring", compare)
-        got = _ring_outcome(lambda: cons._tuple_ring("S", sizes, adds, zeros, one, terms,
-                                                     lambda: None, order_guard=None))
-    assert seen == [got]
+    strides = cons._strides(sizes)
+    x = np.arange(math.prod(sizes))
+    coords = [(x // stride) % size for stride, size in zip(strides, sizes)]
+    add = sum(stride * adds[c][coords[c][:, None], coords[c][None, :]]
+              for c, stride in enumerate(strides))
+    products = cons._term_products(adds, terms, [k[:, None] for k in coords],
+                                   [k[None, :] for k in coords])
+    mul = sum(stride * p for stride, p in zip(strides, products))
+    zero, unit = (int(np.dot(strides, t)) for t in (zeros, one))
+    expected = _ring_outcome(lambda: core.validate_ring(add, mul, zero, unit))
+    got = _ring_outcome(lambda: cons._tuple_ring("S", sizes, adds, zeros, one, terms,
+                                                 lambda: None, order_guard=None))
+    assert got == expected
 
 
 _WRONG_TYPES = st.sampled_from(
