@@ -99,11 +99,12 @@ def validate_group(table, identity: int, label: str, names=None) -> FiniteGroup:
     t = np.asarray(table)
     n = t.shape[0]
     # checked at the given width, so a wide or fractional cell cannot narrow into range
-    if t.shape != (n, n) or t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
+    if (t.shape != (n, n) or n > core.MAX_ORDER or t.dtype.kind not in "iu" or t.min() < 0
+            or t.max() >= n):
         raise ValueError("bad group table")
-    t = t.astype(np.int32)
+    t = t.astype(core.TABLE_DTYPE)
     identity = int(identity)
-    arange = np.arange(n, dtype=np.int32)
+    arange = np.arange(n)
     if not (np.array_equal(t[identity], arange) and np.array_equal(t[:, identity], arange)):
         raise ValueError("identity fails")
     if not np.array_equal(t[t, :], t[:, t]):
@@ -111,7 +112,7 @@ def validate_group(table, identity: int, label: str, names=None) -> FiniteGroup:
     has_inv = (t == identity).any(axis=1)
     if not has_inv.all():
         raise ValueError("inverse fails")
-    inv = (t == identity).argmax(axis=1).astype(np.int32)
+    inv = (t == identity).argmax(axis=1).astype(core.TABLE_DTYPE)
     if names is None:
         names = tuple(f"g{i}" for i in range(n))
     t.setflags(write=False)
@@ -120,7 +121,7 @@ def validate_group(table, identity: int, label: str, names=None) -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    i = np.arange(n, dtype=np.int32)
+    i = np.arange(n)
     table = (i[:, None] + i[None, :]) % n
     names = ["1"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
     return validate_group(table, 0, f"C{n}", names)
@@ -134,7 +135,7 @@ def klein_group() -> FiniteGroup:
 def symmetric3_group() -> FiniteGroup:
     perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     index = {p: i for i, p in enumerate(perms)}
-    table = np.zeros((6, 6), dtype=np.int32)
+    table = np.zeros((6, 6), dtype=int)
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
             table[i, j] = index[tuple(p[q[k]] for k in range(3))]
@@ -207,10 +208,10 @@ def regular_bimodule(ring: FiniteRing) -> Bimodule:
 
 
 def zero_bimodule(left_ring: FiniteRing, right_ring: FiniteRing) -> Bimodule:
-    z = np.zeros((1, 1), dtype=np.int32)
+    z = np.zeros((1, 1), dtype=core.TABLE_DTYPE)
     return Bimodule(left_ring, right_ring, 1, z,
-                    np.zeros((left_ring.order, 1), dtype=np.int32),
-                    np.zeros((1, right_ring.order), dtype=np.int32),
+                    np.zeros((left_ring.order, 1), dtype=core.TABLE_DTYPE),
+                    np.zeros((1, right_ring.order), dtype=core.TABLE_DTYPE),
                     0, label="0", names=("0",))
 
 
@@ -266,13 +267,19 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
     terms = list(terms)
     strides = _strides(sizes)
     arange = np.arange(n, dtype=np.int64)
-    cols = [((arange // strides[c]) % sizes[c]).astype(np.int32) for c in range(len(sizes))]
+    cols = [((arange // strides[c]) % sizes[c]).astype(core.TABLE_DTYPE)
+            for c in range(len(sizes))]
 
-    # cells are indices below n, so int32 sums of the coordinate parts cannot overflow
-    add = np.zeros((n, n), dtype=np.int32)
+    def encode_rows(parts) -> np.ndarray:
+        # The element whose coordinate c is parts[c].  Each partial sum of
+        # strides[c] * v_c with v_c < sizes[c] is an element index below
+        # n <= 2^16, so the sum is exact at the tables' own uint16 width.
+        return sum(strides[c] * part for c, part in enumerate(parts))
+
+    add = np.empty((n, n), dtype=core.TABLE_DTYPE)
     for lo, hi in core._row_blocks(n, n):
-        for c, col in enumerate(cols):
-            add[lo:hi] += strides[c] * core._outer(add_tables[c], col[lo:hi], col)
+        add[lo:hi] = encode_rows([core._outer(add_tables[c], col[lo:hi], col)
+                                  for c, col in enumerate(cols)])
 
     def encode(tup):
         return int(sum(strides[c] * tup[c] for c in range(len(sizes))))
@@ -281,11 +288,10 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
 
     def evaluate(lo, hi):
         # left coefficients as a column, right ones as a row: the product rows lo..hi-1
-        out = _term_products(add_tables, terms, [col[lo:hi, None] for col in cols],
-                             [col[None, :] for col in cols])
-        mul[lo:hi] = sum(strides[c] * oc for c, oc in enumerate(out))
+        mul[lo:hi] = encode_rows(_term_products(
+            add_tables, terms, [col[lo:hi, None] for col in cols], [col[None, :] for col in cols]))
 
-    mul = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=core.TABLE_DTYPE)
     evaluate(zero, zero + 1)
     known, gens = core._marked([zero], n), []
     while not known.all():
@@ -373,7 +379,7 @@ def _structure_certified(mul: np.ndarray, one: int, add_tables, zeros, terms,
                 and _additive_rows(table.T, add_tables[r], zeros[r], coord_gens[r],
                                    add_tables[c], zeros[c])):
             return False
-    arange = np.arange(mul.shape[0], dtype=np.int32)
+    arange = np.arange(mul.shape[0])
     return (np.array_equal(mul[one], arange) and np.array_equal(mul[:, one], arange)
             and core._bad_triple(mul, gens) is None)
 
@@ -508,7 +514,7 @@ def truncated_skew_poly(R: FiniteRing, alpha: RingHom | None, n: int, *,
 
     def terms():
         # (a x^i)(b x^j) = a alpha^i(b) x^(i+j), so x^i's table is (a, b) -> a alpha^i(b)
-        twisted, power = [], np.arange(R.order, dtype=np.int32)
+        twisted, power = [], np.arange(R.order)
         for _ in range(n):
             twisted.append(np.take(R.mul, power, axis=1))
             power = alpha.map[power]
@@ -546,7 +552,7 @@ def trivial_extension(R: FiniteRing, M: Bimodule | None = None, *,
                       (R.zero, M.zero), (R.one, M.zero), terms,
                       lambda: _tuple_names([R.names, M.names], sizes), order_guard=order_guard)
     n = out.order
-    rpart = (np.arange(n, dtype=np.int64) // M.order).astype(np.int32)
+    rpart = np.arange(n) // M.order
     check_internal(np.array_equal(subsets.unit_mask(out), subsets.unit_mask(R)[rpart]),
                    f"units of {out.label} are not the unit-ring-part pairs")
     check_internal(np.array_equal(subsets.delta_mask(out), subsets.delta_mask(R)[rpart]),
@@ -667,10 +673,9 @@ def augmentation(RG: FiniteRing) -> tuple[RingHom, np.ndarray]:
     n = RG.order
     arange = np.arange(n, dtype=np.int64)
     strides = _strides([R.order] * G.order)
-    eps = np.full(n, R.zero, dtype=np.int32)
+    eps = np.full(n, R.zero, dtype=core.TABLE_DTYPE)
     for g in range(G.order):
-        coeff = ((arange // strides[g]) % R.order).astype(np.int32)
-        eps = R.add[eps, coeff]
+        eps = R.add[eps, (arange // strides[g]) % R.order]
     hom = core.validate_hom(RG, R, eps)
     check_internal(hom.is_surjective, f"augmentation of {RG.label} is not surjective")
     kernel = hom.kernel()

@@ -2,7 +2,16 @@
 
 Elements of a ring of order n are the integers 0..n-1; addition and
 multiplication are n-by-n lookup tables (C-contiguous numpy arrays, so
-every scan is a fancy-indexing pass).  A 2-D lookup of rows R against
+every scan is a fancy-indexing pass).  Every ring holds its tables, and
+its negation vector, at the one dtype `TABLE_DTYPE`, uint16: a cell is an
+element index below n, so the order is at most `MAX_ORDER` = 2^16, and the
+order guard is capped there (`_resolve_guard`).  A table is made at that
+width where it is made, never made wider and narrowed afterwards, except
+where a range check has to read the cells at their own width first
+(`_as_table`).  numpy wraps uint16 arithmetic silently, so cells take part
+in arithmetic only where every partial result is itself an element index
+below n (the stride sums of `constructions._tuple_ring`); flat indices into
+a table are computed at `_index_dtype`.  A 2-D lookup of rows R against
 columns C goes rows first, then columns: gathering whole rows and then
 taking columns from them is cheaper in numpy than one broadcast (`np.ix_`)
 gather.  It is made one row block of about `_BLOCK_CELLS` cells at a time
@@ -89,10 +98,17 @@ from .errors import (
 )
 
 DEFAULT_ORDER_GUARD = 4096
+# the dtype of every ring's tables and negation vector, and the orders it indexes
+TABLE_DTYPE = np.uint16
+MAX_ORDER = int(np.iinfo(TABLE_DTYPE).max) + 1
 
 
 def _resolve_guard(order_guard: int | None) -> int:
-    return DEFAULT_ORDER_GUARD if order_guard is None else int(order_guard)
+    """The order guard in force: `order_guard`, `DEFAULT_ORDER_GUARD` when
+    it is None, and never more than `MAX_ORDER`, so an order past what a
+    table cell indexes is refused before anything is allocated (its two
+    tables would need more than 17 GB anyway)."""
+    return min(DEFAULT_ORDER_GUARD if order_guard is None else int(order_guard), MAX_ORDER)
 
 
 def _hold_to_guard(n: int, guard: int) -> None:
@@ -101,10 +117,11 @@ def _hold_to_guard(n: int, guard: int) -> None:
 
 
 def _as_table(obj, name: str, guard: int) -> np.ndarray:
-    """`obj` as a C-contiguous int32 table of element indices in 0..n-1 that
-    shares no memory with `obj`.  The order is held to the guard before any
-    cell is read, and ranges are checked before narrowing, so a bool or
-    out-of-range cell is rejected, never coerced."""
+    """`obj` as a C-contiguous `TABLE_DTYPE` table of element indices in
+    0..n-1 that shares no memory with `obj`.  The order is held to the guard
+    (at most `MAX_ORDER`) before any cell is read, and ranges are checked at
+    the width given, before narrowing, so a bool or out-of-range cell (one
+    of 2^16 or more included) is rejected, never coerced or wrapped."""
     try:
         table = np.asarray(obj)
     except (TypeError, ValueError, OverflowError):
@@ -122,7 +139,7 @@ def _as_table(obj, name: str, guard: int) -> np.ndarray:
         kinds = {obj[k // n][k % n].__class__ for k in np.flatnonzero(table <= 1).tolist()}
         if bool in kinds or np.bool_ in kinds:
             raise MalformedRing(f"{name} table must hold integer element indices, not bools")
-    out = np.ascontiguousarray(table, dtype=np.int32)
+    out = np.ascontiguousarray(table, dtype=TABLE_DTYPE)
     # the ring freezes its tables, so a caller's buffer is copied, never frozen or aliased
     return out.copy() if np.may_share_memory(out, table) else out
 
@@ -146,11 +163,15 @@ def _marked(values, n: int) -> np.ndarray:
     return mask
 
 
-# 2^14 int32 cells make a 64 KiB block temporary.  glibc serves requests
-# above its mmap threshold (initially 128 KiB) with a fresh mmap, whose pages
-# fault in one by one on first touch, so a block temporary of 2^16 cells
-# (256 KiB) would cost a run of page faults per block in a cold process.
-_BLOCK_CELLS = 1 << 14
+# 2^15 uint16 cells make a 64 KiB block of table cells, the size 2^14 int32
+# cells made when the tables were int32.  On a 2-core x86-64 VM, 2^15 against
+# 2^14 (10 alternating cold runs each): `info` on M(2,GF(8)) (order 4096)
+# 0.52 -> 0.47 s, Prod(Z64,Z64) 0.42 -> 0.39 s, Prod(Z32,Z64) 0.18 -> 0.17 s,
+# `verify all` at 1 and 2 threads unchanged (0.58 s, 0.44 s), peak RSS
+# within 0.2 MB.  Beyond that, glibc's mmap threshold (initially 128 KiB)
+# serves the int64 flat indices of a block with a fresh mmap, whose pages
+# fault in one by one on first touch.
+_BLOCK_CELLS = 1 << 15
 
 
 def _row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
@@ -290,10 +311,10 @@ class FiniteRing:
     ----------
     label:  display string.
     order:  number of elements n.
-    add, mul:  n-by-n int32 tables (read-only).
+    add, mul:  n-by-n `TABLE_DTYPE` tables (read-only).
     zero, one:  indices of the additive and multiplicative identities.
     names:  per-element display strings.
-    neg:  vector of additive inverses.
+    neg:  `TABLE_DTYPE` vector of additive inverses (read-only).
     """
 
     __slots__ = ("label", "order", "add", "mul", "zero", "one", "names", "neg", "_cache")
@@ -401,17 +422,17 @@ def _first_asymmetry(table: np.ndarray, rows: np.ndarray | None = None) -> tuple
 def _check_abelian(add: np.ndarray, zero: int) -> np.ndarray:
     """Raise the first of commutativity, the identity `zero` and inverses,
     in that order, that the addition table `add` breaks; else return the
-    negation vector."""
+    negation vector, narrowed to `TABLE_DTYPE` once it holds no -1."""
     if not _is_symmetric(add):
         raise AxiomViolation("add-commutativity", _first_asymmetry(add))
-    arange = np.arange(add.shape[0], dtype=np.int32)
+    arange = np.arange(add.shape[0])
     if not np.array_equal(add[zero], arange):
         c = int(np.flatnonzero(add[zero] != arange)[0])
         raise AxiomViolation("add-identity", (zero, c))
     neg = _first_column(add, zero)
     if neg.min() < 0:
         raise AxiomViolation("add-inverse", (int(np.flatnonzero(neg < 0)[0]),))
-    return neg
+    return neg.astype(TABLE_DTYPE)
 
 
 def _check_light(add: np.ndarray, gens: list[int]) -> None:
@@ -509,10 +530,10 @@ def validate_ring(add, mul, zero: int, one: int, label: str = "R",
 def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label: str,
                     names, certified: bool = False) -> FiniteRing:
     """`validate_ring`'s axiom checks on well-formed tables, which the ring
-    then freezes in place: C-contiguous int32 tables of one order that no
-    caller holds, with `zero` and `one` in range.  `certified` says that the
-    structure-table certificate of `constructions` proved the ring laws,
-    which then replaces the full procedure."""
+    then freezes in place: C-contiguous `TABLE_DTYPE` tables of one order
+    that no caller holds, with `zero` and `one` in range.  `certified` says
+    that the structure-table certificate of `constructions` proved the ring
+    laws, which then replaces the full procedure."""
     n = add.shape[0]
     if n < 2 or zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
@@ -520,7 +541,7 @@ def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label
     neg = None
     if not certified:
         neg = _check_abelian(add, zero)
-        arange = np.arange(n, dtype=np.int32)
+        arange = np.arange(n)
         if not np.array_equal(mul[one], arange):
             c = int(np.flatnonzero(mul[one] != arange)[0])
             raise AxiomViolation("mul-identity", (one, c))
@@ -535,8 +556,9 @@ def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one
                     names, neg: np.ndarray | None = None) -> FiniteRing:
     """The one place a `FiniteRing` is made, for tables already known to
     form a ring: validated by `_validated_ring` or certified by a derivation.
-    Every caller passes C-contiguous tables, so row-first scans are dense.
-    `neg` is the negation vector of `add` when the caller already has it."""
+    Every caller passes C-contiguous `TABLE_DTYPE` tables, so row-first
+    scans are dense.  `neg` is the negation vector of `add` when the caller
+    already has it."""
     n = add.shape[0]
     if zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
@@ -547,8 +569,8 @@ def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one
         names = tuple(str(s) for s in names)
         if len(names) != n:
             raise ValueError("names must have one entry per element")
-    if neg is None:
-        neg = _first_column(add, zero)
+    if neg is None:     # the addition is a group, so every row holds the zero
+        neg = _first_column(add, zero).astype(TABLE_DTYPE)
     return FiniteRing(label, add, mul, zero, one, names, neg)
 
 
@@ -649,12 +671,14 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, RingHom]:
         quotient = _certified_ring(label, ring.add, ring.mul, ring.zero, ring.one, names,
                                    ring.neg)
         return quotient, _identity_hom(ring, quotient)
-    rep = np.empty(ring.order, dtype=np.int32)          # each element's least coset member
+    rep = np.empty(ring.order, dtype=TABLE_DTYPE)      # each element's least coset member
     for lo, hi, block in _outer_blocks(ring.add, None, idx):
         rep[lo:hi] = block.min(axis=1)
     reps = np.flatnonzero(rep == np.arange(ring.order))   # each coset's least member is its own
-    pos = np.full(ring.order, -1, dtype=np.int32)
-    pos[reps] = np.arange(reps.size, dtype=np.int32)
+    # every rep is a coset's least member, so `pos` is read at reps only; the
+    # certificate below would refuse a projection that read any other entry
+    pos = np.zeros(ring.order, dtype=TABLE_DTYPE)
+    pos[reps] = np.arange(reps.size, dtype=TABLE_DTYPE)
     proj = pos[rep]
     qadd = _outer(ring.add, reps, reps, proj)
     qmul = _outer(ring.mul, reps, reps, proj)
@@ -718,18 +742,21 @@ def induced_subring(ring: FiniteRing, subset, one: int,
     names and memo are its own.
     """
     mask = _element_mask(ring, subset)
-    elems = np.flatnonzero(mask).astype(np.int32)
+    elems = np.flatnonzero(mask).astype(TABLE_DTYPE)
     if not (mask[ring.zero] and mask[ring.neg[elems]].all()):
         raise ValueError("subset does not contain 0 and the negatives of its members")
-    pos = np.full(ring.order, -1, dtype=np.int32)
-    pos[elems] = np.arange(elems.size, dtype=np.int32)
-    if elems.size == ring.order:     # pos is the identity map: the tables are the ring's
+    if elems.size == ring.order:     # the identity map: the tables are the ring's
+        pos = np.arange(ring.order)
         sub_add, sub_mul, sub_neg = ring.add, ring.mul, ring.neg
     else:
+        # a non-member maps to elems.size, which is below 2^16 here and is no
+        # index of the subring, so a product outside the subset shows as one
+        pos = np.full(ring.order, elems.size, dtype=TABLE_DTYPE)
+        pos[elems] = np.arange(elems.size, dtype=TABLE_DTYPE)
         sub_add = _outer(ring.add, elems, elems, pos)
         sub_mul = _outer(ring.mul, elems, elems, pos)
         sub_neg = None
-        if sub_add.min() < 0 or sub_mul.min() < 0:
+        if sub_add.max() >= elems.size or sub_mul.max() >= elems.size:
             raise ValueError("subset is not closed under the ring operations")
     one = int(one)
     if not mask[one]:
@@ -771,7 +798,7 @@ def center(ring: FiniteRing) -> np.ndarray:
 def _identity_hom(source: FiniteRing, target: FiniteRing) -> RingHom:
     """The identity map between rings on the same tables: a homomorphism
     with no certificate to check."""
-    m = np.arange(source.order, dtype=np.int32)
+    m = np.arange(source.order, dtype=TABLE_DTYPE)
     m.setflags(write=False)
     return RingHom(source, target, m)
 
@@ -783,10 +810,10 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
         raise ValueError("map must assign an image to every source element")
     if m.dtype.kind not in "iu":
         raise ValueError("map images must be integer element indices")
-    # checked at the given width, so an image past int32 cannot wrap into range
+    # checked at the given width, so an image of 2^16 or more cannot wrap into range
     if m.size and (m.min() < 0 or m.max() >= target.order):
         raise ValueError("map image out of range")
-    m = m.astype(np.int32)
+    m = m.astype(TABLE_DTYPE)
     if int(m[source.zero]) != target.zero:
         raise HomViolation("zero", (source.zero,))
     if int(m[source.one]) != target.one:
@@ -814,7 +841,9 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
 # `ring_from_json` reads text in exactly that form (`_canonical_dump`)
 # without `json.loads`, and hands any other text to `json.loads`; both give
 # `ring_from_dict` the same keys and values, with the tables as int32 arrays
-# or as lists, so every outcome is the same.
+# (the exact parse) or as lists, so every outcome is the same.  Either way
+# `_as_table` range-checks the cells at that width and only then narrows
+# them to `TABLE_DTYPE`, so a cell of 2^16 or more is refused, not wrapped.
 #
 # Canonical text is read in two steps.  The text checks (`_table_text`) run
 # on the calling thread and give each table's cells as one ","-joined byte
@@ -1032,11 +1061,13 @@ def ring_from_json(text: str, *, order_guard: int | None = None) -> FiniteRing:
     reads).
 
     A canonical dump, the form `ring_to_json` writes, is decoded straight
-    into int32 tables; any other text goes through `json.loads`.  Either
-    way `ring_from_dict` sees the same keys and values, so the ring, or the
-    error class and message, is the same as `ring_from_dict(json.loads(text))`
-    gives: `MalformedRing` for text that is not a dump, `OrderGuardExceeded`
-    past the order guard, `AxiomViolation` for tables that break a ring law.
+    into int32 arrays, which `validate_ring` range-checks and narrows to the
+    ring's `TABLE_DTYPE` tables; any other text goes through `json.loads`.
+    Either way `ring_from_dict` sees the same keys and values, so the ring,
+    or the error class and message, is the same as
+    `ring_from_dict(json.loads(text))` gives: `MalformedRing` for text that
+    is not a dump, `OrderGuardExceeded` past the order guard, `AxiomViolation`
+    for tables that break a ring law.
 
     A canonical dump whose add table is past the guard is refused from its
     text checks, before any cell is parsed.  When both of its tables are

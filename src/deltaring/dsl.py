@@ -452,10 +452,17 @@ SUPPORTED_FIELDS = tuple(sorted(_GF_PRIMES | set(_GF_POLYS)))
 
 
 def _zmod_tables(m: int):
-    i = np.arange(m, dtype=np.int32)
-    # Products in int64: i*j overflows int32 once m > 46340.
-    wide = i.astype(np.int64)
-    return (i[:, None] + i[None, :]) % m, ((wide[:, None] * wide[None, :]) % m).astype(np.int32)
+    """Z_m's addition and multiplication tables at `core.TABLE_DTYPE`, each
+    row block reduced mod m in int64 (i*j passes 2^16 once m > 256) and
+    stored at the tables' width, so no temporary is larger than a block."""
+    i = np.arange(m, dtype=np.int64)
+    add = np.empty((m, m), dtype=core.TABLE_DTYPE)
+    mul = np.empty((m, m), dtype=core.TABLE_DTYPE)
+    for lo, hi in core._row_blocks(m, m):
+        rows = i[lo:hi, None]
+        add[lo:hi] = (rows + i) % m
+        mul[lo:hi] = rows * i % m
+    return add, mul
 
 
 def _gf_name(coeffs: tuple[int, ...]) -> str:
@@ -506,7 +513,7 @@ def galois_field(q: int) -> FiniteRing:
 
 
 def frobenius(field: FiniteRing, p: int) -> core.RingHom:
-    m = np.array([field.pow(a, p) for a in range(field.order)], dtype=np.int32)
+    m = np.array([field.pow(a, p) for a in range(field.order)])
     return core.validate_hom(field, field, m)
 
 

@@ -272,15 +272,16 @@ def _context_isomorphism(expr, built, parts) -> str | None:
 
 def _cross_bimodule(prod: FiniteRing, R: FiniteRing) -> cons.Bimodule:
     """M+N over R x R with M = N = R: (a,b).(m,n) = (am,bn) and
-    (m,n).(a,b) = (mb,na).  Its laws are proven by the ring built on it."""
-    n = R.order
-    mx, my = np.divmod(np.arange(n * n), n)
-    pa, pb = np.divmod(np.arange(prod.order), n)
-    madd = core._outer(R.add, mx, mx) * n + core._outer(R.add, my, my)
-    la = core._outer(R.mul, pa, mx) * n + core._outer(R.mul, pb, my)
-    ra = core._outer(R.mul, mx, pb) * n + core._outer(R.mul, my, pa)
-    return cons.Bimodule(prod, prod, n * n, madd, la, ra, R.zero * (n + 1), "MxN",
-                         tuple(str(i) for i in range(n * n)))
+    (m,n).(a,b) = (mb,na).  Its laws are proven by the ring built on it.
+
+    `prod` is Prod(R,R), whose element (a,b) is a*|R| + b, and (m,n) is
+    encoded the same way: so M+N adds and acts on the left by prod's own
+    tables, and acts on the right by prod's product with the coordinates of
+    (a,b) swapped.  No table cell takes part in arithmetic."""
+    a, b = np.divmod(np.arange(prod.order), R.order)
+    ra = np.take(prod.mul, b * R.order + a, axis=1)
+    return cons.Bimodule(prod, prod, prod.order, prod.add, prod.mul, ra, prod.zero, "MxN",
+                         tuple(str(i) for i in range(prod.order)))
 
 
 # ---------------------------------------------------------------------------

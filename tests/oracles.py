@@ -427,15 +427,19 @@ def naive_bimodule_violation(R, S, add, la, ra) -> str | None:
 # coordinate list of the product.
 
 
-def product_table(size: int, k: int, product) -> np.ndarray:
+def product_table(size: int, k: int, product, rows: slice = slice(None)) -> np.ndarray:
     """The multiplication table of the ring on `k` coordinates of `size`
     values each, encoded in mixed radix with the first coordinate most
-    significant: every coordinate loop runs once, over all pairs at once."""
+    significant, in int64: every coordinate loop runs once, over all pairs
+    at once.  With `rows`, only those rows of it."""
     n = size ** k
-    x = np.arange(n)
-    digits = [(x // size ** (k - 1 - c)) % size for c in range(k)]
-    out = product([d[:, None] for d in digits], [d[None, :] for d in digits])
-    table = np.zeros((n, n), dtype=np.int64)
+    x = np.arange(n, dtype=np.int64)
+
+    def digits(v):
+        return [(v // size ** (k - 1 - c)) % size for c in range(k)]
+
+    out = product([d[:, None] for d in digits(x[rows])], [d[None, :] for d in digits(x)])
+    table = np.zeros((x[rows].size, n), dtype=np.int64)
     for c in range(k):
         table += np.asarray(out[c], dtype=np.int64) * size ** (k - 1 - c)
     return table

@@ -213,6 +213,20 @@ def test_zmod_guard_before_allocation(capsys, monkeypatch):
     assert code == 2 and "Z5000: order would reach at least 5000, past the guard 4096" in err
 
 
+def test_no_guard_admits_an_order_past_the_table_dtype(capsys, monkeypatch):
+    # tables hold uint16 element indices, so an order above 2^16 is refused
+    # before allocation under any --max-order or DELTA_RING_MAX_ORDER
+    def refuse(m):
+        raise AssertionError("Z(m) tables allocated past 2^16")
+
+    monkeypatch.setattr(dsl, "_zmod_tables", refuse)
+    monkeypatch.setenv("DELTA_RING_MAX_ORDER", "1000000")
+    for extra in ((), ("--max-order", "1000000")):
+        code, _, err = run(capsys, "info", "Z65537", *extra)
+        assert code == 2
+        assert "Z65537: order would reach at least 65537, past the guard 65536" in err
+
+
 def test_verify_max_order_64_matches_golden(capsys, monkeypatch):
     # the scope under --max-order is taken from the expressions' orders,
     # before any ring is built; the report is pinned as it was when the

@@ -250,19 +250,21 @@ def test_structures_that_are_not_rings_are_refused(monkeypatch, case):
     assert certified == [False]
 
 
-@pytest.mark.parametrize("fill", [None, 0, 123456])
+@pytest.mark.parametrize("fill", [None, 0, "max"])
 def test_every_product_row_is_written_under_a_non_associative_addition(monkeypatch, zmod, fill):
     # a Bimodule checks no law; this module addition is commutative, with
     # identity 0 and inverses, but (1+1)+2 != 1+(1+2).  The certificate
     # fails, every row is evaluated from the terms, and the full procedure
     # reads no uninitialised memory: it names the same law whatever
-    # np.empty returns
+    # np.empty returns.  "max" fills an integer array with its dtype's
+    # largest value, which fits the uint16 tables and is no element index
     if fill is not None:
         empty = np.empty
 
         def prefilled(*args, **kwargs):
             out = empty(*args, **kwargs)
-            out.fill(fill)
+            integer = out.dtype.kind in "iu"
+            out.fill(np.iinfo(out.dtype).max if fill == "max" and integer else bool(fill))
             return out
 
         monkeypatch.setattr(np, "empty", prefilled)
@@ -300,6 +302,15 @@ def test_bimodule_has_no_default_label_or_names(zmod):
         Z2, cons.Bimodule(Z2, Z2, 2, Z2.add, Z2.mul, Z2.mul, 0, "M", ("0", "1"))).order == 4
 
 
+def _bench_pool():
+    """bench/pool.py, which holds the benchmark's inspect pool."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pool", Path(__file__).parent.parent / "bench" / "pool.py")
+    pool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pool)
+    return pool
+
+
 def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
     # a certificate that refused every ring would still pass every golden
     # through the full procedure, so the refusals are counted on a cold
@@ -307,10 +318,7 @@ def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
     # inspect pool and T4.11's three trivial extensions by M+N; the
     # generators the fill found, which the certificate's associativity step
     # uses, are the greedy ones of the whole table
-    spec = importlib.util.spec_from_file_location(
-        "bench_pool", Path(__file__).parent.parent / "bench" / "pool.py")
-    pool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pool)
+    pool = _bench_pool()
     certified, verdicts, labels = cons._structure_certified, [], []
     validated, other_generators = core._validated_ring, []
 
@@ -339,6 +347,33 @@ def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
     assert all(v for v, _ in verdicts) and len(labels) == len(verdicts)
     assert {f"Triv(Prod({b},{b}),MxN)" for b in ("Z2", "Z3", "Z4")} <= set(labels)
     assert other_generators == []
+
+
+def test_every_ring_holds_one_table_dtype(monkeypatch):
+    # `core._certified_ring` is the one place a FiniteRing is made; every ring
+    # made by a cold build of the catalog, the 31 rings of the benchmark's
+    # inspect pool, a run of every check and a dump load holds its add, mul
+    # and neg at core.TABLE_DTYPE, C-contiguous and read-only
+    made, real = [], core._certified_ring
+
+    def recorded(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(core, "_certified_ring", recorded)
+    monkeypatch.setattr(harness, "_CATALOG_RINGS", None)
+    dsl.clear_build_cache()
+    rings = harness.catalog_rings()
+    for expr, _ in _bench_pool().INSPECT_POOL:
+        dsl.build_str(expr)
+    harness.run_all(threads=1)
+    loaded = core.ring_from_json(core.ring_to_json(rings[-1]))
+    dsl.clear_build_cache()
+    assert made[-1] is loaded and len(made) > len(rings) + 31
+    for R in made:
+        for table in (R.add, R.mul, R.neg):
+            assert table.dtype == core.TABLE_DTYPE, R.label
+            assert table.flags.c_contiguous and not table.flags.writeable, R.label
 
 
 @pytest.mark.parametrize("m, shift", [(2, 1), (4, 1), (4, 3)])
@@ -573,6 +608,126 @@ def test_products_match_their_textbook_definitions(expr):
     R = dsl.build_str(expr)
     assert R.order == size ** k
     assert np.array_equal(R.mul, oracles.product_table(size, k, product)), expr
+
+
+# The rings each construction makes at order 4096, the largest the default
+# guard admits, next to their coordinate size and count and their sum and
+# product on coordinate lists of int64 arrays, from the textbook
+# definitions: so the tables, which are uint16, are compared with values
+# that no narrowing or uint16 arithmetic touched.  Z_n is taken at 4095:
+# reduced mod 4096, a product that wrapped mod 2^16 would still come out
+# right.
+def _z(m):
+    return dsl.build_str(f"Z{m}")
+
+
+def _mod(m, *coords):
+    return [c % m for c in coords]
+
+
+def _matrix2(m, s=1):
+    # (AB)_ij = sum over k of s^(1 + [i=j] - [i=k] - [k=j]) a_ik b_kj
+    def product(a, b):
+        return _mod(m, *(sum(s ** (1 + (i == j) - (i == k) - (k == j)) * a[2 * i + k]
+                             * b[2 * k + j] for k in range(2)) for i in range(2) for j in range(2)))
+    return product
+
+
+def _triv(m, a, b):
+    return _mod(m, a[0] * b[0], a[0] * b[1] + a[1] * b[0])
+
+
+def _coordinatewise(m):
+    return lambda a, b: _mod(m, *(x + y for x, y in zip(a, b)))
+
+
+_GF9_PRODUCT = lambda a, b: _mod(3, a[0] * b[1] + a[1] * b[0], a[1] * b[1] - a[0] * b[0])
+
+
+def _cross_triv(prod, base):
+    return cons.trivial_extension(prod, harness._cross_bimodule(prod, base))
+
+
+_LARGEST = {
+    "Z4095": (4095, 1, lambda: core.validate_ring(*dsl._zmod_tables(4095), 0, 1),
+              lambda a, b: _mod(4095, a[0] * b[0])),
+    "GF(9)": (3, 2, lambda: dsl.galois_field(9), _GF9_PRODUCT),
+    "Prod(Z64,Z64)": (64, 2, lambda: cons.direct_product([_z(64), _z(64)]),
+                      lambda a, b: _mod(64, a[0] * b[0], a[1] * b[1])),
+    "M(2,Z8)": (8, 4, lambda: cons.matrix_ring(_z(8), 2), _matrix2(8)),
+    "T(2,Z16)": (16, 3, lambda: cons.upper_triangular(_z(16), 2),
+                 lambda a, b: _mod(16, a[0] * b[0], a[0] * b[1] + a[1] * b[2], a[2] * b[2])),
+    "TruncSkew(Z64,id,2)": (64, 2, lambda: cons.truncated_skew_poly(_z(64), None, 2),
+                            lambda a, b: _triv(64, a, b)),
+    "Triv(Z64,Z64)": (64, 2, lambda: cons.trivial_extension(_z(64)),
+                      lambda a, b: _triv(64, a, b)),
+    "DT(Z8,Z8)": (8, 4, lambda: cons.dt_extension(_z(8)), lambda a, b: [
+        *_triv(8, a[:2], b[:2]),
+        *_mod(8, *(x + y for x, y in zip(_triv(8, a[:2], b[2:]), _triv(8, a[2:], b[:2]))))]),
+    "FT(Z16,Z16,Z16)": (16, 3, lambda: cons.formal_triangular(
+        _z(16), _z(16), cons.regular_bimodule(_z(16))),
+        lambda a, b: _mod(16, a[0] * b[0], a[0] * b[1] + a[1] * b[2], a[2] * b[2])),
+    "K(Z8,s=2)": (8, 4, lambda: cons.generalized_matrix(_z(8), 2), lambda a, b: _mod(
+        8, a[0] * b[0] + 2 * a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2], 2 * a[2] * b[1] + a[3] * b[3])),
+    "FM(2,Z8,s=2)": (8, 4, lambda: cons.formal_matrix(_z(8), 2, 2), _matrix2(8, 2)),
+    "GR(Z4,C6)": (4, 6, lambda: cons.group_ring(_z(4), cons.group_catalog()["C6"]),
+                  lambda a, b: _mod(4, *(sum(a[g] * b[(h - g) % 6] for g in range(6))
+                                         for h in range(6)))),
+    # (a,b,m,n)(a',b',m',n') = (aa', bb', am' + mb', bn' + na')
+    "Triv(Prod(Z8,Z8),MxN)": (8, 4, lambda: _cross_triv(cons.direct_product([_z(8), _z(8)]),
+                                                        _z(8)),
+                              lambda a, b: _mod(8, a[0] * b[0], a[1] * b[1],
+                                                a[0] * b[2] + a[2] * b[1],
+                                                a[1] * b[3] + a[3] * b[0])),
+}
+
+
+def _assert_rows_equal(table, expected_rows, label):
+    """`table` equals the int64 rows that `expected_rows(lo, hi)` gives, one
+    block of 32 rows at a time, so no full-size int64 table is held."""
+    for lo in range(0, table.shape[0], 32):
+        hi = min(table.shape[0], lo + 32)
+        assert np.array_equal(table[lo:hi], expected_rows(lo, hi)), (label, lo)
+
+
+@pytest.mark.parametrize("expr", list(_LARGEST))
+def test_tables_at_the_largest_orders_never_wrap(expr):
+    size, k, make, product = _LARGEST[expr]
+    R = make()
+    assert R.order == size ** k and R.order in (9, 4095, 4096)
+    for table, op in ((R.add, _coordinatewise(size)), (R.mul, product)):
+        assert table.dtype == core.TABLE_DTYPE
+        _assert_rows_equal(table, lambda lo, hi: oracles.product_table(
+            size, k, op, slice(lo, hi)), expr)
+
+
+def test_derived_tables_at_the_largest_orders_never_wrap():
+    # Prod(Z64,Z64)/{0,(32,0)} (order 2048) and the subring {(a,b) : a = b
+    # mod 2} (order 2048), each against a literal gather through an int64
+    # index map; with every (a,0) added the subset still holds 0 and its
+    # negatives but is not closed, (1,0) + (1,1) = (2,1), which a sentinel
+    # for "outside" that wrapped into the tables' range would let through
+    R = cons.direct_product([_z(64), _z(64)])
+    a, b = np.divmod(np.arange(R.order), 64)
+    ideal = [0, 32 * 64]
+    Q, proj = core.quotient_ring(R, core._marked(ideal, R.order))
+    least = R.add[:, ideal].min(axis=1).astype(np.int64)   # each coset's least member
+    reps = np.unique(least)
+    through = np.searchsorted(reps, least)
+    assert Q.order == reps.size == 2048 and np.array_equal(proj.map, through)
+    for src, table in ((R.add, Q.add), (R.mul, Q.mul)):
+        _assert_rows_equal(table, lambda lo, hi: through[src[reps[lo:hi]][:, reps]], Q.label)
+    mask = a % 2 == b % 2
+    S, elems = core.induced_subring(R, mask, R.one)
+    pos = np.full(R.order, -1, dtype=np.int64)
+    pos[elems] = np.arange(elems.size)
+    assert S.order == 2048
+    for src, table in ((R.add, S.add), (R.mul, S.mul)):
+        _assert_rows_equal(table, lambda lo, hi: pos[src[elems[lo:hi]][:, elems]], S.label)
+    assert all(t.dtype == core.TABLE_DTYPE for t in (Q.add, Q.mul, Q.neg, S.add, S.mul, S.neg))
+    with pytest.raises(ValueError, match="not closed"):
+        core.induced_subring(R, mask | (b == 0), R.one)
 
 
 def _bimodule_cases():

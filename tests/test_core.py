@@ -734,7 +734,7 @@ def test_no_thread_outlives_ring_from_json(zmod, monkeypatch):
     # tables past one block are parsed on two threads; the worker is joined
     # before every return and raise (harness.run_all forks, which is only
     # safe with no other thread running), and its error reaches the caller
-    R = zmod(131)
+    R = zmod(182)
     assert R.order ** 2 > core._BLOCK_CELLS
     text = core.ring_to_json(R)
     data = json.loads(text)
@@ -774,7 +774,7 @@ def test_no_thread_outlives_ring_from_json(zmod, monkeypatch):
 
 def test_concurrent_loads_each_join_their_worker(zmod):
     # four callers at once, each with its own worker, switching often
-    R = zmod(131)
+    R = zmod(182)
     text = core.ring_to_json(R)
     start = threading.active_count()
     loaded = []
@@ -825,6 +825,41 @@ def test_table_cells_are_range_checked_before_narrowing():
         core.validate_ring(add, [[0, 0], [0, np.True_]], 0, 1)
     assert core.ring_from_json(_edited(label=None)).label == "R"
     assert core.validate_ring(add, [[0, 0], [0, 1]], np.int32(0), np.int64(1)).one == 1
+
+
+@pytest.mark.parametrize("cell", [65536, 65537])
+@pytest.mark.parametrize("form", ["list", "int64", "dump"])
+def test_cells_past_the_table_dtype_are_refused_not_wrapped(form, cell):
+    # Z2's mul table with its 1*1 cell at 2^16 or 2^16 + 1, which uint16
+    # would wrap to 0 or 1: 65537 would read as Z2 itself
+    add, mul = [[0, 1], [1, 0]], [[0, 0], [0, cell]]
+    with pytest.raises(MalformedRing, match="mul entries out of range"):
+        if form == "dump":
+            text = json.dumps({"add": add, "label": "Z2", "mul": mul, "one": 1, "order": 2,
+                               "zero": 0}, sort_keys=True, separators=(",", ":"))
+            assert core._canonical_dump(text, core.DEFAULT_ORDER_GUARD)["mul"].dtype == np.int32
+            core.ring_from_json(text)
+        else:
+            core.validate_ring(add, mul if form == "list" else np.array(mul, dtype=np.int64), 0, 1)
+
+
+def test_orders_past_the_table_dtype_are_refused_before_allocation():
+    # an order above 2^16 is past every guard, however high it is set, and
+    # is refused before anything of its size is allocated: a broadcast
+    # table of 65537^2 cells allocates nothing, and neither does the refusal
+    assert core._resolve_guard(10 ** 6) == core.MAX_ORDER == 65536
+    big = np.broadcast_to(np.int64(0), (65537, 65537))
+    factors = [dsl.build_str("Z256"), dsl.build_str("Z257")]    # 65792 elements
+
+    def refused():
+        with pytest.raises(OrderGuardExceeded, match="order 65537 exceeds the order guard 65536"):
+            core.validate_ring(big, big, 0, 1, order_guard=10 ** 6)
+        with pytest.raises(OrderGuardExceeded, match="past the guard 65536"):
+            dsl.build_str("Z65537", order_guard=10 ** 6)
+        with pytest.raises(OrderGuardExceeded, match="past the guard 65536"):
+            direct_product(factors, order_guard=10 ** 6)
+
+    assert traced_peak(refused) < 1 << 20
 
 
 def test_validation_copies_the_callers_tables():

@@ -222,16 +222,18 @@ def test_oracle_check_detects_sabotage(monkeypatch):
     assert bad.counterexamples[0]["ring"] == "Z12"
 
 
-@pytest.mark.parametrize("check_id", ["T-oracle", "T3.7"])
+@pytest.mark.parametrize("check_id", list(harness.CHECKS))
 def test_subring_checks_copy_no_catalog_tables(check_id):
-    # T-oracle's unit subrings and T3.7's corners at the identity are the
-    # whole ring for most of the catalog; they share its tables instead of
-    # copying them (24 MiB and 4.6 MiB traced when copied), and each check
-    # still passes on fresh memos
+    # every check, run on fresh memos of the catalog rings, traces less than
+    # 2 MiB.  T-oracle's unit subrings and T3.7's corners at the identity are
+    # the whole ring for most of the catalog; they share its tables instead
+    # of copying them (24 MiB and 4.6 MiB traced when copied)
     fresh = [core._relabel(R, R.label) for R in harness.catalog_rings()]
     result = []
     assert traced_peak(lambda: result.append(harness.run_check(check_id, fresh))) < 2 << 20
-    assert result[0].verdict and result[0].scope_size > 50
+    assert result[0].verdict
+    if check_id in ("T-oracle", "T3.7"):
+        assert result[0].scope_size > 50
 
 
 def test_mutation_sensitivity_single_cells(zmod):
