@@ -641,9 +641,6 @@ def _coordinatewise(m):
     return lambda a, b: _mod(m, *(x + y for x, y in zip(a, b)))
 
 
-_GF9_PRODUCT = lambda a, b: _mod(3, a[0] * b[1] + a[1] * b[0], a[1] * b[1] - a[0] * b[0])
-
-
 def _cross_triv(prod, base):
     return cons.trivial_extension(prod, harness._cross_bimodule(prod, base))
 
@@ -651,7 +648,9 @@ def _cross_triv(prod, base):
 _LARGEST = {
     "Z4095": (4095, 1, lambda: core.validate_ring(*dsl._zmod_tables(4095), 0, 1),
               lambda a, b: _mod(4095, a[0] * b[0])),
-    "GF(9)": (3, 2, lambda: dsl.galois_field(9), _GF9_PRODUCT),
+    # (a0 x + a1)(b0 x + b1) with x^2 = -1
+    "GF(9)": (3, 2, lambda: dsl.galois_field(9),
+              lambda a, b: _mod(3, a[0] * b[1] + a[1] * b[0], a[1] * b[1] - a[0] * b[0])),
     "Prod(Z64,Z64)": (64, 2, lambda: cons.direct_product([_z(64), _z(64)]),
                       lambda a, b: _mod(64, a[0] * b[0], a[1] * b[1])),
     "M(2,Z8)": (8, 4, lambda: cons.matrix_ring(_z(8), 2), _matrix2(8)),
