@@ -37,7 +37,9 @@ runs the full procedure on those literal tables.  So a ring is accepted
 exactly when the construction's own product is a ring, and a rejection
 names what `core.validate_ring` names on the literal tables.  This is also
 what proves a bimodule: [[R, M], [0, S]] is a ring exactly when M is an
-(R,S)-bimodule, and so is Triv(R, M) when S is R.
+(R,S)-bimodule, and so is Triv(R, M) when S is R.  The doubled trivial
+extension DT(R, M) = Triv(Triv(R,M), Triv(R,M)) is one such ring too, on
+quadruples over (R, M, R, M), not an extension of a built extension.
 """
 
 from __future__ import annotations
@@ -538,6 +540,17 @@ def _require_rr_bimodule(R: FiniteRing, M: Bimodule | None) -> Bimodule:
     return M
 
 
+def _check_ring_part(out: FiniteRing, R: FiniteRing) -> None:
+    """Verify that the units of `out`, a ring on tuples whose first
+    coordinate is its R part, are exactly the tuples with a unit R part, and
+    likewise for the delta set; the masks stay in `out`'s memo."""
+    rpart = np.arange(out.order) // (out.order // R.order)
+    check_internal(np.array_equal(subsets.unit_mask(out), subsets.unit_mask(R)[rpart]),
+                   f"units of {out.label} are not the elements with a unit ring part")
+    check_internal(np.array_equal(subsets.delta_mask(out), subsets.delta_mask(R)[rpart]),
+                   f"delta set of {out.label} is not the elements with a delta ring part")
+
+
 def trivial_extension(R: FiniteRing, M: Bimodule | None = None, *,
                       order_guard: int | None = None) -> FiniteRing:
     """Pairs (r, m) with (r,m)(s,n) = (rs, rn + ms).  M defaults to R.
@@ -551,32 +564,32 @@ def trivial_extension(R: FiniteRing, M: Bimodule | None = None, *,
     out = _tuple_ring(f"Triv({R.label},{M.label})", sizes, [R.add, M.add],
                       (R.zero, M.zero), (R.one, M.zero), terms,
                       lambda: _tuple_names([R.names, M.names], sizes), order_guard=order_guard)
-    n = out.order
-    rpart = np.arange(n) // M.order
-    check_internal(np.array_equal(subsets.unit_mask(out), subsets.unit_mask(R)[rpart]),
-                   f"units of {out.label} are not the unit-ring-part pairs")
-    check_internal(np.array_equal(subsets.delta_mask(out), subsets.delta_mask(R)[rpart]),
-                   f"delta set of {out.label} is not the delta-ring-part pairs")
+    _check_ring_part(out, R)
     return out
 
 
 def dt_extension(R: FiniteRing, M: Bimodule | None = None, *,
-                 order_guard: int | None = None, inner: FiniteRing | None = None) -> FiniteRing:
-    """The doubled trivial extension: Triv(R,M) extended by itself, whose
-    elements ((a,m),(b,n)) are shown as quadruples (a, m, b, n).
+                 order_guard: int | None = None) -> FiniteRing:
+    """The doubled trivial extension Triv(T, T) of T = Triv(R, M), on
+    quadruples (a, m, b, n) for ((a,m),(b,n)): the mixed-radix encoding of
+    the quadruple is the nested pair encoding.  M defaults to R.  The product
+    is (a,m,b,n)(a',m',b',n') = (aa', am' + ma', ab' + ba', an' + mb' + bm' + na').
 
-    The nested pair encoding is the mixed-radix encoding of the quadruple,
-    so the ring is the validated nested extension under new names.  `inner`
-    is `trivial_extension(R, M)` when the caller already has it.
+    Postcondition (verified): the units are exactly the quadruples with a
+    unit ring part a, and likewise for the delta set.
     """
     M = _require_rr_bimodule(R, M)
-    if inner is None:
-        inner = trivial_extension(R, M, order_guard=order_guard)
-    nested = trivial_extension(inner, None, order_guard=order_guard)
-    names = _tuple_names([R.names, M.names, R.names, M.names],
-                         [R.order, M.order, R.order, M.order])
-    return core._certified_ring(f"DT({R.label},{M.label})", nested.add, nested.mul,
-                                nested.zero, nested.one, names)
+    sizes = [R.order, M.order] * 2
+    left, right = M.left_act, M.right_act
+    terms = [(0, 0, 0, R.mul),
+             (1, 0, 1, left), (1, 1, 0, right),
+             (2, 0, 2, R.mul), (2, 2, 0, R.mul),
+             (3, 0, 3, left), (3, 1, 2, right), (3, 2, 1, left), (3, 3, 0, right)]
+    out = _tuple_ring(f"DT({R.label},{M.label})", sizes, [R.add, M.add] * 2,
+                      (R.zero, M.zero) * 2, (R.one, M.zero, R.zero, M.zero), terms,
+                      lambda: _tuple_names([R.names, M.names] * 2, sizes), order_guard=order_guard)
+    _check_ring_part(out, R)
+    return out
 
 
 def formal_triangular(R: FiniteRing, S: FiniteRing, M: Bimodule | None = None, *,

@@ -21,8 +21,8 @@ reads it block by block (`_all_in`, `_marked_outer`, `_first_column`,
 `subsets` and `predicates`), so it holds no n-by-n or n-by-|S| temporary;
 `_outer` joins the blocks only where the array is the result, such as a
 quotient's tables.  Symmetry tests (commutativity, Light's test) compare
-square tiles and name a failing pair from row blocks against column
-blocks, so they gather no n-by-n array either.  A value-dependent lookup
+square tiles and name the first failing pair from the tiles they compared,
+so they gather no n-by-n array either.  A value-dependent lookup
 `table[rows, cols]`, with index arrays that broadcast to an n-by-n grid
 (a*x*a, a*g + a*c), goes through `_lookup`.  On a table larger than one
 block of `_BLOCK_CELLS` cells that is one `np.take` on the flattened table
@@ -52,11 +52,13 @@ L(gk) replays R(g1..gk-1), one in gk's column pass replays R(g1..gk), and
 one on a generator triple replays them all.  The first replayed pass to
 fail names the violation, else the failure found does, each at its first
 failing instance in row-major order within its pass.  `validate_ring`
-copies and range-checks the caller's tables and hands them to
-`_validated_ring`, which runs the procedure.
+serves tables from outside the program (dumps, library callers): it copies
+and range-checks them for `_validated_ring`, which runs the procedure.
 
-A ring built from structure tables is certified from its terms instead
-(`constructions`), and `_validated_ring` skips the procedure for it.
+The rings the program builds, Z_n (`dsl`) and the structure-table rings
+(`constructions`), go to `_validated_ring` on tables made for them, which
+it freezes in place; a structure-table ring is certified from its terms
+instead, and `_validated_ring` skips the procedure for it.
 
 Derived rings are certified, not re-validated.  `quotient_ring` checks the
 ideal with `is_ideal`, then certifies the projection on the coset
@@ -267,11 +269,13 @@ def _first_column(table: np.ndarray, value: int) -> np.ndarray:
     return out
 
 
-def _is_symmetric(table: np.ndarray, rows: np.ndarray | None = None) -> bool:
-    """`M == M.T` for M = `table[rows]` (`table` itself when `rows` is None),
+def _is_symmetric(table: np.ndarray, rows: np.ndarray | None = None) -> tuple[int, int] | None:
+    """The first (a, c) in row-major order with M[a, c] != M[c, a], or None,
+    for M = `table[rows]` (`table` itself when `rows` is None).  M is
     compared one pair of square tiles of about `_BLOCK_CELLS` cells at a
     time, so the transposed side stays in cache and M is never gathered
-    whole."""
+    whole.  That pair has a < c, so it lies in the first row of tiles that
+    fails, though maybe not in its first failing tile: the row is finished."""
     n = table.shape[0]
     side = max(1, math.isqrt(_BLOCK_CELLS))
 
@@ -280,11 +284,16 @@ def _is_symmetric(table: np.ndarray, rows: np.ndarray | None = None) -> bool:
         return table[i:i + side, cols] if rows is None else table[rows[i:i + side], cols]
 
     for i in range(0, n, side):
+        found = []
         for j in range(i, n, side):
             upper = tile(i, j)
-            if not np.array_equal(upper, (upper if i == j else tile(j, i)).T):
-                return False
-    return True
+            bad = upper != (upper if i == j else tile(j, i)).T
+            if bad.any():   # its first pair lies above the diagonal, also in a diagonal tile
+                r, s = _first_bad_pair(bad)
+                found.append((i + r, j + s))
+        if found:
+            return min(found)
+    return None
 
 
 def _first_bad_pair(bad: np.ndarray) -> tuple[int, int]:
@@ -409,22 +418,13 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
 # then raised from a local would tie the traceback's frames, and the tables
 # they hold, into a cycle that only the cyclic collector frees.
 
-def _first_asymmetry(table: np.ndarray, rows: np.ndarray | None = None) -> tuple[int, int]:
-    """The first (a, c) in row-major order with M[a, c] != M[c, a], for M as
-    in `_is_symmetric`, which must have found M asymmetric: row blocks of M
-    against column blocks, so no n-by-n array is made."""
-    n = table.shape[0]
-    if rows is None:
-        return _first_mismatch(n, lambda lo, hi: (table[lo:hi], table[:, lo:hi].T))
-    return _first_mismatch(n, lambda lo, hi: (table[rows[lo:hi]], table[rows, lo:hi].T))
-
-
 def _check_abelian(add: np.ndarray, zero: int) -> np.ndarray:
     """Raise the first of commutativity, the identity `zero` and inverses,
     in that order, that the addition table `add` breaks; else return the
     negation vector, narrowed to `TABLE_DTYPE` once it holds no -1."""
-    if not _is_symmetric(add):
-        raise AxiomViolation("add-commutativity", _first_asymmetry(add))
+    bad = _is_symmetric(add)
+    if bad is not None:
+        raise AxiomViolation("add-commutativity", bad)
     arange = np.arange(add.shape[0])
     if not np.array_equal(add[zero], arange):
         c = int(np.flatnonzero(add[zero] != arange)[0])
@@ -442,10 +442,9 @@ def _check_light(add: np.ndarray, gens: list[int]) -> None:
     # test is M == M.T.  g = zero passes by the identity law checked before.
     # M is compared tile by tile and never gathered whole.
     for g in gens:
-        col = add[:, g]
-        if not _is_symmetric(add, col):
-            a, c = _first_asymmetry(add, col)
-            raise AxiomViolation("add-associativity", (a, g, c))
+        bad = _is_symmetric(add, add[:, g])
+        if bad is not None:
+            raise AxiomViolation("add-associativity", (bad[0], g, bad[1]))
 
 
 def _left_pass(add: np.ndarray, mul: np.ndarray, g: int) -> tuple[int, int] | None:

@@ -27,6 +27,11 @@ identical immutable ring, so identical expressions always yield
 bit-identical dumps.  A built ring always carries its canonical form as its
 label, also where a construction returns a ring it was given (`M(1,R)`).
 
+Z_n's fresh tables are proved and frozen in place (`core._validated_ring`),
+never copied; GF(p) is the built Z_p under its own name; GF(p^k) and every
+constructor are structure-table rings of `constructions`.  So no build
+calls `core.validate_ring`, which copies the tables it is given.
+
 The order guard is checked once per expression, at the top of `build`:
 `order_of` reads the order off the expression (for `Quot` and `Corner`
 the base's order, an upper bound), so an expression past the guard is
@@ -47,7 +52,7 @@ import numpy as np
 
 from . import constructions as cons
 from . import core
-from .core import FiniteRing, validate_ring
+from .core import FiniteRing
 from .errors import (
     BadArity,
     ExprSyntaxError,
@@ -165,7 +170,8 @@ def _skew_poly(e, R, **kw):
     if e.endo == "id":
         alpha = cons.identity_endomorphism(R)
     elif isinstance(e.base, Named) and e.base.kind == "GF":
-        alpha = frobenius(R, _field_char(e.base.param))
+        q = e.base.param    # of characteristic p, where q = p^k
+        alpha = frobenius(R, _GF_POLYS[q][0] if q in _GF_POLYS else q)
     else:
         raise InvalidEndomorphism("frob binds only on GF(q) base expressions")
     return cons.truncated_skew_poly(R, alpha, e.degree, endo_label=e.endo, **kw)
@@ -200,12 +206,10 @@ Triv = _constructor(
     "Triv", "Triv", [_BASE, _BASE_AGAIN],
     lambda e: (2,),
     lambda e, R, **kw: cons.trivial_extension(R, **kw))
-# the inner Triv(base) comes from the build cache, so building both rings validates it once
 DT = _constructor(
     "DT", "DT", [_BASE, _BASE_AGAIN],
     lambda e: (4,),
-    lambda e, R, **kw: cons.dt_extension(
-        R, inner=build(Triv(e.base), order_guard=kw["order_guard"]), **kw))
+    lambda e, R, **kw: cons.dt_extension(R, **kw))
 # regular: True for the regular bimodule (all three arguments equal), False for zero
 FormalTri = _constructor(
     "FT", "FormalTri",
@@ -465,37 +469,22 @@ def _zmod_tables(m: int):
     return add, mul
 
 
-def _gf_name(coeffs: tuple[int, ...]) -> str:
-    # coeffs are most-significant-first in x
-    k = len(coeffs)
-    terms = []
-    for t, c in enumerate(coeffs):
-        deg = k - 1 - t
-        if c == 0:
-            continue
-        if deg == 0:
-            terms.append(str(c))
-        else:
-            v = "x" if deg == 1 else f"x^{deg}"
-            terms.append(v if c == 1 else f"{c}{v}")
-    return "+".join(terms) if terms else "0"
-
-
 def _require_field(q: int) -> None:
     if q not in SUPPORTED_FIELDS:
         raise UnsupportedField(f"GF({q}) is not built in; supported: {SUPPORTED_FIELDS}")
 
 
 def galois_field(q: int) -> FiniteRing:
-    """GF(q) for q in SUPPORTED_FIELDS, via fixed irreducible polynomials:
-    for q = p^k with k > 1, the ring on coefficient tuples over Z_p whose
-    product reduces x^(a+b) modulo the polynomial."""
+    """GF(q) for q in SUPPORTED_FIELDS, made from the built Z_p.  GF(p) is
+    Z_p under its own name: its frozen tables, proved once, with a memo of
+    its own.  GF(p^k) is the ring on coefficient tuples over Z_p
+    (`constructions._over`) whose product reduces x^(a+b) modulo a fixed
+    irreducible polynomial."""
     _require_field(q)
     if q in _GF_PRIMES:
-        add, mul = _zmod_tables(q)
-        return validate_ring(add, mul, 0, 1, label=f"GF({q})")
+        return core._relabel(build(Named("Z", q)), f"GF({q})")
     p, k, tail = _GF_POLYS[q]
-    add, mul = _zmod_tables(p)
+    Zp = build(Named("Z", p))
     # x^e modulo x^k + tail for e <= 2k - 2, coefficients x^(k-1) first
     rems, power = [], [0] * (k - 1) + [1]
     for _ in range(2 * k - 1):
@@ -504,12 +493,13 @@ def galois_field(q: int) -> FiniteRing:
     # coordinate l holds the coefficient of x^(k-1-l), so a_l b_r adds
     # coef * a_l * b_r to coordinate c for each coefficient coef of the
     # remainder of x^(2k-2-l-r)
-    scaled = [mul[coef][mul] for coef in range(p)]
+    scaled = [Zp.mul[coef][Zp.mul] for coef in range(p)]
     terms = [(c, l, r, scaled[coef]) for l in range(k) for r in range(k)
              for c, coef in enumerate(rems[2 * k - 2 - l - r]) if coef]
-    return cons._tuple_ring(f"GF({q})", [p] * k, [add] * k, [0] * k,
-                            [0] * (k - 1) + [1], terms,
-                            lambda: cons._element_names([p] * k, _gf_name), order_guard=None)
+    # the 1 is the constant polynomial, the last coordinate
+    var_names = ["x" if d == 1 else f"x^{d}" if d else "" for d in range(k - 1, -1, -1)]
+    return cons._over(Zp, k, f"GF({q})", terms, [k - 1],
+                      lambda: cons._poly_names(Zp.names, [p] * k, var_names), None)
 
 
 def frobenius(field: FiniteRing, p: int) -> core.RingHom:
@@ -524,12 +514,6 @@ _BUILD_CACHE: dict[str, FiniteRing] = {}
 _BUILD_LOCK = threading.RLock()
 _INDICES = ("index", "indices", "scalar")
 _MESSAGE_FORM = 200     # characters of the canonical form an order-guard message shows
-
-
-def _field_char(q: int) -> int:
-    if q in _GF_PRIMES:
-        return q
-    return _GF_POLYS[q][0]
 
 
 def order_of(e: RingExpr, cap: int) -> int:
@@ -560,8 +544,9 @@ def _build_uncached(e: RingExpr, canonical: str, guard: int | None) -> FiniteRin
     if type(e) is Named:
         if e.kind == "GF":
             return galois_field(e.param)
+        # fresh tables, held to the guard by `build`: proved and frozen in place
         add, mul = _zmod_tables(e.param)
-        return validate_ring(add, mul, 0, 1, label=canonical, order_guard=guard)
+        return core._validated_ring(add, mul, 0, 1, canonical, None)
     rings = []
     for ring in _rings(e):
         rings.append(build(ring, order_guard=guard))

@@ -138,7 +138,8 @@ def test_tuple_ring_fills_from_the_generator_rows(monkeypatch, zmod, cells):
     cons.formal_matrix(Z4, 2, 2)
     cons.group_ring(Z2, groups["S3"])
     cons.group_ring(Z3, groups["V4"])
-    assert len(calls) == 11
+    # one tuple ring per construction: DT is one ring on quadruples
+    assert len(calls) == 10
     for label, rows, expected in calls:
         assert rows == [1] * expected, label
 
@@ -353,14 +354,22 @@ def test_every_ring_holds_one_table_dtype(monkeypatch):
     # `core._certified_ring` is the one place a FiniteRing is made; every ring
     # made by a cold build of the catalog, the 31 rings of the benchmark's
     # inspect pool, a run of every check and a dump load holds its add, mul
-    # and neg at core.TABLE_DTYPE, C-contiguous and read-only
+    # and neg at core.TABLE_DTYPE, C-contiguous and read-only.  Only the
+    # loaded dump passes through `core.validate_ring`, which copies its
+    # tables: every ring the program builds is proved on tables made for it
     made, real = [], core._certified_ring
+    validated, validate = [], core.validate_ring
 
     def recorded(*args, **kwargs):
         made.append(real(*args, **kwargs))
         return made[-1]
 
+    def counted(*args, **kwargs):
+        validated.append(validate(*args, **kwargs))
+        return validated[-1]
+
     monkeypatch.setattr(core, "_certified_ring", recorded)
+    monkeypatch.setattr(core, "validate_ring", counted)
     monkeypatch.setattr(harness, "_CATALOG_RINGS", None)
     dsl.clear_build_cache()
     rings = harness.catalog_rings()
@@ -370,6 +379,7 @@ def test_every_ring_holds_one_table_dtype(monkeypatch):
     loaded = core.ring_from_json(core.ring_to_json(rings[-1]))
     dsl.clear_build_cache()
     assert made[-1] is loaded and len(made) > len(rings) + 31
+    assert validated == [loaded]
     for R in made:
         for table in (R.add, R.mul, R.neg):
             assert table.dtype == core.TABLE_DTYPE, R.label
@@ -402,7 +412,7 @@ def test_truncated_skew_examples(zmod):
     gf4 = dsl.build_str("GF(4)")
     frob = dsl.frobenius(gf4, 2)
     skew = cons.truncated_skew_poly(gf4, frob, 2)
-    assert skew.order == 16 and not core._is_symmetric(skew.mul)
+    assert skew.order == 16 and core._is_symmetric(skew.mul) is not None
     # the defining relation: x * w = w^2 * x for the field generator w
     w = gf4.names.index("x")
     w_sq = int(gf4.mul[w, w])
@@ -430,7 +440,7 @@ def test_truncated_skew_with_nontrivial_endomorphism(zmod):
     P = cons.direct_product([Z2, Z2])
     swap = core.validate_hom(P, P, [0, 2, 1, 3])
     ring = cons.truncated_skew_poly(P, swap, 3)
-    assert ring.order == 64 and not core._is_symmetric(ring.mul)
+    assert ring.order == 64 and core._is_symmetric(ring.mul) is not None
     assert class_verdict(ring, "2-delta-u") == class_verdict(P, "2-delta-u")
 
 
@@ -462,6 +472,22 @@ def test_dt_extension_examples(zmod):
     outer = cons.truncated_skew_poly(inner, None, 2)
     assert DT3.order == outer.order == 81
     assert np.array_equal(DT3.add, outer.add) and np.array_equal(DT3.mul, outer.mul)
+
+
+@pytest.mark.parametrize("base", ["Z2", "Z4", "GF(4)"])
+@pytest.mark.parametrize("module", ["regular", "zero"])
+def test_dt_extension_is_the_trivial_extension_of_the_trivial_extension(base, module):
+    # the nested build that DT once was is its reference: Triv(T, T) for
+    # T = Triv(R, M), whose element ((a,m),(b,n)) DT names (a,m,b,n)
+    R = dsl.build_str(base)
+    M = cons.regular_bimodule(R) if module == "regular" else cons.zero_bimodule(R, R)
+    DT = cons.dt_extension(R, M)
+    nested = cons.trivial_extension(cons.trivial_extension(R, M))
+    assert DT.label == f"DT({R.label},{M.label})"
+    assert np.array_equal(DT.add, nested.add) and np.array_equal(DT.mul, nested.mul)
+    assert (DT.zero, DT.one) == (nested.zero, nested.one)
+    assert DT.names == tuple("(" + name.replace("(", "").replace(")", "") + ")"
+                             for name in nested.names)
 
 
 def test_formal_triangular_examples(zmod):

@@ -128,20 +128,36 @@ def test_flat_index_dtype_widens_at_two_to_the_31():
     assert core._index_dtype(10 ** 6) is np.int64
 
 
+def _first_asymmetric_pair(table):
+    """The first (a, c) in row-major order with table[a, c] != table[c, a]."""
+    bad = np.argwhere(table != table.T)
+    return tuple(int(v) for v in bad[0]) if bad.size else None
+
+
 @pytest.mark.parametrize("cells", [None, 64])
 def test_is_symmetric_compares_every_pair(monkeypatch, cells):
+    # the pair named is the first in row-major order, also where a later tile
+    # of its row of tiles holds it: at 64 cells the tiles are 8 by 8, and
+    # (1, 30) precedes (6, 10) though its tile comes later
     if cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
     rng = np.random.default_rng(9)
     for n in (1, 5, 9, 33, 300):
         t = rng.integers(0, n, size=(n, n))
         sym = np.triu(t) + np.triu(t, 1).T
-        assert core._is_symmetric(sym)
-        for a, b in {(0, n - 1), (n - 1, n // 2), (n // 3, n - 2), (1, 0)}:
-            if 0 <= b < n and a < n and a != b:
+        assert core._is_symmetric(sym) is None
+        cases = [{(0, n - 1)}, {(n - 1, n // 2)}, {(n // 3, n - 2)}, {(1, 0)},
+                 {(6, 10), (1, 30)}, {(n - 1, 2), (3, n - 2)}]
+        for cells_broken in cases:
+            if all(0 <= b < n and a < n and a != b for a, b in cells_broken):
                 broken = sym.copy()
-                broken[a, b] += 1
-                assert not core._is_symmetric(broken), (n, a, b)
+                for a, b in cells_broken:
+                    broken[a, b] += 1
+                assert core._is_symmetric(broken) == _first_asymmetric_pair(broken), (
+                    n, cells_broken)
+                rows = rng.permutation(n)
+                assert core._is_symmetric(broken, rows) == _first_asymmetric_pair(
+                    broken[rows]), (n, cells_broken)
 
 
 def _corrupt(R, row):

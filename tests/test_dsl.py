@@ -23,6 +23,8 @@ from deltaring.errors import (
     UnsupportedField,
 )
 
+from conftest import traced_peak
+
 
 def test_parse_examples():
     e = dsl.parse("M(2, Z3)")
@@ -270,7 +272,7 @@ def test_unsupported_field():
 
 def test_frob_binding():
     ring = dsl.build_str("TruncSkew(GF(4),frob,2)")
-    assert not core._is_symmetric(ring.mul)
+    assert core._is_symmetric(ring.mul) is not None
     prime_field = dsl.build_str("TruncSkew(GF(2),frob,2)")  # frobenius = identity
     plain = dsl.build_str("TruncSkew(Z2,id,2)")
     assert np.array_equal(prime_field.mul, plain.mul)
@@ -300,11 +302,38 @@ def test_quot_and_corner_relabel_without_revalidation(monkeypatch):
         raise AssertionError("derived rings must not be re-validated")
 
     monkeypatch.setattr(core, "validate_ring", refuse)
-    monkeypatch.setattr(dsl, "validate_ring", refuse)
+    monkeypatch.setattr(core, "_validated_ring", refuse)
     Q = dsl.build_str("Quot(Z12,6)")
     C11 = dsl.build_str("Corner(M(2,Z2),8)")
     assert (Q.label, Q.order) == ("Quot(Z12,6)", 6)
     assert (C11.label, C11.order) == ("Corner(M(2,Z2),8)", 2)
+
+
+def test_galois_fields_are_made_from_the_built_z_p(monkeypatch):
+    # GF(p) is Z_p under its own name, on Z_p's frozen tables with a memo of
+    # its own, and costs no second proof; GF(p^k) is one structure-table ring
+    # over the built Z_p
+    dsl.clear_build_cache()
+    Z5 = dsl.build_str("Z5")
+    dsl.build_str("Z3")
+    real, labels = core._validated_ring, []
+
+    def counted(add, mul, zero, one, label, *args):
+        labels.append(label)
+        return real(add, mul, zero, one, label, *args)
+
+    monkeypatch.setattr(core, "_validated_ring", counted)
+    F = dsl.build_str("GF(5)")
+    assert labels == [] and F.label == "GF(5)" and F._cache is not Z5._cache
+    assert F.add is Z5.add and F.mul is Z5.mul and F.neg is Z5.neg and F.names == Z5.names
+    assert dsl.build_str("GF(9)").order == 9 and labels == ["GF(9)"]
+
+
+def test_building_z_n_holds_its_two_tables():
+    # Z_n's fresh tables are proved and frozen in place, never copied
+    dsl.clear_build_cache()
+    table = 1024 * 1024 * np.dtype(core.TABLE_DTYPE).itemsize
+    assert traced_peak(dsl.build_str, "Z1024") < 2.5 * table
 
 
 def test_derived_rings_ignore_the_default_guard(monkeypatch):
