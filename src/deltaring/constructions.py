@@ -44,8 +44,8 @@ quadruples over (R, M, R, M), not an extension of a built extension.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -99,11 +99,14 @@ class FiniteGroup:
 
 def validate_group(table, identity: int, label: str, names=None) -> FiniteGroup:
     t = np.asarray(table)
-    n = t.shape[0]
+    n = t.shape[0] if t.ndim == 2 else 0
     # checked at the given width, so a wide or fractional cell cannot narrow into range
-    if (t.shape != (n, n) or n > core.MAX_ORDER or t.dtype.kind not in "iu" or t.min() < 0
-            or t.max() >= n):
+    if (not 0 < n <= core.MAX_ORDER or t.shape != (n, n) or t.dtype.kind not in "iu"
+            or t.min() < 0 or t.max() >= n):
         raise ValueError("bad group table")
+    if (isinstance(identity, bool) or not isinstance(identity, (int, np.integer))
+            or not 0 <= identity < n):
+        raise ValueError(f"bad group identity {identity!r}")
     t = t.astype(core.TABLE_DTYPE)
     identity = int(identity)
     arange = np.arange(n)
@@ -145,18 +148,11 @@ def symmetric3_group() -> FiniteGroup:
     return validate_group(table, 0, "S3", names)
 
 
-_GROUPS: dict[str, FiniteGroup] = {}
-
-
+@functools.cache
 def group_catalog() -> dict[str, FiniteGroup]:
     """Built-in groups: C1..C6, V4, S3."""
-    if not _GROUPS:
-        for n in range(1, 7):
-            g = cyclic_group(n)
-            _GROUPS[g.label] = g
-        _GROUPS["V4"] = klein_group()
-        _GROUPS["S3"] = symmetric3_group()
-    return _GROUPS
+    groups = {g.label: g for g in map(cyclic_group, range(1, 7))}
+    return {**groups, "V4": klein_group(), "S3": symmetric3_group()}
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +397,9 @@ def _over(R: FiniteRing, k: int, label: str, terms, ones, names,
 
 
 def _element_names(sizes: list[int], name) -> list[str]:
-    """`name(coordinates)` for every element, in index order."""
-    strides = _strides(sizes)
-    return [name(tuple((x // st) % s for st, s in zip(strides, sizes)))
-            for x in range(math.prod(sizes))]
+    """`name(coordinates)` for every element, in index order (the first
+    coordinate the most significant)."""
+    return [name(tup) for tup in itertools.product(*map(range, sizes))]
 
 
 def _tuple_names(coord_names: list[tuple[str, ...]], sizes: list[int]) -> list[str]:

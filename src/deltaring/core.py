@@ -84,7 +84,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,9 +368,6 @@ class RingHom:
     source: FiniteRing
     target: FiniteRing
     map: np.ndarray
-
-    def __call__(self, a: int) -> int:
-        return int(self.map[a])
 
     @property
     def is_surjective(self) -> bool:
@@ -850,11 +846,12 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
 # guard is then refused, as `ring_from_dict` refuses it, before any cell is
 # parsed, once the text is known to be JSON with `zero` and `one` keys.
 # Otherwise numpy parses the cells (`_parsed_tables`); when both tables are
-# larger than one block, a worker thread parses the mul table while the
-# calling thread parses the add table (`np.fromstring` releases the GIL).
-# The worker allocates only its parse result, and it is joined before the
-# call returns or raises, so no thread outlives a call and an error in the
-# worker reaches the caller.
+# larger than one block, the one worker of a thread pool parses the mul
+# table while the calling thread parses the add table (`np.fromstring`
+# releases the GIL).  The worker allocates only its parse result, and the
+# pool is shut down, its worker joined, before the call returns or raises,
+# so no thread outlives a call and an error in the worker reaches the
+# caller.
 
 _DUMP_HEAD = '{"add":[['
 _LABEL_KEY = ']],"label":"'
@@ -939,35 +936,20 @@ def _parse_cells(flat: bytes, shape: tuple[int, int]) -> np.ndarray:
     return np.fromstring(flat, dtype=np.int32, sep=",", count=shape[0] * shape[1])
 
 
-def _parse_into(box: list, flat: bytes, shape: tuple[int, int]) -> None:
-    """The worker thread's body: the parse, or the error it raised, into `box`."""
-    try:
-        box.append(_parse_cells(flat, shape))
-    except BaseException as exc:   # handed to the caller, which raises it
-        box.append(exc)
-
-
 def _parsed_tables(add: tuple[bytes, tuple[int, int]], mul: tuple[bytes, tuple[int, int]]):
     """The flat int32 cells of both tables that `_table_text` gave, the mul
-    table's parsed on a worker thread when both are larger than one block.
-    The worker is joined before this returns or raises, and its error, if
-    any, is raised here."""
+    table's parsed on a one-thread pool when both are larger than one block.
+    Leaving the pool's `with` block joins its worker, so that happens before
+    this returns or raises; `result()` raises the worker's error, if any."""
     if min(add[1][0] * add[1][1], mul[1][0] * mul[1][1]) <= _BLOCK_CELLS:
         return _parse_cells(*add), _parse_cells(*mul)
-    box: list = []
-    worker = threading.Thread(target=_parse_into, args=(box, *mul), name="ring_from_json")
-    worker.start()
-    try:
+    from concurrent.futures import ThreadPoolExecutor   # only loads that need it pay the import
+
+    with ThreadPoolExecutor(1, thread_name_prefix="ring_from_json") as pool:
+        pending = [pool.submit(_parse_cells, *mul)]
         add_cells = _parse_cells(*add)
-    finally:
-        worker.join()
-    mul_cells = box.pop()
-    if isinstance(mul_cells, BaseException):
-        try:
-            raise mul_cells
-        finally:
-            mul_cells = None   # the traceback holds this frame: break the cycle
-    return add_cells, mul_cells
+    # popped, so no frame of the worker's error holds the future that holds the error
+    return add_cells, pending.pop().result()
 
 
 def _exact_table(values: np.ndarray, flat: bytes, shape: tuple[int, int]) -> np.ndarray | None:

@@ -27,8 +27,8 @@ byte-identical (timings default to zero and are opt-in).
 
 from __future__ import annotations
 
+import functools
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -84,18 +84,13 @@ def _counterexample(ring: FiniteRing, notes: str, witness: list[Witness] | None 
 # ---------------------------------------------------------------------------
 # catalog access
 
-_CATALOG_RINGS: list[FiniteRing] | None = None
-_CATALOG_LOCK = threading.Lock()
-
-
+@functools.cache
 def catalog_rings() -> list[FiniteRing]:
-    """Build (once, even under threads) and return every catalog ring, in
-    catalog order."""
-    global _CATALOG_RINGS
-    with _CATALOG_LOCK:
-        if _CATALOG_RINGS is None:
-            _CATALOG_RINGS = [dsl.build(e) for _, e in dsl.catalog()]
-    return _CATALOG_RINGS
+    """Every catalog ring, in catalog order, built on the first call and
+    then returned from the cache (`catalog_rings.cache_clear()` empties
+    it).  First callers on several threads may each make a list, but of
+    the same rings, since `dsl.build` builds each expression once."""
+    return [dsl.build(e) for _, e in dsl.catalog()]
 
 
 def _scope(rings) -> list[FiniteRing]:

@@ -446,14 +446,25 @@ _README_MODULES = ("core", "dsl", "constructions", "predicates", "subsets", "har
 
 
 def test_readme_names_resolve():
-    # every backticked `module.name` of the package that README.md mentions
-    # is an attribute of that module, so a rename or a deletion cannot leave
-    # the README pointing at code that is gone
-    text = (Path(__file__).parent.parent / "README.md").read_text()
-    names = re.findall(r"`(" + "|".join(_README_MODULES) + r")\.([A-Za-z_][\w.]*)", text)
-    assert names
-    for module, attr in names:
-        obj = importlib.import_module(f"deltaring.{module}")
-        for part in attr.rstrip(".").split("."):
-            assert hasattr(obj, part), f"README.md names {module}.{attr}, which does not exist"
-            obj = getattr(obj, part)
+    # every backticked `module.name` of the package that README.md or the
+    # package's own source mentions is an attribute of that module, and
+    # every backticked bare `_private` name is an attribute of some module
+    # of the package, so a rename or a deletion cannot leave the prose
+    # pointing at code that is gone
+    root = Path(__file__).parent.parent
+    modules = [importlib.import_module(f"deltaring.{m}") for m in _README_MODULES]
+    dotted = re.compile(r"`(" + "|".join(_README_MODULES) + r")\.([A-Za-z_][\w.]*)")
+    checked = 0
+    for path in (root / "README.md", *sorted((root / "src" / "deltaring").glob("*.py"))):
+        text = path.read_text()
+        for module, attr in dotted.findall(text):
+            obj = importlib.import_module(f"deltaring.{module}")
+            for part in attr.rstrip(".").split("."):
+                assert hasattr(obj, part), f"{path.name} names {module}.{attr}, which is gone"
+                obj = getattr(obj, part)
+            checked += 1
+        for name in re.findall(r"`(_[A-Za-z]\w*)`", text):
+            assert any(hasattr(m, name) for m in modules), \
+                f"{path.name} names {name}, which is gone"
+            checked += 1
+    assert checked

@@ -4,6 +4,8 @@ import hashlib
 import importlib.util
 import json
 import re
+import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -370,7 +372,7 @@ def test_every_ring_holds_one_table_dtype(monkeypatch):
 
     monkeypatch.setattr(core, "_certified_ring", recorded)
     monkeypatch.setattr(core, "validate_ring", counted)
-    monkeypatch.setattr(harness, "_CATALOG_RINGS", None)
+    harness.catalog_rings.cache_clear()
     dsl.clear_build_cache()
     rings = harness.catalog_rings()
     for expr, _ in _bench_pool().INSPECT_POOL:
@@ -560,6 +562,42 @@ def test_group_catalog():
     assert groups["C4"].prime == 2 and groups["V4"].prime == 2
     assert groups["C3"].prime == 3 and groups["C6"].prime is None
     assert groups["S3"].prime is None
+
+
+def test_group_catalog_is_whole_to_concurrent_first_callers():
+    # eight threads released at once into a cold catalog, switching often:
+    # each must see all eight groups, never a catalog still being filled
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            cons.group_catalog.cache_clear()
+            barrier = threading.Barrier(8)
+
+            def call():
+                barrier.wait()
+                seen.append(len(cons.group_catalog()))
+
+            threads = [threading.Thread(target=call) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [8] * 1600
+
+
+@pytest.mark.parametrize("table, identity, message", [
+    (np.array(0), 0, "bad group table"),                      # 0-d
+    (np.zeros((0, 0), dtype=int), 0, "bad group table"),      # empty
+    (np.array([[0, 1], [1, 0]]), 2, "bad group identity 2"),  # out of range
+    (np.array([[0, 1], [1, 0]]), False, "bad group identity False"),
+])
+def test_validate_group_refuses_malformed_input(table, identity, message):
+    with pytest.raises(ValueError, match=message):
+        cons.validate_group(table, identity, "G")
 
 
 def test_group_ring_examples(zmod):

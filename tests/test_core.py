@@ -783,8 +783,16 @@ def test_no_thread_outlives_ring_from_json(zmod, monkeypatch):
         return parse(*args, **kwargs)
 
     monkeypatch.setattr(np, "fromstring", failing)
-    with pytest.raises(MemoryError, match="the worker's parse failed"):
-        core.ring_from_json(text)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(MemoryError, match="the worker's parse failed"):
+            core.ring_from_json(text)
+        # the error's frames and the text they hold were freed by reference
+        # count: no cycle waits for the collector
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
     assert threading.active_count() == start
 
 

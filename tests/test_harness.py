@@ -331,7 +331,7 @@ def test_cold_run_all_builds_each_ring_once_under_threads(monkeypatch, tmp_path)
 
     def cold_rows(run):
         dsl.clear_build_cache()
-        harness._CATALOG_RINGS = None
+        harness.catalog_rings.cache_clear()
         log.write_text("")
         run()
         return [tuple(line.split("\t")) for line in log.read_text().splitlines()]
