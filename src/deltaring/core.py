@@ -840,18 +840,23 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
 # `_as_table` range-checks the cells at that width and only then narrows
 # them to `TABLE_DTYPE`, so a cell of 2^16 or more is refused, not wrapped.
 #
-# Canonical text is read in two steps.  The text checks (`_table_text`) run
-# on the calling thread and give each table's cells as one ","-joined byte
-# string and its shape.  An add table that is square and past the order
-# guard is then refused, as `ring_from_dict` refuses it, before any cell is
-# parsed, once the text is known to be JSON with `zero` and `one` keys.
-# Otherwise numpy parses the cells (`_parsed_tables`); when both tables are
-# larger than one block, the one worker of a thread pool parses the mul
-# table while the calling thread parses the add table (`np.fromstring`
-# releases the GIL).  The worker allocates only its parse result, and the
-# pool is shut down, its worker joined, before the call returns or raises,
-# so no thread outlives a call and an error in the worker reaches the
-# caller.
+# Canonical text is read in one walk over each table's body, one block of
+# whole rows of about `_BLOCK_CELLS` cells at a time (`_read_table`).  The
+# shape is read off the text without copying it: rows are counted by "],["
+# and columns by the commas of row 0 (`_table_shape`).  Each block is
+# encoded to ASCII and split into rows, which must have row 0's column
+# count, and its ","-joined cells must be digits with no empty token
+# (`_block_cells`).  An add table that is square and past the order guard
+# is refused, as `ring_from_dict` refuses it, once the text is known to be
+# JSON with `zero` and `one` keys: that walk parses nothing and checks each
+# block for a token with a leading zero instead, so it holds one block at a
+# time.  Otherwise numpy parses each block into its rows of a preallocated
+# int32 table, and the block's digit count proves the parse exact
+# (`_parsed_block`).  When both tables are larger than one block, the one
+# worker of a thread pool walks the mul table while the calling thread
+# walks the add table (`np.fromstring` releases the GIL); the pool is shut
+# down, its worker joined, before the call returns or raises, so no thread
+# outlives a call and an error in the worker reaches the caller.
 
 _DUMP_HEAD = '{"add":[['
 _LABEL_KEY = ']],"label":"'
@@ -905,67 +910,100 @@ def ring_to_json(ring: FiniteRing) -> str:
     return "".join(ring_json_chunks(ring))
 
 
-def _table_text(text: str, lo: int, hi: int) -> tuple[bytes, tuple[int, int]] | None:
-    """The cells of the table `[[text[lo:hi]]]` as one ","-joined byte
-    string, and the table's shape, when `text[lo:hi]` is rows of equal
-    length joined by "],[", each a ","-joined run of nonempty digit tokens;
-    None for any other body.  Such a body is JSON unless a token has a
-    leading zero."""
+def _table_shape(text: str, lo: int, hi: int) -> tuple[int, int] | None:
+    """The shape of the table `[[text[lo:hi]]]` if every row has the length
+    of row 0, read off the text without copying it: the rows counted by
+    "],[" and the columns by the commas of row 0.  None when the body is too
+    short to hold that many cells of one digit or more, so a ragged body
+    never sizes an allocation past what its text could hold."""
+    row_end = text.find("],[", lo, hi)
+    rows = text.count("],[", lo, hi) + 1
+    cols = text.count(",", lo, hi if row_end < 0 else row_end) + 1
+    return (rows, cols) if 2 * rows * cols - 1 <= hi - lo else None
+
+
+def _block_cells(block: str, cols: int) -> bytes | None:
+    """The cells of the rows `block` (joined by "],[") as one ","-joined
+    byte string, when each row is a ","-joined run of `cols` nonempty digit
+    tokens; None otherwise."""
     try:
-        rows = text[lo:hi].encode("ascii").split(b"],[")
+        rows = block.encode("ascii").split(b"],[")
     except UnicodeEncodeError:
         return None
-    shape = (len(rows), rows[0].count(b",") + 1)
-    if any(row.count(b",") != shape[1] - 1 for row in rows):
+    if any(row.count(b",") != cols - 1 for row in rows):
         return None
-    flat = b",".join(rows)
-    del rows
-    if not flat or flat.translate(None, b"0123456789,"):
+    cells = b",".join(rows)
+    if not cells or cells.translate(None, b"0123456789,"):
         return None
-    is_comma = np.frombuffer(flat, dtype=np.uint8) == ord(",")
+    is_comma = np.frombuffer(cells, dtype=np.uint8) == ord(",")
     empty_token = is_comma[0] or is_comma[-1] or (is_comma[1:] & is_comma[:-1]).any()
-    del is_comma
-    return None if empty_token else (flat, shape)
+    return None if empty_token else cells
 
 
-def _has_leading_zero(flat: bytes) -> bool:
-    return (flat[:1] == b"0" and flat[1:2].isdigit()) or _LEADING_ZERO.search(flat) is not None
+def _has_leading_zero(cells: bytes) -> bool:
+    return (cells[:1] == b"0" and cells[1:2].isdigit()) or _LEADING_ZERO.search(cells) is not None
 
 
-def _parse_cells(flat: bytes, shape: tuple[int, int]) -> np.ndarray:
-    return np.fromstring(flat, dtype=np.int32, sep=",", count=shape[0] * shape[1])
-
-
-def _parsed_tables(add: tuple[bytes, tuple[int, int]], mul: tuple[bytes, tuple[int, int]]):
-    """The flat int32 cells of both tables that `_table_text` gave, the mul
-    table's parsed on a one-thread pool when both are larger than one block.
-    Leaving the pool's `with` block joins its worker, so that happens before
-    this returns or raises; `result()` raises the worker's error, if any."""
-    if min(add[1][0] * add[1][1], mul[1][0] * mul[1][1]) <= _BLOCK_CELLS:
-        return _parse_cells(*add), _parse_cells(*mul)
-    from concurrent.futures import ThreadPoolExecutor   # only loads that need it pay the import
-
-    with ThreadPoolExecutor(1, thread_name_prefix="ring_from_json") as pool:
-        pending = [pool.submit(_parse_cells, *mul)]
-        add_cells = _parse_cells(*add)
-    # popped, so no frame of the worker's error holds the future that holds the error
-    return add_cells, pending.pop().result()
-
-
-def _exact_table(values: np.ndarray, flat: bytes, shape: tuple[int, int]) -> np.ndarray | None:
-    """The parsed cells as a table of `shape` when the parse was exact and
-    every token canonical (digits, no leading zero, at most 9 digits);
-    None otherwise.
+def _parsed_block(cells: bytes, out: np.ndarray) -> bool:
+    """Parse `cells` into `out`, an int32 run of table rows; whether the
+    parse was exact and every token canonical (digits, no leading zero, at
+    most 9 digits).
 
     That holds when the digit counts of the values, each counted up to 9,
     add up to the digits in the text: a token with a leading zero, or one
     of 10 digits or more (which numpy wraps into int32), has more digits
     than its value is counted with."""
-    top, cells = values.max(), values.size
-    digits = cells + sum(int(np.count_nonzero(values >= p)) for p in _CELL_POWERS if p <= top)
-    if digits != len(flat) - (cells - 1):
-        return None
-    return values.reshape(shape)
+    values = np.fromstring(cells, dtype=np.int32, sep=",", count=out.size)
+    top = values.max()
+    digits = values.size + sum(int(np.count_nonzero(values >= p)) for p in _CELL_POWERS if p <= top)
+    if digits != len(cells) - (values.size - 1):
+        return False
+    out[...] = values.reshape(out.shape)
+    return True
+
+
+def _read_table(text: str, lo: int, hi: int, shape: tuple[int, int], out=None) -> bool:
+    """Whether `text[lo:hi]` is the body of a canonical table of `shape`,
+    walked one block of whole rows at a time (`_row_blocks`, each block
+    found by "],[").  With `out`, an int32 array of `shape`, each block is
+    parsed into its rows and must be exact.  Without it nothing is parsed,
+    and a token with a leading zero fails instead, so True means the body is
+    JSON.  The walk stops at the first block that fails."""
+    rows, cols = shape
+    start = lo
+    for r0, r1 in _row_blocks(rows, cols):
+        end = hi   # the table's last row ends the body
+        if r1 < rows:
+            end = start - 3
+            for _ in range(r0, r1):
+                end = text.find("],[", end + 3, hi)
+        cells = _block_cells(text[start:end], cols)
+        start = end + 3
+        if cells is None or (_has_leading_zero(cells) if out is None
+                             else not _parsed_block(cells, out[r0:r1])):
+            return False
+    return True
+
+
+def _parsed_tables(text: str, add: tuple, mul: tuple) -> list[np.ndarray] | None:
+    """Both tables as int32 arrays, from `add` and `mul` given as (lo, hi,
+    shape) of their bodies; None when either body fails `_read_table`.  When
+    both are larger than one block, the mul table is walked on a one-thread
+    pool while this thread walks the add table.  Leaving the pool's `with`
+    block joins its worker, so that happens before this returns or raises;
+    `result()` raises the worker's error, if any."""
+    tables = [np.empty(shape, dtype=np.int32) for *_, shape in (add, mul)]
+    if min(table.size for table in tables) <= _BLOCK_CELLS:
+        ok = _read_table(text, *add, tables[0]) and _read_table(text, *mul, tables[1])
+        return tables if ok else None
+    from concurrent.futures import ThreadPoolExecutor   # only loads that need it pay the import
+
+    with ThreadPoolExecutor(1, thread_name_prefix="ring_from_json") as pool:
+        pending = [pool.submit(_read_table, text, *mul, tables[1])]
+        add_ok = _read_table(text, *add, tables[0])
+    # popped, so no frame of the worker's error holds the future that holds the error
+    mul_ok = pending.pop().result()
+    return tables if add_ok and mul_ok else None
 
 
 def _canonical_dump(text, guard: int) -> dict | None:
@@ -1005,22 +1043,19 @@ def _canonical_dump(text, guard: int) -> dict | None:
             return None
     else:
         return None
-    add = _table_text(text, len(_DUMP_HEAD), add_end)
-    mul = None if add is None else _table_text(text, at + len(_MUL_KEY), mul_end)
-    if mul is None:
+    add = (len(_DUMP_HEAD), add_end, _table_shape(text, len(_DUMP_HEAD), add_end))
+    mul = (at + len(_MUL_KEY), mul_end, _table_shape(text, at + len(_MUL_KEY), mul_end))
+    if add[2] is None or mul[2] is None:
         return None
-    n, cols = add[1]
+    n, cols = add[2]
     if n == cols > guard and "zero" in rest and "one" in rest:
-        if _has_leading_zero(add[0]) or _has_leading_zero(mul[0]):
-            return None   # not JSON
-        _hold_to_guard(n, guard)
-    add_cells, mul_cells = _parsed_tables(add, mul)
-    add_table = _exact_table(add_cells, *add)
-    del add
-    mul_table = None if add_table is None else _exact_table(mul_cells, *mul)
-    if mul_table is None:
+        if _read_table(text, *add) and _read_table(text, *mul):
+            _hold_to_guard(n, guard)
+        return None   # not JSON, or not canonical: json.loads decides
+    tables = _parsed_tables(text, add, mul)
+    if tables is None:
         return None
-    return {"add": add_table, "label": label, "mul": mul_table, **rest}
+    return {"add": tables[0], "label": label, "mul": tables[1], **rest}
 
 
 def ring_from_dict(data: dict, *, order_guard: int | None = None) -> FiniteRing:
@@ -1050,12 +1085,13 @@ def ring_from_json(text: str, *, order_guard: int | None = None) -> FiniteRing:
     is not a dump, `OrderGuardExceeded` past the order guard, `AxiomViolation`
     for tables that break a ring law.
 
-    A canonical dump whose add table is past the guard is refused from its
-    text checks, before any cell is parsed.  When both of its tables are
-    larger than one block, the mul table is parsed on a worker thread while
-    this thread parses the add table; the worker is joined before the call
-    returns or raises, so no thread outlives the call, and an error in the
-    worker is raised here.
+    A canonical dump is checked and parsed one block of whole rows at a
+    time, so no whole-table copy of its text is made.  One whose add table
+    is past the guard is refused from a walk that parses no cell and holds
+    one block.  When both of its tables are larger than one block, the mul
+    table is walked on a worker thread while this thread walks the add
+    table; the worker is joined before the call returns or raises, so no
+    thread outlives the call, and an error in the worker is raised here.
     """
     guard = _resolve_guard(order_guard)
     data = _canonical_dump(text, guard)

@@ -746,6 +746,67 @@ def test_dump_at_the_order_guard_loads(zmod):
     assert np.array_equal(back.add, R.add) and np.array_equal(back.mul, R.mul)
 
 
+def _leading_zero(dump, at):
+    return dump[:at] + "0" + dump[at:]
+
+
+def _emptied_last(dump, at):
+    cut = dump.rindex(",", 0, at - 3) + 1
+    return dump[:cut] + dump[at - 3:]
+
+
+def _moved_across(dump, at):
+    cut = dump.rindex(",", 0, at - 3) + 1
+    return dump[:cut - 1] + dump[at - 3:at] + dump[cut:at - 3] + "," + dump[at:]
+
+
+@pytest.mark.parametrize("edit", [_leading_zero, _emptied_last, _moved_across],
+                         ids=["leading-zero", "empty-token", "ragged"])
+@pytest.mark.parametrize("cells", [4, 37])
+def test_over_guard_walk_checks_every_block(zmod, monkeypatch, cells, edit):
+    # the refusal's walk checks later blocks as it checks the first: edited
+    # at the start of the third block (a leading zero on its first token,
+    # the token before it emptied, or moved into its first row), either
+    # table has the outcome that json.loads and ring_from_dict give, message
+    # included
+    monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    dump = core.ring_to_json(zmod(9))
+    row = core._row_blocks(9, 9)[2][0]
+    for table in ("add", "mul"):
+        at = dump.index(f'"{table}":[[') + len(table) + 5
+        for _ in range(row):
+            at = dump.index("],[", at) + 3
+        text = edit(dump, at)
+        with pytest.raises((MalformedRing, OrderGuardExceeded)) as exc:
+            core.ring_from_json(text, order_guard=8)
+        with pytest.raises(type(exc.value)) as expected:
+            oracles.ring_from_loaded_json(text, order_guard=8)
+        assert str(exc.value) == str(expected.value)
+
+
+def test_over_guard_refusal_holds_one_block_of_the_text():
+    # the refusal walks both tables' text (7.8 MiB for Z1024) one row block
+    # at a time without parsing it, so it holds no copy of a whole table
+    text = core.ring_to_json(dsl.build_str("Z1024"))
+
+    def refused():
+        with pytest.raises(OrderGuardExceeded, match="order 1024 exceeds the order guard 1000"):
+            core.ring_from_json(text, order_guard=1000)
+
+    assert traced_peak(refused) < 0.25 * len(text)
+
+
+def test_canonical_load_holds_no_copy_of_the_text():
+    # a load holds its int32 tables, their uint16 narrowing and one row
+    # block of the text, not a whole-table copy of the text; here the text
+    # and the int32 tables are each about 13 MB
+    R = dsl.build_str("K(Z6,s=0)")
+    text = core.ring_to_json(R)
+    loaded = []
+    assert traced_peak(lambda: loaded.append(core.ring_from_json(text))) < 1.75 * len(text)
+    assert np.array_equal(loaded[0].add, R.add) and np.array_equal(loaded[0].mul, R.mul)
+
+
 def test_no_thread_outlives_ring_from_json(zmod, monkeypatch):
     # tables past one block are parsed on two threads; the worker is joined
     # before every return and raise (harness.run_all forks, which is only
@@ -766,16 +827,18 @@ def test_no_thread_outlives_ring_from_json(zmod, monkeypatch):
         return parse(*args, **kwargs)
 
     monkeypatch.setattr(np, "fromstring", spy)
-    back = core.ring_from_json(text)
-    assert np.array_equal(back.add, R.add) and np.array_equal(back.mul, R.mul)
-    assert threading.active_count() == start
-    with pytest.raises(AxiomViolation):
-        core.ring_from_json(not_an_identity)
-    assert threading.active_count() == start
-    with pytest.raises(MalformedRing):
-        core.ring_from_json(leading_zero)
-    assert threading.active_count() == start
-    assert parsers.count(False) == parsers.count(True) == 3   # one worker a load
+    for dump, error in ((text, None), (not_an_identity, AxiomViolation),
+                        (leading_zero, MalformedRing)):
+        parsers.clear()
+        if error is None:
+            back = core.ring_from_json(dump)
+            assert np.array_equal(back.add, R.add) and np.array_equal(back.mul, R.mul)
+        else:
+            with pytest.raises(error):
+                core.ring_from_json(dump)
+        # the load parsed on both threads, and left no thread behind
+        assert True in parsers and False in parsers
+        assert threading.active_count() == start
 
     def failing(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():

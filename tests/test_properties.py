@@ -370,7 +370,7 @@ def test_damaged_dumps_load_or_raise_malformed_ring(text):
 
 CATALOG = dsl.catalog()
 _MUTATIONS = ["shifted", "leading-zero", "wide", "twenty-digits", "not-an-index", "empty",
-              "ragged", "whitespace", "duplicate-add", "trailing", "bytes"]
+              "non-ascii", "ragged", "whitespace", "duplicate-add", "trailing", "bytes"]
 # the text that replaces one cell, by mutation; json.loads makes an int64
 # table of cells below 2^63 and a float64 one past it, and the direct
 # decoder parses into int32, which wraps a cell of 10 digits or more
@@ -381,6 +381,8 @@ _CELL_TOKENS = {
     "twenty-digits": st.integers(10 ** 19, 10 ** 20 - 1).map(str),
     "not-an-index": st.sampled_from(["-1", "1.0", "true"]),
     "empty": st.just(""),
+    # Arabic-Indic and fullwidth one (both str.isdigit), a letter, superscript two
+    "non-ascii": st.sampled_from(["\u0661", "\uff11", "1\u00e9", "\u00b2"]),
 }
 
 
@@ -392,6 +394,16 @@ def _edit_table(text: str, name: str, edit) -> str:
     rows = [row.split(",") for row in text[lo:hi].split("],[")]
     edit(rows)
     return text[:lo] + "],[".join(",".join(row) for row in rows) + text[hi:]
+
+
+def _cell_offset(text: str, table: str, i: int, j: int) -> int:
+    """Where the token of cell (i, j) of `table` starts in `text`."""
+    at = text.index(f'"{table}":[[') + len(table) + 5
+    for _ in range(i):
+        at = text.index("],[", at) + 3
+    for _ in range(j):
+        at = text.index(",", at) + 1
+    return at
 
 
 def _mutation_arg(how: str, text: str):
@@ -443,9 +455,10 @@ def mutated_dumps(draw):
     cell changed by +1 mod n (still canonical), with a leading zero, of 9
     to 11 digits (about the widest cell the direct decoder takes) or of 18
     or 19 digits, of 20 digits, that is no element index (-1, 1.0, true),
-    or empty; the last cell of one row moved to another (ragged rows,
-    square total); whitespace anywhere; a duplicate trailing "add" key;
-    data after the object; bytes instead of str."""
+    empty, or with a character that is not ASCII; the last cell of one row
+    moved to another (ragged rows, square total); whitespace anywhere; a
+    duplicate trailing "add" key; data after the object; bytes instead of
+    str."""
     R = dsl.build(draw(st.sampled_from(CATALOG))[1])
     text = core.ring_to_json(R)
     n = R.order
@@ -471,30 +484,45 @@ def _load_outcome(load, text):
 
 
 def _load_with_path(text):
-    """`_load_outcome(core.ring_from_json, text)`, and how the decoder
-    parsed the cells: "json.loads" when it parsed none of them itself, else
-    on "one thread" or on "two threads"."""
-    on_main = []
-    parse = np.fromstring
+    """`_load_outcome(core.ring_from_json, text)`, how the decoder parsed
+    cells itself (on "no thread", "one thread" or "two threads"), and
+    whether it handed the text to `json.loads`, whose outcome is then the
+    load's."""
+    on_main, handed = [], []
+    parse, loads = np.fromstring, json.loads
 
     def spy(*args, **kwargs):
         on_main.append(threading.current_thread() is threading.main_thread())
         return parse(*args, **kwargs)
 
-    with mock.patch.object(np, "fromstring", spy):
+    def loads_spy(s, *args, **kwargs):
+        handed.append(s is text)
+        return loads(s, *args, **kwargs)
+
+    with mock.patch.object(np, "fromstring", spy), mock.patch.object(json, "loads", loads_spy):
         outcome = _load_outcome(core.ring_from_json, text)
-    return outcome, ("json.loads" if not on_main else "one thread" if all(on_main)
-                     else "two threads")
+    threads = "no thread" if not on_main else "one thread" if all(on_main) else "two threads"
+    return outcome, threads, any(handed)
+
+
+# the default block and two that divide no catalog ring's row length, so
+# that block edges fall at every row, or every few rows, of a small ring
+_BLOCKS = (core._BLOCK_CELLS, 4, 37)
 
 
 @given(mutated_dumps())
 @settings(max_examples=300, deadline=None)
 def test_ring_from_json_matches_json_loads_on_mutated_dumps(text):
     # decoding canonical text directly has the outcome of json.loads and
-    # ring_from_dict on every mutant, accepted or rejected, message included
-    outcome, path = _load_with_path(text)
-    event(f"cells parsed: {path}")
-    assert outcome == _load_outcome(oracles.ring_from_loaded_json, text)
+    # ring_from_dict on every mutant, accepted or rejected, message included,
+    # whatever the block the text is walked in
+    expected = _load_outcome(oracles.ring_from_loaded_json, text)
+    for cells in _BLOCKS:
+        with mock.patch.object(core, "_BLOCK_CELLS", cells):
+            outcome, threads, handed = _load_with_path(text)
+        if cells == core._BLOCK_CELLS:
+            event(f"cells parsed: {'json.loads' if handed else threads}")
+        assert outcome == expected, cells
 
 
 @functools.cache
@@ -506,8 +534,8 @@ def _catalog_ring_of_order(least: int) -> core.FiniteRing:
 
 # what a mutation is given in the deterministic comparison below
 _MUTATION_EXAMPLES = {"wide": str(2 ** 32 + 1), "twenty-digits": str(10 ** 19),
-                      "not-an-index": "true", "empty": "", "duplicate-add": "[[0,1],[1,0]]",
-                      "trailing": "x"}
+                      "not-an-index": "true", "empty": "", "non-ascii": "\u0661",
+                      "duplicate-add": "[[0,1],[1,0]]", "trailing": "x"}
 # the mutations whose text passes the text checks, so its cells are parsed
 _PARSED = {"shifted", "leading-zero", "wide", "twenty-digits"}
 
@@ -515,25 +543,35 @@ _PARSED = {"shifted", "leading-zero", "wide", "twenty-digits"}
 @pytest.mark.parametrize("past_one_block", [False, True], ids=["one-block", "past-one-block"])
 @pytest.mark.parametrize("table", ["add", "mul"])
 @pytest.mark.parametrize("how", _MUTATIONS)
-def test_ring_from_json_matches_json_loads_on_both_parse_paths(how, table, past_one_block):
+def test_ring_from_json_matches_json_loads_on_both_parse_paths(how, table, past_one_block,
+                                                               monkeypatch):
     # every mutation kind, in either table, has the outcome of json.loads on
     # a ring whose tables are parsed on one thread and on one whose tables
-    # (past one block of cells) are parsed on two
+    # (past one block of cells) are parsed on two; at each block size the
+    # mutation is also made on the first and on the last token of the block
+    # that holds the middle row, a later block than the first when there are
+    # several
     R = _catalog_ring_of_order(math.isqrt(core._BLOCK_CELLS) + 1 if past_one_block else 12)
     assert (R.order ** 2 > core._BLOCK_CELLS) == past_one_block
-    text = core.ring_to_json(R)
+    dump = core.ring_to_json(R)
     n = R.order
-    if how == "whitespace":   # after the table's first cell
-        arg = (text.index(",", text.index(f'"{table}":[[')) + 1, " ")
-    else:
-        arg = _MUTATION_EXAMPLES.get(how)
-    text = _mutated(text, n, table, n // 2, n // 3, how, arg)
-    outcome, path = _load_with_path(text)
-    assert outcome == _load_outcome(oracles.ring_from_loaded_json, text)
-    if how not in _PARSED:
-        assert path == "json.loads"
-    else:
-        assert path == ("two threads" if past_one_block else "one thread")
+    for cells in _BLOCKS:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        lo, hi = next(block for block in core._row_blocks(n, n) if block[1] > n // 2)
+        for i, j in ((n // 2, n // 3), (lo, 0), (hi - 1, n - 1)):
+            if how == "whitespace" and (i, j) == (n // 2, n // 3):   # after the table's first cell
+                arg = (dump.index(",", dump.index(f'"{table}":[[')) + 1, " ")
+            elif how == "whitespace":   # before the token
+                arg = (_cell_offset(dump, table, i, j), " ")
+            else:
+                arg = _MUTATION_EXAMPLES.get(how)
+            text = _mutated(dump, n, table, i, j, how, arg)
+            outcome, threads, handed = _load_with_path(text)
+            assert outcome == _load_outcome(oracles.ring_from_loaded_json, text), (cells, i, j)
+            if how not in _PARSED:
+                assert handed, (cells, i, j)   # a text check fails, and json.loads decides
+            else:
+                assert threads == ("two threads" if n * n > cells else "one thread"), (cells, i, j)
 
 
 # --- expression round-trip -------------------------------------------------
