@@ -841,22 +841,24 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
 # them to `TABLE_DTYPE`, so a cell of 2^16 or more is refused, not wrapped.
 #
 # Canonical text is read in one walk over each table's body, one block of
-# whole rows of about `_BLOCK_CELLS` cells at a time (`_read_table`).  The
-# shape is read off the text without copying it: rows are counted by "],["
-# and columns by the commas of row 0 (`_table_shape`).  Each block is
-# encoded to ASCII and split into rows, which must have row 0's column
-# count, and its ","-joined cells must be digits with no empty token
-# (`_block_cells`).  An add table that is square and past the order guard
-# is refused, as `ring_from_dict` refuses it, once the text is known to be
-# JSON with `zero` and `one` keys: that walk parses nothing and checks each
-# block for a token with a leading zero instead, so it holds one block at a
-# time.  Otherwise numpy parses each block into its rows of a preallocated
-# int32 table, and the block's digit count proves the parse exact
-# (`_parsed_block`).  When both tables are larger than one block, the one
-# worker of a thread pool walks the mul table while the calling thread
-# walks the add table (`np.fromstring` releases the GIL); the pool is shut
-# down, its worker joined, before the call returns or raises, so no thread
-# outlives a call and an error in the worker reaches the caller.
+# whole rows of about `_BLOCK_CELLS` cells at a time (`_read_table`).  A
+# table of a canonical dump is square, so its order n is read off the text
+# without copying it, from the commas of row 0 (`_table_order`), and the
+# walk proves that the body is n rows: each block is encoded to ASCII and
+# split into its rows, each of n cells, and its ","-joined cells must be
+# digits with no empty token (`_block_cells`).  A table that is not square
+# fails the walk, and `json.loads` then reads the text.  An add table past
+# the order guard is refused, as `ring_from_dict` refuses it, once the text
+# is known to be JSON with `zero` and `one` keys: that walk parses nothing
+# and checks each block for a token with a leading zero instead, so it
+# holds one block at a time.  Otherwise numpy parses each block into its
+# rows of a preallocated int32 table, and the block's digit count proves
+# the parse exact (`_parsed_block`).  When both tables are larger than one
+# block, the one worker of a thread pool walks the mul table while the
+# calling thread walks the add table (`np.fromstring` releases the GIL);
+# the pool is shut down, its worker joined, before the call returns or
+# raises, so no thread outlives a call and an error in the worker reaches
+# the caller.
 
 _DUMP_HEAD = '{"add":[['
 _LABEL_KEY = ']],"label":"'
@@ -910,29 +912,28 @@ def ring_to_json(ring: FiniteRing) -> str:
     return "".join(ring_json_chunks(ring))
 
 
-def _table_shape(text: str, lo: int, hi: int) -> tuple[int, int] | None:
-    """The shape of the table `[[text[lo:hi]]]` if every row has the length
-    of row 0, read off the text without copying it: the rows counted by
-    "],[" and the columns by the commas of row 0.  None when the body is too
-    short to hold that many cells of one digit or more, so a ragged body
-    never sizes an allocation past what its text could hold."""
+def _table_order(text: str, lo: int, hi: int) -> int | None:
+    """The cells in row 0 of the table `[[text[lo:hi]]]`, counted by its
+    commas without copying the text: the order n of the table, if it is
+    square.  None when the body is too short to hold n rows of n cells of
+    one digit or more, so no body sizes an allocation past what its text
+    could hold."""
     row_end = text.find("],[", lo, hi)
-    rows = text.count("],[", lo, hi) + 1
-    cols = text.count(",", lo, hi if row_end < 0 else row_end) + 1
-    return (rows, cols) if 2 * rows * cols - 1 <= hi - lo else None
+    n = text.count(",", lo, hi if row_end < 0 else row_end) + 1
+    return n if 2 * n * n - 1 <= hi - lo else None
 
 
-def _block_cells(block: str, cols: int) -> bytes | None:
-    """The cells of the rows `block` (joined by "],[") as one ","-joined
-    byte string, when each row is a ","-joined run of `cols` nonempty digit
-    tokens; None otherwise."""
+def _block_cells(block: str, rows: int, cols: int) -> bytes | None:
+    """The cells of `block` as one ","-joined byte string, when it is
+    `rows` rows joined by "],[", each a ","-joined run of `cols` nonempty
+    digit tokens; None otherwise."""
     try:
-        rows = block.encode("ascii").split(b"],[")
+        lines = block.encode("ascii").split(b"],[")
     except UnicodeEncodeError:
         return None
-    if any(row.count(b",") != cols - 1 for row in rows):
+    if len(lines) != rows or any(line.count(b",") != cols - 1 for line in lines):
         return None
-    cells = b",".join(rows)
+    cells = b",".join(lines)
     if not cells or cells.translate(None, b"0123456789,"):
         return None
     is_comma = np.frombuffer(cells, dtype=np.uint8) == ord(",")
@@ -962,22 +963,29 @@ def _parsed_block(cells: bytes, out: np.ndarray) -> bool:
     return True
 
 
-def _read_table(text: str, lo: int, hi: int, shape: tuple[int, int], out=None) -> bool:
-    """Whether `text[lo:hi]` is the body of a canonical table of `shape`,
-    walked one block of whole rows at a time (`_row_blocks`, each block
-    found by "],[").  With `out`, an int32 array of `shape`, each block is
-    parsed into its rows and must be exact.  Without it nothing is parsed,
-    and a token with a leading zero fails instead, so True means the body is
-    JSON.  The walk stops at the first block that fails."""
-    rows, cols = shape
+def _read_table(text: str, lo: int, hi: int, n: int, out=None) -> bool:
+    """Whether `text[lo:hi]` is the body of a canonical n-by-n table,
+    walked one block of whole rows at a time (`_row_blocks`).  With `out`,
+    an n-by-n int32 array, each block is parsed into its rows and must be
+    exact.  Without it nothing is parsed, and a token with a leading zero
+    fails instead, so True means the body is JSON.  The walk stops at the
+    first block that fails."""
     start = lo
-    for r0, r1 in _row_blocks(rows, cols):
+    for r0, r1 in _row_blocks(n, n):
         end = hi   # the table's last row ends the body
-        if r1 < rows:
-            end = start - 3
+        if r1 < n:
+            # each row ends at a "],[", found by its "[": a one-character
+            # search, many times faster than one for "],[".  A "[" outside
+            # a "],[" fails the check below, or the charset inside the block
+            end = start - 1
             for _ in range(r0, r1):
-                end = text.find("],[", end + 3, hi)
-        cells = _block_cells(text[start:end], cols)
+                end = text.find("[", end + 1, hi)
+                if end < 0:
+                    return False
+            end -= 2
+            if not text.startswith("],[", end):
+                return False
+        cells = _block_cells(text[start:end], r1 - r0, n)
         start = end + 3
         if cells is None or (_has_leading_zero(cells) if out is None
                              else not _parsed_block(cells, out[r0:r1])):
@@ -987,12 +995,12 @@ def _read_table(text: str, lo: int, hi: int, shape: tuple[int, int], out=None) -
 
 def _parsed_tables(text: str, add: tuple, mul: tuple) -> list[np.ndarray] | None:
     """Both tables as int32 arrays, from `add` and `mul` given as (lo, hi,
-    shape) of their bodies; None when either body fails `_read_table`.  When
+    n) of their bodies; None when either body fails `_read_table`.  When
     both are larger than one block, the mul table is walked on a one-thread
     pool while this thread walks the add table.  Leaving the pool's `with`
     block joins its worker, so that happens before this returns or raises;
     `result()` raises the worker's error, if any."""
-    tables = [np.empty(shape, dtype=np.int32) for *_, shape in (add, mul)]
+    tables = [np.empty((n, n), dtype=np.int32) for *_, n in (add, mul)]
     if min(table.size for table in tables) <= _BLOCK_CELLS:
         ok = _read_table(text, *add, tables[0]) and _read_table(text, *mul, tables[1])
         return tables if ok else None
@@ -1043,12 +1051,12 @@ def _canonical_dump(text, guard: int) -> dict | None:
             return None
     else:
         return None
-    add = (len(_DUMP_HEAD), add_end, _table_shape(text, len(_DUMP_HEAD), add_end))
-    mul = (at + len(_MUL_KEY), mul_end, _table_shape(text, at + len(_MUL_KEY), mul_end))
+    add = (len(_DUMP_HEAD), add_end, _table_order(text, len(_DUMP_HEAD), add_end))
+    mul = (at + len(_MUL_KEY), mul_end, _table_order(text, at + len(_MUL_KEY), mul_end))
     if add[2] is None or mul[2] is None:
         return None
-    n, cols = add[2]
-    if n == cols > guard and "zero" in rest and "one" in rest:
+    n = add[2]
+    if n > guard and "zero" in rest and "one" in rest:
         if _read_table(text, *add) and _read_table(text, *mul):
             _hold_to_guard(n, guard)
         return None   # not JSON, or not canonical: json.loads decides

@@ -760,15 +760,25 @@ def _moved_across(dump, at):
     return dump[:cut - 1] + dump[at - 3:at] + dump[cut:at - 3] + "," + dump[at:]
 
 
-@pytest.mark.parametrize("edit", [_leading_zero, _emptied_last, _moved_across],
-                         ids=["leading-zero", "empty-token", "ragged"])
+def _repeated_row(dump, at):
+    return dump[:at] + dump[at:dump.index("]", at)] + "],[" + dump[at:]
+
+
+def _garbled_separator(dump, at):
+    return dump[:at - 3] + "]_[" + dump[at:]
+
+
+@pytest.mark.parametrize("edit", [_leading_zero, _emptied_last, _moved_across, _repeated_row,
+                                  _garbled_separator],
+                         ids=["leading-zero", "empty-token", "ragged", "extra-row",
+                              "garbled-separator"])
 @pytest.mark.parametrize("cells", [4, 37])
 def test_over_guard_walk_checks_every_block(zmod, monkeypatch, cells, edit):
     # the refusal's walk checks later blocks as it checks the first: edited
     # at the start of the third block (a leading zero on its first token,
-    # the token before it emptied, or moved into its first row), either
-    # table has the outcome that json.loads and ring_from_dict give, message
-    # included
+    # the token before it emptied or moved into its first row, that row
+    # repeated, or the "],[" before it garbled), either table has the
+    # outcome that json.loads and ring_from_dict give, message included
     monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
     dump = core.ring_to_json(zmod(9))
     row = core._row_blocks(9, 9)[2][0]
