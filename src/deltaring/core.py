@@ -941,8 +941,8 @@ def _block_cells(block: str, rows: int, cols: int) -> bytes | None:
     return None if empty_token else cells
 
 
-def _has_leading_zero(cells: bytes) -> bool:
-    return (cells[:1] == b"0" and cells[1:2].isdigit()) or _LEADING_ZERO.search(cells) is not None
+def _has_leading_zero(flat: bytes) -> bool:
+    return (flat[:1] == b"0" and flat[1:2].isdigit()) or _LEADING_ZERO.search(flat) is not None
 
 
 def _parsed_block(cells: bytes, out: np.ndarray) -> bool:

@@ -24,6 +24,17 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def cell_offset(text: str, table: str, i: int, j: int) -> int:
+    """Where the token of cell (i, j) of `table` starts in the compact dump
+    `text`."""
+    at = text.index(f'"{table}":[[') + len(table) + 5
+    for _ in range(i):
+        at = text.index("],[", at) + 3
+    for _ in range(j):
+        at = text.index(",", at) + 1
+    return at
+
+
 def zmod_tables(m: int):
     add = [[(i + j) % m for j in range(m)] for i in range(m)]
     mul = [[(i * j) % m for j in range(m)] for i in range(m)]

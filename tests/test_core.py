@@ -25,7 +25,7 @@ from deltaring.errors import (
 
 import oracles
 from oracles import members
-from conftest import traced_peak, zmod_tables
+from conftest import cell_offset, traced_peak, zmod_tables
 
 
 # ---------------------------------------------------------------------------
@@ -783,10 +783,7 @@ def test_over_guard_walk_checks_every_block(zmod, monkeypatch, cells, edit):
     dump = core.ring_to_json(zmod(9))
     row = core._row_blocks(9, 9)[2][0]
     for table in ("add", "mul"):
-        at = dump.index(f'"{table}":[[') + len(table) + 5
-        for _ in range(row):
-            at = dump.index("],[", at) + 3
-        text = edit(dump, at)
+        text = edit(dump, cell_offset(dump, table, row, 0))
         with pytest.raises((MalformedRing, OrderGuardExceeded)) as exc:
             core.ring_from_json(text, order_guard=8)
         with pytest.raises(type(exc.value)) as expected:

@@ -18,7 +18,7 @@ from deltaring.errors import AxiomViolation, MalformedRing, RingError
 
 import oracles
 from oracles import members
-from conftest import zmod_tables
+from conftest import cell_offset, zmod_tables
 
 
 def zmod(m: int) -> core.FiniteRing:
@@ -396,16 +396,6 @@ def _edit_table(text: str, name: str, edit) -> str:
     return text[:lo] + "],[".join(",".join(row) for row in rows) + text[hi:]
 
 
-def _cell_offset(text: str, table: str, i: int, j: int) -> int:
-    """Where the token of cell (i, j) of `table` starts in `text`."""
-    at = text.index(f'"{table}":[[') + len(table) + 5
-    for _ in range(i):
-        at = text.index("],[", at) + 3
-    for _ in range(j):
-        at = text.index(",", at) + 1
-    return at
-
-
 def _mutation_arg(how: str, text: str):
     """The strategy of what mutation `how` of `text` is given: the token
     that replaces a cell, where which whitespace goes, or the text added."""
@@ -562,7 +552,7 @@ def test_ring_from_json_matches_json_loads_on_both_parse_paths(how, table, past_
             if how == "whitespace" and (i, j) == (n // 2, n // 3):   # after the table's first cell
                 arg = (dump.index(",", dump.index(f'"{table}":[[')) + 1, " ")
             elif how == "whitespace":   # before the token
-                arg = (_cell_offset(dump, table, i, j), " ")
+                arg = (cell_offset(dump, table, i, j), " ")
             else:
                 arg = _MUTATION_EXAMPLES.get(how)
             text = _mutated(dump, n, table, i, j, how, arg)
