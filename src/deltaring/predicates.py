@@ -6,11 +6,14 @@ is adding its row.  The scan, `scan(ring, name)`, decides the class
 exhaustively over the tables and reports the smallest counterexample.  The
 re-check, `recheck(ring, name, roles)`, confirms a false verdict's witness
 by plain arithmetic: it loops over the defining condition and never calls
-the scan's mask.  Most rows come from `_elementwise` (a mask of the
-elements that pass and a literal test of one element), `_sumset` (every
-element is x + y) or `_one_plus` (U(R) = 1 + S, or u^2 - 1 in S).  Element
-sets are looked up in `subsets` at call time, so a wrapper installed there
-sees every call.  Verdicts are memoized on the ring.
+the scan's mask.  Rows come from `_elementwise` (a mask of the elements
+that pass and a literal test of one element), `_sumset` (every element is
+x + y), `_one_plus` (U(R) = 1 + S, or u^2 - 1 in S), `_modulo_radical` (a
+mask of R/J pulled back through the projection) and `_lifting` (idempotents
+lift modulo J); only uuc and strongly-2-nil-clean scan on their own.  The
+abelian mask reads `subsets.idempotent_commutant`.  Element sets are looked
+up in `subsets` at call time, so a wrapper installed there sees every call.
+Verdicts are memoized on the ring.
 
 Five masks decide each element by an equivalent condition that holds
 element by element in every ring, so the failing set and its smallest
@@ -80,10 +83,55 @@ def _refuted(holds, role="element", second=None):
     the literal test `holds`, and a second witness, if named, has its value."""
     def recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
         a = roles[role]
-        if second and roles.get(second[0], second[1](ring, a)) != second[1](ring, a):
+        if holds(ring, a):        # first, so `second` is only asked about a failing element
             return False
-        return not holds(ring, a)
+        if not second:
+            return True
+        value = second[1](ring, a)
+        return roles.get(second[0], value) == value
     return recheck
+
+
+def _modulo_radical(passes, holds, role, notes):
+    """An element-wise class of R/J, read on R: an element passes when its
+    image does.  Quotient indices follow their least coset members, so the
+    smallest failing element is the least member of the first failing coset."""
+    def pulled_back(ring):
+        quotient, proj = subsets.radical_quotient(ring)
+        return passes(quotient)[proj.map]
+
+    def image_holds(ring, a):
+        quotient, proj = subsets.radical_quotient(ring)
+        return holds(quotient, int(proj.map[a]))
+    return _elementwise(pulled_back, image_holds, role, notes=notes)
+
+
+def _lifting(row, notes: str):
+    """`row`, a (scan, recheck) pair, and the lifting of idempotents modulo
+    J: when `row` holds, a false report names the smallest element whose
+    image is an idempotent of R/J with no idempotent preimage."""
+    def lifted(ring):
+        quotient, proj = subsets.radical_quotient(ring)
+        images = np.zeros(quotient.order, dtype=bool)
+        images[proj.map[subsets.idempotent_mask(ring)]] = True
+        return (images | ~subsets.idempotent_mask(quotient))[proj.map]
+
+    def lifts(ring, a):
+        quotient, proj = subsets.radical_quotient(ring)
+        q = int(proj.map[a])
+        return int(quotient.mul[q, q]) != q or q in proj.map[subsets.idempotent_mask(ring)]
+    lift = _elementwise(lifted, lifts, "unlifted-idempotent-rep", notes=notes)
+
+    def scan(ring: FiniteRing, name: str) -> CheckReport:
+        report = row[0](ring, name)
+        if not report.verdict:
+            return report
+        unlifted = lift[0](ring, name)
+        return report if unlifted.verdict else unlifted
+
+    def recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
+        return (lift if "unlifted-idempotent-rep" in roles else row)[1](ring, name, roles)
+    return scan, recheck
 
 
 def _sumset(first: str, second: str):
@@ -242,6 +290,25 @@ def _semipotent_mask(ring: FiniteRing) -> np.ndarray:
     return ok | subsets.jacobson_mask(ring)
 
 
+def _abelian_mask(ring: FiniteRing) -> np.ndarray:
+    """Elements that are not idempotent or commute with every element."""
+    idempotent = subsets.idempotent_mask(ring)
+    ok = ~idempotent
+    ok[idempotent] = subsets.idempotent_commutant(ring).all(axis=1)
+    return ok
+
+
+def _dedekind_finite_mask(ring: FiniteRing) -> np.ndarray:
+    """Elements with no right inverse, and units: a*b = 1 with b*a != 1 for
+    some b exactly when a has a right inverse but is not a unit (a unit's
+    only right inverse is its inverse)."""
+    return (core._first_column(ring.mul, ring.one) < 0) | subsets.unit_mask(ring)
+
+
+def _zero_or_unit_mask(ring: FiniteRing) -> np.ndarray:
+    return subsets.unit_mask(ring) | _zero_mask(ring)
+
+
 def _nil_plus_j_mask(ring: FiniteRing) -> np.ndarray:
     nil = np.flatnonzero(subsets.nilpotent_mask(ring))
     jac = np.flatnonzero(subsets.jacobson_mask(ring))
@@ -312,6 +379,18 @@ def _is_unit(ring: FiniteRing, a: int) -> bool:
                for x in range(ring.order))
 
 
+def _is_zero_or_unit(ring: FiniteRing, a: int) -> bool:
+    return a == ring.zero or _is_unit(ring, a)
+
+
+def _is_central_if_idempotent(ring: FiniteRing, a: int) -> bool:
+    return int(ring.mul[a, a]) != a or bool((ring.mul[a] == ring.mul[:, a]).all())
+
+
+def _right_inverses_are_left(ring: FiniteRing, a: int) -> bool:
+    return all(int(ring.mul[b, a]) == ring.one for b in np.flatnonzero(ring.mul[a] == ring.one))
+
+
 # ---------------------------------------------------------------------------
 # classes with scans of their own
 
@@ -344,53 +423,6 @@ def _uuc_recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
     return bool(unit[u]) and int(unit[ring.add[u, ring.neg[id_idx]]].sum()) != 1
 
 
-def _quotient_rep(proj: core.RingHom, q_elem: int) -> int:
-    return int(np.flatnonzero(proj.map == q_elem)[0])
-
-
-def _lifted(ring: FiniteRing, name: str, notes: str, report: CheckReport) -> CheckReport:
-    """`report`, unless an idempotent of R/J has no idempotent preimage: then
-    a false report naming the smallest representative of its coset."""
-    quotient, proj = subsets.radical_quotient(ring)
-    lifted = np.zeros(quotient.order, dtype=bool)
-    lifted[proj.map[np.flatnonzero(subsets.idempotent_mask(ring))]] = True
-    hits = np.flatnonzero(subsets.idempotent_mask(quotient) & ~lifted)
-    if hits.size == 0:
-        return report
-    return _report(ring, name, False,
-                   [_wit(ring, "unlifted-idempotent-rep", _quotient_rep(proj, hits[0]))], notes)
-
-
-def _unlifted_or(recheck):
-    """`recheck`, except that a witness under "unlifted-idempotent-rep" is
-    confirmed as an idempotent of R/J with no idempotent preimage."""
-    def either(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
-        if "unlifted-idempotent-rep" not in roles:
-            return recheck(ring, name, roles)
-        quotient, proj = subsets.radical_quotient(ring)
-        q = int(proj.map[roles["unlifted-idempotent-rep"]])
-        return int(quotient.mul[q, q]) == q and all(
-            int(proj.map[e]) != q for e in np.flatnonzero(subsets.idempotent_mask(ring)))
-    return either
-
-
-def _semiregular(ring: FiniteRing, name: str) -> CheckReport:
-    """R/J is regular and idempotents lift modulo J."""
-    quotient, proj = subsets.radical_quotient(ring)
-    bad = np.flatnonzero(~_regular_mask(quotient))
-    if bad.size:
-        rep = _quotient_rep(proj, bad[0])
-        return _report(ring, name, False, [_wit(ring, "element-with-nonregular-image", rep)],
-                       notes="the radical quotient is not regular")
-    return _lifted(ring, name, "an idempotent of the radical quotient has no idempotent preimage",
-                   _report(ring, name, True))
-
-
-def _nonregular_image(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
-    quotient, proj = subsets.radical_quotient(ring)
-    return not _is_regular(quotient, int(proj.map[roles["element-with-nonregular-image"]]))
-
-
 def _strongly_2_nil_clean(ring: FiniteRing, name: str) -> CheckReport:
     """Each element minus a commuting pair of idempotents, in row blocks; the
     scan stops at the first block holding an element that fails."""
@@ -408,76 +440,16 @@ def _strongly_2_nil_clean(ring: FiniteRing, name: str) -> CheckReport:
     return _report(ring, name, True)
 
 
-def _abelian(ring: FiniteRing, name: str) -> CheckReport:
-    comm = subsets.idempotent_commutant(ring)
-    bad = np.flatnonzero(~comm.all(axis=1))
-    if bad.size == 0:
-        return _report(ring, name, True)
-    e = int(np.flatnonzero(subsets.idempotent_mask(ring))[bad[0]])
-    r = int(np.flatnonzero(~comm[bad[0]])[0])
-    return _report(ring, name, False,
-                   [_wit(ring, "idempotent", e), _wit(ring, "non-commuting-element", r)])
+# ---------------------------------------------------------------------------
+# the class table
 
-
-def _abelian_recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
-    e, r = roles["idempotent"], roles["non-commuting-element"]
-    return int(ring.mul[e, e]) == e and int(ring.mul[e, r]) != int(ring.mul[r, e])
-
-
-def _dedekind_finite(ring: FiniteRing, name: str) -> CheckReport:
-    # a*b = 1 with b*a != 1 for some b exactly when a has a right inverse
-    # but is not a unit (a unit's only right inverse is its inverse)
-    right_inverse = core._first_column(ring.mul, ring.one)     # -1 where there is none
-    bad = np.flatnonzero((right_inverse >= 0) & ~subsets.unit_mask(ring))
-    if bad.size == 0:
-        return _report(ring, name, True)
-    a = int(bad[0])
-    b = int(right_inverse[a])
-    return _report(ring, name, False, [_wit(ring, "left-factor", a), _wit(ring, "right-factor", b)],
-                   notes="a*b = 1 but b*a != 1")
-
-
-def _dedekind_finite_recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
-    a, b = roles["left-factor"], roles["right-factor"]
-    return int(ring.mul[a, b]) == ring.one and int(ring.mul[b, a]) != ring.one
-
-
-def _local(ring: FiniteRing, name: str) -> CheckReport:
-    quotient, proj = subsets.radical_quotient(ring)
-    bad = np.flatnonzero(~(subsets.unit_mask(quotient) | _zero_mask(quotient)))
-    if bad.size == 0:
-        return _report(ring, name, True)
-    return _report(ring, name, False,
-                   [_wit(ring, "non-unit-non-radical", _quotient_rep(proj, bad[0]))],
-                   notes="its radical coset is neither zero nor invertible")
-
-
-def _local_recheck(ring: FiniteRing, name: str, roles: dict[str, int]) -> bool:
-    quotient, proj = subsets.radical_quotient(ring)
-    q = int(proj.map[roles["non-unit-non-radical"]])
-    return q != quotient.zero and not _is_unit(quotient, q)
-
-
+_NO_POWER = "no exponent up to {n} works"
 _CRITERION = "principal right ideal criterion: a outside J needs a nonzero idempotent in a*R"
 _semipotent = _elementwise(
     _semipotent_mask,
     lambda ring, a: bool(subsets.jacobson_mask(ring)[a]) or any(
         subsets.idempotent_mask(ring)[v] and int(v) != ring.zero for v in ring.mul[a]),
     notes=_CRITERION, held_notes=_CRITERION)
-
-
-def _potent(ring: FiniteRing, name: str) -> CheckReport:
-    """Semipotent, and idempotents lift modulo J."""
-    report = _semipotent[0](ring, name)
-    if not report.verdict:
-        return report
-    return _lifted(ring, name, "semipotent, but an idempotent fails to lift", report)
-
-
-# ---------------------------------------------------------------------------
-# the class table
-
-_NO_POWER = "no exponent up to {n} works"
 
 # name: (category, condition, scan, recheck), in report order
 CLASSES = {
@@ -521,7 +493,10 @@ CLASSES = {
                             *_elementwise(_strongly_pi_regular_mask, _is_strongly_pi_regular,
                                           notes=_NO_POWER)),
     "semiregular": ("regularity", "the radical quotient is regular and idempotents lift",
-                    _semiregular, _unlifted_or(_nonregular_image)),
+                    *_lifting(_modulo_radical(_regular_mask, _is_regular,
+                                              "element-with-nonregular-image",
+                                              "the radical quotient is not regular"),
+                              "an idempotent of the radical quotient has no idempotent preimage")),
     "clean": ("clean", "every element is an idempotent plus a unit",
               *_sumset("idempotent_mask", "unit_mask")),
     "exchange": ("clean", "every a admits an idempotent e in a*R with 1-e in (1-a)*R",
@@ -555,15 +530,21 @@ CLASSES = {
                 *_elementwise(lambda ring: ~subsets.nilpotent_mask(ring) | _zero_mask(ring),
                               lambda ring, a: a == ring.zero or not _is_nilpotent(ring, a),
                               role="nonzero-nilpotent")),
-    "abelian": ("structural", "every idempotent is central", _abelian, _abelian_recheck),
+    "abelian": ("structural", "every idempotent is central",
+                *_elementwise(_abelian_mask, _is_central_if_idempotent, role="idempotent",
+                              second=("non-commuting-element", lambda ring, e: int(
+                                  np.flatnonzero(ring.mul[e] != ring.mul[:, e])[0])))),
     "dedekind-finite": ("structural", "a*b = 1 implies b*a = 1",
-                        _dedekind_finite, _dedekind_finite_recheck),
+                        *_elementwise(_dedekind_finite_mask, _right_inverses_are_left,
+                                      role="left-factor",
+                                      second=("right-factor", lambda ring, a: int(
+                                          np.flatnonzero(ring.mul[a] == ring.one)[0])),
+                                      notes="a*b = 1 but b*a != 1")),
     "local": ("structural", "modulo the radical every element is zero or invertible",
-              _local, _local_recheck),
+              *_modulo_radical(_zero_or_unit_mask, _is_zero_or_unit, "non-unit-non-radical",
+                               "its radical coset is neither zero nor invertible")),
     "division": ("structural", "every nonzero element is invertible",
-                 *_elementwise(lambda ring: subsets.unit_mask(ring) | _zero_mask(ring),
-                               lambda ring, a: a == ring.zero or _is_unit(ring, a),
-                               role="nonzero-non-unit")),
+                 *_elementwise(_zero_or_unit_mask, _is_zero_or_unit, role="nonzero-non-unit")),
     "semisimple": ("structural", "the radical is zero (finite rings are artinian)",
                    *_elementwise(lambda ring: ~subsets.jacobson_mask(ring) | _zero_mask(ring),
                                  lambda ring, a: a == ring.zero or not _in_radical(ring, a),
@@ -573,7 +554,7 @@ CLASSES = {
     "semipotent": ("structural", "a*R contains a nonzero idempotent for every a outside "
                                  "the radical", *_semipotent),
     "potent": ("structural", "semipotent and idempotents lift modulo the radical",
-               _potent, _unlifted_or(_semipotent[1])),
+               *_lifting(_semipotent, "semipotent, but an idempotent fails to lift")),
     "2-primal": ("structural", "the prime radical is exactly the set of nilpotents",
                  *_elementwise(lambda ring: (~subsets.nilpotent_mask(ring)
                                              | subsets.prime_radical(ring)),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import sys
 import tracemalloc
 from pathlib import Path
@@ -9,6 +10,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from deltaring import core
+
+
+def bench_pool():
+    """bench/pool.py, which holds the benchmark's inspect pool."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pool", Path(__file__).parent.parent / "bench" / "pool.py")
+    pool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pool)
+    return pool
 
 
 def traced_peak(fn, *args) -> int:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import re
 import sys
@@ -24,6 +23,7 @@ from deltaring.errors import (
 from deltaring.predicates import class_verdict
 
 import oracles
+from conftest import bench_pool, traced_peak
 from oracles import members
 
 
@@ -305,15 +305,6 @@ def test_bimodule_has_no_default_label_or_names(zmod):
         Z2, cons.Bimodule(Z2, Z2, 2, Z2.add, Z2.mul, Z2.mul, 0, "M", ("0", "1"))).order == 4
 
 
-def _bench_pool():
-    """bench/pool.py, which holds the benchmark's inspect pool."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_pool", Path(__file__).parent.parent / "bench" / "pool.py")
-    pool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pool)
-    return pool
-
-
 def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
     # a certificate that refused every ring would still pass every golden
     # through the full procedure, so the refusals are counted on a cold
@@ -321,7 +312,7 @@ def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
     # inspect pool and T4.11's three trivial extensions by M+N; the
     # generators the fill found, which the certificate's associativity step
     # uses, are the greedy ones of the whole table
-    pool = _bench_pool()
+    pool = bench_pool()
     certified, verdicts, labels = cons._structure_certified, [], []
     validated, other_generators = core._validated_ring, []
 
@@ -375,7 +366,7 @@ def test_every_ring_holds_one_table_dtype(monkeypatch):
     harness.catalog_rings.cache_clear()
     dsl.clear_build_cache()
     rings = harness.catalog_rings()
-    for expr, _ in _bench_pool().INSPECT_POOL:
+    for expr, _ in bench_pool().INSPECT_POOL:
         dsl.build_str(expr)
     harness.run_all(threads=1)
     loaded = core.ring_from_json(core.ring_to_json(rings[-1]))
@@ -598,6 +589,17 @@ def test_group_catalog_is_whole_to_concurrent_first_callers():
 def test_validate_group_refuses_malformed_input(table, identity, message):
     with pytest.raises(ValueError, match=message):
         cons.validate_group(table, identity, "G")
+
+
+def test_validate_group_checks_associativity_one_row_block_at_a_time():
+    # (ab)c and a(bc) are n^3 products: gathered whole, C256's 0.12 MB table
+    # peaked at 80 MB, so they are compared one row block of a at a time
+    i = np.arange(256)
+    table = (i[:, None] + i[None, :]) % 256
+    assert traced_peak(cons.validate_group, table, 0, "C256") < 1 << 20
+    table[3, [5, 6]] = table[3, [6, 5]]
+    with pytest.raises(ValueError, match="associativity fails"):
+        cons.validate_group(table, 0, "C256")
 
 
 def test_group_ring_examples(zmod):

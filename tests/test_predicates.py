@@ -15,7 +15,7 @@ from deltaring.predicates import check_class, class_verdict, revalidate_witness
 from deltaring.report import CheckReport, Witness
 
 import oracles
-from conftest import traced_peak
+from conftest import bench_pool, traced_peak
 from oracles import members
 
 
@@ -444,6 +444,20 @@ def test_every_false_witness_revalidates():
     assert checked == 3459  # every false verdict of class_reports.json
 
 
+def test_every_false_witness_revalidates_on_the_inspect_pool():
+    # orders 256-2048, where witnesses fall past the first row block of the
+    # blocked masks
+    checked = 0
+    for expr, _ in bench_pool().INSPECT_POOL:
+        R = b(expr)
+        for name in pr.ALL_CLASSES:
+            report = check_class(R, name)
+            if not report.verdict:
+                assert revalidate_witness(R, report), (expr, name)
+                checked += 1
+    assert checked == 602
+
+
 # For every class, witness roles as its scan reports them, pointing at
 # elements that satisfy the condition: the re-check must refuse each.  For
 # clean, exchange, semiregular, pi-regular, strongly-pi-regular, semipotent,
@@ -504,8 +518,12 @@ ELEMENTWISE = {
     **dict.fromkeys(("regular", "unit-regular", "strongly-regular", "pi-regular",
                      "strongly-pi-regular", "clean", "exchange", "j-clean", "delta-clean",
                      "strongly-nil-clean", "strongly-2-nil-clean", "semi-tripotent",
-                     "boolean", "2-boolean", "tripotent", "semipotent"), "element"),
+                     "boolean", "2-boolean", "tripotent", "semipotent", "potent"), "element"),
+    "semiregular": "element-with-nonregular-image",
     "reduced": "nonzero-nilpotent",
+    "abelian": "idempotent",
+    "dedekind-finite": "left-factor",
+    "local": "non-unit-non-radical",
     "division": "nonzero-non-unit",
     "semisimple": "nonzero-radical-element",
     "2-primal": "nilpotent-outside-prime-radical",
