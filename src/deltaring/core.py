@@ -8,10 +8,11 @@ element index below n, so the order is at most `MAX_ORDER` = 2^16, and the
 order guard is capped there (`_resolve_guard`).  A table is made at that
 width where it is made, never made wider and narrowed afterwards, except
 where a range check has to read the cells at their own width first
-(`_as_table`).  numpy wraps uint16 arithmetic silently, so cells take part
-in arithmetic only where every partial result is itself an element index
-below n (the stride sums of `constructions._tuple_ring`); flat indices into
-a table are computed at `_index_dtype`.  A 2-D lookup of rows R against
+(`_as_table`, and each block of a canonical dump, `_parsed_block`).
+numpy wraps uint16 arithmetic silently, so cells take part in arithmetic
+only where every partial result is itself an element index below n (the
+stride sums of `constructions._tuple_ring`); flat indices into a table
+are computed at `_index_dtype`.  A 2-D lookup of rows R against
 columns C goes rows first, then columns: gathering whole rows and then
 taking columns from them is cheaper in numpy than one broadcast (`np.ix_`)
 gather.  It is made one row block of about `_BLOCK_CELLS` cells at a time
@@ -53,7 +54,9 @@ one on a generator triple replays them all.  The first replayed pass to
 fail names the violation, else the failure found does, each at its first
 failing instance in row-major order within its pass.  `validate_ring`
 serves tables from outside the program (dumps, library callers): it copies
-and range-checks them for `_validated_ring`, which runs the procedure.
+and range-checks them for `_validated_ring`, which runs the procedure.  A
+canonical dump is read straight into tables of its own, which go to
+`_validated_ring` with no copy (`ring_from_json`).
 
 The rings the program builds, Z_n (`dsl`) and the structure-table rings
 (`constructions`), go to `_validated_ring` on tables made for them, which
@@ -511,15 +514,22 @@ def validate_ring(add, mul, zero: int, one: int, label: str = "R",
     returned object is immutable and shares no memory with `add` or `mul`.
     """
     guard = _resolve_guard(order_guard)
-    add_t = _as_table(add, "add", guard)
-    mul_t = _as_table(mul, "mul", guard)
-    if add_t.shape != mul_t.shape:
+    return _checked_ring(_as_table(add, "add", guard), _as_table(mul, "mul", guard),
+                         zero, one, label, names)
+
+
+def _checked_ring(add: np.ndarray, mul: np.ndarray, zero, one, label: str,
+                  names) -> FiniteRing:
+    """`validate_ring` on tables as `_as_table` makes them, square
+    `TABLE_DTYPE` tables within the guard, with every cell in range, that no
+    caller holds: the shape and identity checks, then `_validated_ring`."""
+    if add.shape != mul.shape:
         raise MalformedRing("add and mul tables must have the same order")
-    n = add_t.shape[0]
+    n = add.shape[0]
     zero, one = _identity_index(zero, "zero"), _identity_index(one, "one")
     if not (0 <= zero < n and 0 <= one < n):
         raise MalformedRing("zero/one indices out of range")
-    return _validated_ring(add_t, mul_t, zero, one, label, names)
+    return _validated_ring(add, mul, zero, one, label, names)
 
 
 def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label: str,
@@ -834,31 +844,37 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
 # `ring_json_chunks` renders each table from the digit strings of 0..n-1,
 # one row block at a time, and `ring_to_json` joins its chunks.
 # `ring_from_json` reads text in exactly that form (`_canonical_dump`)
-# without `json.loads`, and hands any other text to `json.loads`; both give
-# `ring_from_dict` the same keys and values, with the tables as int32 arrays
-# (the exact parse) or as lists, so every outcome is the same.  Either way
-# `_as_table` range-checks the cells at that width and only then narrows
-# them to `TABLE_DTYPE`, so a cell of 2^16 or more is refused, not wrapped.
+# straight into the ring's `TABLE_DTYPE` tables, without `json.loads`, and
+# hands any other text to `json.loads` and `ring_from_dict`.  It reads a
+# canonical dump only when `json.loads` would give the same tables, every
+# cell below the order n, so every outcome is the same; anything else,
+# a cell of n or more included, goes to `json.loads`, and `_as_table`
+# gives its message.  The tables the reader made are its own, so they
+# pass `validate_ring`'s shape and identity checks (`_checked_ring`) and
+# are proved in place, with no copy.
 #
-# Canonical text is read in one walk over each table's body, one block of
-# whole rows of about `_BLOCK_CELLS` cells at a time (`_read_table`).  A
-# table of a canonical dump is square, so its order n is read off the text
-# without copying it, from the commas of row 0 (`_table_order`), and the
-# walk proves that the body is n rows: each block is encoded to ASCII and
-# split into its rows, each of n cells, and its ","-joined cells must be
-# digits with no empty token (`_block_cells`).  A table that is not square
-# fails the walk, and `json.loads` then reads the text.  An add table past
-# the order guard is refused, as `ring_from_dict` refuses it, once the text
-# is known to be JSON with `zero` and `one` keys: that walk parses nothing
-# and checks each block for a token with a leading zero instead, so it
-# holds one block at a time.  Otherwise numpy parses each block into its
-# rows of a preallocated int32 table, and the block's digit count proves
-# the parse exact (`_parsed_block`).  When both tables are larger than one
-# block, the one worker of a thread pool walks the mul table while the
-# calling thread walks the add table (`np.fromstring` releases the GIL);
-# the pool is shut down, its worker joined, before the call returns or
-# raises, so no thread outlives a call and an error in the worker reaches
-# the caller.
+# A table of a canonical dump is square, so its order n is the cell count
+# of row 0, and each later row starts after the next "[" (`_row_starts`): a
+# one-character search per row, which also finds where the table ends,
+# without a search of the whole body for its "]]".  The text is then read
+# in one walk over each table, one block of whole rows of about
+# `_BLOCK_CELLS` cells at a time (`_read_table`), which proves that the
+# rows found are the body's: each block is encoded to ASCII and split into
+# its rows, each of n cells, and its ","-joined cells must be digits with
+# no empty token (`_block_cells`).  A table that is not square fails the
+# walk, and `json.loads` then reads the text.  An add table past the order
+# guard is refused, as `ring_from_dict` refuses it, once the text is known
+# to be JSON with `zero` and `one` keys: that walk parses nothing and
+# checks each block for a token with a leading zero instead, so it holds
+# one block at a time.  Otherwise numpy parses each block into a
+# block-sized int32 array, whose digit count proves the parse exact, and
+# that is narrowed into the block's rows of a preallocated table
+# (`_parsed_block`).  When both tables are larger than one block, the one
+# worker of a thread pool walks the mul table while the calling thread
+# walks the add table (`np.fromstring` releases the GIL), and either walk
+# stops at its next block once the other has failed; the pool is shut
+# down, its worker joined, before the call returns or raises, so no thread
+# outlives a call and an error in the worker reaches the caller.
 
 _DUMP_HEAD = '{"add":[['
 _LABEL_KEY = ']],"label":"'
@@ -912,15 +928,33 @@ def ring_to_json(ring: FiniteRing) -> str:
     return "".join(ring_json_chunks(ring))
 
 
-def _table_order(text: str, lo: int, hi: int) -> int | None:
-    """The cells in row 0 of the table `[[text[lo:hi]]]`, counted by its
-    commas without copying the text: the order n of the table, if it is
-    square.  None when the body is too short to hold n rows of n cells of
-    one digit or more, so no body sizes an allocation past what its text
-    could hold."""
-    row_end = text.find("],[", lo, hi)
-    n = text.count(",", lo, hi if row_end < 0 else row_end) + 1
-    return n if 2 * n * n - 1 <= hi - lo else None
+def _row_starts(text: str, lo: int) -> list[int] | None:
+    """The offsets where the rows of the table body at `text[lo]` start,
+    n + 1 of them for the order n that the commas of row 0 give: each later
+    row starts after the next "[", a one-character search, and the last
+    offset is 3 past the first "]" after the last row starts, where the
+    body ends, so that row k is `text[starts[k]:starts[k + 1] - 3]`.
+    `_read_table` proves that these are the rows.  None when fewer rows are
+    found, or when the text, then the body, is too short to hold n rows of n
+    one-digit cells, so no body sizes an allocation (or this list) past
+    what its text could hold."""
+    at = text.find("]", lo)
+    if at < 0:
+        return None
+    n = text.count(",", lo, at) + 1
+    if 2 * n * n - 1 > len(text) - lo:
+        return None
+    starts = [lo]
+    for _ in range(n - 1):
+        at = text.find("[", at) + 1
+        if not at:
+            return None
+        starts.append(at)
+    end = text.find("]", at)
+    if end < 0 or 2 * n * n - 1 > end - lo:
+        return None
+    starts.append(end + 3)
+    return starts
 
 
 def _block_cells(block: str, rows: int, cols: int) -> bytes | None:
@@ -946,16 +980,19 @@ def _has_leading_zero(flat: bytes) -> bool:
 
 
 def _parsed_block(cells: bytes, out: np.ndarray) -> bool:
-    """Parse `cells` into `out`, an int32 run of table rows; whether the
-    parse was exact and every token canonical (digits, no leading zero, at
-    most 9 digits).
+    """Parse `cells` into a block-sized int32 array and narrow it into
+    `out`, a run of rows of a `TABLE_DTYPE` table of order n; whether the
+    parse was exact, every token canonical (digits, no leading zero, at
+    most 9 digits) and every cell below n.  Nothing is written otherwise.
 
-    That holds when the digit counts of the values, each counted up to 9,
-    add up to the digits in the text: a token with a leading zero, or one
-    of 10 digits or more (which numpy wraps into int32), has more digits
-    than its value is counted with."""
+    The parse is exact when the digit counts of the values, each counted up
+    to 9, add up to the digits in the text: a token with a leading zero, or
+    one of 10 digits or more (which numpy wraps into int32), has more
+    digits than its value is counted with."""
     values = np.fromstring(cells, dtype=np.int32, sep=",", count=out.size)
     top = values.max()
+    if top >= out.shape[1]:
+        return False
     digits = values.size + sum(int(np.count_nonzero(values >= p)) for p in _CELL_POWERS if p <= top)
     if digits != len(cells) - (values.size - 1):
         return False
@@ -963,63 +1000,66 @@ def _parsed_block(cells: bytes, out: np.ndarray) -> bool:
     return True
 
 
-def _read_table(text: str, lo: int, hi: int, n: int, out=None) -> bool:
-    """Whether `text[lo:hi]` is the body of a canonical n-by-n table,
-    walked one block of whole rows at a time (`_row_blocks`).  With `out`,
-    an n-by-n int32 array, each block is parsed into its rows and must be
-    exact.  Without it nothing is parsed, and a token with a leading zero
-    fails instead, so True means the body is JSON.  The walk stops at the
-    first block that fails."""
-    start = lo
+def _read_table(text: str, starts: list[int], out=None, stop=None) -> bool:
+    """Whether the rows at `starts` (`_row_starts`) are the body of a
+    canonical n-by-n table, walked one block of whole rows at a time
+    (`_row_blocks`).  With `out`, an n-by-n `TABLE_DTYPE` array, each
+    block is parsed into its rows (`_parsed_block`).  Without it nothing is
+    parsed, and a token with a leading zero fails instead, so True means
+    the body is JSON.  The walk stops at the first block that fails and
+    then sets `stop`, a `threading.Event` shared with the walk of the other
+    table, if given; it also stops, false, after a block once `stop` is set."""
+    n = len(starts) - 1
     for r0, r1 in _row_blocks(n, n):
-        end = hi   # the table's last row ends the body
-        if r1 < n:
-            # each row ends at a "],[", found by its "[": a one-character
-            # search, many times faster than one for "],[".  A "[" outside
-            # a "],[" fails the check below, or the charset inside the block
-            end = start - 1
-            for _ in range(r0, r1):
-                end = text.find("[", end + 1, hi)
-                if end < 0:
-                    return False
-            end -= 2
-            if not text.startswith("],[", end):
-                return False
-        cells = _block_cells(text[start:end], r1 - r0, n)
-        start = end + 3
+        end = starts[r1] - 3
+        # a block but the last ends at the "],[" of the "[" found for the
+        # next row; a "[" outside a "],[" fails that check or the charset
+        ended = r1 == n or text.startswith("],[", end)
+        cells = _block_cells(text[starts[r0]:end], r1 - r0, n) if ended else None
         if cells is None or (_has_leading_zero(cells) if out is None
                              else not _parsed_block(cells, out[r0:r1])):
+            if stop is not None:
+                stop.set()
+            return False
+        if stop is not None and stop.is_set():
             return False
     return True
 
 
-def _parsed_tables(text: str, add: tuple, mul: tuple) -> list[np.ndarray] | None:
-    """Both tables as int32 arrays, from `add` and `mul` given as (lo, hi,
-    n) of their bodies; None when either body fails `_read_table`.  When
-    both are larger than one block, the mul table is walked on a one-thread
-    pool while this thread walks the add table.  Leaving the pool's `with`
-    block joins its worker, so that happens before this returns or raises;
-    `result()` raises the worker's error, if any."""
-    tables = [np.empty((n, n), dtype=np.int32) for *_, n in (add, mul)]
-    if min(table.size for table in tables) <= _BLOCK_CELLS:
-        ok = _read_table(text, *add, tables[0]) and _read_table(text, *mul, tables[1])
+def _parsed_tables(text: str, add: list[int], mul: list[int]) -> list[np.ndarray] | None:
+    """Both tables as preallocated `TABLE_DTYPE` arrays of the one order
+    that `add` and `mul`, the row starts of their bodies, give; None when
+    either body fails `_read_table`.  When both are larger than one block,
+    the mul table is walked on a one-thread pool while this thread walks the
+    add table, and each walk stops at its next block once the other has
+    failed.  Leaving the pool's `with` block joins its worker, so that
+    happens before this returns or raises; `result()` raises the worker's
+    error, if any."""
+    n = len(add) - 1
+    tables = [np.empty((n, n), dtype=TABLE_DTYPE) for _ in (add, mul)]
+    if n * n <= _BLOCK_CELLS:
+        ok = _read_table(text, add, tables[0]) and _read_table(text, mul, tables[1])
         return tables if ok else None
-    from concurrent.futures import ThreadPoolExecutor   # only loads that need it pay the import
+    # only loads that need them pay the imports
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Event
 
+    failed = Event()
     with ThreadPoolExecutor(1, thread_name_prefix="ring_from_json") as pool:
-        pending = [pool.submit(_read_table, text, *mul, tables[1])]
-        add_ok = _read_table(text, *add, tables[0])
+        pending = [pool.submit(_read_table, text, mul, tables[1], failed)]
+        add_ok = _read_table(text, add, tables[0], failed)
     # popped, so no frame of the worker's error holds the future that holds the error
     mul_ok = pending.pop().result()
     return tables if add_ok and mul_ok else None
 
 
 def _canonical_dump(text, guard: int) -> dict | None:
-    """The dict that `json.loads(text)` gives, with int32 arrays for its
-    tables, when `text` is a canonical dump: a str that opens with
-    `{"add":[[`, then the add table, a string label, the mul table, and a
-    tail that closes the object without an add, label or mul key.  None for
-    any other text, which `json.loads` then reads.
+    """The dict that `json.loads(text)` gives, with its tables as
+    `TABLE_DTYPE` arrays of one order n up to the guard, every cell below n,
+    when `text` is a canonical dump: a str that opens with `{"add":[[`,
+    then the add table, a string label, the mul table, and a tail that
+    closes the object without an add, label or mul key.  None for any other
+    text, which `json.loads` then reads.
 
     Raises `OrderGuardExceeded`, before any cell is parsed, where
     `ring_from_dict` would refuse the decoded dump at `guard`: the text is
@@ -1027,19 +1067,17 @@ def _canonical_dump(text, guard: int) -> dict | None:
     guard."""
     if not isinstance(text, str) or not text.startswith(_DUMP_HEAD):
         return None
-    add_end = text.find("]]", len(_DUMP_HEAD))
-    if add_end < 0 or not text.startswith(_LABEL_KEY, add_end):
+    add = _row_starts(text, len(_DUMP_HEAD))
+    if add is None or not text.startswith(_LABEL_KEY, add[-1] - 3):
         return None
     try:
-        label, at = _JSON_DECODER.raw_decode(text, add_end + len(_LABEL_KEY) - 1)
+        label, at = _JSON_DECODER.raw_decode(text, add[-1] - 4 + len(_LABEL_KEY))
     except ValueError:
         return None
-    if not text.startswith(_MUL_KEY, at):
+    mul = _row_starts(text, at + len(_MUL_KEY)) if text.startswith(_MUL_KEY, at) else None
+    if mul is None or not text.startswith("]]", mul[-1] - 3):
         return None
-    mul_end = text.find("]]", at + len(_MUL_KEY))
-    if mul_end < 0:
-        return None
-    tail = text[mul_end + 2:]
+    tail = text[mul[-1] - 1:]
     if tail == "}":
         rest = {}
     elif tail.startswith(',"'):
@@ -1051,23 +1089,21 @@ def _canonical_dump(text, guard: int) -> dict | None:
             return None
     else:
         return None
-    add = (len(_DUMP_HEAD), add_end, _table_order(text, len(_DUMP_HEAD), add_end))
-    mul = (at + len(_MUL_KEY), mul_end, _table_order(text, at + len(_MUL_KEY), mul_end))
-    if add[2] is None or mul[2] is None:
-        return None
-    n = add[2]
-    if n > guard and "zero" in rest and "one" in rest:
-        if _read_table(text, *add) and _read_table(text, *mul):
+    n = len(add) - 1
+    if n > guard:
+        if "zero" in rest and "one" in rest and _read_table(text, add) and _read_table(text, mul):
             _hold_to_guard(n, guard)
-        return None   # not JSON, or not canonical: json.loads decides
-    tables = _parsed_tables(text, add, mul)
+        return None   # not JSON, not canonical, or not refused here: json.loads decides
+    tables = _parsed_tables(text, add, mul) if len(mul) == len(add) else None
     if tables is None:
         return None
     return {"add": tables[0], "label": label, "mul": tables[1], **rest}
 
 
-def ring_from_dict(data: dict, *, order_guard: int | None = None) -> FiniteRing:
-    """Validate a decoded dump; `MalformedRing` when it is not one."""
+def _dump_label(data) -> str:
+    """The label of a decoded dump, `"R"` when it has none, once the
+    dump is known to be an object with add, mul, zero and one keys and a
+    string label; `MalformedRing` otherwise."""
     if not isinstance(data, dict):
         raise MalformedRing(f"a ring dump must be a JSON object, got {type(data).__name__}")
     missing = [key for key in ("add", "mul", "zero", "one") if key not in data]
@@ -1076,6 +1112,12 @@ def ring_from_dict(data: dict, *, order_guard: int | None = None) -> FiniteRing:
     label = data.get("label", "R")
     if not isinstance(label, str):
         raise MalformedRing(f"label must be a string, got {label!r}")
+    return label
+
+
+def ring_from_dict(data: dict, *, order_guard: int | None = None) -> FiniteRing:
+    """Validate a decoded dump; `MalformedRing` when it is not one."""
+    label = _dump_label(data)
     return validate_ring(data["add"], data["mul"], data["zero"], data["one"],
                          label=label, order_guard=order_guard)
 
@@ -1085,21 +1127,25 @@ def ring_from_json(text: str, *, order_guard: int | None = None) -> FiniteRing:
     reads).
 
     A canonical dump, the form `ring_to_json` writes, is decoded straight
-    into int32 arrays, which `validate_ring` range-checks and narrows to the
-    ring's `TABLE_DTYPE` tables; any other text goes through `json.loads`.
-    Either way `ring_from_dict` sees the same keys and values, so the ring,
+    into the ring's `TABLE_DTYPE` tables, which pass `ring_from_dict`'s
+    key and label checks and `validate_ring`'s shape and identity checks
+    and are then proved in place, with no copy; any other text goes through
+    `json.loads` and `ring_from_dict`.  The reader decodes only text whose
+    tables `json.loads` would give with every cell in range, so the ring,
     or the error class and message, is the same as
     `ring_from_dict(json.loads(text))` gives: `MalformedRing` for text that
     is not a dump, `OrderGuardExceeded` past the order guard, `AxiomViolation`
     for tables that break a ring law.
 
     A canonical dump is checked and parsed one block of whole rows at a
-    time, so no whole-table copy of its text is made.  One whose add table
-    is past the guard is refused from a walk that parses no cell and holds
-    one block.  When both of its tables are larger than one block, the mul
+    time, so no whole-table copy of its text is made, and the load holds
+    the text, one block and the two tables.  One whose add table is past
+    the guard is refused from a walk that parses no cell and holds one
+    block.  When both of its tables are larger than one block, the mul
     table is walked on a worker thread while this thread walks the add
-    table; the worker is joined before the call returns or raises, so no
-    thread outlives the call, and an error in the worker is raised here.
+    table, and either stops once the other has failed; the worker is joined
+    before the call returns or raises, so no thread outlives the call, and
+    an error in the worker is raised here.
     """
     guard = _resolve_guard(order_guard)
     data = _canonical_dump(text, guard)
@@ -1108,7 +1154,9 @@ def ring_from_json(text: str, *, order_guard: int | None = None) -> FiniteRing:
             data = json.loads(text)
         except (TypeError, ValueError, RecursionError) as exc:
             raise MalformedRing(f"a ring dump must be JSON text: {exc}") from None
-    return ring_from_dict(data, order_guard=guard)
+        return ring_from_dict(data, order_guard=guard)
+    label = _dump_label(data)
+    return _checked_ring(data["add"], data["mul"], data["zero"], data["one"], label, None)
 
 
 def check_internal(condition: bool, message: str) -> None:

@@ -346,10 +346,11 @@ def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
 def test_every_ring_holds_one_table_dtype(monkeypatch):
     # `core._certified_ring` is the one place a FiniteRing is made; every ring
     # made by a cold build of the catalog, the 31 rings of the benchmark's
-    # inspect pool, a run of every check and a dump load holds its add, mul
-    # and neg at core.TABLE_DTYPE, C-contiguous and read-only.  Only the
-    # loaded dump passes through `core.validate_ring`, which copies its
-    # tables: every ring the program builds is proved on tables made for it
+    # inspect pool, a run of every check and two dump loads holds its add,
+    # mul and neg at core.TABLE_DTYPE, C-contiguous and read-only.  Only the
+    # dump that is not canonical passes through `core.validate_ring`, which
+    # copies the tables json.loads made: every ring the program builds, and
+    # a canonical dump, is proved on tables made for it
     made, real = [], core._certified_ring
     validated, validate = [], core.validate_ring
 
@@ -369,10 +370,12 @@ def test_every_ring_holds_one_table_dtype(monkeypatch):
     for expr, _ in bench_pool().INSPECT_POOL:
         dsl.build_str(expr)
     harness.run_all(threads=1)
-    loaded = core.ring_from_json(core.ring_to_json(rings[-1]))
+    text = core.ring_to_json(rings[-1])
+    loaded = core.ring_from_json(text)
+    spaced = core.ring_from_json(json.dumps(json.loads(text)))
     dsl.clear_build_cache()
-    assert made[-1] is loaded and len(made) > len(rings) + 31
-    assert validated == [loaded]
+    assert made[-2:] == [loaded, spaced] and len(made) > len(rings) + 32
+    assert validated == [spaced]
     for R in made:
         for table in (R.add, R.mul, R.neg):
             assert table.dtype == core.TABLE_DTYPE, R.label

@@ -21,6 +21,7 @@ from deltaring.errors import (
     NotAnIdeal,
     NotIdempotent,
     OrderGuardExceeded,
+    RingError,
 )
 
 import oracles
@@ -804,14 +805,123 @@ def test_over_guard_refusal_holds_one_block_of_the_text():
 
 
 def test_canonical_load_holds_no_copy_of_the_text():
-    # a load holds its int32 tables, their uint16 narrowing and one row
-    # block of the text, not a whole-table copy of the text; here the text
-    # and the int32 tables are each about 13 MB
+    # a load holds the text, its two uint16 tables and one row block of the
+    # text and its int32 parse: no whole-table copy of the text and no int32
+    # table.  Here the text is about 13 MB and the two tables 6.7 MB
     R = dsl.build_str("K(Z6,s=0)")
     text = core.ring_to_json(R)
     loaded = []
-    assert traced_peak(lambda: loaded.append(core.ring_from_json(text))) < 1.75 * len(text)
+    assert traced_peak(lambda: loaded.append(core.ring_from_json(text))) < 0.8 * len(text)
     assert np.array_equal(loaded[0].add, R.add) and np.array_equal(loaded[0].mul, R.mul)
+
+
+def _load_outcome(load, text, order_guard=None):
+    """The tables, label and identities that `load(text)` returns, or the
+    class and message of the ring error it raises."""
+    try:
+        R = load(text, order_guard=order_guard)
+    except RingError as exc:
+        return type(exc), str(exc)
+    return R.add.tobytes(), R.mul.tobytes(), R.label, R.zero, R.one
+
+
+def _json_edit(change):
+    return lambda text, n: _compact(change(json.loads(text)))
+
+
+def _row_0(table: str, cells: int):
+    def change(data):
+        row = data[table][0]
+        data[table][0] = row + row[:1] if cells > 0 else row[:-1]
+        return data
+    return _json_edit(change)
+
+
+# edits of a dump around where `_row_starts` finds its tables' rows and ends,
+# with whether the text stays canonical, and the order guard it is loaded at
+# as an offset from the ring's order (None: the default guard)
+_END_EDITS = [
+    ("brackets-in-the-label", _json_edit(lambda data: {**data, "label": ']],"mul":[[0]]'}),
+     True, None),
+    ("brackets-in-a-tail-string", _json_edit(lambda data: {**data, "note": "]]"}), True, None),
+    *((f"{table}-row-0-{name}", _row_0(table, cells), False, None)
+      for table in ("add", "mul") for name, cells in (("longer", 1), ("shorter", -1))),
+    *((f"{table}-closed-a-row-early", _json_edit(lambda data, t=table: {**data, t: data[t][:-1]}),
+       False, None) for table in ("add", "mul")),
+    *((f"cut-short-in-{table}", lambda text, n, t=table: text[:cell_offset(text, t, n // 2, 1)],
+       False, None) for table in ("add", "mul")),
+    ("mul-of-another-order-past-the-guard", _json_edit(
+        lambda data: {**data, "add": [row[:-1] for row in data["add"][:-1]]}), False, -1),
+]
+
+
+@pytest.mark.parametrize("edit, canonical, guard", [edit[1:] for edit in _END_EDITS],
+                         ids=[edit[0] for edit in _END_EDITS])
+@pytest.mark.parametrize("cells", [core._BLOCK_CELLS, 4, 37])
+@pytest.mark.parametrize("m", [12, 182], ids=["one-block", "past-one-block"])
+def test_table_rows_and_ends_are_found_by_the_walk(zmod, monkeypatch, m, cells, edit, canonical,
+                                                   guard):
+    # a table's rows and its end are found from "[" to "[": a "]]" in the
+    # label or in a string of the tail is no table end, and a row 0 of
+    # another length, a table that ends a row early, a body cut short, or
+    # an add table of an order other than the mul table's, have the outcome
+    # that json.loads and ring_from_dict give, message included, whether
+    # the tables are walked on one thread or two (Z182 at the default block)
+    monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    text = edit(core.ring_to_json(zmod(m)), m)
+    guard = None if guard is None else m + guard
+    assert (core._canonical_dump(text, core._resolve_guard(guard)) is not None) == canonical
+    assert (_load_outcome(core.ring_from_json, text, guard)
+            == _load_outcome(oracles.ring_from_loaded_json, text, guard))
+
+
+@pytest.mark.parametrize("table", ["add", "mul"])
+@pytest.mark.parametrize("cells", [core._BLOCK_CELLS, 4, 37])
+def test_a_cell_of_n_on_a_block_edge_is_out_of_range(zmod, monkeypatch, cells, table):
+    # a cell equal to the order, on the first or the last token of a later
+    # block, fails the walk, so _as_table refuses it as json.loads read it
+    monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    R = zmod(182)
+    dump = core.ring_to_json(R)
+    n = R.order
+    lo, hi = core._row_blocks(n, n)[1]
+    for i, j in ((lo, 0), (hi - 1, n - 1)):
+        at = cell_offset(dump, table, i, j)
+        text = dump[:at] + str(n) + dump[dump.index("]" if j == n - 1 else ",", at):]
+        with pytest.raises(MalformedRing, match=f"^{table} entries out of range$"):
+            core.ring_from_json(text)
+        assert (_load_outcome(core.ring_from_json, text)
+                == _load_outcome(oracles.ring_from_loaded_json, text))
+
+
+def test_a_failed_add_walk_stops_the_mul_walk_at_its_next_block(zmod, monkeypatch):
+    # Z182 in blocks of one row: the add walk fails on its first cell, which
+    # is not ASCII; the worker, held back until then, parses one block of the
+    # mul table and stops, and json.loads reads the text
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 37)
+    text = core.ring_to_json(zmod(182)).replace('"add":[[0,', '"add":[[\u0661,', 1)
+    add_walked = threading.Event()
+    read, parse = core._read_table, np.fromstring
+    worker_parses = []
+
+    def read_spy(*args):
+        try:
+            return read(*args)
+        finally:
+            if threading.current_thread() is threading.main_thread():
+                add_walked.set()
+
+    def parse_spy(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            assert add_walked.wait(60)
+            worker_parses.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_read_table", read_spy)
+    monkeypatch.setattr(np, "fromstring", parse_spy)
+    assert (_load_outcome(core.ring_from_json, text)
+            == _load_outcome(oracles.ring_from_loaded_json, text))
+    assert len(worker_parses) == 1
 
 
 def test_no_thread_outlives_ring_from_json(zmod, monkeypatch):
@@ -867,16 +977,25 @@ def test_no_thread_outlives_ring_from_json(zmod, monkeypatch):
 
 
 def test_concurrent_loads_each_join_their_worker(zmod):
-    # four callers at once, each with its own worker, switching often
+    # four callers at once, each with its own worker, switching often; two
+    # more load a dump whose add walk fails, which stops only their own
+    # workers
     R = zmod(182)
     text = core.ring_to_json(R)
+    bad = text.replace('"add":[[0,', '"add":[[\u0661,', 1)
     start = threading.active_count()
-    loaded = []
+    loaded, refused = [], []
+
+    def refuse():
+        with pytest.raises(MalformedRing):
+            core.ring_from_json(bad)
+        refused.append(True)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         callers = [threading.Thread(target=lambda: loaded.append(core.ring_from_json(text)))
-                   for _ in range(4)]
+                   for _ in range(4)] + [threading.Thread(target=refuse) for _ in range(2)]
         for caller in callers:
             caller.start()
         for caller in callers:
@@ -884,7 +1003,7 @@ def test_concurrent_loads_each_join_their_worker(zmod):
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
-    assert len(loaded) == 4
+    assert len(loaded) == 4 and len(refused) == 2
     assert all(np.array_equal(B.add, R.add) and np.array_equal(B.mul, R.mul) for B in loaded)
     assert threading.active_count() == start
 
@@ -931,7 +1050,9 @@ def test_cells_past_the_table_dtype_are_refused_not_wrapped(form, cell):
         if form == "dump":
             text = json.dumps({"add": add, "label": "Z2", "mul": mul, "one": 1, "order": 2,
                                "zero": 0}, sort_keys=True, separators=(",", ":"))
-            assert core._canonical_dump(text, core.DEFAULT_ORDER_GUARD)["mul"].dtype == np.int32
+            # the reader hands this text to json.loads, whose int64 table
+            # _as_table range-checks before narrowing
+            assert core._canonical_dump(text, core.DEFAULT_ORDER_GUARD) is None
             core.ring_from_json(text)
         else:
             core.validate_ring(add, mul if form == "list" else np.array(mul, dtype=np.int64), 0, 1)
