@@ -196,19 +196,23 @@ def test_validation_witnesses_match_golden(monkeypatch, cells):
 
 def test_light_passes_hold_one_table_at_a_time():
     # Light's passes compare add[add[:, g]] with its transpose tile by tile
-    # and the distributivity passes run in row blocks, so the checks gather
-    # no n-by-n table at all (one such gather per pass held 1 table)
-    R = dsl.build_str("Prod(Z32,Z64)")
-    gens = core.additive_generators(R.add, R.zero)
-    assert (R.order, len(gens)) == (2048, 2)
-    assert traced_peak(core._generator_triple_checks, R.add, R.mul, gens) < 0.25 * R.order ** 2 * 4
+    # and the distributivity passes, the span passes' column gathers
+    # included, run in row blocks, so the checks gather no n-by-n table at
+    # all (one such gather per pass held 1 table)
+    for expr, order, rank in (("Prod(Z32,Z64)", 2048, 2), ("K(Z6,s=0)", 1296, 4)):
+        R = dsl.build_str(expr)
+        gens = core.additive_generators(R.add, R.zero)
+        assert (R.order, len(gens)) == (order, rank)
+        peak = traced_peak(core._generator_triple_checks, R.add, R.mul, gens)
+        assert peak < 0.25 * R.order ** 2 * 4, expr
 
 
 def test_valid_ring_runs_full_left_passes_only(monkeypatch):
-    # a valid ring of rank r pays r full left passes and no full right pass;
-    # the right side is checked on the generator columns only
-    calls = {"left": [], "right": []}
-    for side in calls:
+    # a valid ring of rank r pays one full left pass, L(g1), then span
+    # passes on the columns of <g2>, <g2, g3>, ..., <g2..gr> in turn, and no
+    # full right pass; the right side is checked on the generator columns only
+    calls = {"left": [], "right": [], "spans": []}
+    for side in ("left", "right"):
         real = getattr(core, f"_{side}_pass")
 
         def spy(add, mul, g, real=real, side=side):
@@ -216,13 +220,48 @@ def test_valid_ring_runs_full_left_passes_only(monkeypatch):
             return real(add, mul, g)
 
         monkeypatch.setattr(core, f"_{side}_pass", spy)
+    chain = core._span_chain
+
+    def chain_spy(add, gens):
+        spans = chain(add, gens)
+        over = spans[1].tolist()
+        calls["spans"].append([(g, over.count(g)) for g in dict.fromkeys(over)])
+        return spans
+
+    monkeypatch.setattr(core, "_span_chain", chain_spy)
     for expr in ("M(2,Z3)", "GR(Z2,S3)", "K(Z4,s=2)"):
         R = dsl.build_str(expr)
-        calls["left"].clear()
+        for seen in calls.values():
+            seen.clear()
         core.validate_ring(R.add, R.mul, R.zero, R.one)
         gens = core.additive_generators(R.add, R.zero)
         assert len(gens) >= 4
-        assert calls == {"left": gens, "right": []}, expr
+        sizes = [(g, oracles._magma_closure(R.add, np.array(gens[1:k + 1])).size)
+                 for k, g in enumerate(gens[1:], 1)]
+        assert calls == {"left": gens[:1], "right": [], "spans": [sizes]}, expr
+
+
+def test_span_chain_is_the_closure_of_the_later_generators():
+    # for every catalog ring of rank >= 2, the columns c of gk's span pass
+    # are <g2..gk>, each member once, as the literal closure under addition
+    # finds it, one span after another, each with its gk + c.  No catalog ring has g1 in <g2..gr>, so Z4
+    # with the elements 1 and 2 swapped stands in for one: its generators are
+    # 1 (the element 2) and 2 (the element 1), whose span is the whole ring
+    add, mul = (np.array(t) for t in zmod_tables(4))
+    swap = np.array([0, 2, 1, 3])
+    Z4 = core.validate_ring(swap[add[swap][:, swap]], swap[mul[swap][:, swap]], 0, 2)
+    assert core.additive_generators(Z4.add, Z4.zero) == [1, 2]
+    for R in [*harness.catalog_rings(), Z4]:
+        gens = core.additive_generators(R.add, R.zero)
+        if len(gens) < 2:
+            continue
+        cols, over, sums = core._span_chain(R.add, gens)
+        assert over.tolist() == sorted(over.tolist(), key=gens.index), R.label
+        assert np.array_equal(sums, R.add[over, cols]), R.label
+        for k, g in enumerate(gens[1:], 1):
+            closure = oracles._magma_closure(R.add, np.array(gens[1:k + 1]))
+            assert sorted(cols[over == g].tolist()) == closure.tolist(), (R.label, g)
+        assert (gens[0] in closure) == (R is Z4), R.label
 
 
 # ---------------------------------------------------------------------------

@@ -123,18 +123,33 @@ RANK_RINGS = ("Prod(Z2,Z2)", "Prod(Z4,Z6)", "T(2,Z2)", "GF(8)", "M(2,Z2)", "T(2,
               "GR(Z2,S3)", "Triv(Z8,Z8)", "K(Z4,s=2)")
 
 
+def _coset_shifted(R: core.FiniteRing, mul: np.ndarray, row: int, shift: int) -> None:
+    """Add `shift` to mul[row, c] for every c in the coset X = g2 + gr +
+    <g1> (2g2 + <g1> at rank 2) of R's generators g1..gr.  The row stays
+    additive along the cosets of <g1>, so L(g1) holds on it, and X holds no
+    generator; but it is not additive on <g2..gr> once that span has more
+    than two cosets of <g1> (or shift*2 != 0), so a span pass fails and the
+    full left passes are replayed."""
+    gens = core.additive_generators(R.add, R.zero)
+    coset = R.add[R.add[gens[1], gens[-1]], oracles._magma_closure(R.add, np.array(gens[:1]))]
+    mul[row, coset] = R.add[mul[row, coset], shift]
+
+
 @st.composite
 def corrupted_ring_tables(draw):
     """A ring of additive rank at least 2 with one cell of either table
     changed (rows near the end drawn often, diagonal cells too, so that add
-    stays commutative), or with one mul row replaced by a column."""
+    stays commutative), with one mul row replaced by a column, or with one
+    mul row shifted on a coset of <g1> (`_coset_shifted`)."""
     R = dsl.build_str(draw(st.sampled_from(RANK_RINGS)))
     n = R.order
     add, mul = np.array(R.add), np.array(R.mul)
     row = draw(st.one_of(st.integers(0, n - 1), st.integers(n - 3, n - 1)))
-    how = draw(st.sampled_from(["add", "mul", "mul-row"]))
+    how = draw(st.sampled_from(["add", "mul", "mul-row", "mul-coset"]))
     if how == "mul-row":
         mul[row] = R.mul[:, draw(st.integers(0, n - 1))]
+    elif how == "mul-coset":
+        _coset_shifted(R, mul, row, draw(st.sampled_from([a for a in range(n) if a != R.zero])))
     else:
         table = add if how == "add" else mul
         col = draw(st.one_of(st.integers(0, n - 1), st.just(row)))
@@ -163,6 +178,42 @@ def test_left_side_validation_names_the_two_sided_violation(case):
             got = _validation_outcome(add, mul, R.zero, R.one)
             mp.setattr(core, "_generator_triple_checks", oracles.two_sided_generator_checks)
             assert got == _validation_outcome(add, mul, R.zero, R.one), (R.label, cells)
+
+
+@pytest.mark.parametrize("expr", ["Prod(Z3,Z3)", "Prod(Z4,Z6)", "T(2,Z3)", "M(2,Z2)",
+                                  "K(Z4,s=2)"])
+def test_failed_span_pass_replays_the_full_left_passes(expr, monkeypatch):
+    # a mul row shifted on a coset of <g1> passes L(g1) and every column
+    # pass but fails a span pass: validation then replays the full left
+    # passes from g2 on, and names what the two-sided pass order names (up
+    # to 12 rows of each ring)
+    R = dsl.build_str(expr)
+    gens = core.additive_generators(R.add, R.zero)
+    lefts, real = [], core._left_pass
+
+    def spy(add, mul, g):
+        lefts.append(g)
+        return real(add, mul, g)
+
+    monkeypatch.setattr(core, "_left_pass", spy)
+    replays, rows = 0, range(0, R.order, math.ceil(R.order / 12))
+    for row in rows:
+        for shift in (gens[0], gens[-1], R.order - 1):
+            mul = np.array(R.mul)
+            _coset_shifted(R, mul, row, shift)
+            for cells in (core._BLOCK_CELLS, 64):
+                monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+                lefts.clear()
+                got = _validation_outcome(R.add, mul, R.zero, R.one)
+                replays += lefts[:2] == gens[:2]
+                with monkeypatch.context() as mp:
+                    mp.setattr(core, "_generator_triple_checks",
+                               oracles.two_sided_generator_checks)
+                    assert got == _validation_outcome(R.add, mul, R.zero, R.one), (row, shift)
+                assert got is not None
+    # every row but the identity's (a mul-identity violation), at both
+    # block sizes, under each shift
+    assert replays == 2 * 3 * (len(rows) - (R.one in rows)), expr
 
 
 # coordinate rings of the structure-table draws: T(2,Z2) has non-central
