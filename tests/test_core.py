@@ -244,9 +244,10 @@ def test_valid_ring_runs_full_left_passes_only(monkeypatch):
 def test_span_chain_is_the_closure_of_the_later_generators():
     # for every catalog ring of rank >= 2, the columns c of gk's span pass
     # are <g2..gk>, each member once, as the literal closure under addition
-    # finds it, one span after another, each with its gk + c.  No catalog ring has g1 in <g2..gr>, so Z4
-    # with the elements 1 and 2 swapped stands in for one: its generators are
-    # 1 (the element 2) and 2 (the element 1), whose span is the whole ring
+    # finds it, one span after another, each with its gk + c.  No catalog
+    # ring has g1 in <g2..gr>, so Z4 with the elements 1 and 2 swapped stands
+    # in for one: its generators are 1 (the element 2) and 2 (the element 1),
+    # whose span is the whole ring
     add, mul = (np.array(t) for t in zmod_tables(4))
     swap = np.array([0, 2, 1, 3])
     Z4 = core.validate_ring(swap[add[swap][:, swap]], swap[mul[swap][:, swap]], 0, 2)

@@ -125,11 +125,13 @@ RANK_RINGS = ("Prod(Z2,Z2)", "Prod(Z4,Z6)", "T(2,Z2)", "GF(8)", "M(2,Z2)", "T(2,
 
 def _coset_shifted(R: core.FiniteRing, mul: np.ndarray, row: int, shift: int) -> None:
     """Add `shift` to mul[row, c] for every c in the coset X = g2 + gr +
-    <g1> (2g2 + <g1> at rank 2) of R's generators g1..gr.  The row stays
-    additive along the cosets of <g1>, so L(g1) holds on it, and X holds no
-    generator; but it is not additive on <g2..gr> once that span has more
-    than two cosets of <g1> (or shift*2 != 0), so a span pass fails and the
-    full left passes are replayed."""
+    <g1> of R's generators g1..gr (X = 2g2 + <g1> at rank 2).  Unless X is
+    <g1> itself, the row stays additive along the cosets of <g1>, so L(g1)
+    holds on it, and X holds no generator, so the column passes hold; but
+    the row is not additive on <g2..gr> when R/<g1> has more than two
+    elements or 2*shift != 0, so a span pass fails and the full left passes
+    are replayed (unless the identity's row or column changed, which its
+    identity check names first)."""
     gens = core.additive_generators(R.add, R.zero)
     coset = R.add[R.add[gens[1], gens[-1]], oracles._magma_closure(R.add, np.array(gens[:1]))]
     mul[row, coset] = R.add[mul[row, coset], shift]
