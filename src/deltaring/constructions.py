@@ -331,16 +331,16 @@ def _term_products(add_tables: list[np.ndarray], terms, left, right) -> list[np.
 
 
 def _coordinate_generators(add_tables, zeros) -> list[list[int]] | None:
-    """Each coordinate's `core.additive_generators`, when every distinct
+    """Each coordinate's greedy additive generators, when every distinct
     addition table is an abelian group with its coordinate's zero as the
-    identity (the group laws, then Light's test); else None."""
+    identity (the group laws, then `core._group_generators`, which finds
+    the generators and runs Light's test on them); else None."""
     found: dict = {}
     for add, zero in zip(add_tables, zeros):
         if (id(add), zero) not in found:
             try:
                 core._check_abelian(add, zero)
-                gens = core.additive_generators(add, zero)
-                core._check_light(add, gens)
+                gens = core._group_generators(add, zero)
             except AxiomViolation:
                 gens = None
             found[id(add), zero] = gens

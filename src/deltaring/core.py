@@ -8,7 +8,7 @@ element index below n, so the order is at most `MAX_ORDER` = 2^16, and the
 order guard is capped there (`_resolve_guard`).  A table is made at that
 width where it is made, never made wider and narrowed afterwards, except
 where a range check has to read the cells at their own width first
-(`_as_table`, and each block of a canonical dump, `_parsed_block`).
+(`_as_table`, and each block of a canonical dump, `_read_block`).
 numpy wraps uint16 arithmetic silently, so cells take part in arithmetic
 only where every partial result is itself an element index below n (the
 stride sums of `constructions._tuple_ring`); flat indices into a table
@@ -39,20 +39,30 @@ its tables or derived from a ring that already was, under a certificate.
 Light's associativity test over an additive generating set, biadditivity
 of the product on generator pairs, and associativity of the product on
 generator triples (sound once biadditivity is known, since the associator
-is additive in each slot).  For additive rank r (the size of the greedy
-generating set g1..gr) that is r Light passes, each a symmetry test of
-add[add[:, g]] tile by tile; one full left distributivity pass L(g1),
-a(g1+c) = a g1 + ac over all n^2 pairs in row blocks; span passes
-a(gk+c) = a gk + ac for k = 2..r over the columns c of K_k = <g2..gk>
-only; and r right passes on the generator columns, (x+g)h = xh + gh for
-generators g, h and all x, r*n cells each.  That is n(n + |K_2| + ... +
-|K_r|) left cells instead of r n^2: 1.2 n^2 for Z6^4, about 2 n^2 for
-Z2^9.  For each a the span passes make c -> ac additive on K_2, then on
-each K_k = K_{k-1} + <gk>, and L(g1) carries it to K_r + <g1>, the whole
-group: left distributivity everywhere.  That makes x -> xz the sum of the
-maps x -> xh for the generators h that sum to z, so right distributivity
-follows.  A rejection names the violation that the two-sided order L(g1),
-R(g1), L(g2), R(g2), ..., with full left and right passes, meets first.
+is additive in each slot).  The generators come from a walk on Python
+lists (`_coset_generators`): the least unreached g, then the cosets H + g,
+H + 2g, ... of the set H reached so far.  Every element it reaches is a
+literal sum x + g, so when it reaches all n its generators generate the
+table, and Light's test on them proves associativity; under the group
+laws they are then the greedy set of `additive_generators`, which is
+searched for only when the walk gives up (a coset that meets what was
+reached).  Up to the first generator that fails Light's test the walk
+picks the greedy generators, so a rejection names the greedy set's first
+failing instance (`_group_generators`).  For additive rank r (the size
+of the greedy generating set g1..gr) that is r Light passes, each a
+symmetry test of add[add[:, g]] tile by tile; one full left
+distributivity pass L(g1), a(g1+c) = a g1 + ac over all n^2 pairs in row
+blocks; span passes a(gk+c) = a gk + ac for k = 2..r over the columns c
+of K_k = <g2..gk> only; and r right passes on the generator columns,
+(x+g)h = xh + gh for generators g, h and all x, r*n cells each, made in
+one gather.  That is n(n + |K_2| + ... + |K_r|) left cells instead of
+r n^2: 1.2 n^2 for Z6^4, about 2 n^2 for Z2^9.  For each a the span
+passes make c -> ac additive on K_2, then on each K_k = K_{k-1} + <gk>,
+and L(g1) carries it to K_r + <g1>, the whole group: left distributivity
+everywhere.  That makes x -> xz the sum of the maps x -> xh for the
+generators h that sum to z, so right distributivity follows.  A
+rejection names the violation that the two-sided order L(g1), R(g1),
+L(g2), R(g2), ..., with full left and right passes, meets first.
 When a span pass or a later column pass fails, the full left passes
 L(g2), L(g3), ... are replayed in that order with their column passes (a
 span failure is a failure of some full pass, so the replay finds one).  A
@@ -93,7 +103,7 @@ from __future__ import annotations
 
 import json
 import math
-import re
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -453,6 +463,73 @@ def _check_light(add: np.ndarray, gens: list[int]) -> None:
             raise AxiomViolation("add-associativity", (bad[0], g, bad[1]))
 
 
+def _add_cosets(step: list[int], span: list[int], reached: list[bool]) -> bool:
+    """Extend `span`, the set H reached so far and marked in `reached`, by
+    its cosets H + g, H + 2g, ... under `step`, x -> g + x, in turn, up to
+    the first whose first member was reached before.  False as soon as a
+    coset meets a reached element anywhere else, or repeats one of its own:
+    then x -> g + x does not map H onto new cosets, and the table is no
+    group.  Under the group laws each coset of the subgroup H is new or H
+    itself, so the walk stops at H and `span` ends as H + <g>.  The walk
+    runs on Python lists: its steps cost less than numpy's per-call
+    overhead on the small rings, where the walk's cost shows at all."""
+    coset = span
+    while True:
+        coset = [step[x] for x in coset]
+        if reached[coset[0]]:
+            return True
+        for x in coset:
+            if reached[x]:
+                return False
+            reached[x] = True
+        span += coset
+
+
+def _coset_generators(add: np.ndarray, zero: int) -> list[int] | None:
+    """Generators of the commutative table `add` with identity `zero`:
+    while some element is unreached, the least one g is the next
+    generator, and the cosets of the set reached so far under g are
+    reached in turn (`_add_cosets`); None when that walk gives up.
+
+    Every element reached is a literal sum g + x of a generator and an
+    element reached before, so the generators generate the table as a
+    magma.  Under the group laws the walk reaches the span of each new
+    generator and those before it, so it finds the greedy generators of
+    `additive_generators`, with no numpy call per round."""
+    n = add.shape[0]
+    reached = [False] * n
+    reached[zero] = True
+    span, gens, g = [zero], [], 0
+    while len(span) < n:
+        while reached[g]:
+            g += 1
+        gens.append(g)
+        if not _add_cosets(add[g].tolist(), span, reached):
+            return None
+    return gens
+
+
+def _group_generators(add: np.ndarray, zero: int) -> list[int]:
+    """The greedy generators of `additive_generators`, once Light's test on
+    them has proved the table associative; `AxiomViolation` at Light's first
+    failing instance on them otherwise.  The table must be commutative with
+    `zero` as its identity (`_check_abelian` checks both first).
+
+    The coset walk (`_coset_generators`) finds them, and the greedy search
+    only when the walk gives up.  A walk that reaches every element has
+    generated the table as a magma, so Light's test on its generators
+    proves associativity, and the group laws then make them the greedy set.
+    A rejection names what the greedy set names: while Light's test holds
+    on g1..gk, every sum of those is middle-associative, so the walk reaches
+    the greedy closure of g1..gk and picks the same next generator; the two
+    sets agree up to the first one that fails."""
+    gens = _coset_generators(add, zero)
+    if gens is None:
+        gens = additive_generators(add, zero)
+    _check_light(add, gens)
+    return gens
+
+
 def _left_pass(add: np.ndarray, mul: np.ndarray, g: int) -> tuple[int, int] | None:
     """First (a, c) in row-major order with a(g+c) != ag + ac, or None."""
     return _first_mismatch(add.shape[0], lambda lo, hi: (
@@ -480,27 +557,17 @@ def _span_chain(add: np.ndarray, gens: list[int]) -> np.ndarray:
     """The spans K_k = <g2..gk> of the additive group for k = 2..r, as a
     3-row index array whose columns are (c, g_k, g_k + c) for the members c
     of K_2, then of K_3, ..., then of K_r.  K_k is K_{k-1} (K_1 = {0}) and
-    its translates by g_k, 2g_k, ... up to the first that meets K_{k-1}
-    again, which is K_{k-1} itself; that is sound once `_check_abelian` and
-    Light's test have proved the group laws.  The walk runs on Python
-    lists: its |K_2| + ... + |K_r| steps cost less than numpy's per-call
-    overhead on the small rings, where the walk's cost shows at all."""
+    its cosets under g_k (`_add_cosets`), which is sound once
+    `_check_abelian` and Light's test have proved the group laws."""
     inside = [False] * add.shape[0]
     span: list[int] = []
     cols, over, sums = [], [], []
     for g in gens[1:]:
-        step = add[:, g].tolist()               # c -> c + g
+        step = add[g].tolist()                  # c -> g + c
         if not span:
-            span = [step.index(g)]              # {0}: c + g2 = g2 only at c = 0
+            span = [step.index(g)]              # {0}: g2 + c = g2 only at c = 0
             inside[span[0]] = True
-        coset = span
-        while True:
-            coset = [step[x] for x in coset]
-            if inside[coset[0]]:
-                break
-            for x in coset:
-                inside[x] = True
-            span += coset
+        _add_cosets(step, span, inside)
         cols += span
         over += [g] * len(span)
         sums += [step[x] for x in span]
@@ -521,8 +588,9 @@ def _span_passes_hold(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> bool
 
 
 def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> None:
-    _check_light(add, gens)
-
+    """Biadditivity and associativity of `mul` from the additive generators
+    `gens`, once the addition `add` is known to be an abelian group
+    (`_group_generators`)."""
     def named(upto: int, found: AxiomViolation) -> AxiomViolation:
         # The violation that the two-sided order L(g1), R(g1), L(g2), ...
         # meets first: the full right passes it would have run before `found`.
@@ -532,23 +600,21 @@ def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) 
                 return AxiomViolation("right-distributivity", (bad[0], g, bad[1]))
         return found
 
-    cols = np.array(gens, dtype=np.int32)
-    mul_cols = np.take(mul, cols, axis=1)
-
-    def right_columns(g: int) -> tuple[int, int] | None:
-        # the first (x, j) with (x+g)h != xh + gh for h = gens[j]
-        lhs = _lookup(mul, add[:, g, None], cols)
-        rhs = _lookup(add, mul_cols, mul[g, cols])
-        return None if np.array_equal(lhs, rhs) else _first_bad_pair(lhs != rhs)
+    # every generator's column pass in one gather: (gk + x)hj != xhj + gk hj
+    # at [k, x, j], r*n*r cells (add is commutative, so its rows are its columns)
+    cols = np.array(gens)
+    products = mul[cols[:, None], cols]             # gk hj at [k, j]
+    bad_columns = (_lookup(mul, add[cols][:, :, None], cols)
+                   != _lookup(add, np.take(mul, cols, axis=1)[None], products[:, None, :]))
 
     def full_pair(k: int, g: int) -> None:
         # L(g) over all pairs, then the column pass of g, as the order names them
         bad = _left_pass(add, mul, g)
         if bad is not None:
             raise named(k, AxiomViolation("left-distributivity", (bad[0], g, bad[1])))
-        bad = right_columns(g)
-        if bad is not None:
-            raise named(k + 1, AxiomViolation("right-distributivity", (bad[0], g, gens[bad[1]])))
+        if bad_columns[k].any():
+            x, j = _first_bad_pair(bad_columns[k])
+            raise named(k + 1, AxiomViolation("right-distributivity", (x, g, gens[j])))
 
     # Biadditivity.  For each a, c -> ac is additive on K_2 = <g2>, then on
     # each K_k = K_{k-1} + <gk> (induction over the multiples of gk: (m+1)gk
@@ -560,8 +626,7 @@ def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) 
     # column pass fails, the full pairs from g2 on replay the two-sided
     # order, which names the violation.
     full_pair(0, gens[0])
-    if len(gens) > 1 and not (_span_passes_hold(add, mul, gens)
-                              and all(right_columns(g) is None for g in gens[1:])):
+    if len(gens) > 1 and (bad_columns[1:].any() or not _span_passes_hold(add, mul, gens)):
         for k, g in enumerate(gens[1:], 1):
             full_pair(k, g)
     # With biadditivity established the associator is additive in each slot,
@@ -621,7 +686,7 @@ def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label
         if not np.array_equal(mul[:, one], arange):
             c = int(np.flatnonzero(mul[:, one] != arange)[0])
             raise AxiomViolation("mul-identity", (c, one))
-        _generator_triple_checks(add, mul, additive_generators(add, zero))
+        _generator_triple_checks(add, mul, _group_generators(add, zero))
     return _certified_ring(label, add, mul, zero, one, names, neg)
 
 
@@ -927,32 +992,37 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
 # without a search of the whole body for its "]]".  The text is then read
 # in one walk over each table, one block of whole rows of about
 # `_BLOCK_CELLS` cells at a time (`_read_table`), which proves that the
-# rows found are the body's: each block is encoded to ASCII and split into
-# its rows, each of n cells, and its ","-joined cells must be digits with
-# no empty token (`_block_cells`).  A table that is not square fails the
-# walk, and `json.loads` then reads the text.  An add table past the order
-# guard is refused, as `ring_from_dict` refuses it, once the text is known
-# to be JSON with `zero` and `one` keys: that walk parses nothing and
-# checks each block for a token with a leading zero instead, so it holds
-# one block at a time.  Otherwise numpy parses each block into a
-# block-sized int32 array, whose digit count proves the parse exact, and
-# that is narrowed into the block's rows of a preallocated table
-# (`_parsed_block`).  When both tables are larger than one block, the one
-# worker of a thread pool walks the mul table while the calling thread
-# walks the add table (`np.fromstring` releases the GIL), and either walk
-# stops at its next block once the other has failed; the pool is shut
-# down, its worker joined, before the call returns or raises, so no thread
-# outlives a call and an error in the worker reaches the caller.
+# rows found are the body's (`_read_block`).  Each block's ASCII bytes are
+# checked by numpy passes, which release the GIL: the "],[" before each
+# later row is checked and blanked to " , "; each row holds n - 1 commas;
+# every other byte is a digit; and there is one digit run per token, so
+# no token is empty.  A table that is not square fails the walk, and
+# `json.loads` then reads the text.  An add table past the order guard is
+# refused, as `ring_from_dict` refuses it, once the text is known to be
+# JSON with `zero` and `one` keys: that walk parses nothing and checks each
+# block for a token with a leading zero instead, so it holds one block at
+# a time.  Otherwise numpy parses each block's bytes into a block-sized
+# uint32 array, whose digit count proves the parse exact, and that is
+# narrowed into the block's rows of a preallocated table.  When both
+# tables are larger than one block, the one worker of a thread pool walks
+# the mul table while the calling thread walks the add table (the passes
+# and `np.fromstring` release the GIL), and either walk stops at its next
+# block once the other has failed; the pool is shut down, its worker
+# joined, before the call returns or raises, so no thread outlives a call
+# and an error in the worker reaches the caller.
 
 _DUMP_HEAD = '{"add":[['
 _LABEL_KEY = ']],"label":"'
 _MUL_KEY = ',"mul":[['
-# a canonical cell has at most 9 digits, so it is below 10^9 < 2^31 and
-# numpy's parse of it into int32 is exact; digits are counted up to 9
+# a token of at most 9 digits is below 10^9 < 2^32, so numpy's parse of it
+# into uint32 is exact; digits are counted up to 9
 _CELL_POWERS = tuple(10 ** k for k in range(1, 9))
 _JSON_DECODER = json.JSONDecoder()
-# a token other than the first with a leading zero, which JSON refuses
-_LEADING_ZERO = re.compile(rb",0[0-9]")
+# the "],[" that ends each row but the last, from 3 bytes before the next
+# row's start, and the " , " it is blanked to for numpy's parse
+_ROW_SEPARATOR = np.frombuffer(b"],[", dtype=np.uint8)
+_BLANKED_SEPARATOR = np.frombuffer(b" , ", dtype=np.uint8)
+_SEPARATOR_BACK = np.arange(3, 0, -1)
 
 
 def _table_json(table: np.ndarray):
@@ -1025,44 +1095,61 @@ def _row_starts(text: str, lo: int) -> list[int] | None:
     return starts
 
 
-def _block_cells(block: str, rows: int, cols: int) -> bytes | None:
-    """The cells of `block` as one ","-joined byte string, when it is
-    `rows` rows joined by "],[", each a ","-joined run of `cols` nonempty
-    digit tokens; None otherwise."""
-    try:
-        lines = block.encode("ascii").split(b"],[")
-    except UnicodeEncodeError:
-        return None
-    if len(lines) != rows or any(line.count(b",") != cols - 1 for line in lines):
-        return None
-    cells = b",".join(lines)
-    if not cells or cells.translate(None, b"0123456789,"):
-        return None
-    is_comma = np.frombuffer(cells, dtype=np.uint8) == ord(",")
-    empty_token = is_comma[0] or is_comma[-1] or (is_comma[1:] & is_comma[:-1]).any()
-    return None if empty_token else cells
+def _read_block(block: str, bounds: list[int], n: int, out: np.ndarray | None) -> bool:
+    """Whether `block` is rows of a canonical table of order n, one at each
+    offset of `bounds` but the last, row k being `block[bounds[k] -
+    bounds[0]:bounds[k + 1] - bounds[0] - 3]`: rows joined by "],[", each a
+    ","-joined run of n nonempty digit tokens.  With `out`, those rows of a
+    `TABLE_DTYPE` table of order n, the block is parsed into it (nothing is
+    written when it fails) and the parse must be exact with every cell below
+    n; without it nothing is parsed, and no token may have a leading zero.
 
-
-def _has_leading_zero(flat: bytes) -> bool:
-    return (flat[:1] == b"0" and flat[1:2].isdigit()) or _LEADING_ZERO.search(flat) is not None
-
-
-def _parsed_block(cells: bytes, out: np.ndarray) -> bool:
-    """Parse `cells` into a block-sized int32 array and narrow it into
-    `out`, a run of rows of a `TABLE_DTYPE` table of order n; whether the
-    parse was exact, every token canonical (digits, no leading zero, at
-    most 9 digits) and every cell below n.  Nothing is written otherwise.
-
-    The parse is exact when the digit counts of the values, each counted up
-    to 9, add up to the digits in the text: a token with a leading zero, or
-    one of 10 digits or more (which numpy wraps into int32), has more
-    digits than its value is counted with."""
-    values = np.fromstring(cells, dtype=np.int32, sep=",", count=out.size)
-    top = values.max()
-    if top >= out.shape[1]:
+    The proof is numpy passes over the block's ASCII bytes, which release
+    the GIL: the "],[" at each row start is checked and its brackets blanked
+    to spaces; each row must hold n - 1 commas (n with the separator's);
+    every other byte must be a digit; and the block must hold one digit run
+    per token, since a token holds no space but at its ends, so no token is
+    empty.  numpy then parses the bytes, " , " between rows included, into a
+    block-sized uint32 array.  The parse is exact when the digit counts of
+    the values, each counted up to 9, add up to the digits in the text: a
+    token with a leading zero, or one of 10 digits or more (which numpy
+    wraps or saturates into uint32), has more digits than its value is
+    counted with."""
+    rows = len(bounds) - 1
+    if min(map(operator.sub, bounds[1:], bounds)) < 4:    # a row of no character
         return False
-    digits = values.size + sum(int(np.count_nonzero(values >= p)) for p in _CELL_POWERS if p <= top)
-    if digits != len(cells) - (values.size - 1):
+    try:
+        data = np.frombuffer(block.encode("ascii"), dtype=np.uint8).copy()
+    except UnicodeEncodeError:
+        return False
+    offsets = np.subtract(bounds[:-1], bounds[0])
+    seps = offsets[1:, None] - _SEPARATOR_BACK           # the "],[" before each later row
+    if np.count_nonzero(data[seps] != _ROW_SEPARATOR):
+        return False
+    data[seps] = _BLANKED_SEPARATOR
+    # per-row comma counts; a uint32 count that wrapped would leave more
+    # commas than rows * n - 1 in all, which the digit total below refuses
+    commas = np.add.reduceat((data == ord(",")).view(np.uint8), offsets, dtype=np.uint32)
+    commas[-1] += 1
+    is_digit = (data - ord("0")) < 10                     # uint8 wraps below "0"
+    digits = np.count_nonzero(is_digit)
+    # a digit run has one start and one end, each at a boundary or the block's edge
+    runs = np.count_nonzero(is_digit[1:] != is_digit[:-1]) + int(is_digit[0]) + int(is_digit[-1])
+    # with n commas a row, the digits are every byte but the commas and blanks
+    if (np.count_nonzero(commas != n) or digits != data.size - (rows * n - 1) - 2 * (rows - 1)
+            or runs != 2 * rows * n):
+        return False
+    if out is None:
+        # a "0" that starts its token and is followed by a digit
+        first = data == ord("0")
+        first[1:] &= ~is_digit[:-1]
+        return not (first[:-1] & is_digit[1:]).any()
+    values = np.fromstring(data.tobytes(), dtype=np.uint32, sep=",", count=out.size)
+    top = values.max()
+    if top >= n:
+        return False
+    if values.size + sum(int(np.count_nonzero(values >= p)) for p in _CELL_POWERS if p <= top) \
+            != digits:
         return False
     out[...] = values.reshape(out.shape)
     return True
@@ -1071,21 +1158,21 @@ def _parsed_block(cells: bytes, out: np.ndarray) -> bool:
 def _read_table(text: str, starts: list[int], out=None, stop=None) -> bool:
     """Whether the rows at `starts` (`_row_starts`) are the body of a
     canonical n-by-n table, walked one block of whole rows at a time
-    (`_row_blocks`).  With `out`, an n-by-n `TABLE_DTYPE` array, each
-    block is parsed into its rows (`_parsed_block`).  Without it nothing is
-    parsed, and a token with a leading zero fails instead, so True means
-    the body is JSON.  The walk stops at the first block that fails and
-    then sets `stop`, a `threading.Event` shared with the walk of the other
-    table, if given; it also stops, false, after a block once `stop` is set."""
+    (`_row_blocks`), each proved by `_read_block`.  With `out`, an n-by-n
+    `TABLE_DTYPE` array, each block is parsed into its rows.  Without it
+    nothing is parsed, and a token with a leading zero fails instead, so
+    True means the body is JSON.  The walk stops at the first block that
+    fails and then sets `stop`, a `threading.Event` shared with the walk of
+    the other table, if given; it also stops, false, after a block once
+    `stop` is set."""
     n = len(starts) - 1
     for r0, r1 in _row_blocks(n, n):
         end = starts[r1] - 3
         # a block but the last ends at the "],[" of the "[" found for the
-        # next row; a "[" outside a "],[" fails that check or the charset
+        # next row; a "[" outside a "],[" fails that check or `_read_block`'s
         ended = r1 == n or text.startswith("],[", end)
-        cells = _block_cells(text[starts[r0]:end], r1 - r0, n) if ended else None
-        if cells is None or (_has_leading_zero(cells) if out is None
-                             else not _parsed_block(cells, out[r0:r1])):
+        if not (ended and _read_block(text[starts[r0]:end], starts[r0:r1 + 1], n,
+                                      None if out is None else out[r0:r1])):
             if stop is not None:
                 stop.set()
             return False

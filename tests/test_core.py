@@ -203,7 +203,8 @@ def test_light_passes_hold_one_table_at_a_time():
         R = dsl.build_str(expr)
         gens = core.additive_generators(R.add, R.zero)
         assert (R.order, len(gens)) == (order, rank)
-        peak = traced_peak(core._generator_triple_checks, R.add, R.mul, gens)
+        peak = traced_peak(lambda: core._generator_triple_checks(
+            R.add, R.mul, core._group_generators(R.add, R.zero)))
         assert peak < 0.25 * R.order ** 2 * 4, expr
 
 
@@ -846,8 +847,8 @@ def test_over_guard_refusal_holds_one_block_of_the_text():
 
 def test_canonical_load_holds_no_copy_of_the_text():
     # a load holds the text, its two uint16 tables and one row block of the
-    # text and its int32 parse: no whole-table copy of the text and no int32
-    # table.  Here the text is about 13 MB and the two tables 6.7 MB
+    # text and its uint32 parse: no whole-table copy of the text and no
+    # uint32 table.  Here the text is about 13 MB and the two tables 6.7 MB
     R = dsl.build_str("K(Z6,s=0)")
     text = core.ring_to_json(R)
     loaded = []
@@ -1175,3 +1176,36 @@ def test_additive_generators_match_whole_span_closure_on_catalog():
         R = dsl.build(expr)
         assert core.additive_generators(R.add, R.zero) == \
             oracles.additive_generators(R.add, R.zero), label
+
+
+def test_catalog_rings_take_their_generators_from_the_coset_walk(monkeypatch):
+    # on every catalog ring the walk reaches the whole group with the greedy
+    # generators, so validation never falls back to the greedy search
+    greedy, real = [], core.additive_generators
+    monkeypatch.setattr(core, "additive_generators",
+                        lambda add, zero: greedy.append(add.shape[0]) or real(add, zero))
+    for label, expr in dsl.catalog():
+        R = dsl.build(expr)
+        assert core._coset_generators(R.add, R.zero) == real(R.add, R.zero), label
+        core.validate_ring(R.add, R.mul, R.zero, R.one)
+    assert greedy == []
+
+
+def test_coset_walk_gives_up_where_a_translation_is_not_injective(monkeypatch):
+    # commutative with identity 0 and inverses, but x -> x + 2 sends both
+    # members 0 and 1 of the span <1> to 2: the coset <1> + 2 repeats an
+    # element, so the walk gives up, and validation takes the greedy
+    # generators, whose Light test names the rejection
+    add = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 0, 1], [3, 3, 1, 0]])
+    mul = np.zeros((4, 4), dtype=np.int64)
+    mul[1] = mul[:, 1] = np.arange(4)
+    assert core._coset_generators(add, 0) is None
+    greedy, real = [], core.additive_generators
+    monkeypatch.setattr(core, "additive_generators",
+                        lambda add, zero: greedy.append(zero) or real(add, zero))
+    with pytest.raises(AxiomViolation) as exc:
+        core.validate_ring(add, mul, 0, 1)
+    with pytest.raises(AxiomViolation) as expected:
+        oracles.two_sided_generator_checks(add, mul, oracles.additive_generators(add, 0))
+    assert (exc.value.kind, exc.value.witness) == (expected.value.kind, expected.value.witness)
+    assert exc.value.kind == "add-associativity" and greedy == [0]

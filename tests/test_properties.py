@@ -423,10 +423,12 @@ def test_damaged_dumps_load_or_raise_malformed_ring(text):
 
 CATALOG = dsl.catalog()
 _MUTATIONS = ["shifted", "leading-zero", "wide", "twenty-digits", "not-an-index", "empty",
-              "non-ascii", "ragged", "whitespace", "duplicate-add", "trailing", "bytes"]
+              "non-ascii", "ragged", "separator", "whitespace", "duplicate-add", "trailing",
+              "bytes"]
 # the text that replaces one cell, by mutation; json.loads makes an int64
 # table of cells below 2^63 and a float64 one past it, and the direct
-# decoder parses into int32, which wraps a cell of 10 digits or more
+# decoder parses into uint32, which wraps or saturates a cell of 10 digits
+# or more
 _CELL_TOKENS = {
     "wide": st.one_of(st.sampled_from([10 ** 9 - 1, 10 ** 9, 2 ** 31 - 1, 2 ** 31, 2 ** 32,
                                        2 ** 32 + 1, 10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1, 2 ** 63]),
@@ -456,6 +458,8 @@ def _mutation_arg(how: str, text: str):
         return _CELL_TOKENS[how]
     if how == "whitespace":
         return st.tuples(st.integers(0, len(text)), st.sampled_from([" ", "\n", "\t", "\r"]))
+    if how == "separator":
+        return st.sampled_from(["]_", "5,", "] ", "]]", ",,", "0]"])
     if how == "duplicate-add":
         return st.sampled_from(["[[0]]", "[[0,1],[1,0]]"])
     if how == "trailing":
@@ -482,6 +486,9 @@ def _mutated(text: str, n: int, table: str, i: int, j: int, how: str, arg):
         return _edit_table(text, table, set_cell(lambda cell: arg))
     if how == "ragged":
         return _edit_table(text, table, move_last_cell)
+    if how == "separator":   # the "]," before the "[" that opens row i (row 1 for row 0)
+        at = cell_offset(text, table, max(i, 1), 0)
+        return text[:at - 3] + arg + text[at - 1:]
     if how == "whitespace":
         at, space = arg
         return text[:at] + space + text[at:]
@@ -499,9 +506,9 @@ def mutated_dumps(draw):
     to 11 digits (about the widest cell the direct decoder takes) or of 18
     or 19 digits, of 20 digits, that is no element index (-1, 1.0, true),
     empty, or with a character that is not ASCII; the last cell of one row
-    moved to another (ragged rows, square total); whitespace anywhere; a
-    duplicate trailing "add" key; data after the object; bytes instead of
-    str."""
+    moved to another (ragged rows, square total); the "]," before the "["
+    of a row garbled; whitespace anywhere; a duplicate trailing "add" key;
+    data after the object; bytes instead of str."""
     R = dsl.build(draw(st.sampled_from(CATALOG))[1])
     text = core.ring_to_json(R)
     n = R.order
@@ -535,6 +542,9 @@ def _load_with_path(text):
     parse, loads = np.fromstring, json.loads
 
     def spy(*args, **kwargs):
+        # the text is handed over as bytes: given an ndarray, numpy parses
+        # its str() instead
+        assert type(args[0]) is bytes
         on_main.append(threading.current_thread() is threading.main_thread())
         return parse(*args, **kwargs)
 
@@ -575,10 +585,14 @@ def _catalog_ring_of_order(least: int) -> core.FiniteRing:
                key=lambda R: R.order)
 
 
-# what a mutation is given in the deterministic comparison below
-_MUTATION_EXAMPLES = {"wide": str(2 ** 32 + 1), "twenty-digits": str(10 ** 19),
-                      "not-an-index": "true", "empty": "", "non-ascii": "\u0661",
-                      "duplicate-add": "[[0,1],[1,0]]", "trailing": "x"}
+# what a mutation is given in the deterministic comparison below, one or
+# more examples each: numpy's uint32 parse wraps 2^32 + 1 and saturates
+# 2^64 and 2^64 + 1
+_MUTATION_EXAMPLES = {"wide": [str(2 ** 32 + 1)],
+                      "twenty-digits": [str(10 ** 19), str(2 ** 64), str(2 ** 64 + 1)],
+                      "not-an-index": ["true"], "empty": [""], "non-ascii": ["\u0661"],
+                      "separator": ["]_", "5,"],
+                      "duplicate-add": ["[[0,1],[1,0]]"], "trailing": ["x"]}
 # the mutations whose text passes the text checks, so its cells are parsed
 _PARSED = {"shifted", "leading-zero", "wide", "twenty-digits"}
 
@@ -603,18 +617,21 @@ def test_ring_from_json_matches_json_loads_on_both_parse_paths(how, table, past_
         lo, hi = next(block for block in core._row_blocks(n, n) if block[1] > n // 2)
         for i, j in ((n // 2, n // 3), (lo, 0), (hi - 1, n - 1)):
             if how == "whitespace" and (i, j) == (n // 2, n // 3):   # after the table's first cell
-                arg = (dump.index(",", dump.index(f'"{table}":[[')) + 1, " ")
+                args = [(dump.index(",", dump.index(f'"{table}":[[')) + 1, " ")]
             elif how == "whitespace":   # before the token
-                arg = (cell_offset(dump, table, i, j), " ")
+                args = [(cell_offset(dump, table, i, j), " ")]
             else:
-                arg = _MUTATION_EXAMPLES.get(how)
-            text = _mutated(dump, n, table, i, j, how, arg)
-            outcome, threads, handed = _load_with_path(text)
-            assert outcome == _load_outcome(oracles.ring_from_loaded_json, text), (cells, i, j)
-            if how not in _PARSED:
-                assert handed, (cells, i, j)   # a text check fails, and json.loads decides
-            else:
-                assert threads == ("two threads" if n * n > cells else "one thread"), (cells, i, j)
+                args = _MUTATION_EXAMPLES.get(how, [None])
+            for arg in args:
+                text = _mutated(dump, n, table, i, j, how, arg)
+                outcome, threads, handed = _load_with_path(text)
+                assert outcome == _load_outcome(oracles.ring_from_loaded_json, text), \
+                    (cells, i, j, arg)
+                if how not in _PARSED:
+                    assert handed, (cells, i, j)   # a text check fails, and json.loads decides
+                else:
+                    assert threads == ("two threads" if n * n > cells else "one thread"), \
+                        (cells, i, j, arg)
 
 
 # --- expression round-trip -------------------------------------------------
@@ -704,3 +721,57 @@ def commutative_tables(draw):
 @settings(max_examples=300, deadline=None)
 def test_additive_generators_match_whole_span_closure(add):
     assert core.additive_generators(add, 0) == oracles.additive_generators(add, 0)
+
+
+@st.composite
+def inverse_tables(draw):
+    """A `commutative_tables` table in which every element has an inverse:
+    a drawn involution of 1..n-1 pairs the elements, and each pair sums to
+    0, so the group laws but associativity hold."""
+    table = draw(commutative_tables())
+    rest = draw(st.permutations(range(1, table.shape[0])))
+    for i, j in zip(rest[::2], rest[1::2]):
+        table[i, j] = table[j, i] = 0
+    if len(rest) % 2:
+        table[rest[-1], rest[-1]] = 0
+    return table
+
+
+@st.composite
+def relabeled_groups(draw):
+    """The addition of Z_a x Z_b, order 2 to 24, with its elements other
+    than 0 relabeled by a drawn permutation, so that the greedy generators
+    are not in coordinate order."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    x = np.arange(a * b)
+    table = ((x[:, None] // b + x // b) % a) * b + (x[:, None] + x) % b
+    perm = np.array([0, *draw(st.permutations(range(1, a * b)))])
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out
+
+
+@given(st.one_of(commutative_tables(), inverse_tables(), relabeled_groups()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_coset_walk_generators_are_the_greedy_ones(add, data):
+    # whenever the walk's generators pass Light's test they are the greedy
+    # set, and validation, with a drawn product whose identity is 1, raises
+    # what validation on the greedy set alone raises, law and instance
+    gens = core._coset_generators(add, 0)
+    light = gens is not None
+    if light:
+        try:
+            core._check_light(add, gens)
+        except AxiomViolation:
+            light = False
+    event(f"walk: {'gave up' if gens is None else 'Light holds' if light else 'Light fails'}")
+    if light:
+        assert gens == oracles.additive_generators(add, 0)
+    n = add.shape[0]
+    cells = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    mul = np.array(cells).reshape(n, n)
+    mul[1] = mul[:, 1] = np.arange(n)
+    walked = _validation_outcome(add, mul, 0, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_coset_generators", lambda add, zero: None)
+        assert walked == _validation_outcome(add, mul, 0, 1)
