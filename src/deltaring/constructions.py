@@ -539,7 +539,9 @@ def _require_rr_bimodule(R: FiniteRing, M: Bimodule | None) -> Bimodule:
 def _check_ring_part(out: FiniteRing, R: FiniteRing) -> None:
     """Verify that the units of `out`, a ring on tuples whose first
     coordinate is its R part, are exactly the tuples with a unit R part, and
-    likewise for the delta set; the masks stay in `out`'s memo."""
+    likewise for the delta set.  The masks stay in the memo of `out`'s
+    tables, which a later ring on equal tables reads instead of computing
+    them again: a pure function of the tables, so that changes no output."""
     rpart = np.arange(out.order) // (out.order // R.order)
     check_internal(np.array_equal(subsets.unit_mask(out), subsets.unit_mask(R)[rpart]),
                    f"units of {out.label} are not the elements with a unit ring part")

@@ -95,8 +95,24 @@ ring law holds on the subset.  The subset of every element is closed by
 definition and induces R's own tables, so that subring (the unit subring
 of a ring its units generate, `corner_ring(R, 1)`) shares R's frozen
 tables and negation instead of copying them, under its own label and
-names and with a fresh memo: what is computed on it is computed anew, not
-read from R's memo.
+names and with a memo of its own.
+
+Element sets are memoized per tables, not per ring object (`_table_memo`):
+rings on equal (add, mul, zero, one) compute each set once and read the
+one value, while a ring's own memo, `_cache`, keeps what names or holds
+the ring (class reports, R/J, the unit subring).  Derived rings repeat:
+R/{0} is R's tables, the unit subring of a ring its units generate and
+the corner at 1 are R's tables, and Z2's tables are R/I for many catalog
+rings.  Sharing cannot change an output, since a shared value is a pure
+function of the tables, and it costs no check its power: no ring identity
+is used, only literal equality of both tables, so where a check compares
+two rings on equal tables it compared a deterministic function with itself
+before, and a set's postconditions still run once for each distinct pair
+of tables.  A ring is looked up on the first set it is asked for, so a
+ring asked for none pays nothing; the key is an O(n) fingerprint, and a
+key match counts only when both tables are equal, shared arrays at once
+and others one row block at a time.  The registry holds its memos weakly,
+and each dies with the last ring on its tables.
 """
 
 from __future__ import annotations
@@ -104,6 +120,8 @@ from __future__ import annotations
 import json
 import math
 import operator
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,7 +363,8 @@ class FiniteRing:
     neg:  `TABLE_DTYPE` vector of additive inverses (read-only).
     """
 
-    __slots__ = ("label", "order", "add", "mul", "zero", "one", "names", "neg", "_cache")
+    __slots__ = ("label", "order", "add", "mul", "zero", "one", "names", "neg", "_cache",
+                 "_tables", "__weakref__")
 
     def __init__(self, label: str, add: np.ndarray, mul: np.ndarray, zero: int, one: int,
                  names: tuple[str, ...], neg: np.ndarray):
@@ -361,6 +380,7 @@ class FiniteRing:
         self.names = names
         self.neg = neg
         self._cache: dict = {}
+        self._tables: _TableMemo | None = None      # looked up by `_table_memo`
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.label!r}, order={self.order})"
@@ -379,6 +399,72 @@ class FiniteRing:
             base = int(self.mul[base, base])
             k >>= 1
         return result
+
+
+class _TableMemo(dict):
+    """The element sets computed from one pair of tables, shared by every
+    ring on tables equal to them.  Those rings hold it, and `rings` holds
+    weak references to them, so it dies with the last of them."""
+
+    __slots__ = ("rings", "__weakref__")
+
+    def __init__(self):
+        super().__init__()
+        self.rings: list[weakref.ref] = []
+
+    def live_ring(self) -> FiniteRing | None:
+        """A ring that holds this memo, if one is alive; dead references
+        are dropped on the way."""
+        while self.rings:
+            ring = self.rings[-1]()
+            if ring is not None:
+                return ring
+            self.rings.pop()
+        return None
+
+
+# hash of a fingerprint -> the memo of the tables first registered under it,
+# held weakly
+_TABLE_MEMOS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_TABLE_MEMO_LOCK = threading.Lock()
+
+
+def _fingerprint(ring: FiniteRing) -> int:
+    """An O(n) key of the tables: a hash of the order, 0, 1, the squares and
+    x -> 1 + x.  Equal keys are only a hint; the tables decide."""
+    return hash((ring.order, ring.zero, ring.one, ring.mul.diagonal().tobytes(),
+                 ring.add[ring.one].tobytes()))
+
+
+def _same_table(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two n-by-n tables are equal: at once when they are one array,
+    else compared one row block at a time, with no n-by-n temporary."""
+    return a is b or all(np.array_equal(a[lo:hi], b[lo:hi])
+                         for lo, hi in _row_blocks(a.shape[0], a.shape[1]))
+
+
+def _table_memo(ring: FiniteRing) -> _TableMemo:
+    """The memo `ring` shares with every live ring on equal tables.
+
+    Looked up on the first call: by the fingerprint, then by literal
+    equality of both tables with a live ring registered under it.  A ring
+    whose fingerprint is registered for unequal tables gets a memo of its
+    own.  A shared value is a pure function of (add, mul, zero, one), so
+    rings on equal tables compute it once and read the same value."""
+    if ring._tables is None:
+        key = _fingerprint(ring)
+        with _TABLE_MEMO_LOCK:
+            if ring._tables is None:
+                memo = _TABLE_MEMOS.get(key)
+                known = None if memo is None else memo.live_ring()
+                if known is None or not (_same_table(ring.add, known.add)
+                                         and _same_table(ring.mul, known.mul)):
+                    memo = _TableMemo()
+                    if known is None:
+                        _TABLE_MEMOS[key] = memo
+                memo.rings.append(weakref.ref(ring))
+                ring._tables = memo
+    return ring._tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -713,7 +799,8 @@ def _certified_ring(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one
 
 
 def _relabel(ring: FiniteRing, label: str) -> FiniteRing:
-    """The same certified tables under another label (a fresh memo)."""
+    """The same certified tables under another label, with a memo of its
+    own; its element sets are computed once for its tables."""
     return _certified_ring(label, ring.add, ring.mul, ring.zero, ring.one, ring.names, ring.neg)
 
 
@@ -877,7 +964,8 @@ def induced_subring(ring: FiniteRing, subset, one: int,
     correspondence.  `one` must be a two-sided identity on the subset.
     When the subset is every element, the result's tables and negation are
     the ring's own frozen arrays, shared rather than copied; its label,
-    names and memo are its own.
+    names and memo are its own, and its element sets are the ring's, each
+    computed once for the tables.
     """
     mask = _element_mask(ring, subset)
     elems = np.flatnonzero(mask).astype(TABLE_DTYPE)

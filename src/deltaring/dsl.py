@@ -477,7 +477,8 @@ def _require_field(q: int) -> None:
 def galois_field(q: int) -> FiniteRing:
     """GF(q) for q in SUPPORTED_FIELDS, made from the built Z_p.  GF(p) is
     Z_p under its own name: its frozen tables, proved once, with a memo of
-    its own.  GF(p^k) is the ring on coefficient tuples over Z_p
+    its own for its reports, and Z_p's element sets, computed once for the
+    tables.  GF(p^k) is the ring on coefficient tuples over Z_p
     (`constructions._over`) whose product reduces x^(a+b) modulo a fixed
     irreducible polynomial."""
     _require_field(q)

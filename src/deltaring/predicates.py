@@ -13,7 +13,9 @@ mask of R/J pulled back through the projection) and `_lifting` (idempotents
 lift modulo J); only uuc and strongly-2-nil-clean scan on their own.  The
 abelian mask reads `subsets.idempotent_commutant`.  Element sets are looked
 up in `subsets` at call time, so a wrapper installed there sees every call.
-Verdicts are memoized on the ring.
+Verdicts are memoized on the ring, since a report names it; the element
+sets they read, the regular mask among them, are memoized per tables and
+computed once for all rings on equal tables (`subsets`).
 
 Five masks decide each element by an equivalent condition that holds
 element by element in every ring, so the failing set and its smallest
@@ -610,7 +612,8 @@ def check_class(ring: FiniteRing, name: str) -> CheckReport:
     """Dispatch a class check by kebab-case name, memoized per ring.  Threads
     that race on one ring all get the report that was stored first."""
     key = class_key(name)
-    return subsets._memo(ring, ("class", key), lambda: CLASS_REGISTRY[key][1](ring, key))
+    return subsets._memo(ring, ("class", key), lambda: CLASS_REGISTRY[key][1](ring, key),
+                         shared=False)
 
 
 def class_verdict(ring: FiniteRing, name: str) -> bool:

@@ -4,11 +4,20 @@ Units, idempotents, nilpotents, tripotent elements, the Jacobson radical,
 the delta set {r : r + U(R) is contained in U(R)}, the prime radical and
 the quasinilpotents, each a read-only bool mask of length n (`*_mask`, and
 `prime_radical`), plus the unit-generated subring (`unit_subring`).  All
-functions are pure and memoized on the ring; each set that has a forced
-postcondition re-checks it and raises InternalInconsistency on failure
-(that would be an implementation bug, not bad input).  Callers look these
-functions up in this module when they call them, so a wrapper installed
-here sees every call.
+functions are pure; each set that has a forced postcondition re-checks it
+and raises InternalInconsistency on failure (that would be an
+implementation bug, not bad input).  Callers look these functions up in
+this module when they call them, so a wrapper installed here sees every
+call.
+
+Each set is memoized per tables (`_memo`, `core._table_memo`): it is a
+pure function of (add, mul, zero, one), so every ring on equal tables,
+such as GF(p) and Z_p, R/{0} and R, or Z2 and the many quotients R/I on
+Z2's tables, reads the value computed for the first of them, and its
+postconditions run once for those tables.  That changes no output and no
+check's power: the tables are compared literally, and two rings on equal
+tables gave one value before too.  The ring's own memo holds each value it
+read as well, and alone holds R/J and the unit subring, which hold the ring.
 
 A finite ring is artinian and strongly pi-regular, which gives three of
 the radical sets by identities that hold in every finite ring (Lam, *A
@@ -45,15 +54,22 @@ from .errors import InternalInconsistency
 QN_DEFINITION = "quasinilpotent: 1 + a*x is a unit for every x commuting with a"
 
 
-def _memo(ring: FiniteRing, key, compute):
-    """The value memoized on the ring under `key`, from `compute()` on a
-    miss; an array is stored read-only.  Threads that race on one ring all
-    get the value that was stored first."""
+def _memo(ring: FiniteRing, key, compute, shared: bool = True):
+    """The value memoized on the ring under `key`.  On a miss a `shared`
+    value is read from the memo of the ring's tables (`core._table_memo`),
+    and only computed, by `compute()`, when that misses too; it is then
+    stored in both.  A value that names the ring or holds it is not
+    `shared`.  An array is stored read-only.  Threads that race on one ring
+    all get the value that was stored first."""
     value = ring._cache.get(key)
     if value is None:
-        value = compute()
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+        tables = core._table_memo(ring) if shared else {}
+        value = tables.get(key)
+        if value is None:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            value = tables.setdefault(key, value)
         value = ring._cache.setdefault(key, value)
     return value
 
@@ -145,12 +161,15 @@ def unit_subring(ring: FiniteRing) -> tuple[FiniteRing, np.ndarray]:
     That makes it usable as an independent oracle: the delta set of the
     ambient ring must equal the radical of this subring, mapped back.
     When the units generate the whole ring, the subring shares the ring's
-    frozen tables but not its memo, so its radical is computed on its own.
+    frozen tables and so its memo of element sets: its radical is computed
+    once for those tables and is the ring's radical.  The oracle then
+    compares the radical with the delta set of one pair of tables, as it
+    did when each was computed on a ring object of its own.
     """
     def compute():
         members = core.subring_generated(ring, np.flatnonzero(unit_mask(ring)), unital=True)
         return core.induced_subring(ring, members, ring.one, label=f"unitspan({ring.label})")
-    return _memo(ring, "unit_subring", compute)
+    return _memo(ring, "unit_subring", compute, shared=False)
 
 
 def prime_radical(ring: FiniteRing) -> np.ndarray:
@@ -212,4 +231,4 @@ def sumset_mask(ring: FiniteRing, a_idx: np.ndarray, b_idx: np.ndarray) -> np.nd
 
 def radical_quotient(ring: FiniteRing) -> tuple[FiniteRing, core.RingHom]:
     """R/J(R) with its projection, cached."""
-    return _memo(ring, "rj", lambda: core.quotient_ring(ring, jacobson_mask(ring)))
+    return _memo(ring, "rj", lambda: core.quotient_ring(ring, jacobson_mask(ring)), shared=False)

@@ -9,7 +9,33 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from deltaring import core
+from deltaring import core, subsets
+
+
+@pytest.fixture(autouse=True)
+def empty_table_memos():
+    """Every test starts from an empty registry of table memos, so a ring
+    that a test makes computes its element sets instead of reading values
+    that an earlier test computed on equal tables.  Rings made before keep
+    the memos they hold."""
+    core._TABLE_MEMOS.clear()
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The (ring label, memo key) of each value that `subsets._memo`
+    computes, rather than reads, while the test runs, in order."""
+    runs = []
+    memo = subsets._memo
+
+    def spy(ring, key, compute, shared=True):
+        def run():
+            runs.append((ring.label, key))
+            return compute()
+        return memo(ring, key, run, shared)
+
+    monkeypatch.setattr(subsets, "_memo", spy)
+    return runs
 
 
 def bench_pool():

@@ -312,12 +312,14 @@ raise SystemExit(code)
 
 
 @pytest.mark.parametrize("expr", ["T(2,Z9)", "M(2,Z5)", "Prod(Z27,Z27)"])
-def test_info_payload_holds_its_tables_and_little_else(expr):
+def test_info_payload_holds_its_tables_and_little_else(expr, computed):
     # every pass of the payload that reduces a table runs in row blocks, so
     # on a fresh memo no temporary comes near the size of a table
     R = core._relabel(dsl.build_str(expr), expr)
     assert 625 <= R.order <= 729
     assert traced_peak(cli._info_payload, R) < R.order ** 2 * 4 / 2
+    keys = {key for label, key in computed if label == expr}
+    assert {"unit_mask", "jac_mask", "delta_mask", "idem_reach", "idem_commutant"} <= keys
 
 
 def test_cli_import_leaves_out_the_theorem_harness():

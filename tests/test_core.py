@@ -507,7 +507,7 @@ def test_induced_subring_certificate_rejections(zmod):
 
 
 @pytest.mark.parametrize("expr", ["Z8", "M(2,Z2)", "T(2,Z3)", "GR(Z2,S3)"])
-def test_full_induced_subrings_share_the_parent_tables(expr):
+def test_full_induced_subrings_share_the_parent_tables(expr, computed):
     # a subset of every element induces the ring's own tables: the unit
     # subring of a ring its units generate, and the corner at the identity,
     # share R's frozen arrays, under their own label and names and memo
@@ -528,10 +528,11 @@ def test_full_induced_subrings_share_the_parent_tables(expr):
             assert np.array_equal(ours, gathered), name
         assert sub._cache is not R._cache
     assert span._cache is not corner._cache
-    # the radical of the unit subring is computed on its own memo
+    # the radical of the unit subring is computed once for its tables
     assert "jac_mask" not in R._cache
     subsets.jacobson_mask(span)
     assert "jac_mask" in span._cache and "jac_mask" not in R._cache
+    assert computed.count((span.label, "jac_mask")) == 1
     # a full subset still needs its identity, and all but 1 and -1 holds 0
     # and its negatives but is not closed: x + (1 - x) = 1
     with pytest.raises(AxiomViolation, match="mul-identity"):

@@ -223,17 +223,25 @@ def test_oracle_check_detects_sabotage(monkeypatch):
 
 
 @pytest.mark.parametrize("check_id", list(harness.CHECKS))
-def test_subring_checks_copy_no_catalog_tables(check_id):
+def test_subring_checks_copy_no_catalog_tables(check_id, monkeypatch):
     # every check, run on fresh memos of the catalog rings, traces less than
     # 2 MiB.  T-oracle's unit subrings and T3.7's corners at the identity are
     # the whole ring for most of the catalog; they share its tables instead
     # of copying them (24 MiB and 4.6 MiB traced when copied)
     fresh = [core._relabel(R, R.label) for R in harness.catalog_rings()]
-    result = []
+    result, runs, memo = [], [0], subsets._memo
+
+    def counted(ring, key, compute, shared=True):     # a list of each run would be traced
+        def run():
+            runs[0] += 1
+            return compute()
+        return memo(ring, key, run, shared)
+
+    monkeypatch.setattr(subsets, "_memo", counted)
     assert traced_peak(lambda: result.append(harness.run_check(check_id, fresh))) < 2 << 20
     assert result[0].verdict
     if check_id in ("T-oracle", "T3.7"):
-        assert result[0].scope_size > 50
+        assert result[0].scope_size > 50 and runs[0] > result[0].scope_size
 
 
 def test_mutation_sensitivity_single_cells(zmod):

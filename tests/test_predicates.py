@@ -155,7 +155,7 @@ MASK_SAMPLE = ("Z4", "Z6", "Z8", "Z12", "GF(8)", "M(2,Z2)", "T(2,Z2)", "T(2,Z3)"
 
 
 @pytest.mark.parametrize("block_cells", [None, 4])
-def test_element_masks_match_literal_conditions(monkeypatch, block_cells):
+def test_element_masks_match_literal_conditions(monkeypatch, block_cells, computed):
     # the regular, pi-regular, exchange and semipotent masks come from the
     # idempotents-in-a*R matrix, the unit-regular mask from the product set
     # E*U, the strongly-nil-clean mask from the idempotent commutant, and the
@@ -171,11 +171,13 @@ def test_element_masks_match_literal_conditions(monkeypatch, block_cells):
             assert ELEMENT_MASKS[name](R).tolist() == expected, (expr, name)
             if not all(expected):
                 seen_false.add(name)
+        for key in ("idem_reach", "regular_mask", "idem_commutant"):
+            assert computed.count((expr, key)) == 1, (expr, key)
     assert seen_false == {"regular", "unit-regular", "strongly-regular", "strongly-nil-clean"}
 
 
 @pytest.mark.parametrize("block_cells", [None, 4])
-def test_idempotent_commutant_is_literal_commuting(monkeypatch, block_cells):
+def test_idempotent_commutant_is_literal_commuting(monkeypatch, block_cells, computed):
     # row j of the commutant says which x commute with the j-th smallest
     # idempotent e: e*x == x*e, cell by cell
     if block_cells is not None:
@@ -186,6 +188,7 @@ def test_idempotent_commutant_is_literal_commuting(monkeypatch, block_cells):
         expected = [[mul[e][x] == mul[x][e] for x in range(R.order)]
                     for e in oracles.naive_idempotents(R)]
         assert subsets.idempotent_commutant(R).tolist() == expected, expr
+        assert computed.count((expr, "idem_commutant")) == 1, expr
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +263,7 @@ def test_jacobson_pair_examples():
 
 
 @pytest.mark.parametrize("block_cells", [None, 4])
-def test_jacobson_pair_scan_matches_the_whole_array_scan(monkeypatch, block_cells):
+def test_jacobson_pair_scan_matches_the_whole_array_scan(monkeypatch, block_cells, computed):
     # T2.11 compares row blocks of [1 - ab in delta] with column blocks of
     # [1 - ba in delta]; the report must be the literal n-by-n comparison's,
     # its witness the first failing pair in row-major order.  Every catalog
@@ -271,9 +274,10 @@ def test_jacobson_pair_scan_matches_the_whole_array_scan(monkeypatch, block_cell
     rng = np.random.default_rng(7)
     rings = [R for R in harness.catalog_rings() if R.order <= 64]
     assert any(not class_verdict(R, "delta-u") for R in rings)
-    failed = 0
+    failed, fresh = 0, []
     for ring in rings:
         R = core._relabel(ring, ring.label)                 # a fresh memo
+        fresh.append(R)
         notes = f"delta-u hypothesis {'holds' if class_verdict(R, 'delta-u') else 'does not hold'}"
         for delta in (subsets.delta_mask(R), rng.random(R.order) < 0.5):
             in_delta = delta[R.add[R.one, R.neg][R.mul]]
@@ -289,6 +293,10 @@ def test_jacobson_pair_scan_matches_the_whole_array_scan(monkeypatch, block_cell
             assert report.notes == notes, R.label
             failed += not report.verdict
     assert failed > 10
+    # each delta set read above was computed in this test, once for its tables
+    labels = {label for label, key in computed if key == "delta_mask"}
+    for R in fresh:
+        assert labels & {S.label for S in fresh if S._tables is R._tables}, R.label
 
 
 def test_jacobson_pair_scan_holds_no_table():

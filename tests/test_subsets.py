@@ -1,13 +1,26 @@
 from __future__ import annotations
 
+import gc
+import threading
+
 import numpy as np
 import pytest
 
-from deltaring import core, dsl, harness, subsets
+from deltaring import core, dsl, harness, predicates, subsets
 from deltaring.errors import InternalInconsistency
 
 import oracles
+from conftest import traced_peak
 from oracles import members
+
+# every element set memoized per tables, under its memo key
+SHARED_SETS = {"unit_mask": subsets.unit_mask, "idem_mask": subsets.idempotent_mask,
+               "nil_mask": subsets.nilpotent_mask, "trip_mask": subsets.tripotent_mask,
+               "one_minus": subsets.one_minus, "jac_mask": subsets.jacobson_mask,
+               "delta_mask": subsets.delta_mask, "nilstar_mask": subsets.prime_radical,
+               "idem_commutant": subsets.idempotent_commutant,
+               "qn_mask": subsets.quasinilpotent_mask, "idem_reach": subsets.idempotent_reach,
+               "regular_mask": predicates._regular_mask}
 
 
 def test_units_examples(zmod):
@@ -90,17 +103,19 @@ def test_radical_identities_against_definitions():
             oracles.naive_quasinilpotents(R), R.label
 
 
-def test_radical_at_split_blocks(monkeypatch):
+def test_radical_at_split_blocks(monkeypatch, computed):
     # the radical scan reads `mul` in row blocks; one row per block must give
     # the radical too
     monkeypatch.setattr(core, "_BLOCK_CELLS", 1)
     for expr in ("T(2,Z4)", "GR(Z4,C2)", "M(2,Z2)", "K(Z4,s=2)"):
         R = core._relabel(dsl.build_str(expr), expr)          # a fresh memo
         assert members(subsets.jacobson_mask(R)) == oracles.naive_jacobson(R), expr
+        assert computed.count((expr, "jac_mask")) == 1, expr
 
 
 @pytest.mark.parametrize("block_cells", [None, 4])
-def test_idempotent_reach_is_membership_in_principal_right_ideals(monkeypatch, block_cells):
+def test_idempotent_reach_is_membership_in_principal_right_ideals(monkeypatch, block_cells,
+                                                                  computed):
     # P[a, j] says whether the j-th smallest idempotent lies in a*R; checked
     # against the literal sets a*R, with the table in one block and in
     # blocks of one row
@@ -111,6 +126,7 @@ def test_idempotent_reach_is_membership_in_principal_right_ideals(monkeypatch, b
         idem = oracles.naive_idempotents(R)
         expected = [[e in set(row) for e in idem] for row in R.mul.tolist()]
         assert subsets.idempotent_reach(R).tolist() == expected, expr
+        assert computed.count((expr, "idem_reach")) == 1, expr
 
 
 def test_oracle_identity_on_sample(zmod):
@@ -182,3 +198,100 @@ def test_internal_inconsistency_guard(zmod):
     R._cache["jac_mask"] = bad_jac
     with pytest.raises(InternalInconsistency):
         subsets.delta_mask(R)
+
+
+def test_rings_on_equal_tables_compute_each_set_once(computed):
+    # GF(p) is Z_p under its own name, R/{0} is R's tables under bracketed
+    # names, and the T3.5 quotients Z4/J and Z8/J are both Z2's tables: each
+    # set is computed once for each pair of tables, and every ring on them
+    # reads that value
+    dsl.clear_build_cache()
+    Z5, F5 = dsl.build_str("Z5"), dsl.build_str("GF(5)")
+    R = dsl.build_str("T(2,Z3)")
+    R0, _ = core.quotient_ring(R, np.arange(R.order) == R.zero)
+    Z4, Z8 = dsl.build_str("Z4"), dsl.build_str("Z8")
+    Q4, _ = core.quotient_ring(Z4, subsets.jacobson_mask(Z4))
+    Q8, _ = core.quotient_ring(Z8, subsets.jacobson_mask(Z8))
+    assert R0.add is R.add and Q4.add is not Q8.add
+    for A, B in ((Z5, F5), (R, R0), (Q4, Q8)):
+        for key, fn in SHARED_SETS.items():
+            assert fn(B) is fn(A), (A.label, key)
+            assert sum(label in (A.label, B.label) for label, k in computed if k == key) == 1
+        assert B._tables is A._tables and B._cache is not A._cache
+
+
+def test_rings_on_unequal_tables_with_one_fingerprint_share_nothing(computed):
+    # T(2,Z2) and its opposite ring have one order, 0, 1, squares and 1 + x,
+    # but not one product; a third ring on T(2,Z2)'s tables still shares them
+    R = core._relabel(dsl.build_str("T(2,Z2)"), "T(2,Z2)")
+    op = core.validate_ring(R.add, R.mul.T, R.zero, R.one, label="T(2,Z2)op")
+    again = core._relabel(R, "again")
+    assert core._fingerprint(op) == core._fingerprint(R)
+    reach = [subsets.idempotent_reach(S) for S in (R, op, again)]
+    assert op._tables is not R._tables and again._tables is R._tables
+    assert reach[2] is reach[0] and not np.array_equal(reach[1], reach[0])
+    for S, got in zip((R, op), reach):
+        idem = oracles.naive_idempotents(S)
+        assert got.tolist() == [[e in set(row) for e in idem] for row in S.mul.tolist()]
+    assert [label for label, key in computed if key == "idem_reach"] == ["T(2,Z2)", "T(2,Z2)op"]
+
+
+def test_table_memo_dies_with_its_last_ring():
+    first = core._relabel(dsl.build_str("Z6"), "first")
+    second = core._relabel(first, "second")
+    subsets.unit_mask(first)
+    subsets.unit_mask(second)
+    key, memo = core._fingerprint(first), first._tables
+    assert core._TABLE_MEMOS[key] is memo is second._tables
+    del first, memo
+    gc.collect()
+    # the ring that registered the memo is gone, the one that shares it is not
+    third = core._relabel(second, "third")
+    subsets.unit_mask(third)
+    assert third._tables is second._tables is core._TABLE_MEMOS[key]
+    del second, third
+    gc.collect()
+    assert key not in core._TABLE_MEMOS
+
+
+def test_class_reports_on_equal_tables_name_their_own_ring():
+    R = dsl.build_str("M(2,Z2)")
+    R0, _ = core.quotient_ring(R, np.arange(R.order) == R.zero)
+    ours, theirs = (predicates.check_class(S, "2-delta-u") for S in (R, R0))
+    assert R0._tables is R._tables and not ours.verdict and ours is not theirs
+    assert (ours.subject, theirs.subject) == (R.label, R0.label)
+    assert [w.element for w in theirs.witness] == [w.element for w in ours.witness]
+    assert [w.display for w in theirs.witness] == [f"[{w.display}]" for w in ours.witness]
+
+
+def test_table_lookup_holds_no_table():
+    # a ring built twice has equal tables in distinct arrays, compared one
+    # row block at a time; the whole comparison would trace n^2 bytes
+    dsl.clear_build_cache()
+    first = dsl.build_str("Prod(Z32,Z64)")
+    core._table_memo(first)
+    dsl.clear_build_cache()
+    second = dsl.build_str("Prod(Z32,Z64)")
+    assert second.add is not first.add and second.mul is not first.mul
+    assert traced_peak(core._table_memo, second) < 0.05 * second.order ** 2
+    assert second._tables is first._tables
+    dsl.clear_build_cache()
+
+
+def test_racing_threads_share_one_memoized_set():
+    # threads on distinct rings with equal tables start together; each may
+    # compute the radical, but all must get the one stored first
+    R = dsl.build_str("T(3,Z2)")
+    rings = [core._relabel(R, f"copy{i}") for i in range(4)]
+    barrier, got = threading.Barrier(4), [None] * 4
+
+    def work(i):
+        barrier.wait(timeout=60)
+        got[i] = subsets.jacobson_mask(rings[i])
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert got[0] is not None and all(g is got[0] for g in got)
+    assert all(S._tables is rings[0]._tables for S in rings)
