@@ -99,8 +99,8 @@ names and with a memo of its own.
 
 Element sets are memoized per tables, not per ring object (`_table_memo`):
 rings on equal (add, mul, zero, one) compute each set once and read the
-one value, while a ring's own memo, `_cache`, keeps what names or holds
-the ring (class reports, R/J, the unit subring).  Derived rings repeat:
+one value, while a ring's own memo keeps what names or holds the ring
+(class reports, R/J, the unit subring).  Derived rings repeat:
 R/{0} is R's tables, the unit subring of a ring its units generate and
 the corner at 1 are R's tables, and Z2's tables are R/I for many catalog
 rings.  Sharing cannot change an output, since a shared value is a pure
