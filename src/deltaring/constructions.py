@@ -17,29 +17,16 @@ ring of a term list on R^k, and one builder, `_tuple_ring`, makes every
 ring.  A ring is named by its default form, e.g. `FT(R,S,0)`, which
 `dsl.build` replaces by the canonical form.
 
-`_tuple_ring` fills the tables in one walk that also finds the greedy
-additive generators: it evaluates the product (`_term_products`) only on
-the rows of the zero and of the generators, and fills every other row by
-right distributivity.  `_structure_certified` then proves the ring laws in
-four steps: (1) each distinct coordinate addition is an abelian group on
-its own small domain (`_coordinate_generators`: the group laws and Light's
-test); (2) each distinct term table is additive in each argument, checked
-on the generators of its own coordinate groups, |A_l|·|A_r| cells per
-generator (`_additive_rows`); (3) both identity laws hold, 2n cells; (4)
-the product is associative on the r^3 triples of the generators the walk
-found.  By (1) the addition is a direct product of abelian groups, so the
-walk's generators are those of `core.additive_generators`, and by (2) the
-product of the terms is biadditive, so the rows filled by additivity are
-that product.  The associator is then additive in each slot, and (4) gives
-associativity everywhere, as in Light's argument.  When a step fails,
-`_tuple_ring` evaluates every row from the terms and `core._validated_ring`
-runs the full procedure on those literal tables.  So a ring is accepted
-exactly when the construction's own product is a ring, and a rejection
-names what `core.validate_ring` names on the literal tables.  This is also
-what proves a bimodule: [[R, M], [0, S]] is a ring exactly when M is an
-(R,S)-bimodule, and so is Triv(R, M) when S is R.  The doubled trivial
-extension DT(R, M) = Triv(Triv(R,M), Triv(R,M)) is one such ring too, on
-quadruples over (R, M, R, M), not an extension of a built extension.
+`_tuple_ring` fills the tables on `core`'s coset walk and certifies them
+from the terms (`_structure_certified` holds the certificate's argument);
+where that fails it evaluates every row from the terms for the full
+procedure.  So a ring is accepted exactly when the construction's own
+product is a ring, and a rejection names what `core.validate_ring` names
+on the literal tables.  This is also what proves a bimodule:
+[[R, M], [0, S]] is a ring exactly when M is an (R,S)-bimodule, and so
+is Triv(R, M) when S is R.  The doubled trivial extension DT(R, M) =
+Triv(Triv(R,M), Triv(R,M)) is one such ring too, on quadruples over
+(R, M, R, M), not an extension of a built extension.
 """
 
 from __future__ import annotations
@@ -247,16 +234,15 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
     (c, l, r, table): coordinate c of ab is the sum, under `add_tables[c]`,
     of `table[a_l, b_r]`; each coordinate needs at least one term.
 
-    The zero's row is evaluated from the terms; then, while some element
-    is unreached, the least one becomes the next generator g, its row is
-    evaluated, and the rows of the cosets H + g, H + 2g, ... of the span H
-    reached so far follow from row(x + g) = row(x) + row(g).  For a group
-    addition the span of H and g is the union of those cosets, so these are
-    the greedy generators of `core.additive_generators`; whatever the
-    addition, every row is written.  The tables are then certified from the
-    terms (`_structure_certified`); where the certificate fails, every row
-    is evaluated from the terms and the full procedure runs on those, so
-    the ring is accepted exactly when the terms' own product is a ring.
+    The product is evaluated from the terms on the rows of the zero and of
+    the generators of `core._coset_walk` on the addition.  The other rows
+    follow in the walk's reach order from row(g + x) = row(g) + row(x), x
+    lying s places before g + x for the generator g at position s, in
+    chunks of at most s rows, so each source row is written first.
+    `_structure_certified` then certifies the tables.  Where the walk gives
+    up (the addition is no group, so neither is some coordinate addition,
+    and the certificate would fail) or the certificate fails, every row is
+    evaluated from the terms and the full procedure runs on those.
 
     The order is held to the guard before `terms` (which may be lazy) is
     read or anything is allocated; `names()` gives the element names and is
@@ -291,27 +277,22 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
             add_tables, terms, [col[lo:hi, None] for col in cols], [col[None, :] for col in cols]))
 
     mul = np.empty((n, n), dtype=core.TABLE_DTYPE)
-    evaluate(zero, zero + 1)
-    known, gens = core._marked([zero], n), []
-    while not known.all():
-        g = int(np.argmin(known))           # the least element not reached yet
-        src = np.flatnonzero(known)         # the span H reached before g
-        gens.append(g)
-        evaluate(g, g + 1)
-        known[g] = True
-        dst = add[src, g]
-        while True:                         # the cosets H + g, H + 2g, ...
-            fresh = ~known[dst]
-            known[dst[fresh]] = True
-            rows, sums = src[fresh], dst[fresh]
-            for lo, hi in core._row_blocks(rows.size, n):
-                mul[sums[lo:hi]] = core._lookup(add, mul[rows[lo:hi]], mul[g])
-            src, dst = dst, add[dst, g]
-            if known[dst].all():
-                break
-    # a ring with 0 = 1 is refused as such, before the certificate reads its tables
-    certified = zero != one and _structure_certified(mul, one, add_tables, zero_tuple,
-                                                     terms, gens)
+    walk = core._coset_walk(add, zero)
+    # 0 = 1 is refused as such (`core._validated_ring`) before a fill or certificate
+    certified = walk is not None and zero != one
+    if certified:
+        gens, span = walk
+        reach = np.array(span)
+        starts = [span.index(g) for g in gens] + [n]
+        width = max(1, core._BLOCK_CELLS // n)
+        evaluate(zero, zero + 1)
+        for g, s, end in zip(gens, starts, starts[1:]):
+            evaluate(g, g + 1)
+            step = min(s, width)
+            for lo in range(s + 1, end, step):
+                hi = min(end, lo + step)
+                mul[reach[lo:hi]] = core._lookup(add, mul[reach[lo - s:hi - s]], mul[g])
+        certified = _structure_certified(mul, add_tables, zero_tuple, terms, gens)
     if not certified:
         for lo, hi in core._row_blocks(n, n):
             evaluate(lo, hi)
@@ -358,12 +339,24 @@ def _additive_rows(table: np.ndarray, add: np.ndarray, zero: int, gens: list[int
         np.array_equal(table[add[g]], core._lookup(out, table, table[g])) for g in gens)
 
 
-def _structure_certified(mul: np.ndarray, one: int, add_tables, zeros, terms,
-                         gens: list[int]) -> bool:
-    """Whether the coordinate additions and identities and the `terms`
-    prove the ring laws of the product `mul` that `_tuple_ring` filled from
-    them on the additive generators `gens`: steps (1)-(4) of the module
-    docstring."""
+def _structure_certified(mul: np.ndarray, add_tables, zeros, terms, gens: list[int]) -> bool:
+    """Whether the coordinate additions and the `terms` prove that `mul`,
+    filled by `_tuple_ring` on the coset walk with generators `gens`, is the
+    terms' product and is biadditive and associative.
+
+    (1) Each distinct coordinate addition is an abelian group on its own
+    small domain (`_coordinate_generators`: the group laws and Light's
+    test).  (2) Each distinct term table is additive in each argument,
+    checked on the generators of its own coordinate groups, |A_l|·|A_r|
+    cells per generator (`_additive_rows`).  (3) The product is associative
+    on the r^3 triples of `gens`.  By (1) the addition is a direct product
+    of abelian groups, so the walk's generators are those of
+    `core.additive_generators`, and by (2) the product of the terms is
+    biadditive, so every row filled by additivity is that product's row.
+    The associator is then additive in each slot, and (3) gives
+    associativity everywhere, as in Light's argument.  The identity laws
+    are left to `core._validated_ring`, which checks them on every ring,
+    here on rows that are the literal ones."""
     coord_gens = _coordinate_generators(add_tables, zeros)
     if coord_gens is None:
         return False
@@ -378,9 +371,7 @@ def _structure_certified(mul: np.ndarray, one: int, add_tables, zeros, terms,
                 and _additive_rows(table.T, add_tables[r], zeros[r], coord_gens[r],
                                    add_tables[c], zeros[c])):
             return False
-    arange = np.arange(mul.shape[0])
-    return (np.array_equal(mul[one], arange) and np.array_equal(mul[:, one], arange)
-            and core._bad_triple(mul, gens) is None)
+    return core._bad_triple(mul, gens) is None
 
 
 def _over(R: FiniteRing, k: int, label: str, terms, ones, names,

@@ -35,50 +35,24 @@ a failing pair (`_first_mismatch`).  Holding a `FiniteRing` is proof that
 the tables really form a unital ring: every one is either validated from
 its tables or derived from a ring that already was, under a certificate.
 
-`validate_ring` is exact at every order with one complete procedure:
-Light's associativity test over an additive generating set, biadditivity
-of the product on generator pairs, and associativity of the product on
-generator triples (sound once biadditivity is known, since the associator
-is additive in each slot).  The generators come from a walk on Python
-lists (`_coset_generators`): the least unreached g, then the cosets H + g,
-H + 2g, ... of the set H reached so far.  Every element it reaches is a
-literal sum x + g, so when it reaches all n its generators generate the
-table, and Light's test on them proves associativity; under the group
-laws they are then the greedy set of `additive_generators`, which is
-searched for only when the walk gives up (a coset that meets what was
-reached).  Up to the first generator that fails Light's test the walk
-picks the greedy generators, so a rejection names the greedy set's first
-failing instance (`_group_generators`).  For additive rank r (the size
-of the greedy generating set g1..gr) that is r Light passes, each a
-symmetry test of add[add[:, g]] tile by tile; one full left
-distributivity pass L(g1), a(g1+c) = a g1 + ac over all n^2 pairs in row
-blocks; span passes a(gk+c) = a gk + ac for k = 2..r over the columns c
-of K_k = <g2..gk> only; and r right passes on the generator columns,
-(x+g)h = xh + gh for generators g, h and all x, r*n cells each, made in
-one gather.  That is n(n + |K_2| + ... + |K_r|) left cells instead of
-r n^2: 1.2 n^2 for Z6^4, about 2 n^2 for Z2^9.  For each a the span
-passes make c -> ac additive on K_2, then on each K_k = K_{k-1} + <gk>,
-and L(g1) carries it to K_r + <g1>, the whole group: left distributivity
-everywhere.  That makes x -> xz the sum of the maps x -> xh for the
-generators h that sum to z, so right distributivity follows.  A
-rejection names the violation that the two-sided order L(g1), R(g1),
-L(g2), R(g2), ..., with full left and right passes, meets first.
-When a span pass or a later column pass fails, the full left passes
-L(g2), L(g3), ... are replayed in that order with their column passes (a
-span failure is a failure of some full pass, so the replay finds one).  A
-failure at L(gk) replays R(g1..gk-1), one in gk's column pass replays
-R(g1..gk), and one on a generator triple replays them all.  The first
-replayed pass to fail names the violation, else the failure found does,
-each at its first failing instance in row-major order within its pass.
+`validate_ring` is exact at every order with one complete procedure
+(`_validated_ring`): the group laws of the addition, both identity laws,
+Light's associativity test on the additive generators that one coset walk
+finds (`_coset_walk`, `_group_generators`), then biadditivity and
+associativity of the product from those generators
+(`_generator_triple_checks`, whose docstring holds the schedule of passes,
+why it is sound, and which violation a rejection names).
 `validate_ring` serves tables from outside the program (dumps, library
-callers): it copies and range-checks them for `_validated_ring`, which
-runs the procedure.  A canonical dump is read straight into tables of its
-own, which go to `_validated_ring` with no copy (`ring_from_json`).
+callers): it copies and range-checks them for `_validated_ring`.  A
+canonical dump is read straight into tables of its own, which go to
+`_validated_ring` with no copy (`ring_from_json`).
 
 The rings the program builds, Z_n (`dsl`) and the structure-table rings
 (`constructions`), go to `_validated_ring` on tables made for them, which
-it freezes in place; a structure-table ring is certified from its terms
-instead, and `_validated_ring` skips the procedure for it.
+it freezes in place.  A structure-table ring is filled on the same coset
+walk and certified from its terms instead
+(`constructions._structure_certified`), and `_validated_ring` then checks
+its identity laws only.
 
 Derived rings are certified, not re-validated.  `quotient_ring` checks the
 ideal with `is_ideal`, then certifies the projection on the coset
@@ -97,22 +71,8 @@ of a ring its units generate, `corner_ring(R, 1)`) shares R's frozen
 tables and negation instead of copying them, under its own label and
 names and with a memo of its own.
 
-Element sets are memoized per tables, not per ring object (`_table_memo`):
-rings on equal (add, mul, zero, one) compute each set once and read the
-one value, while a ring's own memo keeps what names or holds the ring
-(class reports, R/J, the unit subring).  Derived rings repeat:
-R/{0} is R's tables, the unit subring of a ring its units generate and
-the corner at 1 are R's tables, and Z2's tables are R/I for many catalog
-rings.  Sharing cannot change an output, since a shared value is a pure
-function of the tables, and it costs no check its power: no ring identity
-is used, only literal equality of both tables, so where a check compares
-two rings on equal tables it compared a deterministic function with itself
-before, and a set's postconditions still run once for each distinct pair
-of tables.  A ring is looked up on the first set it is asked for, so a
-ring asked for none pays nothing; the key is an O(n) fingerprint, and a
-key match counts only when both tables are equal, shared arrays at once
-and others one row block at a time.  The registry holds its memos weakly,
-and each dies with the last ring on its tables.
+Element sets are memoized per tables, not per ring object; `_table_memo`
+says how, and why that changes no output and costs no check its power.
 """
 
 from __future__ import annotations
@@ -446,11 +406,26 @@ def _same_table(a: np.ndarray, b: np.ndarray) -> bool:
 def _table_memo(ring: FiniteRing) -> _TableMemo:
     """The memo `ring` shares with every live ring on equal tables.
 
-    Looked up on the first call: by the fingerprint, then by literal
-    equality of both tables with a live ring registered under it.  A ring
-    whose fingerprint is registered for unequal tables gets a memo of its
-    own.  A shared value is a pure function of (add, mul, zero, one), so
-    rings on equal tables compute it once and read the same value."""
+    Element sets are memoized per tables, not per ring object: rings on
+    equal (add, mul, zero, one) compute each set once and read the one
+    value, while a ring's own memo keeps what names or holds the ring
+    (class reports, R/J, the unit subring).  Derived rings repeat: R/{0},
+    the unit subring of a ring its units generate and the corner at 1 are
+    R's tables, and Z2's tables are R/I for many catalog rings.  Sharing
+    cannot change an output, since a shared value is a pure function of the
+    tables, and it costs no check its power: no ring identity is used, only
+    literal equality of both tables, so where a check compares two rings on
+    equal tables it compared a deterministic function with itself before,
+    and a set's postconditions still run once for each distinct pair of
+    tables.
+
+    Looked up on the first set a ring is asked for, so a ring asked for
+    none pays nothing: by an O(n) fingerprint, then by literal equality of
+    both tables with a live ring registered under it, shared arrays at once
+    and others one row block at a time.  A ring whose fingerprint is
+    registered for unequal tables gets a memo of its own.  The registry
+    holds its memos weakly, and each dies with the last ring on its
+    tables."""
     if ring._tables is None:
         key = _fingerprint(ring)
         with _TABLE_MEMO_LOCK:
@@ -551,14 +526,10 @@ def _check_light(add: np.ndarray, gens: list[int]) -> None:
 
 def _add_cosets(step: list[int], span: list[int], reached: list[bool]) -> bool:
     """Extend `span`, the set H reached so far and marked in `reached`, by
-    its cosets H + g, H + 2g, ... under `step`, x -> g + x, in turn, up to
-    the first whose first member was reached before.  False as soon as a
-    coset meets a reached element anywhere else, or repeats one of its own:
-    then x -> g + x does not map H onto new cosets, and the table is no
-    group.  Under the group laws each coset of the subgroup H is new or H
-    itself, so the walk stops at H and `span` ends as H + <g>.  The walk
-    runs on Python lists: its steps cost less than numpy's per-call
-    overhead on the small rings, where the walk's cost shows at all."""
+    its cosets H + g, H + 2g, ... under `step`, x -> g + x, in turn, each
+    in H's order, up to the first whose first member was reached before.
+    False as soon as a coset meets a reached element anywhere else, or
+    repeats one of its own (`_coset_walk` says why)."""
     coset = span
     while True:
         coset = [step[x] for x in coset]
@@ -571,17 +542,30 @@ def _add_cosets(step: list[int], span: list[int], reached: list[bool]) -> bool:
         span += coset
 
 
-def _coset_generators(add: np.ndarray, zero: int) -> list[int] | None:
-    """Generators of the commutative table `add` with identity `zero`:
-    while some element is unreached, the least one g is the next
-    generator, and the cosets of the set reached so far under g are
-    reached in turn (`_add_cosets`); None when that walk gives up.
+def _coset_walk(add: np.ndarray, zero: int) -> tuple[list[int], list[int]] | None:
+    """The generators of the table `add` from `zero` and the order `span`
+    in which the walk reaches the elements, or None when it gives up.
 
-    Every element reached is a literal sum g + x of a generator and an
-    element reached before, so the generators generate the table as a
-    magma.  Under the group laws the walk reaches the span of each new
-    generator and those before it, so it finds the greedy generators of
-    `additive_generators`, with no numpy call per round."""
+    While some element is unreached, the least one g is the next generator,
+    and the cosets H + g, H + 2g, ... of the set H reached so far follow in
+    turn (`_add_cosets`).  So if g is at position s of `span`, `span[s + j]`
+    = g + `span[j]` for every j up to the next generator's position: each
+    element reached is a literal sum g + x with x reached before, and the
+    generators generate the table as a magma.  The walk gives up where a
+    coset meets what was reached other than at its first member, or
+    repeats one of its own, and where g is still unreached after its
+    cosets (g + 0 != g, which would pick g again forever): each breaks a
+    group law.
+
+    Under the group laws each coset of the subgroup H is new or H itself,
+    so the walk never gives up and g's cosets make up the span of H and g:
+    the generators are the greedy ones of `additive_generators`.  On a
+    table that is only commutative with identity `zero`, they agree with
+    the greedy set up to the first generator that fails Light's test: while
+    Light's test holds on g1..gk, every sum of those is middle-associative,
+    so the walk reaches the greedy closure of g1..gk and picks the same
+    next one.  The walk runs on Python lists, cheaper than numpy calls on
+    the small rings, where its cost shows at all."""
     n = add.shape[0]
     reached = [False] * n
     reached[zero] = True
@@ -590,28 +574,20 @@ def _coset_generators(add: np.ndarray, zero: int) -> list[int] | None:
         while reached[g]:
             g += 1
         gens.append(g)
-        if not _add_cosets(add[g].tolist(), span, reached):
+        if not (_add_cosets(add[g].tolist(), span, reached) and reached[g]):
             return None
-    return gens
+    return gens, span
 
 
 def _group_generators(add: np.ndarray, zero: int) -> list[int]:
     """The greedy generators of `additive_generators`, once Light's test on
     them has proved the table associative; `AxiomViolation` at Light's first
     failing instance on them otherwise.  The table must be commutative with
-    `zero` as its identity (`_check_abelian` checks both first).
-
-    The coset walk (`_coset_generators`) finds them, and the greedy search
-    only when the walk gives up.  A walk that reaches every element has
-    generated the table as a magma, so Light's test on its generators
-    proves associativity, and the group laws then make them the greedy set.
-    A rejection names what the greedy set names: while Light's test holds
-    on g1..gk, every sum of those is middle-associative, so the walk reaches
-    the greedy closure of g1..gk and picks the same next generator; the two
-    sets agree up to the first one that fails."""
-    gens = _coset_generators(add, zero)
-    if gens is None:
-        gens = additive_generators(add, zero)
+    `zero` as its identity (`_check_abelian` checks both first).  They are
+    the coset walk's, which generate the table and name what the greedy set
+    names (`_coset_walk`), and the greedy search's where the walk gives up."""
+    walk = _coset_walk(add, zero)
+    gens = additive_generators(add, zero) if walk is None else walk[0]
     _check_light(add, gens)
     return gens
 
@@ -643,8 +619,9 @@ def _span_chain(add: np.ndarray, gens: list[int]) -> np.ndarray:
     """The spans K_k = <g2..gk> of the additive group for k = 2..r, as a
     3-row index array whose columns are (c, g_k, g_k + c) for the members c
     of K_2, then of K_3, ..., then of K_r.  K_k is K_{k-1} (K_1 = {0}) and
-    its cosets under g_k (`_add_cosets`), which is sound once
-    `_check_abelian` and Light's test have proved the group laws."""
+    its cosets under g_k (`_add_cosets`), which is sound under the group
+    laws (`_coset_walk`), once `_check_abelian` and Light's test have
+    proved them."""
     inside = [False] * add.shape[0]
     span: list[int] = []
     cols, over, sums = [], [], []
@@ -675,11 +652,38 @@ def _span_passes_hold(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> bool
 
 def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> None:
     """Biadditivity and associativity of `mul` from the additive generators
-    `gens`, once the addition `add` is known to be an abelian group
-    (`_group_generators`)."""
+    `gens` = g1..gr, once the addition `add` is known to be an abelian group
+    (`_group_generators`); `AxiomViolation` at the first violation.
+
+    The passes: one full left pass L(g1), a(g1+c) = a g1 + ac over all n^2
+    pairs in row blocks; span passes a(gk+c) = a gk + ac for k = 2..r over
+    the columns c of K_k = <g2..gk> only (`_span_passes_hold`); r right
+    passes on the generator columns, (x+g)h = xh + gh for generators g, h
+    and all x, r*n cells each, made in one gather; and the r^3 generator
+    triples (`_bad_triple`).  That is n(n + |K_2| + ... + |K_r|) left cells
+    instead of r n^2: 1.2 n^2 for Z6^4, about 2 n^2 for Z2^9.
+
+    Why they suffice.  For each a, c -> ac is additive on K_2 = <g2>, then
+    on each K_k = K_{k-1} + <gk> (induction over the multiples of gk: (m+1)gk
+    + x = gk + (mgk + x), with mgk + x in K_k), and last on the whole group
+    K_r + <g1> by L(g1): left distributivity everywhere.  So x -> xz is the
+    pointwise sum of the maps x -> xh for the generators h that sum to z,
+    each additive by its column pass: right distributivity.  With
+    biadditivity the associator is additive in each slot, so vanishing on
+    generator triples forces vanishing everywhere.
+
+    What a rejection names: the violation that the two-sided order L(g1),
+    R(g1), L(g2), R(g2), ..., with full left and right passes, meets first.
+    When a span pass or a later column pass fails, the full left passes
+    L(g2), L(g3), ... are replayed in that order with their column passes (a
+    span failure is a failure of some full pass, so the replay finds one).
+    A failure at L(gk) replays R(g1..gk-1), one in gk's column pass replays
+    R(g1..gk), and one on a generator triple replays them all.  The first
+    replayed pass to fail names the violation, else the failure found does,
+    each at its first failing instance in row-major order within its pass.
+    """
     def named(upto: int, found: AxiomViolation) -> AxiomViolation:
-        # The violation that the two-sided order L(g1), R(g1), L(g2), ...
-        # meets first: the full right passes it would have run before `found`.
+        # the full right passes the two-sided order would have run before `found`
         for g in gens[:upto]:
             bad = _right_pass(add, mul, g)
             if bad is not None:
@@ -702,21 +706,10 @@ def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) 
             x, j = _first_bad_pair(bad_columns[k])
             raise named(k + 1, AxiomViolation("right-distributivity", (x, g, gens[j])))
 
-    # Biadditivity.  For each a, c -> ac is additive on K_2 = <g2>, then on
-    # each K_k = K_{k-1} + <gk> (induction over the multiples of gk: (m+1)gk
-    # + x = gk + (mgk + x), with mgk + x in K_k), and last on the whole group
-    # K_r + <g1> by the one full left pass L(g1): left distributivity
-    # everywhere in n(n + |K_2| + ... + |K_r|) cells instead of r n^2.  The
-    # passes on the generator columns h make each x -> xh additive, and
-    # every x -> xz is a pointwise sum of those.  When a span pass or a later
-    # column pass fails, the full pairs from g2 on replay the two-sided
-    # order, which names the violation.
     full_pair(0, gens[0])
     if len(gens) > 1 and (bad_columns[1:].any() or not _span_passes_hold(add, mul, gens)):
         for k, g in enumerate(gens[1:], 1):
             full_pair(k, g)
-    # With biadditivity established the associator is additive in each slot,
-    # so vanishing on generator triples forces vanishing everywhere.
     triple = _bad_triple(mul, gens)
     if triple is not None:
         raise named(len(gens), AxiomViolation("mul-associativity", triple))
@@ -756,22 +749,21 @@ def _validated_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int, label
     """`validate_ring`'s axiom checks on well-formed tables, which the ring
     then freezes in place: C-contiguous `TABLE_DTYPE` tables of one order
     that no caller holds, with `zero` and `one` in range.  `certified` says
-    that the structure-table certificate of `constructions` proved the ring
-    laws, which then replaces the full procedure."""
-    n = add.shape[0]
-    if n < 2 or zero == one:
+    that the structure-table certificate of `constructions` proved the
+    group laws, biadditivity and associativity, which then replaces the
+    full procedure; the identity laws are checked either way."""
+    if zero == one:
         raise AxiomViolation("identity-distinct", (zero, one),
                              "rings here have 0 != 1, so the order is at least 2")
-    neg = None
+    neg = None if certified else _check_abelian(add, zero)
+    arange = np.arange(add.shape[0])
+    if not np.array_equal(mul[one], arange):
+        c = int(np.flatnonzero(mul[one] != arange)[0])
+        raise AxiomViolation("mul-identity", (one, c))
+    if not np.array_equal(mul[:, one], arange):
+        c = int(np.flatnonzero(mul[:, one] != arange)[0])
+        raise AxiomViolation("mul-identity", (c, one))
     if not certified:
-        neg = _check_abelian(add, zero)
-        arange = np.arange(n)
-        if not np.array_equal(mul[one], arange):
-            c = int(np.flatnonzero(mul[one] != arange)[0])
-            raise AxiomViolation("mul-identity", (one, c))
-        if not np.array_equal(mul[:, one], arange):
-            c = int(np.flatnonzero(mul[:, one] != arange)[0])
-            raise AxiomViolation("mul-identity", (c, one))
         _generator_triple_checks(add, mul, _group_generators(add, zero))
     return _certified_ring(label, add, mul, zero, one, names, neg)
 

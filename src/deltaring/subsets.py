@@ -10,14 +10,11 @@ implementation bug, not bad input).  Callers look these functions up in
 this module when they call them, so a wrapper installed here sees every
 call.
 
-Each set is memoized per tables (`_memo`, `core._table_memo`): it is a
-pure function of (add, mul, zero, one), so every ring on equal tables,
-such as GF(p) and Z_p, R/{0} and R, or Z2 and the many quotients R/I on
-Z2's tables, reads the value computed for the first of them, and its
-postconditions run once for those tables.  That changes no output and no
-check's power: the tables are compared literally, and two rings on equal
-tables gave one value before too.  The ring's own memo holds each value it
-read as well, and alone holds R/J and the unit subring, which hold the ring.
+Each set is memoized per tables (`_memo`), so every ring on equal tables,
+such as GF(p) and Z_p, reads the value computed for the first of them;
+`core._table_memo` says why that changes no output and no check's power.
+The ring's own memo holds each value it read as well, and alone holds R/J
+and the unit subring, which hold the ring.
 
 A finite ring is artinian and strongly pi-regular, which gives three of
 the radical sets by identities that hold in every finite ring (Lam, *A

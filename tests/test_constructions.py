@@ -101,15 +101,20 @@ def test_order_guard_fires_before_per_coordinate_lists(zmod):
         assert peak < 1 << 20, label
 
 
-@pytest.mark.parametrize("cells", [None, 64])
+@pytest.mark.parametrize("cells", [None, 64, 324])
 def test_tuple_ring_fills_from_the_generator_rows(monkeypatch, zmod, cells):
     # every construction evaluates its product on the zero row and the r
     # additive generator rows only, one row at a time, and the filled table
-    # is the one that evaluating it on every row gives
+    # is the one that evaluating it on every row gives.  The fill writes the
+    # cosets of the generator at position s of the reach order in chunks of
+    # min(s, _BLOCK_CELLS // n) rows: 64 cells make chunks of one row on
+    # the larger rings, and 324 cells chunks of 4 rows at order 81, wider
+    # than one row and narrower than the 27-row cosets of M(2,Z3)'s last
+    # generator
     if cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
     real, products = cons._tuple_ring, cons._term_products
-    calls, evaluated = [], []
+    calls, evaluated, partial = [], [], []
 
     def counted(add_tables, terms, left, right):
         evaluated.append(len(left[0]))
@@ -124,6 +129,9 @@ def test_tuple_ring_fills_from_the_generator_rows(monkeypatch, zmod, cells):
         full = products(add_tables, terms, [c[:, None] for c in coords], [c[None, :] for c in coords])
         assert np.array_equal(ring.mul, sum(st * np.asarray(c) for st, c in zip(strides, full)))
         calls.append((label, rows, 1 + len(core.additive_generators(ring.add, ring.zero))))
+        gens, span = core._coset_walk(ring.add, ring.zero)
+        width = max(1, core._BLOCK_CELLS // ring.order)
+        partial.extend(label for s in map(span.index, gens) if 1 < min(s, width) < s)
         return ring
 
     monkeypatch.setattr(cons, "_tuple_ring", spy)
@@ -144,6 +152,7 @@ def test_tuple_ring_fills_from_the_generator_rows(monkeypatch, zmod, cells):
     assert len(calls) == 10
     for label, rows, expected in calls:
         assert rows == [1] * expected, label
+    assert ("M(2,Z3)" in partial) == (cells == 324)
 
 
 @pytest.mark.parametrize("cells", [None, 64])
@@ -183,13 +192,16 @@ def _products_mod(m: int, rows: int, cols: int) -> np.ndarray:
 
 def _group_table(name: str) -> np.ndarray:
     """The addition of a coordinate: a ring's, V4's, the trivial group Z1's,
-    or one that is not a group: B, ({0,1}, or), where 1 has no inverse, and
-    S10, the Steiner loop of the affine plane over Z3 (0 and the 9 points of
-    Z3^2, p + p = 0 and p + q = -p - q), which is not associative."""
+    or one that is not a group: B, ({0,1}, or), where 1 has no inverse, X,
+    Z2 with 1 as its identity, so that 0 + x != x, and S10, the Steiner
+    loop of the affine plane over Z3 (0 and the 9 points of Z3^2, p + p = 0
+    and p + q = -p - q), which is not associative."""
     if name == "Z1":
         return np.zeros((1, 1), dtype=np.int32)
     if name == "B":
         return np.array([[0, 1], [1, 1]], dtype=np.int32)
+    if name == "X":
+        return np.array([[1, 0], [0, 1]], dtype=np.int32)
     if name == "S10":
         x, y = np.arange(9) // 3, np.arange(9) % 3
         table = np.zeros((10, 10), dtype=np.int32)
@@ -200,44 +212,52 @@ def _group_table(name: str) -> np.ndarray:
     return dsl.build_str("Prod(Z2,Z2)" if name == "V4" else name).add
 
 
-# Term structures whose filled tables satisfy both identity laws and are
-# associative on the generator triples but are not rings, each refused by
-# one check of the certificate alone.  (1) The near-ring of the
+# Term structures that are not rings.  Where the coset walk on the addition
+# completes, the filled tables satisfy both identity laws and are
+# associative on the generator triples, and one check of the certificate
+# alone refuses them.  (1) The near-ring of the
 # zero-preserving maps of V4 under composition, coordinate p-1 holding the
 # value at p: (fg)(p) = f(g(p)) is additive in f only.  (2) On Z2 x Z4 x Z4
 # with the 1 in the last coordinate, the generator g = (1,0,0) of order 2
 # acts on (0,1,0) by a term additive in its right argument only, with order
 # 4.  (3) A term from a coordinate of order 1 adds b_1 to every product, 0·b
 # included; a_0 b_1 is written twice, so 1·b = b.  (4) The Boolean semiring
-# ({0,1}, or, and).  (5) The trivial extension of Z2 by S10.
+# ({0,1}, or, and).  (5) The trivial extension of Z2 by S10.  (6) Z2 x X,
+# whose zero row is not the identity.  The last field says whether the walk
+# completes, so that the certificate runs: on (5) and (6) it gives up, and
+# every row is evaluated from the terms for the full procedure.
 _V4 = np.arange(4)
 _ACT = np.array([[0] * 10, list(range(10))])        # Z2 acting on S10 by 1·y = y
 _NOT_RINGS = {
     "near-ring": (["V4"] * 3, (1, 2, 3),
                   [(p - 1, q - 1, p - 1, _V4[:, None] * (_V4[None, :] == q))
                    for p in range(1, 4) for q in range(1, 4)],
-                  ("left-distributivity", (1, 1, 2))),
+                  ("left-distributivity", (1, 1, 2)), True),
     "order-breaking": (["Z2", "Z4", "Z4"], (0, 0, 1),
                        [(2, 2, 2, _products_mod(4, 4, 4)), (1, 2, 1, _products_mod(4, 4, 4)),
                         (0, 2, 0, _products_mod(2, 4, 2)), (0, 0, 2, _products_mod(2, 2, 4)),
                         (0, 0, 0, _products_mod(2, 2, 2)), (1, 0, 1, _products_mod(4, 2, 4)),
                         (1, 1, 2, _products_mod(4, 4, 4))],
-                       ("right-distributivity", (16, 16, 4))),
+                       ("right-distributivity", (16, 16, 4)), True),
     "constant": (["Z2", "Z2", "Z1"], (1, 0, 0),
                  [(0, 0, 0, _products_mod(2, 2, 2)), (1, 0, 1, _products_mod(2, 2, 2)),
                   (1, 0, 1, _products_mod(2, 2, 2)), (1, 1, 0, _products_mod(2, 2, 2)),
                   (1, 2, 1, np.array([[0, 1]])), (2, 0, 0, np.zeros((2, 2), dtype=int))],
-                 ("right-distributivity", (0, 1, 1))),
-    "boolean": (["B"], (1,), [(0, 0, 0, _products_mod(2, 2, 2))], ("add-inverse", (1,))),
+                 ("right-distributivity", (0, 1, 1)), True),
+    "boolean": (["B"], (1,), [(0, 0, 0, _products_mod(2, 2, 2))], ("add-inverse", (1,)), True),
     "steiner": (["Z2", "S10"], (1, 0),
                 [(0, 0, 0, _products_mod(2, 2, 2)), (1, 0, 1, _ACT), (1, 1, 0, _ACT.T.copy())],
-                ("add-associativity", (2, 1, 4))),
+                ("add-associativity", (2, 1, 4)), False),
+    "no-zero": (["Z2", "X"], (1, 0),
+                [(0, 0, 0, _products_mod(2, 2, 2)), (1, 0, 1, _products_mod(2, 2, 2)),
+                 (1, 1, 0, _products_mod(2, 2, 2))],
+                ("add-identity", (0, 0)), False),
 }
 
 
 @pytest.mark.parametrize("case", list(_NOT_RINGS))
 def test_structures_that_are_not_rings_are_refused(monkeypatch, case):
-    groups, one, terms, violation = _NOT_RINGS[case]
+    groups, one, terms, violation, walked = _NOT_RINGS[case]
     adds = [_group_table(g) for g in groups]
     real, certified = cons._structure_certified, []
 
@@ -250,7 +270,7 @@ def test_structures_that_are_not_rings_are_refused(monkeypatch, case):
         cons._tuple_ring(case, [len(a) for a in adds], adds, (0,) * len(adds), one, terms,
                          lambda: None, order_guard=None)
     assert (err.value.kind, err.value.witness) == violation
-    assert certified == [False]
+    assert certified == ([False] if walked else [])
 
 
 @pytest.mark.parametrize("fill", [None, 0, "max"])

@@ -1187,7 +1187,7 @@ def test_catalog_rings_take_their_generators_from_the_coset_walk(monkeypatch):
                         lambda add, zero: greedy.append(add.shape[0]) or real(add, zero))
     for label, expr in dsl.catalog():
         R = dsl.build(expr)
-        assert core._coset_generators(R.add, R.zero) == real(R.add, R.zero), label
+        assert core._coset_walk(R.add, R.zero)[0] == real(R.add, R.zero), label
         core.validate_ring(R.add, R.mul, R.zero, R.one)
     assert greedy == []
 
@@ -1200,7 +1200,7 @@ def test_coset_walk_gives_up_where_a_translation_is_not_injective(monkeypatch):
     add = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 0, 1], [3, 3, 1, 0]])
     mul = np.zeros((4, 4), dtype=np.int64)
     mul[1] = mul[:, 1] = np.arange(4)
-    assert core._coset_generators(add, 0) is None
+    assert core._coset_walk(add, 0) is None
     greedy, real = [], core.additive_generators
     monkeypatch.setattr(core, "additive_generators",
                         lambda add, zero: greedy.append(zero) or real(add, zero))
