@@ -240,9 +240,10 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
     lying s places before g + x for the generator g at position s, in
     chunks of at most s rows, so each source row is written first.
     `_structure_certified` then certifies the tables.  Where the walk gives
-    up (the addition is no group, so neither is some coordinate addition,
-    and the certificate would fail) or the certificate fails, every row is
-    evaluated from the terms and the full procedure runs on those.
+    up (it reaches fewer than n elements: the addition is no group, so
+    neither is some coordinate addition, and the certificate would fail) or
+    the certificate fails, every row is evaluated from the terms and the
+    full procedure runs on those.
 
     The order is held to the guard before `terms` (which may be lazy) is
     read or anything is allocated; `names()` gives the element names and is
@@ -277,11 +278,10 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
             add_tables, terms, [col[lo:hi, None] for col in cols], [col[None, :] for col in cols]))
 
     mul = np.empty((n, n), dtype=core.TABLE_DTYPE)
-    walk = core._coset_walk(add, zero)
+    gens, span = core._coset_walk(add, zero)
     # 0 = 1 is refused as such (`core._validated_ring`) before a fill or certificate
-    certified = walk is not None and zero != one
+    certified = len(span) == n and zero != one
     if certified:
-        gens, span = walk
         reach = np.array(span)
         starts = [span.index(g) for g in gens] + [n]
         width = max(1, core._BLOCK_CELLS // n)
@@ -312,7 +312,7 @@ def _term_products(add_tables: list[np.ndarray], terms, left, right) -> list[np.
 
 
 def _coordinate_generators(add_tables, zeros) -> list[list[int]] | None:
-    """Each coordinate's greedy additive generators, when every distinct
+    """Each coordinate's additive generators, when every distinct
     addition table is an abelian group with its coordinate's zero as the
     identity (the group laws, then `core._group_generators`, which finds
     the generators and runs Light's test on them); else None."""
@@ -350,11 +350,10 @@ def _structure_certified(mul: np.ndarray, add_tables, zeros, terms, gens: list[i
     checked on the generators of its own coordinate groups, |A_l|·|A_r|
     cells per generator (`_additive_rows`).  (3) The product is associative
     on the r^3 triples of `gens`.  By (1) the addition is a direct product
-    of abelian groups, so the walk's generators are those of
-    `core.additive_generators`, and by (2) the product of the terms is
-    biadditive, so every row filled by additivity is that product's row.
-    The associator is then additive in each slot, and (3) gives
-    associativity everywhere, as in Light's argument.  The identity laws
+    of abelian groups, which `gens` generate, and by (2) the product of the
+    terms is biadditive, so every row filled by additivity is that
+    product's row.  The associator is then additive in each slot, and (3)
+    gives associativity everywhere, as in Light's argument.  The identity laws
     are left to `core._validated_ring`, which checks them on every ring,
     here on rows that are the literal ones."""
     coord_gens = _coordinate_generators(add_tables, zeros)

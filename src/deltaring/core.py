@@ -466,31 +466,6 @@ class RingHom:
 # validation
 
 
-def additive_generators(add: np.ndarray, zero: int) -> list[int]:
-    """Greedy generating set of the additive table, smallest indices first.
-
-    The table must be commutative with `zero` as its identity (validation
-    checks both first); it need not be associative yet.  After each new
-    generator the span grows to the literal closure under the table, but
-    only by sums with at least one new member: sums of two older members
-    were taken in an earlier round, and one order of each sum suffices.
-    """
-    n = add.shape[0]
-    covered = np.zeros(n, dtype=bool)
-    covered[zero] = True
-    gens: list[int] = []
-    while not covered.all():
-        g = int(covered.argmin())          # the first element not yet spanned
-        gens.append(g)
-        covered[g] = True
-        new = np.array([g])
-        while new.size:
-            hit = _marked_outer(add, new, covered.nonzero()[0])
-            new = (hit & ~covered).nonzero()[0]
-            covered |= hit
-    return gens
-
-
 # The checks raise where they find a violation: a violation returned and
 # then raised from a local would tie the traceback's frames, and the tables
 # they hold, into a cycle that only the cyclic collector frees.
@@ -542,9 +517,10 @@ def _add_cosets(step: list[int], span: list[int], reached: list[bool]) -> bool:
         span += coset
 
 
-def _coset_walk(add: np.ndarray, zero: int) -> tuple[list[int], list[int]] | None:
+def _coset_walk(add: np.ndarray, zero: int) -> tuple[list[int], list[int]]:
     """The generators of the table `add` from `zero` and the order `span`
-    in which the walk reaches the elements, or None when it gives up.
+    in which the walk reaches the elements: all n of them, or fewer where
+    the walk gives up, the last generator being the one it gave up on.
 
     While some element is unreached, the least one g is the next generator,
     and the cosets H + g, H + 2g, ... of the set H reached so far follow in
@@ -554,18 +530,23 @@ def _coset_walk(add: np.ndarray, zero: int) -> tuple[list[int], list[int]] | Non
     generators generate the table as a magma.  The walk gives up where a
     coset meets what was reached other than at its first member, or
     repeats one of its own, and where g is still unreached after its
-    cosets (g + 0 != g, which would pick g again forever): each breaks a
-    group law.
+    cosets (g + 0 != g, which would pick g again forever).
 
-    Under the group laws each coset of the subgroup H is new or H itself,
-    so the walk never gives up and g's cosets make up the span of H and g:
-    the generators are the greedy ones of `additive_generators`.  On a
-    table that is only commutative with identity `zero`, they agree with
-    the greedy set up to the first generator that fails Light's test: while
-    Light's test holds on g1..gk, every sum of those is middle-associative,
-    so the walk reaches the greedy closure of g1..gk and picks the same
-    next one.  The walk runs on Python lists, cheaper than numpy calls on
-    the small rings, where its cost shows at all."""
+    Why a give-up is a rejection, on a table that is commutative with
+    identity `zero` and inverses (`_check_abelian`).  Let N be the set of g
+    with (a+g)+c = a+(g+c) for all a and c, those that pass Light's test.
+    N is closed under addition (Light's lemma), and each g in N translates
+    injectively: -g + (g + x) = x.  So while Light's test holds on g1..gk,
+    they generate an abelian group; the walk meets each coset of
+    <g1..gk-1> only at its first member, reaches <g1..gk>, and picks next
+    the least element outside it, as the greedy set does (each generator
+    the least element outside the span of those before).  Hence where the
+    walk gives up at gk, Light's test fails on some gj with j <= k, and
+    g1..gj are the greedy set's first j generators: Light's test on the
+    walk's generators names the law and the instance it names on the greedy
+    set.  On an abelian group the walk never gives up, and its generators
+    are the greedy ones.  The walk runs on Python lists, cheaper than numpy
+    calls on the small rings, where its cost shows at all."""
     n = add.shape[0]
     reached = [False] * n
     reached[zero] = True
@@ -575,20 +556,20 @@ def _coset_walk(add: np.ndarray, zero: int) -> tuple[list[int], list[int]] | Non
             g += 1
         gens.append(g)
         if not (_add_cosets(add[g].tolist(), span, reached) and reached[g]):
-            return None
+            break
     return gens, span
 
 
 def _group_generators(add: np.ndarray, zero: int) -> list[int]:
-    """The greedy generators of `additive_generators`, once Light's test on
-    them has proved the table associative; `AxiomViolation` at Light's first
-    failing instance on them otherwise.  The table must be commutative with
-    `zero` as its identity (`_check_abelian` checks both first).  They are
-    the coset walk's, which generate the table and name what the greedy set
-    names (`_coset_walk`), and the greedy search's where the walk gives up."""
-    walk = _coset_walk(add, zero)
-    gens = additive_generators(add, zero) if walk is None else walk[0]
+    """The coset walk's generators, once Light's test on them has proved
+    the table associative; `AxiomViolation` at Light's first failing
+    instance on them otherwise.  The table must be commutative with `zero`
+    as its identity (`_check_abelian` checks both first).  Where Light's
+    test holds the walk has reached every element (`_coset_walk`)."""
+    gens, span = _coset_walk(add, zero)
     _check_light(add, gens)
+    check_internal(len(span) == add.shape[0],
+                   "the coset walk gave up on generators that pass Light's test")
     return gens
 
 
@@ -1056,40 +1037,13 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
 # and read here as dense tables rather than as one Python object per cell.
 # `ring_json_chunks` renders each table from the digit strings of 0..n-1,
 # one row block at a time, and `ring_to_json` joins its chunks.
-# `ring_from_json` reads text in exactly that form (`_canonical_dump`)
-# straight into the ring's `TABLE_DTYPE` tables, without `json.loads`, and
-# hands any other text to `json.loads` and `ring_from_dict`.  It reads a
-# canonical dump only when `json.loads` would give the same tables, every
-# cell below the order n, so every outcome is the same; anything else,
-# a cell of n or more included, goes to `json.loads`, and `_as_table`
-# gives its message.  The tables the reader made are its own, so they
-# pass `validate_ring`'s shape and identity checks (`_checked_ring`) and
-# are proved in place, with no copy.
-#
-# A table of a canonical dump is square, so its order n is the cell count
-# of row 0, and each later row starts after the next "[" (`_row_starts`): a
-# one-character search per row, which also finds where the table ends,
-# without a search of the whole body for its "]]".  The text is then read
-# in one walk over each table, one block of whole rows of about
-# `_BLOCK_CELLS` cells at a time (`_read_table`), which proves that the
-# rows found are the body's (`_read_block`).  Each block's ASCII bytes are
-# checked by numpy passes, which release the GIL: the "],[" before each
-# later row is checked and blanked to " , "; each row holds n - 1 commas;
-# every other byte is a digit; and there is one digit run per token, so
-# no token is empty.  A table that is not square fails the walk, and
-# `json.loads` then reads the text.  An add table past the order guard is
-# refused, as `ring_from_dict` refuses it, once the text is known to be
-# JSON with `zero` and `one` keys: that walk parses nothing and checks each
-# block for a token with a leading zero instead, so it holds one block at
-# a time.  Otherwise numpy parses each block's bytes into a block-sized
-# uint32 array, whose digit count proves the parse exact, and that is
-# narrowed into the block's rows of a preallocated table.  When both
-# tables are larger than one block, the one worker of a thread pool walks
-# the mul table while the calling thread walks the add table (the passes
-# and `np.fromstring` release the GIL), and either walk stops at its next
-# block once the other has failed; the pool is shut down, its worker
-# joined, before the call returns or raises, so no thread outlives a call
-# and an error in the worker reaches the caller.
+# `ring_from_json` reads text in exactly that form straight into the
+# ring's tables and hands any other text to `json.loads`.  Each step of
+# the reader states the argument it rests on: which text it reads and why
+# the outcome is the same, and the refusal past the guard, at
+# `_canonical_dump`; the row search at `_row_starts`; the block proof and
+# the parse's exactness at `_read_block`; the worker thread and its join
+# at `_parsed_tables`.
 
 _DUMP_HEAD = '{"add":[['
 _LABEL_KEY = ']],"label":"'
@@ -1148,11 +1102,12 @@ def ring_to_json(ring: FiniteRing) -> str:
 
 def _row_starts(text: str, lo: int) -> list[int] | None:
     """The offsets where the rows of the table body at `text[lo]` start,
-    n + 1 of them for the order n that the commas of row 0 give: each later
-    row starts after the next "[", a one-character search, and the last
-    offset is 3 past the first "]" after the last row starts, where the
-    body ends, so that row k is `text[starts[k]:starts[k + 1] - 3]`.
-    `_read_table` proves that these are the rows.  None when fewer rows are
+    n + 1 of them for the order n that the commas of row 0 give (a
+    canonical table is square): each later row starts after the next "[",
+    a one-character search per row, and the last offset is 3 past the first
+    "]" after the last row starts, where the body ends, so that row k is
+    `text[starts[k]:starts[k + 1] - 3]`; no search of the whole body for
+    its "]]" is made.  `_read_table` proves that these are the rows.  None when fewer rows are
     found, or when the text, then the body, is too short to hold n rows of n
     one-digit cells, so no body sizes an allocation (or this list) past
     what its text could hold."""
@@ -1267,9 +1222,11 @@ def _parsed_tables(text: str, add: list[int], mul: list[int]) -> list[np.ndarray
     either body fails `_read_table`.  When both are larger than one block,
     the mul table is walked on a one-thread pool while this thread walks the
     add table, and each walk stops at its next block once the other has
-    failed.  Leaving the pool's `with` block joins its worker, so that
-    happens before this returns or raises; `result()` raises the worker's
-    error, if any."""
+    failed; the passes and `np.fromstring` release the GIL.  Leaving the
+    pool's `with` block joins its worker, so that happens before this
+    returns or raises, and no thread outlives a load (`harness.run_all`
+    forks, which is only safe in a process with one thread); `result()`
+    raises the worker's error, if any."""
     n = len(add) - 1
     tables = [np.empty((n, n), dtype=TABLE_DTYPE) for _ in (add, mul)]
     if n * n <= _BLOCK_CELLS:
@@ -1296,10 +1253,21 @@ def _canonical_dump(text, guard: int) -> dict | None:
     closes the object without an add, label or mul key.  None for any other
     text, which `json.loads` then reads.
 
+    It gives tables only where `json.loads` would give the same ones, every
+    cell below n, so `ring_from_json` has the outcome of
+    `ring_from_dict(json.loads(text))`; anything else, a table that is not
+    square or a cell of n or more included, goes to `json.loads`, and
+    `_as_table` gives its message.  The
+    tables are the reader's own, so `_checked_ring` proves them in place,
+    with no copy.  Each table is found by `_row_starts` and read in one walk
+    over its blocks of whole rows (`_read_table`, `_read_block`); the load
+    holds the text, one block and the two tables.
+
     Raises `OrderGuardExceeded`, before any cell is parsed, where
     `ring_from_dict` would refuse the decoded dump at `guard`: the text is
     JSON, it has `zero` and `one`, and its add table is square and past the
-    guard."""
+    guard.  That walk parses no cell and checks each block for a token with
+    a leading zero instead, so it holds one block of the text at a time."""
     if not isinstance(text, str) or not text.startswith(_DUMP_HEAD):
         return None
     add = _row_starts(text, len(_DUMP_HEAD))
@@ -1364,23 +1332,12 @@ def ring_from_json(text: str, *, order_guard: int | None = None) -> FiniteRing:
     A canonical dump, the form `ring_to_json` writes, is decoded straight
     into the ring's `TABLE_DTYPE` tables, which pass `ring_from_dict`'s
     key and label checks and `validate_ring`'s shape and identity checks
-    and are then proved in place, with no copy; any other text goes through
-    `json.loads` and `ring_from_dict`.  The reader decodes only text whose
-    tables `json.loads` would give with every cell in range, so the ring,
-    or the error class and message, is the same as
-    `ring_from_dict(json.loads(text))` gives: `MalformedRing` for text that
-    is not a dump, `OrderGuardExceeded` past the order guard, `AxiomViolation`
-    for tables that break a ring law.
-
-    A canonical dump is checked and parsed one block of whole rows at a
-    time, so no whole-table copy of its text is made, and the load holds
-    the text, one block and the two tables.  One whose add table is past
-    the guard is refused from a walk that parses no cell and holds one
-    block.  When both of its tables are larger than one block, the mul
-    table is walked on a worker thread while this thread walks the add
-    table, and either stops once the other has failed; the worker is joined
-    before the call returns or raises, so no thread outlives the call, and
-    an error in the worker is raised here.
+    and are then proved in place; any other text goes through `json.loads`
+    and `ring_from_dict`.  Either way the ring, or the error class and
+    message, is the one `ring_from_dict(json.loads(text))` gives:
+    `MalformedRing` for text that is not a dump, `OrderGuardExceeded` past
+    the order guard, `AxiomViolation` for tables that break a ring law
+    (`_canonical_dump` says why).
     """
     guard = _resolve_guard(order_guard)
     data = _canonical_dump(text, guard)

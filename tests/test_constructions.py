@@ -128,7 +128,8 @@ def test_tuple_ring_fills_from_the_generator_rows(monkeypatch, zmod, cells):
         coords = [(np.arange(ring.order) // st) % sz for st, sz in zip(strides, sizes)]
         full = products(add_tables, terms, [c[:, None] for c in coords], [c[None, :] for c in coords])
         assert np.array_equal(ring.mul, sum(st * np.asarray(c) for st, c in zip(strides, full)))
-        calls.append((label, rows, 1 + len(core.additive_generators(ring.add, ring.zero))))
+        calls.append((label, rows,
+                      1 + len(oracles.additive_generators(ring.add, ring.zero))))
         gens, span = core._coset_walk(ring.add, ring.zero)
         width = max(1, core._BLOCK_CELLS // ring.order)
         partial.extend(label for s in map(span.index, gens) if 1 < min(s, width) < s)
@@ -343,7 +344,7 @@ def test_catalog_and_pool_rings_are_certified_without_fallback(monkeypatch):
     def compared(add, mul, zero, one, label, names, certified=False):
         if certified:
             labels.append(label)
-            if verdicts[-1][1] != core.additive_generators(add, zero):
+            if verdicts[-1][1] != oracles.additive_generators(add, zero):
                 other_generators.append(label)
         return validated(add, mul, zero, one, label, names, certified)
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import weakref
@@ -17,6 +19,7 @@ from deltaring.constructions import direct_product, matrix_index, matrix_ring, u
 from deltaring.errors import (
     AxiomViolation,
     HomViolation,
+    InternalInconsistency,
     MalformedRing,
     NotAnIdeal,
     NotIdempotent,
@@ -201,7 +204,7 @@ def test_light_passes_hold_one_table_at_a_time():
     # all (one such gather per pass held 1 table)
     for expr, order, rank in (("Prod(Z32,Z64)", 2048, 2), ("K(Z6,s=0)", 1296, 4)):
         R = dsl.build_str(expr)
-        gens = core.additive_generators(R.add, R.zero)
+        gens = oracles.additive_generators(R.add, R.zero)
         assert (R.order, len(gens)) == (order, rank)
         peak = traced_peak(lambda: core._generator_triple_checks(
             R.add, R.mul, core._group_generators(R.add, R.zero)))
@@ -235,7 +238,7 @@ def test_valid_ring_runs_full_left_passes_only(monkeypatch):
         for seen in calls.values():
             seen.clear()
         core.validate_ring(R.add, R.mul, R.zero, R.one)
-        gens = core.additive_generators(R.add, R.zero)
+        gens = oracles.additive_generators(R.add, R.zero)
         assert len(gens) >= 4
         sizes = [(g, oracles._magma_closure(R.add, np.array(gens[1:k + 1])).size)
                  for k, g in enumerate(gens[1:], 1)]
@@ -252,9 +255,9 @@ def test_span_chain_is_the_closure_of_the_later_generators():
     add, mul = (np.array(t) for t in zmod_tables(4))
     swap = np.array([0, 2, 1, 3])
     Z4 = core.validate_ring(swap[add[swap][:, swap]], swap[mul[swap][:, swap]], 0, 2)
-    assert core.additive_generators(Z4.add, Z4.zero) == [1, 2]
+    assert oracles.additive_generators(Z4.add, Z4.zero) == [1, 2]
     for R in [*harness.catalog_rings(), Z4]:
-        gens = core.additive_generators(R.add, R.zero)
+        gens = oracles.additive_generators(R.add, R.zero)
         if len(gens) < 2:
             continue
         cols, over, sums = core._span_chain(R.add, gens)
@@ -1170,43 +1173,74 @@ def test_a_rejection_leaves_no_reference_cycle(edits, kind):
         gc.enable()
 
 
-def test_additive_generators_match_whole_span_closure_on_catalog():
-    # the frontier closure picks the same generators as re-closing the whole
-    # span after each one, on every catalog ring
+def test_catalog_rings_take_their_generators_from_the_coset_walk():
+    # on every catalog ring the walk reaches all n elements with the greedy
+    # generators, as re-closing the whole span after each one finds them,
+    # and validation passes on them
     for label, expr in dsl.catalog():
         R = dsl.build(expr)
-        assert core.additive_generators(R.add, R.zero) == \
-            oracles.additive_generators(R.add, R.zero), label
-
-
-def test_catalog_rings_take_their_generators_from_the_coset_walk(monkeypatch):
-    # on every catalog ring the walk reaches the whole group with the greedy
-    # generators, so validation never falls back to the greedy search
-    greedy, real = [], core.additive_generators
-    monkeypatch.setattr(core, "additive_generators",
-                        lambda add, zero: greedy.append(add.shape[0]) or real(add, zero))
-    for label, expr in dsl.catalog():
-        R = dsl.build(expr)
-        assert core._coset_walk(R.add, R.zero)[0] == real(R.add, R.zero), label
+        gens, span = core._coset_walk(R.add, R.zero)
+        assert sorted(span) == list(range(R.order)), label
+        assert gens == oracles.additive_generators(R.add, R.zero), label
         core.validate_ring(R.add, R.mul, R.zero, R.one)
-    assert greedy == []
 
 
-def test_coset_walk_gives_up_where_a_translation_is_not_injective(monkeypatch):
-    # commutative with identity 0 and inverses, but x -> x + 2 sends both
-    # members 0 and 1 of the span <1> to 2: the coset <1> + 2 repeats an
-    # element, so the walk gives up, and validation takes the greedy
-    # generators, whose Light test names the rejection
-    add = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 0, 1], [3, 3, 1, 0]])
+# commutative with identity 0 and inverses, but x -> x + 2 sends both
+# members 0 and 1 of the span <1> to 2
+_NOT_INJECTIVE = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 0, 1], [3, 3, 1, 0]]
+
+
+def _not_injective_ring() -> tuple[np.ndarray, np.ndarray]:
+    """`_NOT_INJECTIVE` with a product whose identity is 1."""
     mul = np.zeros((4, 4), dtype=np.int64)
     mul[1] = mul[:, 1] = np.arange(4)
-    assert core._coset_walk(add, 0) is None
-    greedy, real = [], core.additive_generators
-    monkeypatch.setattr(core, "additive_generators",
-                        lambda add, zero: greedy.append(zero) or real(add, zero))
+    return np.array(_NOT_INJECTIVE), mul
+
+
+def test_coset_walk_gives_up_where_a_translation_is_not_injective():
+    # the coset <1> + 2 repeats an element, so the walk gives up at 2 with
+    # the span <1>, and Light's test on its generators names the rejection
+    # that the greedy set names
+    add, mul = _not_injective_ring()
+    gens, span = core._coset_walk(add, 0)
+    assert gens == [1, 2] and len(span) < 4
     with pytest.raises(AxiomViolation) as exc:
         core.validate_ring(add, mul, 0, 1)
     with pytest.raises(AxiomViolation) as expected:
         oracles.two_sided_generator_checks(add, mul, oracles.additive_generators(add, 0))
     assert (exc.value.kind, exc.value.witness) == (expected.value.kind, expected.value.witness)
-    assert exc.value.kind == "add-associativity" and greedy == [0]
+    assert exc.value.kind == "add-associativity"
+
+
+def test_a_short_walk_past_light_is_an_internal_inconsistency(monkeypatch):
+    # Light's test failing where the walk gives up is forced (`_coset_walk`),
+    # so validation asserts that the span is whole once the test has passed
+    add, mul = _not_injective_ring()
+    monkeypatch.setattr(core, "_check_light", lambda add, gens: None)
+    with pytest.raises(InternalInconsistency):
+        core.validate_ring(add, mul, 0, 1)
+
+
+# the walk on two tables it gives up on: `_NOT_INJECTIVE`, and Z2 x X, X
+# being Z2 with 1 as its identity, laid out as `constructions._tuple_ring`
+# lays it out (x + y = x ^ y ^ 1), where 0 + 1 = 0 leaves the generator 1
+# unreached after its cosets
+_WALK_ENDS = """
+import json, numpy as np
+from deltaring import core
+tables = [%r, [[i ^ j ^ 1 for j in range(4)] for i in range(4)]]
+print(json.dumps([core._coset_walk(np.array(add), 0) for add in tables]))
+""" % (_NOT_INJECTIVE,)
+
+
+def test_coset_walk_ends_where_it_gives_up():
+    # a walk that never ended would hang the suite, which has no per-test
+    # timeout, so the walk runs in a child process that has one (a broken
+    # walk that loops appends a generator each round, about 12 MB/s)
+    src = str(Path(core.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _WALK_ENDS], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[[1, 2], [0, 1]], [[1], [0]]]

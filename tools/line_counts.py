@@ -6,14 +6,15 @@ A line is a docstring line when it lies within a module, class or function
 docstring (blank lines inside one included), blank when it holds only
 whitespace, a comment line when a comment is its only token, and a code
 line otherwise (a line of code with a trailing comment counts as code).
-One row per file, then the total.
+One row per file, then the total.  With no file it prints its usage line
+and exits with status 2.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
-import sys
 import tokenize
 
 
@@ -59,4 +60,6 @@ def main(paths: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    parser = argparse.ArgumentParser(prog="python tools/line_counts.py")
+    parser.add_argument("paths", nargs="+", metavar="FILE")
+    main(parser.parse_args().paths)
