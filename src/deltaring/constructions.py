@@ -655,23 +655,21 @@ def group_ring(R: FiniteRing, G: FiniteGroup, *, order_guard: int | None = None)
     terms = ((h, g, int(G.table[G.inv[g], h]), R.mul)
              for h in range(G.order) for g in range(G.order))
     var_names = ["" if g == G.identity else G.names[g] for g in range(G.order)]
-    out = _over(R, G.order, f"GR({R.label},{G.label})", terms, [G.identity],
-                lambda: _poly_names(R.names, [R.order] * G.order, var_names), order_guard)
-    out._cache["group_ring"] = (R, G)
-    return out
+    return _over(R, G.order, f"GR({R.label},{G.label})", terms, [G.identity],
+                 lambda: _poly_names(R.names, [R.order] * G.order, var_names), order_guard)
 
 
-def augmentation(RG: FiniteRing) -> tuple[RingHom, np.ndarray]:
-    """Coefficient-sum map of a group ring and the mask of its kernel ideal.
+def augmentation(RG: FiniteRing, R: FiniteRing, G: FiniteGroup) -> tuple[RingHom, np.ndarray]:
+    """Coefficient-sum map of the group ring RG = `group_ring(R, G)` onto R,
+    and the mask of its kernel ideal.  A ring not of order |R|^|G| raises
+    ValueError.
 
     The kernel always has |R|^(|G|-1) elements and the map is a surjective
     homomorphism; both facts are re-verified here.
     """
-    info = RG._cache.get("group_ring")
-    if info is None:
-        raise ValueError("augmentation needs a ring built by group_ring")
-    R, G = info
     n = RG.order
+    if n != R.order ** G.order:
+        raise ValueError(f"{RG.label} is not a group ring of {R.label} over {G.label}")
     arange = np.arange(n, dtype=np.int64)
     strides = _strides([R.order] * G.order)
     eps = np.full(n, R.zero, dtype=core.TABLE_DTYPE)

@@ -461,7 +461,7 @@ def _test_TG3(expr):
 
 def _test_TL4_14(expr):
     ring = dsl.build(expr)
-    _, kernel = cons.augmentation(ring)
+    _, kernel = cons.augmentation(ring, dsl.build(expr.base), cons.group_catalog()[expr.group])
     inside = subsets.jacobson_mask(ring)[kernel].all()
     return [] if inside else [_counterexample(ring, "augmentation ideal escapes the radical")]
 
@@ -612,14 +612,14 @@ def run_check(check_id: str, rings: list[FiniteRing] | None = None,
                         counterexamples, elapsed if include_timings else 0, notes)
 
 
-# The checks that dominate a catalog run, longest first: alone on the
-# built catalog, on a 2-core x86-64 VM, T3.5 takes ~0.33 s, T-oracle
-# ~0.2 s and T3.7 ~0.14 s, every other check under 0.08 s.  Workers take
-# checks in submission order, so these go first and the short checks fill
-# in behind them.  In registry order T-oracle comes last and starts late
-# on whichever worker is free, and the other worker idles for 0.09-0.22 s,
-# a different amount each run.
-_LONGEST = ("T3.5", "T-oracle", "T3.7")
+# The checks that dominate a catalog run, longest first: alone in a fresh
+# process on the built catalog, on a 2-core x86-64 VM, T3.5 takes
+# 0.19-0.20 s, T-oracle 0.09-0.12 s and T2.4 0.07-0.08 s, every other check
+# 0.07 s or less (median of 5).  Workers take checks in submission order, so
+# these go first and the short checks fill in behind them.  In registry
+# order T-oracle comes last and starts late on whichever worker is free,
+# while the other worker idles.
+_LONGEST = ("T3.5", "T-oracle", "T2.4")
 
 
 # The scope and timing flag of the running `run_all`, set in the parent

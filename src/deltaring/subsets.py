@@ -12,9 +12,9 @@ call.
 
 Each set is memoized per tables (`_memo`), so every ring on equal tables,
 such as GF(p) and Z_p, reads the value computed for the first of them;
-`core._table_memo` says why that changes no output and no check's power.
-The ring's own memo holds each value it read as well, and alone holds R/J
-and the unit subring, which hold the ring.
+`_table_memo` says why that changes no output and no check's power.  The
+ring's own memo holds only what names or holds the ring: R/J, the unit
+subring and the class reports of `predicates`.
 
 A finite ring is artinian and strongly pi-regular, which gives three of
 the radical sets by identities that hold in every finite ring (Lam, *A
@@ -42,6 +42,9 @@ idempotent).
 
 from __future__ import annotations
 
+import threading
+import weakref
+
 import numpy as np
 
 from . import core
@@ -51,23 +54,88 @@ from .errors import InternalInconsistency
 QN_DEFINITION = "quasinilpotent: 1 + a*x is a unit for every x commuting with a"
 
 
+class _TableMemo(dict):
+    """The element sets computed from one pair of tables, `add` and `mul`,
+    those of the ring that registered it, shared by every ring on tables
+    equal to them.  Those rings hold it, so it dies with the last of them,
+    and holds those tables until then."""
+
+    __slots__ = ("add", "mul", "__weakref__")
+
+    def __init__(self, add: np.ndarray, mul: np.ndarray):
+        super().__init__()
+        self.add, self.mul = add, mul
+
+
+# hash of a fingerprint -> the memo of the tables first registered under it,
+# held weakly
+_TABLE_MEMOS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_TABLE_MEMO_LOCK = threading.Lock()
+
+
+def _fingerprint(ring: FiniteRing) -> int:
+    """An O(n) key of the tables: a hash of the order, 0, 1, the squares and
+    x -> 1 + x.  Equal keys are only a hint; the tables decide."""
+    return hash((ring.order, ring.zero, ring.one, ring.mul.diagonal().tobytes(),
+                 ring.add[ring.one].tobytes()))
+
+
+def _same_table(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two n-by-n tables are equal: at once when they are one array,
+    else compared one row block at a time, with no n-by-n temporary."""
+    return a is b or all(np.array_equal(a[lo:hi], b[lo:hi])
+                         for lo, hi in core._row_blocks(a.shape[0], a.shape[1]))
+
+
+def _table_memo(ring: FiniteRing) -> _TableMemo:
+    """The memo `ring` shares with every live ring on equal tables.
+
+    Element sets are memoized per tables, not per ring object: rings on
+    equal (add, mul, zero, one) compute each set once and read the one
+    value, while a ring's own memo keeps what names or holds the ring
+    (class reports, R/J, the unit subring).  Derived rings repeat: R/{0},
+    the unit subring of a ring its units generate and the corner at 1 are
+    R's tables, and Z2's tables are R/I for many catalog rings.  Sharing
+    cannot change an output, since a shared value is a pure function of the
+    tables, and it costs no check its power: no ring identity is used, only
+    literal equality of both tables, so where a check compares two rings on
+    equal tables it compared a deterministic function with itself before,
+    and a set's postconditions still run once for each distinct pair of
+    tables.
+
+    Looked up on the first shared set a ring is asked for, so a ring asked
+    for none pays nothing: by an O(n) fingerprint, then by literal equality
+    of both tables with the tables of the memo registered under it (equal
+    tables fix their identities 0 and 1), shared arrays at once and others
+    one row block at a time.  A ring whose fingerprint is registered for
+    unequal tables gets a memo of its own.  The registry holds its memos
+    weakly, and each dies with the last ring on its tables."""
+    if ring._tables is None:
+        key = _fingerprint(ring)
+        with _TABLE_MEMO_LOCK:
+            if ring._tables is None:
+                memo = _TABLE_MEMOS.get(key)
+                if memo is None:
+                    memo = _TABLE_MEMOS[key] = _TableMemo(ring.add, ring.mul)
+                elif not (_same_table(ring.add, memo.add) and _same_table(ring.mul, memo.mul)):
+                    memo = _TableMemo(ring.add, ring.mul)
+                ring._tables = memo
+    return ring._tables
+
+
 def _memo(ring: FiniteRing, key, compute, shared: bool = True):
-    """The value memoized on the ring under `key`.  On a miss a `shared`
-    value is read from the memo of the ring's tables (`core._table_memo`),
-    and only computed, by `compute()`, when that misses too; it is then
-    stored in both.  A value that names the ring or holds it is not
-    `shared`.  An array is stored read-only.  Threads that race on one ring
-    all get the value that was stored first."""
-    value = ring._cache.get(key)
+    """The value memoized under `key`, computed by `compute()` on a miss.
+    A `shared` value lives in the memo of the ring's tables (`_table_memo`);
+    a value that names the ring or holds it is not shared and lives in the
+    ring's own memo.  An array is stored read-only.  Threads that race on
+    one memo all get the value that was stored first."""
+    memo = (ring._tables or _table_memo(ring)) if shared else ring._cache
+    value = memo.get(key)
     if value is None:
-        tables = core._table_memo(ring) if shared else {}
-        value = tables.get(key)
-        if value is None:
-            value = compute()
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            value = tables.setdefault(key, value)
-        value = ring._cache.setdefault(key, value)
+        value = compute()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        value = memo.setdefault(key, value)
     return value
 
 

@@ -18,7 +18,7 @@ def empty_table_memos():
     that a test makes computes its element sets instead of reading values
     that an earlier test computed on equal tables.  Rings made before keep
     the memos they hold."""
-    core._TABLE_MEMOS.clear()
+    subsets._TABLE_MEMOS.clear()
 
 
 @pytest.fixture

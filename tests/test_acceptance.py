@@ -144,9 +144,10 @@ def test_criterion_08_group_rings():
     start = time.monotonic()
     ok = True
     for text in ("GR(Z2,C2)", "GR(Z4,C2)", "GR(Z2,V4)", "GR(Z9,C3)"):
-        ring = dsl.build_str(text)
+        expr = dsl.parse(text)
+        ring = dsl.build(expr)
         ok &= class_verdict(ring, "2-delta-u") is True
-        _, kernel = cons.augmentation(ring)
+        _, kernel = cons.augmentation(ring, dsl.build(expr.base), cons.group_catalog()[expr.group])
         ok &= bool(subsets.jacobson_mask(ring)[kernel].all())
     ok &= class_verdict(dsl.build_str("GR(Z2,C3)"), "2-delta-u") is False
     ok &= dsl.build_str("GR(Z9,C3)").order == 729

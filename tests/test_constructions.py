@@ -633,7 +633,7 @@ def test_group_ring_examples(zmod):
     assert RG.order == 4
     unit_names = {RG.names[i] for i in members(subsets.unit_mask(RG))}
     assert unit_names == {"1", "g"}
-    eps, kernel = cons.augmentation(RG)
+    eps, kernel = cons.augmentation(RG, Z2, G["C2"])
     assert {RG.names[i] for i in members(kernel)} == {"0", "1+g"}
     assert eps.is_surjective and kernel.sum() == 2
 
@@ -657,8 +657,8 @@ def test_group_ring_examples(zmod):
 
 
 def test_augmentation_needs_group_ring(zmod):
-    with pytest.raises(ValueError):
-        cons.augmentation(zmod(4))
+    with pytest.raises(ValueError, match="is not a group ring"):
+        cons.augmentation(zmod(4), zmod(2), cons.group_catalog()["C3"])
 
 
 def _frobenius_map(F, p: int) -> np.ndarray:

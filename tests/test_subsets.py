@@ -190,12 +190,16 @@ def test_known_group_and_radical_orders():
 
 
 def test_internal_inconsistency_guard(zmod):
-    # sabotage the cached radical so the delta postcondition J <= Delta trips
-    R = dsl.build_str("Quot(Z16,8)")  # fresh ring object, clean cache
+    # sabotage the radical in the memo of the ring's tables, so the delta
+    # postcondition J <= Delta trips; the memo is empty, so no other live ring
+    # holds it, and it dies with the ring
+    R = core._relabel(dsl.build_str("Quot(Z16,8)"), "Quot(Z16,8)")
+    memo = subsets._table_memo(R)
+    assert not memo
     bad_jac = np.zeros(R.order, dtype=bool)
     bad_jac[R.zero] = True
     bad_jac[R.one] = True  # 1 is never in the radical
-    R._cache["jac_mask"] = bad_jac
+    memo["jac_mask"] = bad_jac
     with pytest.raises(InternalInconsistency):
         subsets.delta_mask(R)
 
@@ -220,13 +224,32 @@ def test_rings_on_equal_tables_compute_each_set_once(computed):
         assert B._tables is A._tables and B._cache is not A._cache
 
 
+def test_each_memoized_value_has_one_home():
+    # a shared set lives only in the memo of the ring's tables, and a ring's
+    # own memo holds only what names or holds the ring: its class reports,
+    # R/J and the unit subring
+    rings = list(harness.catalog_rings())
+    rings += [subsets.radical_quotient(R)[0] for R in rings[::20]]
+    rings += [subsets.unit_subring(R)[0] for R in rings]
+    own = {"rj", "unit_subring"} | {("class", predicates.class_key(name))
+                                    for name in predicates.ALL_CLASSES}
+    for R in rings:
+        for name in predicates.ALL_CLASSES:
+            predicates.class_verdict(R, name)
+        memo = subsets._table_memo(R)
+        for key, fn in SHARED_SETS.items():
+            assert fn(R) is memo[key], (R.label, key)
+        assert set(R._cache) <= own, R.label
+        assert set(memo) <= set(SHARED_SETS), R.label
+
+
 def test_rings_on_unequal_tables_with_one_fingerprint_share_nothing(computed):
     # T(2,Z2) and its opposite ring have one order, 0, 1, squares and 1 + x,
     # but not one product; a third ring on T(2,Z2)'s tables still shares them
     R = core._relabel(dsl.build_str("T(2,Z2)"), "T(2,Z2)")
     op = core.validate_ring(R.add, R.mul.T, R.zero, R.one, label="T(2,Z2)op")
     again = core._relabel(R, "again")
-    assert core._fingerprint(op) == core._fingerprint(R)
+    assert subsets._fingerprint(op) == subsets._fingerprint(R)
     reach = [subsets.idempotent_reach(S) for S in (R, op, again)]
     assert op._tables is not R._tables and again._tables is R._tables
     assert reach[2] is reach[0] and not np.array_equal(reach[1], reach[0])
@@ -237,21 +260,30 @@ def test_rings_on_unequal_tables_with_one_fingerprint_share_nothing(computed):
 
 
 def test_table_memo_dies_with_its_last_ring():
-    first = core._relabel(dsl.build_str("Z6"), "first")
-    second = core._relabel(first, "second")
+    # a ring built twice has equal tables in distinct arrays; the memo holds
+    # the tables of the ring that registered it, and later rings are compared
+    # with those, also once that ring is gone
+    dsl.clear_build_cache()
+    first = dsl.build_str("Z6")
+    dsl.clear_build_cache()
+    second = dsl.build_str("Z6")
+    assert second.add is not first.add and second.mul is not first.mul
     subsets.unit_mask(first)
     subsets.unit_mask(second)
-    key, memo = core._fingerprint(first), first._tables
-    assert core._TABLE_MEMOS[key] is memo is second._tables
+    key, memo = subsets._fingerprint(first), first._tables
+    assert subsets._TABLE_MEMOS[key] is memo is second._tables
     del first, memo
     gc.collect()
     # the ring that registered the memo is gone, the one that shares it is not
-    third = core._relabel(second, "third")
+    dsl.clear_build_cache()
+    third = dsl.build_str("Z6")
+    assert third.add is not second.add and third.mul is not second.mul
     subsets.unit_mask(third)
-    assert third._tables is second._tables is core._TABLE_MEMOS[key]
+    assert third._tables is second._tables is subsets._TABLE_MEMOS[key]
     del second, third
+    dsl.clear_build_cache()
     gc.collect()
-    assert key not in core._TABLE_MEMOS
+    assert key not in subsets._TABLE_MEMOS
 
 
 def test_class_reports_on_equal_tables_name_their_own_ring():
@@ -269,11 +301,11 @@ def test_table_lookup_holds_no_table():
     # row block at a time; the whole comparison would trace n^2 bytes
     dsl.clear_build_cache()
     first = dsl.build_str("Prod(Z32,Z64)")
-    core._table_memo(first)
+    subsets._table_memo(first)
     dsl.clear_build_cache()
     second = dsl.build_str("Prod(Z32,Z64)")
     assert second.add is not first.add and second.mul is not first.mul
-    assert traced_peak(core._table_memo, second) < 0.05 * second.order ** 2
+    assert traced_peak(subsets._table_memo, second) < 0.05 * second.order ** 2
     assert second._tables is first._tables
     dsl.clear_build_cache()
 
