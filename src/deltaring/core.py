@@ -572,47 +572,31 @@ def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) 
     biadditivity the associator is additive in each slot, so vanishing on
     generator triples forces vanishing everywhere.
 
-    What a rejection names: the violation that the two-sided order L(g1),
-    R(g1), L(g2), R(g2), ..., with full left and right passes, meets first.
-    When a span pass or a later column pass fails, the full left passes
-    L(g2), L(g3), ... are replayed in that order with their column passes (a
-    span failure is a failure of some full pass, so the replay finds one).
-    A failure at L(gk) replays R(g1..gk-1), one in gk's column pass replays
-    R(g1..gk), and one on a generator triple replays them all.  The first
-    replayed pass to fail names the violation, else the failure found does,
-    each at its first failing instance in row-major order within its pass.
+    What a rejection names: the first violation in the literal order L(g1),
+    R(g1), L(g2), R(g2), ..., full passes each, then the generator triples,
+    at its first failing instance in row-major order within its pass.  The
+    passes above only decide; where one fails, that order runs (L(g1) once).
     """
-    def named(upto: int, found: AxiomViolation) -> AxiomViolation:
-        # the full right passes the two-sided order would have run before `found`
-        for g in gens[:upto]:
-            bad = _right_pass(add, mul, g)
-            if bad is not None:
-                return AxiomViolation("right-distributivity", (bad[0], g, bad[1]))
-        return found
-
-    # every generator's column pass in one gather: (gk + x)hj != xhj + gk hj
+    bad = _left_pass(add, mul, gens[0])
+    if bad is not None:
+        raise AxiomViolation("left-distributivity", (bad[0], gens[0], bad[1]))
+    # every generator's column pass in one gather: (gk + x)hj = xhj + gk hj
     # at [k, x, j], r*n*r cells (add is commutative, so its rows are its columns)
     cols = np.array(gens)
     products = mul[cols[:, None], cols]             # gk hj at [k, j]
-    bad_columns = (_lookup(mul, add[cols][:, :, None], cols)
-                   != _lookup(add, np.take(mul, cols, axis=1)[None], products[:, None, :]))
-
-    def full_pair(k: int, g: int) -> None:
-        # L(g) over all pairs, then the column pass of g, as the order names them
-        bad = _left_pass(add, mul, g)
+    if (np.array_equal(_lookup(mul, add[cols][:, :, None], cols),
+                       _lookup(add, np.take(mul, cols, axis=1)[None], products[:, None, :]))
+            and (len(gens) == 1 or _span_passes_hold(add, mul, gens))
+            and _bad_triple(mul, gens) is None):
+        return
+    sides = {"left-distributivity": _left_pass, "right-distributivity": _right_pass}
+    for law, g in [(law, g) for g in gens for law in sides][1:]:    # L(g1) held
+        bad = sides[law](add, mul, g)
         if bad is not None:
-            raise named(k, AxiomViolation("left-distributivity", (bad[0], g, bad[1])))
-        if bad_columns[k].any():
-            x, j = _first_bad_pair(bad_columns[k])
-            raise named(k + 1, AxiomViolation("right-distributivity", (x, g, gens[j])))
-
-    full_pair(0, gens[0])
-    if len(gens) > 1 and (bad_columns[1:].any() or not _span_passes_hold(add, mul, gens)):
-        for k, g in enumerate(gens[1:], 1):
-            full_pair(k, g)
+            raise AxiomViolation(law, (bad[0], g, bad[1]))
     triple = _bad_triple(mul, gens)
     if triple is not None:
-        raise named(len(gens), AxiomViolation("mul-associativity", triple))
+        raise AxiomViolation("mul-associativity", triple)
 
 
 def validate_ring(add, mul, zero: int, one: int, label: str = "R",

@@ -38,6 +38,22 @@ def computed(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def full_passes(monkeypatch):
+    """The ("left" or "right", g) of each full distributivity pass,
+    `core._left_pass` or `core._right_pass`, that the test runs, in order."""
+    calls = []
+    for side in ("left", "right"):
+        real = getattr(core, f"_{side}_pass")
+
+        def spy(add, mul, g, real=real, side=side):
+            calls.append((side, g))
+            return real(add, mul, g)
+
+        monkeypatch.setattr(core, f"_{side}_pass", spy)
+    return calls
+
+
 def bench_pool():
     """bench/pool.py, which holds the benchmark's inspect pool."""
     spec = importlib.util.spec_from_file_location(

@@ -245,6 +245,24 @@ def test_valid_ring_runs_full_left_passes_only(monkeypatch):
         assert calls == {"left": gens[:1], "right": [], "spans": [sizes]}, expr
 
 
+def test_the_literal_order_alone_accepts_the_catalog(monkeypatch, full_passes):
+    # with every span pass failing, validation falls to the literal order
+    # L(g1), R(g1), L(g2), R(g2), ...: a complete check on its own, which
+    # accepts every catalog ring of additive rank 2 or more (orders up to
+    # 256), with one full pass of each side per generator, in order
+    monkeypatch.setattr(core, "_span_passes_hold", lambda add, mul, gens: False)
+    checked = 0
+    for R in (R for R in harness.catalog_rings() if R.order <= 256):
+        gens = oracles.additive_generators(R.add, R.zero)
+        if len(gens) < 2:
+            continue
+        full_passes.clear()
+        core.validate_ring(R.add, R.mul, R.zero, R.one, label=R.label)
+        assert full_passes == [(side, g) for g in gens for side in ("left", "right")], R.label
+        checked += 1
+    assert checked == 55
+
+
 def test_span_chain_is_the_closure_of_the_later_generators():
     # for every catalog ring of rank >= 2, the columns c of gk's span pass
     # are <g2..gk>, each member once, as the literal closure under addition

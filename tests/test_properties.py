@@ -130,9 +130,9 @@ def _coset_shifted(R: core.FiniteRing, mul: np.ndarray, row: int, shift: int) ->
     <g1> itself, the row stays additive along the cosets of <g1>, so L(g1)
     holds on it, and X holds no generator, so the column passes hold; but
     the row is not additive on <g2..gr> when R/<g1> has more than two
-    elements or 2*shift != 0, so a span pass fails and the full left passes
-    are replayed (unless the identity's row or column changed, which its
-    identity check names first)."""
+    elements or 2*shift != 0, so a span pass fails and the literal order of
+    full passes runs from R(g1) on (unless the identity's row or column
+    changed, which its identity check names first)."""
     gens = oracles.additive_generators(R.add, R.zero)
     coset = R.add[R.add[gens[1], gens[-1]], oracles._magma_closure(R.add, np.array(gens[:1]))]
     mul[row, coset] = R.add[mul[row, coset], shift]
@@ -185,30 +185,27 @@ def test_left_side_validation_names_the_two_sided_violation(case):
 
 @pytest.mark.parametrize("expr", ["Prod(Z3,Z3)", "Prod(Z4,Z6)", "T(2,Z3)", "M(2,Z2)",
                                   "K(Z4,s=2)"])
-def test_failed_span_pass_replays_the_full_left_passes(expr, monkeypatch):
+def test_failed_span_pass_runs_the_literal_order(expr, monkeypatch, full_passes):
     # a mul row shifted on a coset of <g1> passes L(g1) and every column
-    # pass but fails a span pass: validation then replays the full left
-    # passes from g2 on, and names what the two-sided pass order names (up
-    # to 12 rows of each ring)
+    # pass but fails a span pass: validation then runs the literal order
+    # from R(g1) on, never L(g1) twice, and names what the two-sided pass
+    # order names (up to 12 rows of each ring)
     R = dsl.build_str(expr)
     gens = oracles.additive_generators(R.add, R.zero)
-    lefts, real = [], core._left_pass
-
-    def spy(add, mul, g):
-        lefts.append(g)
-        return real(add, mul, g)
-
-    monkeypatch.setattr(core, "_left_pass", spy)
-    replays, rows = 0, range(0, R.order, math.ceil(R.order / 12))
+    order = [(side, g) for g in gens for side in ("left", "right")]
+    literal, rows = 0, range(0, R.order, math.ceil(R.order / 12))
     for row in rows:
         for shift in (gens[0], gens[-1], R.order - 1):
             mul = np.array(R.mul)
             _coset_shifted(R, mul, row, shift)
             for cells in (core._BLOCK_CELLS, 64):
                 monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
-                lefts.clear()
+                full_passes.clear()
                 got = _validation_outcome(R.add, mul, R.zero, R.one)
-                replays += lefts[:2] == gens[:2]
+                # the full passes run in the literal order, so L(g1) at most
+                # once, and R(g1) is the first right pass
+                assert full_passes == order[:len(full_passes)], (row, shift)
+                literal += full_passes[:2] == order[:2]
                 with monkeypatch.context() as mp:
                     mp.setattr(core, "_generator_triple_checks",
                                oracles.two_sided_generator_checks)
@@ -216,7 +213,7 @@ def test_failed_span_pass_replays_the_full_left_passes(expr, monkeypatch):
                 assert got is not None
     # every row but the identity's (a mul-identity violation), at both
     # block sizes, under each shift
-    assert replays == 2 * 3 * (len(rows) - (R.one in rows)), expr
+    assert literal == 2 * 3 * (len(rows) - (R.one in rows)), expr
 
 
 # coordinate rings of the structure-table draws: T(2,Z2) has non-central
