@@ -29,9 +29,10 @@ so they gather no n-by-n array either.  A value-dependent lookup
 block of `_BLOCK_CELLS` cells that is one `np.take` on the flattened table
 with flat indices rows*n + cols, built one row block at a time, so every
 temporary is block-sized; a smaller table stays in cache and takes numpy's
-own gather.  Passes over all n^2 pairs (distributivity, homomorphism
-certificates) run in the same row blocks and stop at the first block with
-a failing pair (`_first_mismatch`).  Holding a `FiniteRing` is proof that
+own gather.  A pass that compares two sides on a grid (distributivity, a
+homomorphism on every row or on coset representatives, `_hom_pass`, and
+table equality) runs in row blocks and stops at the first block with a
+failing pair (`_first_mismatch`).  Holding a `FiniteRing` is proof that
 the tables really form a unital ring: every one is either validated from
 its tables or derived from a ring that already was, under a certificate.
 
@@ -254,12 +255,14 @@ def _all_in(mask: np.ndarray, table: np.ndarray, rows=None, cols=None) -> bool:
     return True
 
 
-def _first_column(table: np.ndarray, value: int) -> np.ndarray:
-    """Each row's first column that holds `value`, or -1 in a row that holds
-    none, as an int32 vector made in row blocks."""
-    out = np.empty(table.shape[0], dtype=np.int32)
-    for lo, hi, block in _outer_blocks(table):
-        hit = block == value
+def _first_column(table: np.ndarray, value, rows=None) -> np.ndarray:
+    """Each row's first column that holds `value` (one element, or one per
+    row), or -1 in a row that holds none, as an int32 vector made in row
+    blocks, over the table's `rows` (all of them when None)."""
+    value = np.asarray(value)
+    out = np.empty(table.shape[0] if rows is None else len(rows), dtype=np.int32)
+    for lo, hi, block in _outer_blocks(table, rows):
+        hit = block == (value if value.ndim == 0 else value[lo:hi, None])
         first = out[lo:hi]
         first[:] = hit.argmax(axis=1)
         first[(first == 0) & ~hit[:, 0]] = -1     # argmax is 0 in a row without a hit
@@ -298,11 +301,11 @@ def _first_bad_pair(bad: np.ndarray) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def _first_mismatch(n: int, sides) -> tuple[int, int] | None:
+def _first_mismatch(rows: int, width: int, sides) -> tuple[int, int] | None:
     """First (row, column) in row-major order where the two arrays that
-    `sides(lo, hi)` returns for rows lo..hi-1 of an n-by-n grid differ, or
-    None when they agree on every row block."""
-    for lo, hi in _row_blocks(n, n):
+    `sides(lo, hi)` returns for rows lo..hi-1 of a grid of `rows` rows of
+    `width` cells differ, or None when they agree on every row block."""
+    for lo, hi in _row_blocks(rows, width):
         lhs, rhs = sides(lo, hi)
         if not np.array_equal(lhs, rhs):
             a, b = _first_bad_pair(lhs != rhs)
@@ -494,13 +497,13 @@ def _group_generators(add: np.ndarray, zero: int) -> list[int]:
 
 def _left_pass(add: np.ndarray, mul: np.ndarray, g: int) -> tuple[int, int] | None:
     """First (a, c) in row-major order with a(g+c) != ag + ac, or None."""
-    return _first_mismatch(add.shape[0], lambda lo, hi: (
+    return _first_mismatch(*add.shape, lambda lo, hi: (
         np.take(mul[lo:hi], add[g], axis=1), _lookup(add, mul[lo:hi, g, None], mul[lo:hi])))
 
 
 def _right_pass(add: np.ndarray, mul: np.ndarray, g: int) -> tuple[int, int] | None:
     """First (x, c) in row-major order with (x+g)c != xc + gc, or None."""
-    return _first_mismatch(add.shape[0], lambda lo, hi: (
+    return _first_mismatch(*add.shape, lambda lo, hi: (
         mul[add[lo:hi, g]], _lookup(add, mul[lo:hi], mul[g])))
 
 
@@ -542,12 +545,9 @@ def _span_passes_hold(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> bool
     <g2..gk>, k = 2..r (`_span_chain`): n*(|K_2| + ... + |K_r|) cells, in
     row blocks of that width, stopping at the first block that fails."""
     cols, over, sums = _span_chain(add, gens)
-    for lo, hi in _row_blocks(add.shape[0], cols.size):
-        rows = mul[lo:hi]
-        lhs = rows.take(sums, axis=1)
-        if not (lhs == _lookup(add, rows.take(over, axis=1), rows.take(cols, axis=1))).all():
-            return False
-    return True
+    return _first_mismatch(add.shape[0], cols.size, lambda lo, hi: (
+        mul[lo:hi].take(sums, axis=1),
+        _lookup(add, mul[lo:hi].take(over, axis=1), mul[lo:hi].take(cols, axis=1)))) is None
 
 
 def _generator_triple_checks(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> None:
@@ -795,7 +795,8 @@ def _certified_projection(ring: FiniteRing, members: np.ndarray, reps: np.ndarra
 
     Checks m(0), m(1), m(reps) = 0..|S|-1 and, for all a and b, (a) a - s
     in I for the s = reps[m(a)], the count |S|·|I| = n, and (b) m(s+b) =
-    m(s) + m(b) and m(sb) = m(s)m(b) for s in S: n(2|S| + 1) cells.  The
+    m(s) + m(b) and m(sb) = m(s)m(b) for s in S, which is `validate_hom`'s
+    pass on the rows S only (`_hom_pass`): n(2|S| + 1) cells.  The
     representatives are distinct, since m sends them to distinct images, and
     by (a) each of the n/|I| = |S| cosets of I holds one; so each coset holds
     exactly one, and reps[m(a)] is the one in a's coset.  Hence every a is
@@ -820,13 +821,7 @@ def _certified_projection(ring: FiniteRing, members: np.ndarray, reps: np.ndarra
     size = int(np.count_nonzero(members))
     if q * size != n:
         raise HomViolation("coset-count", (), f"|S|·|I| = {q}·{size} is not the order {n}")
-    for kind, src, tgt in (("additive", ring.add, quotient.add),
-                           ("multiplicative", ring.mul, quotient.mul)):
-        for lo, hi in _row_blocks(q, n):
-            bad = np.take(m, src[reps[lo:hi]]) != np.take(tgt[lo:hi], m, axis=1)
-            if bad.any():
-                s, b = _first_bad_pair(bad)
-                raise HomViolation(kind, (int(reps[lo + s]), b))
+    _hom_pass(ring, quotient, m, reps)
     m.setflags(write=False)
     return RingHom(ring, quotient, m)
 
@@ -897,6 +892,18 @@ def center(ring: FiniteRing) -> np.ndarray:
 # homomorphisms
 
 
+def _hom_pass(source: FiniteRing, target: FiniteRing, m: np.ndarray, rows: np.ndarray) -> None:
+    """`HomViolation` at the first (a, b) in row-major order, a in `rows`, with
+    m(a+b) != m(a) + m(b), else with m(ab) != m(a)m(b): `validate_hom`'s pass
+    on every row, and `_certified_projection`'s on coset representatives."""
+    for kind, src, tgt in (("additive", source.add, target.add),
+                           ("multiplicative", source.mul, target.mul)):
+        bad = _first_mismatch(len(rows), source.order, lambda lo, hi: (
+            np.take(m, src[rows[lo:hi]]), _outer(tgt, m[rows[lo:hi]], m)))
+        if bad is not None:
+            raise HomViolation(kind, (int(rows[bad[0]]), bad[1]))
+
+
 def _identity_hom(source: FiniteRing, target: FiniteRing) -> RingHom:
     """The identity map between rings on the same tables: a homomorphism
     with no certificate to check."""
@@ -920,13 +927,7 @@ def validate_hom(source: FiniteRing, target: FiniteRing, mapping) -> RingHom:
         raise HomViolation("zero", (source.zero,))
     if int(m[source.one]) != target.one:
         raise HomViolation("one", (source.one,))
-    n = source.order
-    for kind, src, tgt in (("additive", source.add, target.add),
-                           ("multiplicative", source.mul, target.mul)):
-        bad = _first_mismatch(n, lambda lo, hi: (
-            np.take(m, src[lo:hi]), _outer(tgt, m[lo:hi], m)))
-        if bad is not None:
-            raise HomViolation(kind, bad)
+    _hom_pass(source, target, m, np.arange(source.order))
     m.setflags(write=False)
     return RingHom(source, target, m)
 

@@ -229,18 +229,9 @@ def _pi_regular_mask(ring: FiniteRing) -> np.ndarray:
     return ok
 
 
-def _rows_hold(ring: FiniteRing, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Whether row rows[i] of `mul` holds values[i], for each i: values[i]
-    lies in rows[i] * R.  Read in row blocks."""
-    out = np.empty(len(rows), dtype=bool)
-    for lo, hi, block in core._outer_blocks(ring.mul, rows):
-        out[lo:hi] = (block == values[lo:hi, None]).any(axis=1)
-    return out
-
-
 def _strongly_regular_mask(ring: FiniteRing) -> np.ndarray:
     """Elements a in a^2 * R."""
-    return _rows_hold(ring, ring.mul.diagonal(), np.arange(ring.order))
+    return core._first_column(ring.mul, np.arange(ring.order), ring.mul.diagonal()) >= 0
 
 
 def _strongly_pi_regular_mask(ring: FiniteRing) -> np.ndarray:
@@ -251,7 +242,7 @@ def _strongly_pi_regular_mask(ring: FiniteRing) -> np.ndarray:
     unresolved = np.ones(n, dtype=bool)
     for _ in range(n):
         idx = np.flatnonzero(unresolved)
-        ok = _rows_hold(ring, ring.mul[p[idx], idx], p[idx])
+        ok = core._first_column(ring.mul, p[idx], ring.mul[p[idx], idx]) >= 0
         unresolved[idx[ok]] = False
         if not unresolved.any():
             break
@@ -586,7 +577,7 @@ def jacobson_pair_check(ring: FiniteRing) -> CheckReport:
     notes = f"delta-u hypothesis {'holds' if hyp else 'does not hold'}"
     # [1 - ab in delta] against its transpose, a row block against a column block
     mul = ring.mul
-    bad = core._first_mismatch(ring.order, lambda lo, hi: (
+    bad = core._first_mismatch(*mul.shape, lambda lo, hi: (
         in_delta[mul[lo:hi]], in_delta[mul[:, lo:hi]].T))
     if bad is None:
         return _report(ring, "jacobson-pair", True, notes=notes)

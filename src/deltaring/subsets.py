@@ -83,8 +83,7 @@ def _fingerprint(ring: FiniteRing) -> int:
 def _same_table(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two n-by-n tables are equal: at once when they are one array,
     else compared one row block at a time, with no n-by-n temporary."""
-    return a is b or all(np.array_equal(a[lo:hi], b[lo:hi])
-                         for lo, hi in core._row_blocks(a.shape[0], a.shape[1]))
+    return a is b or core._first_mismatch(*a.shape, lambda lo, hi: (a[lo:hi], b[lo:hi])) is None
 
 
 def _table_memo(ring: FiniteRing) -> _TableMemo:

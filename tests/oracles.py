@@ -368,11 +368,12 @@ def naive_unit_orbits(R, within) -> list[tuple[int, ...]]:
     return orbits
 
 
-def naive_hom_violation(source, target, mapping) -> tuple[str, tuple[int, ...]] | None:
+def naive_hom_violation(source, target, mapping, rows=None) -> tuple[str, tuple[int, ...]] | None:
     """First way the index map fails to be a unital homomorphism, as
     (kind, witness) in `validate_hom`'s order: the images of 0 and 1, then
     every pair for +, then every pair for *, one pair at a time in row-major
-    order.  None when the map is a homomorphism."""
+    order.  None when the map is a homomorphism.  With `rows`, only the
+    pairs (a, b) with a in `rows` are compared, in the order given."""
     m = [int(v) for v in mapping]
     if m[source.zero] != target.zero:
         return "zero", (source.zero,)
@@ -381,7 +382,7 @@ def naive_hom_violation(source, target, mapping) -> tuple[str, tuple[int, ...]] 
     for kind, src, tgt in (("additive", source.add, target.add),
                            ("multiplicative", source.mul, target.mul)):
         src, tgt = src.tolist(), tgt.tolist()
-        for a in range(source.order):
+        for a in (range(source.order) if rows is None else map(int, rows)):
             for b in range(source.order):
                 if m[src[a][b]] != tgt[m[a]][m[b]]:
                     return kind, (a, b)

@@ -631,9 +631,9 @@ def test_validate_hom_examples(zmod):
         core.validate_hom(Z4, Z2, [0, 1, 1, 0])
 
 
-def _hom_outcome(source, target, mapping):
+def _hom_outcome(check, *args):
     try:
-        core.validate_hom(source, target, mapping)
+        check(*args)
     except HomViolation as exc:
         return exc.kind, exc.witness
     return None
@@ -644,25 +644,38 @@ def test_validate_hom_witness_matches_naive_double_loop(monkeypatch, cells):
     # corrupted projections R -> R/J (one image moved), and the projection
     # into the opposite ring of R/J, which is always additive and is
     # multiplicative exactly when R/J is commutative: the blocked passes
-    # report the oracle's first failing pair, or none
+    # report the oracle's first failing pair, or none.  The coset certificate
+    # on the same maps names the oracle's first failure on its representative
+    # rows, unless its own checks of the cosets (between the images of 0 and 1
+    # and the pass) refuse the map first.
     if cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
     rng = random.Random(11)
-    kinds = set()
+    kinds, certified = set(), set()
     for label in ("Z12", "M(2,Z3)", "K(Z4,s=2)", "DT(Z4,Z4)", "T(3,Z3)"):
         R = dsl.build_str(label)
-        Q, proj = core.quotient_ring(R, subsets.jacobson_mask(R))
+        J = subsets.jacobson_mask(R)
+        reps = np.unique(R.add[:, np.flatnonzero(J)].min(axis=1))
+        Q, proj = core.quotient_ring(R, J)
         opposite = core.validate_ring(Q.add, np.ascontiguousarray(Q.mul.T), Q.zero, Q.one)
-        expect = oracles.naive_hom_violation(R, opposite, proj.map)
-        assert _hom_outcome(R, opposite, proj.map) == expect, label
-        kinds.add(expect and expect[0])
+        cases = [(opposite, proj.map)]
         for x in [R.one] + [rng.randrange(R.order) for _ in range(3)]:
             m = proj.map.copy()
             m[x] = (m[x] + rng.randrange(1, Q.order)) % Q.order
-            expect = oracles.naive_hom_violation(R, Q, m)
-            assert _hom_outcome(R, Q, m) == expect, (label, x)
+            cases.append((Q, m))
+        for target, m in cases:
+            expect = oracles.naive_hom_violation(R, target, m)
+            assert _hom_outcome(core.validate_hom, R, target, m) == expect, label
             kinds.add(expect and expect[0])
+            got = _hom_outcome(core._certified_projection, R, J, reps, target, np.array(m))
+            expect = oracles.naive_hom_violation(R, target, m, rows=reps)
+            if got is not None and got[0] in ("onto", "coset", "coset-count"):
+                assert expect is None or expect[0] not in ("zero", "one"), (label, got)
+            else:
+                assert got == expect, (label, got)
+            certified.add(got and got[0])
     assert kinds >= {"one", "additive", "multiplicative", None}
+    assert certified >= {"one", "multiplicative", None}
 
 
 def test_validate_hom_shape_errors(zmod):

@@ -8,7 +8,8 @@ before the package is imported, so that the dump reader's worker thread is
 traced too:
 
 - `verify all --json --threads 1`, `verify all --max-order 64`, `verify T3.8`;
-- `classes` and `classes --json`, one `search` and one `check`;
+- `classes` and `classes --json`, one `search`, and one `check` plain and
+  with `--json`;
 - `info` and `info --json` for every catalog ring, `info --json` for the
   rings of the inspect benchmark's pool (`bench/pool.INSPECT_POOL`), and
   `info --dump` for every fifth catalog ring;
@@ -87,7 +88,7 @@ def run_commands() -> None:
                 ["verify", "all", "--max-order", "64"], ["verify", "T3.8"],
                 ["classes"], ["classes", "--json"],
                 ["search", "--include", "2-delta-u", "--exclude", "delta-u"],
-                ["check", "2-delta-u", "M(2,Z2)"]]
+                ["check", "2-delta-u", "M(2,Z2)"], ["check", "2-delta-u", "M(2,Z2)", "--json"]]
     commands += [["info", label, *flag] for label in catalog for flag in ([], ["--json"])]
     commands += [["info", expr, "--json"] for expr, _ in pool.INSPECT_POOL]
     commands += [["info", label, "--dump"] for label in catalog[::5]]
