@@ -4,10 +4,10 @@ from .core import (
     DEFAULT_ORDER_GUARD,
     FiniteRing,
     RingHom,
-    center,
     corner_ring,
     ideal_generated,
     induced_subring,
+    is_central,
     is_ideal,
     quotient_ring,
     ring_from_dict,
@@ -30,7 +30,6 @@ __all__ = [
     "FiniteRing",
     "RingHom",
     "Witness",
-    "center",
     "constructions",
     "corner_ring",
     "dsl",
@@ -38,6 +37,7 @@ __all__ = [
     "harness",
     "ideal_generated",
     "induced_subring",
+    "is_central",
     "is_ideal",
     "predicates",
     "quotient_ring",

@@ -106,11 +106,12 @@ def validate_group(table, identity: int, label: str, names=None) -> FiniteGroup:
     if not has_inv.all():
         raise ValueError("inverse fails")
     inv = (t == identity).argmax(axis=1).astype(core.TABLE_DTYPE)
-    if names is None:
-        names = tuple(f"g{i}" for i in range(n))
+    names = tuple(f"g{i}" for i in range(n)) if names is None else tuple(names)
+    if len(names) != n:
+        raise ValueError(f"bad group names: {len(names)} for {n} elements")
     t.setflags(write=False)
     inv.setflags(write=False)
-    return FiniteGroup(label, n, t, identity, inv, tuple(names))
+    return FiniteGroup(label, n, t, identity, inv, names)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -181,6 +182,8 @@ class Bimodule:
                 raise InvalidBimodule(f"{name} entries must be element indices below {m}")
         if not 0 <= self.zero < m:
             raise InvalidBimodule(f"zero must be an element index below {m}")
+        if len(self.names) != m:
+            raise InvalidBimodule(f"names must name each of the {m} elements")
 
     def __repr__(self) -> str:
         return f"Bimodule({self.label!r}, order={self.order})"
@@ -226,13 +229,14 @@ def _hold_to_guard(label: str, sizes, order_guard: int | None) -> int:
     return total
 
 
-def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
+def _tuple_ring(label: str, add_tables: list[np.ndarray],
                 zero_tuple: Sequence[int], one_tuple: Sequence[int],
                 terms, names, *, order_guard: int | None) -> FiniteRing:
     """The ring on coefficient tuples whose coordinate c adds by
     `add_tables[c]` and whose product has the structure-table `terms`
     (c, l, r, table): coordinate c of ab is the sum, under `add_tables[c]`,
     of `table[a_l, b_r]`; each coordinate needs at least one term.
+    Coordinate c takes `len(add_tables[c])` values.
 
     The product is evaluated from the terms on the rows of the zero and of
     the generators of `core._coset_walk` on the addition.  The other rows
@@ -249,12 +253,11 @@ def _tuple_ring(label: str, sizes: list[int], add_tables: list[np.ndarray],
     read or anything is allocated; `names()` gives the element names and is
     called only after that.
     """
+    sizes = [len(t) for t in add_tables]
     n = _hold_to_guard(label, sizes, order_guard)
     terms = list(terms)
     strides = _strides(sizes)
-    arange = np.arange(n, dtype=np.int64)
-    cols = [((arange // strides[c]) % sizes[c]).astype(core.TABLE_DTYPE)
-            for c in range(len(sizes))]
+    cols = [c.astype(core.TABLE_DTYPE) for c in np.unravel_index(np.arange(n), sizes)]
 
     def encode_rows(parts) -> np.ndarray:
         # The element whose coordinate c is parts[c].  Each partial sum of
@@ -383,7 +386,7 @@ def _over(R: FiniteRing, k: int, label: str, terms, ones, names,
     one = [R.zero] * k
     for c in ones:
         one[c] = R.one
-    return _tuple_ring(label, [R.order] * k, [R.add] * k, [R.zero] * k, one, terms, names,
+    return _tuple_ring(label, [R.add] * k, [R.zero] * k, one, terms, names,
                        order_guard=order_guard)
 
 
@@ -393,17 +396,15 @@ def _element_names(sizes: list[int], name) -> list[str]:
     return [name(tup) for tup in itertools.product(*map(range, sizes))]
 
 
-def _tuple_names(coord_names: list[tuple[str, ...]], sizes: list[int]) -> list[str]:
-    return _element_names(sizes, lambda tup: "(" + ",".join(
-        coord_names[c][v] for c, v in enumerate(tup)) + ")")
+def _tuple_names(coord_names: list[tuple[str, ...]]) -> list[str]:
+    return ["(" + ",".join(tup) + ")" for tup in itertools.product(*coord_names)]
 
 
-def _poly_names(base_names: tuple[str, ...], sizes: list[int], var_names: list[str]) -> list[str]:
+def _poly_names(base_names: tuple[str, ...], var_names: list[str]) -> list[str]:
     """Display tuples (a_0, ..., a_k) as a_0 + a_1*v1 + ... with zeros dropped."""
     def name(tup):
         terms = []
-        for v, a in zip(var_names, tup):
-            cname = base_names[a]
+        for v, cname in zip(var_names, tup):
             if cname == "0":
                 continue
             if not v:
@@ -416,7 +417,7 @@ def _poly_names(base_names: tuple[str, ...], sizes: list[int], var_names: list[s
                 terms.append(f"({cname}){v}")
         return "+".join(terms) if terms else "0"
 
-    return _element_names(sizes, name)
+    return [name(tup) for tup in itertools.product(base_names, repeat=len(var_names))]
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +430,11 @@ def direct_product(factors: list[FiniteRing], *, order_guard: int | None = None)
         raise ValueError("need at least one factor")
     if len(factors) == 1:
         return factors[0]
-    sizes = [f.order for f in factors]
     terms = [(c, c, c, f.mul) for c, f in enumerate(factors)]
     return _tuple_ring("Prod(" + ",".join(f.label for f in factors) + ")",
-                       sizes, [f.add for f in factors], tuple(f.zero for f in factors),
+                       [f.add for f in factors], tuple(f.zero for f in factors),
                        tuple(f.one for f in factors), terms,
-                       lambda: _tuple_names([f.names for f in factors], sizes),
+                       lambda: _tuple_names([f.names for f in factors]),
                        order_guard=order_guard)
 
 
@@ -453,6 +453,8 @@ def matrix_index(R: FiniteRing, n: int, entries) -> int:
     flat = [int(e) for row in entries for e in row]
     if len(flat) != n * n:
         raise ValueError("entry grid must be n-by-n")
+    if not all(0 <= e < R.order for e in flat):
+        raise ValueError(f"entries must be element indices below {R.order}")
     idx = 0
     for e in flat:
         idx = idx * R.order + e
@@ -512,7 +514,7 @@ def truncated_skew_poly(R: FiniteRing, alpha: RingHom | None, n: int, *,
 
     def names():
         var_names = [""] + ["x" if c == 1 else f"x^{c}" for c in range(1, n)]
-        return _poly_names(R.names, [R.order] * n, var_names)
+        return _poly_names(R.names, var_names)
 
     return _over(R, n, f"TruncSkew({R.label},{endo_label},{n})", terms(), [0],
                  names, order_guard)
@@ -547,11 +549,10 @@ def trivial_extension(R: FiniteRing, M: Bimodule | None = None, *,
     ring part, and likewise for the delta set.
     """
     M = _require_rr_bimodule(R, M)
-    sizes = [R.order, M.order]
     terms = [(0, 0, 0, R.mul), (1, 0, 1, M.left_act), (1, 1, 0, M.right_act)]
-    out = _tuple_ring(f"Triv({R.label},{M.label})", sizes, [R.add, M.add],
+    out = _tuple_ring(f"Triv({R.label},{M.label})", [R.add, M.add],
                       (R.zero, M.zero), (R.one, M.zero), terms,
-                      lambda: _tuple_names([R.names, M.names], sizes), order_guard=order_guard)
+                      lambda: _tuple_names([R.names, M.names]), order_guard=order_guard)
     _check_ring_part(out, R)
     return out
 
@@ -567,15 +568,14 @@ def dt_extension(R: FiniteRing, M: Bimodule | None = None, *,
     unit ring part a, and likewise for the delta set.
     """
     M = _require_rr_bimodule(R, M)
-    sizes = [R.order, M.order] * 2
     left, right = M.left_act, M.right_act
     terms = [(0, 0, 0, R.mul),
              (1, 0, 1, left), (1, 1, 0, right),
              (2, 0, 2, R.mul), (2, 2, 0, R.mul),
              (3, 0, 3, left), (3, 1, 2, right), (3, 2, 1, left), (3, 3, 0, right)]
-    out = _tuple_ring(f"DT({R.label},{M.label})", sizes, [R.add, M.add] * 2,
+    out = _tuple_ring(f"DT({R.label},{M.label})", [R.add, M.add] * 2,
                       (R.zero, M.zero) * 2, (R.one, M.zero, R.zero, M.zero), terms,
-                      lambda: _tuple_names([R.names, M.names] * 2, sizes), order_guard=order_guard)
+                      lambda: _tuple_names([R.names, M.names] * 2), order_guard=order_guard)
     _check_ring_part(out, R)
     return out
 
@@ -590,11 +590,10 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, M: Bimodule | None = None, *
         M = zero_bimodule(R, S)
     if M.left_ring is not R or M.right_ring is not S:
         raise InvalidBimodule("module must be an (R,S)-bimodule")
-    sizes = [R.order, M.order, S.order]
     terms = [(0, 0, 0, R.mul), (1, 0, 1, M.left_act), (1, 1, 2, M.right_act), (2, 2, 2, S.mul)]
-    return _tuple_ring(f"FT({R.label},{S.label},{M.label})", sizes,
+    return _tuple_ring(f"FT({R.label},{S.label},{M.label})",
                        [R.add, M.add, S.add], (R.zero, M.zero, S.zero), (R.one, M.zero, S.one),
-                       terms, lambda: _tuple_names([R.names, M.names, S.names], sizes),
+                       terms, lambda: _tuple_names([R.names, M.names, S.names]),
                        order_guard=order_guard)
 
 
@@ -602,7 +601,7 @@ def generalized_matrix(R: FiniteRing, s: int, *, order_guard: int | None = None)
     """K_s(R): quadruples (a, x, y, b) with both cross products scaled by the
     central element s."""
     s = int(s)
-    if not core.center(R)[s]:
+    if not core.is_central(R, s):
         raise NotCentral(f"element {s} is not central in {R.label}")
     # (a, x, y, b)(a', x', y', b') = (aa' + s xy', ax' + xb', ya' + by', s yx' + bb'),
     # written out here, not derived from `formal_matrix`, which T4.10 compares it with
@@ -610,7 +609,7 @@ def generalized_matrix(R: FiniteRing, s: int, *, order_guard: int | None = None)
     terms = [(0, 0, 0, R.mul), (0, 1, 2, scaled), (1, 0, 1, R.mul), (1, 1, 3, R.mul),
              (2, 2, 0, R.mul), (2, 3, 2, R.mul), (3, 2, 1, scaled), (3, 3, 3, R.mul)]
     return _over(R, 4, f"K({R.label},s={R.names[s]})", terms, (0, 3),
-                 lambda: _tuple_names([R.names] * 4, [R.order] * 4), order_guard)
+                 lambda: _tuple_names([R.names] * 4), order_guard)
 
 
 def scale_exponent(i: int, k: int, j: int) -> int:
@@ -622,7 +621,7 @@ def formal_matrix(R: FiniteRing, n: int, s: int, *, order_guard: int | None = No
     """n-by-n matrices over R with the product twisted by powers of a central
     element s: the (i,k)x(k,j) term is scaled by s**scale_exponent(i,k,j)."""
     s = int(s)
-    if not core.center(R)[s]:
+    if not core.is_central(R, s):
         raise NotCentral(f"element {s} is not central in {R.label}")
     return _scaled_matrix(R, n, s, f"FM({n},{R.label},s={R.names[s]})",
                           lambda tup: "(" + ",".join(R.names[v] for v in tup) + ")",
@@ -656,7 +655,7 @@ def group_ring(R: FiniteRing, G: FiniteGroup, *, order_guard: int | None = None)
              for h in range(G.order) for g in range(G.order))
     var_names = ["" if g == G.identity else G.names[g] for g in range(G.order)]
     return _over(R, G.order, f"GR({R.label},{G.label})", terms, [G.identity],
-                 lambda: _poly_names(R.names, [R.order] * G.order, var_names), order_guard)
+                 lambda: _poly_names(R.names, var_names), order_guard)
 
 
 def augmentation(RG: FiniteRing, R: FiniteRing, G: FiniteGroup) -> tuple[RingHom, np.ndarray]:
@@ -670,11 +669,9 @@ def augmentation(RG: FiniteRing, R: FiniteRing, G: FiniteGroup) -> tuple[RingHom
     n = RG.order
     if n != R.order ** G.order:
         raise ValueError(f"{RG.label} is not a group ring of {R.label} over {G.label}")
-    arange = np.arange(n, dtype=np.int64)
-    strides = _strides([R.order] * G.order)
     eps = np.full(n, R.zero, dtype=core.TABLE_DTYPE)
-    for g in range(G.order):
-        eps = R.add[eps, (arange // strides[g]) % R.order]
+    for coefficient in np.unravel_index(np.arange(n), (R.order,) * G.order):
+        eps = R.add[eps, coefficient]
     hom = core.validate_hom(RG, R, eps)
     check_internal(hom.is_surjective, f"augmentation of {RG.label} is not surjective")
     kernel = hom.kernel()

@@ -21,9 +21,10 @@ reads it block by block (`_all_in`, `_marked_outer`, `_first_column`,
 `is_ideal`, the coset representatives of `quotient_ring`, and the scans of
 `subsets` and `predicates`), so it holds no n-by-n or n-by-|S| temporary;
 `_outer` joins the blocks only where the array is the result, such as a
-quotient's tables.  Symmetry tests (commutativity, Light's test) compare
-square tiles and name the first failing pair from the tiles they compared,
-so they gather no n-by-n array either.  A value-dependent lookup
+quotient's tables.  Symmetry tests (commutativity, Light's test, the
+Jacobson pair of `predicates`) compare square tiles and name the first
+failing pair from the tiles they compared, so they gather no n-by-n array
+either.  A value-dependent lookup
 `table[rows, cols]`, with index arrays that broadcast to an n-by-n grid
 (a*x*a, a*g + a*c), goes through `_lookup`.  On a table larger than one
 block of `_BLOCK_CELLS` cells that is one `np.take` on the flattened table
@@ -181,9 +182,10 @@ def _row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
     return [(lo, min(rows, lo + step)) for lo in range(0, rows, step)]
 
 
-def _index_dtype(n: int) -> type:
-    """Flat indices r*n + c into an n-by-n table fit int32 below n^2 = 2^31."""
-    return np.int64 if n * n >= 1 << 31 else np.int32
+def _index_dtype(rows: int, width: int) -> type:
+    """Flat indices r*width + c into a `rows`-by-`width` grid fit int32
+    below rows*width = 2^31."""
+    return np.int64 if rows * width >= 1 << 31 else np.int32
 
 
 def _lookup(table: np.ndarray, rows, cols) -> np.ndarray:
@@ -202,7 +204,7 @@ def _lookup(table: np.ndarray, rows, cols) -> np.ndarray:
     # operands that are constant along the leading axis broadcast into every block
     rows_lead = rows.ndim == len(shape) and rows.shape[0] > 1
     cols_lead = cols.ndim == len(shape) and cols.shape[0] > 1
-    flat, dtype = table.ravel(), _index_dtype(n)
+    flat, dtype = table.ravel(), _index_dtype(*table.shape)
     out = np.empty(shape, dtype=table.dtype)
     for lo, hi in _row_blocks(shape[0], math.prod(shape[1:])):
         idx = (rows[lo:hi] if rows_lead else rows).astype(dtype) * n
@@ -269,19 +271,22 @@ def _first_column(table: np.ndarray, value, rows=None) -> np.ndarray:
     return out
 
 
-def _is_symmetric(table: np.ndarray, rows: np.ndarray | None = None) -> tuple[int, int] | None:
+def _is_symmetric(table: np.ndarray, rows: np.ndarray | None = None,
+                  through: np.ndarray | None = None) -> tuple[int, int] | None:
     """The first (a, c) in row-major order with M[a, c] != M[c, a], or None,
-    for M = `table[rows]` (`table` itself when `rows` is None).  M is
-    compared one pair of square tiles of about `_BLOCK_CELLS` cells at a
-    time, so the transposed side stays in cache and M is never gathered
-    whole.  That pair has a < c, so it lies in the first row of tiles that
-    fails, though maybe not in its first failing tile: the row is finished."""
+    for M = `table[rows]` (`table` itself when `rows` is None), read as
+    `through[M]` when the vector `through` is given.  M is compared one
+    pair of square tiles of about `_BLOCK_CELLS` cells at a time, so the
+    transposed side stays in cache and M is never gathered whole.  That
+    pair has a < c, so it lies in the first row of tiles that fails, though
+    maybe not in its first failing tile: the row is finished."""
     n = table.shape[0]
     side = max(1, math.isqrt(_BLOCK_CELLS))
 
     def tile(i: int, j: int) -> np.ndarray:
         cols = slice(j, j + side)
-        return table[i:i + side, cols] if rows is None else table[rows[i:i + side], cols]
+        out = table[i:i + side, cols] if rows is None else table[rows[i:i + side], cols]
+        return out if through is None else through[out]
 
     for i in range(0, n, side):
         found = []
@@ -838,6 +843,9 @@ def induced_subring(ring: FiniteRing, subset, one: int,
     names and memo are its own, and its element sets are the ring's, each
     computed once for the tables.
     """
+    one = int(one)
+    if not 0 <= one < ring.order:
+        raise ValueError(f"identity {one} is not an element index below {ring.order}")
     mask = _element_mask(ring, subset)
     elems = np.flatnonzero(mask).astype(TABLE_DTYPE)
     if not (mask[ring.zero] and mask[ring.neg[elems]].all()):
@@ -855,7 +863,6 @@ def induced_subring(ring: FiniteRing, subset, one: int,
         sub_neg = None
         if sub_add.max() >= elems.size or sub_mul.max() >= elems.size:
             raise ValueError("subset is not closed under the ring operations")
-    one = int(one)
     if not mask[one]:
         raise ValueError(f"identity {one} is not a member of the subset")
     bad = (ring.mul[one, elems] != elems) | (ring.mul[elems, one] != elems)
@@ -880,12 +887,9 @@ def corner_ring(ring: FiniteRing, e: int) -> FiniteRing:
     return out
 
 
-def center(ring: FiniteRing) -> np.ndarray:
-    """Mask of the elements commuting with everything, in row blocks."""
-    mul, out = ring.mul, np.empty(ring.order, dtype=bool)
-    for lo, hi in _row_blocks(ring.order, ring.order):
-        out[lo:hi] = (mul[lo:hi] == mul[:, lo:hi].T).all(axis=1)
-    return _frozen(out)
+def is_central(ring: FiniteRing, a: int) -> bool:
+    """Whether a commutes with every element: row a of the product is column a."""
+    return np.array_equal(ring.mul[a], ring.mul[:, a])
 
 
 # ---------------------------------------------------------------------------

@@ -500,7 +500,7 @@ def galois_field(q: int) -> FiniteRing:
     # the 1 is the constant polynomial, the last coordinate
     var_names = ["x" if d == 1 else f"x^{d}" if d else "" for d in range(k - 1, -1, -1)]
     return cons._over(Zp, k, f"GF({q})", terms, [k - 1],
-                      lambda: cons._poly_names(Zp.names, [p] * k, var_names), None)
+                      lambda: cons._poly_names(Zp.names, var_names), None)
 
 
 def frobenius(field: FiniteRing, p: int) -> core.RingHom:

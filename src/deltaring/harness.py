@@ -232,7 +232,7 @@ def _radical_nil(r: FiniteRing) -> bool:
 def _central_radical_scalar(expr, built, parts) -> str | None:
     """T4.9's hypothesis: the scalar lies in the center and in J(R)."""
     base, s = parts[0], expr.scalar
-    if not (subsets.jacobson_mask(base)[s] and core.center(base)[s]):
+    if not (subsets.jacobson_mask(base)[s] and core.is_central(base, s)):
         return f"scalar {s} is not in the center-radical"
     return None
 

@@ -377,7 +377,7 @@ def _is_zero_or_unit(ring: FiniteRing, a: int) -> bool:
 
 
 def _is_central_if_idempotent(ring: FiniteRing, a: int) -> bool:
-    return int(ring.mul[a, a]) != a or bool((ring.mul[a] == ring.mul[:, a]).all())
+    return int(ring.mul[a, a]) != a or core.is_central(ring, a)
 
 
 def _right_inverses_are_left(ring: FiniteRing, a: int) -> bool:
@@ -575,10 +575,7 @@ def jacobson_pair_check(ring: FiniteRing) -> CheckReport:
     in_delta = subsets.delta_mask(ring)[subsets.one_minus(ring)]     # at x: 1 - x in delta
     hyp = check_class(ring, "delta-u").verdict
     notes = f"delta-u hypothesis {'holds' if hyp else 'does not hold'}"
-    # [1 - ab in delta] against its transpose, a row block against a column block
-    mul = ring.mul
-    bad = core._first_mismatch(*mul.shape, lambda lo, hi: (
-        in_delta[mul[lo:hi]], in_delta[mul[:, lo:hi]].T))
+    bad = core._is_symmetric(ring.mul, through=in_delta)     # [1 - ab in delta] is symmetric
     if bad is None:
         return _report(ring, "jacobson-pair", True, notes=notes)
     return _report(ring, "jacobson-pair", False,

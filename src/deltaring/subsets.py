@@ -280,7 +280,7 @@ def idempotent_reach(ring: FiniteRing) -> np.ndarray:
         pos[id_idx] = np.arange(id_idx.size, dtype=np.int32)
         reach = np.zeros((n, width), dtype=bool)
         flat = reach.ravel()
-        dtype = np.int64 if n * width >= 1 << 31 else np.int32
+        dtype = core._index_dtype(n, width)
         for lo, hi in core._row_blocks(n, n):
             starts = np.arange(lo, hi, dtype=dtype)[:, None] * width
             flat[np.take(pos, ring.mul[lo:hi]) + starts] = True

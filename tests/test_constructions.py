@@ -120,10 +120,11 @@ def test_tuple_ring_fills_from_the_generator_rows(monkeypatch, zmod, cells):
         evaluated.append(len(left[0]))
         return products(add_tables, terms, left, right)
 
-    def spy(label, sizes, add_tables, zero, one, terms, names, **kwargs):
+    def spy(label, add_tables, zero, one, terms, names, **kwargs):
         terms, before = list(terms), len(evaluated)
-        ring = real(label, sizes, add_tables, zero, one, terms, names, **kwargs)
+        ring = real(label, add_tables, zero, one, terms, names, **kwargs)
         rows = evaluated[before:]
+        sizes = [len(t) for t in add_tables]
         strides = cons._strides(sizes)
         coords = [(np.arange(ring.order) // st) % sz for st, sz in zip(strides, sizes)]
         full = products(add_tables, terms, [c[:, None] for c in coords], [c[None, :] for c in coords])
@@ -181,7 +182,7 @@ def test_generator_rows_that_break_an_additive_relation_are_rejected(monkeypatch
 
     monkeypatch.setattr(cons, "_structure_certified", spy)
     with pytest.raises(AxiomViolation) as err:
-        cons._tuple_ring("Z4xZ2", [4, 2], [Z4.add, Z2.add], (0, 0), (1, 0),
+        cons._tuple_ring("Z4xZ2", [Z4.add, Z2.add], (0, 0), (1, 0),
                          terms, lambda: None, order_guard=None)
     assert (err.value.kind, err.value.witness) == ("right-distributivity", (1, 1, 4))
     assert certified == [False]
@@ -268,8 +269,8 @@ def test_structures_that_are_not_rings_are_refused(monkeypatch, case):
 
     monkeypatch.setattr(cons, "_structure_certified", spy)
     with pytest.raises(AxiomViolation) as err:
-        cons._tuple_ring(case, [len(a) for a in adds], adds, (0,) * len(adds), one, terms,
-                         lambda: None, order_guard=None)
+        cons._tuple_ring(case, adds, (0,) * len(adds), one, terms, lambda: None,
+                         order_guard=None)
     assert (err.value.kind, err.value.witness) == violation
     assert certified == ([False] if walked else [])
 
@@ -311,7 +312,7 @@ def test_zero_equal_to_one_is_refused_before_the_certificate(zmod, order):
     else:
         add = mul = np.zeros((1, 1), dtype=np.int32)
     with pytest.raises(AxiomViolation) as err:
-        cons._tuple_ring("Z", [order], [add], (0,), (0,), [(0, 0, 0, mul)], lambda: None,
+        cons._tuple_ring("Z", [add], (0,), (0,), [(0, 0, 0, mul)], lambda: None,
                          order_guard=None)
     assert (err.value.kind, err.value.witness) == ("identity-distinct", (0, 0))
 
@@ -613,6 +614,41 @@ def test_group_catalog_is_whole_to_concurrent_first_callers():
 def test_validate_group_refuses_malformed_input(table, identity, message):
     with pytest.raises(ValueError, match=message):
         cons.validate_group(table, identity, "G")
+
+
+def test_group_and_bimodule_names_name_every_element(zmod):
+    # short names were accepted, and the group ring or the trivial
+    # extension built on them failed with an IndexError naming its elements
+    Z2 = zmod(2)
+    table = np.array([[0, 1], [1, 0]])
+    for names in (("1",), ("1", "g", "h")):
+        with pytest.raises(ValueError, match=f"bad group names: {len(names)} for 2 elements"):
+            cons.validate_group(table, 0, "C2", names)
+        with pytest.raises(InvalidBimodule, match="names must name each of the 2 elements"):
+            cons.Bimodule(Z2, Z2, 2, Z2.add, Z2.mul, Z2.mul, 0, "M", names)
+    G = cons.validate_group(table, 0, "C2", ["1", "g"])
+    assert list(cons.group_ring(Z2, G).names) == ["0", "g", "1", "1+g"]
+    M = cons.Bimodule(Z2, Z2, 2, Z2.add, Z2.mul, Z2.mul, 0, "M", ("0", "m"))
+    assert list(cons.trivial_extension(Z2, M).names) == ["(0,0)", "(0,m)", "(1,0)", "(1,m)"]
+
+
+def test_matrix_index_refuses_entries_outside_the_ring(zmod):
+    # [[2,0],[0,0]] over Z2 gave 16, no element of the order-16 ring, and
+    # [[-1,0],[0,0]] gave -8
+    Z2 = zmod(2)
+    assert cons.matrix_index(Z2, 2, [[1, 0], [0, 1]]) == 9
+    for entries in ([[2, 0], [0, 0]], [[-1, 0], [0, 0]], [[0, 0], [0, 2]]):
+        with pytest.raises(ValueError, match="entries must be element indices below 2"):
+            cons.matrix_index(Z2, 2, entries)
+
+
+def test_reprs_are_one_line(zmod):
+    # failure output names a ring, group or module in one line; a dataclass
+    # default repr would print their whole tables
+    Z2 = zmod(2)
+    assert repr(cons.matrix_ring(Z2, 2)) == "FiniteRing('M(2,Z2)', order=16)"
+    assert repr(cons.group_catalog()["S3"]) == "FiniteGroup('S3', order=6)"
+    assert repr(cons.regular_bimodule(Z2)) == "Bimodule('Z2', order=2)"
 
 
 def test_validate_group_checks_associativity_one_row_block_at_a_time():

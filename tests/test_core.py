@@ -124,12 +124,19 @@ def test_lookup_matches_fancy_indexing(monkeypatch, cells):
 
 
 def test_flat_index_dtype_widens_at_two_to_the_31():
-    # r*n + c <= n^2 - 1 fits int32 exactly while n^2 < 2^31, i.e. n <= 46340
+    # r*width + c <= rows*width - 1 fits int32 exactly while rows*width < 2^31:
+    # square tables up to n = 46340, and grids that are not square, such as
+    # `subsets.idempotent_reach`'s n rows of (idempotents + 1) cells
     assert 46340 ** 2 < 2 ** 31 <= 46341 ** 2
-    assert core._index_dtype(2) is np.int32
-    assert core._index_dtype(46340) is np.int32
-    assert core._index_dtype(46341) is np.int64
-    assert core._index_dtype(10 ** 6) is np.int64
+    for rows, width, dtype in ((2, 2, np.int32), (46340, 46340, np.int32),
+                               (46341, 46341, np.int64), (10 ** 6, 10 ** 6, np.int64),
+                               (65536, 32767, np.int32), (65536, 32768, np.int64),
+                               (32768, 65535, np.int32), (32768, 65536, np.int64),
+                               (1, 2 ** 31 - 1, np.int32), (2 ** 31, 1, np.int64),
+                               (3, 715827882, np.int32), (3, 715827883, np.int64)):
+        assert (rows * width >= 2 ** 31) == (dtype is np.int64)   # the cases straddle 2^31
+        assert core._index_dtype(rows, width) is dtype, (rows, width)
+        assert core._index_dtype(width, rows) is dtype, (width, rows)
 
 
 def _first_asymmetric_pair(table):
@@ -527,6 +534,23 @@ def test_induced_subring_certificate_rejections(zmod):
         core.induced_subring(Z6, oracles.mask_of(Z6, [0]), 0)
 
 
+@pytest.mark.parametrize("one", [-1, -4, 4, 7])
+def test_induced_subring_refuses_an_identity_outside_the_ring(monkeypatch, zmod, one):
+    # with identity -1, {0, 3} of Prod(Z2,Z2) came out with element 3 as
+    # its 1, and 7 raised a bare IndexError; an index outside 0..n-1 is
+    # refused before the subset or the tables are read
+    P = direct_product([zmod(2), zmod(2)])
+    subset = oracles.mask_of(P, [0, 3])
+    assert core.induced_subring(P, subset, 3)[0].one == 1
+
+    def refuse(*args):
+        raise AssertionError("subset read before the identity was checked")
+
+    monkeypatch.setattr(core, "_element_mask", refuse)
+    with pytest.raises(ValueError, match=f"identity {one} is not an element index below 4"):
+        core.induced_subring(P, subset, one)
+
+
 @pytest.mark.parametrize("expr", ["Z8", "M(2,Z2)", "T(2,Z3)", "GR(Z2,S3)"])
 def test_full_induced_subrings_share_the_parent_tables(expr, computed):
     # a subset of every element induces the ring's own tables: the unit
@@ -602,16 +626,18 @@ def test_corner_examples(zmod):
         core.corner_ring(Z3, 0)
 
 
-def test_center_examples(zmod):
+def test_is_central_matches_the_naive_center(zmod):
+    # every element of every catalog ring of order at most 32, against the
+    # literal double loop; commutative and noncommutative rings both occur
+    rings = [R for R in harness.catalog_rings() if R.order <= 32]
+    assert any(len(oracles.naive_center(R)) < R.order for R in rings)
+    for R in rings:
+        central = [a for a in range(R.order) if core.is_central(R, a)]
+        assert central == oracles.naive_center(R), R.label
     Z2 = zmod(2)
     M2 = matrix_ring(Z2, 2)
     eye = matrix_index(Z2, 2, [[1, 0], [0, 1]])
-    assert members(core.center(M2)) == [0, eye] == oracles.naive_center(M2)
-    Z12 = zmod(12)
-    assert members(core.center(Z12)) == list(range(12))
-    T2 = upper_triangular(Z2, 2)
-    assert members(core.center(T2)) == oracles.naive_center(T2)
-    assert core.center(T2).sum() == 2
+    assert [a for a in range(M2.order) if core.is_central(M2, a)] == [0, eye]
 
 
 # ---------------------------------------------------------------------------

@@ -262,13 +262,15 @@ def test_jacobson_pair_examples():
     assert "hypothesis" in report.notes
 
 
-@pytest.mark.parametrize("block_cells", [None, 4])
+@pytest.mark.parametrize("block_cells", [None, 4, 37])
 def test_jacobson_pair_scan_matches_the_whole_array_scan(monkeypatch, block_cells, computed):
-    # T2.11 compares row blocks of [1 - ab in delta] with column blocks of
-    # [1 - ba in delta]; the report must be the literal n-by-n comparison's,
-    # its witness the first failing pair in row-major order.  Every catalog
-    # ring passes with its own delta set, so seeded random sets stand in for
-    # it as well, to reach failing pairs
+    # T2.11 compares square tiles of [1 - ab in delta] with the transposed
+    # tiles of [1 - ba in delta] (`core._is_symmetric`); the report must be
+    # the literal n-by-n comparison's, its witness the first failing pair in
+    # row-major order.  37 cells make tiles of side 6, which most orders
+    # here are not multiples of, so a row of tiles ends in a narrower tile.
+    # Every catalog ring passes with its own delta set, so seeded random
+    # sets stand in for it as well, to reach failing pairs
     if block_cells is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(7)
@@ -300,8 +302,8 @@ def test_jacobson_pair_scan_matches_the_whole_array_scan(monkeypatch, block_cell
 
 
 def test_jacobson_pair_scan_holds_no_table():
-    # the two sides are compared one row block at a time; the whole-array
-    # gather and its transpose held 1.26 tables
+    # the two sides are compared one pair of square tiles at a time; the
+    # whole-array gather and its transpose held 1.26 tables
     R = b("Prod(Z32,Z64)")
     assert traced_peak(pr.jacobson_pair_check, R) < 0.25 * R.order ** 2 * 4
 

@@ -353,7 +353,7 @@ def test_structure_certificate_accepts_what_validation_accepts(case):
     mul = sum(stride * p for stride, p in zip(strides, products))
     zero, unit = (int(np.dot(strides, t)) for t in (zeros, one))
     expected = _ring_outcome(lambda: core.validate_ring(add, mul, zero, unit))
-    got = _ring_outcome(lambda: cons._tuple_ring("S", sizes, adds, zeros, one, terms,
+    got = _ring_outcome(lambda: cons._tuple_ring("S", adds, zeros, one, terms,
                                                  lambda: None, order_guard=None))
     assert got == expected
 
